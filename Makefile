@@ -22,6 +22,9 @@
 #   make perf-gate   regression gate over the pinned fast-path keys: any key
 #                    slower than 2x its recorded bench.json baseline fails
 #                    (best of two runs; PERF_GATE_SKIP=1 to skip)
+#   make perfbench   the repository benchmark (BENCHMARK.json): serve,
+#                    guest-mem, migrate and fleet, 20 s each, seed 1, one
+#                    JSON result line per workload
 #   make crypto-selftest  report the CPUID-selected AES/SHA backends and
 #                    cross-check every tier against the executable
 #                    specification (nonzero exit on any mismatch)
@@ -29,7 +32,7 @@
 #                    + fleet smoke + serve smoke + migrate smoke + perf gate
 #                    + docs
 
-.PHONY: build test doc doc-strict matrix fleet fleet-smoke fleet-scale serve serve-smoke migrate migrate-smoke perf perf-gate crypto-selftest check clean
+.PHONY: build test doc doc-strict matrix fleet fleet-smoke fleet-scale serve serve-smoke migrate migrate-smoke perf perf-gate perfbench crypto-selftest check clean
 
 build:
 	dune build @all
@@ -72,6 +75,11 @@ perf:
 
 perf-gate:
 	dune exec bench/main.exe -- perf-gate
+
+perfbench:
+	for w in serve guest-mem migrate fleet; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
 
 crypto-selftest:
 	dune exec bin/fidelius_sim.exe -- cpu-features

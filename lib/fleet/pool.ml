@@ -10,6 +10,8 @@ let chunks ~njobs ~ndomains =
 let workers ~njobs ~ndomains =
   min (recommended_domains ()) (List.length (chunks ~njobs ~ndomains))
 
+let worker_of_chunk ~nchunks ~nworkers i = i * nworkers / nchunks
+
 exception Job_failed of { job : int; exn : exn }
 
 (* One slot per job, written by exactly one worker domain; [Domain.join]
@@ -36,8 +38,9 @@ let map_gen ~who ?domains ~njobs ~init ~finish f =
        observably differ.
 
        At most [recommended_domains ()] worker domains exist per call:
-       chunks beyond the cap are multiplexed round-robin onto the workers,
-       each of which runs its chunks in order. Two failure modes are
+       chunks beyond the cap are dealt out in contiguous blocks
+       ([worker_of_chunk]), each worker running its block in order, so a
+       worker's jobs form one contiguous range. Two failure modes are
        avoided at once. Spawning all requested domains concurrently
        oversubscribes the cores, and OCaml 5's minor GC is a
        stop-the-world rendezvous across running domains, so every
@@ -52,9 +55,14 @@ let map_gen ~who ?domains ~njobs ~init ~finish f =
        the slot each job writes, so results and artifacts stay
        byte-identical for every domain count. *)
     let chunk_list = chunks ~njobs ~ndomains in
-    let nworkers = min (recommended_domains ()) (List.length chunk_list) in
+    let nchunks = List.length chunk_list in
+    let nworkers = min (recommended_domains ()) nchunks in
     let groups = Array.make nworkers [] in
-    List.iteri (fun i c -> groups.(i mod nworkers) <- c :: groups.(i mod nworkers)) chunk_list;
+    List.iteri
+      (fun i c ->
+        let w = worker_of_chunk ~nchunks ~nworkers i in
+        groups.(w) <- c :: groups.(w))
+      chunk_list;
     let spawned =
       Array.to_list
         (Array.mapi

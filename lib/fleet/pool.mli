@@ -19,8 +19,9 @@
     Requested parallelism and spawned domains are decoupled: [domains]
     fixes the chunking (and therefore the results), while the number of
     worker domains actually spawned is capped at {!recommended_domains},
-    with excess chunks multiplexed round-robin onto the workers. OCaml
-    5's minor GC is a stop-the-world rendezvous over all running
+    with excess chunks dealt out to the workers in contiguous blocks
+    ({!worker_of_chunk}), so each worker runs one contiguous job range.
+    OCaml 5's minor GC is a stop-the-world rendezvous over all running
     domains, so running more domains than cores stalls every allocation
     on timesliced stragglers, and even {e sequential} extra domains pay
     a measurable spawn/teardown cost against a warm heap — both were
@@ -68,6 +69,14 @@ val chunks : njobs:int -> ndomains:int -> (int * int) list
     [max njobs 1] domains are used, so no worker is ever empty (except
     the single worker of an empty job list). Raises [Invalid_argument]
     if [njobs < 0] or [ndomains < 1]. *)
+
+val worker_of_chunk : nchunks:int -> nworkers:int -> int -> int
+(** [worker_of_chunk ~nchunks ~nworkers i] is the worker that runs chunk
+    [i] of [nchunks]: [i * nworkers / nchunks]. Non-decreasing in [i], so
+    each worker's chunks are contiguous and run in chunk order; for
+    [nworkers <= nchunks] (always the case in {!map}) every worker gets
+    at least one chunk and block sizes differ by at most one. Pure;
+    pinned by a qcheck property over every shape up to 8 x 8. *)
 
 exception Job_failed of { job : int; exn : exn }
 (** Raised by {!map} after all workers have joined, carrying the

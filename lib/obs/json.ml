@@ -9,31 +9,63 @@ type t =
 
 (* --- printing ---------------------------------------------------------- *)
 
-let escape buf s =
+(* The two leaf printers below are shared by [to_buffer] and by the
+   streaming writers that bypass [t] altogether (Trace.chrome_event_into).
+   Neither allocates once the buffer has room, and neither keeps scratch
+   outside its arguments: fleet workers print on several domains at once. *)
+
+(* Digits of [m] (<= 0), most significant first; at most 19 frames deep.
+   Working on the non-positive side spares [min_int] a special case. *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
+let hex = "0123456789abcdef"
+
+(* Whether [s] from [i] on prints verbatim: the common case, one blit. *)
+let rec plain s i =
+  i >= String.length s
+  ||
+  match String.unsafe_get s i with
+  | '"' | '\\' -> false
+  | c -> c >= ' ' && plain s (i + 1)
+
+let add_str buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  if plain s 0 then Buffer.add_string buf s
+  else
+    for i = 0 to String.length s - 1 do
+      match String.unsafe_get s i with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c when c < ' ' ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex.[Char.code c lsr 4];
+          Buffer.add_char buf hex.[Char.code c land 15]
+      | c -> Buffer.add_char buf c
+    done;
   Buffer.add_char buf '"'
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f ->
       (* %.17g survives a round trip; trim the common integral case. *)
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
       else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | Str s -> escape buf s
+  | Str s -> add_str buf s
   | Arr items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -47,7 +79,7 @@ let rec to_buffer buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
+          add_str buf k;
           Buffer.add_char buf ':';
           to_buffer buf v)
         fields;

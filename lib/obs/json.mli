@@ -21,6 +21,25 @@ val to_string : t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 
+(** {2 Leaf printers}
+
+    The two primitives {!to_buffer} prints every [Int] and [Str] with,
+    exported for writers that stream JSON without building a [t]. Both
+    append exactly the bytes {!to_buffer} would, allocate nothing once the
+    buffer has room, and keep no state outside their arguments, so any
+    number of domains may print at once, each into its own buffer. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf n] appends [string_of_int n] (as [to_buffer buf (Int n)]). *)
+
+val add_str : Buffer.t -> string -> unit
+(** [add_str buf s] appends [s] as a quoted JSON string (as
+    [to_buffer buf (Str s)]). The double quote, backslash, newline,
+    carriage return and tab get their two-byte escapes, other bytes below
+    0x20 become [\u00XX] (lower-case hex), and every other byte, 0x7f
+    and bytes above 0x7f included, is copied verbatim. A string with
+    nothing to escape is copied in one blit. *)
+
 exception Parse_error of string
 
 val parse : string -> t

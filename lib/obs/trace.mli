@@ -193,6 +193,15 @@ val chrome_event : ?pid:int -> ?tid:int -> entry -> Json.t
 (** One Chrome [trace_event] instant-event object. [pid]/[tid] default to
     1; the fleet's merged export gives each shard its own [pid] row. *)
 
+val chrome_event_into : Buffer.t -> pid:int -> entry -> unit
+(** [chrome_event_into buf ~pid e] appends exactly the bytes
+    [Json.to_buffer buf (chrome_event ~pid e)] appends ([tid] 1), without
+    building the [Json.t]: the fleet's per-event serialiser. Allocates
+    nothing once [buf] has room, and keeps no state outside its arguments,
+    so workers on different domains may each write their own buffer at
+    once. {!chrome_event} stays the executable specification; a qcheck
+    property over all fourteen constructors holds the two byte-equal. *)
+
 val to_chrome : ?attribution:(string * int) list -> ?total_cycles:int -> unit -> Json.t
 (** Chrome [trace_event] format: an object with a [traceEvents] array of
     instant events (timestamps in ledger cycles) and an [otherData]

@@ -142,7 +142,7 @@ let chrome_fragment buf ~vm ring =
   Json.to_buffer buf (Merge.process_meta ~pid:(vm + 1) (label_of vm));
   Trace.ring_iter ring (fun e ->
       Buffer.add_char buf ',';
-      Json.to_buffer buf (Trace.chrome_event ~pid:(vm + 1) e))
+      Trace.chrome_event_into buf ~pid:(vm + 1) e)
 
 let run_stream ?domains ?(vms = 16) ~csv:csv_out ~trace:trace_out () =
   if vms < 0 then invalid_arg "Fleetbench.run_stream: vms must be >= 0";

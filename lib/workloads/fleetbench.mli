@@ -81,12 +81,12 @@ type gc_stats = {
 }
 (** One worker domain's GC/allocation delta across its whole job run,
     measured with [Gc.quick_stat] from [Pool.map_with]'s [init] to its
-    [finish] — both on the worker domain, so [minor_words] and
-    [minor_collections] are that domain's own counters. [major_words]
-    and [major_collections] read the shared major heap and therefore
-    include neighbours' contributions when several workers run; per-VM
-    division stays meaningful on the d1 diagnosis run, which is what
-    [bench fleet --gc-stats] prints. *)
+    [finish], both on the worker domain. On OCaml 5.1 [Gc.quick_stat]
+    sums the minor counters over all domains, and [major_words] and
+    [major_collections] read the shared major heap, so when several
+    workers run each delta includes the neighbours' contributions.
+    Per-VM division is meaningful on the one-worker diagnosis run
+    ([bench fleet --domains 1 --gc-stats]). *)
 
 type summary = {
   vm_rows : vm_row list;  (** one per VM, canonical order — same rows {!run} returns *)
@@ -120,6 +120,17 @@ val run_stream :
     left behind (it is truncated and reused by the next call). Not
     re-entrant on the same output paths: two concurrent streams would
     race on the spill directory. *)
+
+val chrome_fragment : Buffer.t -> vm:int -> Fidelius_obs.Trace.ring -> unit
+(** [chrome_fragment buf ~vm ring] replaces [buf]'s contents with VM
+    [vm]'s slice of the merged Chrome trace: a leading comma unless [vm]
+    is 0, the [process_name] metadata event, then every entry of [ring]
+    as an instant event with [pid = vm + 1], each written by
+    [Trace.chrome_event_into]. These are the bytes {!run_stream} spills
+    per VM. Past a fixed per-fragment cost (the label and the metadata
+    event) it allocates nothing per event once [buf] has grown to the
+    fragment's size; a [Gc.minor_words] pin in [test/test_xen.ml] holds
+    that. *)
 
 val csv_header : string
 (** First line of {!csv} / the [csv] file {!run_stream} writes. *)

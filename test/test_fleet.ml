@@ -42,6 +42,22 @@ let test_chunks_pure () =
     (Invalid_argument "Pool.chunks: ndomains must be >= 1") (fun () ->
       ignore (Pool.chunks ~njobs:4 ~ndomains:0))
 
+(* Chunks beyond the worker cap go to workers in contiguous blocks: along
+   the chunk order the worker index never decreases, so each worker's
+   chunks form one run, in order, and when there are at least as many
+   chunks as workers every worker gets a block, the blocks differing in
+   size by at most one. 1000 draws cover all 64 shapes. *)
+let test_worker_of_chunk_blocks =
+  QCheck.Test.make ~count:1000 ~name:"worker_of_chunk deals contiguous ordered blocks"
+    QCheck.(pair (int_range 1 8) (int_range 1 8))
+    (fun (nchunks, nworkers) ->
+      let owner = List.init nchunks (Pool.worker_of_chunk ~nchunks ~nworkers) in
+      let sizes = List.init nworkers (fun w -> List.length (List.filter (( = ) w) owner)) in
+      let lo = List.fold_left min max_int sizes and hi = List.fold_left max 0 sizes in
+      List.for_all (fun w -> w >= 0 && w < nworkers) owner
+      && List.sort compare owner = owner
+      && (nworkers > nchunks || (lo >= 1 && hi - lo <= 1)))
+
 (* --- map: order, edge cases, failure ------------------------------------- *)
 
 let test_map_canonical_order () =
@@ -359,6 +375,27 @@ let test_stream_matches_run =
           read csv_f = W.Fleetbench.csv t
           && read trc_f = Json.to_string (W.Fleetbench.chrome t) ^ "\n"))
 
+(* The artifacts of a 24-VM streamed fleet (the whole profile catalogue),
+   pinned by MD5 at one and two workers. The digests were recorded when
+   every event still went through [Trace.chrome_event] and
+   [Json.to_buffer], so they hold the streaming writer to the bytes of the
+   tree printer on real traces, and hold both to the bytes every earlier
+   run wrote. *)
+let test_fleet_golden_md5 () =
+  let csv_f = Filename.temp_file "fleet" ".csv" and trc_f = Filename.temp_file "fleet" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove csv_f; Sys.remove trc_f)
+    (fun () ->
+      List.iter
+        (fun domains ->
+          ignore (W.Fleetbench.run_stream ~domains ~vms:24 ~csv:csv_f ~trace:trc_f ());
+          let md5 f = Digest.to_hex (Digest.file f) in
+          Alcotest.(check string) (Printf.sprintf "fleet.csv at %d domains" domains)
+            "568fb1719b8d99550f1ceafac16459ab" (md5 csv_f);
+          Alcotest.(check string) (Printf.sprintf "fleet trace at %d domains" domains)
+            "120031c2649237798ee84524fffa9b5b" (md5 trc_f))
+        [ 1; 2 ])
+
 let test_fleetbench_domain_count_invariance () =
   let a = W.Fleetbench.run ~domains:1 ~vms:3 () in
   let b = W.Fleetbench.run ~domains:3 ~vms:3 () in
@@ -392,7 +429,8 @@ let () =
   Alcotest.run "fleet"
     [ ( "chunks",
         [ QCheck_alcotest.to_alcotest test_chunks_partition;
-          Alcotest.test_case "pure and validated" `Quick test_chunks_pure ] );
+          Alcotest.test_case "pure and validated" `Quick test_chunks_pure;
+          QCheck_alcotest.to_alcotest test_worker_of_chunk_blocks ] );
       ( "pool",
         [ Alcotest.test_case "canonical order" `Quick test_map_canonical_order;
           Alcotest.test_case "empty job list" `Quick test_map_empty;
@@ -423,5 +461,6 @@ let () =
         [ Alcotest.test_case "fleet bench artifacts" `Quick
             test_fleetbench_domain_count_invariance;
           QCheck_alcotest.to_alcotest test_stream_matches_run;
+          Alcotest.test_case "24-VM artifact MD5s" `Quick test_fleet_golden_md5;
           Alcotest.test_case "fault matrix verdicts" `Quick
             test_matrix_domain_count_invariance ] ) ]

@@ -296,6 +296,131 @@ let test_json_rejects () =
          with Json.Parse_error _ -> true))
     [ "{"; "[1,]"; "nul"; "\"unterminated"; "1 2"; "" ]
 
+(* --- streaming Chrome writer and the leaf printers ------------------------ *)
+
+(* The printer as it stood before [Json.add_int]/[Json.add_str]:
+   [string_of_int] and a per-character escape. It is the reference both
+   primitives, and [Json.to_buffer] built on them, must reproduce. *)
+let reference_escape buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let rec reference_print buf = function
+  | Json.Null -> Buffer.add_string buf "null"
+  | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Json.Int i -> Buffer.add_string buf (string_of_int i)
+  | Json.Float _ as f -> Json.to_buffer buf f
+  | Json.Str s -> reference_escape buf s
+  | Json.Arr items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_char buf ',';
+          reference_print buf item)
+        items;
+      Buffer.add_char buf ']'
+  | Json.Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          reference_escape buf k;
+          Buffer.add_char buf ':';
+          reference_print buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+let render f x =
+  let buf = Buffer.create 64 in
+  f buf x;
+  Buffer.contents buf
+
+(* Ints at the edges of the printer (sign, digit-count boundaries, the
+   one integer with no positive counterpart) and strings dense in bytes
+   that need escaping or that must pass through untouched. *)
+let edge_int =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofl [ 0; 1; -1; 9; 10; -10; 99; 100; max_int; min_int; max_int - 1; min_int + 1 ]);
+        (3, int);
+        (2, small_signed_int) ])
+
+let edge_string =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [ (3, oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\x01'; '\x1f'; '\x7f'; '\x80'; '\xff' ]);
+             (3, printable);
+             (1, char) ])
+      (int_bound 12))
+
+let event_gen =
+  let open QCheck.Gen in
+  oneof
+    [ map (fun domid -> Trace.Vmrun { domid }) edge_int;
+      map2 (fun domid reason -> Trace.Vmexit { domid; reason }) edge_int edge_string;
+      map2 (fun domid gfn -> Trace.Npf { domid; gfn }) edge_int edge_int;
+      map (fun s -> Trace.Hypercall s) edge_string;
+      map (fun n -> Trace.Gate n) edge_int;
+      map (fun s -> Trace.Shadow_capture s) edge_string;
+      map (fun ok -> Trace.Shadow_verify { ok }) bool;
+      map (fun s -> Trace.Fw_cmd s) edge_string;
+      map2 (fun blocks encrypted -> Trace.Dram { blocks; encrypted }) edge_int bool;
+      map2 (fun space vfn -> Trace.Walk { space; vfn }) edge_int edge_int;
+      map (fun full -> Trace.Tlb_flush { full }) bool;
+      map (fun vfn -> Trace.Pte_write { vfn }) edge_int;
+      map2 (fun site hit -> Trace.Fault { site; hit }) edge_string edge_int;
+      map (fun s -> Trace.Mark s) edge_string ]
+
+let entry_gen =
+  QCheck.Gen.(
+    map
+      (fun (seq, ts, scope, event) -> { Trace.seq; ts; scope; event })
+      (quad edge_int edge_int (frequency [ (1, return ""); (3, edge_string) ]) event_gen))
+
+let pid_gen =
+  QCheck.Gen.(oneof [ int_range 1 64; return max_int; map (fun n -> max 1 (n land max_int)) int ])
+
+let arbitrary_chrome_event =
+  QCheck.make
+    ~print:(fun (pid, e) -> Json.to_string (Trace.chrome_event ~pid e))
+    QCheck.Gen.(pair pid_gen entry_gen)
+
+let prop_chrome_event_into_matches_spec =
+  QCheck.Test.make ~count:2000 ~name:"chrome_event_into = Json.to_buffer (chrome_event)"
+    arbitrary_chrome_event (fun (pid, e) ->
+      render (fun buf e -> Trace.chrome_event_into buf ~pid e) e
+      = Json.to_string (Trace.chrome_event ~pid e))
+
+let prop_to_buffer_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"Json.to_buffer = pre-primitive printer"
+    arbitrary_chrome_event (fun (pid, e) ->
+      let j = Trace.chrome_event ~pid e in
+      Json.to_string j = render reference_print j)
+
+let prop_leaf_printers =
+  QCheck.Test.make ~count:2000 ~name:"add_int = string_of_int, add_str = reference escape"
+    QCheck.(pair (make ~print:string_of_int edge_int) (make ~print:String.escaped edge_string))
+    (fun (n, s) ->
+      render Json.add_int n = string_of_int n
+      && render Json.add_str s = render reference_escape s)
+
+let test_escape_classes () =
+  Alcotest.(check string) "every escape class" "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001\\u001f\x7f\xff\""
+    (render Json.add_str "q\"b\\n\nr\rt\tc\x01\x1f\x7f\xff")
+
 let () =
   Alcotest.run "obs"
     [ ( "cost-scopes",
@@ -313,8 +438,12 @@ let () =
       ( "export",
         [ Alcotest.test_case "golden jsonl" `Slow test_golden_jsonl;
           Alcotest.test_case "jsonl well-formed" `Quick test_jsonl_well_formed;
-          Alcotest.test_case "chrome round-trip" `Quick test_chrome_roundtrip ] );
+          Alcotest.test_case "chrome round-trip" `Quick test_chrome_roundtrip;
+          QCheck_alcotest.to_alcotest prop_chrome_event_into_matches_spec ] );
       ( "json",
         [ Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "values" `Quick test_json_values;
-          Alcotest.test_case "rejects" `Quick test_json_rejects ] ) ]
+          Alcotest.test_case "rejects" `Quick test_json_rejects;
+          Alcotest.test_case "escape classes" `Quick test_escape_classes;
+          QCheck_alcotest.to_alcotest prop_leaf_printers;
+          QCheck_alcotest.to_alcotest prop_to_buffer_matches_reference ] ) ]

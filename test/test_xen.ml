@@ -731,6 +731,50 @@ let test_crossing_allocation_free () =
     (Printf.sprintf "void hypercall <= 4 words/call (got %.1f)" void)
     true (void <= 4.0)
 
+let test_fragment_writer_allocation_free () =
+  (* The fleet's Chrome fragment writer, pinned the same way: once the
+     serialisation buffer has grown to the fragment's size, writing the
+     fragment again costs a fixed few words for its label and metadata
+     event and nothing per trace event. Two rings that differ only in
+     length must therefore cost the same words. *)
+  let module Trace = Fidelius_obs.Trace in
+  let module Fleetbench = Fidelius_workloads.Fleetbench in
+  let ring_of rounds =
+    let r = Trace.ring () in
+    Trace.record_into r (fun () ->
+        for i = 1 to rounds do
+          List.iter Trace.emit
+            [ Trace.Vmrun { domid = i };
+              Trace.Vmexit { domid = 1; reason = "npf" };
+              Trace.Npf { domid = 1; gfn = -i };
+              Trace.Hypercall "console_write";
+              Trace.Gate 3;
+              Trace.Shadow_capture "vmmcall";
+              Trace.Shadow_verify { ok = true };
+              Trace.Fw_cmd "LAUNCH_START";
+              Trace.Dram { blocks = max_int; encrypted = false };
+              Trace.Walk { space = 2; vfn = i * 4096 };
+              Trace.Tlb_flush { full = false };
+              Trace.Pte_write { vfn = min_int };
+              Trace.Fault { site = "esc\"ape\n"; hit = i };
+              Trace.Mark "slice" ]
+        done);
+    r
+  in
+  let second_write_words ring =
+    let buf = Buffer.create 16 in
+    Fleetbench.chrome_fragment buf ~vm:5 ring;
+    let w0 = Gc.minor_words () in
+    Fleetbench.chrome_fragment buf ~vm:5 ring;
+    Gc.minor_words () -. w0
+  in
+  let short = ring_of 50 and long = ring_of 200 in
+  let extra_events = Trace.ring_length long - Trace.ring_length short in
+  let per_event =
+    (second_write_words long -. second_write_words short) /. float_of_int extra_events
+  in
+  Alcotest.(check (float 0.0)) "fragment writer allocates 0 words per event" 0.0 per_event
+
 let () =
   Alcotest.run "xen"
     [ ( "boot",
@@ -747,7 +791,9 @@ let () =
         [ Alcotest.test_case "vmexit/vmrun state" `Quick test_vmexit_vmrun_state;
           Alcotest.test_case "unknown domain" `Quick test_vmrun_unknown_domain;
           Alcotest.test_case "allocation-free crossing" `Quick
-            test_crossing_allocation_free ] );
+            test_crossing_allocation_free;
+          Alcotest.test_case "allocation-free trace fragment" `Quick
+            test_fragment_writer_allocation_free ] );
       ( "hypercalls",
         [ Alcotest.test_case "void" `Quick test_void_hypercall;
           Alcotest.test_case "console" `Quick test_console_hypercall;
