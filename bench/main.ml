@@ -20,6 +20,7 @@ module W = Fidelius_workloads
 module Attacks = Fidelius_attacks
 module Xsa = Fidelius_xsa
 module Rng = Fidelius_crypto.Rng
+module Json = Fidelius_obs.Json
 
 let results_dir = "results"
 
@@ -320,56 +321,41 @@ let ablate () =
 
 (* ---- Bechamel wall-clock measurements ---------------------------------------------- *)
 
-let write_bench_json results =
-  (try Unix.mkdir results_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = Filename.concat results_dir "bench.json" in
-  let oc = open_out path in
-  output_string oc "{\n";
-  let n = List.length results in
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "  %S: %.1f%s\n" name ns (if i = n - 1 then "" else ","))
-    results;
-  output_string oc "}\n";
-  close_out oc;
-  Printf.printf "  [written: %s]\n" path
+(* results/bench.json is one JSON object mapping each key to a number.
+   Several sections record into it (bechamel, fleet, serve, migrate), each
+   merging into what is there. A missing file is an empty baseline; one
+   that does not parse is an error naming the file, never a silent loss
+   of keys. *)
+let bench_json = Filename.concat results_dir "bench.json"
 
-(* bench.json is written by two sections (bechamel and fleet); each must
-   merge into the existing file, not clobber the other's keys. The file
-   is our own line-per-entry format, so the "parser" is a line scan. *)
-let read_bench_json () =
-  let path = Filename.concat results_dir "bench.json" in
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let rec loop acc =
-      match input_line ic with
-      | exception End_of_file -> List.rev acc
-      | line -> (
-          match String.index_opt line '"' with
-          | None -> loop acc
-          | Some i -> (
-              match String.index_from_opt line (i + 1) '"' with
-              | None -> loop acc
-              | Some j -> (
-                  let name = String.sub line (i + 1) (j - i - 1) in
-                  let rest = String.sub line (j + 1) (String.length line - j - 1) in
-                  let num =
-                    String.trim rest |> String.split_on_char ':' |> List.rev |> List.hd
-                    |> String.split_on_char ',' |> List.hd |> String.trim
-                  in
-                  match float_of_string_opt num with
-                  | Some v -> loop ((name, v) :: acc)
-                  | None -> loop acc)))
+let read_bench_json ~who =
+  if not (Sys.file_exists bench_json) then Json.Obj []
+  else
+    let fail why =
+      Printf.printf "%s: FAIL — cannot parse %s (%s); move it aside to record a fresh one.\n"
+        who bench_json why;
+      exit 1
     in
-    let entries = loop [] in
-    close_in ic;
-    entries
-  end
+    match Json.parse (In_channel.with_open_bin bench_json In_channel.input_all) with
+    | Json.Obj _ as j -> j
+    | _ -> fail "not a JSON object"
+    | exception Json.Parse_error e -> fail e
+
+let bench_value k baseline =
+  match Json.member k baseline with Some (Json.Float v) -> Some v | _ -> None
 
 let update_bench_json kvs =
-  let keep (k, _) = not (List.mem_assoc k kvs) in
-  write_bench_json (List.filter keep (read_bench_json ()) @ kvs)
+  (try Unix.mkdir results_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let kept =
+    match read_bench_json ~who:"bench.json" with
+    | Json.Obj fields -> List.filter (fun (k, _) -> not (List.mem_assoc k kvs)) fields
+    | _ -> []
+  in
+  let j = Json.Obj (kept @ List.map (fun (k, v) -> (k, Json.Float v)) kvs) in
+  Out_channel.with_open_bin bench_json (fun oc ->
+      output_string oc (Json.to_string j);
+      output_char oc '\n');
+  Printf.printf "  [written: %s]\n" bench_json
 
 (* [quota] bounds the measurement time per test; the smoke variant uses a
    tiny quota so CI can catch perf-path breakage (a primitive that stops
@@ -876,15 +862,15 @@ let migrate_smoke () =
    baseline is per-checkout)
    against a fresh measurement of the same primitives. *)
 let perf () =
-  let baseline = read_bench_json () in
-  if baseline = [] then
-    Printf.printf "perf: no results/bench.json baseline; recording one first.\n";
-  let fresh = bechamel ~record:(baseline = []) () in
+  let baseline = read_bench_json ~who:"perf" in
+  let empty = baseline = Json.Obj [] in
+  if empty then Printf.printf "perf: no results/bench.json baseline; recording one first.\n";
+  let fresh = bechamel ~record:empty () in
   header "Perf delta: recorded baseline -> this build";
   Printf.printf "  %-28s %14s %14s %9s\n" "benchmark" "baseline" "now" "speedup";
   List.iter
     (fun (name, now) ->
-      match List.assoc_opt name baseline with
+      match bench_value name baseline with
       | Some was ->
           Printf.printf "  %-28s %11.1f ns %11.1f ns %8.2fx\n" name was now (was /. now)
       | None -> Printf.printf "  %-28s %14s %11.1f ns\n" name "(new)" now)
@@ -927,8 +913,8 @@ let perf_gate () =
          run `make perf` on a quiet host to record one.\n";
       exit 0
     end;
-    let baseline = read_bench_json () in
-    let missing = List.filter (fun k -> List.assoc_opt k baseline = None) perf_gate_keys in
+    let baseline = read_bench_json ~who:"perf-gate" in
+    let missing = List.filter (fun k -> bench_value k baseline = None) perf_gate_keys in
     if missing <> [] then begin
       Printf.printf
         "perf-gate: FAIL — results/bench.json lacks pinned key(s) %s; run `make perf` \
@@ -938,7 +924,7 @@ let perf_gate () =
     end;
     let measure () = bechamel ~record:false () in
     let judge fresh k =
-      let was = List.assoc k baseline in
+      let was = Option.get (bench_value k baseline) in
       match List.assoc_opt k fresh with
       | None -> Some (k, was, nan)
       | Some now -> if now > threshold *. was then Some (k, was, now) else None
@@ -965,7 +951,7 @@ let perf_gate () =
     header "Perf gate: pinned fast-path keys vs recorded baseline";
     List.iter
       (fun k ->
-        let was = List.assoc k baseline in
+        let was = Option.get (bench_value k baseline) in
         let now = Option.value ~default:nan (List.assoc_opt k fresh) in
         let flag = if List.mem_assoc k (List.map (fun (k, w, n) -> (k, (w, n))) regressed)
           then "FAIL" else "ok" in

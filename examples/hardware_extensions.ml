@@ -49,7 +49,9 @@ let () =
       print_endline "rowhammer: flipped one bit in the frame's ciphertext"
   | None -> ());
   (match Core.Integrity.verified_read integ ~addr:0x4000 ~len:17 with
-  | Ok b -> Printf.printf "!!! read passed: %S\n" (Bytes.to_string b)
+  | Ok b ->
+      Printf.printf "!!! read passed: %S\n" (Bytes.to_string b);
+      exit 1
   | Error e -> Printf.printf "verified read refused: %s\n" e);
   Printf.printf "whole-domain sweep: %s\n"
     (match Core.Integrity.verify_domain integ with

@@ -56,7 +56,9 @@ let () =
   | Some entry -> (
       let redirected = { entry with Xen.Granttab.target = eve.Xen.Domain.domid } in
       match med.Xen.Hypervisor.grant_update sh.Core.Sharing.gref (Some redirected) with
-      | Ok () -> print_endline "!!! grant redirected to eve"
+      | Ok () ->
+          print_endline "!!! grant redirected to eve";
+          exit 1
       | Error e -> Printf.printf "redirect to eve denied: %s\n" e)
   | None -> ());
 
@@ -69,7 +71,9 @@ let () =
       in_use = true }
   in
   (match med.Xen.Hypervisor.grant_update 12 (Some forged) with
-  | Ok () -> print_endline "!!! forged grant accepted"
+  | Ok () ->
+      print_endline "!!! forged grant accepted";
+      exit 1
   | Error e -> Printf.printf "forged grant denied: %s\n" e);
 
   (* Hypervisor manipulation 3: map alice's shared frame into eve's NPT
@@ -83,7 +87,9 @@ let () =
             executable = false;
             c_bit = false })
    with
-  | Ok () -> print_endline "!!! direct NPT mapping accepted"
+  | Ok () ->
+      print_endline "!!! direct NPT mapping accepted";
+      exit 1
   | Error e -> Printf.printf "direct NPT mapping denied: %s\n" e);
 
   (* Clean teardown revokes the intent. *)

@@ -1,9 +1,13 @@
-(* Protected VM migration between two physical machines
+(* Protected VM live migration between two physical machines
    (paper Section 4.3.6).
 
-   The snapshot crosses the (attacker-observable) wire as Ktek ciphertext
-   with a keyed measurement; the target re-encrypts under a fresh Kvek and
-   verifies before the guest resumes.
+   Memory crosses the (attacker-observable) wire as Ktek ciphertext in
+   pre-copy rounds while the guest keeps running; the target re-encrypts
+   under a fresh Kvek and verifies the keyed measurement before the guest
+   resumes, and the guest owner releases the disk key only to an attested
+   target. On the way back a hostile relay flips one ciphertext bit: the
+   migration is refused, the guest keeps running where it was, and a clean
+   retry then succeeds.
 
      dune exec examples/migration.exe *)
 
@@ -12,13 +16,26 @@ module Xen = Fidelius_xen
 module Sev = Fidelius_sev
 module Core = Fidelius_core
 module Fid = Core.Fidelius
+module Migrate = Core.Migrate
 module Rng = Fidelius_crypto.Rng
+module Plan = Fidelius_inject.Plan
+module Site = Fidelius_inject.Site
 
 let platform seed =
   let machine = Hw.Machine.create ~seed () in
   let hv = Xen.Hypervisor.boot machine in
   let fid = Fid.install hv in
   (machine, hv, fid)
+
+let breach msg =
+  print_endline ("!!! " ^ msg);
+  exit 1
+
+let print_report (r : Migrate.report) =
+  Printf.printf
+    "  %d rounds, %d pages sent, residual %d, downtime %.1fus, disk key released: %b\n"
+    r.Migrate.rounds r.Migrate.pages_sent r.Migrate.residual_pages r.Migrate.downtime_us
+    r.Migrate.secret_released
 
 let () =
   let m1, hv1, fid1 = platform 51L in
@@ -40,54 +57,52 @@ let () =
       Xen.Domain.write m1 dom ~addr:0x7000 (Bytes.of_string "in-memory session state"));
   Printf.printf "guest running on machine 1 with runtime state in encrypted memory\n";
 
-  (* Export: SEND_START stops the guest, pages leave as transport
-     ciphertext. Peek at the wire to confirm. *)
-  let snap =
-    match Core.Migrate.send fid1 dom ~target_public:(Fid.platform_key fid2) with
-    | Ok s -> s
-    | Error e -> failwith (Core.Migrate.error_to_string e)
+  (* The guest keeps writing while pre-copy rounds are on the wire; the
+     dirty log makes the driver resend what it touched. *)
+  let mutate hv m d round =
+    Xen.Hypervisor.in_guest hv d (fun () ->
+        Xen.Domain.write m d ~addr:0x3000 (Bytes.of_string (Printf.sprintf "tick %d" round)))
   in
-  Printf.printf "snapshot: %d pages, source domain destroyed (no live migration)\n"
-    (List.length snap.Core.Migrate.image.Sev.Transport.pages);
-  let wire_leak =
-    List.exists
-      (fun (_, cipher) ->
-        let s = Bytes.to_string cipher in
-        let needle = "session state" in
-        let n = String.length s and m = String.length needle in
-        let rec scan i = i + m <= n && (String.sub s i m = needle || scan (i + 1)) in
-        scan 0)
-      snap.Core.Migrate.image.Sev.Transport.pages
+  let migrate ~src ~dst ~owner ~mutate d =
+    match Migrate.migrate_live ~owner ~mutate ~src ~dst d with
+    | Ok v -> v
+    | Error e -> failwith (Migrate.error_to_string e)
   in
-  Printf.printf "wire carries plaintext: %b\n" wire_leak;
+  let state hv m d =
+    Xen.Hypervisor.in_guest hv d (fun () -> Xen.Domain.read m d ~addr:0x7000 ~len:23)
+    |> Bytes.to_string
+  in
 
-  (* Import on machine 2. *)
-  let dom' =
-    match Core.Migrate.receive fid2 snap with
-    | Ok d -> d
-    | Error e -> failwith (Core.Migrate.error_to_string e)
-  in
-  let state =
-    Xen.Hypervisor.in_guest hv2 dom' (fun () ->
-        Xen.Domain.read m2 dom' ~addr:0x7000 ~len:23)
-  in
-  Printf.printf "machine 2 guest dom%d resumes with state: %S\n" dom'.Xen.Domain.domid
-    (Bytes.to_string state);
-  Printf.printf "protected on target: %b\n" (Fid.is_protected fid2 dom'.Xen.Domain.domid);
+  let owner = Migrate.Owner.create (Rng.create 10L) in
+  let dom2, report = migrate ~src:fid1 ~dst:fid2 ~owner ~mutate:(mutate hv1 m1 dom) dom in
+  Printf.printf "live migration machine 1 -> machine 2:\n";
+  print_report report;
+  Printf.printf "machine 2 guest dom%d resumes with state: %S\n" dom2.Xen.Domain.domid
+    (state hv2 m2 dom2);
+  Printf.printf "protected on target: %b; source destroyed at cut-over: %b\n"
+    (Fid.is_protected fid2 dom2.Xen.Domain.domid)
+    (Xen.Hypervisor.find_domain hv1 dom.Xen.Domain.domid = None);
 
-  (* A replayed/tampered snapshot is refused by the target firmware. *)
-  let tampered =
-    { snap with
-      Core.Migrate.image =
-        { snap.Core.Migrate.image with
-          Sev.Transport.pages =
-            List.map
-              (fun (i, c) ->
-                let c = Bytes.copy c in
-                Bytes.set c 0 (Char.chr (Char.code (Bytes.get c 0) lxor 1));
-                (i, c))
-              snap.Core.Migrate.image.Sev.Transport.pages } }
+  (* Back to machine 1, through a relay that flips one ciphertext bit. *)
+  let owner = Migrate.Owner.create (Rng.create 11L) in
+  Plan.install (Plan.make ~seed:3L [ Plan.always Site.Snapshot_flip ]);
+  let faulted =
+    Migrate.migrate_live ~owner ~mutate:(mutate hv2 m2 dom2) ~src:fid2 ~dst:fid1 dom2
   in
-  match Core.Migrate.receive fid2 tampered with
-  | Ok _ -> print_endline "!!! tampered snapshot accepted"
-  | Error e -> Printf.printf "tampered snapshot refused: %s\n" (Core.Migrate.error_to_string e)
+  Plan.uninstall ();
+  (match faulted with
+  | Ok _ -> breach "bit-flipped migration accepted"
+  | Error e -> Printf.printf "bit-flipped migration refused: %s\n" (Migrate.error_to_string e));
+  if Xen.Hypervisor.find_domain hv2 dom2.Xen.Domain.domid = None then
+    breach "source guest lost after a refused migration";
+  if Migrate.Owner.released owner then breach "disk key released to a refused target";
+  Printf.printf "guest still running on machine 2 with state: %S; disk key released: false\n"
+    (state hv2 m2 dom2);
+
+  (* SEND_CANCEL put the source's firmware context back in RUNNING, so the
+     same migration can simply be retried. *)
+  let dom1, report = migrate ~src:fid2 ~dst:fid1 ~owner ~mutate:(mutate hv2 m2 dom2) dom2 in
+  Printf.printf "clean retry machine 2 -> machine 1:\n";
+  print_report report;
+  Printf.printf "machine 1 guest dom%d resumes with state: %S\n" dom1.Xen.Domain.domid
+    (state hv1 m1 dom1)

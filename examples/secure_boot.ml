@@ -72,7 +72,9 @@ let () =
               prepared.Sev.Transport.Owner.image.Sev.Transport.pages } }
   in
   (match Fid.boot_protected_vm fid ~name:"tampered" ~memory_pages:16 ~prepared:tampered with
-  | Ok _ -> step 5 "!!! tampered image booted — this should never print"
+  | Ok _ ->
+      step 5 "!!! tampered image booted — this should never print";
+      exit 1
   | Error e -> step 5 (Printf.sprintf "tampered image rejected: %s" e));
 
   (* --- image for another platform -------------------------------------- *)
@@ -83,7 +85,9 @@ let () =
       ~policy:Sev.Firmware.policy_nodbg ~kernel_pages:kernel
   in
   (match Fid.boot_protected_vm fid ~name:"misdirected" ~memory_pages:16 ~prepared:misdirected with
-  | Ok _ -> step 6 "!!! foreign image booted — this should never print"
+  | Ok _ ->
+      step 6 "!!! foreign image booted — this should never print";
+      exit 1
   | Error e -> step 6 (Printf.sprintf "image for another platform rejected: %s" e));
 
   (* --- shutdown ---------------------------------------------------------- *)

@@ -21,7 +21,7 @@ let kblk_of_guest = Lifecycle.kblk_of_guest
 let attestation_report = Lifecycle.attestation_report
 
 let migrate ~src ~dst dom =
-  Result.map_error Migrate.error_to_string (Migrate.migrate ~src ~dst dom)
+  Result.map fst (Result.map_error Migrate.error_to_string (Migrate.migrate_live ~src ~dst dom))
 
 let aesni_codec = Io_protect.aesni_codec
 let software_codec = Io_protect.software_codec

@@ -50,6 +50,8 @@ val attestation_report : t -> string
 (** {2 Migration} *)
 
 val migrate : src:t -> dst:t -> Xen.Domain.t -> (Xen.Domain.t, string) result
+(** {!Migrate.migrate_live} with the default config and no owner, the
+    report dropped. On failure the source guest keeps running. *)
 
 (** {2 I/O protection} *)
 

@@ -72,23 +72,45 @@ let rollback_session s err =
 
 let receive_abort s = if not s.closed then ignore (rollback_session s (Failed "aborted"))
 
+(* An upper bound on the frames [receive_begin] takes for a domain of [n]
+   pages: the pages, one page-table page per 512 entries in each of the
+   NPT and the guest page table, the shadow frame, and whatever PIT pages
+   the host still lacks (at most one leaf per 1024 host frames plus one
+   interior page). *)
+let frames_for ctx n =
+  let pages_for entries ~per_page = (entries + per_page - 1) / per_page in
+  let host_frames = Hw.Physmem.nr_frames ctx.Ctx.machine.Hw.Machine.mem in
+  let table_pages = pages_for n ~per_page:(Hw.Addr.page_size / 8) in
+  let pit_pages = pages_for host_frames ~per_page:(Hw.Addr.page_size / 4) + 1 in
+  n + (2 * table_pages) + 1 + pit_pages
+
 let receive_begin ctx ~name ~memory_pages ~wrapped_keys ~origin_public ~nonce ~policy =
   let hv = ctx.Ctx.hv in
-  (* 0. The frames allocated for this domain must be revoked from the
-     hypervisor as they are handed out. *)
-  ctx.Ctx.next_domain_protected <- true;
-  let dom = Xen.Hypervisor.create_domain hv ~name ~memory_pages in
-  ctx.Ctx.next_domain_protected <- false;
-  ctx.Ctx.protected_domids <- dom.Xen.Domain.domid :: ctx.Ctx.protected_domids;
-  ignore (Iso.new_shadow ctx dom);
-  let s = { ctx; dom; handle = 0; memory_pages; closed = false } in
-  (* 1. RECEIVE_START: unwrap Ktek/Ktik via the platform identity. *)
-  match
-    Sev.Firmware.receive_start hv.Xen.Hypervisor.fw ~wrapped:wrapped_keys
-      ~origin_public ~nonce ~policy ()
-  with
-  | Error e -> rollback_session s (Rejected ("boot: " ^ e))
-  | Ok handle -> Ok { s with handle }
+  let free = Hw.Machine.frames_free ctx.Ctx.machine in
+  if frames_for ctx memory_pages > free then
+    (* Refused before anything is allocated: running out of frames midway
+       would raise and leave the host with none. *)
+    Error
+      (Failed
+         (Printf.sprintf "boot: %d guest pages do not fit the %d free frames" memory_pages
+            free))
+  else begin
+    (* 0. The frames allocated for this domain must be revoked from the
+       hypervisor as they are handed out. *)
+    ctx.Ctx.next_domain_protected <- true;
+    let dom = Xen.Hypervisor.create_domain hv ~name ~memory_pages in
+    ctx.Ctx.next_domain_protected <- false;
+    ctx.Ctx.protected_domids <- dom.Xen.Domain.domid :: ctx.Ctx.protected_domids;
+    ignore (Iso.new_shadow ctx dom);
+    let s = { ctx; dom; handle = 0; memory_pages; closed = false } in
+    (* 1. RECEIVE_START: unwrap Ktek/Ktik via the platform identity. *)
+    match
+      Sev.Firmware.receive_start hv.Xen.Hypervisor.fw ~wrapped:wrapped_keys
+        ~origin_public ~nonce ~policy ()
+    with
+    | Error e -> rollback_session s (Rejected ("boot: " ^ e))
+    | Ok handle -> Ok { s with handle }
+  end
 
 let receive_pages s pages =
   if s.closed then Error (Failed "boot: receive session already closed")

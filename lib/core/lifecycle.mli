@@ -71,7 +71,8 @@ val receive_begin :
     are handed out) and run RECEIVE_START. [wrapped_keys], [origin_public],
     [nonce] and [policy] all arrived over the wire; a wrong or tampered
     wrap is refused here as [Rejected] (key unwrap is the platform's first
-    verification verdict). *)
+    verification verdict). A [memory_pages] that does not fit the host's
+    free frames is refused as [Failed] before anything is allocated. *)
 
 val receive_pages :
   session -> (int * Hw.Addr.gfn * bytes) list -> (unit, boot_error) result

@@ -8,15 +8,6 @@ module Sha256 = Fidelius_crypto.Sha256
 module Plan = Fidelius_inject.Plan
 module Site = Fidelius_inject.Site
 
-type snapshot = {
-  image : Sev.Transport.image;
-  wrapped_keys : Fidelius_crypto.Keywrap.wrapped;
-  origin_public : Fidelius_crypto.Dh.public;
-  memory_pages : int;
-  gpt_entries : (Hw.Addr.vfn * Hw.Pagetable.proto) list;
-  name : string;
-}
-
 type error =
   | Not_protected
   | Send_refused of string
@@ -49,17 +40,16 @@ let pp_error fmt = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
-let ( let* ) = Result.bind
-
 (* Transport indices are composite: placement gfn in the low bits, dirty
    round above. Two birds: a gfn resent in a later round gets a fresh CTR
    stream (no keystream reuse across rounds), and the index is folded into
    the keyed measurement, so the receiver deriving the placement from the
    index means a page cannot be silently re-homed. Round 0 indices equal
-   the gfn, which keeps the one-shot snapshot format unchanged. *)
+   the gfn. *)
 let gfn_bits = 20
 let index_of ~round ~gfn = (round lsl gfn_bits) lor gfn
 let gfn_of_index index = index land ((1 lsl gfn_bits) - 1)
+let gfn_in_range n = 0 <= n && n < 1 lsl gfn_bits
 
 (* Downtime accounting: one RECEIVE_UPDATE costs [Cost.firmware_page]
    cycles; at the simulator's nominal 1 GHz that is cycles/1000 µs. *)
@@ -288,15 +278,15 @@ module Wire = struct
 
   (* The untrusted channel. With no plan installed it is the identity;
      with a fault plan armed it perturbs the encoded frame the way a
-     hostile relay would. Every path — one-shot [migrate], the live
-     driver, even the attestation replies — routes through here, so the
-     fault matrix exercises exactly the framing production code uses. *)
+     hostile relay would. Every frame of the live driver, the
+     attestation replies included, routes through here, so the fault
+     matrix exercises exactly the framing production code uses. *)
   let transmit b =
     if not (Plan.armed ()) then b
     else begin
       (* Surgical: the last page record vanishes but the frame is
-         re-framed consistently, so only the keyed measurement (or the
-         one-shot page-count check) can notice. *)
+         re-framed consistently, so only the keyed measurement can
+         notice. *)
       let b =
         if is_update b && Plan.fire Site.Round_truncate then
           reencode_update
@@ -339,144 +329,6 @@ module Wire = struct
       b
     end
 end
-
-(* --- one-shot stop-and-copy (the original API, now over real framing) --- *)
-
-let send ctx (dom : Xen.Domain.t) ~target_public =
-  let hv = ctx.Ctx.hv in
-  let fw = hv.Xen.Hypervisor.fw in
-  match dom.Xen.Domain.sev_handle with
-  | None -> Error Not_protected
-  | Some handle ->
-      let refuse r = Result.map_error (fun e -> Send_refused e) r in
-      let nonce = Rng.next64 ctx.Ctx.machine.Fidelius_hw.Machine.rng in
-      (* SEND_START then an immediate pause: the one-shot path stops the
-         guest for the whole copy (paper 4.3.6); [migrate_live] below keeps
-         it running instead. *)
-      let* wrapped_keys = refuse (Sev.Firmware.send_start fw ~handle ~target_public ~nonce) in
-      dom.Xen.Domain.state <- Xen.Domain.Paused;
-      let mapped =
-        Hw.Pagetable.mapped_frames dom.Xen.Domain.npt
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      let* pages =
-        List.fold_left
-          (fun acc (gfn, (npte : Hw.Pagetable.proto)) ->
-            let* acc = acc in
-            let* cipher =
-              refuse
-                (Sev.Firmware.send_update fw ~handle ~index:gfn
-                   ~src_pfn:npte.Hw.Pagetable.frame)
-            in
-            Ok ((gfn, cipher) :: acc))
-          (Ok []) mapped
-      in
-      let pages = List.rev pages in
-      let* measurement = refuse (Sev.Firmware.send_finish fw ~handle) in
-      let policy = Sev.Firmware.policy_nodbg in
-      let snap =
-        { image = { Sev.Transport.pages; measurement; policy; nonce };
-          wrapped_keys;
-          origin_public = Sev.Firmware.platform_public fw;
-          memory_pages = List.length pages;
-          gpt_entries = Hw.Pagetable.mapped_frames dom.Xen.Domain.gpt;
-          name = dom.Xen.Domain.name }
-      in
-      Lifecycle.shutdown_protected_vm ctx dom;
-      Ok snap
-
-let frames_of_snapshot snap =
-  [ Wire.Start
-      { name = snap.name;
-        memory_pages = snap.memory_pages;
-        policy = snap.image.Sev.Transport.policy;
-        nonce = snap.image.Sev.Transport.nonce;
-        wrapped_keys = snap.wrapped_keys;
-        origin_public = snap.origin_public };
-    Wire.Update { round = 0; pages = snap.image.Sev.Transport.pages };
-    Wire.Finish
-      { measurement = snap.image.Sev.Transport.measurement;
-        gpt_entries = snap.gpt_entries } ]
-
-(* The one-shot snapshot crosses the channel as three frames. The
-   reassembled snapshot is what the target actually received — a damaged
-   stream surfaces here as a typed decode error. *)
-let transmit snap =
-  let* rev_frames =
-    List.fold_left
-      (fun acc f ->
-        let* acc = acc in
-        let* f = Wire.decode (Wire.transmit (Wire.encode f)) in
-        Ok (f :: acc))
-      (Ok []) (frames_of_snapshot snap)
-  in
-  match List.rev rev_frames with
-  | [ Wire.Start { name; memory_pages; policy; nonce; wrapped_keys; origin_public };
-      Wire.Update { round = _; pages };
-      Wire.Finish { measurement; gpt_entries } ] ->
-      Ok
-        { image =
-            { Sev.Transport.pages = List.map (fun (i, c) -> (gfn_of_index i, c)) pages;
-              measurement;
-              policy;
-              nonce };
-          wrapped_keys;
-          origin_public;
-          memory_pages;
-          gpt_entries;
-          name }
-  | _ -> Error (Malformed "unexpected frame sequence")
-
-(* Structural checks first, so an obviously damaged snapshot is refused
-   with a precise typed error before any firmware state is created. *)
-let validate snap =
-  let pages = snap.image.Sev.Transport.pages in
-  let got = List.length pages in
-  if got < snap.memory_pages then Error (Truncated { expected = snap.memory_pages; got })
-  else begin
-    let bad = List.find_opt (fun (_, c) -> Bytes.length c <> Hw.Addr.page_size) pages in
-    match bad with
-    | Some (gfn, c) ->
-        Error
-          (Malformed
-             (Printf.sprintf "page for gfn 0x%x is %d bytes, want %d" gfn (Bytes.length c)
-                Hw.Addr.page_size))
-    | None -> Ok ()
-  end
-
-let receive ctx snap =
-  let* () = validate snap in
-  let prepared =
-    { Sev.Transport.Owner.image = snap.image;
-      wrapped_keys = snap.wrapped_keys;
-      owner_public = snap.origin_public;
-      kblk = Bytes.create 16 (* travels inside the encrypted memory itself *) }
-  in
-  let memory_pages =
-    (* The target reserves at least as much memory as the snapshot spans. *)
-    List.fold_left (fun m (gfn, _) -> max m (gfn + 1)) snap.memory_pages
-      snap.image.Sev.Transport.pages
-  in
-  let* dom =
-    match Lifecycle.boot_protected_vm ctx ~name:snap.name ~memory_pages ~prepared with
-    | Ok dom -> Ok dom
-    | Error (Lifecycle.Rejected e) -> Error (Rejected e)
-    | Error (Lifecycle.Failed e) -> Error (Boot_failed e)
-  in
-  (* Restore the guest page table (in reality it lives inside the migrated
-     memory; the simulator keeps it as a separate structure). *)
-  List.iter (fun (gvfn, proto) -> Hw.Pagetable.hw_set dom.Xen.Domain.gpt gvfn (Some proto))
-    snap.gpt_entries;
-  Ok dom
-
-let migrate ~src ~dst dom =
-  match dom.Xen.Domain.sev_handle with
-  | None -> Error Not_protected
-  | Some _ ->
-      let target_public = Sev.Firmware.platform_public dst.Ctx.hv.Xen.Hypervisor.fw in
-      let* snap = send src dom ~target_public in
-      let* snap = transmit snap in
-      receive dst snap
 
 (* --- attested secret injection ------------------------------------------ *)
 
@@ -561,6 +413,12 @@ let rx_deliver rx b =
   | Ok frame -> (
   match (rx.rx_state, frame) with
   | Rx_failed, _ -> Error (Protocol_violation "migration stream already failed")
+  | Expect_start, Wire.Start { memory_pages; _ }
+    when memory_pages < 0 || memory_pages > 1 lsl gfn_bits ->
+      (* A guest cannot span more gfns than a transport index can name. *)
+      rx_fail rx
+        (Malformed
+           (Printf.sprintf "START: memory_pages %d outside [0, 2^%d]" memory_pages gfn_bits))
   | Expect_start, Wire.Start { name; memory_pages; policy; nonce; wrapped_keys; origin_public }
     -> (
       match
@@ -593,6 +451,20 @@ let rx_deliver rx b =
                 rx.rx_state <- Streaming { session; next_round = next_round + 1 };
                 Ok None)
       end
+  | Streaming _, Wire.Finish { gpt_entries; _ }
+    when not
+           (List.for_all
+              (fun (gvfn, (p : Hw.Pagetable.proto)) ->
+                gfn_in_range gvfn && gfn_in_range p.Hw.Pagetable.frame)
+              gpt_entries) ->
+      rx_fail rx (Malformed "FINISH: page-table entry outside the gfn range")
+  | Streaming _, Wire.Finish { gpt_entries; _ }
+    when List.length
+           (List.sort_uniq compare
+              (List.map (fun (gvfn, _) -> gvfn / (Hw.Addr.page_size / 8)) gpt_entries))
+         > Hw.Machine.frames_free rx.rx_ctx.Ctx.machine ->
+      (* Each page-table page the entries name may need a fresh frame. *)
+      rx_fail rx (Boot_failed "FINISH: page-table entries need more frames than are free")
   | Streaming { session; _ }, Wire.Finish { measurement; gpt_entries } -> (
       match Lifecycle.receive_complete session ~expected:measurement with
       | Error e -> rx_fail rx (of_boot e)
@@ -665,8 +537,11 @@ let migrate_live ?(config = default_config) ?owner ?(mutate = fun _ -> ()) ~src 
              what the pre-copy loop still owes the target. *)
           Hw.Dirty.start dom.Xen.Domain.dirty;
           let fail e =
-            (* A failed migration must leave the source guest running. *)
+            (* A failed migration must leave the source guest running, and
+               free to migrate again: SEND_CANCEL returns its firmware
+               context to RUNNING. *)
             Hw.Dirty.stop dom.Xen.Domain.dirty;
+            ignore (Sev.Firmware.send_cancel fw ~handle);
             if dom.Xen.Domain.state = Xen.Domain.Paused then
               dom.Xen.Domain.state <- Xen.Domain.Runnable;
             Error e

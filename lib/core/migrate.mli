@@ -1,14 +1,12 @@
 (** VM migration between Fidelius hosts (paper Section 4.3.6-4.3.7).
 
-    Two datapaths share one wire format and one receive-side state machine:
+    One datapath: the {b live pre-copy driver} {!migrate_live} streams
+    {!Wire} frames into the target's receive state machine ({!rx_deliver}).
+    The guest keeps running while memory crosses in iterative dirty
+    rounds, and the final stop-and-copy residual is sized by a downtime
+    budget.
 
-    - the original {b one-shot stop-and-copy} ({!send} → {!transmit} →
-      {!receive}), which pauses the guest for the whole copy, and
-    - the {b live pre-copy driver} {!migrate_live}: the guest keeps running
-      while memory crosses in iterative dirty rounds, and the final
-      stop-and-copy residual is sized by a downtime budget.
-
-    On top of the live path sits {b attested secret injection}: the guest
+    On top of it sits {b attested secret injection}: the guest
     owner releases the disk encryption key to the target host only after
     verifying a fresh attestation quote — including the target's
     {e firmware version}, because the platform identity key survives a
@@ -25,21 +23,6 @@ module Hw = Fidelius_hw
 module Xen = Fidelius_xen
 module Sev = Fidelius_sev
 
-type snapshot = {
-  image : Sev.Transport.image;
-  wrapped_keys : Fidelius_crypto.Keywrap.wrapped;
-      (** Ktek/Ktik wrapped to the target platform; opaque to the channel *)
-  origin_public : Fidelius_crypto.Dh.public;
-  memory_pages : int;
-  gpt_entries : (Hw.Addr.vfn * Hw.Pagetable.proto) list;
-      (** the guest page table (in reality part of the migrated memory) *)
-  name : string;
-}
-(** A one-shot migration image: everything the target needs to re-create
-    the guest. Confidentiality and integrity come from the transport keys,
-    not from the snapshot structure — every field is readable (and
-    writable) by the relaying hypervisors. *)
-
 (** Why a migration failed. Classified by call site so callers (tests, the
     fault matrix, the CLI) never match on error strings. *)
 type error =
@@ -51,22 +34,25 @@ type error =
           state, NOSEND policy bit, bad handle) *)
   | Truncated of { expected : int; got : int }
       (** the stream lost data in transit: a frame's payload is shorter
-          than its header claims, or the one-shot image carries fewer pages
-          than the guest spans. Trigger: a lossy channel, or the
+          than its header claims. Trigger: a lossy channel, or the
           [Snapshot_truncate] fault site *)
   | Malformed of string
       (** framing damage that is not a clean truncation: bad magic, a
           payload overrunning its declared length, an undecodable field, a
-          non-page-sized page *)
+          non-page-sized page, a START claiming more pages than a transport
+          index can name, a FINISH page-table entry outside the gfn
+          range *)
   | Rejected of string
       (** the {e target platform's} verification verdict: RECEIVE_START
           key unwrap or RECEIVE_FINISH measurement refused the image.
           Trigger: tampered ciphertext ([Snapshot_flip]), a consistently
-          re-framed but incomplete round ([Round_truncate]), or a snapshot
-          addressed to a different platform *)
+          re-framed but incomplete round ([Round_truncate]), or a START
+          wrapped for a different platform *)
   | Boot_failed of string
       (** mechanical receive-side failure (allocation, mediation, ACTIVATE,
-          first VMRUN) — the target rolled the partial domain back *)
+          first VMRUN) — the target rolled the partial domain back. A START
+          whose pages do not fit the target's free frames is refused here
+          before anything is allocated *)
   | Unknown_version of { got : int; expected : int }
       (** the peer speaks a different wire revision; refused before any
           payload byte is interpreted *)
@@ -141,37 +127,9 @@ val index_of : round:int -> gfn:int -> int
     a later round gets a fresh CTR stream (no two-time pad across rounds),
     and because the receiver derives the placement gfn from the measured
     index, a relay cannot silently re-home a page. Round-0 indices equal
-    the gfn, which keeps the one-shot snapshot format unchanged. *)
+    the gfn. *)
 
 val gfn_of_index : int -> int
-
-(** {2 One-shot stop-and-copy} *)
-
-val send :
-  Ctx.t -> Xen.Domain.t -> target_public:Fidelius_crypto.Dh.public ->
-  (snapshot, error) result
-(** SEND_START (pausing the guest), SEND_UPDATE per mapped page,
-    SEND_FINISH; on success the source instance is destroyed and the
-    snapshot is the only live copy. [target_public] identifies the target
-    platform; its authenticity is the guest owner's concern — a wrong one
-    yields a snapshot only that wrong platform can unwrap. *)
-
-val transmit : snapshot -> (snapshot, error) result
-(** Carry the snapshot across the untrusted channel as real frames: each
-    of [Start]/[Update]/[Finish] is encoded, passed through
-    {!Wire.transmit}, and decoded again. The reassembled snapshot is what
-    the target actually received; channel damage surfaces here as the
-    decoder's typed error. *)
-
-val receive : Ctx.t -> snapshot -> (Xen.Domain.t, error) result
-(** Validate structurally (page count, page sizes), then boot through the
-    RECEIVE path; the firmware's measurement check is what actually
-    authenticates the image. The snapshot is untrusted input in its
-    entirety. *)
-
-val migrate : src:Ctx.t -> dst:Ctx.t -> Xen.Domain.t -> (Xen.Domain.t, error) result
-(** [send] → [transmit] → [receive]: whole-VM stop-and-copy between two
-    simulated hosts. *)
 
 (** {2 Attested secret injection} *)
 
@@ -215,7 +173,8 @@ val rx_deliver : rx -> bytes -> (bytes option, error) result
     untrusted; a [Secret] delivered before a quote was issued is refused
     as [Protocol_violation] {e without} tearing down the already verified
     and running guest — refusing the injection is the fail-closed
-    behaviour there. *)
+    behaviour there. Total: whatever the bytes, the result is [Ok] or a
+    typed [Error]; it never raises. *)
 
 val rx_domain : rx -> Xen.Domain.t option
 (** The received domain, once RECEIVE_FINISH has accepted it. *)
@@ -269,8 +228,9 @@ val migrate_live :
     writes on the source, which the dirty log picks up.
 
     Failure semantics: on any error the source guest {e keeps running}
-    (unpaused if the failure struck mid-blackout), the partial or
-    already-booted target instance is destroyed, and — for every
+    (unpaused if the failure struck mid-blackout) and SEND_CANCEL returns
+    its firmware context to RUNNING, so the migration can be retried; the
+    partial or already-booted target instance is destroyed, and — for every
     attestation-path refusal ([Stale_firmware], [Attest_refused],
     [Protocol_violation]) — the owner's key is provably unreleased
     ({!Owner.released} stays [false]). Only after full success is the

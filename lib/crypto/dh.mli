@@ -23,5 +23,10 @@ val shared_secret : secret -> public -> bytes
     the same bytes; raises [Invalid_argument] if [theirs] is outside the
     group. *)
 
+val in_group : public -> bool
+(** Whether a received public value is a usable group element (strictly
+    between 1 and [p]); anything else must be refused before
+    {!shared_secret}. *)
+
 val public_to_bytes : public -> bytes
 val public_of_bytes : bytes -> public

@@ -6,6 +6,7 @@ module Attacks = Fidelius_attacks
 module Site = Fidelius_inject.Site
 module Plan = Fidelius_inject.Plan
 module Surface = Attacks.Surface
+module Wire = Core.Migrate.Wire
 
 type stack_kind = Plain_sev | Fidelius
 
@@ -198,68 +199,76 @@ let plain_migration_probe ~seed site =
         (Ok []) mapped
     in
     let* measurement = Sev.Firmware.send_finish fw1 ~handle:handle1 in
+    let pages = List.rev pages in
     Ok
-      { Core.Migrate.image =
-          { Sev.Transport.pages = List.rev pages;
-            measurement;
+      [ Wire.Start
+          { name = "victim";
+            memory_pages = List.length pages;
             policy = Sev.Firmware.policy_nodbg;
-            nonce };
-        wrapped_keys;
-        origin_public = Sev.Firmware.platform_public fw1;
-        memory_pages = List.length pages;
-        gpt_entries = [];
-        name = "victim" }
+            nonce;
+            wrapped_keys;
+            origin_public = Sev.Firmware.platform_public fw1 };
+        Wire.Update { round = 0; pages };
+        Wire.Finish { measurement; gpt_entries = [] } ]
   in
   match sent with
   | Error e -> (Harness_error, "plain send failed clean: " ^ e)
-  | Ok snap -> (
+  | Ok frames -> (
       let received =
         with_plan ~seed site (fun () ->
             try
-              let* snap =
-                Result.map_error
-                  (fun e -> `Wire (Core.Migrate.error_to_string e))
-                  (Core.Migrate.transmit snap)
-              in
-              let memory_pages = snap.Core.Migrate.memory_pages in
-              let dom2 = Xen.Hypervisor.create_domain hv2 ~name:"victim" ~memory_pages in
-              let* handle2 =
-                Result.map_error (fun e -> `Rejected e)
-                  (Sev.Firmware.receive_start fw2 ~wrapped:snap.Core.Migrate.wrapped_keys
-                     ~origin_public:snap.Core.Migrate.origin_public
-                     ~nonce:snap.Core.Migrate.image.Sev.Transport.nonce
-                     ~policy:snap.Core.Migrate.image.Sev.Transport.policy ())
-              in
-              let* () =
+              (* Every frame crosses the untrusted channel before the
+                 target acts on any of them. *)
+              let* frames =
                 List.fold_left
-                  (fun acc (gfn, cipher) ->
-                    let* () = acc in
-                    match Hw.Pagetable.lookup dom2.Xen.Domain.npt gfn with
-                    | None -> Error (`Mechanical (Printf.sprintf "gfn 0x%x unbacked" gfn))
-                    | Some npte ->
-                        Result.map_error
-                          (fun e -> `Rejected e)
-                          (Sev.Firmware.receive_update fw2 ~handle:handle2 ~index:gfn
-                             ~cipher ~dst_pfn:npte.Hw.Pagetable.frame))
-                  (Ok ()) snap.Core.Migrate.image.Sev.Transport.pages
+                  (fun acc f ->
+                    let* acc = acc in
+                    match Wire.decode (Wire.transmit (Wire.encode f)) with
+                    | Ok f -> Ok (f :: acc)
+                    | Error e -> Error (`Wire (Core.Migrate.error_to_string e)))
+                  (Ok []) frames
               in
-              let* () =
-                Result.map_error (fun e -> `Rejected e)
-                  (Sev.Firmware.receive_finish fw2 ~handle:handle2
-                     ~expected:snap.Core.Migrate.image.Sev.Transport.measurement)
-              in
-              let* () =
-                Result.map_error (fun e -> `Mechanical e)
-                  (Sev.Firmware.activate fw2 ~handle:handle2 ~asid:dom2.Xen.Domain.asid)
-              in
-              dom2.Xen.Domain.sev_handle <- Some handle2;
-              dom2.Xen.Domain.sev_protected <- true;
-              Hw.Vmcb.set dom2.Xen.Domain.vmcb Hw.Vmcb.Sev_enabled 1L;
-              for gvfn = 0 to memory_pages - 1 do
-                Xen.Domain.guest_map dom2 ~gvfn ~gfn:gvfn ~writable:true ~executable:true
-                  ~c_bit:true
-              done;
-              Ok dom2
+              match List.rev frames with
+              | [ Wire.Start { memory_pages; policy; nonce; wrapped_keys; origin_public; _ };
+                  Wire.Update { pages; _ };
+                  Wire.Finish { measurement; _ } ] ->
+                  let dom2 = Xen.Hypervisor.create_domain hv2 ~name:"victim" ~memory_pages in
+                  let* handle2 =
+                    Result.map_error (fun e -> `Rejected e)
+                      (Sev.Firmware.receive_start fw2 ~wrapped:wrapped_keys ~origin_public
+                         ~nonce ~policy ())
+                  in
+                  let* () =
+                    List.fold_left
+                      (fun acc (index, cipher) ->
+                        let* () = acc in
+                        let gfn = Core.Migrate.gfn_of_index index in
+                        match Hw.Pagetable.lookup dom2.Xen.Domain.npt gfn with
+                        | None -> Error (`Mechanical (Printf.sprintf "gfn 0x%x unbacked" gfn))
+                        | Some npte ->
+                            Result.map_error
+                              (fun e -> `Rejected e)
+                              (Sev.Firmware.receive_update fw2 ~handle:handle2 ~index ~cipher
+                                 ~dst_pfn:npte.Hw.Pagetable.frame))
+                      (Ok ()) pages
+                  in
+                  let* () =
+                    Result.map_error (fun e -> `Rejected e)
+                      (Sev.Firmware.receive_finish fw2 ~handle:handle2 ~expected:measurement)
+                  in
+                  let* () =
+                    Result.map_error (fun e -> `Mechanical e)
+                      (Sev.Firmware.activate fw2 ~handle:handle2 ~asid:dom2.Xen.Domain.asid)
+                  in
+                  dom2.Xen.Domain.sev_handle <- Some handle2;
+                  dom2.Xen.Domain.sev_protected <- true;
+                  Hw.Vmcb.set dom2.Xen.Domain.vmcb Hw.Vmcb.Sev_enabled 1L;
+                  for gvfn = 0 to memory_pages - 1 do
+                    Xen.Domain.guest_map dom2 ~gvfn ~gfn:gvfn ~writable:true ~executable:true
+                      ~c_bit:true
+                  done;
+                  Ok dom2
+              | _ -> Error (`Wire "unexpected frame sequence")
             with
             | Hw.Denial.Denied m -> Error (`Denied m)
             | Xen.Hypervisor.Npf_unresolved m -> Error (`Denied m)

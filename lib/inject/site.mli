@@ -17,8 +17,12 @@ type t =
   | Fw_replay  (** apply a RECEIVE_UPDATE firmware command twice *)
   | Tlb_omit_flush  (** skip a requested TLB invalidation *)
   | Spurious_npf  (** raise an unsolicited nested page fault mid-guest *)
-  | Snapshot_truncate  (** drop trailing pages from a migration snapshot *)
-  | Snapshot_flip  (** flip one bit of a migration snapshot page *)
+  | Snapshot_truncate
+      (** cut a page-sized tail off an encoded migration UPDATE frame in
+          [Migrate.Wire.transmit]; the header still claims the full length *)
+  | Snapshot_flip
+      (** flip one ciphertext bit of one page in an encoded migration
+          UPDATE frame in [Migrate.Wire.transmit] *)
   | Round_truncate
       (** surgically drop the trailing page record of a live-migration
           round and re-frame the wire message consistently — framing

@@ -266,9 +266,23 @@ let send_finish t ~handle =
       Measure.add_data c.measure (Transport.measurement_meta ~policy:c.policy ~nonce:c.nonce);
       Ok (Measure.finalize c.measure ~tik)
 
+let send_cancel t ~handle =
+  charge_cmd t "SEND_CANCEL";
+  let* c = ctx t handle "SEND_CANCEL" in
+  let* () = State.require c.state ~expected:[ State.Sending; State.Sent ] ~cmd:"SEND_CANCEL" in
+  c.tek <- None;
+  c.tik <- None;
+  c.measure <- Measure.create ();
+  c.state <- State.Running;
+  Ok ()
+
 let receive_start t ~wrapped ~origin_public ~nonce ~policy ?kvek_of () =
   charge_cmd t "RECEIVE_START";
   let* () = need_init t "RECEIVE_START" in
+  let* () =
+    if Dh.in_group origin_public then Ok ()
+    else Error "RECEIVE_START: origin public value outside the group"
+  in
   let kek =
     Transport.derive_master_secret ~secret:t.platform_secret ~peer_public:origin_public ~nonce
   in

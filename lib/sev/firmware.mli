@@ -118,6 +118,11 @@ val send_update :
 val send_finish : t -> handle:handle -> (bytes, string) result
 (** The keyed measurement (HMAC under Ktik); state SENT. *)
 
+val send_cancel : t -> handle:handle -> (unit, string) result
+(** SEND_CANCEL: abandon an outgoing migration. SENDING or SENT goes back
+    to RUNNING; the transport keys and the running measurement are
+    dropped, so the next SEND_START begins afresh. *)
+
 (** {2 Receive (bootup from encrypted image / migration target / I/O read)} *)
 
 val receive_start :

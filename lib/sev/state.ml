@@ -23,7 +23,10 @@ let can_transition from into =
   | Launching, Running
   | Running, Sending
   | Receiving, Running
-  | Sending, Sent -> true
+  | Sending, Sent
+  (* SEND_CANCEL abandons an outgoing migration *)
+  | Sending, Running
+  | Sent, Running -> true
   | _, Decommissioned -> not (from = Decommissioned)
   | _, _ -> false
 

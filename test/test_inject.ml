@@ -145,26 +145,33 @@ let migration_pair () =
   let _, _, fid2 = installed ~seed:82L () in
   (fid1, dom, fid2)
 
+(* The snapshot-* sites act on UPDATE frames inside [Wire.transmit]; both
+   faults must surface as typed errors of the live driver, with the source
+   guest left running. *)
 let test_truncated_snapshot_fails_closed () =
   let fid1, dom, fid2 = migration_pair () in
   with_installed
     (Plan.make ~seed:3L [ Plan.always Site.Snapshot_truncate ])
     (fun () ->
-      match Core.Migrate.migrate ~src:fid1 ~dst:fid2 dom with
+      match Core.Migrate.migrate_live ~src:fid1 ~dst:fid2 dom with
       | Error (Core.Migrate.Truncated { expected; got }) ->
           Alcotest.(check bool) "page deficit reported" true (got < expected)
       | Error e -> Alcotest.fail ("expected Truncated, got " ^ Core.Migrate.error_to_string e)
-      | Ok _ -> Alcotest.fail "truncated snapshot was accepted")
+      | Ok _ -> Alcotest.fail "truncated snapshot was accepted");
+  Alcotest.(check bool) "source still running" true (dom.Domain.state = Domain.Runnable)
 
+(* The flipped ciphertext must be caught by the target platform's
+   measurement check, so the refusal is [Rejected], not a generic error. *)
 let test_flipped_snapshot_fails_closed () =
   let fid1, dom, fid2 = migration_pair () in
   with_installed
     (Plan.make ~seed:3L [ Plan.always Site.Snapshot_flip ])
     (fun () ->
-      match Core.Migrate.migrate ~src:fid1 ~dst:fid2 dom with
+      match Core.Migrate.migrate_live ~src:fid1 ~dst:fid2 dom with
       | Error (Core.Migrate.Rejected _) -> ()
       | Error e -> Alcotest.fail ("expected Rejected, got " ^ Core.Migrate.error_to_string e)
-      | Ok _ -> Alcotest.fail "bit-flipped snapshot was accepted")
+      | Ok _ -> Alcotest.fail "bit-flipped snapshot was accepted");
+  Alcotest.(check bool) "source still running" true (dom.Domain.state = Domain.Runnable)
 
 (* --- matrix -------------------------------------------------------------- *)
 

@@ -245,6 +245,276 @@ let test_out_of_order_frame_refused () =
   | Error e -> Alcotest.fail ("expected Protocol_violation, got " ^ Migrate.error_to_string e)
   | Ok _ -> Alcotest.fail "UPDATE before START was accepted"
 
+(* A START wrapped for host 2 and handed to host 3 fails RECEIVE_START's
+   key unwrap: the platform's verdict, so [Rejected]. *)
+let test_wrong_target_refused () =
+  let m1, hv1, fid1 = installed ~seed:91L () in
+  let dom = protected_vm fid1 "traveller" in
+  let _, _, fid2 = installed ~seed:92L () in
+  let _, _, fid3 = installed ~seed:93L () in
+  let nonce = Rng.next64 m1.Hw.Machine.rng in
+  let wrapped_keys =
+    ok
+      (Sev.Firmware.send_start hv1.Hv.fw ~handle:(Option.get dom.Domain.sev_handle)
+         ~target_public:(Fid.platform_key fid2) ~nonce)
+  in
+  let start =
+    Migrate.Wire.Start
+      { name = "traveller"; memory_pages; policy = Sev.Firmware.policy_nodbg; nonce;
+        wrapped_keys; origin_public = Fid.platform_key fid1 }
+  in
+  match Migrate.rx_deliver (Migrate.rx_create fid3) (Migrate.Wire.encode start) with
+  | Error (Migrate.Rejected _) -> ()
+  | Error e -> Alcotest.fail ("expected Rejected, got " ^ Migrate.error_to_string e)
+  | Ok _ -> Alcotest.fail "START for another platform was accepted"
+
+(* --- hostile START sizes ------------------------------------------------- *)
+
+let start_claiming n =
+  let wrapped_keys = Keywrap.wrap ~kek:(Bytes.make 32 'k') (Bytes.make 48 's') in
+  Migrate.Wire.encode
+    (Migrate.Wire.Start
+       { name = "huge"; memory_pages = n; policy = 0; nonce = 1L; wrapped_keys;
+         origin_public = 2L })
+
+(* A START is refused by size before the target allocates anything, so a
+   relay cannot drain the host's memory with one frame. *)
+let test_start_size_refused () =
+  let m, _, fid = installed ~seed:94L () in
+  let refused n expect =
+    let free = Hw.Machine.frames_free m in
+    let err =
+      match Migrate.rx_deliver (Migrate.rx_create fid) (start_claiming n) with
+      | Error e -> e
+      | Ok _ -> Alcotest.failf "START claiming %d pages was accepted" n
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d pages: typed refusal (%s)" n (Migrate.error_to_string err))
+      true (expect err);
+    Alcotest.(check int) (Printf.sprintf "%d pages: no frame taken" n) free
+      (Hw.Machine.frames_free m)
+  in
+  let boot_failed = function Migrate.Boot_failed _ -> true | _ -> false in
+  let malformed = function Migrate.Malformed _ -> true | _ -> false in
+  refused 100_000 boot_failed;
+  (* Exactly the free frames still leaves no room for the page tables. *)
+  refused (Hw.Machine.frames_free m) boot_failed;
+  refused (-1) malformed;
+  refused ((1 lsl 20) + 1) malformed
+
+(* --- retry after a failed migration -------------------------------------- *)
+
+(* SEND_CANCEL on the failure path returns the source's firmware context to
+   RUNNING, so the same guest can migrate again to the same target. *)
+let test_retry_after_failure () =
+  let _, hv1, fid1, dom, m2, hv2, fid2, mutate, owner = live_pair () in
+  with_installed
+    (Plan.make ~seed:3L [ Plan.always Site.Snapshot_flip ])
+    (fun () ->
+      match Migrate.migrate_live ~owner ~mutate ~src:fid1 ~dst:fid2 dom with
+      | Error (Migrate.Rejected _) -> ()
+      | Error e -> Alcotest.fail ("expected Rejected, got " ^ Migrate.error_to_string e)
+      | Ok _ -> Alcotest.fail "bit-flipped stream was accepted");
+  Alcotest.(check bool) "source still alive" true (Hv.find_domain hv1 dom.Domain.domid <> None);
+  Alcotest.(check bool) "source firmware back in RUNNING" true
+    (Sev.Firmware.state_of hv1.Hv.fw ~handle:(Option.get dom.Domain.sev_handle)
+     = Some Sev.State.Running);
+  let dom', rep =
+    ok
+      (Result.map_error Migrate.error_to_string
+         (Migrate.migrate_live ~owner ~mutate ~src:fid1 ~dst:fid2 dom))
+  in
+  Alcotest.(check bool) "retry released the key" true rep.Migrate.secret_released;
+  let b = Hv.in_guest hv2 dom' (fun () -> Domain.read m2 dom' ~addr:0xC000 ~len:13) in
+  Alcotest.(check string) "runtime state arrives" "runtime state" (Bytes.to_string b)
+
+(* --- receive-path totality ----------------------------------------------- *)
+
+(* The frames of a real 16-page migration from the stock SEND_* sequence:
+   START, round 0 with every page, an empty residual round, FINISH. They
+   target a host that every property case reuses. *)
+let real_stream =
+  lazy
+    (let m1, hv1, fid1 = installed ~seed:91L () in
+     let dom = protected_vm fid1 "traveller" in
+     Hv.in_guest hv1 dom (fun () ->
+         Domain.write m1 dom ~addr:0xC000 (Bytes.of_string "runtime state"));
+     let _, _, fid2 = installed ~seed:92L () in
+     let fw = hv1.Hv.fw and handle = Option.get dom.Domain.sev_handle in
+     let nonce = Rng.next64 m1.Hw.Machine.rng in
+     let wrapped_keys =
+       ok (Sev.Firmware.send_start fw ~handle ~target_public:(Fid.platform_key fid2) ~nonce)
+     in
+     let pages =
+       List.sort compare (Hw.Pagetable.mapped_frames dom.Domain.npt)
+       |> List.map (fun (gfn, (npte : Hw.Pagetable.proto)) ->
+              let index = Migrate.index_of ~round:0 ~gfn in
+              let src_pfn = npte.Hw.Pagetable.frame in
+              (index, ok (Sev.Firmware.send_update fw ~handle ~index ~src_pfn)))
+     in
+     let measurement = ok (Sev.Firmware.send_finish fw ~handle) in
+     let frames =
+       [ Migrate.Wire.Start
+           { name = "traveller"; memory_pages; policy = Sev.Firmware.policy_nodbg; nonce;
+             wrapped_keys; origin_public = Fid.platform_key fid1 };
+         Migrate.Wire.Update { round = 0; pages };
+         Migrate.Wire.Update { round = 1; pages = [] };
+         Migrate.Wire.Finish
+           { measurement; gpt_entries = Hw.Pagetable.mapped_frames dom.Domain.gpt } ]
+     in
+     (fid2, List.map Migrate.Wire.encode frames))
+
+(* Deliver [frames] to a fresh receiver on [fid]; tear down whatever guest
+   it produced. *)
+let deliver_all fid frames =
+  let rx = Migrate.rx_create fid in
+  let results = List.map (Migrate.rx_deliver rx) frames in
+  Option.iter (Fid.shutdown_protected_vm fid) (Migrate.rx_domain rx);
+  results
+
+(* The real stream with its FINISH frame replaced. *)
+let with_finish frames finish = List.mapi (fun i f -> if i = 3 then finish else f) frames
+
+(* Offsets of the u32 fields a relay would aim at, from the frame's own
+   decoding: START's memory_pages, the UPDATE count and each record's index
+   and length, the FINISH entry count and each entry's gvfn and frame. *)
+let u32_fields frame =
+  let h = 4 + 2 + 1 + 4 (* magic, version, tag, payload length *) in
+  match Migrate.Wire.decode frame with
+  | Ok (Migrate.Wire.Start { name; _ }) -> [ h + 2 + String.length name ]
+  | Ok (Migrate.Wire.Update { pages; _ }) ->
+      let record i = h + 8 + (i * (8 + Hw.Addr.page_size)) in
+      (h + 4) :: List.concat (List.mapi (fun i _ -> [ record i; record i + 4 ]) pages)
+  | Ok (Migrate.Wire.Finish { measurement; gpt_entries }) ->
+      let c = h + 2 + Bytes.length measurement in
+      c :: List.concat (List.mapi (fun i _ -> [ c + 4 + (9 * i); c + 8 + (9 * i) ]) gpt_entries)
+  | _ -> []
+
+(* Page-table entries index the guest page table directly: a gvfn or gfn
+   outside the transport's gfn range is refused before anything is
+   written. *)
+let test_finish_entry_range_refused () =
+  let fid, frames = Lazy.force real_stream in
+  let finish = List.nth frames 3 in
+  let gvfn, gfn =
+    match u32_fields finish with _count :: gvfn :: gfn :: _ -> (gvfn, gfn) | _ -> assert false
+  in
+  List.iter
+    (fun (what, off, v) ->
+      let bad = Bytes.copy finish in
+      Bytes.set_int32_be bad off v;
+      match List.rev (deliver_all fid (with_finish frames bad)) with
+      | Error (Migrate.Malformed _) :: _ -> ()
+      | Error e :: _ ->
+          Alcotest.failf "%s: expected Malformed, got %s" what (Migrate.error_to_string e)
+      | _ -> Alcotest.failf "%s: FINISH accepted" what)
+    [ ("negative gvfn", gvfn, -1l); ("gfn past 2^20", gfn, Int32.of_int (1 lsl 20)) ]
+
+(* Near the boundary a START either fits or is refused whole: on a host
+   with exactly [k] free frames the real 16-page stream is accepted, or its
+   START is refused as [Boot_failed] with no frame taken; with room to
+   spare it is accepted. *)
+let test_tight_host () =
+  let _, frames = Lazy.force real_stream in
+  List.iter
+    (fun k ->
+      let m, _, fid = installed ~seed:92L () in
+      ignore (Hw.Machine.alloc_frames m (Hw.Machine.frames_free m - k));
+      match deliver_all fid frames with
+      | exception e -> Alcotest.failf "%d free frames: raised %s" k (Printexc.to_string e)
+      | Error (Migrate.Boot_failed _) :: _ when k < 40 ->
+          Alcotest.(check int) (Printf.sprintf "%d free frames: none taken" k) k
+            (Hw.Machine.frames_free m)
+      | results ->
+          List.iter
+            (function
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "%d free frames: %s" k (Migrate.error_to_string e))
+            results)
+    [ 0; 16; 19; 20; 24; 27; 28; 29; 40 ]
+
+(* FINISH's page-table entries are restored after the guest boots; entries
+   scattered over more page-table pages than the host has free frames are
+   refused instead of exhausting it. *)
+let test_finish_entries_exhaust_refused () =
+  let _, frames = Lazy.force real_stream in
+  let m, _, fid = installed ~seed:92L () in
+  (* Room for the 16-page guest, then about ten frames to spare. *)
+  ignore (Hw.Machine.alloc_frames m (Hw.Machine.frames_free m - 30));
+  let finish = Bytes.copy (List.nth frames 3) in
+  (* Entry i moves to gvfn 512 * (i + 2): one page-table page each. *)
+  List.tl (u32_fields finish)
+  |> List.filteri (fun i _ -> i mod 2 = 0)
+  |> List.iteri (fun i gvfn -> Bytes.set_int32_be finish gvfn (Int32.of_int (512 * (i + 2))));
+  match List.rev (deliver_all fid (with_finish frames finish)) with
+  | Error (Migrate.Boot_failed _) :: _ -> ()
+  | Error e :: _ -> Alcotest.failf "expected Boot_failed, got %s" (Migrate.error_to_string e)
+  | _ -> Alcotest.fail "FINISH accepted"
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+
+type mutation =
+  | Flip of int * int  (** frame, bit *)
+  | Cut of int * int  (** frame, bytes kept *)
+  | Set_u32 of int * int * int32
+      (** frame, field (three in four pick a {!u32_fields} offset, the rest
+          any offset), value *)
+
+let pp_mutation = function
+  | Flip (f, bit) -> Printf.sprintf "flip frame %d bit %d" f bit
+  | Cut (f, keep) -> Printf.sprintf "cut frame %d to %d bytes" f keep
+  | Set_u32 (f, field, v) -> Printf.sprintf "set frame %d u32 field %d to %ld" f field v
+
+let gen_mutation =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ ( 1,
+          oneofl
+            [ 0l; 1l; -1l; -4096l; Int32.max_int; Int32.min_int; 16l; 17l; 4095l; 4096l;
+              100_000l; Int32.of_int (1 lsl 20); Int32.of_int ((1 lsl 20) + 1) ] );
+        (1, map Int32.of_int int) ]
+  in
+  let frame = int_bound 3 and pos = int_bound 0x3FFF_FFFF in
+  frequency
+    [ (1, map2 (fun f b -> Flip (f, b)) frame pos);
+      (1, map2 (fun f k -> Cut (f, k)) frame pos);
+      (3, map3 (fun f i v -> Set_u32 (f, i, v)) frame pos value) ]
+
+let apply frames m =
+  List.mapi
+    (fun i b ->
+      match m with
+      | Flip (f, bit) when f = i && Bytes.length b > 0 ->
+          let b = Bytes.copy b in
+          let bit = bit mod (Bytes.length b * 8) in
+          Bytes.set_uint8 b (bit / 8) (Bytes.get_uint8 b (bit / 8) lxor (1 lsl (bit mod 8)));
+          b
+      | Cut (f, keep) when f = i && Bytes.length b > 0 -> Bytes.sub b 0 (keep mod Bytes.length b)
+      | Set_u32 (f, field, v) when f = i && Bytes.length b >= 4 ->
+          let b = Bytes.copy b in
+          let named = u32_fields b in
+          let off =
+            if named <> [] && field mod 4 <> 0 then
+              List.nth named (field / 4 mod List.length named)
+            else field mod (Bytes.length b - 3)
+          in
+          Bytes.set_int32_be b off v;
+          b
+      | _ -> b)
+    frames
+
+let test_rx_deliver_total =
+  QCheck.Test.make ~name:"rx_deliver is total over a mutated real stream" ~count:300
+    (QCheck.make
+       ~print:(fun ms -> String.concat "; " (List.map pp_mutation ms))
+       QCheck.Gen.(list_size (frequency [ (3, return 1); (1, return 2) ]) gen_mutation))
+    (fun ms ->
+      let fid, frames = Lazy.force real_stream in
+      let frames = List.fold_left apply frames ms in
+      match deliver_all fid frames with
+      | _ -> true
+      | exception e -> QCheck.Test.fail_reportf "rx_deliver raised %s" (Printexc.to_string e))
+
 (* --- fleet determinism --------------------------------------------------- *)
 
 let test_fleet_determinism () =
@@ -278,7 +548,21 @@ let () =
           Alcotest.test_case "surgical round truncation rejected" `Quick
             test_round_truncate_rejected;
           Alcotest.test_case "out-of-order frame refused" `Quick
-            test_out_of_order_frame_refused
+            test_out_of_order_frame_refused;
+          Alcotest.test_case "wrong target refused" `Quick test_wrong_target_refused;
+          Alcotest.test_case "oversized START refused, no frame taken" `Quick
+            test_start_size_refused;
+          Alcotest.test_case "START on a nearly full host fits or is refused whole" `Quick
+            test_tight_host;
+          Alcotest.test_case "FINISH entry outside the gfn range refused" `Quick
+            test_finish_entry_range_refused;
+          Alcotest.test_case "FINISH entries beyond the free frames refused" `Quick
+            test_finish_entries_exhaust_refused;
+          QCheck_alcotest.to_alcotest test_rx_deliver_total
+        ] );
+      ( "retry",
+        [ Alcotest.test_case "clean retry after a failed migration" `Quick
+            test_retry_after_failure
         ] );
       ( "fleet",
         [ Alcotest.test_case "deterministic at any domain count" `Quick

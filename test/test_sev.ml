@@ -25,15 +25,16 @@ let page c = Bytes.make Hw.Addr.page_size c
 let test_state_transitions () =
   let open State in
   let legal = [ (Uninit, Launching); (Launching, Running); (Running, Sending);
-                (Sending, Sent); (Uninit, Receiving); (Receiving, Running) ] in
+                (Sending, Sent); (Uninit, Receiving); (Receiving, Running);
+                (Sending, Running); (Sent, Running) (* SEND_CANCEL *) ] in
   List.iter
     (fun (a, b) ->
       Alcotest.(check bool)
         (Printf.sprintf "%s -> %s legal" (to_string a) (to_string b))
         true (can_transition a b))
     legal;
-  let illegal = [ (Running, Launching); (Sent, Running); (Launching, Sending);
-                  (Decommissioned, Running); (Uninit, Running) ] in
+  let illegal = [ (Running, Launching); (Sent, Sending); (Launching, Sending);
+                  (Receiving, Sending); (Decommissioned, Running); (Uninit, Running) ] in
   List.iter
     (fun (a, b) ->
       Alcotest.(check bool)
@@ -199,6 +200,23 @@ let test_receive_wrong_platform () =
        (Firmware.receive_start fw3 ~wrapped ~origin_public:(Firmware.platform_public fw1)
           ~nonce:1L ~policy:0 ()))
 
+(* The origin's public value arrives over the wire; one outside the DH
+   group is refused instead of reaching the key agreement. *)
+let test_receive_bad_origin_key () =
+  let m1, fw1, _m2, fw2 = migration_pair () in
+  let handle = ok (Firmware.launch_start fw1 ~policy:0) in
+  ok (Firmware.launch_update fw1 ~handle ~pfn:(Hw.Machine.alloc_frame m1));
+  let _ = ok (Firmware.launch_finish fw1 ~handle) in
+  let wrapped =
+    ok (Firmware.send_start fw1 ~handle ~target_public:(Firmware.platform_public fw2) ~nonce:1L)
+  in
+  List.iter
+    (fun origin_public ->
+      Alcotest.(check bool) (Printf.sprintf "origin %Ld refused" origin_public) true
+        (Result.is_error
+           (Firmware.receive_start fw2 ~wrapped ~origin_public ~nonce:1L ~policy:0 ())))
+    [ 0L; 1L; Dh.p; -1L ]
+
 let test_receive_tampered_page () =
   let m1, fw1, m2, fw2 = migration_pair () in
   let handle = ok (Firmware.launch_start fw1 ~policy:0) in
@@ -250,6 +268,30 @@ let test_send_requires_running () =
   let handle = ok (Firmware.launch_start fw ~policy:0) in
   Alcotest.(check bool) "send during launch fails" true
     (Result.is_error (Firmware.send_start fw ~handle ~target_public:(Firmware.platform_public fw) ~nonce:0L))
+
+(* SEND_CANCEL returns an abandoned send to RUNNING with no transport keys
+   left, so the old stream cannot be extended and a fresh SEND_START works. *)
+let test_send_cancel () =
+  let m1, fw1, _m2, fw2 = migration_pair () in
+  let handle = ok (Firmware.launch_start fw1 ~policy:0) in
+  let pfn = Hw.Machine.alloc_frame m1 in
+  ok (Firmware.launch_update fw1 ~handle ~pfn);
+  let _ = ok (Firmware.launch_finish fw1 ~handle) in
+  Alcotest.(check bool) "cancel needs a send in progress" true
+    (Result.is_error (Firmware.send_cancel fw1 ~handle));
+  let target_public = Firmware.platform_public fw2 in
+  let _ = ok (Firmware.send_start fw1 ~handle ~target_public ~nonce:1L) in
+  let _ = ok (Firmware.send_update fw1 ~handle ~index:0 ~src_pfn:pfn) in
+  ok (Firmware.send_cancel fw1 ~handle);
+  Alcotest.(check bool) "SENDING back to RUNNING" true
+    (Firmware.state_of fw1 ~handle = Some State.Running);
+  Alcotest.(check bool) "cancelled stream cannot continue" true
+    (Result.is_error (Firmware.send_update fw1 ~handle ~index:1 ~src_pfn:pfn));
+  let _ = ok (Firmware.send_start fw1 ~handle ~target_public ~nonce:2L) in
+  let _ = ok (Firmware.send_finish fw1 ~handle) in
+  ok (Firmware.send_cancel fw1 ~handle);
+  Alcotest.(check bool) "SENT back to RUNNING" true
+    (Firmware.state_of fw1 ~handle = Some State.Running)
 
 (* --- helper contexts and the I/O reuse ------------------------------------- *)
 
@@ -381,9 +423,11 @@ let () =
       ( "send-receive",
         [ Alcotest.test_case "roundtrip" `Quick test_send_receive_roundtrip;
           Alcotest.test_case "wrong platform" `Quick test_receive_wrong_platform;
+          Alcotest.test_case "origin key outside the group" `Quick test_receive_bad_origin_key;
           Alcotest.test_case "tampered page" `Quick test_receive_tampered_page;
           Alcotest.test_case "reordered pages" `Quick test_receive_reordered_pages;
-          Alcotest.test_case "send needs RUNNING" `Quick test_send_requires_running ] );
+          Alcotest.test_case "send needs RUNNING" `Quick test_send_requires_running;
+          Alcotest.test_case "send cancel" `Quick test_send_cancel ] );
       ( "helpers-io",
         [ Alcotest.test_case "launch_shared kvek" `Quick test_launch_shared_kvek;
           Alcotest.test_case "sev io path" `Quick test_sev_io_path;
