@@ -530,8 +530,10 @@ let migrate_cmd =
 (* Report which crypto backends CPUID selected (so bench.json deltas are
    interpretable across machines) and self-test them: FIPS-197 KAT and the
    pinned golden XEX page digest against the active backend, then a
-   backend-vs-reference sweep over every tier this CPU can run. Any
-   mismatch exits nonzero, which is what `make crypto-selftest` relies on. *)
+   backend-vs-reference sweep over every AES tier this CPU can run, then
+   the FIPS 180-4 KATs and a reference cross-check on the active SHA-256
+   backend. Any mismatch exits nonzero, which is what
+   `make crypto-selftest` relies on. *)
 let cpu_features () =
   let module Aes = Fidelius_crypto.Aes in
   let module Modes = Fidelius_crypto.Modes in
@@ -576,6 +578,24 @@ let cpu_features () =
       end)
     [ ("vaes", `Vaes); ("aes-ni", `Aesni); ("c-portable", `Portable) ];
   ignore (Aes.set_backend `Auto);
+  (* FIPS 180-4 vectors, then the active SHA-256 backend against the OCaml
+     reference on a whole page and on a message ending mid-block. *)
+  let sha_kat msg hex = String.equal (Sha256.hex (Sha256.digest_string msg)) hex in
+  let sha_vs_reference msg =
+    Bytes.equal (Sha256.digest msg) (Sha256.digest_reference msg)
+  in
+  let sha_checks =
+    [ ( "fips 180-4 abc KAT",
+        sha_kat "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad" );
+      ( "fips 180-4 448-bit KAT",
+        sha_kat "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+          "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
+      ("sha256 4 KiB page vs reference", sha_vs_reference page);
+      ("sha256 1000 B vs reference", sha_vs_reference (Bytes.sub page 0 1000)) ]
+  in
+  List.iter (fun (name, ok) -> check name ok) sha_checks;
+  Printf.printf "self-test:      sha256 %s ok=%b\n" Sha256.backend
+    (List.for_all snd sha_checks);
   match !failures with
   | [] ->
       print_endline "self-test:      PASS";

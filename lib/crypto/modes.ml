@@ -79,23 +79,6 @@ let xex_decrypt key ~tweak data =
   xex_decrypt_into key ~tweak ~src:data ~src_off:0 ~dst:out ~dst_off:0 ~len:(Bytes.length data);
   out
 
-let cbc_mac key data =
-  let n = Bytes.length data in
-  (* Zero-padding a copy is equivalent to only XORing the bytes that exist,
-     so the accumulator is updated straight from [data] — no padded copy. *)
-  let nblocks = if n = 0 then 1 else (n + 15) / 16 in
-  let acc = Bytes.make 16 '\000' in
-  for blk = 0 to nblocks - 1 do
-    let base = blk * 16 in
-    let len = min 16 (n - base) in
-    for j = 0 to len - 1 do
-      let c = Char.code (Bytes.get acc j) lxor Char.code (Bytes.get data (base + j)) in
-      Bytes.set acc j (Char.chr c)
-    done;
-    Aes.encrypt_block_into key ~src:acc ~src_off:0 ~dst:acc ~dst_off:0
-  done;
-  acc
-
 (* ------------------------------------------------------------------ *)
 (* Executable specification: the pre-backend per-block OCaml loops,   *)
 (* built on the Aes reference block functions. The test suite checks  *)

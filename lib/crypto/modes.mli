@@ -8,8 +8,6 @@
       moving ciphertext between physical locations (a remap/replay splice)
       decrypts to garbage — the property AMD's SME physical-address tweak
       provides.
-    - CBC-MAC: a simple authenticator used where a short keyed tag over
-      fixed-length data is needed.
 
     Every function here is deterministic — output depends only on the
     key, tweak/nonce and input bytes. Since the hardware-backend work the
@@ -77,11 +75,6 @@ val xex_decrypt_sectors :
   Aes.key ->
   tweak0:int64 -> sector_stride:int64 -> sector_bytes:int ->
   src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> nsectors:int -> unit
-
-val cbc_mac : Aes.key -> bytes -> bytes
-(** 16-byte tag over a buffer of any length (zero-padded internally; callers
-    authenticate fixed-format data only, so length-extension shaping is not a
-    concern in the simulator). *)
 
 (** {2 Executable specification}
 

@@ -1,7 +1,7 @@
 (* SHA-256 over 32-bit words represented as OCaml ints masked to 32 bits.
 
    This is the hot hashing core behind the BMT integrity tree, launch
-   measurement, HMAC, the DH KDF and migration snapshots, so it follows the
+   and migration measurements, HMAC and the DH KDF, so it follows the
    T-table AES playbook: the message schedule and the pending block are
    preallocated in the context (nothing is allocated per block), and the
    [_into] entry points let steady-state callers hash without allocating.
@@ -9,9 +9,9 @@
    Like the real secure processor, block compression runs on a hash unit:
    the C stub ([sha256_stubs.c]) uses the host CPU's SHA extension when
    present and a portable scalar core otherwise. The OCaml compression
-   below is the from-scratch executable specification — the test suite
-   cross-checks the active backend against it, and a context created with
-   [init_reference] is pinned to it. *)
+   below is the from-scratch executable specification: [digest_reference]
+   hashes with it, and the test suite and the [cpu-features] self-test
+   cross-check the active backend against it. *)
 
 let digest_size = 32
 
@@ -56,7 +56,6 @@ let make reference =
     buf_len = 0; total = 0; reference }
 
 let init () = make false
-let init_reference () = make true
 
 let reset ctx =
   Array.blit iv 0 ctx.h 0 8;
@@ -227,7 +226,7 @@ let digest data =
 let digest_string s = digest (Bytes.of_string s)
 
 let digest_reference data =
-  let ctx = init_reference () in
+  let ctx = make true in
   feed ctx data;
   finalize ctx
 
@@ -250,199 +249,6 @@ let digest_build f =
   let out = Bytes.create 32 in
   finalize_into ctx ~dst:out ~dst_off:0;
   out
-
-(* ---- two-stream hashing -------------------------------------------------
-
-   The hash unit can fold two independent messages in lockstep: on SHA-NI
-   each stream's sha256rnds2 chain is serial, so interleaving a second
-   stream fills the first one's latency shadow and a pair costs well under
-   two single hashes. The BMT batch update rides this — dirty leaves and
-   dirty interior nodes are hashed two at a time.
-
-   Both streams must be the same length (every compress call advances them
-   block-for-block); the entry points below fall back to two sequential
-   one-shot digests when the lengths differ. *)
-
-external stub_compress2 :
-  int array -> Bytes.t -> int -> int array -> Bytes.t -> int -> int -> unit
-  = "fidelius_sha256_compress2_byte" "fidelius_sha256_compress2"
-  [@@noalloc]
-(* [stub_compress2 h1 data1 off1 h2 data2 off2 nblocks] folds [nblocks]
-   64-byte blocks from each stream into its own chaining state. *)
-
-type two_stream = {
-  ts_h1 : int array;
-  ts_h2 : int array;
-  ts_s1 : Bytes.t;  (* 128-byte staging area: head / padded tail blocks *)
-  ts_s2 : Bytes.t;
-}
-
-let ts_scratch : two_stream Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { ts_h1 = Array.copy iv;
-        ts_h2 = Array.copy iv;
-        ts_s1 = Bytes.create 128;
-        ts_s2 = Bytes.create 128 })
-
-let store_h h ~dst ~dst_off =
-  for i = 0 to 7 do
-    let v = Array.unsafe_get h i in
-    let o = dst_off + (4 * i) in
-    Bytes.unsafe_set dst o (Char.unsafe_chr (v lsr 24));
-    Bytes.unsafe_set dst (o + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
-    Bytes.unsafe_set dst (o + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
-    Bytes.unsafe_set dst (o + 3) (Char.unsafe_chr (v land 0xff))
-  done
-
-(* Hash [prefix? || data] on both streams. The data arrays must be the
-   same length. The only allocation is the once-per-domain scratch. *)
-let two_stream_run ~prefixed ~prefix1 ~prefix2 data1 data2 ~dst1 ~dst1_off
-    ~dst2 ~dst2_off =
-  if dst1_off < 0 || dst1_off + 32 > Bytes.length dst1
-     || dst2_off < 0 || dst2_off + 32 > Bytes.length dst2
-  then invalid_arg "Sha256.two_stream: dst range out of bounds";
-  let ts = Domain.DLS.get ts_scratch in
-  let h1 = ts.ts_h1 and h2 = ts.ts_h2 in
-  let s1 = ts.ts_s1 and s2 = ts.ts_s2 in
-  Array.blit iv 0 h1 0 8;
-  Array.blit iv 0 h2 0 8;
-  let n = Bytes.length data1 in
-  if Bytes.length data2 <> n then
-    invalid_arg "Sha256.two_stream: stream lengths differ";
-  let head = if prefixed then 8 else 0 in
-  let bitlen = Int64.of_int ((head + n) * 8) in
-  (* [pos]: data bytes already folded in; [fill]: bytes staged in s1/s2
-     awaiting padding (only on the short-message path). *)
-  let pos = ref 0 in
-  let fill = ref 0 in
-  if prefixed then
-    if n >= 56 then begin
-      Bytes.set_int64_be s1 0 prefix1;
-      Bytes.set_int64_be s2 0 prefix2;
-      Bytes.blit data1 0 s1 8 56;
-      Bytes.blit data2 0 s2 8 56;
-      stub_compress2 h1 s1 0 h2 s2 0 1;
-      pos := 56
-    end
-    else begin
-      Bytes.set_int64_be s1 0 prefix1;
-      Bytes.set_int64_be s2 0 prefix2;
-      Bytes.blit data1 0 s1 8 n;
-      Bytes.blit data2 0 s2 8 n;
-      fill := 8 + n;
-      pos := n
-    end;
-  (* Whole blocks straight from the data arrays. *)
-  let whole = (n - !pos) asr 6 in
-  if whole > 0 then begin
-    stub_compress2 h1 data1 !pos h2 data2 !pos whole;
-    pos := !pos + (whole lsl 6)
-  end;
-  if !fill = 0 then begin
-    let rem = n - !pos in
-    Bytes.blit data1 !pos s1 0 rem;
-    Bytes.blit data2 !pos s2 0 rem;
-    fill := rem
-  end;
-  (* Pad in the staging area: 0x80, zeros, 64-bit bit length — one block
-     when the tail leaves room for the length, two otherwise. *)
-  let f = !fill in
-  Bytes.set s1 f '\x80';
-  Bytes.set s2 f '\x80';
-  if f >= 56 then begin
-    Bytes.fill s1 (f + 1) (119 - f) '\000';
-    Bytes.fill s2 (f + 1) (119 - f) '\000';
-    Bytes.set_int64_be s1 120 bitlen;
-    Bytes.set_int64_be s2 120 bitlen;
-    stub_compress2 h1 s1 0 h2 s2 0 2
-  end
-  else begin
-    Bytes.fill s1 (f + 1) (55 - f) '\000';
-    Bytes.fill s2 (f + 1) (55 - f) '\000';
-    Bytes.set_int64_be s1 56 bitlen;
-    Bytes.set_int64_be s2 56 bitlen;
-    stub_compress2 h1 s1 0 h2 s2 0 1
-  end;
-  store_h h1 ~dst:dst1 ~dst_off:dst1_off;
-  store_h h2 ~dst:dst2 ~dst_off:dst2_off
-
-let digest2_into data1 data2 ~dst1 ~dst1_off ~dst2 ~dst2_off =
-  if Bytes.length data1 = Bytes.length data2 then
-    two_stream_run ~prefixed:false ~prefix1:0L ~prefix2:0L data1 data2 ~dst1
-      ~dst1_off ~dst2 ~dst2_off
-  else begin
-    digest_into data1 ~dst:dst1 ~dst_off:dst1_off;
-    digest_into data2 ~dst:dst2 ~dst_off:dst2_off
-  end
-
-let digest2 data1 data2 =
-  let out1 = Bytes.create 32 and out2 = Bytes.create 32 in
-  digest2_into data1 data2 ~dst1:out1 ~dst1_off:0 ~dst2:out2 ~dst2_off:0;
-  (out1, out2)
-
-let digest2_prefixed_into ~prefix1 data1 ~dst1 ~dst1_off ~prefix2 data2 ~dst2
-    ~dst2_off =
-  if Bytes.length data1 = Bytes.length data2 then
-    two_stream_run ~prefixed:true ~prefix1 ~prefix2 data1 data2 ~dst1
-      ~dst1_off ~dst2 ~dst2_off
-  else begin
-    let ctx = Domain.DLS.get scratch in
-    reset ctx;
-    feed_u64_be ctx prefix1;
-    feed ctx data1;
-    finalize_into ctx ~dst:dst1 ~dst_off:dst1_off;
-    reset ctx;
-    feed_u64_be ctx prefix2;
-    feed ctx data2;
-    finalize_into ctx ~dst:dst2 ~dst_off:dst2_off
-  end
-
-(* Two digest-pair streams: each message is a1||b1 (resp. a2||b2). The
-   four parts must share one length (the BMT feeds 32-byte digests), so
-   both messages stay in lockstep; otherwise fall back. *)
-let digest_pair2_into a1 b1 ~dst1 ~dst1_off a2 b2 ~dst2 ~dst2_off =
-  let la = Bytes.length a1 in
-  if Bytes.length b1 = la && Bytes.length a2 = la && Bytes.length b2 = la
-     && la <= 55
-  then begin
-    if dst1_off < 0 || dst1_off + 32 > Bytes.length dst1
-       || dst2_off < 0 || dst2_off + 32 > Bytes.length dst2
-    then invalid_arg "Sha256.digest_pair2_into: dst range out of bounds";
-    let ts = Domain.DLS.get ts_scratch in
-    let h1 = ts.ts_h1 and h2 = ts.ts_h2 in
-    let s1 = ts.ts_s1 and s2 = ts.ts_s2 in
-    Array.blit iv 0 h1 0 8;
-    Array.blit iv 0 h2 0 8;
-    let msg = 2 * la in
-    let bitlen = Int64.of_int (msg * 8) in
-    Bytes.blit a1 0 s1 0 la;
-    Bytes.blit b1 0 s1 la la;
-    Bytes.blit a2 0 s2 0 la;
-    Bytes.blit b2 0 s2 la la;
-    Bytes.set s1 msg '\x80';
-    Bytes.set s2 msg '\x80';
-    if msg >= 56 then begin
-      (* Two blocks: message spills past the length slot of block one. *)
-      Bytes.fill s1 (msg + 1) (119 - msg) '\000';
-      Bytes.fill s2 (msg + 1) (119 - msg) '\000';
-      Bytes.set_int64_be s1 120 bitlen;
-      Bytes.set_int64_be s2 120 bitlen;
-      stub_compress2 h1 s1 0 h2 s2 0 2
-    end
-    else begin
-      Bytes.fill s1 (msg + 1) (55 - msg) '\000';
-      Bytes.fill s2 (msg + 1) (55 - msg) '\000';
-      Bytes.set_int64_be s1 56 bitlen;
-      Bytes.set_int64_be s2 56 bitlen;
-      stub_compress2 h1 s1 0 h2 s2 0 1
-    end;
-    store_h h1 ~dst:dst1 ~dst_off:dst1_off;
-    store_h h2 ~dst:dst2 ~dst_off:dst2_off
-  end
-  else begin
-    digest_pair_into a1 b1 ~dst:dst1 ~dst_off:dst1_off;
-    digest_pair_into a2 b2 ~dst:dst2 ~dst_off:dst2_off
-  end
 
 let hex b =
   let buf = Buffer.create (2 * Bytes.length b) in

@@ -11,10 +11,13 @@
     buffers so steady-state hashing allocates nothing. Block compression is
     dispatched once at startup to the host CPU's SHA extensions (SHA-NI)
     when available, falling back to a portable C core — mirroring how the
-    modelled secure processor offloads hashing to an on-die unit. A
+    modelled secure processor offloads hashing to an on-die unit. Every
+    digest takes this one path, one message at a time: the BMT's leaf
+    hashes are {!feed_u64_be} then {!feed} on a context and its node
+    hashes are {!digest_pair_into}. A
     from-scratch OCaml compression remains as the executable specification:
-    {!digest_reference} always uses it, and the test suite cross-checks the
-    active backend against it on random inputs.
+    {!digest_reference} always uses it, and the test suite and
+    [fidelius_sim cpu-features] cross-check the active backend against it.
 
     {b Thread-safety.} A [ctx] is single-owner mutable state. The one-shot
     helpers ({!digest}, {!digest_into}, {!digest_pair_into}, {!digest_build})
@@ -64,51 +67,10 @@ val digest_build : (ctx -> unit) -> bytes
     heterogeneous parts ([feed] / {!feed_u64_be}) without concatenating
     them first. [f] must not itself call the one-shot helpers. *)
 
-(** {2 Two-stream hashing}
-
-    The hash unit folds two independent messages in lockstep: on SHA-NI
-    each stream's [sha256rnds2] chain is serial, so interleaving a second
-    stream fills the first one's latency shadow and a pair costs well
-    under two single hashes. The BMT batch update hashes dirty leaves and
-    dirty interior nodes two at a time through these entry points.
-
-    Results are bit-identical to hashing each stream alone (the test
-    suite cross-checks against {!digest_reference}). When the two streams
-    have different lengths the calls transparently fall back to two
-    sequential one-shot digests. *)
-
-val digest2 : bytes -> bytes -> bytes * bytes
-(** [digest2 a b] is [(digest a, digest b)], computed in lockstep when
-    the lengths match. *)
-
-val digest2_into :
-  bytes -> bytes -> dst1:bytes -> dst1_off:int -> dst2:bytes -> dst2_off:int -> unit
-(** Zero-allocation {!digest2}: writes the two digests into the
-    caller-supplied buffers. *)
-
-val digest2_prefixed_into :
-  prefix1:int64 -> bytes -> dst1:bytes -> dst1_off:int ->
-  prefix2:int64 -> bytes -> dst2:bytes -> dst2_off:int -> unit
-(** Each stream hashes the eight big-endian bytes of its prefix followed
-    by its data ({!feed_u64_be} then {!feed}) — the BMT leaf shape
-    ([pfn || page]), two leaves per call. *)
-
-val digest_pair2_into :
-  bytes -> bytes -> dst1:bytes -> dst1_off:int ->
-  bytes -> bytes -> dst2:bytes -> dst2_off:int -> unit
-(** [digest_pair2_into a1 b1 ~dst1 ~dst1_off a2 b2 ~dst2 ~dst2_off] is
-    two {!digest_pair_into} calls in lockstep — the Merkle node shape,
-    two parents per call. Destinations may alias inputs; both messages
-    are staged before either digest is written. *)
-
 val hex : bytes -> string
 (** Lowercase hex rendering of a digest (or any byte string). *)
 
 val init : unit -> ctx
-
-val init_reference : unit -> ctx
-(** Like {!init} but the context is pinned to the pure-OCaml compression —
-    for cross-checking the accelerated backend under arbitrary chunkings. *)
 
 val reset : ctx -> unit
 (** Return the context to its initial state so it can hash a fresh

@@ -1,5 +1,7 @@
 /* SHA-256 block compression for Sha256 — the "hash unit" of the modelled
- * secure processor. Two backends, selected once at startup:
+ * secure processor. One entry point folds consecutive 64-byte blocks of
+ * one message into its chaining state, on one of two backends selected
+ * once at startup:
  *
  *   - SHA-NI: the x86 SHA extensions (sha256rnds2/sha256msg1/sha256msg2),
  *     when CPUID leaf 7 reports them. This is the same silicon a real
@@ -7,8 +9,9 @@
  *   - A portable scalar C core, used everywhere else.
  *
  * Both compute exactly FIPS 180-4; the OCaml side additionally keeps a
- * from-scratch OCaml compression as the executable specification and the
- * test suite cross-checks the active backend against it.
+ * from-scratch OCaml compression as the executable specification, and the
+ * test suite and the cpu-features self-test cross-check the active backend
+ * against it.
  *
  * Contract with the OCaml side: the chaining state is an 8-element OCaml
  * int array holding the 32-bit words (immediates only, so plain Field
@@ -177,104 +180,6 @@ static void compress_shani(uint32_t state[8], const unsigned char *p,
   _mm_storeu_si128((__m128i *)&state[4], state1);
 }
 
-/* ------------------------------------------------------------------ */
-/* Two-stream SHA-NI core                                             */
-/*                                                                    */
-/* sha256rnds2 has multi-cycle latency and each stream's rounds form  */
-/* one serial dependency chain; interleaving two independent streams  */
-/* lets the second chain issue in the first one's latency shadow, so  */
-/* a lockstep pair runs well under 2x the single-stream time. This is */
-/* how the modelled integrity engine doubles its BMT update rate.     */
-/* ------------------------------------------------------------------ */
-
-#define QROUNDS2(g, WA, WB)                                                 \
-  do {                                                                      \
-    const __m128i k_ = _mm_loadu_si128((const __m128i *)&K[4 * (g)]);       \
-    __m128i ma_ = _mm_add_epi32(WA, k_);                                    \
-    __m128i mb_ = _mm_add_epi32(WB, k_);                                    \
-    s1a = _mm_sha256rnds2_epu32(s1a, s0a, ma_);                             \
-    s1b = _mm_sha256rnds2_epu32(s1b, s0b, mb_);                             \
-    ma_ = _mm_shuffle_epi32(ma_, 0x0E);                                     \
-    mb_ = _mm_shuffle_epi32(mb_, 0x0E);                                     \
-    s0a = _mm_sha256rnds2_epu32(s0a, s1a, ma_);                             \
-    s0b = _mm_sha256rnds2_epu32(s0b, s1b, mb_);                             \
-  } while (0)
-
-#define LOAD_STATE2(state, s0, s1)                                          \
-  do {                                                                      \
-    __m128i t_ = _mm_loadu_si128((const __m128i *)&(state)[0]);             \
-    s1 = _mm_loadu_si128((const __m128i *)&(state)[4]);                     \
-    t_ = _mm_shuffle_epi32(t_, 0xB1);                                       \
-    s1 = _mm_shuffle_epi32(s1, 0x1B);                                       \
-    s0 = _mm_alignr_epi8(t_, s1, 8);                                        \
-    s1 = _mm_blend_epi16(s1, t_, 0xF0);                                     \
-  } while (0)
-
-#define STORE_STATE2(state, s0, s1)                                         \
-  do {                                                                      \
-    __m128i t_ = _mm_shuffle_epi32(s0, 0x1B);                               \
-    __m128i u_ = _mm_shuffle_epi32(s1, 0xB1);                               \
-    __m128i lo_ = _mm_blend_epi16(t_, u_, 0xF0);                            \
-    __m128i hi_ = _mm_alignr_epi8(u_, t_, 8);                               \
-    _mm_storeu_si128((__m128i *)&(state)[0], lo_);                          \
-    _mm_storeu_si128((__m128i *)&(state)[4], hi_);                          \
-  } while (0)
-
-__attribute__((target("sha,sse4.1,ssse3")))
-static void compress2_shani(uint32_t sa[8], const unsigned char *pa,
-                            uint32_t sb[8], const unsigned char *pb,
-                            long nblocks)
-{
-  const __m128i bswap =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-  __m128i s0a, s1a, s0b, s1b;
-  LOAD_STATE2(sa, s0a, s1a);
-  LOAD_STATE2(sb, s0b, s1b);
-
-  while (nblocks-- > 0) {
-    const __m128i abef_a = s0a, cdgh_a = s1a;
-    const __m128i abef_b = s0b, cdgh_b = s1b;
-
-    __m128i w0a = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pa + 0)), bswap);
-    __m128i w0b = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pb + 0)), bswap);
-    __m128i w1a = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pa + 16)), bswap);
-    __m128i w1b = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pb + 16)), bswap);
-    __m128i w2a = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pa + 32)), bswap);
-    __m128i w2b = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pb + 32)), bswap);
-    __m128i w3a = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pa + 48)), bswap);
-    __m128i w3b = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pb + 48)), bswap);
-
-    QROUNDS2(0, w0a, w0b);
-    QROUNDS2(1, w1a, w1b);
-    QROUNDS2(2, w2a, w2b);
-    QROUNDS2(3, w3a, w3b);
-    for (int g = 4; g < 16; g += 4) {
-      w0a = NEXT_W(w0a, w1a, w2a, w3a);
-      w0b = NEXT_W(w0b, w1b, w2b, w3b);
-      QROUNDS2(g, w0a, w0b);
-      w1a = NEXT_W(w1a, w2a, w3a, w0a);
-      w1b = NEXT_W(w1b, w2b, w3b, w0b);
-      QROUNDS2(g + 1, w1a, w1b);
-      w2a = NEXT_W(w2a, w3a, w0a, w1a);
-      w2b = NEXT_W(w2b, w3b, w0b, w1b);
-      QROUNDS2(g + 2, w2a, w2b);
-      w3a = NEXT_W(w3a, w0a, w1a, w2a);
-      w3b = NEXT_W(w3b, w0b, w1b, w2b);
-      QROUNDS2(g + 3, w3a, w3b);
-    }
-
-    s0a = _mm_add_epi32(s0a, abef_a);
-    s1a = _mm_add_epi32(s1a, cdgh_a);
-    s0b = _mm_add_epi32(s0b, abef_b);
-    s1b = _mm_add_epi32(s1b, cdgh_b);
-    pa += 64;
-    pb += 64;
-  }
-
-  STORE_STATE2(sa, s0a, s1a);
-  STORE_STATE2(sb, s0b, s1b);
-}
-
 #endif /* __x86_64__ && __GNUC__ */
 
 /* ------------------------------------------------------------------ */
@@ -322,42 +227,4 @@ CAMLprim value fidelius_sha256_compress_many(value vh, value vbuf, value voff,
   /* Immediates only — no write barrier needed. */
   for (int i = 0; i < 8; i++) Field(vh, i) = Val_long(state[i]);
   return Val_unit;
-}
-
-CAMLprim value fidelius_sha256_compress2(value vh1, value vb1, value vo1,
-                                         value vh2, value vb2, value vo2,
-                                         value vnblocks)
-{
-  uint32_t sa[8], sb[8];
-  const unsigned char *pa =
-      (const unsigned char *)Bytes_val(vb1) + Long_val(vo1);
-  const unsigned char *pb =
-      (const unsigned char *)Bytes_val(vb2) + Long_val(vo2);
-  long nblocks = Long_val(vnblocks);
-
-  for (int i = 0; i < 8; i++) sa[i] = (uint32_t)Long_val(Field(vh1, i));
-  for (int i = 0; i < 8; i++) sb[i] = (uint32_t)Long_val(Field(vh2, i));
-
-#ifdef FIDELIUS_SHANI_POSSIBLE
-  if (detect_backend() == 1) {
-    compress2_shani(sa, pa, sb, pb, nblocks);
-  } else
-#endif
-  {
-    /* Scalar superscalar gains are marginal; run the streams back to
-     * back — the results are identical either way. */
-    compress_scalar(sa, pa, nblocks);
-    compress_scalar(sb, pb, nblocks);
-  }
-
-  for (int i = 0; i < 8; i++) Field(vh1, i) = Val_long(sa[i]);
-  for (int i = 0; i < 8; i++) Field(vh2, i) = Val_long(sb[i]);
-  return Val_unit;
-}
-
-CAMLprim value fidelius_sha256_compress2_byte(value *argv, int argn)
-{
-  (void)argn;
-  return fidelius_sha256_compress2(argv[0], argv[1], argv[2], argv[3],
-                                   argv[4], argv[5], argv[6]);
 }

@@ -175,8 +175,8 @@ let sort_prefix a n =
    dirty indices are deduped with mark bytes, sorted in place, and walked
    level by level through the two ping-pong arrays — sorted children yield
    non-decreasing parents, so per-level dedup is one comparison against
-   the previous parent. No per-node allocation, and leaves and nodes are
-   hashed two at a time on the hash unit's paired stream. *)
+   the previous parent. Each leaf and each parent is one hash on the tree's
+   hash unit, with no per-node allocation. *)
 let update_many t pfns =
   let n = collect_dirty t pfns 0 in
   for i = 0 to n - 1 do
@@ -185,25 +185,11 @@ let update_many t pfns =
   if n > 0 then begin
     sort_prefix t.upd_a n;
     let leaves = t.levels.(0) in
-    let i = ref 0 in
-    while !i + 1 < n do
-      let ia = t.upd_a.(!i) and ib = t.upd_a.(!i + 1) in
-      charge_leaf t;
-      charge_leaf t;
-      Sha256.digest2_prefixed_into
-        ~prefix1:(Int64.of_int t.frames.(ia))
-        (Physmem.page t.machine.Machine.mem t.frames.(ia))
-        ~dst1:leaves.(ia) ~dst1_off:0
-        ~prefix2:(Int64.of_int t.frames.(ib))
-        (Physmem.page t.machine.Machine.mem t.frames.(ib))
-        ~dst2:leaves.(ib) ~dst2_off:0;
-      i := !i + 2
-    done;
-    if !i < n then begin
-      let idx = t.upd_a.(!i) in
+    for i = 0 to n - 1 do
+      let idx = t.upd_a.(i) in
       charge_leaf t;
       leaf_digest_into t t.frames.(idx) ~dst:leaves.(idx) ~dst_off:0
-    end;
+    done;
     let count = ref n in
     for level = 0 to Array.length t.levels - 2 do
       let src = if level land 1 = 0 then t.upd_a else t.upd_b in
@@ -220,22 +206,12 @@ let update_many t pfns =
       done;
       let below = t.levels.(level) in
       let above = t.levels.(level + 1) in
-      let j = ref 0 in
-      while !j + 1 < !m do
-        let pa = dst.(!j) and pb = dst.(!j + 1) in
-        charge_node t;
-        charge_node t;
-        Sha256.digest_pair2_into
-          below.(2 * pa) (sibling below (2 * pa)) ~dst1:above.(pa) ~dst1_off:0
-          below.(2 * pb) (sibling below (2 * pb)) ~dst2:above.(pb) ~dst2_off:0;
-        j := !j + 2
-      done;
-      if !j < !m then begin
-        let parent = dst.(!j) in
+      for j = 0 to !m - 1 do
+        let parent = dst.(j) in
         charge_node t;
         Sha256.digest_pair_into below.(2 * parent) (sibling below (2 * parent))
           ~dst:above.(parent) ~dst_off:0
-      end;
+      done;
       count := !m
     done
   end

@@ -99,13 +99,6 @@ let probe_into t pfn ~block ~dst ~dst_off =
       true
   | exception Not_found -> false
 
-let probe t pfn ~block =
-  match Hashtbl.find t.lines (key pfn block) with
-  | line ->
-      Cost.charge_id t.ledger c_cache_hit t.costs.Cost.cache_hit;
-      Some (Bytes.copy line)
-  | exception Not_found -> None
-
 let invalidate_page t pfn =
   for block = 0 to Addr.blocks_per_page - 1 do
     let key = key pfn block in

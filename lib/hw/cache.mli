@@ -23,13 +23,10 @@ val fill_from : t -> Addr.pfn -> block:int -> bytes -> src_off:int -> unit
     effect, no per-block [Bytes.sub] at the call site, and a refill of a
     resident line reuses the line buffer instead of allocating. *)
 
-val probe : t -> Addr.pfn -> block:int -> bytes option
-(** A hit returns resident plaintext — regardless of who asks. *)
-
 val probe_into : t -> Addr.pfn -> block:int -> dst:bytes -> dst_off:int -> bool
-(** Allocation-free {!probe}: a hit blits the resident plaintext into
-    [dst] at [dst_off] and returns [true]; a miss touches nothing and (as
-    always) charges nothing. *)
+(** A hit blits the resident plaintext into [dst] at [dst_off] and returns
+    [true] — regardless of who asks. A miss touches nothing and charges
+    nothing. *)
 
 val frame_resident : t -> Addr.pfn -> bool
 (** [true] iff at least one line of the frame is resident. A probe miss has

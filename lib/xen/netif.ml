@@ -4,7 +4,7 @@ type wire = {
   mutable endpoints : endpoint list; (* at most two, in connect order *)
   queues : (int, bytes Queue.t) Hashtbl.t; (* receiver slot -> inbound frames *)
   capacity : int;             (* per-slot inbound bound; senders see backpressure *)
-  mutable log : bytes list;
+  log : bytes Queue.t;        (* dom0's record: the last [capacity] frames forwarded *)
   mutable forwarded : int;
 }
 
@@ -24,9 +24,17 @@ let create_wire ?(capacity = default_capacity) () =
   let queues = Hashtbl.create 2 in
   Hashtbl.replace queues 0 (Queue.create ());
   Hashtbl.replace queues 1 (Queue.create ());
-  { endpoints = []; queues; capacity; log = []; forwarded = 0 }
+  { endpoints = []; queues; capacity; log = Queue.create (); forwarded = 0 }
 
 let wire_capacity wire = wire.capacity
+
+(* Hand one payload to the peer's inbound queue and to dom0's log, dropping
+   the log's oldest frame once it holds [capacity]. *)
+let forward wire dest_q payload =
+  Queue.push payload dest_q;
+  Queue.push payload wire.log;
+  if Queue.length wire.log > wire.capacity then ignore (Queue.pop wire.log);
+  wire.forwarded <- wire.forwarded + 1
 
 let ( let* ) = Result.bind
 
@@ -111,10 +119,7 @@ let send ep frame =
       Error "netif: corrupt frame length on the shared ring"
     else begin
       let payload = Bytes.sub raw 4 len in
-      let dest = 1 - ep.slot in
-      Queue.push payload (Hashtbl.find ep.e_wire.queues dest);
-      ep.e_wire.log <- payload :: ep.e_wire.log;
-      ep.e_wire.forwarded <- ep.e_wire.forwarded + 1;
+      forward ep.e_wire (Hashtbl.find ep.e_wire.queues (1 - ep.slot)) payload;
       Ok ()
     end
   end
@@ -199,12 +204,7 @@ let send_batch ep frames =
         match parse_frames raw nframes with
         | Error e -> Error e
         | Ok payloads ->
-            List.iter
-              (fun payload ->
-                Queue.push payload dest_q;
-                ep.e_wire.log <- payload :: ep.e_wire.log;
-                ep.e_wire.forwarded <- ep.e_wire.forwarded + 1)
-              payloads;
+            List.iter (forward ep.e_wire dest_q) payloads;
             Ok ()
       end
 
@@ -243,7 +243,7 @@ let pending ep = Queue.length (Hashtbl.find ep.e_wire.queues ep.slot)
 let snoop wire =
   Hashtbl.fold (fun _ q acc -> List.of_seq (Queue.to_seq q) @ acc) wire.queues []
 
-let snoop_log wire = List.rev wire.log
+let snoop_log wire = List.of_seq (Queue.to_seq wire.log)
 
 let tamper wire f =
   Hashtbl.iter

@@ -62,7 +62,10 @@ val snoop : wire -> bytes list
 (** Every frame currently queued anywhere on the wire, as dom0 sees it. *)
 
 val snoop_log : wire -> bytes list
-(** Every frame that ever crossed the wire (dom0 records traffic). *)
+(** The most recent frames that crossed the wire, oldest first (dom0
+    records traffic). The log keeps at most {!wire_capacity} frames — the
+    same bound as each inbound queue — and drops the oldest beyond that;
+    {!frames_forwarded} still counts every frame. *)
 
 val tamper : wire -> (bytes -> bytes) -> unit
 (** Rewrite all queued frames (man-in-the-middle). *)

@@ -232,76 +232,6 @@ let test_sha_feed_u64_be =
       in
       Bytes.equal d1 d2)
 
-(* --- two-stream hashing -------------------------------------------------- *)
-
-let test_sha_digest2_matches_reference =
-  (* Lockstep pair = two independent reference digests, across lengths that
-     exercise every staging path: empty, sub-block, the 55/56/63/64 padding
-     boundaries (with and without the 8-byte prefix shift), multi-block and
-     page-sized. *)
-  QCheck.Test.make ~name:"digest2 = (digest_reference, digest_reference)"
-    ~count:100
-    (QCheck.pair QCheck.small_nat QCheck.small_nat)
-    (fun (seed, pick) ->
-      let sizes = [| 0; 1; 47; 48; 55; 56; 63; 64; 120; 129; 4096 |] in
-      let n = sizes.(pick mod Array.length sizes) in
-      let rng = Rng.create (Int64.of_int (seed + 1)) in
-      let a = Rng.bytes rng n and b = Rng.bytes rng n in
-      let d1, d2 = Sha256.digest2 a b in
-      Bytes.equal d1 (Sha256.digest_reference a)
-      && Bytes.equal d2 (Sha256.digest_reference b))
-
-let test_sha_digest2_prefixed_matches_feed =
-  QCheck.Test.make ~name:"digest2_prefixed = feed_u64_be; feed" ~count:100
-    (QCheck.triple QCheck.int64 QCheck.int64 QCheck.small_nat)
-    (fun (p1, p2, pick) ->
-      let sizes = [| 0; 7; 48; 55; 56; 63; 64; 119; 120; 4096 |] in
-      let n = sizes.(pick mod Array.length sizes) in
-      let rng = Rng.create (Int64.add p1 17L) in
-      let a = Rng.bytes rng n and b = Rng.bytes rng n in
-      let expect prefix data =
-        Sha256.digest_build (fun ctx ->
-            Sha256.feed_u64_be ctx prefix;
-            Sha256.feed ctx data)
-      in
-      let d1 = Bytes.create 32 and d2 = Bytes.create 32 in
-      Sha256.digest2_prefixed_into ~prefix1:p1 a ~dst1:d1 ~dst1_off:0
-        ~prefix2:p2 b ~dst2:d2 ~dst2_off:0;
-      Bytes.equal d1 (expect p1 a) && Bytes.equal d2 (expect p2 b))
-
-let test_sha_pair2_matches_pair () =
-  let rng = Rng.create 37L in
-  for _ = 1 to 20 do
-    let a1 = Rng.bytes rng 32 and b1 = Rng.bytes rng 32 in
-    let a2 = Rng.bytes rng 32 and b2 = Rng.bytes rng 32 in
-    let d1 = Bytes.create 32 and d2 = Bytes.create 32 in
-    Sha256.digest_pair2_into a1 b1 ~dst1:d1 ~dst1_off:0 a2 b2 ~dst2:d2
-      ~dst2_off:0;
-    Alcotest.(check bool) "stream 1 = digest_pair" true
-      (Bytes.equal d1 (Sha256.digest_pair a1 b1));
-    Alcotest.(check bool) "stream 2 = digest_pair" true
-      (Bytes.equal d2 (Sha256.digest_pair a2 b2))
-  done;
-  (* Unequal part lengths take the sequential fallback — same digests. *)
-  let a1 = Rng.bytes rng 16 and b1 = Rng.bytes rng 48 in
-  let a2 = Rng.bytes rng 32 and b2 = Rng.bytes rng 32 in
-  let d1 = Bytes.create 32 and d2 = Bytes.create 32 in
-  Sha256.digest_pair2_into a1 b1 ~dst1:d1 ~dst1_off:0 a2 b2 ~dst2:d2
-    ~dst2_off:0;
-  Alcotest.(check bool) "fallback stream 1" true
-    (Bytes.equal d1 (Sha256.digest_pair a1 b1));
-  Alcotest.(check bool) "fallback stream 2" true
-    (Bytes.equal d2 (Sha256.digest_pair a2 b2))
-
-let test_sha_digest2_unequal_fallback () =
-  let rng = Rng.create 39L in
-  let a = Rng.bytes rng 100 and b = Rng.bytes rng 33 in
-  let d1, d2 = Sha256.digest2 a b in
-  Alcotest.(check bool) "unequal lengths stream 1" true
-    (Bytes.equal d1 (Sha256.digest a));
-  Alcotest.(check bool) "unequal lengths stream 2" true
-    (Bytes.equal d2 (Sha256.digest b))
-
 let test_sha_reset_reuse () =
   let rng = Rng.create 35L in
   let msgs = List.init 5 (fun i -> Rng.bytes rng (17 * (i + 1))) in
@@ -436,27 +366,6 @@ let test_xex_bad_length () =
   Alcotest.check_raises "odd length rejected"
     (Invalid_argument "Modes.xex_encrypt: length must be a multiple of 16") (fun () ->
       ignore (Modes.xex_encrypt key ~tweak:0L (Bytes.create 17)))
-
-let test_cbc_mac () =
-  let key = Aes.expand (Bytes.make 16 'm') in
-  let t1 = Modes.cbc_mac key (Bytes.of_string "hello") in
-  let t2 = Modes.cbc_mac key (Bytes.of_string "hello") in
-  let t3 = Modes.cbc_mac key (Bytes.of_string "hellp") in
-  Alcotest.(check bool) "deterministic" true (Bytes.equal t1 t2);
-  Alcotest.(check bool) "input-sensitive" false (Bytes.equal t1 t3);
-  Alcotest.(check int) "tag is one block" 16 (Bytes.length (Modes.cbc_mac key (Bytes.create 0)))
-
-let test_cbc_mac_zero_pad_equiv =
-  QCheck.Test.make ~name:"CBC-MAC of data = MAC of zero-padded data" ~count:100
-    QCheck.string
-    (fun s ->
-      QCheck.assume (String.length s > 0);
-      let key = Aes.expand (Bytes.make 16 'm') in
-      let data = Bytes.of_string s in
-      let n = Bytes.length data in
-      let padded = Bytes.make ((n + 15) / 16 * 16) '\000' in
-      Bytes.blit data 0 padded 0 n;
-      Bytes.equal (Modes.cbc_mac key data) (Modes.cbc_mac key padded))
 
 (* Span calls must be bit-identical to a loop of per-block xex_*_into calls
    with tweak_i = tweak0 + i * tweak_step -- this is the equivalence the
@@ -735,12 +644,6 @@ let test_golden_ctr () =
   check_hex "CTR digest" "06e7cd77daad655e9ea415a5ba08e0621f7829ce9befd92c8a046dc0b8cbe277"
     (Sha256.digest ct)
 
-let test_golden_cbc_mac () =
-  check_hex "CBC-MAC short" "a3a5fcf64804dbb99b2781aebfe338c9"
-    (Modes.cbc_mac (golden_key ()) (Bytes.of_string "hello"));
-  check_hex "CBC-MAC long" "a06c7d531922c5e423e09b141aa9abbf"
-    (Modes.cbc_mac (golden_key ()) (Bytes.sub (golden_page ()) 0 1000))
-
 (* --- DH ------------------------------------------------------------------ *)
 
 let test_dh_agreement =
@@ -867,16 +770,10 @@ let () =
           Alcotest.test_case "into variants" `Quick test_sha_into_matches_alloc;
           Alcotest.test_case "pair_into dst aliasing" `Quick test_sha_pair_into_aliases;
           Alcotest.test_case "reset reuse" `Quick test_sha_reset_reuse;
-          Alcotest.test_case "pair2 = two digest_pairs" `Quick
-            test_sha_pair2_matches_pair;
-          Alcotest.test_case "digest2 unequal-length fallback" `Quick
-            test_sha_digest2_unequal_fallback;
           prop test_sha_streaming_equals_oneshot;
           prop test_sha_chunked_matches_reference;
           prop test_sha_pair_matches_cat;
-          prop test_sha_feed_u64_be;
-          prop test_sha_digest2_matches_reference;
-          prop test_sha_digest2_prefixed_matches_feed ] );
+          prop test_sha_feed_u64_be ] );
       ( "hmac",
         [ Alcotest.test_case "RFC 4231 cases 1-3" `Quick test_hmac_rfc4231;
           Alcotest.test_case "RFC 4231 long key" `Quick test_hmac_long_key;
@@ -891,8 +788,6 @@ let () =
           prop test_xex_roundtrip;
           Alcotest.test_case "XEX relocation garbles" `Quick test_xex_relocation_garbles;
           Alcotest.test_case "XEX length check" `Quick test_xex_bad_length;
-          Alcotest.test_case "CBC-MAC" `Quick test_cbc_mac;
-          prop test_cbc_mac_zero_pad_equiv;
           prop test_xex_span_equals_blocks;
           prop test_xex_span_step_one_matches_into;
           prop test_ctr_random_lengths ] );
@@ -910,8 +805,7 @@ let () =
           prop test_backend_inplace_aliasing ] );
       ( "golden",
         [ Alcotest.test_case "XEX page ciphertext" `Quick test_golden_xex_page;
-          Alcotest.test_case "CTR keystream" `Quick test_golden_ctr;
-          Alcotest.test_case "CBC-MAC tags" `Quick test_golden_cbc_mac ] );
+          Alcotest.test_case "CTR keystream" `Quick test_golden_ctr ] );
       ( "dh",
         [ prop test_dh_agreement;
           prop test_dh_public_in_group;

@@ -14,12 +14,12 @@ let ok = function Ok v -> v | Error e -> Alcotest.fail e
 (* --- BMT (hardware layer) -------------------------------------------------- *)
 
 let bmt_env n =
-  let m = Hw.Machine.create ~nr_frames:128 ~seed:13L () in
+  let m = Hw.Machine.create ~nr_frames:(max 128 (n + 1)) ~seed:13L () in
   let frames = Hw.Machine.alloc_frames m n in
   List.iteri
     (fun i pfn ->
       Hw.Physmem.write_raw m.Hw.Machine.mem pfn ~off:0
-        (Bytes.make Hw.Addr.page_size (Char.chr (65 + i))))
+        (Bytes.make Hw.Addr.page_size (Char.chr ((65 + i) land 0xff))))
     frames;
   (m, frames, Bmt.create m ~frames)
 
@@ -87,14 +87,22 @@ let test_bmt_charges_cycles () =
 (* --- BMT fast paths: batched updates, O(1) fetch checks --------------------- *)
 
 let test_bmt_update_many_equals_sequential =
+  (* Tree widths from 1 to 300 leaves put odd widths (self-paired last
+     nodes) at every level, and batches of up to 40 frames share
+     ancestors at every height. *)
+  let batch =
+    QCheck.Gen.(
+      int_range 1 300 >>= fun width ->
+      pair (return width) (list_size (int_range 1 40) (int_bound (width - 1))))
+  in
   QCheck.Test.make
     ~name:"update_many = sequential updates (same tree, strictly fewer hashes)" ~count:40
-    (QCheck.list_of_size (QCheck.Gen.int_range 1 10) (QCheck.int_bound 15))
-    (fun picks ->
+    (QCheck.make ~print:QCheck.Print.(pair int (list int)) batch)
+    (fun (width, picks) ->
       (* Two identical machines and trees; dirty the same frames in both,
          then rebind one with a single batch and the other frame by frame. *)
-      let m1, frames1, bmt1 = bmt_env 16 in
-      let m2, frames2, bmt2 = bmt_env 16 in
+      let m1, frames1, bmt1 = bmt_env width in
+      let m2, frames2, bmt2 = bmt_env width in
       let dirty m frames =
         List.map
           (fun i ->
@@ -128,6 +136,33 @@ let test_bmt_update_many_single_frame_cost () =
   Alcotest.(check int) "single-frame batch cycles"
     (1600 + (4 * 80))
     (Hw.Cost.category m.Hw.Machine.ledger "bmt" - before)
+
+let test_bmt_update_many_multi_frame_pin () =
+  (* The bechamel entry's shape: a 256-frame tree, and one batch of the 64
+     frames [3 * i]. Neighbouring batch frames share parents and all of
+     them share the upper levels, so this pins the per-level dedup: 64
+     leaf hashes plus each distinct ancestor once (64 + 48 + 24 + 12 + 6
+     + 3 + 2 + 1 = 160 node hashes). Cycles, hash count and root are
+     exact. *)
+  let m = Hw.Machine.create ~nr_frames:256 ~seed:97L () in
+  let frames = List.init 256 (fun i -> i) in
+  let bmt = Bmt.create m ~frames in
+  let batch = List.init 64 (fun i -> 3 * i) in
+  List.iter
+    (fun pfn ->
+      Hw.Physmem.write_raw m.Hw.Machine.mem pfn ~off:(pfn * 13)
+        (Bytes.of_string (Printf.sprintf "batch write to frame %d" pfn)))
+    batch;
+  let cycles = Hw.Cost.category m.Hw.Machine.ledger "bmt" in
+  let hashes = Bmt.hashes_performed bmt in
+  Bmt.update_many bmt batch;
+  Alcotest.(check int) "batch cycles" ((64 * 1600) + (160 * 80))
+    (Hw.Cost.category m.Hw.Machine.ledger "bmt" - cycles);
+  Alcotest.(check int) "batch hashes" 224 (Bmt.hashes_performed bmt - hashes);
+  Alcotest.(check string) "root"
+    "1dbb485473f2d9ef361c4fa0e1615d3167cb0f55b73f050ae2aab17ac1556a7d"
+    (Fidelius_crypto.Sha256.hex (Bmt.root bmt));
+  Alcotest.(check bool) "tree verifies" true (Result.is_ok (Bmt.verify_all bmt))
 
 let test_bmt_update_many_ignores_uncovered () =
   let m, frames, bmt = bmt_env 4 in
@@ -360,7 +395,9 @@ let () =
             test_bmt_update_many_ignores_uncovered;
           Alcotest.test_case "fetch check is O(1)" `Quick test_bmt_fetch_check_o1;
           Alcotest.test_case "fetch check detects" `Quick test_bmt_fetch_check_detects;
-          Alcotest.test_case "verify cost pinned" `Quick test_bmt_verify_cost_pin ] );
+          Alcotest.test_case "verify cost pinned" `Quick test_bmt_verify_cost_pin;
+          Alcotest.test_case "multi-frame batch pinned" `Quick
+            test_bmt_update_many_multi_frame_pin ] );
       ( "integrity",
         [ Alcotest.test_case "verified access" `Quick test_integrity_flow;
           Alcotest.test_case "rowhammer detected" `Quick test_integrity_detects_rowhammer;

@@ -237,35 +237,44 @@ let test_cache_fill_probe () =
   let cache = Cache.create (Cost.ledger ()) in
   let line = Bytes.make 16 'L' in
   Cache.fill cache 7 ~block:3 line;
-  (match Cache.probe cache 7 ~block:3 with
-  | Some got -> Alcotest.(check bool) "line content" true (Bytes.equal got line)
-  | None -> Alcotest.fail "expected hit");
-  Alcotest.(check bool) "other block misses" true (Cache.probe cache 7 ~block:4 = None)
+  (* A hit lands at [dst_off]; a miss leaves [dst] untouched. *)
+  let dst = Bytes.make 24 '.' in
+  Alcotest.(check bool) "hit" true (Cache.probe_into cache 7 ~block:3 ~dst ~dst_off:8);
+  Alcotest.(check string) "line content at dst_off" ("........" ^ Bytes.to_string line)
+    (Bytes.to_string dst);
+  let dst = Bytes.make 16 '.' in
+  Alcotest.(check bool) "other block misses" false
+    (Cache.probe_into cache 7 ~block:4 ~dst ~dst_off:0);
+  Alcotest.(check string) "miss writes nothing" (String.make 16 '.') (Bytes.to_string dst)
+
+let hit cache pfn ~block = Cache.probe_into cache pfn ~block ~dst:(Bytes.create 16) ~dst_off:0
 
 let test_cache_eviction () =
   let cache = Cache.create ~nr_lines:4 (Cost.ledger ()) in
   for b = 0 to 5 do
     Cache.fill cache 1 ~block:b (Bytes.make 16 (Char.chr (65 + b)))
   done;
-  Alcotest.(check bool) "oldest evicted" true (Cache.probe cache 1 ~block:0 = None);
-  Alcotest.(check bool) "newest resident" true (Cache.probe cache 1 ~block:5 <> None);
+  Alcotest.(check bool) "oldest evicted" false (hit cache 1 ~block:0);
+  Alcotest.(check bool) "newest resident" true (hit cache 1 ~block:5);
   Alcotest.(check int) "bounded" 4 (Cache.resident cache)
 
 let test_cache_invalidate () =
   let cache = Cache.create (Cost.ledger ()) in
   Cache.fill cache 2 ~block:0 (Bytes.make 16 'x');
   Cache.invalidate_page cache 2;
-  Alcotest.(check bool) "invalidated" true (Cache.probe cache 2 ~block:0 = None)
+  Alcotest.(check bool) "invalidated" false (hit cache 2 ~block:0)
 
 let test_cache_returns_copies () =
+  (* Neither the filled source nor a probed copy aliases the line. *)
   let cache = Cache.create (Cost.ledger ()) in
-  Cache.fill cache 3 ~block:0 (Bytes.make 16 'a');
-  (match Cache.probe cache 3 ~block:0 with
-  | Some line -> Bytes.set line 0 'Z'
-  | None -> Alcotest.fail "miss");
-  match Cache.probe cache 3 ~block:0 with
-  | Some line -> Alcotest.(check char) "line unaffected" 'a' (Bytes.get line 0)
-  | None -> Alcotest.fail "miss"
+  let src = Bytes.make 16 'a' in
+  Cache.fill cache 3 ~block:0 src;
+  Bytes.set src 1 'Y';
+  let dst = Bytes.create 16 in
+  Alcotest.(check bool) "hit" true (Cache.probe_into cache 3 ~block:0 ~dst ~dst_off:0);
+  Bytes.set dst 0 'Z';
+  Alcotest.(check bool) "hit again" true (Cache.probe_into cache 3 ~block:0 ~dst ~dst_off:0);
+  Alcotest.(check string) "line unaffected" (String.make 16 'a') (Bytes.to_string dst)
 
 (* --- Pagetable ------------------------------------------------------------------ *)
 

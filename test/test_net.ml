@@ -206,6 +206,29 @@ let test_netif_backpressure () =
     (Invalid_argument "Netif.create_wire: capacity must be >= 1") (fun () ->
       ignore (Xen.Netif.create_wire ~capacity:0 ()))
 
+let test_netif_snoop_log_bounded () =
+  (* dom0's traffic log keeps only the most recent [wire_capacity] frames,
+     so a long-lived wire's log stays bounded; the forwarded counter still
+     sees every frame. Odd frames take the batched path, even ones the
+     single-frame path. *)
+  let _, _, wire, ea, eb = net_env () in
+  let capacity = Xen.Netif.wire_capacity wire in
+  let frame i = Bytes.of_string (Printf.sprintf "frame-%d" i) in
+  for i = 1 to capacity + 10 do
+    if i land 1 = 0 then ok (Xen.Netif.send ea (frame i))
+    else ok (Xen.Netif.send_batch ea [ frame i ]);
+    ignore (ok (Xen.Netif.recv_batch eb))
+  done;
+  let log = Xen.Netif.snoop_log wire in
+  Alcotest.(check int) "log holds capacity frames" capacity (List.length log);
+  Alcotest.(check string) "oldest kept is frame 11" "frame-11"
+    (Bytes.to_string (List.hd log));
+  Alcotest.(check string) "newest last"
+    (Printf.sprintf "frame-%d" (capacity + 10))
+    (Bytes.to_string (List.nth log (capacity - 1)));
+  Alcotest.(check int) "every frame forwarded" (capacity + 10)
+    (Xen.Netif.frames_forwarded wire)
+
 let contains needle hay =
   let s = Bytes.to_string hay in
   let n = String.length s and m = String.length needle in
@@ -259,5 +282,6 @@ let () =
           Alcotest.test_case "batch roundtrip" `Quick test_netif_batch_roundtrip;
           Alcotest.test_case "batch cost parity" `Quick test_netif_batch_cost_parity;
           Alcotest.test_case "backpressure" `Quick test_netif_backpressure;
-          Alcotest.test_case "dom0 snoops plaintext" `Quick test_netif_dom0_snoops_plaintext ] );
+          Alcotest.test_case "dom0 snoops plaintext" `Quick test_netif_dom0_snoops_plaintext;
+          Alcotest.test_case "snoop log bounded" `Quick test_netif_snoop_log_bounded ] );
       ("tls-over-pv", [ Alcotest.test_case "end to end" `Quick test_tls_over_netif ]) ]
