@@ -491,8 +491,8 @@ let print_gc_stats gc =
 (* The deterministic artifacts (per-VM CSV, merged Chrome trace) are
    streamed to disk by every run — the fleet determinism contract
    (pinned in test/test_fleet.ml) says every run writes identical bytes,
-   and the smoke rule re-checks it across two domain counts and against
-   the in-memory path. Only the VMs/sec column is wall-clock. *)
+   and the smoke rule re-checks it across two domain counts. Only the
+   VMs/sec column is wall-clock. *)
 let fleet ?(vms = 16) ?(domain_counts = [ 1; 2; 4; 8 ]) ?(gc_stats = false) ?(record = true) ()
     =
   header
@@ -576,10 +576,9 @@ let fleet_scale ?(vms = 32) () =
   end
 
 (* Tiny fleet for CI: checks the sharded run still works, that two domain
-   counts produce byte-identical artifacts, that the streaming/arena path
-   writes the same bytes the in-memory path returns, that a streamed run
-   leaves no per-VM residue on the live heap, and that asking for more
-   domains does not make the run slower (the scaling inversion PR 5
+   counts stream byte-identical artifacts, that a streamed run leaves no
+   per-VM residue on the live heap, and that asking for more domains does
+   not make the run slower (the scaling inversion the worker-domain cap
    fixed), in a few seconds. *)
 let fleet_smoke () =
   let read_file path =
@@ -590,30 +589,20 @@ let fleet_smoke () =
     s
   in
   let tmp name = Filename.concat (Filename.get_temp_dir_name ()) ("fidelius-" ^ name) in
-  (* Scope the determinism check so neither run's results (trace events)
-     stay alive during the timed comparison below. *)
-  let check_artifacts () =
-    let a = W.Fleetbench.run ~domains:1 ~vms:4 () in
-    let b = W.Fleetbench.run ~domains:3 ~vms:4 () in
-    if W.Fleetbench.csv a <> W.Fleetbench.csv b then
-      failwith "fleet-smoke: per-VM CSV differs between domain counts";
-    if
-      Fidelius_obs.Json.to_string (W.Fleetbench.chrome a)
-      <> Fidelius_obs.Json.to_string (W.Fleetbench.chrome b)
-    then failwith "fleet-smoke: merged Chrome trace differs between domain counts";
-    (* Streaming + arena reuse must be invisible in the bytes. *)
-    let csv = tmp "fleet-smoke.csv" and trace = tmp "fleet-smoke-trace.json" in
-    ignore (W.Fleetbench.run_stream ~domains:3 ~vms:4 ~csv ~trace ());
-    if read_file csv <> W.Fleetbench.csv a then
-      failwith "fleet-smoke: streamed CSV differs from the in-memory merge";
-    if read_file trace <> Fidelius_obs.Json.to_string (W.Fleetbench.chrome a) ^ "\n" then
-      failwith "fleet-smoke: streamed Chrome trace differs from the in-memory merge";
-    Sys.remove csv;
-    Sys.remove trace
+  let csv = tmp "fleet-smoke.csv" and trace = tmp "fleet-smoke-trace.json" in
+  let artifacts domains =
+    let s = W.Fleetbench.run_stream ~domains ~vms:4 ~csv ~trace () in
+    (read_file csv, read_file trace, s.W.Fleetbench.vm_rows)
   in
-  check_artifacts ();
-  Printf.printf
-    "fleet-smoke: 4 VMs, domains 1 vs 3, in-memory vs streamed: artifacts byte-identical\n";
+  let csv1, trace1, rows1 = artifacts 1 in
+  let csv3, trace3, rows3 = artifacts 3 in
+  Sys.remove csv;
+  Sys.remove trace;
+  if csv1 <> csv3 then failwith "fleet-smoke: streamed CSV differs between domain counts";
+  if trace1 <> trace3 then
+    failwith "fleet-smoke: streamed Chrome trace differs between domain counts";
+  if rows1 <> rows3 then failwith "fleet-smoke: per-VM rows differ between domain counts";
+  Printf.printf "fleet-smoke: 4 VMs, domains 1 vs 3: streamed artifacts byte-identical\n";
   (* Bounded-memory guard for the 1,000-VM story: a streamed 100-VM run
      must not grow the live heap with per-VM state (rows are ~a dozen
      words each; trace events must all have been spilled and collected,
@@ -629,8 +618,6 @@ let fleet_smoke () =
   let before = live_words () in
   ignore (W.Fleetbench.run_stream ~domains:4 ~vms:100 ~csv ~trace ());
   let growth = live_words () - before in
-  Sys.remove csv;
-  Sys.remove trace;
   if growth > 2_000_000 then
     failwith
       (Printf.sprintf
@@ -647,11 +634,13 @@ let fleet_smoke () =
   let timed d =
     Gc.compact ();
     let t0 = Unix.gettimeofday () in
-    ignore (W.Fleetbench.run ~domains:d ~vms:8 ());
+    ignore (W.Fleetbench.run_stream ~domains:d ~vms:8 ~csv ~trace ());
     Unix.gettimeofday () -. t0
   in
   let t1 = timed 1 in
   let t2 = timed 2 in
+  Sys.remove csv;
+  Sys.remove trace;
   let rate1 = 8.0 /. t1 and rate2 = 8.0 /. t2 in
   if rate2 < 0.7 *. rate1 then
     failwith

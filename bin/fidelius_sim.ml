@@ -231,7 +231,7 @@ let bench_cmd =
 
 (* --- trace -------------------------------------------------------------------- *)
 
-let sum_counts counts = List.fold_left (fun acc (_, v) -> acc + v) 0 counts
+let attributed_cycles counts = List.fold_left (fun acc (_, v) -> acc + v) 0 counts
 
 (* Self-check the exported artifact: reparse it with the library's own
    parser and re-verify the attribution invariant from the parsed bytes,
@@ -312,7 +312,7 @@ let trace scenario out format seed =
           Out_channel.with_open_bin out (fun oc -> output_string oc content);
           Printf.printf
             "trace: %d events recorded (%d dropped), %d cycles attributed across %d scopes -> %s\n"
-            events (Obs.Trace.dropped ()) (sum_counts attribution)
+            events (Obs.Trace.dropped ()) (attributed_cycles attribution)
             (List.length attribution) out;
           `Ok ())
   | other -> `Error (false, Printf.sprintf "unknown scenario %S (only: demo)" other)

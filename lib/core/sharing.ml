@@ -11,41 +11,6 @@ type shared = {
 
 let ( let* ) = Result.bind
 
-let share ctx ~owner ~peer ~owner_gvfn ~peer_gvfn ~writable =
-  let hv = ctx.Ctx.hv in
-  let machine = ctx.Ctx.machine in
-  (* The shared page must be unencrypted: each guest has its own Kvek, so
-     plaintext is the only common coin (paper Section 2.2). *)
-  let gfn = Xen.Domain.alloc_gfn owner in
-  Xen.Domain.guest_map owner ~gvfn:owner_gvfn ~gfn ~writable:true ~executable:false
-    ~c_bit:false;
-  Xen.Hypervisor.in_guest hv owner (fun () ->
-      Xen.Domain.write machine owner ~addr:(Hw.Addr.addr_of owner_gvfn 0)
-        (Bytes.make Hw.Addr.page_size '\000'));
-  (* 1. Declare intent to Fidelius. *)
-  let* _ =
-    Xen.Hypervisor.hypercall hv owner
-      (Xen.Hypercall.Pre_sharing { target = peer.Xen.Domain.domid; gfn; nr = 1; writable })
-  in
-  (* 2. Offer through the (GIT-validated) grant table. *)
-  let* gref64 =
-    Xen.Hypervisor.hypercall hv owner
-      (Xen.Hypercall.Grant_table_op
-         (Xen.Hypercall.Grant_access { target = peer.Xen.Domain.domid; gfn; writable }))
-  in
-  let gref = Int64.to_int gref64 in
-  (* 3. Peer maps the grant. *)
-  let* peer_gfn64 =
-    Xen.Hypervisor.hypercall hv peer
-      (Xen.Hypercall.Grant_table_op (Xen.Hypercall.Map_grant { gref }))
-  in
-  let peer_gfn = Int64.to_int peer_gfn64 in
-  Xen.Domain.guest_map peer ~gvfn:peer_gvfn ~gfn:peer_gfn ~writable ~executable:false
-    ~c_bit:false;
-  match Hw.Pagetable.lookup owner.Xen.Domain.npt gfn with
-  | None -> Error "share: owner frame vanished"
-  | Some npte -> Ok { gref; owner_gfn = gfn; owner_gvfn; peer_gvfn; frame = npte.Hw.Pagetable.frame }
-
 (* Multi-frame sharing: one declared intent covering [nr] consecutive
    guest-physical frames, then the per-frame grant/map flow. *)
 let share_range ctx ~owner ~peer ~owner_gvfn ~peer_gvfn ~nr ~writable =
@@ -53,7 +18,9 @@ let share_range ctx ~owner ~peer ~owner_gvfn ~peer_gvfn ~nr ~writable =
   else begin
     let hv = ctx.Ctx.hv in
     let machine = ctx.Ctx.machine in
-    (* Allocate a contiguous guest-physical run and fault it in. *)
+    (* Allocate a contiguous guest-physical run and fault it in. The
+       pages must be unencrypted: each guest has its own Kvek, so
+       plaintext is the only common coin (paper Section 2.2). *)
     let first_gfn = Xen.Domain.alloc_gfn owner in
     for i = 1 to nr - 1 do
       ignore (Xen.Domain.alloc_gfn owner);
@@ -102,6 +69,9 @@ let share_range ctx ~owner ~peer ~owner_gvfn ~peer_gvfn ~nr ~writable =
     in
     grant_all 0 []
   end
+
+let share ctx ~owner ~peer ~owner_gvfn ~peer_gvfn ~writable =
+  Result.map List.hd (share_range ctx ~owner ~peer ~owner_gvfn ~peer_gvfn ~nr:1 ~writable)
 
 let owner_write ctx dom shared ~off data =
   Xen.Hypervisor.in_guest ctx.Ctx.hv dom (fun () ->

@@ -25,7 +25,8 @@ val share :
   writable:bool ->
   (shared, string) result
 (** Establish a shared (necessarily unencrypted) page between two guests.
-    The owner's page is freshly allocated at [owner_gvfn]. *)
+    The owner's page is freshly allocated at [owner_gvfn]. This is
+    {!share_range} with [~nr:1]. *)
 
 val share_range :
   Ctx.t ->

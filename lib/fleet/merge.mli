@@ -1,31 +1,35 @@
 (** Deterministic merging of per-shard fleet results.
 
-    Every merge in this module folds its input {e in the order given} —
-    callers pass shard results in canonical job order (what
-    {!Pool.map} returns), so merged output is byte-identical for any
-    domain count. Nothing here reads domain-local state; all inputs are
-    plain values handed over by finished shards. *)
+    Every merge in this module keeps its input {e in the order given} —
+    callers pass shard results, or the spill files shards wrote, in
+    canonical job order (what {!Pool.map} returns), so merged output is
+    byte-identical for any domain count. Nothing here reads domain-local
+    state; all inputs are plain values or files handed over by finished
+    shards.
+
+    A merged Chrome trace is streamed, never built as one tree: it is
+    [chrome_header ^ fragments ^ chrome_footer ~shards], where shard [k]'s
+    fragment is its {!process_meta} event followed by its own serialized
+    events, comma-separated, and every fragment after the first starts
+    with its separating comma. Spill files holding fragments can
+    therefore be joined by {!concat_spills} without parsing. *)
 
 val process_meta : pid:int -> string -> Fidelius_obs.Json.t
 (** The Chrome [process_name] metadata event that names shard row [pid]
     — the first object every shard contributes to the [traceEvents]
-    array. Exposed so the streaming path ({!chrome_header} et al.)
-    serializes exactly the object {!chrome_of_shards} would have built;
-    deterministic in its inputs. *)
+    array. Deterministic in its inputs. *)
 
 val chrome_header : string
 (** The bytes of a Chrome trace document up to (and including) the
-    opening of the [traceEvents] array. A streamed document is
-    [chrome_header ^ fragments ^ chrome_footer ~shards] where the
-    fragments are comma-joined serialized events — byte-identical to
-    [Json.to_string (chrome_of_shards ...)] for the same shards, which is
-    the whole point: spill files can be concatenated without re-parsing.
-    Pinned against {!chrome_of_shards} by the spill-merge tests. *)
+    opening of the [traceEvents] array. The streamed document is exactly
+    what [Json.to_string] prints for its own parse; the fleet tests hold
+    it to that and check its shape with [Json.parse]. *)
 
 val chrome_footer : shards:(string * int) list -> string
 (** Closes the [traceEvents] array and appends the [displayTimeUnit] and
     [otherData] sections for the given per-shard [(label, event count)]
-    listing, in listing order. See {!chrome_header}. *)
+    listing, in listing order: [otherData] carries the shard count and
+    each shard's event count under its label. See {!chrome_header}. *)
 
 val concat_spills : out:string -> ?header:string -> ?footer:string -> string list -> unit
 (** [concat_spills ~out ~header ~footer paths] writes [header], then the
@@ -39,23 +43,6 @@ val concat_spills : out:string -> ?header:string -> ?footer:string -> string lis
     every job fragment after the global first). Raises [Sys_error] if
     any file cannot be opened; [out] is closed (possibly truncated) on
     any failure, never left dangling. *)
-
-val chrome_of_shards :
-  (string * Fidelius_obs.Trace.entry list) list -> Fidelius_obs.Json.t
-(** [chrome_of_shards [(label0, entries0); ...]] renders the shards'
-    captures as one Chrome [trace_event] document in which shard [k]
-    appears as its own process row: [pid = k + 1], named [label_k] via a
-    [process_name] metadata event. Event order inside a shard is the
-    shard's own emission order; shards appear in list order, so the
-    document's bytes depend only on the input, not on how many domains
-    produced it. [otherData] carries the shard count and per-shard event
-    counts (label order preserved). *)
-
-val sum_counts : (string * int) list list -> (string * int) list
-(** Pointwise sum of per-shard counter listings (ledger categories,
-    scope attributions...). The result is sorted by descending count,
-    ties broken on the label — the same canonical order [Hw.Cost] uses —
-    so the merged listing never depends on input interleaving. *)
 
 val csv : header:string -> (string list) list -> string
 (** [csv ~header rows] assembles per-shard row groups into one CSV

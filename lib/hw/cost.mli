@@ -20,13 +20,8 @@ type table = {
   tlb_flush_full : int;       (** full TLB flush (CR3 switch on AMD) *)
   tlb_flush_entry : int;      (** INVLPG, paper: 128 cycles *)
   tlb_miss_walk : int;        (** page-table walk on TLB miss *)
-  wp_toggle : int;            (** CR0.WP write *)
-  irq_mask_toggle : int;      (** cli/sti pair *)
-  stack_switch : int;
-  sanity_check : int;         (** per-gate policy sanity checks *)
   vmexit : int;               (** hardware world switch, guest->host *)
   vmrun : int;                (** host->guest *)
-  vmcb_field_copy : int;      (** copy/compare one VMCB field *)
   hypercall_base : int;
   pit_lookup : int;           (** one PIT radix walk *)
   git_lookup : int;

@@ -19,12 +19,13 @@
     [Domain.DLS]: each domain owns an independent recording, and every
     function in this interface reads or writes only the calling domain's
     state. Fleet shards ([Fidelius_fleet.Pool]) therefore trace
-    concurrently without locks and without perturbing one another — a
-    shard records with {!capture} and returns its entries to the caller,
-    which merges them in canonical shard order. Entries themselves are
-    immutable and may be handed freely across domains; what must not be
-    shared is a live recording. A freshly spawned domain starts with
-    tracing disabled regardless of the spawning domain's state. *)
+    concurrently without locks and without perturbing one another — each
+    fleet worker records its VMs into its own reusable {!ring} with
+    {!record_into} and serializes them before the next job. Entries
+    themselves are immutable and may be handed freely across domains;
+    what must not be shared is a live recording. A freshly spawned domain
+    starts with tracing disabled regardless of the spawning domain's
+    state. *)
 
 type event =
   | Vmrun of { domid : int }
@@ -90,12 +91,11 @@ val capture : ?capacity:int -> ?clock:(unit -> int) -> (unit -> 'a) -> 'a * entr
     and returns [f]'s result together with everything it emitted (oldest
     first). The previous recording — whatever the domain had active,
     enabled or not — is saved and restored afterwards, even on
-    exceptions, so captures nest and never leak state. This is the
-    per-shard recording primitive of the fleet runner: each shard
-    captures its own entries and the caller merges them in canonical
-    order. [capacity] defaults to 65536; [clock] defaults to constant 0
-    until [f] installs one with {!set_clock}. Raises [Invalid_argument]
-    if [capacity <= 0]. *)
+    exceptions, so captures nest and never leak state. [capacity]
+    defaults to 65536; [clock] defaults to constant 0 until [f] installs
+    one with {!set_clock}. Raises [Invalid_argument] if [capacity <= 0].
+    The fleet records with {!record_into} instead; the fleet tests use
+    [capture] as the fresh-state oracle that reused rings must match. *)
 
 (** {2 Reusable rings (per-worker arenas)}
 
@@ -207,5 +207,7 @@ val to_chrome : ?attribution:(string * int) list -> ?total_cycles:int -> unit ->
     instant events (timestamps in ledger cycles) and an [otherData]
     section carrying the per-scope cycle attribution and the ledger
     total, so viewers and tests can check that attribution sums to the
-    total. Single-recording export ([pid] 1 throughout); for the
-    multi-shard variant see [Fidelius_fleet.Merge.chrome_of_shards]. *)
+    total. Single-recording export ([pid] 1 throughout); the fleet's
+    multi-VM trace is streamed instead, one fragment per VM
+    ([Fidelius_workloads.Fleetbench.chrome_fragment] between
+    [Fidelius_fleet.Merge.chrome_header] and [chrome_footer]). *)

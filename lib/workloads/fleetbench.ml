@@ -13,11 +13,6 @@ type vm_row = {
   events : int;
 }
 
-type t = {
-  rows : vm_row list;
-  shards : (string * Trace.entry list) list;
-}
-
 (* The fleet cycles through the full profile catalogue so VM k's workload
    is a pure function of k — no RNG, no wall clock. *)
 let profiles = Array.of_list (Spec2006.all @ Parsec.all)
@@ -63,38 +58,18 @@ type gc_stats = {
 
 (* --- one VM ------------------------------------------------------------- *)
 
-let run_vm_core ~mem vm =
+(* VM [vm] on worker arena [a]. Engine.boot_stack installs the ledger
+   clock into this recording as soon as the VM's machine exists, so every
+   event is stamped in the VM's own simulated cycles. *)
+let run_vm a vm =
   let p = profiles.(vm mod Array.length profiles) in
-  (* Engine.boot_stack installs the ledger clock into this recording as
-     soon as the VM's machine exists, so every event is stamped in the
-     VM's own simulated cycles. *)
-  let result = Engine.run ?mem p Engine.Fidelius_enc in
-  (p, result)
-
-let row_of vm p (result : Engine.result) ~events =
+  let result = Trace.record_into a.ring (fun () -> Engine.run ~mem:a.mem p Engine.Fidelius_enc) in
   { vm;
     profile = p.Profile.name;
     cycles = result.Engine.cycles;
     per_access = result.Engine.per_access;
     per_exit = result.Engine.per_exit;
-    events }
-
-let run_vm vm =
-  let (p, result), entries = Trace.capture (fun () -> run_vm_core ~mem:None vm) in
-  (row_of vm p result ~events:(List.length entries), (label_of vm, entries))
-
-let run_vm_arena a vm =
-  let p, result = Trace.record_into a.ring (fun () -> run_vm_core ~mem:(Some a.mem) vm) in
-  row_of vm p result ~events:(Trace.ring_length a.ring)
-
-let run ?domains ?(vms = 16) () =
-  if vms < 0 then invalid_arg "Fleetbench.run: vms must be >= 0";
-  let results = Pool.map ?domains ~njobs:vms run_vm in
-  { rows = List.map fst results; shards = List.map snd results }
-
-let csv t = Merge.csv ~header:csv_header (List.map (fun r -> [ csv_row r ]) t.rows)
-
-let chrome t = Merge.chrome_of_shards t.shards
+    events = Trace.ring_length a.ring }
 
 (* --- streaming shard output --------------------------------------------- *)
 
@@ -202,7 +177,7 @@ let run_stream ?domains ?(vms = 16) ~csv:csv_out ~trace:trace_out () =
                 minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
                 major_collections = g1.Gc.major_collections - g0.Gc.major_collections })
         (fun st vm ->
-          let row = run_vm_arena st.a vm in
+          let row = run_vm st.a vm in
           let c = chunk_of.(vm) in
           let csv_slot, csv_oc = spill_chan ~dir:spill_dir ~kind:"rows" st.csv_spill c in
           st.csv_spill <- csv_slot;

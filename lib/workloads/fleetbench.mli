@@ -1,38 +1,33 @@
 (** The fleet scaling benchmark: N independent guest-VM simulations
     sharded across a domain pool.
 
-    This is the shared core behind [bench fleet] and the fleet
-    determinism tests: both call {!run} (or its bounded-memory sibling
-    {!run_stream}) so the benchmark and the test exercise exactly the
-    same code path. Each VM job boots a fresh protected stack
-    ([Engine.run] under [Fidelius_enc]) inside its own trace recording,
-    so every VM produces a result row plus its own trace shard; {!csv}
-    and {!chrome} merge them in canonical VM order.
+    This is the shared core behind [bench fleet], perfbench's fleet
+    workload and the fleet determinism tests: all of them call
+    {!run_stream}, so the benchmark and the tests exercise exactly the
+    same code path. Each VM job boots a protected stack ([Engine.run]
+    under [Fidelius_enc]) on its worker's {!arena}, recording into the
+    arena's trace ring, so every VM produces a result row plus its own
+    trace fragment; the run writes both to disk in canonical VM order.
 
     {2 Determinism contract}
 
     Everything here except wall-clock timing is a pure function of
     [(vms)]: VM [k] always runs profile [profiles.(k mod |profiles|)]
-    with {!Engine.seed_of}-derived seeds, on a fresh (or freshly reset —
-    see below) machine, in a fresh (or freshly reset) recording. {!csv}
-    and {!chrome} bytes are therefore identical for any [domains] value —
-    the property the fleet tests pin. Wall-clock throughput (VMs/sec) is
-    measured by the {e caller} around {!run}/{!run_stream}; it is the
-    only nondeterministic quantity and never appears in the merged
-    artifacts.
+    with {!Engine.seed_of}-derived seeds, on a freshly reset machine
+    backing, in a freshly reset recording. The bytes {!run_stream}
+    writes, and the rows it returns, are therefore identical for any
+    [domains] value — the property the fleet tests pin, together with
+    the MD5s of a 24-VM run. Wall-clock throughput (VMs/sec) is measured
+    by the {e caller} around {!run_stream}; it is the only
+    nondeterministic quantity and never appears in the artifacts.
 
     {2 Arenas and streaming}
 
-    {!run} is the in-memory path: every VM allocates its own machine and
-    capture, and every VM's trace entries stay live until the caller
-    drops [t] — fine for tests and small fleets, quadratic pain at 1,000
-    VMs. {!run_stream} is the fleet-scale path: worker domains own
-    reusable {!arena}s (DRAM backing, trace ring, serialization buffer)
-    and each VM's rows/trace bytes are spilled to per-chunk files as the
-    job completes, then concatenated in canonical order — the artifacts
-    are byte-identical to {!run}'s at every domain count (pinned in
-    [test/test_fleet.ml]) while peak memory stays bounded by
-    [workers × arena], not [vms × trace]. *)
+    Worker domains own reusable {!arena}s (DRAM backing, trace ring,
+    serialization buffer), and each VM's row and trace bytes are spilled
+    to per-chunk files as the job completes, then concatenated in
+    canonical order. Peak memory stays bounded by [workers × arena], not
+    [vms × trace], which is what lets a 1,000-VM fleet finish. *)
 
 type vm_row = {
   vm : int;                        (** canonical job index, [0 .. vms-1] *)
@@ -41,12 +36,6 @@ type vm_row = {
   per_access : float;              (** sampled cycles per 64-byte access *)
   per_exit : float;                (** sampled cycles per hypervisor round trip *)
   events : int;                    (** trace entries the VM's recording recorded *)
-}
-
-type t = {
-  rows : vm_row list;              (** one per VM, canonical order *)
-  shards : (string * Fidelius_obs.Trace.entry list) list;
-      (** per-VM trace shards, canonical order — feed to {!chrome} *)
 }
 
 type arena = {
@@ -89,35 +78,38 @@ type gc_stats = {
     ([bench fleet --domains 1 --gc-stats]). *)
 
 type summary = {
-  vm_rows : vm_row list;  (** one per VM, canonical order — same rows {!run} returns *)
+  vm_rows : vm_row list;  (** one per VM, canonical order *)
   gc : gc_stats list;     (** one per worker domain, worker order *)
 }
 
-val run : ?domains:int -> ?vms:int -> unit -> t
-(** Boots and measures [vms] (default 16) protected VMs across
-    [domains] (default [Fidelius_fleet.Pool.recommended_domains ()])
-    worker domains, retaining every VM's rows and trace entries in
-    memory. Raises [Invalid_argument] if [vms < 0]. *)
-
 val run_stream :
   ?domains:int -> ?vms:int -> csv:string -> trace:string -> unit -> summary
-(** [run_stream ~csv ~trace ()] is {!run} with per-domain arenas and
-    streaming shard output: worker [w] reuses one {!arena} for all its
-    jobs, writes each finished VM's CSV row and serialized Chrome events
-    to per-chunk spill files (in a [<trace>.spill] directory, removed on
-    success), and the final merge concatenates the spills in canonical
-    chunk order into [csv] and [trace] — byte-identical to what
-    [Merge.csv]/[Merge.chrome_of_shards] over {!run}'s results would
-    produce (including the trailing newline on [trace]), at every domain
-    count. Peak live heap is [workers × arena] plus the (tiny) row list;
-    no VM's trace entries survive its own job.
+(** [run_stream ~csv ~trace ()] boots and measures [vms] (default 16)
+    protected VMs across [domains] (default
+    [Fidelius_fleet.Pool.recommended_domains ()]) worker domains. Worker
+    [w] reuses one {!arena} for all its jobs, writes each finished VM's
+    CSV row and serialized Chrome events to per-chunk spill files (in a
+    [<trace>.spill] directory, removed on success), and the final merge
+    concatenates the spills in canonical chunk order into [csv] and
+    [trace] (the latter newline-terminated). Both files are
+    byte-identical at every domain count. Peak live heap is
+    [workers × arena] plus the (tiny) row list; no VM's trace entries
+    survive its own job.
+
+    [csv] holds {!csv_header}, then one row per VM:
+    [vm,profile,cycles,per_access_cycles,per_exit_cycles,trace_events].
+    Cycle columns are simulated cycles ([per_*] to 2 decimal places) —
+    no wall time. [trace] is one Chrome [trace_event] document in which
+    VM [k] is [pid = k + 1], labelled ["vm<k>:<profile>"] by a
+    [process_name] metadata event, and its [otherData] carries the VM
+    count and each VM's event count. Timestamps are simulated cycles.
 
     The returned {!summary} carries the canonical rows plus one
     {!gc_stats} per worker — the [--gc-stats] diagnosis data.
 
     Raises [Invalid_argument] if [vms < 0] or [domains < 1], and
-    [Pool.Job_failed] like {!run}; on failure the spill directory may be
-    left behind (it is truncated and reused by the next call). Not
+    [Pool.Job_failed] if a VM job raises; on failure the spill directory
+    may be left behind (it is truncated and reused by the next call). Not
     re-entrant on the same output paths: two concurrent streams would
     race on the spill directory. *)
 
@@ -133,15 +125,4 @@ val chrome_fragment : Buffer.t -> vm:int -> Fidelius_obs.Trace.ring -> unit
     that. *)
 
 val csv_header : string
-(** First line of {!csv} / the [csv] file {!run_stream} writes. *)
-
-val csv : t -> string
-(** The per-VM result table:
-    [vm,profile,cycles,per_access_cycles,per_exit_cycles,trace_events].
-    Cycle columns are simulated cycles ([per_*] to 2 decimal places) —
-    no wall time, so bytes are domain-count-independent. *)
-
-val chrome : t -> Fidelius_obs.Json.t
-(** The merged multi-process Chrome trace
-    ({!Fidelius_fleet.Merge.chrome_of_shards}): VM [k] is [pid = k + 1],
-    labelled ["vm<k>:<profile>"]. Timestamps are simulated cycles. *)
+(** First line of the [csv] file {!run_stream} writes. *)

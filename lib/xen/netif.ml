@@ -74,8 +74,7 @@ let connect hv dom ~wire ~buffer_gvfn =
 
 (* Per-transfer costs split in two: the event-channel doorbell, paid once
    per notification, and the copy cost, paid per frame. A batch of N frames
-   pays one doorbell + N copies; a single frame pays exactly what the
-   unbatched path always charged. *)
+   pays one doorbell + N copies. *)
 let c_netif = Hw.Cost.intern "netif"
 
 let notify_cost ep =
@@ -87,65 +86,6 @@ let copy_cost ep n =
   let machine = ep.hv.Hypervisor.machine in
   Hw.Cost.charge_id machine.Hw.Machine.ledger c_netif
     (n / Hw.Addr.block_size * machine.Hw.Machine.costs.Hw.Cost.memcpy_block / 10)
-
-let frame_cost ep n =
-  notify_cost ep;
-  copy_cost ep n
-
-(* Frames are length-prefixed in the shared buffer so the backend copies
-   exactly what the guest wrote. *)
-let send ep frame =
-  let n = Bytes.length frame in
-  if n + 4 > Hw.Addr.page_size then Error "netif: frame larger than the shared buffer"
-  else if Queue.length (Hashtbl.find ep.e_wire.queues (1 - ep.slot)) >= ep.e_wire.capacity then
-    Error "netif: wire queue full (backpressure)"
-  else begin
-    let machine = ep.hv.Hypervisor.machine in
-    frame_cost ep n;
-    (* Front end: stage the frame in the shared page. *)
-    let staged = Bytes.create (4 + n) in
-    Bytes.set_int32_be staged 0 (Int32.of_int n);
-    Bytes.blit frame 0 staged 4 n;
-    Hypervisor.in_guest ep.hv ep.dom (fun () ->
-        Domain.write machine ep.dom ~addr:ep.buffer_gva staged);
-    (* Back end (dom0): read it out through the host mapping and forward
-       onto the wire toward the peer slot. *)
-    let raw = Hypervisor.host_read ep.hv ep.shared_frame ~off:0 ~len:(4 + n) in
-    let len = Int32.to_int (Bytes.get_int32_be raw 0) in
-    (* The prefix crossed a guest-writable shared page: it is input, not an
-       invariant. A corrupted (or hostile) length must fail the operation,
-       never index out of the staging copy. *)
-    if len < 0 || len > Bytes.length raw - 4 then
-      Error "netif: corrupt frame length on the shared ring"
-    else begin
-      let payload = Bytes.sub raw 4 len in
-      forward ep.e_wire (Hashtbl.find ep.e_wire.queues (1 - ep.slot)) payload;
-      Ok ()
-    end
-  end
-
-let recv ep =
-  let q = Hashtbl.find ep.e_wire.queues ep.slot in
-  if Queue.is_empty q then Ok None
-  else begin
-    let machine = ep.hv.Hypervisor.machine in
-    let payload = Queue.pop q in
-    let n = Bytes.length payload in
-    frame_cost ep n;
-    (* Back end copies into the shared page; front end reads it out. *)
-    let staged = Bytes.create (4 + n) in
-    Bytes.set_int32_be staged 0 (Int32.of_int n);
-    Bytes.blit payload 0 staged 4 n;
-    Hypervisor.host_write ep.hv ep.shared_frame ~off:0 staged;
-    let raw =
-      Hypervisor.in_guest ep.hv ep.dom (fun () ->
-          Domain.read machine ep.dom ~addr:ep.buffer_gva ~len:(4 + n))
-    in
-    let len = Int32.to_int (Bytes.get_int32_be raw 0) in
-    if len < 0 || len > Bytes.length raw - 4 then
-      Error "netif: corrupt frame length on the shared ring"
-    else Ok (Some (Bytes.sub raw 4 len))
-  end
 
 (* --- batched transfers -------------------------------------------------- *)
 
@@ -223,20 +163,33 @@ let recv_batch ?max ep =
           ignore (Queue.pop q);
           collect (f :: acc) (used + 4 + Bytes.length f) (k - 1)
   in
-  let frames = collect [] 0 (Stdlib.max 0 limit) in
-  match frames with
-  | [] -> Ok []
-  | _ ->
-      let machine = ep.hv.Hypervisor.machine in
-      notify_cost ep;
-      List.iter (fun f -> copy_cost ep (Bytes.length f)) frames;
-      let staged = stage_frames frames in
-      Hypervisor.host_write ep.hv ep.shared_frame ~off:0 staged;
-      let raw =
-        Hypervisor.in_guest ep.hv ep.dom (fun () ->
-            Domain.read machine ep.dom ~addr:ep.buffer_gva ~len:(Bytes.length staged))
-      in
-      parse_frames raw (List.length frames)
+  match Queue.peek_opt q with
+  | Some f when limit > 0 && 4 + Bytes.length f > Hw.Addr.page_size ->
+      (* dom0 owns the queues and can grow a frame past the page
+         ([tamper]). Such a head frame could never be delivered, and
+         leaving it queued would wedge the endpoint: drop it and fail
+         closed, before charging or staging anything. *)
+      ignore (Queue.pop q);
+      Error "netif: queued frame larger than the shared buffer"
+  | _ -> (
+      let frames = collect [] 0 (Stdlib.max 0 limit) in
+      match frames with
+      | [] -> Ok []
+      | _ ->
+          let machine = ep.hv.Hypervisor.machine in
+          notify_cost ep;
+          List.iter (fun f -> copy_cost ep (Bytes.length f)) frames;
+          let staged = stage_frames frames in
+          Hypervisor.host_write ep.hv ep.shared_frame ~off:0 staged;
+          let raw =
+            Hypervisor.in_guest ep.hv ep.dom (fun () ->
+                Domain.read machine ep.dom ~addr:ep.buffer_gva ~len:(Bytes.length staged))
+          in
+          parse_frames raw (List.length frames))
+
+let send ep frame = send_batch ep [ frame ]
+
+let recv ep = Result.map (function [] -> None | f :: _ -> Some f) (recv_batch ~max:1 ep)
 
 let pending ep = Queue.length (Hashtbl.find ep.e_wire.queues ep.slot)
 

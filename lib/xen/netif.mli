@@ -31,28 +31,30 @@ val connect :
     and grants it to dom0, binds the event channel. At most two endpoints
     per wire. *)
 
-val send : endpoint -> bytes -> (unit, string) result
-(** Transmit one frame (at most a page): front-end copies it into the
-    shared buffer, the back-end forwards it onto the wire toward the peer.
-    Charges per-frame costs. *)
-
-val recv : endpoint -> (bytes option, string) result
-(** Take the next queued inbound frame, copied in through the shared
-    buffer. [None] when the queue is empty. *)
-
 val send_batch : endpoint -> bytes list -> (unit, string) result
-(** Transmit N frames with one event-channel notification: the frames are
-    staged back-to-back (length-prefixed) in the shared page, written and
-    forwarded in one doorbell. Costs one event-channel charge plus N copy
-    charges — at N = 1 exactly what {!send} charges. Fails closed (before
-    charging or staging) when the batch exceeds the page or would overrun
-    the wire queue, and on any corrupt length prefix. *)
+(** Transmit N frames with one event-channel notification: the front end
+    stages the frames back-to-back (length-prefixed) in the shared page,
+    and the back end reads them out and forwards them onto the wire
+    toward the peer, all in one doorbell. Costs one event-channel charge
+    plus N copy charges. Fails closed (before charging or staging) when
+    the batch exceeds the page or would overrun the wire queue, and on
+    any corrupt length prefix. *)
 
 val recv_batch : ?max:int -> endpoint -> (bytes list, string) result
 (** Take up to [max] (default: all) queued inbound frames in one
     notification, as many as fit the shared page; the remainder stays
     queued. [[]] when nothing is pending. Same cost shape as
-    {!send_batch}. *)
+    {!send_batch}. The queues belong to dom0, which can rewrite a queued
+    frame ({!tamper}): when the next frame cannot fit the shared page on
+    its own, it is dropped and the call returns [Error] without charging
+    or staging anything, so later frames still arrive. *)
+
+val send : endpoint -> bytes -> (unit, string) result
+(** [send ep frame] is [send_batch ep [frame]]: one frame, one doorbell. *)
+
+val recv : endpoint -> (bytes option, string) result
+(** [recv ep] is [recv_batch ~max:1 ep], with [None] when nothing is
+    pending. *)
 
 val pending : endpoint -> int
 

@@ -642,11 +642,14 @@ let test_sev_io_needs_protection () =
 
 let test_sharing_flow () =
   let ((m, hv, fid) as env) = installed () in
-  ignore m;
   ignore hv;
   let a, _ = protected_vm env "alice" in
   let b, _ = protected_vm env "bob" in
+  let before = Hw.Cost.total m.Hw.Machine.ledger in
   let sh = ok (Fid.share fid ~owner:a ~peer:b ~owner_gvfn:40 ~peer_gvfn:41 ~writable:true) in
+  (* Recorded when share still had a body of its own, before it became
+     share_range ~nr:1. *)
+  Alcotest.(check int) "one share's cycles" 55_852 (Hw.Cost.total m.Hw.Machine.ledger - before);
   Core.Sharing.owner_write fid a sh ~off:0 (Bytes.of_string "hi bob");
   Alcotest.(check string) "peer reads" "hi bob"
     (Bytes.to_string (Core.Sharing.peer_read fid b sh ~off:0 ~len:6));

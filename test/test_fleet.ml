@@ -201,34 +201,73 @@ let test_shard_trace_isolation () =
     inside;
   Alcotest.(check int) "outer recording untouched by shards" 1 (List.length outer)
 
-(* --- merge helpers -------------------------------------------------------- *)
+(* --- the streamed Chrome document ------------------------------------------ *)
 
-let test_sum_counts () =
-  Alcotest.(check (list (pair string int))) "pointwise sum, canonical order"
-    [ ("dram", 12); ("gate", 5); ("tlb", 5) ]
-    (Merge.sum_counts [ [ ("dram", 4); ("tlb", 5) ]; [ ("dram", 8); ("gate", 5) ] ])
+let profiles = Array.of_list (W.Spec2006.all @ W.Parsec.all)
+let label vm = Printf.sprintf "vm%d:%s" vm profiles.(vm mod Array.length profiles).W.Profile.name
 
-let test_chrome_of_shards_shape () =
-  let doc = Merge.chrome_of_shards [ ("vm0", []); ("vm1", []) ] in
-  (match Json.member "traceEvents" doc with
-  | Some (Json.Arr events) ->
-      (* one process_name metadata event per shard, pids 1 and 2 *)
-      Alcotest.(check int) "two metadata events" 2 (List.length events);
-      List.iteri
-        (fun k e ->
-          Alcotest.(check (option bool)) "is metadata" (Some true)
-            (Option.map (( = ) (Json.Str "M")) (Json.member "ph" e));
-          Alcotest.(check (option bool))
-            (Printf.sprintf "shard %d gets pid %d" k (k + 1))
-            (Some true)
-            (Option.map (( = ) (Json.Int (k + 1))) (Json.member "pid" e)))
-        events
-  | _ -> Alcotest.fail "traceEvents missing");
-  match Json.member "otherData" doc with
-  | Some other ->
-      Alcotest.(check (option bool)) "shard count" (Some true)
-        (Option.map (( = ) (Json.Int 2)) (Json.member "shards" other))
-  | None -> Alcotest.fail "otherData missing"
+(* A streamed fleet trace assembled from [Fleetbench.chrome_fragment]
+   exactly as run_stream assembles its spills: header, one fragment per
+   VM, footer. VM k records [counts.(k)] Mark events; one VM records
+   none. *)
+let counts = [| 3; 0; 2 |]
+
+let streamed_document () =
+  let ring = Trace.ring () and buf = Buffer.create 256 in
+  let doc = Buffer.create 1024 in
+  Buffer.add_string doc Merge.chrome_header;
+  Array.iteri
+    (fun vm n ->
+      Trace.record_into ring (fun () ->
+          for i = 0 to n - 1 do
+            Trace.emit (Trace.Mark (Printf.sprintf "vm%d-%d" vm i))
+          done);
+      W.Fleetbench.chrome_fragment buf ~vm ring;
+      Buffer.add_buffer doc buf)
+    counts;
+  Buffer.add_string doc
+    (Merge.chrome_footer ~shards:(Array.to_list (Array.mapi (fun vm n -> (label vm, n)) counts)));
+  Buffer.contents doc
+
+let test_streamed_chrome_shape () =
+  let doc = Json.parse (streamed_document ()) in
+  let field k v = Option.bind v (Json.member k) in
+  let events =
+    match Json.member "traceEvents" doc with
+    | Some (Json.Arr events) -> events
+    | _ -> Alcotest.fail "traceEvents missing"
+  in
+  let metadata = List.filter (fun e -> Json.member "ph" e = Some (Json.Str "M")) events in
+  Alcotest.(check int) "one metadata event per VM" (Array.length counts) (List.length metadata);
+  List.iteri
+    (fun k e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "VM %d's metadata names pid %d %s" k (k + 1) (label k))
+        true
+        (Json.member "pid" e = Some (Json.Int (k + 1))
+        && field "name" (Json.member "args" e) = Some (Json.Str (label k))))
+    metadata;
+  Array.iteri
+    (fun k n ->
+      let instants =
+        List.filter
+          (fun e ->
+            Json.member "ph" e = Some (Json.Str "i") && Json.member "pid" e = Some (Json.Int (k + 1)))
+          events
+      in
+      Alcotest.(check int) (Printf.sprintf "VM %d's events under pid %d" k (k + 1)) n
+        (List.length instants))
+    counts;
+  let other = Json.member "otherData" doc in
+  Alcotest.(check bool) "otherData shard count" true
+    (field "shards" other = Some (Json.Int (Array.length counts)));
+  Array.iteri
+    (fun k n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "otherData counts VM %d's %d events" k n)
+        true
+        (field (label k) (field "events_per_shard" other) = Some (Json.Int n)))
+    counts
 
 (* --- reusable rings: wraparound and reuse hygiene -------------------------- *)
 
@@ -262,35 +301,13 @@ let test_ring_wraparound_and_reuse () =
 (* --- streaming merge: header/footer composition and spill concat ----------- *)
 
 let test_chrome_streaming_envelope () =
-  (* The streamed document (header ^ fragments ^ footer) must be
-     byte-identical to the in-memory Json.to_string rendering — this is
-     what makes spill-file concatenation a legal merge. *)
-  let mk label n =
-    ( label,
-      snd (Trace.capture (fun () ->
-               for i = 0 to n - 1 do
-                 Trace.emit (Trace.Mark (Printf.sprintf "%s-%d" label i))
-               done)) )
-  in
-  let shards = [ mk "vm0:a" 3; mk "vm1:b" 0; mk "vm2:c" 2 ] in
-  let in_memory = Json.to_string (Merge.chrome_of_shards shards) in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf Merge.chrome_header;
-  List.iteri
-    (fun k (label, entries) ->
-      if k > 0 then Buffer.add_char buf ',';
-      Json.to_buffer buf (Merge.process_meta ~pid:(k + 1) label);
-      List.iter
-        (fun e ->
-          Buffer.add_char buf ',';
-          Json.to_buffer buf (Trace.chrome_event ~pid:(k + 1) e))
-        entries)
-    shards;
-  Buffer.add_string buf
-    (Merge.chrome_footer
-       ~shards:(List.map (fun (l, es) -> (l, List.length es)) shards));
-  Alcotest.(check string) "streamed envelope = in-memory rendering" in_memory
-    (Buffer.contents buf)
+  (* The streamed document (header ^ fragments ^ footer) must be the
+     bytes the tree printer writes for the same document: no stray or
+     missing separator at a fragment boundary (the zero-event VM is one),
+     no whitespace the printer would not write. *)
+  let streamed = streamed_document () in
+  Alcotest.(check string) "streamed document = Json.to_string of its parse"
+    (Json.to_string (Json.parse streamed)) streamed
 
 let test_concat_spills () =
   let dir = Filename.temp_file "fleet-spill" "" in
@@ -352,28 +369,28 @@ let test_arena_reuse_byte_identical =
       in
       fresh = reused)
 
+(* A streamed fleet's artifacts and rows at [domains], read back. *)
+let stream ~domains ~vms =
+  let csv_f = Filename.temp_file "fleet" ".csv" and trc_f = Filename.temp_file "fleet" ".json" in
+  let read f =
+    let ic = open_in_bin f in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove csv_f; Sys.remove trc_f)
+    (fun () ->
+      let summary = W.Fleetbench.run_stream ~domains ~vms ~csv:csv_f ~trace:trc_f () in
+      (read csv_f, read trc_f, summary.W.Fleetbench.vm_rows))
+
 (* The same property end-to-end: run_stream (arenas + spill files) must
-   write byte-for-byte what run (fresh allocation, in-memory merge) would
-   serialize, for random population and domain counts. *)
-let test_stream_matches_run =
-  QCheck.Test.make ~count:6 ~name:"run_stream artifacts = run artifacts"
+   write the same bytes and return the same rows at any domain count as
+   on one worker, for random population and domain counts. *)
+let test_stream_domain_invariant =
+  QCheck.Test.make ~count:6 ~name:"run_stream output = 1-domain output"
     QCheck.(pair (int_bound 5) (int_range 1 3))
-    (fun (vms, domains) ->
-      let csv_f = Filename.temp_file "fleet" ".csv" in
-      let trc_f = Filename.temp_file "fleet" ".json" in
-      let read f = let ic = open_in_bin f in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic; s
-      in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove csv_f; Sys.remove trc_f)
-        (fun () ->
-          let _summary =
-            W.Fleetbench.run_stream ~domains ~vms ~csv:csv_f ~trace:trc_f ()
-          in
-          let t = W.Fleetbench.run ~domains:1 ~vms () in
-          read csv_f = W.Fleetbench.csv t
-          && read trc_f = Json.to_string (W.Fleetbench.chrome t) ^ "\n"))
+    (fun (vms, domains) -> stream ~domains ~vms = stream ~domains:1 ~vms)
 
 (* The artifacts of a 24-VM streamed fleet (the whole profile catalogue),
    pinned by MD5 at one and two workers. The digests were recorded when
@@ -397,19 +414,18 @@ let test_fleet_golden_md5 () =
         [ 1; 2 ])
 
 let test_fleetbench_domain_count_invariance () =
-  let a = W.Fleetbench.run ~domains:1 ~vms:3 () in
-  let b = W.Fleetbench.run ~domains:3 ~vms:3 () in
-  Alcotest.(check string) "per-VM CSV byte-identical across domain counts"
-    (W.Fleetbench.csv a) (W.Fleetbench.csv b);
-  Alcotest.(check string) "merged Chrome trace byte-identical across domain counts"
-    (Json.to_string (W.Fleetbench.chrome a))
-    (Json.to_string (W.Fleetbench.chrome b));
+  let csv1, trace1, rows = stream ~domains:1 ~vms:3 in
+  let csv3, trace3, rows3 = stream ~domains:3 ~vms:3 in
+  Alcotest.(check string) "per-VM CSV byte-identical across domain counts" csv1 csv3;
+  Alcotest.(check string) "merged Chrome trace byte-identical across domain counts" trace1
+    trace3;
+  Alcotest.(check bool) "rows identical across domain counts" true (rows = rows3);
   List.iter
     (fun (r : W.Fleetbench.vm_row) ->
       Alcotest.(check bool)
         (Printf.sprintf "vm %d recorded trace events" r.W.Fleetbench.vm)
         true (r.W.Fleetbench.events > 0))
-    a.W.Fleetbench.rows
+    rows
 
 let reduced_attacks () =
   match Fidelius_attacks.Suite.all with
@@ -453,14 +469,13 @@ let () =
             test_ring_wraparound_and_reuse;
           QCheck_alcotest.to_alcotest test_arena_reuse_byte_identical ] );
       ( "merge",
-        [ Alcotest.test_case "sum_counts" `Quick test_sum_counts;
-          Alcotest.test_case "chrome shards" `Quick test_chrome_of_shards_shape;
+        [ Alcotest.test_case "chrome shards" `Quick test_streamed_chrome_shape;
           Alcotest.test_case "streaming envelope" `Quick test_chrome_streaming_envelope;
           Alcotest.test_case "concat_spills" `Quick test_concat_spills ] );
       ( "determinism",
         [ Alcotest.test_case "fleet bench artifacts" `Quick
             test_fleetbench_domain_count_invariance;
-          QCheck_alcotest.to_alcotest test_stream_matches_run;
+          QCheck_alcotest.to_alcotest test_stream_domain_invariant;
           Alcotest.test_case "24-VM artifact MD5s" `Quick test_fleet_golden_md5;
           Alcotest.test_case "fault matrix verdicts" `Quick
             test_matrix_domain_count_invariance ] ) ]

@@ -144,8 +144,9 @@ let test_netif_batch_roundtrip () =
     (List.map Bytes.length (ok (Xen.Netif.recv_batch eb)))
 
 let test_netif_batch_cost_parity () =
-  (* A batch of one charges exactly what the synchronous path charges: the
-     amortization claim is event_channel x1 instead of xN, nothing else. *)
+  (* The pin is what one frame cost before send and recv became batches
+     of one. The amortization claim is event_channel x1 instead of xN,
+     nothing else. *)
   let run f =
     let m, _, _, ea, eb = net_env () in
     let before = Hw.Cost.total m.Hw.Machine.ledger in
@@ -153,17 +154,10 @@ let test_netif_batch_cost_parity () =
     Hw.Cost.total m.Hw.Machine.ledger - before
   in
   let frame = Bytes.make 300 'f' in
-  let sync =
-    run (fun ea eb ->
-        ok (Xen.Netif.send ea frame);
-        ignore (ok (Xen.Netif.recv eb)))
-  in
-  let batch1 =
-    run (fun ea eb ->
-        ok (Xen.Netif.send_batch ea [ frame ]);
-        ignore (ok (Xen.Netif.recv_batch ~max:1 eb)))
-  in
-  Alcotest.(check int) "batch of 1 = synchronous cycles" sync batch1;
+  Alcotest.(check int) "one 300 B frame sent and received" 16_728
+    (run (fun ea eb ->
+         ok (Xen.Netif.send ea frame);
+         ignore (ok (Xen.Netif.recv eb))));
   (* N frames batched cost less than N synchronous sends. *)
   let n = 6 in
   let sync_n =
@@ -206,17 +200,48 @@ let test_netif_backpressure () =
     (Invalid_argument "Netif.create_wire: capacity must be >= 1") (fun () ->
       ignore (Xen.Netif.create_wire ~capacity:0 ()))
 
+let test_netif_oversized_queued_frame () =
+  (* dom0 owns the wire's queues and can grow a queued frame past the
+     shared page. The receiver must refuse such a frame before staging
+     it (nothing may spill into the next host frame) or charging for it,
+     and drop it, so the endpoint drains and later frames still arrive. *)
+  let m = Hw.Machine.create ~seed:34L () in
+  let hv = Xen.Hypervisor.boot m in
+  let a = Xen.Hypervisor.create_domain hv ~name:"a" ~memory_pages:8 in
+  let b = Xen.Hypervisor.create_domain hv ~name:"b" ~memory_pages:8 in
+  let wire = Xen.Netif.create_wire () in
+  let ea = ok (Xen.Netif.connect hv a ~wire ~buffer_gvfn:100) in
+  let eb = ok (Xen.Netif.connect hv b ~wire ~buffer_gvfn:100) in
+  let frame_of pt n = (Option.get (Hw.Pagetable.lookup pt n)).Hw.Pagetable.frame in
+  let adjacent = frame_of b.Xen.Domain.npt (frame_of b.Xen.Domain.gpt 100) + 1 in
+  let grow f = if Bytes.length f < 5000 then Bytes.make 5000 'X' else f in
+  List.iter
+    (fun (what, receive) ->
+      ok (Xen.Netif.send ea (Bytes.of_string "victim"));
+      Xen.Netif.tamper wire grow;
+      let page = Hw.Physmem.dump m.Hw.Machine.mem adjacent in
+      let cycles = Hw.Cost.total m.Hw.Machine.ledger in
+      Alcotest.(check bool) (what ^ " refuses the oversized frame") true
+        (Result.is_error (receive eb));
+      Alcotest.(check int) (what ^ " drops it") 0 (Xen.Netif.pending eb);
+      Alcotest.(check bool) (what ^ " leaves the adjacent frame alone") true
+        (Bytes.equal page (Hw.Physmem.dump m.Hw.Machine.mem adjacent));
+      Alcotest.(check int) (what ^ " charges nothing") cycles (Hw.Cost.total m.Hw.Machine.ledger);
+      ok (Xen.Netif.send ea (Bytes.of_string "next"));
+      Alcotest.(check (option string)) (what ^ ": the next frame still arrives") (Some "next")
+        (Option.map Bytes.to_string (ok (Xen.Netif.recv eb))))
+    [ ("recv_batch", fun ep -> Result.map ignore (Xen.Netif.recv_batch ep));
+      ("recv", fun ep -> Result.map ignore (Xen.Netif.recv ep)) ]
+
 let test_netif_snoop_log_bounded () =
   (* dom0's traffic log keeps only the most recent [wire_capacity] frames,
      so a long-lived wire's log stays bounded; the forwarded counter still
-     sees every frame. Odd frames take the batched path, even ones the
-     single-frame path. *)
+     sees every frame. *)
   let _, _, wire, ea, eb = net_env () in
   let capacity = Xen.Netif.wire_capacity wire in
   let frame i = Bytes.of_string (Printf.sprintf "frame-%d" i) in
   for i = 1 to capacity + 10 do
-    if i land 1 = 0 then ok (Xen.Netif.send ea (frame i))
-    else ok (Xen.Netif.send_batch ea [ frame i ]);
+    ok (Xen.Netif.send ea (frame i));
     ignore (ok (Xen.Netif.recv_batch eb))
   done;
   let log = Xen.Netif.snoop_log wire in
@@ -282,6 +307,7 @@ let () =
           Alcotest.test_case "batch roundtrip" `Quick test_netif_batch_roundtrip;
           Alcotest.test_case "batch cost parity" `Quick test_netif_batch_cost_parity;
           Alcotest.test_case "backpressure" `Quick test_netif_backpressure;
+          Alcotest.test_case "oversized queued frame" `Quick test_netif_oversized_queued_frame;
           Alcotest.test_case "dom0 snoops plaintext" `Quick test_netif_dom0_snoops_plaintext;
           Alcotest.test_case "snoop log bounded" `Quick test_netif_snoop_log_bounded ] );
       ("tls-over-pv", [ Alcotest.test_case "end to end" `Quick test_tls_over_netif ]) ]
