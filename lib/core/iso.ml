@@ -28,7 +28,7 @@ let mark_pit_frames ctx =
   let rec loop () =
     let fresh =
       List.filter
-        (fun pfn -> (Pit.get ctx.Ctx.pit pfn).Pit.usage <> Pit.Fidelius_data)
+        (fun pfn -> Pit.usage_of ctx.Ctx.pit pfn <> Pit.Fidelius_data)
         (Pit.tree_frames ctx.Ctx.pit)
     in
     if fresh <> [] then begin
@@ -46,8 +46,7 @@ let mark_pit_frames ctx =
 let protect_table_pages ctx table usage =
   List.iter
     (fun pfn ->
-      let info = Pit.get ctx.Ctx.pit pfn in
-      if info.Pit.usage <> usage then begin
+      if Pit.usage_of ctx.Ctx.pit pfn <> usage then begin
         Pit.set ctx.Ctx.pit pfn { Pit.owner = Pit.Xen; usage; asid = 0; valid = true };
         raw_map ctx pfn (identity pfn ~writable:false ~executable:false)
       end)

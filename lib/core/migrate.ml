@@ -85,13 +85,17 @@ module Wire = struct
     | Attest_resp of { quote : bytes }
     | Secret of { wrapped : bytes }
 
-  let frame_bytes ~tag payload =
-    let plen = Bytes.length payload in
+  let new_frame ~tag plen =
     let b = Bytes.create (header_len + plen) in
     Bytes.blit_string magic 0 b 0 4;
     Bytes.set_uint16_be b 4 version;
     Bytes.set_uint8 b 6 tag;
     Bytes.set_int32_be b 7 (Int32.of_int plen);
+    b
+
+  let frame_bytes ~tag payload =
+    let plen = Bytes.length payload in
+    let b = new_frame ~tag plen in
     Bytes.blit payload 0 b header_len plen;
     b
 
@@ -111,16 +115,24 @@ module Wire = struct
         put_blob buf (Dh.public_to_bytes origin_public);
         frame_bytes ~tag:tag_start (Buffer.to_bytes buf)
     | Update { round; pages } ->
-        let buf = Buffer.create 4096 in
-        Buffer.add_int32_be buf (Int32.of_int round);
-        Buffer.add_int32_be buf (Int32.of_int (List.length pages));
+        (* The bulk frame: sized up front so each ciphertext is copied
+           once, straight into its record. *)
+        let plen =
+          List.fold_left (fun n (_, cipher) -> n + 8 + Bytes.length cipher) 8 pages
+        in
+        let b = new_frame ~tag:tag_update plen in
+        Bytes.set_int32_be b header_len (Int32.of_int round);
+        Bytes.set_int32_be b (header_len + 4) (Int32.of_int (List.length pages));
+        let pos = ref (header_len + 8) in
         List.iter
           (fun (index, cipher) ->
-            Buffer.add_int32_be buf (Int32.of_int index);
-            Buffer.add_int32_be buf (Int32.of_int (Bytes.length cipher));
-            Buffer.add_bytes buf cipher)
+            let len = Bytes.length cipher in
+            Bytes.set_int32_be b !pos (Int32.of_int index);
+            Bytes.set_int32_be b (!pos + 4) (Int32.of_int len);
+            Bytes.blit cipher 0 b (!pos + 8) len;
+            pos := !pos + 8 + len)
           pages;
-        frame_bytes ~tag:tag_update (Buffer.to_bytes buf)
+        b
     | Finish { measurement; gpt_entries } ->
         let buf = Buffer.create 256 in
         put_blob buf measurement;

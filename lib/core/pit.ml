@@ -77,8 +77,7 @@ let encode i =
   in
   Int32.of_int v
 
-let decode v32 =
-  let v = Int32.to_int v32 land 0xffffffff in
+let decode v =
   { valid = v land (1 lsl 31) <> 0;
     usage = usage_of_code ((v lsr 24) land 0x7f);
     asid = (v lsr 12) land 0xfff;
@@ -101,43 +100,49 @@ let page t pfn = Hw.Physmem.page t.machine.Hw.Machine.mem pfn
 
 (* Index split: leaf slot = pfn mod 1024, L2 slot = (pfn / 1024) mod 1024,
    root slot = pfn / 1024^2. Level slots hold the child page's PFN (0 =
-   absent; frame 0 is reserved so 0 is unambiguous). *)
+   absent; frame 0 is reserved so 0 is unambiguous), which is also what
+   [child] and [walk] return for a missing page — no option is built on
+   the per-update policy walks. *)
 let child t level_pfn slot ~alloc =
   let bytes = page t level_pfn in
   let v = Int32.to_int (Bytes.get_int32_be bytes (slot * 4)) in
-  if v <> 0 then Some v
-  else if not alloc then None
+  if v <> 0 || not alloc then v
   else begin
     let fresh = Hw.Machine.alloc_frame t.machine in
     t.allocated <- fresh :: t.allocated;
     Bytes.set_int32_be bytes (slot * 4) (Int32.of_int fresh);
-    Some fresh
+    fresh
   end
 
+(* The leaf page holding [pfn]'s entry (0 = absent); charges one walk. *)
 let walk t pfn ~alloc =
   if pfn < 0 then invalid_arg "Pit: negative pfn";
-  let leaf_slot = pfn mod entries_per_page in
   let l2_slot = pfn / entries_per_page mod slots_per_page in
   let root_slot = pfn / (entries_per_page * slots_per_page) in
   if root_slot >= slots_per_page then invalid_arg "Pit: pfn out of radix range";
   Hw.Cost.charge_id t.machine.Hw.Machine.ledger c_pit
     t.machine.Hw.Machine.costs.Hw.Cost.pit_lookup;
-  match child t t.root root_slot ~alloc with
-  | None -> None
-  | Some l2 -> (
-      match child t l2 l2_slot ~alloc with
-      | None -> None
-      | Some leaf -> Some (leaf, leaf_slot))
+  let l2 = child t t.root root_slot ~alloc in
+  if l2 = 0 then 0 else child t l2 l2_slot ~alloc
+
+let entry_off pfn = pfn mod entries_per_page * 4
 
 let set t pfn info =
-  match walk t pfn ~alloc:true with
-  | None -> assert false
-  | Some (leaf, slot) -> Bytes.set_int32_be (page t leaf) (slot * 4) (encode info)
+  let leaf = walk t pfn ~alloc:true in
+  assert (leaf <> 0);
+  Bytes.set_int32_be (page t leaf) (entry_off pfn) (encode info)
+
+(* The raw leaf entry; a never-recorded frame reads as 0 = [encode free_info]. *)
+let raw t pfn =
+  let leaf = walk t pfn ~alloc:false in
+  if leaf = 0 then 0
+  else Int32.to_int (Bytes.get_int32_be (page t leaf) (entry_off pfn)) land 0xffffffff
 
 let get t pfn =
-  match walk t pfn ~alloc:false with
-  | None -> free_info
-  | Some (leaf, slot) -> decode (Bytes.get_int32_be (page t leaf) (slot * 4))
+  let v = raw t pfn in
+  if v = 0 then free_info else decode v
+
+let usage_of t pfn = usage_of_code ((raw t pfn lsr 24) land 0x7f)
 
 let tree_frames t = t.allocated
 

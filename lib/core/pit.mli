@@ -52,6 +52,10 @@ val set : t -> Hw.Addr.pfn -> info -> unit
 val get : t -> Hw.Addr.pfn -> info
 (** Never-recorded frames read back as {!free_info}. Charges the walk. *)
 
+val usage_of : t -> Hw.Addr.pfn -> usage
+(** [(get t pfn).usage] without building the record: same walk, same
+    charge. *)
+
 val tree_frames : t -> Hw.Addr.pfn list
 (** Every frame the radix tree itself occupies. *)
 

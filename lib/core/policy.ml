@@ -135,7 +135,7 @@ let check_host_map_update ctx vfn proto =
       match Hw.Pagetable.lookup ctx.Ctx.hv.Xen.Hypervisor.host_space vfn with
       | None -> Ok ()
       | Some current -> (
-          match (Pit.get ctx.Ctx.pit current.Hw.Pagetable.frame).Pit.usage with
+          match Pit.usage_of ctx.Ctx.pit current.Hw.Pagetable.frame with
           | Pit.Fidelius_text -> deny ctx "Fidelius text mappings may not be revoked"
           | Pit.Xen_text -> deny ctx "hypervisor text mappings may not be revoked"
           | Pit.Free | Pit.Xen_data | Pit.Xen_pt | Pit.Guest_page | Pit.Guest_npt

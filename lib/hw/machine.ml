@@ -70,7 +70,7 @@ let alloc_frames t n = List.init n (fun _ -> alloc_frame t)
 
 let free_frame t pfn =
   (* Scrub on free so stale secrets never leak through reallocation. *)
-  Physmem.write_raw t.mem pfn ~off:0 (Bytes.make Addr.page_size '\000');
+  Physmem.scrub t.mem pfn;
   Cache.invalidate_page t.cache pfn;
   t.free_frames <- pfn :: t.free_frames
 

@@ -59,6 +59,12 @@ let fw_key t raw =
       Hashtbl.add t.fw_keys id k;
       k
 
+(* DECOMMISSION's half of the key scrub: once the firmware drops a guest
+   key, the controller must not keep it (or its schedule) around. *)
+let forget_fw_key t raw = Hashtbl.remove t.fw_keys (Bytes.to_string raw)
+
+let fw_keys_cached t = Hashtbl.length t.fw_keys
+
 let install_key t ~asid raw =
   if asid <= 0 then invalid_arg "Memctrl.install_key: guest ASIDs are positive";
   Hashtbl.replace t.slots asid (Aes.expand raw)
@@ -202,11 +208,16 @@ let fw_encrypt_page t ~key pfn =
   let plain = Physmem.read_raw t.mem pfn ~off:0 ~len:Addr.page_size in
   fw_write_page t ~key pfn plain
 
-let fw_decrypt_page t ~key pfn =
+let fw_decrypt_page_into t ~key pfn ~dst =
+  if Bytes.length dst <> Addr.page_size then
+    invalid_arg "Memctrl.fw_decrypt_page_into: need a full page";
   fw_charge t;
   let aes = fw_key t key in
   let page = Physmem.page t.mem pfn in
-  let plain = Bytes.create Addr.page_size in
   Modes.xex_decrypt_span aes ~tweak0:(tweak_of pfn 0) ~tweak_step
-    ~src:page ~src_off:0 ~dst:plain ~dst_off:0 ~len:Addr.page_size;
+    ~src:page ~src_off:0 ~dst ~dst_off:0 ~len:Addr.page_size
+
+let fw_decrypt_page t ~key pfn =
+  let plain = Bytes.create Addr.page_size in
+  fw_decrypt_page_into t ~key pfn ~dst:plain;
   plain

@@ -72,7 +72,21 @@ val fw_encrypt_page : t -> key:bytes -> Addr.pfn -> unit
 
 val fw_decrypt_page : t -> key:bytes -> Addr.pfn -> bytes
 (** Plaintext of a page encrypted under a raw key (the page itself is left
-    untouched). *)
+    untouched), in a fresh buffer. *)
+
+val fw_decrypt_page_into : t -> key:bytes -> Addr.pfn -> dst:bytes -> unit
+(** {!fw_decrypt_page} into a caller-owned page-sized buffer — same ledger
+    charge and trace event, no allocation. Raises [Invalid_argument] unless
+    [dst] is exactly one page. *)
+
+val forget_fw_key : t -> bytes -> unit
+(** Drop the cached schedule of a raw firmware key (DECOMMISSION). The
+    next use of the same key re-expands it; a miss charges nothing. *)
+
+val fw_keys_cached : t -> int
+(** Number of raw firmware keys whose schedule the controller holds.
+    Introspection for the key-scrub tests (the keys themselves never
+    leave the controller). *)
 
 val fw_write_page : t -> key:bytes -> Addr.pfn -> bytes -> unit
 (** Store a full plaintext page encrypted under a raw key. *)

@@ -88,6 +88,10 @@ type t = {
   mem : Physmem.t;
   alloc : unit -> Addr.pfn;
   groups : (int, Addr.pfn) Hashtbl.t; (* vfn/512 -> page-table-page *)
+  mutable backing : Addr.pfn list;
+  (* The values of [groups], ascending and duplicate-free, kept up to date
+     as [ensure_group] allocates: Fidelius re-reads them on every mediated
+     table update. *)
   (* One-entry front for [lookup_packed]: consecutive walks overwhelmingly
      hit the same page-table-page, and the hashed group lookup is the
      single most expensive step of the packed walk. [cg] is the cached
@@ -106,6 +110,7 @@ let create ~id ~mem ~alloc =
     mem;
     alloc;
     groups = Hashtbl.create 64;
+    backing = [];
     cg = -1;
     cg_page = Bytes.empty;
     reverse = Hashtbl.create 256 }
@@ -127,20 +132,24 @@ let id t = t.table_id
 let group_of vfn = vfn / entries_per_page
 let slot_of vfn = vfn mod entries_per_page
 
+let rec insert_sorted pfn = function
+  | x :: rest when x < pfn -> x :: insert_sorted pfn rest
+  | x :: _ as l when x = pfn -> l
+  | l -> pfn :: l
+
 let ensure_group t g =
   match Hashtbl.find t.groups g with
   | pfn -> pfn
   | exception Not_found ->
       let pfn = t.alloc () in
       Hashtbl.replace t.groups g pfn;
+      t.backing <- insert_sorted pfn t.backing;
       t.cg <- -1;
       pfn
 
 let backing_frame_of t vfn = ensure_group t (group_of vfn)
 
-let backing_frames t =
-  Hashtbl.fold (fun _ pfn acc -> pfn :: acc) t.groups []
-  |> List.sort_uniq compare
+let backing_frames t = t.backing
 
 (* ---- packed entries ---------------------------------------------------
 

@@ -23,9 +23,17 @@ let read_raw t pfn ~off ~len =
   check t pfn off len;
   Bytes.sub t.frames.(pfn) off len
 
+let read_raw_into t pfn ~off ~len ~dst ~dst_off =
+  check t pfn off len;
+  Bytes.blit t.frames.(pfn) off dst dst_off len
+
 let write_raw t pfn ~off data =
   check t pfn off (Bytes.length data);
   Bytes.blit data 0 t.frames.(pfn) off (Bytes.length data)
+
+let scrub t pfn =
+  check t pfn 0 Addr.page_size;
+  Bytes.fill t.frames.(pfn) 0 Addr.page_size '\000'
 
 let page t pfn =
   check t pfn 0 0;

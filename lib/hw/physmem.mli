@@ -27,8 +27,14 @@ val read_raw : t -> Addr.pfn -> off:int -> len:int -> bytes
 (** Physical-channel read (no decryption). Raises [Invalid_argument] when the
     range leaves the page or the frame is out of bounds. *)
 
+val read_raw_into : t -> Addr.pfn -> off:int -> len:int -> dst:bytes -> dst_off:int -> unit
+(** {!read_raw} into a caller-provided buffer: no result allocation. *)
+
 val write_raw : t -> Addr.pfn -> off:int -> bytes -> unit
 (** Physical-channel write (e.g. a DMA device or a Rowhammer flip). *)
+
+val scrub : t -> Addr.pfn -> unit
+(** Zero one frame in place (the allocator's scrub-on-free). *)
 
 val page : t -> Addr.pfn -> bytes
 (** The backing store of one page, shared (mutations are visible). Reserved

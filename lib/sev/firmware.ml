@@ -57,6 +57,14 @@ type t = {
   geks : (handle * int, bytes) Hashtbl.t;
   mutable next_gek : int;
   mutable fw_version : version;
+  (* Page scratch for the migration page commands: SEND_UPDATE stages
+     plaintext in [plain], RECEIVE_UPDATE(_in_place) stages ciphertext in
+     [cipher] and plaintext in [plain]. Nothing in them outlives one
+     command, so one pair per firmware (hence per machine, local to one
+     fleet job) serves every page; what a command returns is always a
+     fresh buffer. *)
+  plain : bytes;
+  cipher : bytes;
 }
 
 let policy_nodbg = 1
@@ -74,7 +82,9 @@ let create ?(version = current_version) machine =
     rng;
     geks = Hashtbl.create 16;
     next_gek = 1;
-    fw_version = version }
+    fw_version = version;
+    plain = Bytes.create Addr.page_size;
+    cipher = Bytes.create Addr.page_size }
 
 (* The hypervisor controls which blob the secure processor boots — that is
    the rollback attack, and nothing here stops it. The platform identity
@@ -214,7 +224,9 @@ let decommission t ~handle =
   | None -> ());
   c.asid <- None;
   c.state <- State.Decommissioned;
-  (* Scrub key material. *)
+  (* Scrub key material: the controller's cached schedule first, while
+     the key bytes still name it. *)
+  Memctrl.forget_fw_key t.machine.Machine.ctrl c.kvek;
   Bytes.fill c.kvek 0 (Bytes.length c.kvek) '\000';
   Ok ()
 
@@ -251,7 +263,8 @@ let send_update t ~handle ~index ~src_pfn =
   match c.tek with
   | None -> Error "SEND_UPDATE: no transport key"
   | Some tek ->
-      let plain = Memctrl.fw_decrypt_page t.machine.Machine.ctrl ~key:c.kvek src_pfn in
+      let plain = t.plain in
+      Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:c.kvek src_pfn ~dst:plain;
       Measure.add_page c.measure ~index plain;
       Ok (Transport.page_cipher ~tek ~index plain)
 
@@ -324,8 +337,9 @@ let receive_update t ~handle ~index ~cipher ~dst_pfn =
            success; the gap must surface at RECEIVE_FINISH, not here *)
         Ok ()
       else begin
+        let plain = t.plain in
+        Transport.page_plain_into ~tek ~index cipher ~dst:plain;
         let apply () =
-          let plain = Transport.page_plain ~tek ~index cipher in
           Measure.add_page c.measure ~index plain;
           coherent_write t ~key:c.kvek dst_pfn plain
         in
@@ -335,8 +349,9 @@ let receive_update t ~handle ~index ~cipher ~dst_pfn =
       end
 
 let receive_update_in_place t ~handle ~index ~pfn =
-  let cipher = Physmem.read_raw t.machine.Machine.mem pfn ~off:0 ~len:Addr.page_size in
-  receive_update t ~handle ~index ~cipher ~dst_pfn:pfn
+  Physmem.read_raw_into t.machine.Machine.mem pfn ~off:0 ~len:Addr.page_size ~dst:t.cipher
+    ~dst_off:0;
+  receive_update t ~handle ~index ~cipher:t.cipher ~dst_pfn:pfn
 
 let send_update_io t ~handle ~nonce ~src_pfn ~len =
   charge_page t "SEND_UPDATE(io)";

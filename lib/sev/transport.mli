@@ -35,6 +35,10 @@ val page_cipher : tek:tek_key -> index:int -> bytes -> bytes
 
 val page_plain : tek:tek_key -> index:int -> bytes -> bytes
 
+val page_plain_into : tek:tek_key -> index:int -> bytes -> dst:bytes -> unit
+(** {!page_plain} into a caller-owned buffer at least as long as the
+    ciphertext (the firmware's page scratch): no allocation. *)
+
 module Owner : sig
   type prepared = {
     image : image;

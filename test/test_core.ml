@@ -507,6 +507,20 @@ let test_shutdown_cleans_up () =
         (Bytes.to_string (Hw.Physmem.read_raw m.Hw.Machine.mem pfn ~off:0 ~len:2)))
     frames
 
+(* DECOMMISSION scrubs the guest key, and the memory controller's cached
+   schedule of it with it: a long-lived host must not keep one per guest
+   it has ever run. *)
+let test_shutdown_evicts_fw_key () =
+  let ((m, _, fid) as env) = installed () in
+  let ctrl = m.Hw.Machine.ctrl in
+  let before = Hw.Memctrl.fw_keys_cached ctrl in
+  let dom, _ = protected_vm env "tenant" in
+  Alcotest.(check int) "boot caches the guest key's schedule" (before + 1)
+    (Hw.Memctrl.fw_keys_cached ctrl);
+  Fid.shutdown_protected_vm fid dom;
+  Alcotest.(check int) "shutdown leaves no schedule for the old key" before
+    (Hw.Memctrl.fw_keys_cached ctrl)
+
 let test_write_start_info_once () =
   let env = installed () in
   let _, _, fid = env in
@@ -1152,6 +1166,8 @@ let () =
           Alcotest.test_case "cpuid under masking" `Quick test_cpuid_under_masking;
           Alcotest.test_case "msr under masking" `Quick test_msr_under_masking;
           Alcotest.test_case "shutdown cleanup" `Quick test_shutdown_cleans_up;
+          Alcotest.test_case "shutdown evicts the key schedule" `Quick
+            test_shutdown_evicts_fw_key;
           Alcotest.test_case "start_info write-once" `Quick test_write_start_info_once ] );
       ( "io",
         [ Alcotest.test_case "aes-ni codec" `Quick test_aesni_codec_roundtrip;

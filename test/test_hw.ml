@@ -602,7 +602,11 @@ let test_cache_leak_channel () =
    the live-key count seen by the eviction scan equals the resident-line
    count, residency never exceeds capacity, and compaction bounds the raw
    queue length. A regression here silently shrinks effective capacity —
-   the bug class this pins down. *)
+   the bug class this pins down.
+
+   [invalidate_page] trusts the per-frame resident count to stop early,
+   so after every op the count must also agree with what probes see, and
+   an invalidation must empty exactly its own frame. *)
 let test_cache_fifo_invariants =
   QCheck.Test.make ~name:"FIFO queue tracks live lines under fill/invalidate"
     ~count:100
@@ -613,15 +617,35 @@ let test_cache_fifo_invariants =
       let nr_lines = 8 in
       let cache = Cache.create ~nr_lines (Cost.ledger ()) in
       let line = Bytes.make Addr.block_size 'x' in
-      List.iter
+      let dst = Bytes.create Addr.block_size in
+      (* Fills touch only frames 0-30 and blocks 0-7, so probing those
+         blocks sees every resident line. *)
+      let frames = List.init 31 Fun.id and blocks = List.init 8 Fun.id in
+      let hits pfn =
+        List.filter (fun block -> Cache.probe_into cache pfn ~block ~dst ~dst_off:0) blocks
+      in
+      let lines () = List.map hits frames in
+      List.for_all
         (fun (op, pfn, block) ->
-          match op with
-          | 0 | 1 -> Cache.fill cache pfn ~block line
-          | _ -> Cache.invalidate_page cache pfn)
-        ops;
-      Cache.order_live cache = Cache.resident cache
-      && Cache.resident cache <= nr_lines
-      && Cache.order_length cache <= (4 * nr_lines) + 1)
+          let op_ok =
+            match op with
+            | 0 | 1 ->
+                Cache.fill cache pfn ~block line;
+                true
+            | _ ->
+                let before = lines () in
+                Cache.invalidate_page cache pfn;
+                let after = lines () in
+                List.for_all2
+                  (fun (f, b) a -> if f = pfn then a = [] else a = b)
+                  (List.combine frames before) after
+          in
+          op_ok
+          && List.for_all (fun f -> Cache.frame_resident cache f = (hits f <> [])) frames
+          && Cache.order_live cache = Cache.resident cache
+          && Cache.resident cache <= nr_lines
+          && Cache.order_length cache <= (4 * nr_lines) + 1)
+        ops)
 
 (* --- interned charge sites -------------------------------------------------- *)
 

@@ -211,6 +211,41 @@ let test_wire_roundtrip () =
         (List.map (fun (i, _) -> Migrate.gfn_of_index i) u.pages)
   | _ -> Alcotest.fail "UPDATE did not round-trip"
 
+(* The UPDATE encoder's bytes, pinned: the MD5 below was recorded from
+   the Buffer-based encoder this one replaced. *)
+let test_update_bytes_pinned () =
+  let pages =
+    List.init 16 (fun i ->
+        ( Migrate.index_of ~round:3 ~gfn:(i * 3),
+          Bytes.init Hw.Addr.page_size (fun j -> Char.chr ((i * 131 + j * 7) land 0xff)) ))
+  in
+  let b = Migrate.Wire.encode (Migrate.Wire.Update { round = 3; pages }) in
+  Alcotest.(check int) "frame length" 65683 (Bytes.length b);
+  Alcotest.(check string) "frame MD5" "f1ab24599af052d98cfe64b488118b53"
+    (Digest.to_hex (Digest.bytes b))
+
+(* Any UPDATE decodes back to itself. Page sizes are free here: the
+   encoder does not check them, [rx_deliver] does. *)
+let test_update_roundtrip =
+  QCheck.Test.make ~name:"UPDATE decode (encode u) = u" ~count:200
+    QCheck.(
+      pair (int_bound 1000)
+        (list_of_size (Gen.int_range 0 40) (pair (int_bound 0x7fff_ffff) (int_bound 5000))))
+    (fun (round, recs) ->
+      let pages =
+        List.mapi
+          (fun i (index, len) -> (index, Bytes.init len (fun j -> Char.chr ((i + j) land 0xff))))
+          recs
+      in
+      match Migrate.Wire.decode (Migrate.Wire.encode (Migrate.Wire.Update { round; pages })) with
+      | Ok (Migrate.Wire.Update u) ->
+          u.round = round
+          && List.length u.pages = List.length pages
+          && List.for_all2
+               (fun (i, c) (i', c') -> i = i' && Bytes.equal c c')
+               pages u.pages
+      | Ok _ | Error _ -> false)
+
 let test_secret_before_attest_refused () =
   let _, _, fid1, dom, _, _, fid2, mutate, owner = live_pair () in
   with_installed
@@ -543,6 +578,8 @@ let () =
       ( "wire",
         [ Alcotest.test_case "unknown version refused" `Quick test_unknown_wire_version;
           Alcotest.test_case "frame round-trip" `Quick test_wire_roundtrip;
+          Alcotest.test_case "UPDATE bytes pinned" `Quick test_update_bytes_pinned;
+          QCheck_alcotest.to_alcotest test_update_roundtrip;
           Alcotest.test_case "secret before attest refused" `Quick
             test_secret_before_attest_refused;
           Alcotest.test_case "surgical round truncation rejected" `Quick

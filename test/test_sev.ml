@@ -9,6 +9,8 @@ module Transport = Sev.Transport
 module Measure = Sev.Measure
 module Rng = Fidelius_crypto.Rng
 module Dh = Fidelius_crypto.Dh
+module Plan = Fidelius_inject.Plan
+module Site = Fidelius_inject.Site
 
 let env () =
   let m = Hw.Machine.create ~nr_frames:256 ~seed:21L () in
@@ -403,6 +405,132 @@ let test_master_secret_symmetry () =
   let k3 = Transport.derive_master_secret ~secret:sa ~peer_public:pb ~nonce:6L in
   Alcotest.(check bool) "nonce-bound" false (Bytes.equal k1 k3)
 
+(* --- page-command buffers ------------------------------------------------ *)
+
+(* Page-sized buffers one call creates, in the steady state. A page is too
+   large for the minor heap, so [major_words - promoted_words] counts
+   exactly the pages allocated directly in the major heap. [Gc.counters],
+   not [Gc.quick_stat]: on OCaml 5 the latter's major count lags until the
+   domain's next collection. The call runs once first so cached key
+   schedules are already in place. *)
+let direct_major_pages f =
+  f ();
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  let words = major1 -. major0 -. (promoted1 -. promoted0) in
+  Float.to_int (Float.round (words /. float_of_int (Hw.Addr.page_size / (Sys.word_size / 8))))
+
+let test_page_command_allocation () =
+  let m1, fw1, m2, fw2 = migration_pair () in
+  let handle, pfn = running_guest m1 fw1 (page 'A') in
+  let wrapped =
+    ok (Firmware.send_start fw1 ~handle ~target_public:(Firmware.platform_public fw2) ~nonce:4L)
+  in
+  Alcotest.(check int) "SEND_UPDATE: the returned ciphertext only" 1
+    (direct_major_pages (fun () ->
+         ignore (ok (Firmware.send_update fw1 ~handle ~index:0 ~src_pfn:pfn))));
+  let h2 =
+    ok (Firmware.receive_start fw2 ~wrapped ~origin_public:(Firmware.platform_public fw1)
+          ~nonce:4L ~policy:0 ())
+  in
+  let dst = Hw.Machine.alloc_frame m2 in
+  Alcotest.(check int) "RECEIVE_UPDATE in place: none" 0
+    (direct_major_pages (fun () ->
+         ok (Firmware.receive_update_in_place fw2 ~handle:h2 ~index:0 ~pfn:dst)));
+  Alcotest.(check int) "free_frame: none" 0
+    (direct_major_pages (fun () -> Hw.Machine.free_frame m2 (Hw.Machine.alloc_frame m2)))
+
+(* The ciphertext SEND_UPDATE returns is the caller's: a later command on
+   the same firmware must not overwrite it through the page scratch. *)
+let test_send_update_results_unaliased () =
+  let m1, fw1, m2, fw2 = migration_pair () in
+  let handle = ok (Firmware.launch_start fw1 ~policy:0) in
+  let frame c =
+    let pfn = Hw.Machine.alloc_frame m1 in
+    Hw.Physmem.write_raw m1.Hw.Machine.mem pfn ~off:0 (page c);
+    ok (Firmware.launch_update fw1 ~handle ~pfn);
+    pfn
+  in
+  let p0 = frame 'P' and p1 = frame 'Q' in
+  let _ = ok (Firmware.launch_finish fw1 ~handle) in
+  let wrapped =
+    ok (Firmware.send_start fw1 ~handle ~target_public:(Firmware.platform_public fw2) ~nonce:8L)
+  in
+  let c0 = ok (Firmware.send_update fw1 ~handle ~index:0 ~src_pfn:p0) in
+  let snapshot = Bytes.copy c0 in
+  let c1 = ok (Firmware.send_update fw1 ~handle ~index:1 ~src_pfn:p1) in
+  Alcotest.(check bool) "two results are two buffers" true (c0 != c1);
+  Alcotest.(check bool) "first result survives the second command" true
+    (Bytes.equal c0 snapshot);
+  Alcotest.(check bool) "result is ciphertext, not staged plaintext" false
+    (Bytes.equal c0 (page 'P'));
+  let measurement = ok (Firmware.send_finish fw1 ~handle) in
+  let h2 =
+    ok (Firmware.receive_start fw2 ~wrapped ~origin_public:(Firmware.platform_public fw1)
+          ~nonce:8L ~policy:0 ())
+  in
+  let d0 = Hw.Machine.alloc_frame m2 and d1 = Hw.Machine.alloc_frame m2 in
+  ok (Firmware.receive_update fw2 ~handle:h2 ~index:0 ~cipher:c0 ~dst_pfn:d0);
+  Hw.Physmem.write_raw m2.Hw.Machine.mem d1 ~off:0 c1;
+  ok (Firmware.receive_update_in_place fw2 ~handle:h2 ~index:1 ~pfn:d1);
+  ok (Firmware.receive_finish fw2 ~handle:h2 ~expected:measurement);
+  ok (Firmware.activate fw2 ~handle:h2 ~asid:6);
+  List.iter
+    (fun (pfn, c) ->
+      Alcotest.(check string) "content arrives" (String.make 16 c)
+        (Bytes.to_string (Hw.Memctrl.read m2.Hw.Machine.ctrl (Hw.Memctrl.Asid 6) pfn ~off:0 ~len:16)))
+    [ (d0, 'P'); (d1, 'Q') ]
+
+(* A replayed RECEIVE_UPDATE folds the staged plaintext in twice; the
+   measurement must still catch it. *)
+let test_receive_update_replay_refused () =
+  let m1, fw1, m2, fw2 = migration_pair () in
+  let handle, pfn = running_guest m1 fw1 (page 'R') in
+  let wrapped =
+    ok (Firmware.send_start fw1 ~handle ~target_public:(Firmware.platform_public fw2) ~nonce:3L)
+  in
+  let cipher = ok (Firmware.send_update fw1 ~handle ~index:0 ~src_pfn:pfn) in
+  let measurement = ok (Firmware.send_finish fw1 ~handle) in
+  let receive ~replay =
+    let h =
+      ok (Firmware.receive_start fw2 ~wrapped ~origin_public:(Firmware.platform_public fw1)
+            ~nonce:3L ~policy:Firmware.policy_nodbg ())
+    in
+    let dst = Hw.Machine.alloc_frame m2 in
+    let plan = Plan.make ~seed:1L [ Plan.always Site.Fw_replay ] in
+    if replay then Plan.install plan;
+    Fun.protect ~finally:Plan.uninstall (fun () ->
+        ok (Firmware.receive_update fw2 ~handle:h ~index:0 ~cipher ~dst_pfn:dst));
+    Alcotest.(check int) "replay fired as armed" (if replay then 1 else 0)
+      (Plan.total_fires plan);
+    Firmware.receive_finish fw2 ~handle:h ~expected:measurement
+  in
+  Alcotest.(check bool) "clean stream accepted" true (Result.is_ok (receive ~replay:false));
+  Alcotest.(check bool) "replayed page refused at RECEIVE_FINISH" true
+    (Result.is_error (receive ~replay:true))
+
+(* DBG_DECRYPT hands out its own buffer, never the firmware's scratch. *)
+let test_dbg_decrypt_fresh_buffer () =
+  let m1, fw1, _m2, fw2 = migration_pair () in
+  let h = ok (Firmware.launch_start fw1 ~policy:0) in
+  let p = Hw.Machine.alloc_frame m1 in
+  Hw.Physmem.write_raw m1.Hw.Machine.mem p ~off:0 (page 'E');
+  ok (Firmware.launch_update fw1 ~handle:h ~pfn:p);
+  let _ = ok (Firmware.launch_finish fw1 ~handle:h) in
+  let sender, src = running_guest m1 fw1 (page 'S') in
+  let _ =
+    ok (Firmware.send_start fw1 ~handle:sender ~target_public:(Firmware.platform_public fw2)
+          ~nonce:5L)
+  in
+  let d1 = ok (Firmware.dbg_decrypt fw1 ~handle:h ~pfn:p) in
+  let d2 = ok (Firmware.dbg_decrypt fw1 ~handle:h ~pfn:p) in
+  Alcotest.(check bool) "fresh buffer per call" true (d1 != d2);
+  ignore (ok (Firmware.send_update fw1 ~handle:sender ~index:0 ~src_pfn:src));
+  Bytes.fill d2 0 16 'X';
+  Alcotest.(check bool) "untouched by a later SEND_UPDATE or the caller's writes" true
+    (Bytes.equal d1 (page 'E'))
+
 let () =
   Alcotest.run "sev"
     [ ( "state",
@@ -432,7 +560,15 @@ let () =
         [ Alcotest.test_case "launch_shared kvek" `Quick test_launch_shared_kvek;
           Alcotest.test_case "sev io path" `Quick test_sev_io_path;
           Alcotest.test_case "nonce mismatch" `Quick test_io_nonce_mismatch ] );
-      ("dbg", [ Alcotest.test_case "policy" `Quick test_dbg_policy ]);
+      ( "dbg",
+        [ Alcotest.test_case "policy" `Quick test_dbg_policy;
+          Alcotest.test_case "fresh buffer" `Quick test_dbg_decrypt_fresh_buffer ] );
+      ( "page buffers",
+        [ Alcotest.test_case "page-command allocation" `Quick test_page_command_allocation;
+          Alcotest.test_case "SEND_UPDATE results unaliased" `Quick
+            test_send_update_results_unaliased;
+          Alcotest.test_case "replayed RECEIVE_UPDATE refused" `Quick
+            test_receive_update_replay_refused ] );
       ( "transport",
         [ Alcotest.test_case "owner prepare" `Quick test_owner_prepare;
           Alcotest.test_case "page-size check" `Quick test_owner_page_size_check;
