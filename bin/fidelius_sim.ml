@@ -562,19 +562,35 @@ let cpu_features () =
     (String.equal
        (Sha256.hex (Sha256.digest (Modes.xex_encrypt gkey ~tweak:0x40L page)))
        "1e91d6ec9633bfbe5eeaebdd40436a81156eca32ea8ca50945602ee573f3fb60");
-  (* Every tier this CPU can run must agree with the OCaml reference. *)
+  (* Every tier this CPU can run must agree with the OCaml reference, on
+     one XEX span and on the disk codec's call: 8 x 512 B sectors, tweak
+     stride 64, encrypted and decrypted in place in the frame buffer. *)
   let want = Modes.xex_encrypt_span_reference in
   let expect = Bytes.create 4096 in
   want gkey ~tweak0:0x1234L ~tweak_step:16L ~src:page ~src_off:0 ~dst:expect
     ~dst_off:0 ~len:4096;
+  let codec_call f buf =
+    f gkey ~tweak0:0x1234L ~sector_stride:64L ~sector_bytes:512 ~src:buf ~src_off:0
+      ~dst:buf ~dst_off:0 ~nsectors:8
+  in
+  let codec_expect = Bytes.create 4096 in
+  Modes.xex_encrypt_sectors_reference gkey ~tweak0:0x1234L ~sector_stride:64L
+    ~sector_bytes:512 ~src:page ~src_off:0 ~dst:codec_expect ~dst_off:0 ~nsectors:8;
   List.iter
     (fun (name, tier) ->
       if Aes.set_backend tier then begin
         let got = Bytes.create 4096 in
         Modes.xex_encrypt_span gkey ~tweak0:0x1234L ~tweak_step:16L ~src:page
           ~src_off:0 ~dst:got ~dst_off:0 ~len:4096;
-        check (name ^ " vs reference") (Bytes.equal got expect);
-        Printf.printf "self-test:      %s ok=%b\n" name (Bytes.equal got expect)
+        let span_ok = Bytes.equal got expect in
+        check (name ^ " vs reference") span_ok;
+        let buf = Bytes.copy page in
+        codec_call Modes.xex_encrypt_sectors buf;
+        let encoded = Bytes.equal buf codec_expect in
+        codec_call Modes.xex_decrypt_sectors buf;
+        let codec_ok = encoded && Bytes.equal buf page in
+        check (name ^ " disk codec in place vs reference") codec_ok;
+        Printf.printf "self-test:      %s ok=%b\n" name (span_ok && codec_ok)
       end)
     [ ("vaes", `Vaes); ("aes-ni", `Aesni); ("c-portable", `Portable) ];
   ignore (Aes.set_backend `Auto);

@@ -13,30 +13,35 @@ let tweaks_per_sector = 64
 
 let sector_tweak sector = Int64.of_int (sector * tweaks_per_sector)
 
+let whole_sectors b =
+  let n = Bytes.length b in
+  if n mod sector_size <> 0 then invalid_arg "io_protect: data must be whole sectors";
+  n / sector_size
+
 (* Whole-run transform: a batch of consecutive sectors rides ONE bulk Aes
    call (like the Memctrl page path) instead of a per-sector loop — the
    sector-lane tweak layout above is exactly what Modes.xex_*_sectors
-   encodes. Byte-identical to per-sector Modes.xex_encrypt calls. *)
-let xex_sectors ~key ~sector ~encrypt data =
-  let n = Bytes.length data in
-  if n mod sector_size <> 0 then invalid_arg "io_protect: data must be whole sectors";
-  let out = Bytes.create n in
+   encodes. Byte-identical to per-sector Modes.xex_encrypt calls. [dst]
+   may be [src]: the codecs transform the frame buffer in place. *)
+let xex_sectors_into ~key ~sector ~encrypt ~src ~dst =
+  let nsectors = whole_sectors src in
   (if encrypt then Modes.xex_encrypt_sectors else Modes.xex_decrypt_sectors)
     key ~tweak0:(sector_tweak sector)
     ~sector_stride:(Int64.of_int tweaks_per_sector)
-    ~sector_bytes:sector_size ~src:data ~src_off:0 ~dst:out ~dst_off:0
-    ~nsectors:(n / sector_size);
+    ~sector_bytes:sector_size ~src ~src_off:0 ~dst ~dst_off:0 ~nsectors
+
+let xex_sectors ~key ~sector ~encrypt data =
+  let out = Bytes.create (Bytes.length data) in
+  xex_sectors_into ~key ~sector ~encrypt ~src:data ~dst:out;
   out
 
-let per_sector f ~sector data =
-  let n = Bytes.length data in
-  if n mod sector_size <> 0 then invalid_arg "io_protect: data must be whole sectors";
-  let out = Bytes.create n in
-  for i = 0 to (n / sector_size) - 1 do
-    let piece = Bytes.sub data (i * sector_size) sector_size in
-    Bytes.blit (f ~sector:(sector + i) piece) 0 out (i * sector_size) sector_size
-  done;
-  out
+(* The firmware codecs work a sector at a time: each sector's result is
+   blitted back over it. *)
+let per_sector f ~sector buf =
+  for i = 0 to whole_sectors buf - 1 do
+    let off = i * sector_size in
+    Bytes.blit (f ~sector:(sector + i) (Bytes.sub buf off sector_size)) 0 buf off sector_size
+  done
 
 (* Per-codec charge labels, interned once (at module init for the fixed
    codecs, at codec construction for [keyed_codec]) so the per-transfer
@@ -55,13 +60,13 @@ let keyed_codec ctx ~name ~rate ~label ~kblk =
   let label_id = Hw.Cost.intern label in
   { Xen.Blkif.codec_name = name;
     encode =
-      (fun ~sector data ->
-        charge_blocks ctx label_id rate data;
-        xex_sectors ~key ~sector ~encrypt:true data);
+      (fun ~sector buf ->
+        charge_blocks ctx label_id rate buf;
+        xex_sectors_into ~key ~sector ~encrypt:true ~src:buf ~dst:buf);
     decode =
-      (fun ~sector data ->
-        charge_blocks ctx label_id rate data;
-        xex_sectors ~key ~sector ~encrypt:false data) }
+      (fun ~sector buf ->
+        charge_blocks ctx label_id rate buf;
+        xex_sectors_into ~key ~sector ~encrypt:false ~src:buf ~dst:buf) }
 
 let aesni_codec ctx ~kblk =
   keyed_codec ctx ~name:"aes-ni"

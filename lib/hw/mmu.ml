@@ -157,13 +157,21 @@ let iter_pages ~addr ~len f =
     pos := !pos + chunk
   done
 
-let read m space ~addr ~len =
-  let out = Bytes.create len in
+let check_dst fn ~len ~dst ~dst_off =
+  if len < 0 || dst_off < 0 || dst_off > Bytes.length dst - len then
+    invalid_arg (fn ^ ": dst range out of bounds")
+
+let read_into m space ~addr ~len ~dst ~dst_off =
+  check_dst "Mmu.read_into" ~len ~dst ~dst_off;
   iter_pages ~addr ~len (fun ~chunk_addr ~chunk_off ~chunk_len ->
       let p = translate_packed m space Read chunk_addr in
       cached_read_into m (sel_of_packed p) (Pagetable.packed_frame p)
-        ~off:(Addr.offset_of chunk_addr) ~len:chunk_len ~dst:out ~dst_off:chunk_off);
-  out
+        ~off:(Addr.offset_of chunk_addr) ~len:chunk_len ~dst ~dst_off:(dst_off + chunk_off))
+
+let read m space ~addr ~len =
+  let dst = Bytes.create len in
+  read_into m space ~addr ~len ~dst ~dst_off:0;
+  dst
 
 let write m space ~addr data =
   iter_pages ~addr ~len:(Bytes.length data) (fun ~chunk_addr ~chunk_off ~chunk_len ->
@@ -250,17 +258,21 @@ let guest_read_chunk m ~domid ~gpt ~npt ~asid_sel ~chunk_addr ~chunk_len ~dst ~d
   cached_read_into m (sel_of_code ~asid_sel c) (c lsr 2)
     ~off:(Addr.offset_of chunk_addr) ~len:chunk_len ~dst ~dst_off
 
-let guest_read_sel m ~domid ~gpt ~npt ~asid_sel ~addr ~len =
-  let out = Bytes.create len in
+let guest_read_sel_into m ~domid ~gpt ~npt ~asid_sel ~addr ~len ~dst ~dst_off =
+  check_dst "Mmu.guest_read_sel_into" ~len ~dst ~dst_off;
   if Addr.offset_of addr + len <= Addr.page_size then
     (* Single-page access: no chunking closure on the common path. *)
-    guest_read_chunk m ~domid ~gpt ~npt ~asid_sel ~chunk_addr:addr ~chunk_len:len
-      ~dst:out ~dst_off:0
+    guest_read_chunk m ~domid ~gpt ~npt ~asid_sel ~chunk_addr:addr ~chunk_len:len ~dst
+      ~dst_off
   else
     iter_pages ~addr ~len (fun ~chunk_addr ~chunk_off ~chunk_len ->
-        guest_read_chunk m ~domid ~gpt ~npt ~asid_sel ~chunk_addr ~chunk_len
-          ~dst:out ~dst_off:chunk_off);
-  out
+        guest_read_chunk m ~domid ~gpt ~npt ~asid_sel ~chunk_addr ~chunk_len ~dst
+          ~dst_off:(dst_off + chunk_off))
+
+let guest_read_sel m ~domid ~gpt ~npt ~asid_sel ~addr ~len =
+  let dst = Bytes.create len in
+  guest_read_sel_into m ~domid ~gpt ~npt ~asid_sel ~addr ~len ~dst ~dst_off:0;
+  dst
 
 let guest_read m ~domid ~gpt ~npt ~asid ~addr ~len =
   guest_read_sel m ~domid ~gpt ~npt ~asid_sel:(Memctrl.Asid asid) ~addr ~len

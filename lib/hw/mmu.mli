@@ -32,6 +32,12 @@ val translate : Machine.t -> Pagetable.t -> access -> int -> Addr.pfn * Pagetabl
 val read : Machine.t -> Pagetable.t -> addr:int -> len:int -> bytes
 (** Host read (may span pages). Probes the plaintext cache per block. *)
 
+val read_into :
+  Machine.t -> Pagetable.t -> addr:int -> len:int -> dst:bytes -> dst_off:int -> unit
+(** {!read} into [dst] at [dst_off] — same walk, charges and trace events,
+    no result allocation. Raises [Invalid_argument] before touching memory
+    when [dst_off, len] does not fit in [dst]. *)
+
 val write : Machine.t -> Pagetable.t -> addr:int -> bytes -> unit
 (** Host write; faults on read-only mappings while CR0.WP is set. *)
 
@@ -100,6 +106,13 @@ val guest_write_sel :
     [Memctrl.Asid asid]) so the per-access path does not allocate one.
     Results are identical to the [~asid] variants when
     [asid_sel = Asid asid]. *)
+
+val guest_read_sel_into :
+  Machine.t ->
+  domid:int -> gpt:Pagetable.t -> npt:Pagetable.t -> asid_sel:Memctrl.selector ->
+  addr:int -> len:int -> dst:bytes -> dst_off:int -> unit
+(** {!guest_read_sel} into [dst] at [dst_off], with {!read_into}'s range
+    check. {!guest_read_sel} is this plus the result buffer. *)
 
 val read_frame_as :
   Machine.t -> sel:Memctrl.selector -> Addr.pfn -> off:int -> len:int -> bytes

@@ -2,12 +2,12 @@ module Hw = Fidelius_hw
 
 type codec = {
   codec_name : string;
-  encode : sector:int -> bytes -> bytes;
-  decode : sector:int -> bytes -> bytes;
+  encode : sector:int -> bytes -> unit;
+  decode : sector:int -> bytes -> unit;
 }
 
 let identity_codec =
-  { codec_name = "identity"; encode = (fun ~sector:_ b -> b); decode = (fun ~sector:_ b -> b) }
+  { codec_name = "identity"; encode = (fun ~sector:_ _ -> ()); decode = (fun ~sector:_ _ -> ()) }
 
 let sectors_per_frame = Hw.Addr.page_size / Vdisk.sector_size
 
@@ -24,10 +24,15 @@ type queue = {
   q_frames : Hw.Addr.pfn array;    (* backend-resolved host frames *)
 }
 
+(* Each side moves a frame's bytes through one page scratch of its own
+   (DESIGN.md 4i): the scratch never outlives the descriptor or chunk it
+   stages, and it is as machine-local as the frontend or backend holding
+   it. *)
 type backend = {
   hv : Hypervisor.t;
   disk : Vdisk.t;
   b_queues : queue array;
+  b_scratch : bytes;
   mutable served : int;
   mutable rejected : int;
   mutable notifications : int;
@@ -37,11 +42,17 @@ type frontend = {
   f_hv : Hypervisor.t;
   dom : Domain.t;
   f_queues : queue array;
+  f_scratch : bytes;
   mutable codec : codec;
   mutable next_req_id : int;
 }
 
 let ( let* ) = Result.bind
+
+(* A full frame is staged in [scratch]; a shorter transfer gets a buffer of
+   its exact length, since the codec and the frame write take a whole
+   buffer. *)
+let frame_buf scratch len = if len = Bytes.length scratch then scratch else Bytes.create len
 
 (* --- backend ----------------------------------------------------------- *)
 
@@ -50,19 +61,22 @@ let ( let* ) = Result.bind
    data frames *before* charging or touching memory, and answer malformed
    descriptors with a typed error instead of serving them. [seen] holds the
    req_ids already drained in this batch; duplicate ids — whose responses
-   the frontend could not tell apart — fail closed too. *)
+   the frontend could not tell apart — fail closed too. Every bound is
+   tested by subtraction from the limit: [count] and [len] are already
+   bounded by then, while [sector + count] or [data_off + len] wraps
+   negative for an offset near [max_int]. *)
 let validate_request be q seen (req : Ring.request) =
   let len = req.Ring.count * Vdisk.sector_size in
   if req.Ring.count < 1 || req.Ring.count > sectors_per_frame then
     Error (Ring.Bad_count { count = req.Ring.count; max_count = sectors_per_frame })
-  else if req.Ring.sector < 0 || req.Ring.sector + req.Ring.count > Vdisk.nr_sectors be.disk
+  else if req.Ring.sector < 0 || req.Ring.sector > Vdisk.nr_sectors be.disk - req.Ring.count
   then
     Error
       (Ring.Bad_sector
          { sector = req.Ring.sector;
            count = req.Ring.count;
            nr_sectors = Vdisk.nr_sectors be.disk })
-  else if req.Ring.data_off < 0 || req.Ring.data_off + len > Hw.Addr.page_size then
+  else if req.Ring.data_off < 0 || req.Ring.data_off > Hw.Addr.page_size - len then
     Error (Ring.Bad_span { data_off = req.Ring.data_off; len; frame_bytes = Hw.Addr.page_size })
   else if Hashtbl.mem seen req.Ring.req_id then
     Error (Ring.Duplicate_req_id { req_id = req.Ring.req_id })
@@ -92,11 +106,14 @@ let serve_request be (req : Ring.request) frame =
   try
     (match req.Ring.op with
     | Ring.Write ->
-        let data = Hypervisor.host_read be.hv frame ~off:req.Ring.data_off ~len in
-        Vdisk.write be.disk ~sector:req.Ring.sector data
+        Hypervisor.host_read_into be.hv frame ~off:req.Ring.data_off ~len ~dst:be.b_scratch
+          ~dst_off:0;
+        Vdisk.write_from be.disk ~sector:req.Ring.sector ~src:be.b_scratch ~src_off:0 ~len
     | Ring.Read ->
-        let data = Vdisk.read be.disk ~sector:req.Ring.sector ~count:req.Ring.count in
-        Hypervisor.host_write be.hv frame ~off:req.Ring.data_off data);
+        let buf = frame_buf be.b_scratch len in
+        Vdisk.read_into be.disk ~sector:req.Ring.sector ~count:req.Ring.count ~dst:buf
+          ~dst_off:0;
+        Hypervisor.host_write be.hv frame ~off:req.Ring.data_off buf);
     Ok ()
   with
   | Invalid_argument m -> Error (Ring.Backend_fault m)
@@ -208,13 +225,28 @@ let connect ?(ring_size = Ring.default_size) ?(buffer_pages = 1) ?(nr_queues = 1
   in
   let* queues = build 0 [] in
   let qarr = Array.of_list (List.map fst queues) in
-  let be = { hv; disk; b_queues = qarr; served = 0; rejected = 0; notifications = 0 } in
+  let be =
+    { hv;
+      disk;
+      b_queues = qarr;
+      b_scratch = Bytes.create Hw.Addr.page_size;
+      served = 0;
+      rejected = 0;
+      notifications = 0 }
+  in
   List.iteri
     (fun qi (_, back_port) ->
       Event.on_event hv.Hypervisor.events ~domid:0 ~port:back_port (fun () ->
           process_queue be qi))
     queues;
-  let fe = { f_hv = hv; dom; f_queues = qarr; codec = identity_codec; next_req_id = 1 } in
+  let fe =
+    { f_hv = hv;
+      dom;
+      f_queues = qarr;
+      f_scratch = Bytes.create Hw.Addr.page_size;
+      codec = identity_codec;
+      next_req_id = 1 }
+  in
   Ok (fe, be)
 
 let set_codec fe codec = fe.codec <- codec
@@ -320,28 +352,19 @@ let write_sectors ?(batch = 1) ?(queue = 0) fe ~sector data =
           let grp, rest = take batch chunks in
           let stage i (s, off, n) =
             let clen = n * Vdisk.sector_size in
-            let piece = Bytes.sub data off clen in
-            let encoded = fe.codec.encode ~sector:s piece in
-            if Bytes.length encoded <> clen then Error "codec changed the payload size"
-            else begin
-              Hypervisor.in_guest fe.f_hv fe.dom (fun () ->
-                  Domain.write machine fe.dom ~addr:q.q_gvas.(i) encoded);
-              Ok
-                { Ring.req_id = fresh_req_id fe;
-                  op = Ring.Write;
-                  sector = s;
-                  count = n;
-                  data_gref = q.q_grefs.(i);
-                  data_off = 0 }
-            end
+            let buf = frame_buf fe.f_scratch clen in
+            Bytes.blit data off buf 0 clen;
+            fe.codec.encode ~sector:s buf;
+            Hypervisor.in_guest fe.f_hv fe.dom (fun () ->
+                Domain.write machine fe.dom ~addr:q.q_gvas.(i) buf);
+            { Ring.req_id = fresh_req_id fe;
+              op = Ring.Write;
+              sector = s;
+              count = n;
+              data_gref = q.q_grefs.(i);
+              data_off = 0 }
           in
-          let rec stage_all i acc = function
-            | [] -> Ok (List.rev acc)
-            | c :: cs ->
-                let* r = stage i c in
-                stage_all (i + 1) (r :: acc) cs
-          in
-          let* reqs = stage_all 0 [] grp in
+          let reqs = List.mapi stage grp in
           let* statuses = submit_batch ~queue fe reqs in
           let* () = all_ok statuses in
           groups rest
@@ -374,22 +397,16 @@ let read_sectors ?(batch = 1) ?(queue = 0) fe ~sector ~count =
           in
           let* statuses = submit_batch ~queue fe reqs in
           let* () = all_ok statuses in
-          let rec unload i = function
-            | [] -> Ok ()
-            | (s, off, n) :: rest ->
-                let clen = n * Vdisk.sector_size in
-                let raw =
-                  Hypervisor.in_guest fe.f_hv fe.dom (fun () ->
-                      Domain.read machine fe.dom ~addr:q.q_gvas.(i) ~len:clen)
-                in
-                let decoded = fe.codec.decode ~sector:s raw in
-                if Bytes.length decoded <> clen then Error "codec changed the payload size"
-                else begin
-                  Bytes.blit decoded 0 out off clen;
-                  unload (i + 1) rest
-                end
-          in
-          let* () = unload 0 grp in
+          List.iteri
+            (fun i (s, off, n) ->
+              let clen = n * Vdisk.sector_size in
+              let buf = frame_buf fe.f_scratch clen in
+              Hypervisor.in_guest fe.f_hv fe.dom (fun () ->
+                  Domain.read_into machine fe.dom ~addr:q.q_gvas.(i) ~len:clen ~dst:buf
+                    ~dst_off:0);
+              fe.codec.decode ~sector:s buf;
+              Bytes.blit buf 0 out off clen)
+            grp;
           groups rest
     in
     groups (plan_chunks ~sector ~total_sectors:count)

@@ -13,7 +13,10 @@
       contexts.
 
     The data movements are real memory traffic through the simulated MMU on
-    both sides; the cost model charges the appropriate encoder rates.
+    both sides; the cost model charges the appropriate encoder rates. Each
+    side stages a frame's bytes in one page scratch of its own, so a
+    full-frame transfer allocates no page-sized buffer on either side
+    (only {!read_sectors}' result).
 
     {2 Batched datapath}
 
@@ -35,11 +38,19 @@ module Hw = Fidelius_hw
 
 type codec = {
   codec_name : string;
-  encode : sector:int -> bytes -> bytes;
+  encode : sector:int -> bytes -> unit;
   (** Applied by the front-end before data enters the shared frame. *)
-  decode : sector:int -> bytes -> bytes;
+  decode : sector:int -> bytes -> unit;
   (** Applied by the front-end after data leaves the shared frame. *)
 }
+(** An in-place transform of one frame's worth of whole sectors.
+    [encode ~sector buf] and [decode ~sector buf] rewrite [buf], whose
+    first sector is disk sector [sector], and keep no reference to it:
+    the front-end hands each field the page scratch it stages the chunk
+    in (a buffer of the chunk's exact length when the chunk is shorter
+    than a frame), then reuses that buffer for the next chunk. Each field
+    is called once per data frame. The type leaves no way to change the
+    payload's size. *)
 
 val identity_codec : codec
 

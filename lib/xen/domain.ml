@@ -67,6 +67,10 @@ let guest_map t ~gvfn ~gfn ~writable ~executable ~c_bit =
 
 let guest_unmap t ~gvfn = Hw.Pagetable.hw_set t.gpt gvfn None
 
+let read_into machine t ~addr ~len ~dst ~dst_off =
+  Hw.Mmu.guest_read_sel_into machine ~domid:t.domid ~gpt:t.gpt ~npt:t.npt
+    ~asid_sel:t.asid_sel ~addr ~len ~dst ~dst_off
+
 let read machine t ~addr ~len =
   Hw.Mmu.guest_read_sel machine ~domid:t.domid ~gpt:t.gpt ~npt:t.npt
     ~asid_sel:t.asid_sel ~addr ~len

@@ -73,6 +73,11 @@ val read : Hw.Machine.t -> t -> addr:int -> len:int -> bytes
     {!Hw.Mmu.Npt_fault} when the nested mapping is absent — callers in the
     run loop turn that into an NPF vmexit. *)
 
+val read_into :
+  Hw.Machine.t -> t -> addr:int -> len:int -> dst:bytes -> dst_off:int -> unit
+(** {!read} into [dst] at [dst_off] ({!Hw.Mmu.guest_read_sel_into}): same
+    walk, faults and charges, no result allocation. *)
+
 val write : Hw.Machine.t -> t -> addr:int -> bytes -> unit
 (** Guest-mode memory store. While {!Hw.Dirty.tracking} is on for this
     domain, the guest-physical frames the store touches are marked dirty

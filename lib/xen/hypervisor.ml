@@ -311,6 +311,9 @@ let map_identity t pfn ~writable ~executable =
 
 let unmap_identity t pfn = t.med.host_map_update pfn None
 
+let host_read_into t pfn ~off ~len ~dst ~dst_off =
+  Hw.Mmu.read_into t.machine t.host_space ~addr:(Hw.Addr.addr_of pfn off) ~len ~dst ~dst_off
+
 let host_read t pfn ~off ~len =
   Hw.Mmu.read t.machine t.host_space ~addr:(Hw.Addr.addr_of pfn off) ~len
 

@@ -77,6 +77,10 @@ val host_read : t -> Hw.Addr.pfn -> off:int -> len:int -> bytes
 (** Hypervisor-privilege read through the direct map (faults if the frame is
     unmapped from the host space). *)
 
+val host_read_into :
+  t -> Hw.Addr.pfn -> off:int -> len:int -> dst:bytes -> dst_off:int -> unit
+(** {!host_read} into [dst] at [dst_off] ({!Hw.Mmu.read_into}). *)
+
 val host_write : t -> Hw.Addr.pfn -> off:int -> bytes -> unit
 
 (** {2 Domains} *)

@@ -15,19 +15,28 @@ let of_bytes b =
 
 let nr_sectors t = Bytes.length t.data / sector_size
 
+(* [sector > nr_sectors - count] rather than [sector + count > nr_sectors]:
+   with [count >= 0] the subtraction cannot wrap, the sum can. *)
 let check t sector count =
-  if sector < 0 || count < 0 || (sector + count) * sector_size > Bytes.length t.data then
+  if sector < 0 || count < 0 || sector > nr_sectors t - count then
     invalid_arg (Printf.sprintf "Vdisk: sectors %d+%d out of range" sector count)
+
+let read_into t ~sector ~count ~dst ~dst_off =
+  check t sector count;
+  Bytes.blit t.data (sector * sector_size) dst dst_off (count * sector_size)
 
 let read t ~sector ~count =
   check t sector count;
-  Bytes.sub t.data (sector * sector_size) (count * sector_size)
+  let dst = Bytes.create (count * sector_size) in
+  read_into t ~sector ~count ~dst ~dst_off:0;
+  dst
 
-let write t ~sector data =
-  let len = Bytes.length data in
+let write_from t ~sector ~src ~src_off ~len =
   if len mod sector_size <> 0 then
     invalid_arg "Vdisk.write: length must be a multiple of the sector size";
   check t sector (len / sector_size);
-  Bytes.blit data 0 t.data (sector * sector_size) len
+  Bytes.blit src src_off t.data (sector * sector_size) len
+
+let write t ~sector data = write_from t ~sector ~src:data ~src_off:0 ~len:(Bytes.length data)
 
 let peek = read

@@ -646,6 +646,86 @@ let test_aesni_codec_batch1_golden () =
     "6738eee8048c39a92b801d999b4c1811fdf07f1c64925fe360d752715675ccab"
     (hex (Fidelius_crypto.Sha256.digest rd))
 
+(* --- the block path moves each frame once ------------------------------------ *)
+
+(* A protected guest with the AES-NI codec on an 8-frame queue, after one
+   8-frame write of [data] at sector 16. *)
+let aesni_blk_env () =
+  let ((m, hv, fid) as env) = installed () in
+  let dom, prepared = protected_vm env "blk" in
+  let kblk = prepared.Sev.Transport.Owner.kblk in
+  let disk = Xen.Vdisk.create ~nr_sectors:128 in
+  let fe, _ = ok (Xen.Blkif.connect ~buffer_pages:8 hv dom ~disk ~buffer_gvfn:200) in
+  Xen.Blkif.set_codec fe (Fid.aesni_codec fid ~kblk);
+  let data = Bytes.init (64 * 512) (fun i -> Char.chr (((i * 7) + 13) land 0xff)) in
+  ok (Xen.Blkif.write_sectors ~batch:8 fe ~sector:16 data);
+  (m, hv, dom, fe, data)
+
+(* Words one steady-state call allocates directly in the major heap, where
+   every page-sized buffer goes: [major - promoted] from [Gc.counters], as
+   test_sev's page-buffer pins count ([Gc.quick_stat] lags on OCaml 5). *)
+let direct_major_words f =
+  f ();
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  Float.to_int (major1 -. major0 -. (promoted1 -. promoted0))
+
+(* Recorded at the parent of the in-place change: 12,336 words for the
+   write (24 pages) and 16,434 for the read (24 pages and the result). *)
+let test_block_path_page_buffers () =
+  let _, _, _, fe, data = aesni_blk_env () in
+  Alcotest.(check int) "8-frame write_sectors: none" 0
+    (direct_major_words (fun () -> ok (Xen.Blkif.write_sectors ~batch:8 fe ~sector:16 data)));
+  (* 32 KiB of payload is 4,096 words, plus the header and padding words. *)
+  Alcotest.(check int) "8-frame read_sectors: the result only" 4098
+    (direct_major_words (fun () ->
+         ignore (ok (Xen.Blkif.read_sectors ~batch:8 fe ~sector:16 ~count:64))))
+
+(* Pins recorded at the parent of the in-place change: what crosses the 8
+   shared frames, and the ledger once the guest has read them back. *)
+let test_aesni_shared_frames_pinned () =
+  let m, hv, dom, _, _ = aesni_blk_env () in
+  let shared =
+    Hv.in_guest hv dom (fun () ->
+        Domain.read m dom ~addr:(Hw.Addr.addr_of 200 0) ~len:(8 * Hw.Addr.page_size))
+  in
+  Alcotest.(check string) "shared-frame ciphertext" "99d7bac9730fc7b56d48410a15ff4961"
+    (Digest.to_hex (Digest.bytes shared));
+  Alcotest.(check int) "ledger" 3777599 (Hw.Cost.total m.Hw.Machine.ledger)
+
+(* Every codec through the in-place frame buffer: 12 sectors are a full
+   frame plus a 4-sector chunk, which takes the exact-length buffer; the
+   5-sector read from an odd sector takes it on the way back. *)
+let test_five_codecs_roundtrip () =
+  let ((_, hv, fid) as env) = installed () in
+  let dom, prepared = protected_vm env "codecs" in
+  let kblk = prepared.Sev.Transport.Owner.kblk in
+  let disk = Xen.Vdisk.create ~nr_sectors:80 in
+  let fe, _ = ok (Xen.Blkif.connect ~buffer_pages:2 hv dom ~disk ~buffer_gvfn:200) in
+  let sev = ok (Fid.setup_sev_io fid dom ~md_gvfn:300) in
+  let gek = ok (Fid.setup_gek_io fid dom ~md_gvfn:310) in
+  List.iteri
+    (fun i codec ->
+      let name = codec.Xen.Blkif.codec_name in
+      Xen.Blkif.set_codec fe codec;
+      let sector = i * 16 in
+      let data = Bytes.init (12 * 512) (fun j -> Char.chr (((j * 13) + i) land 0xff)) in
+      ok (Xen.Blkif.write_sectors ~batch:2 fe ~sector data);
+      Alcotest.(check bool) (name ^ ": plaintext on the platter") (i = 0)
+        (Bytes.equal (Xen.Vdisk.peek disk ~sector ~count:12) data);
+      Alcotest.(check bool) (name ^ ": read back") true
+        (Bytes.equal (ok (Xen.Blkif.read_sectors ~batch:2 fe ~sector ~count:12)) data);
+      Alcotest.(check bool) (name ^ ": short read") true
+        (Bytes.equal
+           (ok (Xen.Blkif.read_sectors fe ~sector:(sector + 3) ~count:5))
+           (Bytes.sub data (3 * 512) (5 * 512))))
+    [ Xen.Blkif.identity_codec;
+      Fid.aesni_codec fid ~kblk;
+      Fid.software_codec fid ~kblk;
+      Fid.sev_codec sev;
+      Fid.gek_codec gek ]
+
 let test_sev_io_needs_protection () =
   let _, hv, fid = installed () in
   let plain_dom = Hv.create_domain hv ~name:"plain" ~memory_pages:4 in
@@ -1175,7 +1255,11 @@ let () =
           Alcotest.test_case "sev codec" `Quick test_sev_codec_roundtrip;
           Alcotest.test_case "software codec" `Quick test_software_codec_roundtrip;
           Alcotest.test_case "aes-ni batch-1 golden pins" `Quick test_aesni_codec_batch1_golden;
-          Alcotest.test_case "needs protection" `Quick test_sev_io_needs_protection ] );
+          Alcotest.test_case "needs protection" `Quick test_sev_io_needs_protection;
+          Alcotest.test_case "block path page buffers" `Quick test_block_path_page_buffers;
+          Alcotest.test_case "aes-ni shared frames pinned" `Quick
+            test_aesni_shared_frames_pinned;
+          Alcotest.test_case "five codecs round trip" `Quick test_five_codecs_roundtrip ] );
       ( "sharing",
         [ Alcotest.test_case "flow" `Quick test_sharing_flow;
           Alcotest.test_case "requires intent" `Quick test_sharing_requires_intent;

@@ -577,17 +577,34 @@ let test_backend_xex_sectors_equivalence =
           && Bytes.equal (Bytes.sub back src_off len) (Bytes.sub src src_off len)))
 
 (* The mli permits src == dst at the same offset; the SIMD cores load a
-   whole 8-block group before storing it, so this pins that contract. *)
+   whole 8-block group before storing it, so this pins that contract. The
+   disk codecs encode and decode the frame buffer in place through the
+   sectors call, so it is checked too, with a random stride and a sector
+   size of 1-32 blocks: the codec's 512 B sectors fill whole 8-block
+   groups. *)
 let test_backend_inplace_aliasing =
   QCheck.Test.make ~name:"every backend: in-place (src == dst) = out-of-place" ~count:100
-    (QCheck.triple (sized_string 16) QCheck.int64 (QCheck.int_bound 20))
-    (fun (k, tweak0, nblocks) ->
+    (QCheck.quad (sized_string 16) QCheck.int64 (QCheck.int_bound 20)
+       (QCheck.triple QCheck.int64 (QCheck.int_bound 7) (QCheck.int_bound 31)))
+    (fun (k, tweak0, nblocks, (sector_stride, nsectors, sblocks)) ->
       let nblocks = nblocks + 1 in
       let len = nblocks * 16 in
       let key = Aes.expand (Bytes.of_string k) in
       let rng = Rng.create tweak0 in
       let pt = Rng.bytes rng len in
+      let sector_bytes = (sblocks + 1) * 16 in
+      let spt = Rng.bytes rng (nsectors * sector_bytes) in
+      let sectors encrypt ~src ~dst =
+        (if encrypt then Modes.xex_encrypt_sectors else Modes.xex_decrypt_sectors)
+          key ~tweak0 ~sector_stride ~sector_bytes ~src ~src_off:0 ~dst ~dst_off:0 ~nsectors
+      in
       for_all_tiers (fun _ ->
+          let sout = Bytes.make (Bytes.length spt) '\000' in
+          sectors true ~src:spt ~dst:sout;
+          let sbuf = Bytes.copy spt in
+          sectors true ~src:sbuf ~dst:sbuf;
+          let dbuf = Bytes.copy sout in
+          sectors false ~src:dbuf ~dst:dbuf;
           let out = Bytes.make len '\000' in
           Modes.xex_encrypt_span key ~tweak0 ~tweak_step:16L ~src:pt ~src_off:0 ~dst:out
             ~dst_off:0 ~len;
@@ -598,7 +615,8 @@ let test_backend_inplace_aliasing =
           let ebuf = Bytes.copy pt in
           Aes.blocks_into key ~encrypt:true ~src:ebuf ~src_off:0 ~dst:ebuf ~dst_off:0
             ~nblocks;
-          Bytes.equal buf out && Bytes.equal ebuf ecb))
+          Bytes.equal buf out && Bytes.equal ebuf ecb && Bytes.equal sbuf sout
+          && Bytes.equal dbuf spt))
 
 let test_backend_golden_sweep () =
   (* The DESIGN.md 4c invariant, per backend: ciphertext bits never depend

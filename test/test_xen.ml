@@ -382,6 +382,12 @@ let test_vdisk () =
     (Bytes.for_all (fun c -> c = 'z') (Vdisk.read d ~sector:2 ~count:2));
   Alcotest.check_raises "oob" (Invalid_argument "Vdisk: sectors 7+2 out of range") (fun () ->
       ignore (Vdisk.read d ~sector:7 ~count:2));
+  (* sector + count wraps negative here; the range check must not. *)
+  let wrapping = Printf.sprintf "Vdisk: sectors %d+8 out of range" (max_int - 3) in
+  Alcotest.check_raises "oob read_into, wrapping sum" (Invalid_argument wrapping) (fun () ->
+      Vdisk.read_into d ~sector:(max_int - 3) ~count:8 ~dst:(Bytes.create 4096) ~dst_off:0);
+  Alcotest.check_raises "oob write_from, wrapping sum" (Invalid_argument wrapping) (fun () ->
+      Vdisk.write_from d ~sector:(max_int - 3) ~src:(Bytes.create 4096) ~src_off:0 ~len:4096);
   Alcotest.check_raises "partial sector"
     (Invalid_argument "Vdisk.write: length must be a multiple of the sector size") (fun () ->
       Vdisk.write d ~sector:0 (Bytes.create 100));
@@ -444,14 +450,31 @@ let test_blkif_malformed_descriptors () =
       req ~data_gref:gref ~sector:60 ~count:8 4;                       (* runs off the disk *)
       req ~data_gref:gref ~sector:(-1) 5;
       req ~data_gref:gref ~data_off:4000 6;                            (* span leaves the frame *)
-      req ~data_gref:99999 7 ]                                         (* not a data grant *)
+      req ~data_gref:99999 7;                                          (* not a data grant *)
+      (* sector + count and data_off + len wrap negative *)
+      req ~op:Ring.Read ~data_gref:gref ~sector:(max_int - 3) ~count:8 8;
+      req ~op:Ring.Write ~data_gref:gref ~sector:(max_int - 3) ~count:8 9;
+      req ~op:Ring.Read ~data_gref:gref ~data_off:(max_int - 100) 10;
+      req ~op:Ring.Write ~data_gref:gref ~data_off:(max_int - 100) 11 ]
   in
   let statuses = ok (Blkif.submit_batch fe bad) in
   let expect name pred st =
     Alcotest.(check bool) name true (match st with Error e -> pred e | Ok () -> false)
   in
+  let wrapped_sector = function
+    | Ring.Bad_sector { sector; count = 8; nr_sectors = 64 } -> sector = max_int - 3
+    | _ -> false
+  in
+  let wrapped_span = function
+    | Ring.Bad_span { data_off; len = 512; _ } -> data_off = max_int - 100
+    | _ -> false
+  in
   (match statuses with
-  | [ s1; s2; s3; s4; s5; s6; s7 ] ->
+  | [ s1; s2; s3; s4; s5; s6; s7; s8; s9; s10; s11 ] ->
+      expect "read: sector + count wraps" wrapped_sector s8;
+      expect "write: sector + count wraps" wrapped_sector s9;
+      expect "read: data_off + len wraps" wrapped_span s10;
+      expect "write: data_off + len wraps" wrapped_span s11;
       expect "count 0" (function Ring.Bad_count { count = 0; _ } -> true | _ -> false) s1;
       expect "count negative" (function Ring.Bad_count _ -> true | _ -> false) s2;
       expect "count > frame" (function Ring.Bad_count { count = 9; _ } -> true | _ -> false) s3;
@@ -461,11 +484,11 @@ let test_blkif_malformed_descriptors () =
       expect "sector negative" (function Ring.Bad_sector _ -> true | _ -> false) s5;
       expect "span overrun" (function Ring.Bad_span { data_off = 4000; _ } -> true | _ -> false) s6;
       expect "foreign gref" (function Ring.Bad_gref { gref = 99999; _ } -> true | _ -> false) s7
-  | l -> Alcotest.fail (Printf.sprintf "expected 7 statuses, got %d" (List.length l)));
+  | l -> Alcotest.fail (Printf.sprintf "expected 11 statuses, got %d" (List.length l)));
   (* Fail-closed means validate-then-charge: rejects cost the guest nothing. *)
   Alcotest.(check int) "no blk-io charged for rejects" blkio_before
     (Hw.Cost.category m.Hw.Machine.ledger "blk-io");
-  Alcotest.(check int) "all rejected" 7 (Blkif.requests_rejected be);
+  Alcotest.(check int) "all rejected" 11 (Blkif.requests_rejected be);
   (* Duplicate req_id inside one batch: first wins, second fails closed. *)
   let statuses =
     ok (Blkif.submit_batch fe [ req ~data_gref:gref ~sector:1 42; req ~data_gref:gref ~sector:2 42 ])
@@ -473,7 +496,104 @@ let test_blkif_malformed_descriptors () =
   (match statuses with
   | [ Ok (); Error (Ring.Duplicate_req_id { req_id = 42 }) ] -> ()
   | _ -> Alcotest.fail "duplicate req_id not failed closed");
-  Alcotest.(check int) "only the duplicate rejected" 8 (Blkif.requests_rejected be)
+  Alcotest.(check int) "only the duplicate rejected" 12 (Blkif.requests_rejected be)
+
+(* The ring is the untrusted-input boundary: batches of 1-8 descriptors
+   whose fields sit on and around every bound the backend checks. A model
+   that cannot overflow (sums in [Int64], wide enough for two 63-bit ints)
+   says which descriptors validation must refuse; the backend must agree,
+   raise nothing, never answer with [Backend_fault], and charge blk-io for
+   exactly the sectors of the descriptors it served. *)
+let mutation_nr_sectors = 64
+
+let mutation_env =
+  lazy
+    (let m, hv = boot () in
+     let dom = Hv.create_domain hv ~name:"g" ~memory_pages:8 in
+     let disk = Vdisk.create ~nr_sectors:mutation_nr_sectors in
+     let fe, _ = ok (Blkif.connect ~buffer_pages:2 hv dom ~disk ~buffer_gvfn:100) in
+     (m, fe))
+
+(* Grant choices: the queue's two data frames, then foreign references. *)
+let mutation_grefs fe =
+  [| Blkif.data_gref fe ~page:0; Blkif.data_gref fe ~page:1; 99999; -1; max_int; min_int |]
+
+let gen_descriptor =
+  let open QCheck.Gen in
+  let near_max = map (fun k -> max_int - k) (int_bound 8) in
+  let* count = oneof [ oneofl [ 0; 1; 7; 8; 9; -1; min_int; max_int ]; int_range 1 8 ] in
+  let room = mutation_nr_sectors - count in
+  let* sector =
+    oneof
+      [ oneofl [ 0; 1; -1; room - 1; room; room + 1; min_int ];
+        near_max;
+        int_bound mutation_nr_sectors ]
+  in
+  let span = Hw.Addr.page_size - (max 0 (min count 8) * Vdisk.sector_size) in
+  let* data_off =
+    oneof
+      [ oneofl [ 0; 1; -1; span - 1; span; span + 1; min_int ]; near_max; int_bound span ]
+  in
+  let* gref = frequency [ (3, int_bound 1); (1, int_range 2 5) ] in
+  let* req_id = int_bound 4 in
+  let* op = oneofl [ Ring.Read; Ring.Write ] in
+  return (op, sector, count, gref, data_off, req_id)
+
+let show_descriptor (op, sector, count, gref, data_off, req_id) =
+  Printf.sprintf "{%s sector=%d count=%d gref#%d off=%d id=%d}"
+    (match op with Ring.Read -> "R" | Ring.Write -> "W")
+    sector count gref data_off req_id
+
+let prop_ring_descriptor_mutation =
+  QCheck.Test.make ~count:300 ~name:"ring descriptors near every bound fail closed"
+    (QCheck.make
+       ~print:(fun ds -> String.concat " " (List.map show_descriptor ds))
+       QCheck.Gen.(list_size (int_range 1 8) gen_descriptor))
+    (fun descs ->
+      let m, fe = Lazy.force mutation_env in
+      let grefs = mutation_grefs fe in
+      let reqs =
+        List.map
+          (fun (op, sector, count, g, data_off, req_id) ->
+            { Ring.req_id; op; sector; count; data_gref = grefs.(g); data_off })
+          descs
+      in
+      let wide = Int64.of_int in
+      let within lo len limit =
+        lo >= 0 && Int64.compare (Int64.add (wide lo) (wide len)) (wide limit) <= 0
+      in
+      let seen = Hashtbl.create 8 in
+      let refuse (r : Ring.request) =
+        let bad =
+          r.Ring.count < 1 || r.Ring.count > Blkif.sectors_per_frame
+          || (not (within r.Ring.sector r.Ring.count mutation_nr_sectors))
+          || (not (within r.Ring.data_off (r.Ring.count * Vdisk.sector_size) Hw.Addr.page_size))
+          || Hashtbl.mem seen r.Ring.req_id
+        in
+        if not bad then Hashtbl.replace seen r.Ring.req_id ();
+        bad || not (r.Ring.data_gref = grefs.(0) || r.Ring.data_gref = grefs.(1))
+      in
+      let before = Hw.Cost.category m.Hw.Machine.ledger "blk-io" in
+      let statuses =
+        match Blkif.submit_batch fe reqs with
+        | Ok st -> st
+        | Error e -> QCheck.Test.fail_reportf "batch refused: %s" e
+      in
+      let charged = Hw.Cost.category m.Hw.Machine.ledger "blk-io" - before in
+      let served_sectors =
+        List.fold_left2
+          (fun acc (r : Ring.request) st -> if st = Ok () then acc + r.Ring.count else acc)
+          0 reqs statuses
+      in
+      List.iter2
+        (fun r st ->
+          match (refuse r, st) with
+          | _, Error (Ring.Backend_fault f) -> QCheck.Test.fail_reportf "Backend_fault %s" f
+          | true, Ok () -> QCheck.Test.fail_reportf "malformed descriptor served"
+          | false, Error e -> QCheck.Test.fail_reportf "valid refused: %s" (Ring.error_to_string e)
+          | _ -> ())
+        reqs statuses;
+      charged = m.Hw.Machine.costs.Hw.Cost.io_sector * served_sectors)
 
 let test_blkif_response_without_request () =
   let _, hv = boot () in
@@ -819,6 +939,7 @@ let () =
           Alcotest.test_case "chunking" `Quick test_blkif_large_transfer_chunks;
           Alcotest.test_case "validation" `Quick test_blkif_validation;
           Alcotest.test_case "malformed descriptors" `Quick test_blkif_malformed_descriptors;
+          QCheck_alcotest.to_alcotest prop_ring_descriptor_mutation;
           Alcotest.test_case "response without request" `Quick
             test_blkif_response_without_request;
           Alcotest.test_case "submit backpressure" `Quick test_blkif_submit_backpressure;
