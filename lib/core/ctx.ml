@@ -21,7 +21,6 @@ type t = {
   mutable gate2_count : int;
   mutable gate3_count : int;
   mutable violations : string list;
-  write_once_done : (string, unit) Hashtbl.t;
   exec_once_done : (string, unit) Hashtbl.t;
   write_once_bits : (string, Bytes.t) Hashtbl.t;
 }

@@ -14,7 +14,9 @@ type t = {
   machine : Hw.Machine.t;
   pit : Pit.t;
   git : Git_table.t;
-  shadows : (int, Shadow.t) Hashtbl.t;  (** domid -> shadow state *)
+  shadows : (int, Shadow.t) Hashtbl.t;
+      (** domid -> shadow state of each live protected domain; the
+          teardown ({!Lifecycle.shutdown_protected_vm}) drops the entry *)
   fid_text : Hw.Addr.pfn list;          (** Fidelius code, mapped RX in Xen *)
   vmrun_page : Hw.Addr.pfn;             (** VMRUN's only home, normally unmapped *)
   vmrun_pfns : Hw.Addr.pfn list;
@@ -37,10 +39,10 @@ type t = {
   mutable gate2_count : int;
   mutable gate3_count : int;
   mutable violations : string list;     (** audit log of denied operations *)
-  write_once_done : (string, unit) Hashtbl.t;  (** write-once regions already written *)
   exec_once_done : (string, unit) Hashtbl.t;
   write_once_bits : (string, Bytes.t) Hashtbl.t;
-      (** per-region bit-vector, one bit per byte (paper Section 5.3) *)
+      (** the write-once policy's state: per-region bit-vector, one bit
+          per byte (paper Section 5.3) *)
 }
 
 val is_protected : t -> int -> bool

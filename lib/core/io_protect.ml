@@ -35,14 +35,6 @@ let xex_sectors ~key ~sector ~encrypt data =
   xex_sectors_into ~key ~sector ~encrypt ~src:data ~dst:out;
   out
 
-(* The firmware codecs work a sector at a time: each sector's result is
-   blitted back over it. *)
-let per_sector f ~sector buf =
-  for i = 0 to whole_sectors buf - 1 do
-    let off = i * sector_size in
-    Bytes.blit (f ~sector:(sector + i) (Bytes.sub buf off sector_size)) 0 buf off sector_size
-  done
-
 (* Per-codec charge labels, interned once (at module init for the fixed
    codecs, at codec construction for [keyed_codec]) so the per-transfer
    charge never hashes the label string. *)
@@ -78,158 +70,108 @@ let software_codec ctx ~kblk =
     ~rate:ctx.Ctx.machine.Hw.Machine.costs.Hw.Cost.sw_aes_block
     ~label:"io-encode-sw" ~kblk
 
-type sev_io = {
-  io_ctx : Ctx.t;
-  dom : Xen.Domain.t;
-  s_handle : int;
-  r_handle : int;
-  md_pfn : Hw.Addr.pfn;
-  md_gva : int;
-}
+(* --- staged firmware codecs ------------------------------------------------ *)
+
+(* Md: the guest-private staging page both firmware codecs write each
+   sector through, so the firmware reads and writes it under Kvek. *)
+type md = { md_ctx : Ctx.t; md_dom : Xen.Domain.t; md_pfn : Hw.Addr.pfn; md_gva : int }
 
 let ( let* ) = Result.bind
 
-let setup_sev_io ctx (dom : Xen.Domain.t) ~md_gvfn =
+(* Map and zero Md at [md_gvfn]; returns the guest's firmware handle with
+   it. [who] prefixes the errors. *)
+let setup_md ctx ~who (dom : Xen.Domain.t) ~md_gvfn =
   let hv = ctx.Ctx.hv in
   let machine = ctx.Ctx.machine in
-  let fw = hv.Xen.Hypervisor.fw in
   match dom.Xen.Domain.sev_handle with
-  | None -> Error "sev_io: domain is not SEV-protected"
-  | Some guest_handle ->
-      (* Guest-private staging buffer Md. *)
+  | None -> Error (who ^ ": domain is not SEV-protected")
+  | Some handle -> (
       let md_gfn = Xen.Domain.alloc_gfn dom in
       Xen.Domain.guest_map dom ~gvfn:md_gvfn ~gfn:md_gfn ~writable:true ~executable:false
         ~c_bit:true;
       let md_gva = Hw.Addr.addr_of md_gvfn 0 in
       Xen.Hypervisor.in_guest hv dom (fun () ->
           Xen.Domain.write machine dom ~addr:md_gva (Bytes.make Hw.Addr.page_size '\000'));
-      let* md_pfn =
-        match Hw.Pagetable.lookup dom.Xen.Domain.npt md_gfn with
-        | Some npte -> Ok npte.Hw.Pagetable.frame
-        | None -> Error "sev_io: Md page not backed"
-      in
-      (* Helper contexts: s-dom shares Kvek and goes SENDING; r-dom shares
-         Kvek and the same transport keys, and goes RECEIVING. *)
-      let* s_handle = Sev.Firmware.launch_shared fw ~handle:guest_handle in
-      let nonce = Rng.next64 machine.Hw.Machine.rng in
-      let platform = Sev.Firmware.platform_public fw in
-      let* wrapped = Sev.Firmware.send_start fw ~handle:s_handle ~target_public:platform ~nonce in
-      let* r_handle =
-        Sev.Firmware.receive_start fw ~wrapped ~origin_public:platform ~nonce
-          ~policy:Sev.Firmware.policy_nodbg ~kvek_of:guest_handle ()
-      in
-      Ok { io_ctx = ctx; dom; s_handle; r_handle; md_pfn; md_gva }
+      match Hw.Pagetable.lookup dom.Xen.Domain.npt md_gfn with
+      | Some npte ->
+          Ok (handle, { md_ctx = ctx; md_dom = dom; md_pfn = npte.Hw.Pagetable.frame; md_gva })
+      | None -> Error (who ^ ": Md page not backed"))
 
-let sev_codec io =
-  let ctx = io.io_ctx in
+(* The one per-sector body of both firmware codecs. Encoding stages each
+   sector in Md from inside the guest, then [out] (SEND_UPDATE(io) or ENC)
+   turns it into ciphertext for the shared frame; decoding has [into]
+   (RECEIVE_UPDATE(io) or DEC) land the ciphertext in Md, and the guest
+   reads the plaintext back. The sector number is the CTR nonce both ways,
+   and each sector's result is blitted back over it. *)
+let staged_codec md ~name ~label ~out ~into =
+  let ctx = md.md_ctx in
   let hv = ctx.Ctx.hv in
   let machine = ctx.Ctx.machine in
-  let fw = hv.Xen.Hypervisor.fw in
+  let dom = md.md_dom in
   let rate = machine.Hw.Machine.costs.Hw.Cost.sev_engine_block in
-  let fail msg = failwith ("sev_codec: " ^ msg) in
-  let encode ~sector data =
-    charge_blocks ctx c_io_sev rate data;
-    per_sector
-      (fun ~sector piece ->
-        (* Stage through Md (guest-private, Kvek), then SEND_UPDATE turns
-           it into transport ciphertext for the shared buffer. *)
-        Xen.Hypervisor.in_guest hv io.dom (fun () ->
-            Xen.Domain.write machine io.dom ~addr:io.md_gva piece);
-        match
-          Sev.Firmware.send_update_io fw ~handle:io.s_handle
-            ~nonce:(Int64.of_int sector) ~src_pfn:io.md_pfn ~len:sector_size
-        with
-        | Ok cipher -> cipher
-        | Error e -> fail e)
-      ~sector data
+  let result = function Ok v -> v | Error e -> failwith (name ^ " codec: " ^ e) in
+  let per_sector f ~sector buf =
+    charge_blocks ctx label rate buf;
+    for i = 0 to whole_sectors buf - 1 do
+      let off = i * sector_size in
+      let piece = f ~nonce:(Int64.of_int (sector + i)) (Bytes.sub buf off sector_size) in
+      Bytes.blit piece 0 buf off sector_size
+    done
   in
-  let decode ~sector data =
-    charge_blocks ctx c_io_sev rate data;
-    per_sector
-      (fun ~sector piece ->
-        match
-          Sev.Firmware.receive_update_io fw ~handle:io.r_handle
-            ~nonce:(Int64.of_int sector) ~cipher:piece ~dst_pfn:io.md_pfn
-        with
-        | Error e -> fail e
-        | Ok () ->
-            Xen.Hypervisor.in_guest hv io.dom (fun () ->
-                Xen.Domain.read machine io.dom ~addr:io.md_gva ~len:sector_size))
-      ~sector data
+  let encode =
+    per_sector (fun ~nonce piece ->
+        Xen.Hypervisor.in_guest hv dom (fun () ->
+            Xen.Domain.write machine dom ~addr:md.md_gva piece);
+        result (out ~nonce ~src_pfn:md.md_pfn ~len:sector_size))
   in
-  { Xen.Blkif.codec_name = "sev-api"; encode; decode }
+  let decode =
+    per_sector (fun ~nonce cipher ->
+        result (into ~nonce ~cipher ~dst_pfn:md.md_pfn);
+        Xen.Hypervisor.in_guest hv dom (fun () ->
+            Xen.Domain.read machine dom ~addr:md.md_gva ~len:sector_size))
+  in
+  { Xen.Blkif.codec_name = name; encode; decode }
+
+let fw_of md = md.md_ctx.Ctx.hv.Xen.Hypervisor.fw
+
+type sev_io = { sev_md : md; s_handle : int; r_handle : int }
+
+let setup_sev_io ctx dom ~md_gvfn =
+  let* guest_handle, md = setup_md ctx ~who:"sev_io" dom ~md_gvfn in
+  let fw = fw_of md in
+  (* Helper contexts: s-dom shares Kvek and goes SENDING; r-dom shares
+     Kvek and the same transport keys, and goes RECEIVING. *)
+  let* s_handle = Sev.Firmware.launch_shared fw ~handle:guest_handle in
+  let nonce = Rng.next64 ctx.Ctx.machine.Hw.Machine.rng in
+  let platform = Sev.Firmware.platform_public fw in
+  let* wrapped = Sev.Firmware.send_start fw ~handle:s_handle ~target_public:platform ~nonce in
+  let* r_handle =
+    Sev.Firmware.receive_start fw ~wrapped ~origin_public:platform ~nonce
+      ~policy:Sev.Firmware.policy_nodbg ~kvek_of:guest_handle ()
+  in
+  Ok { sev_md = md; s_handle; r_handle }
+
+let sev_codec io =
+  let fw = fw_of io.sev_md in
+  staged_codec io.sev_md ~name:"sev-api" ~label:c_io_sev
+    ~out:(Sev.Firmware.send_update_io fw ~handle:io.s_handle)
+    ~into:(Sev.Firmware.receive_update_io fw ~handle:io.r_handle)
 
 let helper_handles io = (io.s_handle, io.r_handle)
 
-(* --- customized-key codec ------------------------------------------------ *)
+type gek_io = { gek_md : md; g_handle : int; g_gek : int }
 
-type gek_io = {
-  g_ctx : Ctx.t;
-  g_dom : Xen.Domain.t;
-  g_handle : int;
-  g_gek : int;
-  g_md_pfn : Hw.Addr.pfn;
-  g_md_gva : int;
-}
-
-let setup_gek_io ctx (dom : Xen.Domain.t) ~md_gvfn =
-  let hv = ctx.Ctx.hv in
-  let machine = ctx.Ctx.machine in
-  match dom.Xen.Domain.sev_handle with
-  | None -> Error "gek_io: domain is not SEV-protected"
-  | Some handle ->
-      let md_gfn = Xen.Domain.alloc_gfn dom in
-      Xen.Domain.guest_map dom ~gvfn:md_gvfn ~gfn:md_gfn ~writable:true ~executable:false
-        ~c_bit:true;
-      let md_gva = Hw.Addr.addr_of md_gvfn 0 in
-      Xen.Hypervisor.in_guest hv dom (fun () ->
-          Xen.Domain.write machine dom ~addr:md_gva (Bytes.make Hw.Addr.page_size '\000'));
-      let* md_pfn =
-        match Hw.Pagetable.lookup dom.Xen.Domain.npt md_gfn with
-        | Some npte -> Ok npte.Hw.Pagetable.frame
-        | None -> Error "gek_io: Md page not backed"
-      in
-      (* One command; the guest stays RUNNING. *)
-      let* gek = Sev.Firmware.setenc_gek hv.Xen.Hypervisor.fw ~handle in
-      Ok { g_ctx = ctx; g_dom = dom; g_handle = handle; g_gek = gek; g_md_pfn = md_pfn;
-           g_md_gva = md_gva }
+let setup_gek_io ctx dom ~md_gvfn =
+  let* handle, md = setup_md ctx ~who:"gek_io" dom ~md_gvfn in
+  (* One command; the guest stays RUNNING. *)
+  let* gek = Sev.Firmware.setenc_gek (fw_of md) ~handle in
+  Ok { gek_md = md; g_handle = handle; g_gek = gek }
 
 let gek_codec io =
-  let ctx = io.g_ctx in
-  let hv = ctx.Ctx.hv in
-  let machine = ctx.Ctx.machine in
-  let fw = hv.Xen.Hypervisor.fw in
-  let rate = machine.Hw.Machine.costs.Hw.Cost.sev_engine_block in
-  let fail msg = failwith ("gek_codec: " ^ msg) in
-  let encode ~sector data =
-    charge_blocks ctx c_io_gek rate data;
-    per_sector
-      (fun ~sector piece ->
-        Xen.Hypervisor.in_guest hv io.g_dom (fun () ->
-            Xen.Domain.write machine io.g_dom ~addr:io.g_md_gva piece);
-        match
-          Sev.Firmware.enc_range fw ~handle:io.g_handle ~gek:io.g_gek
-            ~nonce:(Int64.of_int sector) ~src_pfn:io.g_md_pfn ~len:sector_size
-        with
-        | Ok cipher -> cipher
-        | Error e -> fail e)
-      ~sector data
-  in
-  let decode ~sector data =
-    charge_blocks ctx c_io_gek rate data;
-    per_sector
-      (fun ~sector piece ->
-        match
-          Sev.Firmware.dec_range fw ~handle:io.g_handle ~gek:io.g_gek
-            ~nonce:(Int64.of_int sector) ~cipher:piece ~dst_pfn:io.g_md_pfn
-        with
-        | Error e -> fail e
-        | Ok () ->
-            Xen.Hypervisor.in_guest hv io.g_dom (fun () ->
-                Xen.Domain.read machine io.g_dom ~addr:io.g_md_gva ~len:sector_size))
-      ~sector data
-  in
-  { Xen.Blkif.codec_name = "gek"; encode; decode }
+  let fw = fw_of io.gek_md in
+  staged_codec io.gek_md ~name:"gek" ~label:c_io_gek
+    ~out:(Sev.Firmware.enc_range fw ~handle:io.g_handle ~gek:io.g_gek)
+    ~into:(Sev.Firmware.dec_range fw ~handle:io.g_handle ~gek:io.g_gek)
 
 let gek_id io = io.g_gek
 

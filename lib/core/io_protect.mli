@@ -11,9 +11,16 @@
       (perpetually SENDING, sharing the guest's Kvek) encodes outbound data
       Kvek→Ktek through SEND_UPDATE; the r-dom (perpetually RECEIVING,
       sharing Kvek and Ktek) decodes inbound data through RECEIVE_UPDATE.
-      Data staged through the guest-private Md buffer page.
+    - {!gek_codec}: the same datapath through the paper's proposed GEK
+      instructions (Section 8).
     - {!software_codec}: plain software AES, the ablation baseline the paper
-      reports as >20x slower than either hardware path. *)
+      reports as >20x slower than either hardware path.
+
+    The two firmware codecs are one staged codec: each sector is written
+    through the guest-private Md page, which both set-ups map the same
+    way, and transformed by one firmware command pair. They differ only
+    in their name, their charge label ([io-encode-sev] or
+    [io-encode-gek]) and that command pair. *)
 
 module Hw = Fidelius_hw
 module Xen = Fidelius_xen
@@ -40,14 +47,17 @@ val helper_handles : sev_io -> int * int
 (** {2 Customized-key codec (paper Section 8, suggestion 2)}
 
     The same data path as {!sev_codec} but through the proposed
-    SETENC_GEK/ENC/DEC instruction family: one firmware command to set up
-    instead of three, no helper contexts left perpetually in SENDING and
-    RECEIVING states, and the guest context itself stays RUNNING. *)
+    SETENC_GEK/ENC/DEC instruction family. The gain is a simpler set-up:
+    one firmware command instead of three, no helper contexts left
+    perpetually in SENDING and RECEIVING states, and the guest context
+    itself stays RUNNING. *)
 
 type gek_io
 
 val setup_gek_io :
   Ctx.t -> Xen.Domain.t -> md_gvfn:Hw.Addr.vfn -> (gek_io, string) result
+(** SETENC_GEK for the guest, and the same Md staging page as
+    {!setup_sev_io}. *)
 
 val gek_codec : gek_io -> Xen.Blkif.codec
 

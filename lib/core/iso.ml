@@ -341,7 +341,6 @@ let install hv =
       gate2_count = 0;
       gate3_count = 0;
       violations = [];
-      write_once_done = Hashtbl.create 8;
       exec_once_done = Hashtbl.create 8;
       write_once_bits = Hashtbl.create 8 }
   in

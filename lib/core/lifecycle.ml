@@ -55,19 +55,30 @@ type session = {
 
 let session_domain s = s.dom
 
-let rollback_session s err =
-  let ctx = s.ctx in
+(* The one teardown of a protected domain (paper Section 4.3.8), for a
+   shutdown and for a refused or aborted receive alike. Clear the NPT
+   under teardown authority so PIT validity is maintained; destroy the
+   domain, which DEACTIVATEs and DECOMMISSIONs its firmware context while
+   the frame release hooks scrub PIT entries and hand frames back to the
+   hypervisor; then revoke its GIT intents and drop its shadow and its
+   protected mark. *)
+let teardown ctx (dom : Xen.Domain.t) =
   let hv = ctx.Ctx.hv in
-  s.closed <- true;
-  ctx.Ctx.boot_window <- None;
-  ctx.Ctx.protected_domids <-
-    List.filter (fun d -> d <> s.dom.Xen.Domain.domid) ctx.Ctx.protected_domids;
-  ctx.Ctx.teardown_for <- Some s.dom.Xen.Domain.domid;
+  let domid = dom.Xen.Domain.domid in
+  ctx.Ctx.teardown_for <- Some domid;
   List.iter
-    (fun (gfn, _) -> ignore (hv.Xen.Hypervisor.med.Xen.Hypervisor.npt_update s.dom gfn None))
-    (Hw.Pagetable.mapped_frames s.dom.Xen.Domain.npt);
+    (fun (gfn, _) -> ignore (hv.Xen.Hypervisor.med.Xen.Hypervisor.npt_update dom gfn None))
+    (Hw.Pagetable.mapped_frames dom.Xen.Domain.npt);
+  Xen.Hypervisor.destroy_domain hv dom;
   ctx.Ctx.teardown_for <- None;
-  Xen.Hypervisor.destroy_domain hv s.dom;
+  Git_table.revoke_domain ctx.Ctx.git ~initiator:domid;
+  Hashtbl.remove ctx.Ctx.shadows domid;
+  ctx.Ctx.protected_domids <- List.filter (fun d -> d <> domid) ctx.Ctx.protected_domids
+
+let rollback_session s err =
+  s.closed <- true;
+  s.ctx.Ctx.boot_window <- None;
+  teardown s.ctx s.dom;
   Error err
 
 let receive_abort s = if not s.closed then ignore (rollback_session s (Failed "aborted"))
@@ -181,21 +192,7 @@ let boot_protected_vm ctx ~name ~memory_pages ~prepared =
     in
     receive_complete s ~expected:image.Sev.Transport.measurement
 
-let shutdown_protected_vm ctx dom =
-  let hv = ctx.Ctx.hv in
-  (* Clear the NPT under teardown authority so PIT validity is maintained. *)
-  ctx.Ctx.teardown_for <- Some dom.Xen.Domain.domid;
-  List.iter
-    (fun (gfn, _) -> ignore (hv.Xen.Hypervisor.med.Xen.Hypervisor.npt_update dom gfn None))
-    (Hw.Pagetable.mapped_frames dom.Xen.Domain.npt);
-  (* DEACTIVATE/DECOMMISSION happen inside destroy_domain; frame release
-     hooks scrub PIT entries and hand frames back to the hypervisor. *)
-  Xen.Hypervisor.destroy_domain hv dom;
-  ctx.Ctx.teardown_for <- None;
-  Git_table.revoke_domain ctx.Ctx.git ~initiator:dom.Xen.Domain.domid;
-  Hashtbl.remove ctx.Ctx.shadows dom.Xen.Domain.domid;
-  ctx.Ctx.protected_domids <-
-    List.filter (fun d -> d <> dom.Xen.Domain.domid) ctx.Ctx.protected_domids
+let shutdown_protected_vm = teardown
 
 let write_start_info ?(off = 0) ctx dom data =
   let* () =
@@ -208,17 +205,31 @@ let write_start_info ?(off = 0) ctx dom data =
   match Hw.Pagetable.lookup dom.Xen.Domain.npt 0 with
   | None -> Error "start_info: gfn 0 not populated"
   | Some npte ->
-      ctx.Ctx.boot_window <- Some dom.Xen.Domain.domid;
       let med = ctx.Ctx.hv.Xen.Hypervisor.med in
       let pfn = npte.Hw.Pagetable.frame in
-      let* () =
-        med.Xen.Hypervisor.host_map_update pfn
-          (Some { Hw.Pagetable.frame = pfn; writable = true; executable = false; c_bit = false })
+      (* The boot window and the writable mapping last for this one write:
+         both close on every exit, a refused map or a raising write
+         included. *)
+      ctx.Ctx.boot_window <- Some dom.Xen.Domain.domid;
+      let close () =
+        let unmapped = med.Xen.Hypervisor.host_map_update pfn None in
+        ctx.Ctx.boot_window <- None;
+        unmapped
       in
-      Xen.Hypervisor.host_write ctx.Ctx.hv pfn ~off data;
-      let* () = med.Xen.Hypervisor.host_map_update pfn None in
-      ctx.Ctx.boot_window <- None;
-      Ok ()
+      match
+        let* () =
+          med.Xen.Hypervisor.host_map_update pfn
+            (Some { Hw.Pagetable.frame = pfn; writable = true; executable = false; c_bit = false })
+        in
+        Ok (Xen.Hypervisor.host_write ctx.Ctx.hv pfn ~off data)
+      with
+      | exception e ->
+          ignore (close ());
+          raise e
+      | written ->
+          let unmapped = close () in
+          let* () = written in
+          unmapped
 
 let kblk_of_guest ctx (dom : Xen.Domain.t) =
   Xen.Hypervisor.in_guest ctx.Ctx.hv dom (fun () ->

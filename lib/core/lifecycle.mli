@@ -52,7 +52,8 @@ val boot_protected_vm :
     RECEIVE_FINISH's measurement check inside {!receive_complete}
     passes. Any failing step rolls the partial domain back and poisons
     the session; later calls on a poisoned (or completed) session return
-    [Failed]. *)
+    [Failed]. A rollback is the same teardown as
+    {!shutdown_protected_vm}. *)
 
 type session
 (** A partially received protected domain: keys unwrapped, zero or more
@@ -92,9 +93,9 @@ val receive_complete : session -> expected:bytes -> (Xen.Domain.t, boot_error) r
     has executed. *)
 
 val receive_abort : session -> unit
-(** Tear the partial domain down (idempotent; no-op after completion or a
-    rollback). The migration driver calls this when the wire breaks
-    mid-stream. *)
+(** Tear the partial domain down through {!shutdown_protected_vm}'s
+    teardown (idempotent; no-op after completion or a rollback). The
+    migration driver calls this when the wire breaks mid-stream. *)
 
 val session_domain : session -> Xen.Domain.t
 (** The not-yet-runnable domain under construction — exposed for
@@ -104,14 +105,20 @@ val start : Ctx.t -> Xen.Domain.t -> (unit, string) result
 (** (Re-)enter the guest through the gated VMRUN path. *)
 
 val shutdown_protected_vm : Ctx.t -> Xen.Domain.t -> unit
-(** The paper's Section 4.3.8: DEACTIVATE and DECOMMISSION the firmware
-    context, clear the NPT under teardown authority, reset PIT entries,
-    revoke GIT intents, scrub and release the frames, drop the shadow. *)
+(** The paper's Section 4.3.8, the one teardown of a protected domain
+    (a refused or aborted receive runs it too): clear the NPT under
+    teardown authority, DEACTIVATE and DECOMMISSION the firmware context,
+    reset PIT entries, scrub and release the frames, revoke GIT intents,
+    and drop the shadow and the protected mark. *)
 
 val write_start_info : ?off:int -> Ctx.t -> Xen.Domain.t -> bytes -> (unit, string) result
 (** Hypervisor-side write into the guest's start_info page, governed by the
-    byte-granular write-once policy (paper Section 5.3): disjoint ranges may
-    each be written once during construction; rewriting any byte is denied. *)
+    byte-granular write-once policy ({!Policy.write_once_range}, paper
+    Section 5.3): disjoint ranges may each be written once during
+    construction; rewriting any byte, or a range outside the page, is
+    denied. The boot window that lets the hypervisor map the frame
+    writable opens for this one write and closes, with the frame
+    unmapped, on every exit. *)
 
 val kblk_of_guest : Ctx.t -> Xen.Domain.t -> bytes
 (** The disk encryption key the owner embedded in kernel page 0 — readable

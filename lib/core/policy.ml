@@ -211,16 +211,11 @@ let check_cr3 ctx v =
   if Int64.to_int v = host_id then Ok ()
   else deny ctx (Printf.sprintf "CR3 policy: 0x%Lx is not a valid target address space" v)
 
-let write_once ctx ~region =
-  if Hashtbl.mem ctx.Ctx.write_once_done region then
-    deny ctx (Printf.sprintf "write-once policy: %s already written" region)
-  else begin
-    Hashtbl.replace ctx.Ctx.write_once_done region ();
-    Ok ()
-  end
-
+(* [off] is hypervisor-chosen: compare by subtraction, since [off + len]
+   wraps negative for an [off] near [max_int] and would let the range
+   through unrecorded. *)
 let write_once_range ctx ~region ~off ~len =
-  if off < 0 || len <= 0 || off + len > Hw.Addr.page_size then
+  if off < 0 || len <= 0 || off > Hw.Addr.page_size - len then
     deny ctx (Printf.sprintf "write-once: range %d+%d outside the region" off len)
   else begin
     let bits =

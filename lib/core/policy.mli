@@ -44,17 +44,14 @@ val check_efer : Ctx.t -> int64 -> (unit, string) result
 val check_cr3 : Ctx.t -> int64 -> (unit, string) result
 (** The target must be the valid host address space. *)
 
-val write_once : Ctx.t -> region:string -> (unit, string) result
-(** Enforce the write-once policy for a named region (start_info,
-    shared_info): the first call succeeds, later calls are denied and
-    audited. *)
-
 val write_once_range :
   Ctx.t -> region:string -> off:int -> len:int -> (unit, string) result
-(** Byte-granular write-once, as the paper implements it: "a bit-vector to
-    record specific memory regions with one bit per byte" (Section 5.3).
-    Disjoint first-time writes to a region succeed; any byte written twice
-    is denied and audited. *)
+(** The write-once policy for a named page-sized region (start_info), as
+    the paper implements it: "a bit-vector to record specific memory
+    regions with one bit per byte" (Section 5.3). Disjoint first-time
+    writes to a region succeed; any byte written twice is denied and
+    audited, and so is any range that leaves the page, however large
+    [off] is. *)
 
 val exec_once : Ctx.t -> what:string -> (unit, string) result
 (** Execute-once policy for lgdt/lidt-class instructions. *)

@@ -221,9 +221,20 @@ let store_word dst off w =
   Bytes.unsafe_set dst (off + 2) (Char.unsafe_chr ((w lsr 8) land 0xff));
   Bytes.unsafe_set dst (off + 3) (Char.unsafe_chr (w land 0xff))
 
-let check_range name buf off =
-  if off < 0 || off + block_size > Bytes.length buf then
+(* Range checks compare by subtraction, and bound a count by the space
+   left before multiplying: [off + len] and [count * width] wrap for
+   values near [max_int], and the C side (and the reference's
+   [unsafe_get]) trust what passes. *)
+let check_run name buf off len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
     invalid_arg ("Aes: " ^ name ^ " range out of bounds")
+
+(* [count] items of [width] bytes, [width] positive. *)
+let check_items name buf off ~count ~width =
+  if off < 0 || count < 0 || off > Bytes.length buf || count > (Bytes.length buf - off) / width
+  then invalid_arg ("Aes: " ^ name ^ " range out of bounds")
+
+let check_range name buf off = check_run name buf off block_size
 
 (* The four state words are fully loaded before anything is stored, so
    src and dst may alias (in-place block operations are safe). *)
@@ -337,13 +348,9 @@ let decrypt_block_reference key cipher =
 (* Bulk entry points — one C call per run of blocks. The C side trusts the
    caller, so all bounds are validated here. *)
 
-let check_run name buf off nbytes =
-  if off < 0 || nbytes < 0 || off + nbytes > Bytes.length buf then
-    invalid_arg ("Aes: " ^ name ^ " range out of bounds")
-
 let blocks_into key ~encrypt ~src ~src_off ~dst ~dst_off ~nblocks =
-  check_run "src" src src_off (nblocks * block_size);
-  check_run "dst" dst dst_off (nblocks * block_size);
+  check_items "src" src src_off ~count:nblocks ~width:block_size;
+  check_items "dst" dst dst_off ~count:nblocks ~width:block_size;
   stub_blocks key.rk encrypt src src_off dst dst_off nblocks
 
 let ctr_into key ~nonce ~src ~dst ~len =
@@ -363,7 +370,7 @@ let xex_sectors_into key ~encrypt ~tweak0 ~sector_stride ~sector_bytes ~src ~src
   if sector_bytes <= 0 || sector_bytes mod block_size <> 0 then
     invalid_arg "Aes.xex_sectors_into: sector_bytes must be a positive multiple of 16";
   if nsectors < 0 then invalid_arg "Aes.xex_sectors_into: nsectors must be >= 0";
-  check_run "src" src src_off (nsectors * sector_bytes);
-  check_run "dst" dst dst_off (nsectors * sector_bytes);
+  check_items "src" src src_off ~count:nsectors ~width:sector_bytes;
+  check_items "dst" dst dst_off ~count:nsectors ~width:sector_bytes;
   stub_xex_sectors key.rk encrypt tweak0 sector_stride src src_off dst dst_off sector_bytes
     nsectors

@@ -59,7 +59,7 @@ let eq_32 a a_off b b_off =
   !diff = 0
 
 let verify_build k f ~tag ~tag_off =
-  if tag_off < 0 || tag_off + 32 > Bytes.length tag then false
+  if tag_off < 0 || tag_off > Bytes.length tag - 32 then false
   else begin
     let s = Domain.DLS.get scratch in
     fill_tag k f s.tag 0;

@@ -1,8 +1,11 @@
 (** Block-cipher modes of operation built on {!Aes}.
 
-    - ECB: used only by the key-wrapping primitive and tests.
+    - ECB: no library caller. The tests use it to cross-check the bulk
+      block entry point on every AES tier, and the bechamel bench times
+      it ([ecb-4KiB]).
     - CTR: stream encryption of arbitrary-length buffers; used for the
-      transport encryption (TEK) of SEV SEND/RECEIVE images.
+      transport encryption (TEK) of SEV SEND/RECEIVE images, the
+      key-wrapping primitive, and both firmware I/O codecs.
     - XEX: tweakable per-block mode keyed by a 64-bit tweak. This is how the
       memory-controller engine binds ciphertext to the physical address, so
       moving ciphertext between physical locations (a remap/replay splice)

@@ -144,7 +144,8 @@ let feed_range ctx data off len =
 let feed ctx data = feed_range ctx data 0 (Bytes.length data)
 
 let feed_sub ctx data ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length data then
+  (* By subtraction: [off + len] wraps for an [off] near [max_int]. *)
+  if off < 0 || len < 0 || off > Bytes.length data - len then
     invalid_arg "Sha256.feed_sub: range out of bounds";
   feed_range ctx data off len
 
@@ -177,7 +178,7 @@ let feed_u64_be ctx v =
   end
 
 let finalize_into ctx ~dst ~dst_off =
-  if dst_off < 0 || dst_off + 32 > Bytes.length dst then
+  if dst_off < 0 || dst_off > Bytes.length dst - 32 then
     invalid_arg "Sha256.finalize_into: dst range out of bounds";
   let bitlen = Int64.of_int (ctx.total * 8) in
   (* Pad in the pending block itself: 0x80, zeros, 64-bit bit length. *)

@@ -8,6 +8,7 @@ module Addr = Fidelius_hw.Addr
 module Cost = Fidelius_hw.Cost
 module Plan = Fidelius_inject.Plan
 module Site = Fidelius_inject.Site
+module Aes = Fidelius_crypto.Aes
 
 type handle = int
 
@@ -54,15 +55,17 @@ type t = {
   platform_secret : Dh.secret;
   platform_pub : Dh.public;
   rng : Rng.t;
-  geks : (handle * int, bytes) Hashtbl.t;
+  geks : (handle * int, Aes.key) Hashtbl.t;
+      (* each GEK expanded once, at SETENC_GEK; DECOMMISSION of the
+         handle drops them *)
   mutable next_gek : int;
   mutable fw_version : version;
-  (* Page scratch for the migration page commands: SEND_UPDATE stages
-     plaintext in [plain], RECEIVE_UPDATE(_in_place) stages ciphertext in
-     [cipher] and plaintext in [plain]. Nothing in them outlives one
-     command, so one pair per firmware (hence per machine, local to one
-     fleet job) serves every page; what a command returns is always a
-     fresh buffer. *)
+  (* Page scratch for the page commands: SEND_UPDATE and the I/O
+     transforms stage plaintext in [plain], RECEIVE_UPDATE(_in_place)
+     stages ciphertext in [cipher] and plaintext in [plain]. Nothing in
+     them outlives one command, so one pair per firmware (hence per
+     machine, local to one fleet job) serves every page; what a command
+     returns is always a fresh buffer. *)
   plain : bytes;
   cipher : bytes;
 }
@@ -225,9 +228,10 @@ let decommission t ~handle =
   c.asid <- None;
   c.state <- State.Decommissioned;
   (* Scrub key material: the controller's cached schedule first, while
-     the key bytes still name it. *)
+     the key bytes still name it, then the guest's GEKs. *)
   Memctrl.forget_fw_key t.machine.Machine.ctrl c.kvek;
   Bytes.fill c.kvek 0 (Bytes.length c.kvek) '\000';
+  Hashtbl.filter_map_inplace (fun (h, _) k -> if h = handle then None else Some k) t.geks;
   Ok ()
 
 let state_of t ~handle =
@@ -353,41 +357,6 @@ let receive_update_in_place t ~handle ~index ~pfn =
     ~dst_off:0;
   receive_update t ~handle ~index ~cipher:t.cipher ~dst_pfn:pfn
 
-let send_update_io t ~handle ~nonce ~src_pfn ~len =
-  charge_page t "SEND_UPDATE(io)";
-  let* c = ctx t handle "SEND_UPDATE(io)" in
-  let* () = State.require c.state ~expected:[ State.Sending ] ~cmd:"SEND_UPDATE(io)" in
-  match c.tek with
-  | None -> Error "SEND_UPDATE(io): no transport key"
-  | Some tek ->
-      if len <= 0 || len > Addr.page_size then Error "SEND_UPDATE(io): bad length"
-      else begin
-        let plain_page = Memctrl.fw_decrypt_page t.machine.Machine.ctrl ~key:c.kvek src_pfn in
-        let plain = Bytes.sub plain_page 0 len in
-        Ok (Fidelius_crypto.Modes.ctr_transform tek.Transport.aes ~nonce plain)
-      end
-
-let receive_update_io t ~handle ~nonce ~cipher ~dst_pfn =
-  charge_page t "RECEIVE_UPDATE(io)";
-  let* c = ctx t handle "RECEIVE_UPDATE(io)" in
-  let* () = State.require c.state ~expected:[ State.Receiving ] ~cmd:"RECEIVE_UPDATE(io)" in
-  match c.tek with
-  | None -> Error "RECEIVE_UPDATE(io): no transport key"
-  | Some tek ->
-      let len = Bytes.length cipher in
-      if len <= 0 || len > Addr.page_size then Error "RECEIVE_UPDATE(io): bad length"
-      else begin
-        let plain =
-          Fidelius_crypto.Modes.ctr_transform tek.Transport.aes ~nonce cipher
-        in
-        (* Read-modify-write the destination frame under Kvek so only the
-           payload prefix changes. *)
-        let page = Memctrl.fw_decrypt_page t.machine.Machine.ctrl ~key:c.kvek dst_pfn in
-        Bytes.blit plain 0 page 0 len;
-        coherent_write t ~key:c.kvek dst_pfn page;
-        Ok ()
-      end
-
 let receive_finish t ~handle ~expected =
   charge_cmd t "RECEIVE_FINISH";
   let* c = ctx t handle "RECEIVE_FINISH" in
@@ -402,7 +371,47 @@ let receive_finish t ~handle ~expected =
       end
       else Error "RECEIVE_FINISH: measurement mismatch (image tampered or replayed)"
 
-(* --- customized-key extension (paper Section 8) ----------------------- *)
+(* --- I/O transforms: the SEND/RECEIVE retrofit and the GEK family -------- *)
+
+(* Both I/O command pairs run one body each way. [io_out] turns the first
+   [len] bytes of a Kvek-encrypted guest frame into CTR ciphertext under
+   the command's key; [io_in] is its inverse, a read-modify-write of the
+   Kvek frame in which only the payload prefix changes. The pairs differ
+   in the state they require and in [key_of]: the helper's transport key
+   Ktek (SEND_UPDATE(io), RECEIVE_UPDATE(io)) or one of the guest's GEKs
+   (ENC, DEC). *)
+let io_command t ~cmd ~handle ~state ~key_of ~len =
+  charge_page t cmd;
+  let* c = ctx t handle cmd in
+  let* () = State.require c.state ~expected:[ state ] ~cmd in
+  let* key = key_of c cmd in
+  if len <= 0 || len > Addr.page_size then Error (cmd ^ ": bad length") else Ok (c, key)
+
+let io_out t ~cmd ~handle ~state ~key_of ~nonce ~src_pfn ~len =
+  let* c, key = io_command t ~cmd ~handle ~state ~key_of ~len in
+  Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:c.kvek src_pfn ~dst:t.plain;
+  let cipher = Bytes.create len in
+  Aes.ctr_into key ~nonce ~src:t.plain ~dst:cipher ~len;
+  Ok cipher
+
+let io_in t ~cmd ~handle ~state ~key_of ~nonce ~cipher ~dst_pfn =
+  let len = Bytes.length cipher in
+  let* c, key = io_command t ~cmd ~handle ~state ~key_of ~len in
+  Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:c.kvek dst_pfn ~dst:t.plain;
+  Aes.ctr_into key ~nonce ~src:cipher ~dst:t.plain ~len;
+  coherent_write t ~key:c.kvek dst_pfn t.plain;
+  Ok ()
+
+let tek_of c cmd =
+  match c.tek with
+  | Some tek -> Ok tek.Transport.aes
+  | None -> Error (cmd ^ ": no transport key")
+
+let send_update_io t = io_out t ~cmd:"SEND_UPDATE(io)" ~state:State.Sending ~key_of:tek_of
+
+let receive_update_io t = io_in t ~cmd:"RECEIVE_UPDATE(io)" ~state:State.Receiving ~key_of:tek_of
+
+(* Customized-key extension (paper Section 8). *)
 
 let setenc_gek t ~handle =
   charge_cmd t "SETENC_GEK";
@@ -410,42 +419,21 @@ let setenc_gek t ~handle =
   let* () = State.require c.state ~expected:[ State.Running ] ~cmd:"SETENC_GEK" in
   let id = t.next_gek in
   t.next_gek <- id + 1;
-  Hashtbl.replace t.geks (handle, id) (Rng.bytes t.rng 16);
+  Hashtbl.replace t.geks (handle, id) (Aes.expand (Rng.bytes t.rng 16));
   Ok id
 
-let find_gek t handle gek cmd =
-  match Hashtbl.find_opt t.geks (handle, gek) with
+let geks_held t = Hashtbl.length t.geks
+
+let gek_of t gek c cmd =
+  match Hashtbl.find_opt t.geks (c.handle, gek) with
   | Some k -> Ok k
-  | None -> Error (Printf.sprintf "%s: no GEK %d for handle %d" cmd gek handle)
+  | None -> Error (Printf.sprintf "%s: no GEK %d for handle %d" cmd gek c.handle)
 
-let enc_range t ~handle ~gek ~nonce ~src_pfn ~len =
-  charge_page t "ENC";
-  let* c = ctx t handle "ENC" in
-  let* () = State.require c.state ~expected:[ State.Running ] ~cmd:"ENC" in
-  let* key = find_gek t handle gek "ENC" in
-  if len <= 0 || len > Addr.page_size then Error "ENC: bad length"
-  else begin
-    let plain_page = Memctrl.fw_decrypt_page t.machine.Machine.ctrl ~key:c.kvek src_pfn in
-    let plain = Bytes.sub plain_page 0 len in
-    Ok (Fidelius_crypto.Modes.ctr_transform (Fidelius_crypto.Aes.expand key) ~nonce plain)
-  end
+let enc_range t ~handle ~gek =
+  io_out t ~cmd:"ENC" ~handle ~state:State.Running ~key_of:(gek_of t gek)
 
-let dec_range t ~handle ~gek ~nonce ~cipher ~dst_pfn =
-  charge_page t "DEC";
-  let* c = ctx t handle "DEC" in
-  let* () = State.require c.state ~expected:[ State.Running ] ~cmd:"DEC" in
-  let* key = find_gek t handle gek "DEC" in
-  let len = Bytes.length cipher in
-  if len <= 0 || len > Addr.page_size then Error "DEC: bad length"
-  else begin
-    let plain =
-      Fidelius_crypto.Modes.ctr_transform (Fidelius_crypto.Aes.expand key) ~nonce cipher
-    in
-    let page = Memctrl.fw_decrypt_page t.machine.Machine.ctrl ~key:c.kvek dst_pfn in
-    Bytes.blit plain 0 page 0 len;
-    coherent_write t ~key:c.kvek dst_pfn page;
-    Ok ()
-  end
+let dec_range t ~handle ~gek =
+  io_in t ~cmd:"DEC" ~handle ~state:State.Running ~key_of:(gek_of t gek)
 
 (* --- attestation -------------------------------------------------------- *)
 

@@ -95,6 +95,9 @@ val launch_shared : t -> handle:handle -> (handle, string) result
 val activate : t -> handle:handle -> asid:int -> (unit, string) result
 val deactivate : t -> handle:handle -> (unit, string) result
 val decommission : t -> handle:handle -> (unit, string) result
+(** Retire the context for good: uninstall its key slot, scrub Kvek (and
+    the memory controller's cached schedule of it) and drop the guest's
+    GEKs. *)
 
 val state_of : t -> handle:handle -> State.t option
 val asid_of : t -> handle:handle -> int option
@@ -182,11 +185,17 @@ val receive_update_io :
     is RUNNING. Compared to the SEND/RECEIVE retrofit this removes the
     helper s-dom/r-dom contexts and their state-machine gymnastics (one
     firmware command to set up instead of three, no perpetually-SENDING
-    contexts), which is exactly the simplification the paper argues for. *)
+    contexts), which is exactly the simplification the paper argues for.
+    The datapath is the retrofit's: ENC runs {!send_update_io}'s body and
+    DEC {!receive_update_io}'s, under the GEK instead of Ktek. *)
 
 val setenc_gek : t -> handle:handle -> (int, string) result
 (** Generate a fresh GEK for the guest; returns its id. The key never
-    leaves the firmware. *)
+    leaves the firmware, and DECOMMISSION of [handle] drops it. *)
+
+val geks_held : t -> int
+(** Number of GEKs the firmware holds, over all guests. Introspection for
+    the key-scrub tests (the keys themselves never leave the firmware). *)
 
 val enc_range :
   t -> handle:handle -> gek:int -> nonce:int64 -> src_pfn:Fidelius_hw.Addr.pfn -> len:int ->

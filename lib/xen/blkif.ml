@@ -13,9 +13,7 @@ let sectors_per_frame = Hw.Addr.page_size / Vdisk.sector_size
 
 let c_blk_io = Hw.Cost.intern "blk-io"
 
-(* One ring + its data frames + its event channel. Queues are independent:
-   a submitting vCPU owns one queue and the backend drains each queue on
-   its own notification, so queues never contend on descriptor slots. *)
+(* The device's one ring, its data frames and its event channel. *)
 type queue = {
   q_ring : Ring.t;
   q_port : int;                    (* frontend-side event port *)
@@ -31,7 +29,7 @@ type queue = {
 type backend = {
   hv : Hypervisor.t;
   disk : Vdisk.t;
-  b_queues : queue array;
+  b_queue : queue;
   b_scratch : bytes;
   mutable served : int;
   mutable rejected : int;
@@ -41,7 +39,7 @@ type backend = {
 type frontend = {
   f_hv : Hypervisor.t;
   dom : Domain.t;
-  f_queues : queue array;
+  f_queue : queue;
   f_scratch : bytes;
   mutable codec : codec;
   mutable next_req_id : int;
@@ -65,7 +63,8 @@ let frame_buf scratch len = if len = Bytes.length scratch then scratch else Byte
    tested by subtraction from the limit: [count] and [len] are already
    bounded by then, while [sector + count] or [data_off + len] wraps
    negative for an offset near [max_int]. *)
-let validate_request be q seen (req : Ring.request) =
+let validate_request be seen (req : Ring.request) =
+  let q = be.b_queue in
   let len = req.Ring.count * Vdisk.sector_size in
   if req.Ring.count < 1 || req.Ring.count > sectors_per_frame then
     Error (Ring.Bad_count { count = req.Ring.count; max_count = sectors_per_frame })
@@ -86,7 +85,7 @@ let validate_request be q seen (req : Ring.request) =
       if i >= Array.length q.q_grefs then
         Error
           (Ring.Bad_gref
-             { gref = req.Ring.data_gref; reason = "not a data grant of this queue" })
+             { gref = req.Ring.data_gref; reason = "not a data grant of this device" })
       else if q.q_grefs.(i) = req.Ring.data_gref then Ok i
       else find (i + 1)
     in
@@ -119,10 +118,10 @@ let serve_request be (req : Ring.request) frame =
   | Invalid_argument m -> Error (Ring.Backend_fault m)
   | Hw.Mmu.Fault { reason; _ } -> Error (Ring.Backend_fault reason)
 
-(* One event notification drains the whole queue: N descriptors, one
+(* One event notification drains the whole ring: N descriptors, one
    world-switch — the batching that amortizes the 9.9 µs hypercall. *)
-let process_queue be qi =
-  let q = be.b_queues.(qi) in
+let process_ring be =
+  let q = be.b_queue in
   be.notifications <- be.notifications + 1;
   let seen = Hashtbl.create 8 in
   let rec loop () =
@@ -131,7 +130,7 @@ let process_queue be qi =
     | Some req ->
         be.served <- be.served + 1;
         let status =
-          let* frame = validate_request be q seen req in
+          let* frame = validate_request be seen req in
           serve_request be req frame
         in
         if Result.is_error status then be.rejected <- be.rejected + 1;
@@ -146,103 +145,82 @@ let process_queue be qi =
 
 (* --- connect ----------------------------------------------------------- *)
 
-let connect ?(ring_size = Ring.default_size) ?(buffer_pages = 1) ?(nr_queues = 1) hv dom ~disk
-    ~buffer_gvfn =
-  if buffer_pages < 1 || nr_queues < 1 then
-    invalid_arg "Blkif.connect: buffer_pages and nr_queues must be >= 1";
+let connect ?(ring_size = Ring.default_size) ?(buffer_pages = 1) hv dom ~disk ~buffer_gvfn =
+  if buffer_pages < 1 then invalid_arg "Blkif.connect: buffer_pages must be >= 1";
   let machine = hv.Hypervisor.machine in
-  let connect_queue qi =
-    (* The guest sets up unencrypted buffer pages (DMA memory cannot carry
-       the C-bit) and faults them in. *)
-    let base_gvfn = buffer_gvfn + (qi * buffer_pages) in
-    let gfns =
-      Array.init buffer_pages (fun pi ->
-          let gfn = Domain.alloc_gfn dom in
-          Domain.guest_map dom ~gvfn:(base_gvfn + pi) ~gfn ~writable:true ~executable:false
-            ~c_bit:false;
-          Hypervisor.in_guest hv dom (fun () ->
-              Domain.write machine dom
-                ~addr:(Hw.Addr.addr_of (base_gvfn + pi) 0)
-                (Bytes.make Hw.Addr.page_size '\000'));
-          gfn)
-    in
-    let gvas = Array.init buffer_pages (fun pi -> Hw.Addr.addr_of (base_gvfn + pi) 0) in
-    (* Declare the sharing intent first (Fidelius' pre_sharing_op; a no-op
-       on stock Xen) — one declaration covers the queue's whole run of data
-       pages — then grant each to dom0 and publish the wiring via XenStore. *)
-    let* _ =
-      Hypervisor.hypercall hv dom
-        (Hypercall.Pre_sharing { target = 0; gfn = gfns.(0); nr = buffer_pages; writable = true })
-    in
-    let rec grant pi acc =
-      if pi = buffer_pages then Ok (List.rev acc)
-      else
-        let* gref64 =
-          Hypervisor.hypercall hv dom
-            (Hypercall.Grant_table_op
-               (Hypercall.Grant_access { target = 0; gfn = gfns.(pi); writable = true }))
-        in
-        grant (pi + 1) (Int64.to_int gref64 :: acc)
-    in
-    let* grefs = grant 0 [] in
-    let grefs = Array.of_list grefs in
-    let event_port = Event.alloc_unbound hv.Hypervisor.events ~domid:dom.Domain.domid ~remote:0 in
-    let path leaf =
-      if qi = 0 then Printf.sprintf "/local/domain/%d/device/vbd/%s" dom.Domain.domid leaf
-      else Printf.sprintf "/local/domain/%d/device/vbd/queue-%d/%s" dom.Domain.domid qi leaf
-    in
-    Xenstore.write hv.Hypervisor.store ~domid:dom.Domain.domid ~path:(path "ring-ref")
-      (string_of_int grefs.(0));
-    Xenstore.write hv.Hypervisor.store ~domid:dom.Domain.domid ~path:(path "event-channel")
-      (string_of_int event_port);
-    (* Back-end side: bind the channel and resolve the grants to frames. *)
-    let* back_port = Event.bind hv.Hypervisor.events ~domid:0 ~remote_port:event_port in
-    let rec resolve pi acc =
-      if pi = buffer_pages then Ok (List.rev acc)
-      else
-        match Granttab.get hv.Hypervisor.granttab grefs.(pi) with
-        | None -> Error "backend: grant not found"
-        | Some entry -> (
-            match Hw.Pagetable.lookup dom.Domain.npt entry.Granttab.gfn with
-            | None -> Error "backend: granted gfn unbacked"
-            | Some npte -> resolve (pi + 1) (npte.Hw.Pagetable.frame :: acc))
-    in
-    let* frames = resolve 0 [] in
-    let q =
-      { q_ring = Ring.create ~size:ring_size ();
-        q_port = event_port;
-        q_grefs = grefs;
-        q_gvas = gvas;
-        q_frames = Array.of_list frames }
-    in
-    Ok (q, back_port)
+  (* The guest sets up unencrypted buffer pages (DMA memory cannot carry
+     the C-bit) and faults them in. *)
+  let gfns =
+    Array.init buffer_pages (fun pi ->
+        let gfn = Domain.alloc_gfn dom in
+        Domain.guest_map dom ~gvfn:(buffer_gvfn + pi) ~gfn ~writable:true ~executable:false
+          ~c_bit:false;
+        Hypervisor.in_guest hv dom (fun () ->
+            Domain.write machine dom
+              ~addr:(Hw.Addr.addr_of (buffer_gvfn + pi) 0)
+              (Bytes.make Hw.Addr.page_size '\000'));
+        gfn)
   in
-  let rec build qi acc =
-    if qi = nr_queues then Ok (List.rev acc)
+  let gvas = Array.init buffer_pages (fun pi -> Hw.Addr.addr_of (buffer_gvfn + pi) 0) in
+  (* Declare the sharing intent first (Fidelius' pre_sharing_op; a no-op
+     on stock Xen) — one declaration covers the whole run of data pages —
+     then grant each to dom0 and publish the wiring via XenStore. *)
+  let* _ =
+    Hypervisor.hypercall hv dom
+      (Hypercall.Pre_sharing { target = 0; gfn = gfns.(0); nr = buffer_pages; writable = true })
+  in
+  let rec grant pi acc =
+    if pi = buffer_pages then Ok (List.rev acc)
     else
-      let* q = connect_queue qi in
-      build (qi + 1) (q :: acc)
+      let* gref64 =
+        Hypervisor.hypercall hv dom
+          (Hypercall.Grant_table_op
+             (Hypercall.Grant_access { target = 0; gfn = gfns.(pi); writable = true }))
+      in
+      grant (pi + 1) (Int64.to_int gref64 :: acc)
   in
-  let* queues = build 0 [] in
-  let qarr = Array.of_list (List.map fst queues) in
+  let* grefs = grant 0 [] in
+  let grefs = Array.of_list grefs in
+  let event_port = Event.alloc_unbound hv.Hypervisor.events ~domid:dom.Domain.domid ~remote:0 in
+  let path leaf = Printf.sprintf "/local/domain/%d/device/vbd/%s" dom.Domain.domid leaf in
+  Xenstore.write hv.Hypervisor.store ~domid:dom.Domain.domid ~path:(path "ring-ref")
+    (string_of_int grefs.(0));
+  Xenstore.write hv.Hypervisor.store ~domid:dom.Domain.domid ~path:(path "event-channel")
+    (string_of_int event_port);
+  (* Back-end side: bind the channel and resolve the grants to frames. *)
+  let* back_port = Event.bind hv.Hypervisor.events ~domid:0 ~remote_port:event_port in
+  let rec resolve pi acc =
+    if pi = buffer_pages then Ok (List.rev acc)
+    else
+      match Granttab.get hv.Hypervisor.granttab grefs.(pi) with
+      | None -> Error "backend: grant not found"
+      | Some entry -> (
+          match Hw.Pagetable.lookup dom.Domain.npt entry.Granttab.gfn with
+          | None -> Error "backend: granted gfn unbacked"
+          | Some npte -> resolve (pi + 1) (npte.Hw.Pagetable.frame :: acc))
+  in
+  let* frames = resolve 0 [] in
+  let q =
+    { q_ring = Ring.create ~size:ring_size ();
+      q_port = event_port;
+      q_grefs = grefs;
+      q_gvas = gvas;
+      q_frames = Array.of_list frames }
+  in
   let be =
     { hv;
       disk;
-      b_queues = qarr;
+      b_queue = q;
       b_scratch = Bytes.create Hw.Addr.page_size;
       served = 0;
       rejected = 0;
       notifications = 0 }
   in
-  List.iteri
-    (fun qi (_, back_port) ->
-      Event.on_event hv.Hypervisor.events ~domid:0 ~port:back_port (fun () ->
-          process_queue be qi))
-    queues;
+  Event.on_event hv.Hypervisor.events ~domid:0 ~port:back_port (fun () -> process_ring be);
   let fe =
     { f_hv = hv;
       dom;
-      f_queues = qarr;
+      f_queue = q;
       f_scratch = Bytes.create Hw.Addr.page_size;
       codec = identity_codec;
       next_req_id = 1 }
@@ -251,21 +229,14 @@ let connect ?(ring_size = Ring.default_size) ?(buffer_pages = 1) ?(nr_queues = 1
 
 let set_codec fe codec = fe.codec <- codec
 
-let nr_queues fe = Array.length fe.f_queues
-let buffer_pages fe = Array.length fe.f_queues.(0).q_grefs
-
-(* Multi-queue rings are keyed per vCPU: a submitting vCPU owns queue
-   [vcpu mod nr_queues]. *)
-let queue_for fe ~vcpu =
-  let n = nr_queues fe in
-  ((vcpu mod n) + n) mod n
+let buffer_pages fe = Array.length fe.f_queue.q_grefs
 
 let fresh_req_id fe =
   let id = fe.next_req_id in
   fe.next_req_id <- id + 1;
   id
 
-let data_gref ?(queue = 0) fe ~page = fe.f_queues.(queue).q_grefs.(page)
+let data_gref fe ~page = fe.f_queue.q_grefs.(page)
 
 (* --- frontend submission ----------------------------------------------- *)
 
@@ -274,8 +245,8 @@ let data_gref ?(queue = 0) fe ~page = fe.f_queues.(queue).q_grefs.(page)
    backend serves FIFO, so responses must come back in request order with
    matching ids — anything else (a stray response, a missing one) is a
    protocol violation and fails the whole batch closed. *)
-let submit_batch ?(queue = 0) fe reqs =
-  let q = fe.f_queues.(queue) in
+let submit_batch fe reqs =
+  let q = fe.f_queue in
   let n = List.length reqs in
   if n = 0 then Ok []
   else if n > Ring.free_request_slots q.q_ring then
@@ -314,7 +285,7 @@ let submit_batch ?(queue = 0) fe reqs =
 
 (* Split a transfer into ring requests of at most a frame each; the batched
    paths below serve them [batch] requests per doorbell, each request on
-   its own data frame of the queue. *)
+   its own data frame of the device. *)
 let plan_chunks ~sector ~total_sectors =
   let rec go s off acc remaining =
     if remaining = 0 then List.rev acc
@@ -338,12 +309,12 @@ let all_ok statuses =
       Result.map_error Ring.error_to_string st)
     (Ok ()) statuses
 
-let write_sectors ?(batch = 1) ?(queue = 0) fe ~sector data =
+let write_sectors ?(batch = 1) fe ~sector data =
   let len = Bytes.length data in
   if len mod Vdisk.sector_size <> 0 then Error "write_sectors: length must be a multiple of 512"
   else begin
     let machine = fe.f_hv.Hypervisor.machine in
-    let q = fe.f_queues.(queue) in
+    let q = fe.f_queue in
     let batch = max 1 (min batch (Array.length q.q_grefs)) in
     let rec groups chunks =
       match chunks with
@@ -365,18 +336,18 @@ let write_sectors ?(batch = 1) ?(queue = 0) fe ~sector data =
               data_off = 0 }
           in
           let reqs = List.mapi stage grp in
-          let* statuses = submit_batch ~queue fe reqs in
+          let* statuses = submit_batch fe reqs in
           let* () = all_ok statuses in
           groups rest
     in
     groups (plan_chunks ~sector ~total_sectors:(len / Vdisk.sector_size))
   end
 
-let read_sectors ?(batch = 1) ?(queue = 0) fe ~sector ~count =
+let read_sectors ?(batch = 1) fe ~sector ~count =
   if count <= 0 then Error "read_sectors: count must be positive"
   else begin
     let machine = fe.f_hv.Hypervisor.machine in
-    let q = fe.f_queues.(queue) in
+    let q = fe.f_queue in
     let batch = max 1 (min batch (Array.length q.q_grefs)) in
     let out = Bytes.create (count * Vdisk.sector_size) in
     let rec groups chunks =
@@ -395,7 +366,7 @@ let read_sectors ?(batch = 1) ?(queue = 0) fe ~sector ~count =
                   data_off = 0 })
               grp
           in
-          let* statuses = submit_batch ~queue fe reqs in
+          let* statuses = submit_batch fe reqs in
           let* () = all_ok statuses in
           List.iteri
             (fun i (s, off, n) ->
@@ -412,9 +383,9 @@ let read_sectors ?(batch = 1) ?(queue = 0) fe ~sector ~count =
     groups (plan_chunks ~sector ~total_sectors:count)
   end
 
-let frontend_ring ?(queue = 0) fe = fe.f_queues.(queue).q_ring
+let frontend_ring fe = fe.f_queue.q_ring
 
-let shared_frame be = be.b_queues.(0).q_frames.(0)
+let shared_frame be = be.b_queue.q_frames.(0)
 let backend_disk be = be.disk
 let requests_served be = be.served
 let requests_rejected be = be.rejected

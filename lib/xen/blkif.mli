@@ -1,5 +1,5 @@
 (** Para-virtualized block device: front-end (guest) and back-end (driver
-    domain) over bounded shared rings and granted data frames.
+    domain) over one bounded shared ring and granted data frames.
 
     This is the I/O path of paper Section 2.3/4.3.5. The shared data frames
     are unencrypted guest pages (DMA-style memory cannot carry the C-bit),
@@ -20,14 +20,13 @@
 
     {2 Batched datapath}
 
-    A device can expose several independent queues (multi-queue, keyed per
-    vCPU via {!queue_for}) and several data frames per queue. The front-end
-    then submits up to [buffer_pages] requests per doorbell
-    ({!submit_batch}, or [?batch] on the sector helpers): one [Event_send]
-    hypercall and one backend drain serve the whole batch, amortizing the
-    9.9 µs world switch. At [batch = 1] (the defaults) the wire traffic,
-    disk contents and charged ledger costs are byte-identical to the
-    pre-batching synchronous path.
+    A device has one ring and [buffer_pages] data frames. The front-end
+    submits up to [buffer_pages] requests per doorbell ({!submit_batch}, or
+    [?batch] on the sector helpers): one [Event_send] hypercall and one
+    backend drain serve the whole batch, amortizing the 9.9 µs world
+    switch. At [batch = 1] (the defaults) the wire traffic, disk contents
+    and charged ledger costs are byte-identical to the pre-batching
+    synchronous path.
 
     The back-end validates every descriptor against the vdisk and the
     granted frames {e before} charging or copying, and answers malformed
@@ -64,36 +63,28 @@ type frontend
 val connect :
   ?ring_size:int ->
   ?buffer_pages:int ->
-  ?nr_queues:int ->
   Hypervisor.t ->
   Domain.t ->
   disk:Vdisk.t ->
   buffer_gvfn:Hw.Addr.vfn ->
   (frontend * backend, string) result
-(** Wire a guest front-end to a dom0 back-end serving [disk]: for each of
-    the [nr_queues] queues (default 1), the guest maps [buffer_pages]
-    fresh unencrypted pages (default 1) starting at [buffer_gvfn] as data
-    buffers, grants them to dom0, publishes the wiring through XenStore,
-    and dom0 binds the ring. [ring_size] (default {!Ring.default_size})
-    must be a power of two. Queue [q]'s pages sit at
-    [buffer_gvfn + q*buffer_pages ..]. *)
+(** Wire a guest front-end to a dom0 back-end serving [disk]: the guest
+    maps [buffer_pages] fresh unencrypted pages (default 1) starting at
+    [buffer_gvfn] as data buffers, grants them to dom0, publishes the
+    wiring through XenStore, and dom0 binds the ring. [ring_size]
+    (default {!Ring.default_size}) must be a power of two. *)
 
 val set_codec : frontend -> codec -> unit
 
-val nr_queues : frontend -> int
 val buffer_pages : frontend -> int
-
-val queue_for : frontend -> vcpu:int -> int
-(** The queue a submitting vCPU owns: [vcpu mod nr_queues]. *)
 
 val fresh_req_id : frontend -> int
 
-val data_gref : ?queue:int -> frontend -> page:int -> int
-(** Grant reference of one of the queue's data frames — what a raw
+val data_gref : frontend -> page:int -> int
+(** Grant reference of one of the device's data frames — what a raw
     {!submit_batch} request should carry in [data_gref]. *)
 
 val submit_batch :
-  ?queue:int ->
   frontend ->
   Ring.request list ->
   ((unit, Ring.error) result list, string) result
@@ -104,23 +95,23 @@ val submit_batch :
     responses). *)
 
 val read_sectors :
-  ?batch:int -> ?queue:int -> frontend -> sector:int -> count:int -> (bytes, string) result
+  ?batch:int -> frontend -> sector:int -> count:int -> (bytes, string) result
 (** Guest-visible read: back-end copies disk sectors into shared frames,
     front-end copies them out and decodes. Serves up to [batch] (clamped
     to [buffer_pages], default 1) frame-sized requests per doorbell. *)
 
 val write_sectors :
-  ?batch:int -> ?queue:int -> frontend -> sector:int -> bytes -> (unit, string) result
+  ?batch:int -> frontend -> sector:int -> bytes -> (unit, string) result
 (** Guest-visible write: front-end encodes into shared frames, back-end
     copies to disk. Same batching as {!read_sectors}. *)
 
-val frontend_ring : ?queue:int -> frontend -> Ring.t
+val frontend_ring : frontend -> Ring.t
 (** The shared descriptor ring itself. The ring lives in dom0-visible
     memory, so this doubles as the attacker's descriptor-forgery surface
     (stray responses, malformed requests) for tests and the attack suite. *)
 
 val shared_frame : backend -> Hw.Addr.pfn
-(** The host frame backing queue 0's first data buffer — the attacker's
+(** The host frame backing the device's first data buffer — the attacker's
     observation point on the I/O path. *)
 
 val backend_disk : backend -> Vdisk.t

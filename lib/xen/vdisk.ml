@@ -25,18 +25,12 @@ let read_into t ~sector ~count ~dst ~dst_off =
   check t sector count;
   Bytes.blit t.data (sector * sector_size) dst dst_off (count * sector_size)
 
-let read t ~sector ~count =
-  check t sector count;
-  let dst = Bytes.create (count * sector_size) in
-  read_into t ~sector ~count ~dst ~dst_off:0;
-  dst
-
 let write_from t ~sector ~src ~src_off ~len =
   if len mod sector_size <> 0 then
-    invalid_arg "Vdisk.write: length must be a multiple of the sector size";
+    invalid_arg "Vdisk.write_from: length must be a multiple of the sector size";
   check t sector (len / sector_size);
   Bytes.blit src src_off t.data (sector * sector_size) len
 
-let write t ~sector data = write_from t ~sector ~src:data ~src_off:0 ~len:(Bytes.length data)
-
-let peek = read
+let peek t ~sector ~count =
+  check t sector count;
+  Bytes.sub t.data (sector * sector_size) (count * sector_size)

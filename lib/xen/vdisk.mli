@@ -14,19 +14,16 @@ val of_bytes : bytes -> t
 
 val nr_sectors : t -> int
 
-val read : t -> sector:int -> count:int -> bytes
-val write : t -> sector:int -> bytes -> unit
-(** Length must be a multiple of the sector size. *)
-
 val read_into : t -> sector:int -> count:int -> dst:bytes -> dst_off:int -> unit
-(** {!read} into [dst] at [dst_off]. Range checks cannot wrap: any
-    [sector], [count] outside the disk raises [Invalid_argument], however
-    large. *)
+(** Copy [count] sectors starting at [sector] into [dst] at [dst_off].
+    Range checks cannot wrap: any [sector], [count] outside the disk
+    raises [Invalid_argument], however large. *)
 
 val write_from : t -> sector:int -> src:bytes -> src_off:int -> len:int -> unit
-(** {!write} of [src]'s [src_off, len] slice, without copying it out
-    first. *)
+(** Store [src]'s [src_off, len] slice at [sector], without copying it out
+    first. [len] must be a multiple of the sector size. *)
 
 val peek : t -> sector:int -> count:int -> bytes
-(** The attacker's view of the platter — identical to {!read}; a separate
-    name so attack code reads honestly. *)
+(** The attacker's view of the platter: a fresh copy of [count] sectors
+    starting at [sector], range-checked like {!read_into}. The back-end
+    itself moves data only through {!read_into} and {!write_from}. *)

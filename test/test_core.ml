@@ -365,9 +365,10 @@ let test_policy_cr3 () =
 
 let test_policy_once () =
   let _, _, fid = installed () in
-  Alcotest.(check bool) "first write ok" true (Result.is_ok (Policy.write_once fid ~region:"r1"));
-  Alcotest.(check bool) "second denied" true (Result.is_error (Policy.write_once fid ~region:"r1"));
-  Alcotest.(check bool) "other region ok" true (Result.is_ok (Policy.write_once fid ~region:"r2"));
+  let whole region = Policy.write_once_range fid ~region ~off:0 ~len:Hw.Addr.page_size in
+  Alcotest.(check bool) "first write ok" true (Result.is_ok (whole "r1"));
+  Alcotest.(check bool) "second denied" true (Result.is_error (whole "r1"));
+  Alcotest.(check bool) "other region ok" true (Result.is_ok (whole "r2"));
   Alcotest.(check bool) "exec once" true (Result.is_ok (Policy.exec_once fid ~what:"lgdt"));
   Alcotest.(check bool) "exec twice denied" true (Result.is_error (Policy.exec_once fid ~what:"lgdt"))
 
@@ -537,6 +538,71 @@ let test_write_start_info_once () =
     (Result.is_error (Fid.write_start_info fid dom (Bytes.of_string "start info")));
   Alcotest.(check bool) "out of page denied" true
     (Result.is_error (Fid.write_start_info ~off:4090 fid dom (Bytes.of_string "overflowing")))
+
+(* A hypervisor-chosen [off] near [max_int] wrapped the policy's
+   [off + len] check: nothing was recorded, the boot window opened, the
+   frame was mapped writable and the write raised out of the call with
+   both left behind. The policy must refuse the range, and nothing of the
+   window may outlive the call. *)
+let test_write_start_info_wrapping_off () =
+  let env = installed () in
+  let _, hv, fid = env in
+  let dom, _ = protected_vm env "tenant" in
+  let frame gfn =
+    match Hw.Pagetable.lookup dom.Domain.npt gfn with
+    | Some npte -> npte.Hw.Pagetable.frame
+    | None -> Alcotest.fail "gfn unbacked"
+  in
+  let audits = List.length (Fid.violations fid) in
+  (* 32 bytes at [max_int - 10]: the sum wraps to [min_int + 21]. *)
+  Alcotest.(check bool) "wrapping range refused" true
+    (Result.is_error (Fid.write_start_info ~off:(max_int - 10) fid dom (Bytes.make 32 's')));
+  Alcotest.(check int) "one audit entry" (audits + 1) (List.length (Fid.violations fid));
+  Alcotest.(check bool) "boot window closed" true (fid.Core.Ctx.boot_window = None);
+  Alcotest.(check bool) "start_info frame unmapped" true
+    (Hw.Pagetable.lookup hv.Hv.host_space (frame 0) = None);
+  let f3 = frame 3 in
+  Alcotest.(check bool) "later writable map of a guest frame denied" true
+    (Result.is_error
+       (hv.Hv.med.Hv.host_map_update f3
+          (Some { Hw.Pagetable.frame = f3; writable = true; executable = false; c_bit = false })))
+
+(* A refused receive runs the shutdown's teardown: no shadow, no protected
+   mark and no GIT intent outlive it, and the ledger is the one pinned
+   before the two teardowns were merged. The intent stands in for one the
+   domain declared. *)
+let test_refused_receive_tears_down () =
+  let m, _, fid = installed () in
+  let prepared = owner_image fid () in
+  let image = prepared.Sev.Transport.Owner.image in
+  let s =
+    match
+      Core.Lifecycle.receive_begin fid ~name:"refused" ~memory_pages:16
+        ~wrapped_keys:prepared.Sev.Transport.Owner.wrapped_keys
+        ~origin_public:prepared.Sev.Transport.Owner.owner_public
+        ~nonce:image.Sev.Transport.nonce ~policy:image.Sev.Transport.policy
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Core.Lifecycle.boot_error_to_string e)
+  in
+  let domid = (Core.Lifecycle.session_domain s).Domain.domid in
+  ok (Git.record fid.Core.Ctx.git
+        { Git.initiator = domid; target = 0; gfn = 3; nr = 1; writable = false });
+  Alcotest.(check bool) "shadow while receiving" true (Hashtbl.mem fid.Core.Ctx.shadows domid);
+  (match
+     Core.Lifecycle.receive_pages s
+       (List.map (fun (i, c) -> (i, i, c)) image.Sev.Transport.pages)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Core.Lifecycle.boot_error_to_string e));
+  (match Core.Lifecycle.receive_complete s ~expected:(Bytes.make 32 'x') with
+  | Error (Core.Lifecycle.Rejected _) -> ()
+  | _ -> Alcotest.fail "a wrong measurement was not rejected");
+  Alcotest.(check bool) "no shadow entry" false (Hashtbl.mem fid.Core.Ctx.shadows domid);
+  Alcotest.(check bool) "not protected" false (Fid.is_protected fid domid);
+  Alcotest.(check bool) "no GIT intent" false
+    (List.exists (fun i -> i.Git.initiator = domid) (Git.intents fid.Core.Ctx.git));
+  Alcotest.(check int) "ledger" 1402520 (Hw.Cost.total m.Hw.Machine.ledger)
 
 (* --- io protection ---------------------------------------------------------------------- *)
 
@@ -725,6 +791,61 @@ let test_five_codecs_roundtrip () =
       Fid.software_codec fid ~kblk;
       Fid.sev_codec sev;
       Fid.gek_codec gek ]
+
+(* The two firmware codecs share one staged body. Pinned before the
+   merge, for each: the ledger of a fixed write and read, its charge
+   label, the firmware total and the platter. The deterministic RNG hands
+   Ktek and the GEK the same bytes, so the platters match; only set-up
+   differs (LAUNCH(shared), SEND_START and RECEIVE_START against one
+   SETENC_GEK). *)
+let test_firmware_codec_pins () =
+  List.iter
+    (fun (name, label, fw_total) ->
+      let m = Hw.Machine.create ~seed:41L () in
+      let hv = Hv.boot m in
+      let fid = Fid.install hv in
+      let prepared =
+        Sev.Transport.Owner.prepare ~rng:(Rng.create 9L) ~platform_public:(Fid.platform_key fid)
+          ~policy:Sev.Firmware.policy_nodbg ~kernel_pages:[ page 'A' ]
+      in
+      let dom = ok (Fid.boot_protected_vm fid ~name:"io" ~memory_pages:24 ~prepared) in
+      let disk = Xen.Vdisk.create ~nr_sectors:64 in
+      let fe, _ = ok (Xen.Blkif.connect ~buffer_pages:2 hv dom ~disk ~buffer_gvfn:200) in
+      Xen.Blkif.set_codec fe
+        (if name = "sev-api" then Fid.sev_codec (ok (Fid.setup_sev_io fid dom ~md_gvfn:300))
+         else Fid.gek_codec (ok (Fid.setup_gek_io fid dom ~md_gvfn:310)));
+      let ledger = m.Hw.Machine.ledger in
+      let data = Bytes.init (12 * 512) (fun j -> Char.chr (((j * 13) + 5) land 0xff)) in
+      let t0 = Hw.Cost.total ledger and c0 = Hw.Cost.category ledger label in
+      ok (Xen.Blkif.write_sectors ~batch:2 fe ~sector:8 data);
+      let t1 = Hw.Cost.total ledger in
+      let back = ok (Xen.Blkif.read_sectors ~batch:2 fe ~sector:8 ~count:12) in
+      let t2 = Hw.Cost.total ledger in
+      Alcotest.(check bool) (name ^ ": read back") true (Bytes.equal back data);
+      Alcotest.(check int) (name ^ ": write cycles") 1025701 (t1 - t0);
+      Alcotest.(check int) (name ^ ": read cycles") 1639949 (t2 - t1);
+      Alcotest.(check int) (name ^ ": " ^ label) 66816 (Hw.Cost.category ledger label - c0);
+      Alcotest.(check int) (name ^ ": sev-fw") fw_total (Hw.Cost.category ledger "sev-fw");
+      Alcotest.(check string) (name ^ ": platter") "30c60c5ab1e360a1d44b63477b765a2f"
+        (Digest.to_hex (Digest.bytes (Xen.Vdisk.peek disk ~sector:0 ~count:64))))
+    [ ("sev-api", "io-encode-sev", 97500); ("gek", "io-encode-gek", 87500) ]
+
+(* DECOMMISSION drops the guest's GEKs with its Kvek: a long-lived host
+   must not keep one for every guest it has ever run. Another guest's GEK
+   stays. *)
+let test_shutdown_drops_geks () =
+  let ((_, hv, fid) as env) = installed () in
+  let fw = hv.Hv.fw in
+  let dom, _ = protected_vm env "gek" in
+  let other, _ = protected_vm env "other" in
+  Alcotest.(check int) "no GEK before set-up" 0 (Sev.Firmware.geks_held fw);
+  ignore (ok (Fid.setup_gek_io fid dom ~md_gvfn:310));
+  Alcotest.(check int) "setup_gek_io holds one GEK" 1 (Sev.Firmware.geks_held fw);
+  ignore (ok (Fid.setup_gek_io fid other ~md_gvfn:310));
+  Fid.shutdown_protected_vm fid dom;
+  Alcotest.(check int) "shutdown drops the guest's GEK" 1 (Sev.Firmware.geks_held fw);
+  Fid.shutdown_protected_vm fid other;
+  Alcotest.(check int) "and the other guest's with its own" 0 (Sev.Firmware.geks_held fw)
 
 let test_sev_io_needs_protection () =
   let _, hv, fid = installed () in
@@ -1248,7 +1369,12 @@ let () =
           Alcotest.test_case "shutdown cleanup" `Quick test_shutdown_cleans_up;
           Alcotest.test_case "shutdown evicts the key schedule" `Quick
             test_shutdown_evicts_fw_key;
-          Alcotest.test_case "start_info write-once" `Quick test_write_start_info_once ] );
+          Alcotest.test_case "start_info write-once" `Quick test_write_start_info_once;
+          Alcotest.test_case "start_info wrapping offset" `Quick
+            test_write_start_info_wrapping_off;
+          Alcotest.test_case "refused receive tears down" `Quick
+            test_refused_receive_tears_down;
+          Alcotest.test_case "shutdown drops GEKs" `Quick test_shutdown_drops_geks ] );
       ( "io",
         [ Alcotest.test_case "aes-ni codec" `Quick test_aesni_codec_roundtrip;
           Alcotest.test_case "disk helpers" `Quick test_disk_encrypt_helpers;
@@ -1259,7 +1385,8 @@ let () =
           Alcotest.test_case "block path page buffers" `Quick test_block_path_page_buffers;
           Alcotest.test_case "aes-ni shared frames pinned" `Quick
             test_aesni_shared_frames_pinned;
-          Alcotest.test_case "five codecs round trip" `Quick test_five_codecs_roundtrip ] );
+          Alcotest.test_case "five codecs round trip" `Quick test_five_codecs_roundtrip;
+          Alcotest.test_case "firmware codec pins" `Quick test_firmware_codec_pins ] );
       ( "sharing",
         [ Alcotest.test_case "flow" `Quick test_sharing_flow;
           Alcotest.test_case "requires intent" `Quick test_sharing_requires_intent;

@@ -648,6 +648,215 @@ let test_bulk_validation () =
     (Invalid_argument "Aes: dst range out of bounds") (fun () ->
       Aes.ctr_into key ~nonce:0L ~src:(Bytes.create 32) ~dst:(Bytes.create 16) ~len:32)
 
+(* --- range checks at the bounds ------------------------------------------- *)
+
+(* Every range check in front of the C stubs (and in front of the
+   reference's [unsafe_get]) gets offsets, lengths and counts drawn where
+   sums and products wrap: 0, +-1 around the buffer ends, [max_int - k],
+   [min_int] and [2^k + 1] counts, mixed with values in range. The model decides "in range" in small
+   integers only, so it cannot wrap itself. A call in range must match
+   the reference and leave the rest of [dst] untouched; any other call
+   must raise [Invalid_argument] (HMAC's verify returns [false] instead,
+   as documented). Each case runs under every AES tier the CPU has. *)
+
+type bounds_case = {
+  entry : int;
+  enc : bool;
+  src_len : int;
+  dst_len : int;
+  sector_bytes : int;
+  a : int;
+  b : int;
+  c : int;
+}
+
+let bounds_entries =
+  [| "Aes.encrypt_block_into"; "Aes.encrypt_block_reference_into"; "Aes.blocks_into";
+     "Aes.ctr_into"; "Aes.xex_span_into"; "Modes.xex_encrypt_span"; "Aes.xex_sectors_into";
+     "Modes.xex_encrypt_sectors"; "Sha256.feed_sub"; "Sha256.finalize_into";
+     "Hmac.verify_build" |]
+
+(* Each field is drawn in range three times in four and at a bound
+   otherwise, so both sides of the model see many cases per entry. *)
+let gen_bounds_case =
+  let open QCheck.Gen in
+  let lens = [ 0; 1; 15; 16; 17; 32; 33; 64; 100; 512; 513; 1024; 1040 ] in
+  let* entry = int_bound (Array.length bounds_entries - 1) in
+  let* enc = bool in
+  let* src_len = oneofl lens in
+  let* dst_len = oneofl lens in
+  let* sector_bytes = oneofl [ 16; 64; 512; 0; 24 ] in
+  let per w l = if w > 0 then l / w else l in
+  let edges =
+    [ 0; 16; 32; src_len; dst_len; per 16 src_len; per 16 dst_len; per sector_bytes src_len;
+      per sector_bytes dst_len ]
+  in
+  let bound =
+    frequency
+      [ (5, map2 ( + ) (oneofl edges) (int_range (-1) 1));
+        (1, oneofl [ min_int; min_int + 1; max_int ]);
+        (2, map (fun k -> max_int - k) (int_bound 64));
+        (2, map (fun k -> (1 lsl k) + 1) (int_range 1 62)) ]
+  in
+  let field ?(step = 1) hi = frequency [ (3, map (fun k -> k * step) (int_bound (hi / step))); (1, bound) ] in
+  let small = min src_len dst_len in
+  let* a = field (if entry = 9 || entry = 10 then dst_len else if entry = 3 then small else src_len) in
+  let* b = field (if entry = 8 then src_len else dst_len) in
+  let+ c =
+    match bounds_entries.(entry) with
+    | "Aes.blocks_into" -> field (small / 16)
+    | "Aes.xex_span_into" | "Modes.xex_encrypt_span" -> field ~step:16 small
+    | _ -> field (per sector_bytes small)
+  in
+  { entry; enc; src_len; dst_len; sector_bytes; a; b; c }
+
+let print_bounds_case k =
+  Printf.sprintf "%s enc=%b src_len=%d dst_len=%d sector_bytes=%d a=%d b=%d c=%d"
+    bounds_entries.(k.entry) k.enc k.src_len k.dst_len k.sector_bytes k.a k.b k.c
+
+(* [count] items of [width] bytes at [off] fit a buffer of [len] bytes.
+   Every product and sum here stays below a few MiB. *)
+let fits len off ~count ~width =
+  off >= 0 && count >= 0 && off <= len && count <= len && off + (count * width) <= len
+
+let bounds_key = Aes.expand (Bytes.init 16 (fun i -> Char.chr (((i * 17) + 3) land 0xff)))
+
+(* [run] either raises [Invalid_argument] or yields the whole destination
+   buffer; [expected] builds it from the reference. *)
+let raises_or_matches ~in_range ~run ~expected =
+  match run () with
+  | exception Invalid_argument _ -> not in_range
+  | got -> in_range && Bytes.equal got (expected ())
+
+let check_bounds_case k =
+  let key = bounds_key in
+  let src = Bytes.init k.src_len (fun i -> Char.chr (((i * 31) + 7) land 0xff)) in
+  let dst0 = Bytes.init k.dst_len (fun i -> Char.chr (((i * 13) + 1) land 0xff)) in
+  (* [dst0] with [len] bytes of [part] at [off]. *)
+  let patched off part =
+    let d = Bytes.copy dst0 in
+    Bytes.blit part 0 d off (Bytes.length part);
+    d
+  in
+  let into f =
+    let d = Bytes.copy dst0 in
+    f d;
+    d
+  in
+  let nonce = 0xF0E1D2C3B4A59687L in
+  let span_ref =
+    if k.enc then Modes.xex_encrypt_span_reference else Modes.xex_decrypt_span_reference
+  in
+  let sectors_ref =
+    if k.enc then Modes.xex_encrypt_sectors_reference else Modes.xex_decrypt_sectors_reference
+  in
+  match bounds_entries.(k.entry) with
+  | "Aes.encrypt_block_into" | "Aes.encrypt_block_reference_into" ->
+      let reference = k.entry = 1 in
+      let f, g =
+        match (reference, k.enc) with
+        | false, true -> (Aes.encrypt_block_into, Aes.encrypt_block_reference)
+        | false, false -> (Aes.decrypt_block_into, Aes.decrypt_block_reference)
+        | true, true -> (Aes.encrypt_block_reference_into, Aes.encrypt_block)
+        | true, false -> (Aes.decrypt_block_reference_into, Aes.decrypt_block)
+      in
+      raises_or_matches
+        ~in_range:(fits k.src_len k.a ~count:1 ~width:16 && fits k.dst_len k.b ~count:1 ~width:16)
+        ~run:(fun () -> into (fun dst -> f key ~src ~src_off:k.a ~dst ~dst_off:k.b))
+        ~expected:(fun () -> patched k.b (g key (Bytes.sub src k.a 16)))
+  | "Aes.blocks_into" ->
+      let nblocks = k.c in
+      raises_or_matches
+        ~in_range:
+          (fits k.src_len k.a ~count:nblocks ~width:16
+          && fits k.dst_len k.b ~count:nblocks ~width:16)
+        ~run:(fun () ->
+          into (fun dst ->
+              Aes.blocks_into key ~encrypt:k.enc ~src ~src_off:k.a ~dst ~dst_off:k.b ~nblocks))
+        ~expected:(fun () ->
+          let run = Bytes.sub src k.a (nblocks * 16) in
+          patched k.b
+            ((if k.enc then Modes.ecb_encrypt_reference else Modes.ecb_decrypt_reference)
+               key run))
+  | "Aes.ctr_into" ->
+      let len = k.a in
+      raises_or_matches
+        ~in_range:(fits k.src_len 0 ~count:len ~width:1 && fits k.dst_len 0 ~count:len ~width:1)
+        ~run:(fun () -> into (fun dst -> Aes.ctr_into key ~nonce ~src ~dst ~len))
+        ~expected:(fun () ->
+          patched 0 (Modes.ctr_transform_reference key ~nonce (Bytes.sub src 0 len)))
+  | "Aes.xex_span_into" | "Modes.xex_encrypt_span" ->
+      let len = k.c in
+      let f ~src ~src_off ~dst ~dst_off ~len =
+        if k.entry = 4 then
+          Aes.xex_span_into key ~encrypt:k.enc ~tweak0:5L ~tweak_step:16L ~src ~src_off ~dst
+            ~dst_off ~len
+        else
+          (if k.enc then Modes.xex_encrypt_span else Modes.xex_decrypt_span)
+            key ~tweak0:5L ~tweak_step:16L ~src ~src_off ~dst ~dst_off ~len
+      in
+      raises_or_matches
+        ~in_range:
+          (len mod 16 = 0
+          && fits k.src_len k.a ~count:len ~width:1
+          && fits k.dst_len k.b ~count:len ~width:1)
+        ~run:(fun () -> into (fun dst -> f ~src ~src_off:k.a ~dst ~dst_off:k.b ~len))
+        ~expected:(fun () ->
+          into (fun dst ->
+              span_ref key ~tweak0:5L ~tweak_step:16L ~src ~src_off:k.a ~dst ~dst_off:k.b ~len))
+  | "Aes.xex_sectors_into" | "Modes.xex_encrypt_sectors" ->
+      let nsectors = k.c and sector_bytes = k.sector_bytes in
+      let f ~src ~src_off ~dst ~dst_off =
+        if k.entry = 6 then
+          Aes.xex_sectors_into key ~encrypt:k.enc ~tweak0:9L ~sector_stride:64L ~sector_bytes
+            ~src ~src_off ~dst ~dst_off ~nsectors
+        else
+          (if k.enc then Modes.xex_encrypt_sectors else Modes.xex_decrypt_sectors)
+            key ~tweak0:9L ~sector_stride:64L ~sector_bytes ~src ~src_off ~dst ~dst_off
+            ~nsectors
+      in
+      raises_or_matches
+        ~in_range:
+          (sector_bytes > 0
+          && sector_bytes mod 16 = 0
+          && fits k.src_len k.a ~count:nsectors ~width:sector_bytes
+          && fits k.dst_len k.b ~count:nsectors ~width:sector_bytes)
+        ~run:(fun () -> into (fun dst -> f ~src ~src_off:k.a ~dst ~dst_off:k.b))
+        ~expected:(fun () ->
+          into (fun dst ->
+              sectors_ref key ~tweak0:9L ~sector_stride:64L ~sector_bytes ~src ~src_off:k.a
+                ~dst ~dst_off:k.b ~nsectors))
+  | "Sha256.feed_sub" ->
+      raises_or_matches
+        ~in_range:(fits k.src_len k.a ~count:k.b ~width:1)
+        ~run:(fun () ->
+          let ctx = Sha256.init () in
+          Sha256.feed_sub ctx src ~off:k.a ~len:k.b;
+          Sha256.finalize ctx)
+        ~expected:(fun () -> Sha256.digest_reference (Bytes.sub src k.a k.b))
+  | "Sha256.finalize_into" ->
+      raises_or_matches
+        ~in_range:(fits k.dst_len k.a ~count:1 ~width:32)
+        ~run:(fun () ->
+          into (fun dst ->
+              let ctx = Sha256.init () in
+              Sha256.feed ctx src;
+              Sha256.finalize_into ctx ~dst ~dst_off:k.a))
+        ~expected:(fun () -> patched k.a (Sha256.digest_reference src))
+  | _ -> (
+      let mkey = Hmac.key (Bytes.of_string "bounds") in
+      let msg ctx = Sha256.feed ctx src in
+      let in_range = fits k.dst_len k.a ~count:1 ~width:32 in
+      let tag = if in_range then patched k.a (Hmac.mac_build mkey msg) else dst0 in
+      match Hmac.verify_build mkey msg ~tag ~tag_off:k.a with
+      | exception _ -> false
+      | verdict -> verdict = in_range)
+
+let test_range_checks_at_bounds =
+  QCheck.Test.make ~name:"range checks at the bounds raise or match the reference" ~count:3000
+    (QCheck.make ~print:print_bounds_case gen_bounds_case)
+    (fun k -> for_all_tiers (fun _ -> check_bounds_case k))
+
 (* Golden digests captured from the seed (pre-T-table) implementation: any
    drift in ciphertext bits across the rewrite fails these. *)
 let test_golden_xex_page () =
@@ -821,6 +1030,7 @@ let () =
           prop test_backend_xex_span_equivalence;
           prop test_backend_xex_sectors_equivalence;
           prop test_backend_inplace_aliasing ] );
+      ("bounds", [ prop test_range_checks_at_bounds ]);
       ( "golden",
         [ Alcotest.test_case "XEX page ciphertext" `Quick test_golden_xex_page;
           Alcotest.test_case "CTR keystream" `Quick test_golden_ctr ] );
