@@ -25,6 +25,10 @@
 #   make perfbench   the repository benchmark (BENCHMARK.json): serve,
 #                    guest-mem, migrate and fleet, 20 s each, seed 1, one
 #                    JSON result line per workload
+#   make contract    capture the behaviour contract (deterministic bench
+#                    sections, fault matrix, examples, CLI outputs, trace
+#                    exports) into CONTRACT_DIR (default results/contract);
+#                    diff -r two captures to check a refactor
 #   make crypto-selftest  report the CPUID-selected AES/SHA backends and
 #                    cross-check every tier against the executable
 #                    specification (nonzero exit on any mismatch)
@@ -32,7 +36,7 @@
 #                    + fleet smoke + serve smoke + migrate smoke + perf gate
 #                    + docs
 
-.PHONY: build test doc doc-strict matrix fleet fleet-smoke fleet-scale serve serve-smoke migrate migrate-smoke perf perf-gate perfbench crypto-selftest check clean
+.PHONY: build test doc doc-strict contract matrix fleet fleet-smoke fleet-scale serve serve-smoke migrate migrate-smoke perf perf-gate perfbench crypto-selftest check clean
 
 build:
 	dune build @all
@@ -45,6 +49,11 @@ doc:
 
 doc-strict:
 	ODOC_REQUIRED=1 sh tools/doc.sh
+
+CONTRACT_DIR ?= results/contract
+
+contract:
+	sh tools/contract.sh $(CONTRACT_DIR)
 
 matrix:
 	dune exec bin/fidelius_sim.exe -- inject matrix

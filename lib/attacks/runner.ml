@@ -18,21 +18,11 @@ let guard f =
   | Fidelius_hw.Mmu.Fault { reason; _ } -> Surface.Blocked ("page fault: " ^ reason)
   | e -> Surface.Errored (Printexc.to_string e)
 
-(* FNV-1a, 64-bit — same stable hash Workloads.Engine uses for its run
-   seeds. The per-attack seed hashes the attack *id*, not its position in
+(* The per-attack seed hashes the attack *id*, not its position in
    [Suite.all], so reordering the catalogue (or running a single attack in
    isolation) can never change any attack's stacks. *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
-  !h
-
 let seed_of ~seed (attack : Surface.attack) =
-  Int64.add seed
-    (Int64.logand (fnv1a64 attack.Surface.id) 0x3fffffffffffffffL)
+  Int64.add seed (Fidelius_crypto.Rng.seed_of_label attack.Surface.id)
 
 let run_one ?(seed = 2024L) attack =
   let seed = seed_of ~seed attack in

@@ -19,6 +19,15 @@ type row = {
   fidelius : Surface.outcome;
 }
 
+val guard : (unit -> Surface.outcome) -> Surface.outcome
+(** Run one attack body and classify how it ended. Only exceptions that
+    model a defence turning the attacker away count as
+    {!Surface.Blocked}: a {!Fidelius_hw.Denial.Denied}, a refused NPF
+    ({!Fidelius_xen.Hypervisor.Npf_unresolved}) or a page fault. Any other
+    exception is a harness fault and comes back as {!Surface.Errored}, so
+    a simulator crash never counts as a defence. The fault matrix
+    classifies its cells with the same function. *)
+
 val run_all : ?seed:int64 -> ?domains:int -> unit -> row list
 (** Runs the whole catalogue, one fresh stack-triple per attack.
     [domains] (default [Fidelius_fleet.Pool.recommended_domains ()])

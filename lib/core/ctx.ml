@@ -27,6 +27,11 @@ type t = {
 
 let is_protected t domid = List.mem domid t.protected_domids
 
+let with_teardown t domid f =
+  let saved = t.teardown_for in
+  t.teardown_for <- Some domid;
+  Fun.protect ~finally:(fun () -> t.teardown_for <- saved) f
+
 let audit t msg = t.violations <- msg :: t.violations
 
 let violations t = t.violations

@@ -31,7 +31,9 @@ type t = {
   mutable next_domain_protected : bool;
       (** set by the lifecycle just before [create_domain] so the
           frame-allocation hook knows to revoke the hypervisor's mappings *)
-  mutable teardown_for : int option;    (** domid whose NPT unmaps are authorized *)
+  mutable teardown_for : int option;
+      (** domid whose NPT unmaps are authorized; only {!with_teardown}
+          sets it *)
   mutable boot_window : int option;
       (** domid whose frames the hypervisor may temporarily map writable to
           load the encrypted kernel image (paper Section 6.2) *)
@@ -46,6 +48,14 @@ type t = {
 }
 
 val is_protected : t -> int -> bool
+
+val with_teardown : t -> int -> (unit -> 'a) -> 'a
+(** [with_teardown t domid f] runs [f] with the NPT unmaps of [domid]
+    authorized — the one teardown-authority window, used by the teardown
+    of a protected domain and by a guest-initiated page release. The
+    previous authority comes back on every exit, a raising [f]
+    included. *)
+
 val audit : t -> string -> unit
 (** Record a denied operation for later auditing (paper Section 5.3). *)
 

@@ -230,35 +230,11 @@ let install_hooks ctx =
       Git_table.record ctx.Ctx.git
         { Git_table.initiator = dom.Xen.Domain.domid; target; gfn; nr; writable });
 
+  (* A page release arrives on the domain's own hypercall path, so it is
+     guest-initiated: the policy admits its unmap under teardown authority
+     for that domain alone. *)
   med.Xen.Hypervisor.balloon_release <-
-    (fun dom ~gfn ->
-      (* Guest-initiated (it arrives on the domain's own hypercall path),
-         so Fidelius authorizes the unmap under teardown authority for just
-         this entry, scrubs the frame and hands it back to the host pool. *)
-      match Hw.Pagetable.lookup dom.Xen.Domain.npt gfn with
-      | None -> Error "balloon: gfn not backed"
-      | Some npte ->
-          let pfn = npte.Hw.Pagetable.frame in
-          let saved = ctx.Ctx.teardown_for in
-          ctx.Ctx.teardown_for <- Some dom.Xen.Domain.domid;
-          let result = med.Xen.Hypervisor.npt_update dom gfn None in
-          ctx.Ctx.teardown_for <- saved;
-          let* () = result in
-          dom.Xen.Domain.frames <- List.filter (fun f -> f <> pfn) dom.Xen.Domain.frames;
-          med.Xen.Hypervisor.on_guest_frame_release dom pfn;
-          Hw.Machine.free_frame machine pfn;
-          Ok ());
-
-  med.Xen.Hypervisor.enable_mem_enc <-
-    (fun dom ->
-      (* Set the C-bit on every nested mapping of the guest; each update is
-         a same-frame permission change, so the PIT policy admits it. *)
-      List.fold_left
-        (fun acc (gfn, (p : Hw.Pagetable.proto)) ->
-          let* () = acc in
-          med.Xen.Hypervisor.npt_update dom gfn (Some { p with Hw.Pagetable.c_bit = true }))
-        (Ok ())
-        (Hw.Pagetable.mapped_frames dom.Xen.Domain.npt))
+    (fun dom release -> Ctx.with_teardown ctx dom.Xen.Domain.domid release)
 
 (* ---- privileged-instruction rehoming ---------------------------------- *)
 

@@ -13,8 +13,11 @@
       opens them;
     - every mediated path of the hypervisor (NPT updates, host-mapping
       updates, grant updates, vmexit/vmrun boundaries, frame
-      allocation/release, [pre_sharing_op], [enable_mem_enc]) runs through
-      Fidelius gates with policy enforcement;
+      allocation/release, [pre_sharing_op]) runs through Fidelius gates
+      with policy enforcement — the guest-initiated NPT changes
+      (Enable_mem_enc, Balloon_release) included, since the hypervisor
+      runs their one body through these hooks; a page release's unmap
+      runs under {!Ctx.with_teardown} for the releasing domain;
     - DMA is filtered by the IOMMU to frames whose PIT usage permits it. *)
 
 module Hw = Fidelius_hw

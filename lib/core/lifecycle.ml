@@ -25,21 +25,39 @@ let pp_boot_error fmt = function
 
 let start ctx dom = Xen.Hypervisor.vmrun ctx.Ctx.hv dom
 
-let load_cipher_page ctx (dom : Xen.Domain.t) ~gfn ~cipher =
-  let hv = ctx.Ctx.hv in
-  match Hw.Pagetable.lookup dom.Xen.Domain.npt gfn with
-  | None -> Error (Printf.sprintf "boot: gfn 0x%x not populated" gfn)
-  | Some npte ->
-      let pfn = npte.Hw.Pagetable.frame in
-      (* The hypervisor temporarily obtains write permission to load the
-         encrypted image (paper Section 6.2), inside the boot window. *)
-      let* () =
-        hv.Xen.Hypervisor.med.Xen.Hypervisor.host_map_update pfn
-          (Some { Hw.Pagetable.frame = pfn; writable = true; executable = false; c_bit = false })
-      in
-      Xen.Hypervisor.host_write hv pfn ~off:0 cipher;
-      let* () = hv.Xen.Hypervisor.med.Xen.Hypervisor.host_map_update pfn None in
-      Ok pfn
+(* The one boot-window write (paper Section 6.2): the hypervisor maps one
+   frame of the domain writable, writes inside it and unmaps it. The
+   window opens for this one write; it closes and the frame is unmapped on
+   every exit, a refused map or a raising write included. A range that
+   leaves the frame is refused before anything opens, compared by
+   subtraction so a hypervisor-chosen [off] cannot wrap the bound.
+   Returns the frame written. *)
+let boot_write ctx (dom : Xen.Domain.t) ~gfn ~off data =
+  let len = Bytes.length data in
+  if off < 0 || off > Hw.Addr.page_size || len > Hw.Addr.page_size - off then
+    Error (Printf.sprintf "boot write: %d bytes at offset %d leave the frame" len off)
+  else
+    match Hw.Pagetable.lookup dom.Xen.Domain.npt gfn with
+    | None -> Error (Printf.sprintf "boot write: gfn 0x%x not populated" gfn)
+    | Some { Hw.Pagetable.frame = pfn; _ } ->
+        let map = ctx.Ctx.hv.Xen.Hypervisor.med.Xen.Hypervisor.host_map_update pfn in
+        let unmapped = ref (Ok ()) in
+        ctx.Ctx.boot_window <- Some dom.Xen.Domain.domid;
+        let* () =
+          Fun.protect
+            ~finally:(fun () ->
+              ctx.Ctx.boot_window <- None;
+              unmapped := map None)
+            (fun () ->
+              let* () =
+                map
+                  (Some
+                     { Hw.Pagetable.frame = pfn; writable = true; executable = false; c_bit = false })
+              in
+              Ok (Xen.Hypervisor.host_write ctx.Ctx.hv pfn ~off data))
+        in
+        let* () = !unmapped in
+        Ok pfn
 
 (* A partially received protected domain: RECEIVE_START has run, pages may
    stream in incrementally (live migration delivers them round by round),
@@ -65,19 +83,17 @@ let session_domain s = s.dom
 let teardown ctx (dom : Xen.Domain.t) =
   let hv = ctx.Ctx.hv in
   let domid = dom.Xen.Domain.domid in
-  ctx.Ctx.teardown_for <- Some domid;
-  List.iter
-    (fun (gfn, _) -> ignore (hv.Xen.Hypervisor.med.Xen.Hypervisor.npt_update dom gfn None))
-    (Hw.Pagetable.mapped_frames dom.Xen.Domain.npt);
-  Xen.Hypervisor.destroy_domain hv dom;
-  ctx.Ctx.teardown_for <- None;
+  Ctx.with_teardown ctx domid (fun () ->
+      List.iter
+        (fun (gfn, _) -> ignore (hv.Xen.Hypervisor.med.Xen.Hypervisor.npt_update dom gfn None))
+        (Hw.Pagetable.mapped_frames dom.Xen.Domain.npt);
+      Xen.Hypervisor.destroy_domain hv dom);
   Git_table.revoke_domain ctx.Ctx.git ~initiator:domid;
   Hashtbl.remove ctx.Ctx.shadows domid;
   ctx.Ctx.protected_domids <- List.filter (fun d -> d <> domid) ctx.Ctx.protected_domids
 
 let rollback_session s err =
   s.closed <- true;
-  s.ctx.Ctx.boot_window <- None;
   teardown s.ctx s.dom;
   Error err
 
@@ -128,19 +144,22 @@ let receive_pages s pages =
   else begin
     let ctx = s.ctx in
     let hv = ctx.Ctx.hv in
-    (* 2./3. Load each transport page and re-encrypt it in place, inside
-       the temporary hypervisor write window. *)
-    ctx.Ctx.boot_window <- Some s.dom.Xen.Domain.domid;
+    (* 2./3. Load each transport page through the boot window, then
+       re-encrypt it in place. A relayed page that is not exactly one page
+       is refused before anything is mapped. *)
     let load_all =
       List.fold_left
         (fun acc (index, gfn, cipher) ->
           let* () = acc in
-          let* pfn = load_cipher_page ctx s.dom ~gfn ~cipher in
+          let* () =
+            if Bytes.length cipher = Hw.Addr.page_size then Ok ()
+            else Error (Printf.sprintf "image page %d is not one page" index)
+          in
+          let* pfn = boot_write ctx s.dom ~gfn ~off:0 cipher in
           Sev.Firmware.receive_update_in_place hv.Xen.Hypervisor.fw ~handle:s.handle ~index
             ~pfn)
         (Ok ()) pages
     in
-    ctx.Ctx.boot_window <- None;
     match load_all with
     | Error e -> rollback_session s (Failed ("boot: " ^ e))
     | Ok () -> Ok ()
@@ -202,34 +221,8 @@ let write_start_info ?(off = 0) ctx dom data =
   in
   (* start_info lives in an unencrypted guest page the hypervisor fills
      exactly once during construction. *)
-  match Hw.Pagetable.lookup dom.Xen.Domain.npt 0 with
-  | None -> Error "start_info: gfn 0 not populated"
-  | Some npte ->
-      let med = ctx.Ctx.hv.Xen.Hypervisor.med in
-      let pfn = npte.Hw.Pagetable.frame in
-      (* The boot window and the writable mapping last for this one write:
-         both close on every exit, a refused map or a raising write
-         included. *)
-      ctx.Ctx.boot_window <- Some dom.Xen.Domain.domid;
-      let close () =
-        let unmapped = med.Xen.Hypervisor.host_map_update pfn None in
-        ctx.Ctx.boot_window <- None;
-        unmapped
-      in
-      match
-        let* () =
-          med.Xen.Hypervisor.host_map_update pfn
-            (Some { Hw.Pagetable.frame = pfn; writable = true; executable = false; c_bit = false })
-        in
-        Ok (Xen.Hypervisor.host_write ctx.Ctx.hv pfn ~off data)
-      with
-      | exception e ->
-          ignore (close ());
-          raise e
-      | written ->
-          let unmapped = close () in
-          let* () = written in
-          unmapped
+  let* _ = boot_write ctx dom ~gfn:0 ~off data in
+  Ok ()
 
 let kblk_of_guest ctx (dom : Xen.Domain.t) =
   Xen.Hypervisor.in_guest ctx.Ctx.hv dom (fun () ->

@@ -78,12 +78,14 @@ val receive_begin :
 val receive_pages :
   session -> (int * Hw.Addr.gfn * bytes) list -> (unit, boot_error) result
 (** Load one round of [(transport_index, gfn, ciphertext)] triples: each
-    page is written through a temporary hypervisor write window and
-    re-encrypted in place by RECEIVE_UPDATE under the transport index.
-    The index both keys the transport CTR stream and is folded into the
-    running measurement, so a page replayed at the wrong index or placed
-    at the wrong gfn changes the measurement verified later. Mechanical
-    failures (unpopulated gfn, mediation refusal) are [Failed]. *)
+    page is written through the boot window (the one boot-window write
+    {!write_start_info} uses too) and re-encrypted in place by
+    RECEIVE_UPDATE under the transport index. The index both keys the
+    transport CTR stream and is folded into the running measurement, so a
+    page replayed at the wrong index or placed at the wrong gfn changes
+    the measurement verified later. Mechanical failures (a relayed page
+    that is not exactly one page, refused before anything is mapped; an
+    unpopulated gfn; a mediation refusal) are [Failed]. *)
 
 val receive_complete : session -> expected:bytes -> (Xen.Domain.t, boot_error) result
 (** RECEIVE_FINISH against the sender's keyed measurement [expected]
@@ -118,7 +120,9 @@ val write_start_info : ?off:int -> Ctx.t -> Xen.Domain.t -> bytes -> (unit, stri
     construction; rewriting any byte, or a range outside the page, is
     denied. The boot window that lets the hypervisor map the frame
     writable opens for this one write and closes, with the frame
-    unmapped, on every exit. *)
+    unmapped, on every exit — the same boot-window write the image load
+    of {!receive_pages} runs, which also refuses any range that leaves
+    the frame. *)
 
 val kblk_of_guest : Ctx.t -> Xen.Domain.t -> bytes
 (** The disk encryption key the owner embedded in kernel page 0 — readable

@@ -3,6 +3,8 @@ module Vmcb = Hw.Vmcb
 module Cpu = Hw.Cpu
 module Trace = Fidelius_obs.Trace
 
+(* What the hypervisor may read at each exit. What it may hand back is
+   the exit exchange, the one table in Hw.Vmcb. *)
 let visible_regs = function
   | Vmcb.Cpuid -> [ Cpu.Rax; Cpu.Rbx; Cpu.Rcx; Cpu.Rdx ]
   | Vmcb.Vmmcall -> [ Cpu.Rax; Cpu.Rdi; Cpu.Rsi; Cpu.Rdx; Cpu.R8; Cpu.R9 ]
@@ -10,49 +12,19 @@ let visible_regs = function
   | Vmcb.Msr -> [ Cpu.Rax; Cpu.Rcx; Cpu.Rdx ]
   | Vmcb.Npf | Vmcb.Hlt | Vmcb.Intr | Vmcb.Shutdown -> []
 
-let updatable_regs = function
-  | Vmcb.Cpuid -> [ Cpu.Rax; Cpu.Rbx; Cpu.Rcx; Cpu.Rdx ]
-  | Vmcb.Vmmcall -> [ Cpu.Rax ]
-  | Vmcb.Ioio -> [ Cpu.Rax ]
-  | Vmcb.Msr -> [ Cpu.Rax; Cpu.Rdx ]
-  | Vmcb.Npf | Vmcb.Hlt | Vmcb.Intr | Vmcb.Shutdown -> []
-
 let visible_fields = function
   | Vmcb.Cpuid | Vmcb.Vmmcall | Vmcb.Ioio | Vmcb.Msr -> [ Vmcb.Rax; Vmcb.Rip ]
   | Vmcb.Npf | Vmcb.Hlt | Vmcb.Intr | Vmcb.Shutdown -> []
 
-let updatable_fields = function
-  | Vmcb.Cpuid | Vmcb.Vmmcall | Vmcb.Ioio | Vmcb.Msr -> [ Vmcb.Rip; Vmcb.Rax ]
-  | Vmcb.Hlt | Vmcb.Intr -> [ Vmcb.Rip ]
-  | Vmcb.Npf | Vmcb.Shutdown -> []
-
 let protected_fields =
   Vmcb.save_area @ [ Vmcb.Asid; Vmcb.Np_cr3; Vmcb.Sev_enabled; Vmcb.Np_enabled; Vmcb.Intercepts ]
 
-(* ---- preindexed views -------------------------------------------------
-
-   The reason-keyed lists above stay the single source of truth; at module
-   init they are folded into per-reason bitmasks over the dense VMCB-field
-   and GPR indices, so the per-crossing capture/verify/restore loops are
-   straight [for] loops testing mask bits — no [List.mem] scans and no
-   allocation. *)
-
-let reason_index = function
-  | Vmcb.Cpuid -> 0 | Vmcb.Hlt -> 1 | Vmcb.Vmmcall -> 2 | Vmcb.Npf -> 3
-  | Vmcb.Ioio -> 4 | Vmcb.Msr -> 5 | Vmcb.Intr -> 6 | Vmcb.Shutdown -> 7
-
-let reasons =
-  [| Vmcb.Cpuid; Vmcb.Hlt; Vmcb.Vmmcall; Vmcb.Npf;
-     Vmcb.Ioio; Vmcb.Msr; Vmcb.Intr; Vmcb.Shutdown |]
-
-let field_mask l = List.fold_left (fun m f -> m lor (1 lsl Vmcb.index f)) 0 l
-let reg_mask l = List.fold_left (fun m r -> m lor (1 lsl Cpu.reg_index r)) 0 l
-
-let vis_f_masks = Array.map (fun r -> field_mask (visible_fields r)) reasons
-let upd_f_masks = Array.map (fun r -> field_mask (updatable_fields r)) reasons
-let vis_r_masks = Array.map (fun r -> reg_mask (visible_regs r)) reasons
-let upd_r_masks = Array.map (fun r -> reg_mask (updatable_regs r)) reasons
-let save_area_mask = field_mask Vmcb.save_area
+(* Per-reason bitmasks over the dense VMCB-field and GPR indices, so the
+   per-crossing capture/verify/restore loops are straight [for] loops
+   testing mask bits — no [List.mem] scans and no allocation. *)
+let vis_f_masks = Array.map (fun r -> Vmcb.field_mask (visible_fields r)) Vmcb.exit_reasons
+let vis_r_masks = Array.map (fun r -> Vmcb.reg_mask (visible_regs r)) Vmcb.exit_reasons
+let save_area_mask = Vmcb.field_mask Vmcb.save_area
 
 (* Protected fields as dense indices, preserving [protected_fields] order
    so a tamper report names the same field the list-scan version did. *)
@@ -96,7 +68,7 @@ let capture t machine vmcb reason =
      zero every register the hypervisor has no business reading. *)
   Vmcb.snapshot_into vmcb t.snap_fields;
   Cpu.snapshot_regs_into cpu t.snap_regs;
-  let ri = reason_index reason in
+  let ri = Vmcb.reason_index reason in
   let vis_f = vis_f_masks.(ri) and vis_r = vis_r_masks.(ri) in
   for i = 0 to Vmcb.nr_fields - 1 do
     Bytes.set_int64_be bytes (8 * i) (Array.unsafe_get t.snap_fields i);
@@ -124,11 +96,11 @@ let verify_and_restore t machine vmcb =
     let reason = t.reason in
     let cpu = machine.Hw.Machine.cpu in
     let bytes = t.page in
-    let ri = reason_index reason in
-    let upd_f = upd_f_masks.(ri) and vis_f = vis_f_masks.(ri) in
-    (* A non-updatable field must come back exactly as it was handed to
-       the hypervisor: the shadow value if it was visible, the mask (zero)
-       if it was hidden. *)
+    let ri = Vmcb.reason_index reason in
+    let upd_f = Vmcb.exchange_field_masks.(ri) and vis_f = vis_f_masks.(ri) in
+    (* A field outside the exchange must come back exactly as it was
+       handed to the hypervisor: the shadow value if it was visible, the
+       mask (zero) if it was hidden. *)
     let tampered = ref (-1) in
     let n = Array.length protected_idx in
     let k = ref 0 in
@@ -152,9 +124,9 @@ let verify_and_restore t machine vmcb =
     end
     else begin
       if Trace.enabled () then Trace.emit (Trace.Shadow_verify { ok = true });
-      (* Restore: non-updatable fields and registers come back from the
-         shadow; the hypervisor's updates to the allowed set stand. *)
-      let upd_r = upd_r_masks.(ri) in
+      (* Restore: fields and registers outside the exchange come back from
+         the shadow; the hypervisor's updates to the exchange stand. *)
+      let upd_r = Vmcb.exchange_reg_masks.(ri) in
       for i = 0 to Vmcb.nr_fields - 1 do
         if upd_f land (1 lsl i) = 0 then
           Vmcb.unsafe_set_i vmcb i (Array.unsafe_get t.snap_fields i)

@@ -5,8 +5,9 @@
     into a private frame that is unmapped from the hypervisor, then masks
     the live copies down to the fields the exit reason legitimately needs.
     Before VMRUN it verifies the hypervisor's modifications against the
-    shadow — only the per-exit-reason updatable set may differ — and
-    restores every other register from the shadow. *)
+    shadow — only the exit reason's exchange ({!Hw.Vmcb.exchange_fields},
+    {!Hw.Vmcb.exchange_regs}, the table the SEV-ES world switch uses) may
+    differ — and restores every other register from the shadow. *)
 
 module Hw = Fidelius_hw
 
@@ -14,18 +15,11 @@ val visible_regs : Hw.Vmcb.exit_reason -> Hw.Cpu.reg list
 (** Registers left unmasked for the hypervisor to read, by exit reason
     (e.g. CPUID leaves exactly RAX/RBX/RCX/RDX, paper Section 5.1). *)
 
-val updatable_regs : Hw.Vmcb.exit_reason -> Hw.Cpu.reg list
-(** Registers whose hypervisor-written values are accepted at re-entry. *)
-
 val visible_fields : Hw.Vmcb.exit_reason -> Hw.Vmcb.field list
 (** Save-area fields left unmasked in the live VMCB. *)
 
-val updatable_fields : Hw.Vmcb.exit_reason -> Hw.Vmcb.field list
-(** VMCB fields the hypervisor may legitimately change before re-entry
-    (typically RIP advance and RAX). *)
-
 val protected_fields : Hw.Vmcb.field list
-(** Fields verified against the shadow whenever not explicitly updatable:
+(** Fields verified against the shadow whenever outside the exchange:
     the save area plus the critical control bits (ASID, NP_CR3,
     SEV_ENABLED, NP_ENABLED, INTERCEPTS). *)
 
@@ -43,9 +37,9 @@ val capture : t -> Hw.Machine.t -> Hw.Vmcb.t -> Hw.Vmcb.exit_reason -> unit
 val verify_and_restore :
   t -> Hw.Machine.t -> Hw.Vmcb.t -> (unit, string) result
 (** Entry side: compare the live VMCB against the shadow (modulo the
-    updatable set for the captured exit reason); on success, restore the
-    non-updatable registers from the shadow and return. On tampering,
-    return [Error] naming the field. *)
+    captured exit reason's exchange); on success, restore every field and
+    register outside the exchange from the shadow and return. On
+    tampering, return [Error] naming the field. *)
 
 val last_exit : t -> Hw.Vmcb.exit_reason option
 

@@ -29,3 +29,12 @@ let bytes t n =
   b
 
 let split t = create (next64 t)
+
+(* FNV-1a, 64-bit, folded to 62 bits so a caller can add a small offset
+   without leaving the positive range. *)
+let seed_of_label s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  Int64.logand !h 0x3fffffffffffffffL

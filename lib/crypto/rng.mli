@@ -25,3 +25,10 @@ val bytes : t -> int -> bytes
 
 val split : t -> t
 (** [split t] derives an independent generator (and advances [t]). *)
+
+val seed_of_label : string -> int64
+(** A seed derived from a label by a fixed hash (64-bit FNV-1a, low 62
+    bits), the same on every OCaml release and host, unlike
+    [Hashtbl.hash]. The harnesses seed each job from its identity with
+    it, so a job's result depends on what the job is, never on its
+    position in a list or on how many domains ran the list. *)

@@ -19,7 +19,6 @@ type t = {
   ledger : Cost.ledger;
   smek : Aes.key;
   slots : (int, Aes.key) Hashtbl.t;
-  fw_keys : (string, Aes.key) Hashtbl.t;
   costs : Cost.table;
   mutable fetch_check : (Addr.pfn -> bytes -> (unit, string) result) option;
   (* Span scratch for the encrypted read-modify-write paths: plaintext
@@ -30,44 +29,20 @@ type t = {
   scratch : bytes;
 }
 
-let fw_key_cache_max = 256
-
 let create mem ledger rng =
   { mem;
     ledger;
     smek = Aes.expand (Rng.bytes rng 16);
     slots = Hashtbl.create 16;
-    fw_keys = Hashtbl.create 16;
     costs = Cost.default;
     fetch_check = None;
     scratch = Bytes.create Addr.page_size }
 
 let set_fetch_check t check = t.fetch_check <- check
 
-(* The firmware drives whole-page operations with raw (not slot-installed)
-   keys, and re-uses the same Kvek for every page of a launch or migration —
-   expanding it once per page is pure waste. Cache the schedule, keyed by the
-   key bytes; the cache is flushed when it grows past a generous bound so a
-   long-lived platform cycling many guests cannot leak schedules forever. *)
-let fw_key t raw =
-  let id = Bytes.to_string raw in
-  match Hashtbl.find_opt t.fw_keys id with
-  | Some k -> k
-  | None ->
-      if Hashtbl.length t.fw_keys >= fw_key_cache_max then Hashtbl.reset t.fw_keys;
-      let k = Aes.expand raw in
-      Hashtbl.add t.fw_keys id k;
-      k
-
-(* DECOMMISSION's half of the key scrub: once the firmware drops a guest
-   key, the controller must not keep it (or its schedule) around. *)
-let forget_fw_key t raw = Hashtbl.remove t.fw_keys (Bytes.to_string raw)
-
-let fw_keys_cached t = Hashtbl.length t.fw_keys
-
-let install_key t ~asid raw =
+let install_key t ~asid key =
   if asid <= 0 then invalid_arg "Memctrl.install_key: guest ASIDs are positive";
-  Hashtbl.replace t.slots asid (Aes.expand raw)
+  Hashtbl.replace t.slots asid key
 
 let uninstall_key t ~asid = Hashtbl.remove t.slots asid
 
@@ -173,22 +148,6 @@ let write t sel pfn ~off data =
           ~src:plain ~src_off:0 ~dst:page ~dst_off:(first * Addr.block_size) ~len:span
   end
 
-let read_u64 t sel pfn ~off =
-  Bytes.get_int64_be (read t sel pfn ~off ~len:8) 0
-
-let write_u64 t sel pfn ~off v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 v;
-  write t sel pfn ~off b
-
-let reencrypt_page t ~src ~dst pfn =
-  let plain = read t src pfn ~off:0 ~len:Addr.page_size in
-  write t dst pfn ~off:0 plain
-
-let copy_page t ~src_sel ~src ~dst_sel ~dst =
-  let plain = read t src_sel src ~off:0 ~len:Addr.page_size in
-  write t dst_sel dst ~off:0 plain
-
 let fw_charge t =
   Cost.charge_id t.ledger c_enc_engine
     ((t.costs.Cost.dram_access + t.costs.Cost.enc_extra) * Addr.blocks_per_page);
@@ -199,9 +158,8 @@ let fw_write_page t ~key pfn plain =
   if Bytes.length plain <> Addr.page_size then
     invalid_arg "Memctrl.fw_write_page: need a full page";
   fw_charge t;
-  let aes = fw_key t key in
   let page = Physmem.page t.mem pfn in
-  Modes.xex_encrypt_span aes ~tweak0:(tweak_of pfn 0) ~tweak_step
+  Modes.xex_encrypt_span key ~tweak0:(tweak_of pfn 0) ~tweak_step
     ~src:plain ~src_off:0 ~dst:page ~dst_off:0 ~len:Addr.page_size
 
 let fw_encrypt_page t ~key pfn =
@@ -212,9 +170,8 @@ let fw_decrypt_page_into t ~key pfn ~dst =
   if Bytes.length dst <> Addr.page_size then
     invalid_arg "Memctrl.fw_decrypt_page_into: need a full page";
   fw_charge t;
-  let aes = fw_key t key in
   let page = Physmem.page t.mem pfn in
-  Modes.xex_decrypt_span aes ~tweak0:(tweak_of pfn 0) ~tweak_step
+  Modes.xex_decrypt_span key ~tweak0:(tweak_of pfn 0) ~tweak_step
     ~src:page ~src_off:0 ~dst ~dst_off:0 ~len:Addr.page_size
 
 let fw_decrypt_page t ~key pfn =

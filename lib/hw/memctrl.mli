@@ -23,9 +23,11 @@ val create : Physmem.t -> Cost.ledger -> Fidelius_crypto.Rng.t -> t
 (** A fresh controller with a newly generated SME key (keys are regenerated
     on every platform reset, per the paper's Section 2.1). *)
 
-val install_key : t -> asid:int -> bytes -> unit
-(** Install a 16-byte VM encryption key into a slot (ACTIVATE). Replaces any
-    previous key in that slot. *)
+val install_key : t -> asid:int -> Fidelius_crypto.Aes.key -> unit
+(** Install a VM encryption key's schedule into a slot (ACTIVATE). The
+    slot holds the schedule it is given, not a copy: the firmware expands
+    each Kvek once and hands the same schedule to every slot and page
+    command. Replaces any previous key in that slot. *)
 
 val uninstall_key : t -> asid:int -> unit
 (** DEACTIVATE: drop the slot; subsequent [Asid] traffic with that slot
@@ -47,49 +49,30 @@ val read_into :
 val write : t -> selector -> Addr.pfn -> off:int -> bytes -> unit
 (** Encrypting write (read-modify-write of partial blocks). *)
 
-val read_u64 : t -> selector -> Addr.pfn -> off:int -> int64
-val write_u64 : t -> selector -> Addr.pfn -> off:int -> int64 -> unit
-
-val reencrypt_page : t -> src:selector -> dst:selector -> Addr.pfn -> unit
-(** In-place re-encryption of a whole page from one key domain to another,
-    as the firmware does during RECEIVE_UPDATE. *)
-
-val copy_page :
-  t -> src_sel:selector -> src:Addr.pfn -> dst_sel:selector -> dst:Addr.pfn -> unit
-(** Page copy through the engine (decrypt with [src_sel], re-encrypt with
-    [dst_sel]). *)
-
 (** {2 Firmware-orchestrated operations}
 
-    The secure processor drives the engine with raw keys that are not (yet)
+    The secure processor drives the engine with keys that are not (yet)
     installed in any ASID slot — e.g. encrypting launch pages with a fresh
-    Kvek before ACTIVATE. The tweak convention matches slot traffic exactly,
-    so pages prepared this way decrypt correctly once the key is
-    activated. *)
+    Kvek before ACTIVATE. It passes the schedule its guest context holds,
+    so the controller keeps no key of its own for these commands. The
+    tweak convention matches slot traffic exactly, so pages prepared this
+    way decrypt correctly once the key is activated. *)
 
-val fw_encrypt_page : t -> key:bytes -> Addr.pfn -> unit
-(** Encrypt a plaintext-resident page in place under a raw 16-byte key. *)
+val fw_encrypt_page : t -> key:Fidelius_crypto.Aes.key -> Addr.pfn -> unit
+(** Encrypt a plaintext-resident page in place under [key]. *)
 
-val fw_decrypt_page : t -> key:bytes -> Addr.pfn -> bytes
-(** Plaintext of a page encrypted under a raw key (the page itself is left
+val fw_decrypt_page : t -> key:Fidelius_crypto.Aes.key -> Addr.pfn -> bytes
+(** Plaintext of a page encrypted under [key] (the page itself is left
     untouched), in a fresh buffer. *)
 
-val fw_decrypt_page_into : t -> key:bytes -> Addr.pfn -> dst:bytes -> unit
+val fw_decrypt_page_into :
+  t -> key:Fidelius_crypto.Aes.key -> Addr.pfn -> dst:bytes -> unit
 (** {!fw_decrypt_page} into a caller-owned page-sized buffer — same ledger
     charge and trace event, no allocation. Raises [Invalid_argument] unless
     [dst] is exactly one page. *)
 
-val forget_fw_key : t -> bytes -> unit
-(** Drop the cached schedule of a raw firmware key (DECOMMISSION). The
-    next use of the same key re-expands it; a miss charges nothing. *)
-
-val fw_keys_cached : t -> int
-(** Number of raw firmware keys whose schedule the controller holds.
-    Introspection for the key-scrub tests (the keys themselves never
-    leave the controller). *)
-
-val fw_write_page : t -> key:bytes -> Addr.pfn -> bytes -> unit
-(** Store a full plaintext page encrypted under a raw key. *)
+val fw_write_page : t -> key:Fidelius_crypto.Aes.key -> Addr.pfn -> bytes -> unit
+(** Store a full plaintext page encrypted under [key]. *)
 
 (** {2 Inline integrity engine}
 

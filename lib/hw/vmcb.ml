@@ -87,6 +87,32 @@ let diff a b = List.filter (fun f -> not (Int64.equal (get a f) (get b f))) fiel
 
 let exit_reason t = exit_reason_of_int64 (get t Exit_reason)
 
+(* The exit exchange: SEV-ES's GHCB protocol, which Fidelius' shadowing
+   renders in software. The lists are the definition; the masks are folds
+   over them at init, so the per-crossing loops test bits and allocate
+   nothing. *)
+let exit_reasons = [| Cpuid; Hlt; Vmmcall; Npf; Ioio; Msr; Intr; Shutdown |]
+
+let reason_index = function
+  | Cpuid -> 0 | Hlt -> 1 | Vmmcall -> 2 | Npf -> 3
+  | Ioio -> 4 | Msr -> 5 | Intr -> 6 | Shutdown -> 7
+
+let exchange_fields = function
+  | Cpuid | Vmmcall | Ioio | Msr -> [ Rip; Rax ]
+  | Hlt | Intr -> [ Rip ]
+  | Npf | Shutdown -> []
+
+let exchange_regs = function
+  | Cpuid -> [ Cpu.Rax; Cpu.Rbx; Cpu.Rcx; Cpu.Rdx ]
+  | Vmmcall | Ioio -> [ Cpu.Rax ]
+  | Msr -> [ Cpu.Rax; Cpu.Rdx ]
+  | Npf | Hlt | Intr | Shutdown -> []
+
+let field_mask fs = List.fold_left (fun m f -> m lor (1 lsl index f)) 0 fs
+let reg_mask rs = List.fold_left (fun m r -> m lor (1 lsl Cpu.reg_index r)) 0 rs
+let exchange_field_masks = Array.map (fun r -> field_mask (exchange_fields r)) exit_reasons
+let exchange_reg_masks = Array.map (fun r -> reg_mask (exchange_regs r)) exit_reasons
+
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
   List.iter (fun f -> Format.fprintf fmt "%-12s 0x%Lx@," (field_to_string f) (get t f)) fields;

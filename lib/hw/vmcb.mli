@@ -79,4 +79,38 @@ val diff : t -> t -> field list
 val exit_reason : t -> exit_reason option
 (** Decoded [Exit_reason] field. *)
 
+(** {2 The exit exchange}
+
+    SEV-ES's per-exit-reason register exchange (the GHCB protocol), which
+    Fidelius' VMCB shadowing renders in software (paper Sections 4.2.1
+    and 5.1): for each exit reason, the save-area fields and the GPRs
+    whose hypervisor-written values the guest takes back at re-entry.
+    Everything else comes back from the guest's own copy. One table
+    serves both: the SEV-ES world switch masks and adopts by it, and
+    [Fidelius_core.Shadow] verifies and restores by it. *)
+
+val exit_reasons : exit_reason array
+(** The eight exit reasons, each at its {!reason_index}. *)
+
+val reason_index : exit_reason -> int
+(** Dense 0-based index of an exit reason, for the per-reason arrays. *)
+
+val exchange_fields : exit_reason -> field list
+(** Save-area fields of the exchange (typically RIP advance and RAX). *)
+
+val exchange_regs : exit_reason -> Cpu.reg list
+(** GPRs of the exchange (e.g. CPUID's RAX/RBX/RCX/RDX). *)
+
+val field_mask : field list -> int
+(** Bit [index f] set for each listed field. *)
+
+val reg_mask : Cpu.reg list -> int
+(** Bit [Cpu.reg_index r] set for each listed register. *)
+
+val exchange_field_masks : int array
+(** [field_mask (exchange_fields r)] at [reason_index r]. Read-only. *)
+
+val exchange_reg_masks : int array
+(** [reg_mask (exchange_regs r)] at [reason_index r]. Read-only. *)
+
 val pp : Format.formatter -> t -> unit

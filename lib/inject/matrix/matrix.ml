@@ -45,16 +45,6 @@ let with_plan ~seed site f =
   Plan.install (Plan.make ~seed [ Plan.always site ]);
   Fun.protect ~finally:Plan.uninstall f
 
-(* Same classification contract as Attacks.Runner.guard: only
-   Denial-class exceptions model a defence turning the actor away. *)
-let guard f =
-  try f ()
-  with
-  | Hw.Denial.Denied m -> Surface.Blocked m
-  | Xen.Hypervisor.Npf_unresolved m -> Surface.Blocked ("NPF handler refused: " ^ m)
-  | Hw.Mmu.Fault { reason; _ } -> Surface.Blocked ("page fault: " ^ reason)
-  | e -> Surface.Errored (Printexc.to_string e)
-
 let build kind ~seed =
   match kind with
   | Plain_sev -> Attacks.Env.baseline ~seed
@@ -92,7 +82,8 @@ let attack_probe ~seed ~references site kind attacks =
       let stack_seed = Int64.add seed (Int64.of_int (i * 10)) in
       let stack = build kind ~seed:stack_seed in
       let faulted =
-        with_plan ~seed site (fun () -> guard (fun () -> attack.Surface.run stack))
+        with_plan ~seed site (fun () ->
+            Attacks.Runner.guard (fun () -> attack.Surface.run stack))
       in
       let reference = List.assoc attack.Surface.id references in
       let v, d = score_attack ~reference ~faulted in
@@ -355,7 +346,7 @@ let run ?(seed = 2026L) ?domains ?(sites = Site.all) ?(attacks = Attacks.Suite.a
     Fidelius_fleet.Pool.map_list ?domains
       (fun (kind, i, (attack : Surface.attack)) ->
         let stack = build kind ~seed:(Int64.add seed (Int64.of_int (i * 10))) in
-        (kind, attack.Surface.id, guard (fun () -> attack.Surface.run stack)))
+        (kind, attack.Surface.id, Attacks.Runner.guard (fun () -> attack.Surface.run stack)))
       ref_jobs
   in
   let references =

@@ -35,10 +35,15 @@ let version_at_least v ~minimum = version_compare v minimum >= 0
 let version_to_string v = Printf.sprintf "%d.%d.%d" v.api_major v.api_minor v.build
 let pp_version fmt v = Format.pp_print_string fmt (version_to_string v)
 
+(* [kvek] is the guest key's one schedule, expanded when LAUNCH_START or
+   RECEIVE_START creates the key. The helper contexts of LAUNCH(shared)
+   and RECEIVE_START [~kvek_of] hold the same schedule, and ACTIVATE
+   installs it as is. DECOMMISSION drops it from every context that holds
+   it. *)
 type guest_ctx = {
   handle : handle;
   mutable state : State.t;
-  kvek : bytes;
+  mutable kvek : Aes.key option;
   policy : int;
   mutable asid : int option;
   mutable tek : Transport.tek_key option;
@@ -141,6 +146,12 @@ let ctx t handle cmd =
   | Some _ -> Error (Printf.sprintf "%s: handle %d is decommissioned" cmd handle)
   | None -> Error (Printf.sprintf "%s: unknown handle %d" cmd handle)
 
+(* A context [ctx] hands out is live, and only DECOMMISSION drops a
+   context's Kvek. *)
+let kvek c = Option.get c.kvek
+
+let fresh_kvek t = Some (Aes.expand (Rng.bytes t.rng 16))
+
 let fresh_handle t =
   let h = t.next_handle in
   t.next_handle <- h + 1;
@@ -153,7 +164,7 @@ let launch_start t ~policy =
   Hashtbl.replace t.contexts handle
     { handle;
       state = State.Launching;
-      kvek = Rng.bytes t.rng 16;
+      kvek = fresh_kvek t;
       policy;
       asid = None;
       tek = None;
@@ -168,7 +179,7 @@ let launch_update t ~handle ~pfn =
   let* () = State.require c.state ~expected:[ State.Launching ] ~cmd:"LAUNCH_UPDATE" in
   let plain = Physmem.read_raw t.machine.Machine.mem pfn ~off:0 ~len:Addr.page_size in
   Measure.add_page c.measure ~index:pfn plain;
-  coherent_encrypt t ~key:c.kvek pfn;
+  coherent_encrypt t ~key:(kvek c) pfn;
   Ok ()
 
 let launch_finish t ~handle =
@@ -187,7 +198,7 @@ let launch_shared t ~handle =
   Hashtbl.replace t.contexts helper
     { handle = helper;
       state = State.Running;
-      kvek = Bytes.copy c.kvek;
+      kvek = c.kvek;
       policy = c.policy;
       asid = None;
       tek = None;
@@ -205,7 +216,7 @@ let activate t ~handle ~asid =
   if asid <= 0 then Error "ACTIVATE: ASID must be positive"
   else begin
     c.asid <- Some asid;
-    Memctrl.install_key t.machine.Machine.ctrl ~asid c.kvek;
+    Memctrl.install_key t.machine.Machine.ctrl ~asid (kvek c);
     Ok ()
   end
 
@@ -219,19 +230,25 @@ let deactivate t ~handle =
       c.asid <- None;
       Ok ()
 
+(* A Kvek has one life: DECOMMISSION retires every context holding it —
+   the guest and the helpers LAUNCH(shared) and RECEIVE_START [~kvek_of]
+   made from it — in the one command. Each loses its key slot, its Kvek
+   and its GEKs. *)
 let decommission t ~handle =
   charge_cmd t "DECOMMISSION";
   let* c = ctx t handle "DECOMMISSION" in
-  (match c.asid with
-  | Some asid -> Memctrl.uninstall_key t.machine.Machine.ctrl ~asid
-  | None -> ());
-  c.asid <- None;
-  c.state <- State.Decommissioned;
-  (* Scrub key material: the controller's cached schedule first, while
-     the key bytes still name it, then the guest's GEKs. *)
-  Memctrl.forget_fw_key t.machine.Machine.ctrl c.kvek;
-  Bytes.fill c.kvek 0 (Bytes.length c.kvek) '\000';
-  Hashtbl.filter_map_inplace (fun (h, _) k -> if h = handle then None else Some k) t.geks;
+  let key = kvek c in
+  Hashtbl.iter
+    (fun h other ->
+      match other.kvek with
+      | Some k when k == key ->
+          Option.iter (fun asid -> Memctrl.uninstall_key t.machine.Machine.ctrl ~asid) other.asid;
+          other.asid <- None;
+          other.state <- State.Decommissioned;
+          other.kvek <- None;
+          Hashtbl.filter_map_inplace (fun (g, _) k -> if g = h then None else Some k) t.geks
+      | _ -> ())
+    t.contexts;
   Ok ()
 
 let state_of t ~handle =
@@ -268,7 +285,7 @@ let send_update t ~handle ~index ~src_pfn =
   | None -> Error "SEND_UPDATE: no transport key"
   | Some tek ->
       let plain = t.plain in
-      Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:c.kvek src_pfn ~dst:plain;
+      Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:(kvek c) src_pfn ~dst:plain;
       Measure.add_page c.measure ~index plain;
       Ok (Transport.page_cipher ~tek ~index plain)
 
@@ -310,10 +327,10 @@ let receive_start t ~wrapped ~origin_public ~nonce ~policy ?kvek_of () =
       let tek = Transport.tek_key (Bytes.sub keys 0 16) and tik = Bytes.sub keys 16 32 in
       let* kvek =
         match kvek_of with
-        | None -> Ok (Rng.bytes t.rng 16)
+        | None -> Ok (fresh_kvek t)
         | Some h ->
             let* src = ctx t h "RECEIVE_START(kvek_of)" in
-            Ok (Bytes.copy src.kvek)
+            Ok src.kvek
       in
       let handle = fresh_handle t in
       Hashtbl.replace t.contexts handle
@@ -345,7 +362,7 @@ let receive_update t ~handle ~index ~cipher ~dst_pfn =
         Transport.page_plain_into ~tek ~index cipher ~dst:plain;
         let apply () =
           Measure.add_page c.measure ~index plain;
-          coherent_write t ~key:c.kvek dst_pfn plain
+          coherent_write t ~key:(kvek c) dst_pfn plain
         in
         apply ();
         if Plan.armed () && Plan.fire Site.Fw_replay then apply ();
@@ -389,7 +406,7 @@ let io_command t ~cmd ~handle ~state ~key_of ~len =
 
 let io_out t ~cmd ~handle ~state ~key_of ~nonce ~src_pfn ~len =
   let* c, key = io_command t ~cmd ~handle ~state ~key_of ~len in
-  Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:c.kvek src_pfn ~dst:t.plain;
+  Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:(kvek c) src_pfn ~dst:t.plain;
   let cipher = Bytes.create len in
   Aes.ctr_into key ~nonce ~src:t.plain ~dst:cipher ~len;
   Ok cipher
@@ -397,9 +414,10 @@ let io_out t ~cmd ~handle ~state ~key_of ~nonce ~src_pfn ~len =
 let io_in t ~cmd ~handle ~state ~key_of ~nonce ~cipher ~dst_pfn =
   let len = Bytes.length cipher in
   let* c, key = io_command t ~cmd ~handle ~state ~key_of ~len in
-  Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:c.kvek dst_pfn ~dst:t.plain;
+  let kvek = kvek c in
+  Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:kvek dst_pfn ~dst:t.plain;
   Aes.ctr_into key ~nonce ~src:cipher ~dst:t.plain ~len;
-  coherent_write t ~key:c.kvek dst_pfn t.plain;
+  coherent_write t ~key:kvek dst_pfn t.plain;
   Ok ()
 
 let tek_of c cmd =
@@ -461,4 +479,4 @@ let dbg_decrypt t ~handle ~pfn =
   let* c = ctx t handle "DBG_DECRYPT" in
   if c.policy land policy_nodbg <> 0 then
     Error "DBG_DECRYPT: forbidden by guest policy (NODBG)"
-  else Ok (Memctrl.fw_decrypt_page t.machine.Machine.ctrl ~key:c.kvek pfn)
+  else Ok (Memctrl.fw_decrypt_page t.machine.Machine.ctrl ~key:(kvek c) pfn)

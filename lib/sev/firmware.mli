@@ -4,7 +4,9 @@
     ACTIVATE/DEACTIVATE/DECOMMISSION, SEND_*, RECEIVE_*, DBG_DECRYPT — with
     the AMD state machine enforced per guest context. Kvek never crosses the
     API boundary: it exists only inside contexts and in memory-controller
-    key slots.
+    key slots. Each Kvek is expanded once, when LAUNCH_START or
+    RECEIVE_START creates it; the helper contexts that share it and the
+    ASID slot ACTIVATE fills all hold that one schedule.
 
     Deliberately faithful insecurities (they are what Fidelius fixes in
     software): ACTIVATE lets its caller bind *any* handle to *any* ASID — the
@@ -76,7 +78,8 @@ val policy_nosend : int
 (** {2 Launch} *)
 
 val launch_start : t -> policy:int -> (handle, string) result
-(** Fresh context with a newly generated Kvek; state LAUNCHING. *)
+(** Fresh context with a newly generated (and expanded) Kvek; state
+    LAUNCHING. *)
 
 val launch_update : t -> handle:handle -> pfn:Fidelius_hw.Addr.pfn -> (unit, string) result
 (** Encrypt a plaintext-resident page in place with the guest's Kvek and
@@ -88,16 +91,19 @@ val launch_finish : t -> handle:handle -> (bytes, string) result
 val launch_shared : t -> handle:handle -> (handle, string) result
 (** Create a helper context sharing the Kvek of an existing RUNNING guest —
     the paper's s-dom/r-dom trick (Section 4.3.5). The helper starts
-    RUNNING with an empty measurement. *)
+    RUNNING with an empty measurement, and lives no longer than the Kvek:
+    DECOMMISSION of the guest retires it. *)
 
 (** {2 Activation} *)
 
 val activate : t -> handle:handle -> asid:int -> (unit, string) result
 val deactivate : t -> handle:handle -> (unit, string) result
 val decommission : t -> handle:handle -> (unit, string) result
-(** Retire the context for good: uninstall its key slot, scrub Kvek (and
-    the memory controller's cached schedule of it) and drop the guest's
-    GEKs. *)
+(** Retire the context for good, and with it every context sharing its
+    Kvek (the helpers of {!launch_shared} and [receive_start ~kvek_of]),
+    in the one command and for one command's charge: each retired context
+    reads DECOMMISSIONED, its key slot is uninstalled, its Kvek schedule
+    dropped and its GEKs discarded. *)
 
 val state_of : t -> handle:handle -> State.t option
 val asid_of : t -> handle:handle -> int option
@@ -137,8 +143,9 @@ val receive_start :
   ?kvek_of:handle ->
   unit ->
   (handle, string) result
-(** Unwrap Ktek/Ktik via the platform identity; fresh Kvek (or shared with
-    [kvek_of], for the r-dom helper); state RECEIVING. *)
+(** Unwrap Ktek/Ktik via the platform identity; fresh Kvek (or the schedule
+    of [kvek_of]'s, for the r-dom helper, which DECOMMISSION of [kvek_of]
+    then retires); state RECEIVING. *)
 
 val receive_update :
   t ->

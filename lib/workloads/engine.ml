@@ -24,20 +24,13 @@ type result = {
   attribution : (string * int) list;
 }
 
-(* FNV-1a, 64-bit. [Hashtbl.hash] is not stable across OCaml releases;
-   the sampled figures (and the golden CSVs pinned in the test suite)
-   must be, so the run seed is derived from a fixed hash instead. *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
-  !h
-
+(* The sampled figures (and the golden CSVs pinned in the test suite) must
+   be stable across OCaml releases, so the run seed is a fixed hash of the
+   run's identity. *)
 let seed_of profile config =
-  let h = fnv1a64 (profile.Profile.name ^ "/" ^ config_to_string config) in
-  Int64.add (Int64.logand h 0x3fffffffffffffffL) 17L
+  Int64.add
+    (Fidelius_crypto.Rng.seed_of_label (profile.Profile.name ^ "/" ^ config_to_string config))
+    17L
 
 let access_bytes = 64
 let sample_accesses = 512

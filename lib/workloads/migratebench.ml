@@ -20,16 +20,7 @@ type t = { rows : row list }
 
 (* Same seeding discipline as Engine: a stable hash of the job identity, so
    VM k under budget b gets the same machines at any domain count. *)
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
-
-let seed_of identity = Int64.add (Int64.logand (fnv1a64 identity) 0x3fffffffffffffffL) 17L
+let seed_of identity = Int64.add (Fidelius_crypto.Rng.seed_of_label identity) 17L
 
 let memory_pages = 16
 

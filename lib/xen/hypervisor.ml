@@ -27,8 +27,8 @@ type mediation = {
   mutable pre_sharing :
     Domain.t -> target:int -> gfn:Hw.Addr.gfn -> nr:int -> writable:bool ->
     (unit, string) result;
-  mutable enable_mem_enc : Domain.t -> (unit, string) result;
-  mutable balloon_release : Domain.t -> gfn:Hw.Addr.gfn -> (unit, string) result;
+  mutable balloon_release :
+    Domain.t -> (unit -> (unit, string) result) -> (unit, string) result;
 }
 
 type t = {
@@ -80,27 +80,7 @@ let stock_mediation machine host_space granttab =
     on_guest_frame_alloc = (fun _ _ -> ());
     on_guest_frame_release = (fun _ _ -> ());
     pre_sharing = (fun _ ~target:_ ~gfn:_ ~nr:_ ~writable:_ -> Ok ());
-    balloon_release =
-      (fun dom ~gfn ->
-        match Hw.Pagetable.lookup dom.Domain.npt gfn with
-        | None -> Error "balloon: gfn not backed"
-        | Some npte ->
-            Hw.Mmu.set_pte machine ~space:host_space ~table:dom.Domain.npt gfn None;
-            dom.Domain.frames <-
-              List.filter (fun f -> f <> npte.Hw.Pagetable.frame) dom.Domain.frames;
-            Hw.Machine.free_frame machine npte.Hw.Pagetable.frame;
-            Ok ());
-    enable_mem_enc =
-      (fun dom ->
-        (* Stock behaviour of the paper's evaluation hypercall: set the
-           C-bit in every nested mapping of the guest so the SME engine
-           encrypts subsequently written memory. *)
-        List.iter
-          (fun (gfn, (p : Hw.Pagetable.proto)) ->
-            Hw.Mmu.set_pte machine ~space:host_space ~table:dom.Domain.npt gfn
-              (Some { p with c_bit = true }))
-          (Hw.Pagetable.mapped_frames dom.Domain.npt);
-        Ok ()) }
+    balloon_release = (fun _ release -> release ()) }
 
 (* --- boot ------------------------------------------------------------ *)
 
@@ -153,45 +133,10 @@ let vmrun_sites = function
 
 (* The GHCB protocol of SEV-ES: the guest explicitly exposes and accepts
    exactly the registers the (hardware-recorded) exit reason requires —
-   everything else stays in the encrypted VMSA. *)
-let ghcb_fields = function
-  | Hw.Vmcb.Cpuid | Hw.Vmcb.Vmmcall | Hw.Vmcb.Ioio | Hw.Vmcb.Msr -> [ Hw.Vmcb.Rip; Hw.Vmcb.Rax ]
-  | Hw.Vmcb.Hlt | Hw.Vmcb.Intr -> [ Hw.Vmcb.Rip ]
-  | Hw.Vmcb.Npf | Hw.Vmcb.Shutdown -> []
-
-let ghcb_regs = function
-  | Hw.Vmcb.Cpuid -> [ Hw.Cpu.Rax; Hw.Cpu.Rbx; Hw.Cpu.Rcx; Hw.Cpu.Rdx ]
-  | Hw.Vmcb.Vmmcall -> [ Hw.Cpu.Rax ]
-  | Hw.Vmcb.Ioio -> [ Hw.Cpu.Rax ]
-  | Hw.Vmcb.Msr -> [ Hw.Cpu.Rax; Hw.Cpu.Rdx ]
-  | Hw.Vmcb.Npf | Hw.Vmcb.Hlt | Hw.Vmcb.Intr | Hw.Vmcb.Shutdown -> []
-
-(* The exchange above, preindexed: per exit reason, one bitmask over VMCB
-   field indices and one over GPR indices, plus the shared [Some reason]
-   cell — the ES boundary loops then move int64 pointers under bit tests
-   with nothing allocated per switch. The list functions above stay the
-   authoritative definition; the masks are folds over them at init. *)
-let reason_idx (r : Hw.Vmcb.exit_reason) =
-  match r with
-  | Hw.Vmcb.Cpuid -> 0
-  | Hw.Vmcb.Hlt -> 1
-  | Hw.Vmcb.Vmmcall -> 2
-  | Hw.Vmcb.Npf -> 3
-  | Hw.Vmcb.Ioio -> 4
-  | Hw.Vmcb.Msr -> 5
-  | Hw.Vmcb.Intr -> 6
-  | Hw.Vmcb.Shutdown -> 7
-
-let reasons =
-  [| Hw.Vmcb.Cpuid; Hw.Vmcb.Hlt; Hw.Vmcb.Vmmcall; Hw.Vmcb.Npf;
-     Hw.Vmcb.Ioio; Hw.Vmcb.Msr; Hw.Vmcb.Intr; Hw.Vmcb.Shutdown |]
-
-let some_reasons = Array.map (fun r -> Some r) reasons
-
-let field_mask fs = List.fold_left (fun m f -> m lor (1 lsl Hw.Vmcb.index f)) 0 fs
-let reg_mask rs = List.fold_left (fun m r -> m lor (1 lsl Hw.Cpu.reg_index r)) 0 rs
-let ghcb_f_masks = Array.map (fun r -> field_mask (ghcb_fields r)) reasons
-let ghcb_r_masks = Array.map (fun r -> reg_mask (ghcb_regs r)) reasons
+   everything else stays in the encrypted VMSA. The exchange is the one
+   table in Hw.Vmcb; the [Some reason] cells are shared per reason, so
+   recording an exit allocates nothing. *)
+let some_reasons = Array.map (fun r -> Some r) Hw.Vmcb.exit_reasons
 
 (* The save area is the VMCB's leading fields — the masked loops below
    rely on that layout, so pin it at init. *)
@@ -214,8 +159,8 @@ let do_vmrun_effect t dom =
          reason; restore everything else from the encrypted VMSA. *)
       (match dom.Domain.last_exit with
       | Some reason ->
-          let ri = reason_idx reason in
-          let fm = ghcb_f_masks.(ri) and rm = ghcb_r_masks.(ri) in
+          let ri = Hw.Vmcb.reason_index reason in
+          let fm = Hw.Vmcb.exchange_field_masks.(ri) and rm = Hw.Vmcb.exchange_reg_masks.(ri) in
           for i = 0 to Hw.Vmcb.nr_fields - 1 do
             if fm land (1 lsl i) <> 0 then
               Hw.Vmcb.set_i dom.Domain.vmsa i (Hw.Vmcb.get_i dom.Domain.vmcb i)
@@ -436,7 +381,7 @@ let vmexit t dom reason ~info1 ~info2 =
     Trace.emit
       (Trace.Vmexit
          { domid = dom.Domain.domid; reason = Hw.Vmcb.exit_reason_to_string reason });
-  let ri = reason_idx reason in
+  let ri = Hw.Vmcb.reason_index reason in
   let vmcb = dom.Domain.vmcb in
   Hw.Vmcb.set vmcb Hw.Vmcb.Rip (Hw.Cpu.rip cpu);
   Hw.Vmcb.set vmcb Hw.Vmcb.Rax (Hw.Cpu.get_reg cpu Hw.Cpu.Rax);
@@ -444,8 +389,6 @@ let vmexit t dom reason ~info1 ~info2 =
   Hw.Vmcb.set vmcb Hw.Vmcb.Exit_reason (Hw.Vmcb.exit_reason_to_int64 reason);
   Hw.Vmcb.set vmcb Hw.Vmcb.Exit_info1 info1;
   Hw.Vmcb.set vmcb Hw.Vmcb.Exit_info2 info2;
-  (* The [Some reason] cells are shared per reason — recording the exit
-     does not allocate. *)
   dom.Domain.last_exit <- some_reasons.(ri);
   if dom.Domain.sev_es then begin
     (* SEV-ES hardware: snapshot the register state into the encrypted
@@ -454,7 +397,7 @@ let vmexit t dom reason ~info1 ~info2 =
       Hw.Vmcb.set_i dom.Domain.vmsa i (Hw.Vmcb.get_i vmcb i)
     done;
     Hw.Cpu.snapshot_regs_into cpu dom.Domain.vmsa_regs;
-    let fm = ghcb_f_masks.(ri) and rm = ghcb_r_masks.(ri) in
+    let fm = Hw.Vmcb.exchange_field_masks.(ri) and rm = Hw.Vmcb.exchange_reg_masks.(ri) in
     for i = 0 to nr_save_fields - 1 do
       if fm land (1 lsl i) = 0 then Hw.Vmcb.set_i vmcb i 0L
     done;
@@ -603,6 +546,31 @@ let dispatch_grant t dom op =
             let* () = t.med.grant_update gref None in
             Ok 0L)
 
+(* The paper's evaluation hypercall: set the C-bit in every nested mapping
+   of the guest so the SME engine encrypts subsequently written memory.
+   Each update is a same-frame permission change. *)
+let enable_mem_enc t dom =
+  List.fold_left
+    (fun acc (gfn, (p : Hw.Pagetable.proto)) ->
+      let* () = acc in
+      t.med.npt_update dom gfn (Some { p with c_bit = true }))
+    (Ok ())
+    (Hw.Pagetable.mapped_frames dom.Domain.npt)
+
+(* A guest hands one page back: clear its nested entry under the authority
+   the mediation grants for it, then release the frame as [destroy_domain]
+   does. *)
+let balloon_release t dom ~gfn =
+  match Hw.Pagetable.lookup dom.Domain.npt gfn with
+  | None -> Error "balloon: gfn not backed"
+  | Some npte ->
+      let pfn = npte.Hw.Pagetable.frame in
+      let* () = t.med.balloon_release dom (fun () -> t.med.npt_update dom gfn None) in
+      dom.Domain.frames <- List.filter (fun f -> f <> pfn) dom.Domain.frames;
+      t.med.on_guest_frame_release dom pfn;
+      Hw.Machine.free_frame t.machine pfn;
+      Ok ()
+
 let dispatch t dom call =
   let machine = t.machine in
   Hw.Cost.charge_id machine.Hw.Machine.ledger c_hypercall
@@ -621,10 +589,10 @@ let dispatch t dom call =
       let* () = t.med.pre_sharing dom ~target ~gfn ~nr ~writable in
       Ok 0L
   | Hypercall.Enable_mem_enc ->
-      let* () = t.med.enable_mem_enc dom in
+      let* () = enable_mem_enc t dom in
       Ok 0L
   | Hypercall.Balloon_release { gfn } ->
-      let* () = t.med.balloon_release dom ~gfn in
+      let* () = balloon_release t dom ~gfn in
       Ok 0L
 
 (* Hypercall numbers as shared int64 boxes, so marshalling the number into

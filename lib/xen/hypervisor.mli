@@ -4,10 +4,13 @@
     Every path that Fidelius mediates is routed through a replaceable hook
     (the [mediation] record): NPT and host-mapping updates, grant-table
     updates, the guest-exit and guest-entry boundaries, guest frame
-    allocation/release, and the two Fidelius-specific hypercalls. The
-    defaults implement stock (insecure-against-itself) Xen behaviour, so the
-    same hypervisor code runs both the baseline and the protected stacks —
-    mirroring how Fidelius retrofits rather than replaces Xen. *)
+    allocation/release, sharing declarations and the authority a
+    guest-initiated page release runs under. The defaults implement stock
+    (insecure-against-itself) Xen behaviour, so the same hypervisor code
+    runs both the baseline and the protected stacks — mirroring how
+    Fidelius retrofits rather than replaces Xen. The guest-initiated NPT
+    changes (Enable_mem_enc, Balloon_release) have one body each, which
+    runs its steps through these hooks. *)
 
 module Hw = Fidelius_hw
 module Sev = Fidelius_sev
@@ -32,11 +35,15 @@ type mediation = {
   mutable pre_sharing :
     Domain.t -> target:int -> gfn:Hw.Addr.gfn -> nr:int -> writable:bool ->
     (unit, string) result;
-  mutable enable_mem_enc : Domain.t -> (unit, string) result;
-  mutable balloon_release : Domain.t -> gfn:Hw.Addr.gfn -> (unit, string) result;
-      (** guest-initiated page return; the stock implementation clears the
-          nested entry and frees the frame, Fidelius additionally scrubs and
-          re-adopts it under PIT authority *)
+  mutable balloon_release :
+    Domain.t -> (unit -> (unit, string) result) -> (unit, string) result;
+      (** The authority a guest-initiated page return (Balloon_release)
+          clears its nested entry under: stock Xen runs the unmap as is,
+          Fidelius inside a teardown window for the releasing domain, so
+          the policy admits this one guest-requested unmap. The release
+          itself — unmap through [npt_update], then
+          [on_guest_frame_release] and the free — is the hypervisor's one
+          body. *)
 }
 
 type t = {

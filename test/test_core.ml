@@ -337,6 +337,128 @@ let test_shadow_backing_unreadable_frame () =
   Alcotest.(check int64) "rip snapshot in frame" 0x1000L (Bytes.get_int64_be raw 0);
   ok (Shadow.verify_and_restore s m vmcb)
 
+(* The per-exit-reason exchange, written out here as the oracle: the
+   save-area fields and the GPRs the hypervisor may hand back for each of
+   the eight exit reasons. *)
+let exchange =
+  let open Hw.Vmcb in
+  function
+  | Cpuid -> ([ Rip; Rax ], Hw.Cpu.[ Rax; Rbx; Rcx; Rdx ])
+  | Vmmcall | Ioio -> ([ Rip; Rax ], [ Hw.Cpu.Rax ])
+  | Msr -> ([ Rip; Rax ], Hw.Cpu.[ Rax; Rdx ])
+  | Hlt | Intr -> ([ Rip ], [])
+  | Npf | Shutdown -> ([], [])
+
+let all_reasons =
+  Hw.Vmcb.[ Cpuid; Hlt; Vmmcall; Npf; Ioio; Msr; Intr; Shutdown ]
+
+let base_value i = Int64.of_int (0x100 + i)
+let hv_written = 0xBADL
+
+(* Shadow keeps a hypervisor write to a GPR iff the exchange lists it,
+   and admits a write to a protected field iff the exchange lists it;
+   any other protected-field write refuses the re-entry. Every case
+   starts from the same VMCB and registers. *)
+let test_shadow_exchange_table () =
+  let m, s, vmcb = shadow_env () in
+  let cpu = m.Hw.Machine.cpu in
+  let reset () =
+    List.iteri (fun i f -> Hw.Vmcb.set vmcb f (base_value i)) Hw.Vmcb.fields;
+    List.iteri (fun i r -> Hw.Cpu.set_reg cpu r (base_value (32 + i))) Hw.Cpu.regs
+  in
+  List.iter
+    (fun reason ->
+      let fields, regs = exchange reason in
+      let case what = Hw.Vmcb.exit_reason_to_string reason ^ " " ^ what in
+      List.iteri
+        (fun i r ->
+          reset ();
+          Shadow.capture s m vmcb reason;
+          Hw.Cpu.set_reg cpu r hv_written;
+          ok (Shadow.verify_and_restore s m vmcb);
+          Alcotest.(check int64) (case (Hw.Cpu.reg_to_string r))
+            (if List.mem r regs then hv_written else base_value (32 + i))
+            (Hw.Cpu.get_reg cpu r))
+        Hw.Cpu.regs;
+      List.iter
+        (fun f ->
+          reset ();
+          Shadow.capture s m vmcb reason;
+          Hw.Vmcb.set vmcb f hv_written;
+          let name = case (Hw.Vmcb.field_to_string f) in
+          match Shadow.verify_and_restore s m vmcb with
+          | Ok () ->
+              Alcotest.(check bool) (name ^ " admitted") true (List.mem f fields);
+              Alcotest.(check int64) name hv_written (Hw.Vmcb.get vmcb f)
+          | Error _ -> Alcotest.(check bool) (name ^ " refused") false (List.mem f fields))
+        Shadow.protected_fields)
+    all_reasons
+
+(* An SEV-ES guest exposes exactly the exchange at each exit (every other
+   save-area field and GPR reads as zero) and adopts exactly the
+   exchange at re-entry. The VMCB carries RIP, RSP and RAX across the
+   exit, so the guest's values for them come from the CPU. *)
+let test_sev_es_exchange_table () =
+  let m = Hw.Machine.create ~nr_frames:256 ~seed:3L () in
+  let cpu = m.Hw.Machine.cpu in
+  let hv = Hv.boot m in
+  let dom = Hv.create_domain hv ~name:"es" ~memory_pages:4 in
+  let vmcb = dom.Domain.vmcb in
+  Hw.Vmcb.set vmcb Hw.Vmcb.Sev_enabled 1L;
+  Hv.enable_sev_es hv dom;
+  let field_base f = base_value (Hw.Vmcb.index f) in
+  let exit_with reason =
+    List.iteri (fun i r -> Hw.Cpu.set_reg cpu r (base_value (32 + i))) Hw.Cpu.regs;
+    Hw.Cpu.set_reg cpu Hw.Cpu.Rax (field_base Hw.Vmcb.Rax);
+    Hw.Cpu.set_reg cpu Hw.Cpu.Rsp (field_base Hw.Vmcb.Rsp);
+    Hw.Cpu.set_rip cpu (field_base Hw.Vmcb.Rip);
+    List.iter (fun f -> Hw.Vmcb.set vmcb f (field_base f)) Hw.Vmcb.save_area;
+    Hv.vmexit hv dom reason ~info1:0L ~info2:0L
+  in
+  List.iter
+    (fun reason ->
+      let fields, regs = exchange reason in
+      let case what = Hw.Vmcb.exit_reason_to_string reason ^ " " ^ what in
+      exit_with reason;
+      List.iter
+        (fun f ->
+          Alcotest.(check bool) (case (Hw.Vmcb.field_to_string f ^ " exposed"))
+            (List.mem f fields)
+            (not (Int64.equal (Hw.Vmcb.get vmcb f) 0L)))
+        Hw.Vmcb.save_area;
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) (case (Hw.Cpu.reg_to_string r ^ " exposed"))
+            (List.mem r regs)
+            (not (Int64.equal (Hw.Cpu.get_reg cpu r) 0L)))
+        Hw.Cpu.regs;
+      ok (Hv.vmrun hv dom);
+      List.iter
+        (fun f ->
+          exit_with reason;
+          Hw.Vmcb.set vmcb f hv_written;
+          ok (Hv.vmrun hv dom);
+          Alcotest.(check int64) (case (Hw.Vmcb.field_to_string f ^ " adopted"))
+            (if List.mem f fields then hv_written else field_base f)
+            (Hw.Vmcb.get vmcb f))
+        Hw.Vmcb.save_area;
+      List.iteri
+        (fun i r ->
+          exit_with reason;
+          Hw.Cpu.set_reg cpu r hv_written;
+          ok (Hv.vmrun hv dom);
+          let guest =
+            match r with
+            | Hw.Cpu.Rax -> field_base Hw.Vmcb.Rax
+            | Hw.Cpu.Rsp -> field_base Hw.Vmcb.Rsp
+            | _ -> base_value (32 + i)
+          in
+          Alcotest.(check int64) (case (Hw.Cpu.reg_to_string r ^ " adopted"))
+            (if List.mem r regs then hv_written else guest)
+            (Hw.Cpu.get_reg cpu r))
+        Hw.Cpu.regs)
+    all_reasons
+
 (* --- policies ------------------------------------------------------------------------ *)
 
 let test_policy_cr_bits () =
@@ -508,20 +630,6 @@ let test_shutdown_cleans_up () =
         (Bytes.to_string (Hw.Physmem.read_raw m.Hw.Machine.mem pfn ~off:0 ~len:2)))
     frames
 
-(* DECOMMISSION scrubs the guest key, and the memory controller's cached
-   schedule of it with it: a long-lived host must not keep one per guest
-   it has ever run. *)
-let test_shutdown_evicts_fw_key () =
-  let ((m, _, fid) as env) = installed () in
-  let ctrl = m.Hw.Machine.ctrl in
-  let before = Hw.Memctrl.fw_keys_cached ctrl in
-  let dom, _ = protected_vm env "tenant" in
-  Alcotest.(check int) "boot caches the guest key's schedule" (before + 1)
-    (Hw.Memctrl.fw_keys_cached ctrl);
-  Fid.shutdown_protected_vm fid dom;
-  Alcotest.(check int) "shutdown leaves no schedule for the old key" before
-    (Hw.Memctrl.fw_keys_cached ctrl)
-
 let test_write_start_info_once () =
   let env = installed () in
   let _, _, fid = env in
@@ -566,6 +674,70 @@ let test_write_start_info_wrapping_off () =
     (Result.is_error
        (hv.Hv.med.Hv.host_map_update f3
           (Some { Hw.Pagetable.frame = f3; writable = true; executable = false; c_bit = false })))
+
+(* A 24-page guest booted next to a running 8-page one, its image page 1
+   stretched to 8 KiB by the relaying hypervisor. The load wrote past the
+   one frame it had mapped and raised out of the boot, leaving the boot
+   window open and the partial domain behind. The page is refused before
+   anything is mapped, and the session rolls back. *)
+let test_overlong_image_page () =
+  let m = Hw.Machine.create ~seed:41L () in
+  let hv = Hv.boot m in
+  let fid = Fid.install hv in
+  let prepare kernel_pages =
+    Sev.Transport.Owner.prepare ~rng:(Rng.create 9L) ~platform_public:(Fid.platform_key fid)
+      ~policy:Sev.Firmware.policy_nodbg ~kernel_pages
+  in
+  ignore
+    (ok (Fid.boot_protected_vm fid ~name:"first" ~memory_pages:8 ~prepared:(prepare [ page 'A' ])));
+  let prepared = prepare [ page 'A'; page 'B'; page 'C' ] in
+  let image = prepared.Sev.Transport.Owner.image in
+  let pages =
+    List.map (fun (i, c) -> (i, if i = 1 then Bytes.cat c c else c)) image.Sev.Transport.pages
+  in
+  let prepared = { prepared with Sev.Transport.Owner.image = { image with Sev.Transport.pages } } in
+  let domids () = List.map (fun d -> d.Domain.domid) hv.Hv.domains in
+  let domains = domids () and protected_domids = fid.Core.Ctx.protected_domids in
+  (match Core.Lifecycle.boot_protected_vm fid ~name:"stretched" ~memory_pages:24 ~prepared with
+  | Error (Core.Lifecycle.Failed _) -> ()
+  | Error (Core.Lifecycle.Rejected e) -> Alcotest.fail ("refused as a verdict: " ^ e)
+  | Ok _ -> Alcotest.fail "an over-long image page was loaded"
+  | exception e -> Alcotest.fail ("raised " ^ Printexc.to_string e));
+  Alcotest.(check bool) "boot window closed" true (fid.Core.Ctx.boot_window = None);
+  Alcotest.(check (list int)) "domain gone" domains (domids ());
+  Alcotest.(check (list int)) "protected marks" protected_domids fid.Core.Ctx.protected_domids
+
+(* The SEV-API I/O helpers share the guest's Kvek: DECOMMISSION of the
+   guest retires them in the same command, so neither outlives the guest
+   holding its key. It charges nothing extra: the shutdown's cycles are
+   the ones pinned before the helpers were retired. *)
+let test_shutdown_retires_io_helpers () =
+  let m = Hw.Machine.create ~seed:41L () in
+  let hv = Hv.boot m in
+  let fid = Fid.install hv in
+  let prepared =
+    Sev.Transport.Owner.prepare ~rng:(Rng.create 9L) ~platform_public:(Fid.platform_key fid)
+      ~policy:Sev.Firmware.policy_nodbg ~kernel_pages:[ page 'A' ]
+  in
+  let dom = ok (Fid.boot_protected_vm fid ~name:"io" ~memory_pages:24 ~prepared) in
+  let io = ok (Fid.setup_sev_io fid dom ~md_gvfn:300) in
+  let s_handle, r_handle = Core.Io_protect.helper_handles io in
+  let pfn = List.hd dom.Domain.frames in
+  let before = Hw.Cost.total m.Hw.Machine.ledger in
+  Fid.shutdown_protected_vm fid dom;
+  Alcotest.(check int) "shutdown cycles" 37850 (Hw.Cost.total m.Hw.Machine.ledger - before);
+  let fw = hv.Hv.fw in
+  List.iter
+    (fun (name, handle) ->
+      Alcotest.(check bool) (name ^ " decommissioned") true
+        (Sev.Firmware.state_of fw ~handle = Some Sev.State.Decommissioned);
+      Alcotest.(check bool) (name ^ ": SEND_UPDATE(io) refused") true
+        (Result.is_error (Sev.Firmware.send_update_io fw ~handle ~nonce:1L ~src_pfn:pfn ~len:16));
+      Alcotest.(check bool) (name ^ ": RECEIVE_UPDATE(io) refused") true
+        (Result.is_error
+           (Sev.Firmware.receive_update_io fw ~handle ~nonce:1L ~cipher:(Bytes.make 16 'c')
+              ~dst_pfn:pfn)))
+    [ ("s-dom", s_handle); ("r-dom", r_handle) ]
 
 (* A refused receive runs the shutdown's teardown: no shadow, no protected
    mark and no GIT intent outlive it, and the ledger is the one pinned
@@ -967,6 +1139,53 @@ let test_balloon_unbacked () =
   Alcotest.(check bool) "unbacked gfn" true
     (Result.is_error (Hv.hypercall hv dom (Xen.Hypercall.Balloon_release { gfn = 9999 })))
 
+(* Guest-initiated NPT changes, pinned before their stock and Fidelius
+   bodies were merged into one dispatch path: the cycles of one
+   Balloon_release and one Enable_mem_enc on a 24-page guest that is
+   protected, unprotected under Fidelius, or on a stock hypervisor. *)
+let test_guest_npt_change_pins () =
+  let guest kind =
+    let m = Hw.Machine.create ~seed:41L () in
+    let hv = Hv.boot m in
+    let dom =
+      match kind with
+      | `Stock -> Hv.create_domain hv ~name:"stock" ~memory_pages:24
+      | `Unprotected ->
+          ignore (Fid.install hv);
+          Hv.create_domain hv ~name:"plain" ~memory_pages:24
+      | `Protected ->
+          let fid = Fid.install hv in
+          let prepared =
+            Sev.Transport.Owner.prepare ~rng:(Rng.create 9L)
+              ~platform_public:(Fid.platform_key fid) ~policy:Sev.Firmware.policy_nodbg
+              ~kernel_pages:[ page 'A' ]
+          in
+          ok (Fid.boot_protected_vm fid ~name:"prot" ~memory_pages:24 ~prepared)
+    in
+    (m, hv, dom)
+  in
+  List.iter
+    (fun (name, kind, call, cycles) ->
+      let m, hv, dom = guest kind in
+      let before = Hw.Cost.total m.Hw.Machine.ledger in
+      ignore (ok (Hv.hypercall hv dom call));
+      Alcotest.(check int) name cycles (Hw.Cost.total m.Hw.Machine.ledger - before);
+      match call with
+      | Xen.Hypercall.Enable_mem_enc ->
+          Alcotest.(check bool) (name ^ ": every C-bit set") true
+            (List.for_all
+               (fun (_, (p : Hw.Pagetable.proto)) -> p.Hw.Pagetable.c_bit)
+               (Hw.Pagetable.mapped_frames dom.Domain.npt))
+      | _ ->
+          Alcotest.(check bool) (name ^ ": gfn 5 unbacked") true
+            (Hw.Pagetable.lookup dom.Domain.npt 5 = None))
+    [ ("balloon, protected", `Protected, Xen.Hypercall.Balloon_release { gfn = 5 }, 4327);
+      ("balloon, unprotected", `Unprotected, Xen.Hypercall.Balloon_release { gfn = 5 }, 3666);
+      ("balloon, stock", `Stock, Xen.Hypercall.Balloon_release { gfn = 5 }, 2080);
+      ("mem_enc, protected", `Protected, Xen.Hypercall.Enable_mem_enc, 16581);
+      ("mem_enc, unprotected", `Unprotected, Xen.Hypercall.Enable_mem_enc, 15920);
+      ("mem_enc, stock", `Stock, Xen.Hypercall.Enable_mem_enc, 5047) ]
+
 (* --- attestation ---------------------------------------------------------------- *)
 
 let test_attestation_flow () =
@@ -1351,7 +1570,10 @@ let () =
           Alcotest.test_case "tamper detection (all fields)" `Quick
             test_shadow_detects_every_protected_field;
           Alcotest.test_case "entry needs capture" `Quick test_shadow_rejects_entry_without_capture;
-          Alcotest.test_case "backing frame" `Quick test_shadow_backing_unreadable_frame ] );
+          Alcotest.test_case "backing frame" `Quick test_shadow_backing_unreadable_frame;
+          Alcotest.test_case "exchange table (all reasons)" `Quick test_shadow_exchange_table;
+          Alcotest.test_case "sev-es exchange table (all reasons)" `Quick
+            test_sev_es_exchange_table ] );
       ( "policy",
         [ Alcotest.test_case "CR bits" `Quick test_policy_cr_bits;
           Alcotest.test_case "CR3 validity" `Quick test_policy_cr3;
@@ -1367,13 +1589,14 @@ let () =
           Alcotest.test_case "cpuid under masking" `Quick test_cpuid_under_masking;
           Alcotest.test_case "msr under masking" `Quick test_msr_under_masking;
           Alcotest.test_case "shutdown cleanup" `Quick test_shutdown_cleans_up;
-          Alcotest.test_case "shutdown evicts the key schedule" `Quick
-            test_shutdown_evicts_fw_key;
           Alcotest.test_case "start_info write-once" `Quick test_write_start_info_once;
           Alcotest.test_case "start_info wrapping offset" `Quick
             test_write_start_info_wrapping_off;
           Alcotest.test_case "refused receive tears down" `Quick
             test_refused_receive_tears_down;
+          Alcotest.test_case "over-long image page" `Quick test_overlong_image_page;
+          Alcotest.test_case "shutdown retires the I/O helpers" `Quick
+            test_shutdown_retires_io_helpers;
           Alcotest.test_case "shutdown drops GEKs" `Quick test_shutdown_drops_geks ] );
       ( "io",
         [ Alcotest.test_case "aes-ni codec" `Quick test_aesni_codec_roundtrip;
@@ -1393,7 +1616,9 @@ let () =
           Alcotest.test_case "multi-frame range" `Quick test_share_range ] );
       ( "balloon",
         [ Alcotest.test_case "guest-initiated release" `Quick test_balloon_release;
-          Alcotest.test_case "unbacked gfn" `Quick test_balloon_unbacked ] );
+          Alcotest.test_case "unbacked gfn" `Quick test_balloon_unbacked;
+          Alcotest.test_case "guest-initiated NPT change pins" `Quick
+            test_guest_npt_change_pins ] );
       ( "attestation",
         [ Alcotest.test_case "quote/verify flow" `Quick test_attestation_flow;
           Alcotest.test_case "modified hypervisor detected" `Quick

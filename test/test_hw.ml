@@ -13,6 +13,7 @@ module Vmcb = Hw.Vmcb
 module Insn = Hw.Insn
 module Machine = Hw.Machine
 module Mmu = Hw.Mmu
+module Aes = Fidelius_crypto.Aes
 module Rng = Fidelius_crypto.Rng
 module Sha256 = Fidelius_crypto.Sha256
 
@@ -114,7 +115,7 @@ let test_memctrl_plain () =
 
 let test_memctrl_encrypted_roundtrip () =
   let mem, _, ctrl = ctrl_env () in
-  Memctrl.install_key ctrl ~asid:1 (Bytes.make 16 'k');
+  Memctrl.install_key ctrl ~asid:1 (Aes.expand (Bytes.make 16 'k'));
   Memctrl.write ctrl (Memctrl.Asid 1) 3 ~off:5 (Bytes.of_string "secret-bytes");
   Alcotest.(check string) "decrypting read" "secret-bytes"
     (Bytes.to_string (Memctrl.read ctrl (Memctrl.Asid 1) 3 ~off:5 ~len:12));
@@ -124,8 +125,8 @@ let test_memctrl_encrypted_roundtrip () =
 
 let test_memctrl_wrong_key_garbage () =
   let _, _, ctrl = ctrl_env () in
-  Memctrl.install_key ctrl ~asid:1 (Bytes.make 16 'a');
-  Memctrl.install_key ctrl ~asid:2 (Bytes.make 16 'b');
+  Memctrl.install_key ctrl ~asid:1 (Aes.expand (Bytes.make 16 'a'));
+  Memctrl.install_key ctrl ~asid:2 (Aes.expand (Bytes.make 16 'b'));
   Memctrl.write ctrl (Memctrl.Asid 1) 4 ~off:0 (Bytes.of_string "0123456789abcdef");
   let other = Memctrl.read ctrl (Memctrl.Asid 2) 4 ~off:0 ~len:16 in
   Alcotest.(check bool) "wrong ASID sees garbage" false
@@ -133,7 +134,7 @@ let test_memctrl_wrong_key_garbage () =
 
 let test_memctrl_uninstall () =
   let _, _, ctrl = ctrl_env () in
-  Memctrl.install_key ctrl ~asid:1 (Bytes.make 16 'k');
+  Memctrl.install_key ctrl ~asid:1 (Aes.expand (Bytes.make 16 'k'));
   Alcotest.(check bool) "has key" true (Memctrl.has_key ctrl ~asid:1);
   Memctrl.uninstall_key ctrl ~asid:1;
   Alcotest.(check bool) "key gone" false (Memctrl.has_key ctrl ~asid:1);
@@ -147,7 +148,7 @@ let test_memctrl_partial_rmw =
     (fun (off, len) ->
       let len = max 1 len in
       let _, _, ctrl = ctrl_env () in
-      Memctrl.install_key ctrl ~asid:1 (Bytes.make 16 'q');
+      Memctrl.install_key ctrl ~asid:1 (Aes.expand (Bytes.make 16 'q'));
       let base = Bytes.init 256 (fun i -> Char.chr (i land 0xff)) in
       Memctrl.write ctrl (Memctrl.Asid 1) 5 ~off:0 base;
       Memctrl.write ctrl (Memctrl.Asid 1) 5 ~off (Bytes.make len 'Z');
@@ -155,22 +156,11 @@ let test_memctrl_partial_rmw =
       Bytes.fill expect off len 'Z';
       Bytes.equal (Memctrl.read ctrl (Memctrl.Asid 1) 5 ~off:0 ~len:256) expect)
 
-let test_memctrl_reencrypt_and_copy () =
-  let _, _, ctrl = ctrl_env () in
-  Memctrl.install_key ctrl ~asid:1 (Bytes.make 16 'a');
-  Memctrl.install_key ctrl ~asid:2 (Bytes.make 16 'b');
-  Memctrl.write ctrl (Memctrl.Asid 1) 6 ~off:0 (Bytes.of_string "migrate me pls!!");
-  Memctrl.reencrypt_page ctrl ~src:(Memctrl.Asid 1) ~dst:(Memctrl.Asid 2) 6;
-  Alcotest.(check string) "reencrypted" "migrate me pls!!"
-    (Bytes.to_string (Memctrl.read ctrl (Memctrl.Asid 2) 6 ~off:0 ~len:16));
-  Memctrl.copy_page ctrl ~src_sel:(Memctrl.Asid 2) ~src:6 ~dst_sel:Memctrl.Plain ~dst:7;
-  Alcotest.(check string) "copied to plain" "migrate me pls!!"
-    (Bytes.to_string (Memctrl.read ctrl Memctrl.Plain 7 ~off:0 ~len:16))
-
 let test_memctrl_fw_matches_slot () =
-  (* Pages prepared with a raw key decrypt correctly through the slot. *)
+  (* Pages prepared by the firmware decrypt correctly through the slot
+     holding the same schedule. *)
   let _, _, ctrl = ctrl_env () in
-  let key = Bytes.make 16 'v' in
+  let key = Aes.expand (Bytes.make 16 'v') in
   let plain = Bytes.init Addr.page_size (fun i -> Char.chr (i land 0xff)) in
   Memctrl.fw_write_page ctrl ~key 8 plain;
   Memctrl.install_key ctrl ~asid:3 key;
@@ -184,7 +174,7 @@ let test_memctrl_charges () =
   let before = Cost.total ledger in
   ignore (Memctrl.read ctrl Memctrl.Plain 1 ~off:0 ~len:16);
   let plain_cost = Cost.total ledger - before in
-  Memctrl.install_key ctrl ~asid:1 (Bytes.make 16 'c');
+  Memctrl.install_key ctrl ~asid:1 (Aes.expand (Bytes.make 16 'c'));
   let before = Cost.total ledger in
   ignore (Memctrl.read ctrl (Memctrl.Asid 1) 1 ~off:0 ~len:16);
   let enc_cost = Cost.total ledger - before in
@@ -199,15 +189,15 @@ let test_memctrl_golden () =
     Bytes.init n (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
   in
   let plain = Bytes.init Addr.page_size (fun i -> Char.chr ((i * 7 + 3) land 0xff)) in
-  let rawkey = unhex "000102030405060708090a0b0c0d0e0f" in
+  let key = Aes.expand (unhex "000102030405060708090a0b0c0d0e0f") in
   let mem = Physmem.create ~nr_frames:8 in
   let ledger = Cost.ledger () in
   let ctrl = Memctrl.create mem ledger (Rng.create 42L) in
-  Memctrl.fw_write_page ctrl ~key:rawkey 3 plain;
+  Memctrl.fw_write_page ctrl ~key 3 plain;
   Alcotest.(check string) "fw page ciphertext digest"
     "edb5dd45e8f29a2878a68c7093c8e5ed847e85fbdd8464b72cbaf42f7e3ca8d6"
     (Sha256.hex (Sha256.digest (Physmem.dump mem 3)));
-  Memctrl.install_key ctrl ~asid:1 rawkey;
+  Memctrl.install_key ctrl ~asid:1 key;
   Memctrl.write ctrl (Memctrl.Asid 1) 4 ~off:60 (Bytes.sub plain 0 100);
   Alcotest.(check string) "unaligned slot write digest"
     "4f85a1bca320771b853f6b0360a23a880925194d10ae13a83b14e22465586cf7"
@@ -523,7 +513,7 @@ let test_mmu_set_pte_mediation () =
 let guest_env () =
   let m = machine () in
   let gpt = Machine.new_table m and npt = Machine.new_table m in
-  Memctrl.install_key m.Machine.ctrl ~asid:7 (Bytes.make 16 'g');
+  Memctrl.install_key m.Machine.ctrl ~asid:7 (Aes.expand (Bytes.make 16 'g'));
   (* gva 1 -> gfn 1 (encrypted), gva 2 -> gfn 2 (plain); gfn n -> pfn 10+n *)
   Pagetable.hw_set gpt 1 (Some { Pagetable.frame = 1; writable = true; executable = false; c_bit = true });
   Pagetable.hw_set gpt 2 (Some { Pagetable.frame = 2; writable = true; executable = false; c_bit = false });
@@ -700,7 +690,6 @@ let () =
           Alcotest.test_case "wrong key garbage" `Quick test_memctrl_wrong_key_garbage;
           Alcotest.test_case "uninstall" `Quick test_memctrl_uninstall;
           prop test_memctrl_partial_rmw;
-          Alcotest.test_case "reencrypt/copy" `Quick test_memctrl_reencrypt_and_copy;
           Alcotest.test_case "fw/slot agreement" `Quick test_memctrl_fw_matches_slot;
           Alcotest.test_case "cost charging" `Quick test_memctrl_charges;
           Alcotest.test_case "golden page digests" `Quick test_memctrl_golden ] );
