@@ -1,12 +1,13 @@
 # Convenience entry points; everything is plain dune underneath.
 #
 #   make build       compile everything
-#   make test        full test suite (includes the trace-export and fleet
-#                    determinism smoke checks)
+#   make test        full test suite (includes the behaviour contract, the
+#                    trace-export check and the fleet determinism smoke checks)
 #   make doc         API docs via odoc, warnings-as-errors (skips if odoc absent)
 #   make doc-strict  same, but odoc missing is an error (ODOC_REQUIRED=1)
-#   make matrix      differential fault-injection matrix (nonzero exit on any
-#                    silent corruption or harness error in the Fidelius column)
+#   make matrix      print the differential fault-injection matrix (nonzero
+#                    exit on any silent corruption or harness error in the
+#                    Fidelius column; `make test` diffs its seed-2026 table)
 #   make fleet       fleet scaling benchmark: VMs/sec vs domain count
 #                    (results/fleet.csv, results/fleet_trace.json, bench.json)
 #   make fleet-scale scaling gate: d4 must beat d1 by >= 2.0x (nonzero exit
@@ -25,16 +26,16 @@
 #   make perfbench   the repository benchmark (BENCHMARK.json): serve,
 #                    guest-mem, migrate and fleet, 20 s each, seed 1, one
 #                    JSON result line per workload
-#   make contract    capture the behaviour contract (deterministic bench
+#   make contract    diff the behaviour contract (deterministic bench
 #                    sections, fault matrix, examples, CLI outputs, trace
-#                    exports) into CONTRACT_DIR (default results/contract);
-#                    diff -r two captures to check a refactor
+#                    export digests) against test/contract; part of
+#                    `make test`. Re-pin a moved artifact with `dune promote`
 #   make crypto-selftest  report the CPUID-selected AES/SHA backends and
 #                    cross-check every tier against the executable
 #                    specification (nonzero exit on any mismatch)
-#   make check       what CI runs: build + tests + crypto self-test + matrix
-#                    + fleet smoke + serve smoke + migrate smoke + perf gate
-#                    + docs
+#   make check       what CI runs: build + tests (contract and fault matrix
+#                    included) + crypto self-test + fleet smoke + serve smoke
+#                    + migrate smoke + perf gate + docs
 
 .PHONY: build test doc doc-strict contract matrix fleet fleet-smoke fleet-scale serve serve-smoke migrate migrate-smoke perf perf-gate perfbench crypto-selftest check clean
 
@@ -50,10 +51,8 @@ doc:
 doc-strict:
 	ODOC_REQUIRED=1 sh tools/doc.sh
 
-CONTRACT_DIR ?= results/contract
-
 contract:
-	sh tools/contract.sh $(CONTRACT_DIR)
+	dune build @contract
 
 matrix:
 	dune exec bin/fidelius_sim.exe -- inject matrix
@@ -93,7 +92,7 @@ perfbench:
 crypto-selftest:
 	dune exec bin/fidelius_sim.exe -- cpu-features
 
-check: build test crypto-selftest matrix fleet-smoke serve-smoke migrate-smoke perf-gate doc
+check: build test crypto-selftest fleet-smoke serve-smoke migrate-smoke perf-gate doc
 
 clean:
 	dune clean

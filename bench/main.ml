@@ -827,8 +827,7 @@ let migrate_smoke () =
   let _, _, fid2 = installed_stack 72L in
   let owner = Core.Migrate.Owner.create (Rng.create 73L) in
   Fidelius_inject.Plan.install
-    (Fidelius_inject.Plan.make ~seed:1L
-       [ Fidelius_inject.Plan.always Fidelius_inject.Site.Stale_firmware ]);
+    (Fidelius_inject.Plan.make ~seed:1L Fidelius_inject.Site.Stale_firmware);
   let result = Core.Migrate.migrate_live ~owner ~src:fid1 ~dst:fid2 dom in
   Fidelius_inject.Plan.uninstall ();
   (match result with

@@ -235,8 +235,8 @@ let attributed_cycles counts = List.fold_left (fun acc (_, v) -> acc + v) 0 coun
 
 (* Self-check the exported artifact: reparse it with the library's own
    parser and re-verify the attribution invariant from the parsed bytes,
-   so a formatting or attribution bug fails the command (and the
-   trace-smoke alias) rather than producing a silently broken file. *)
+   so a formatting or attribution bug fails the command (and the behaviour
+   contract's trace rule) rather than producing a silently broken file. *)
 let validate_chrome content ~total =
   match Obs.Json.parse content with
   | exception Obs.Json.Parse_error e -> Error ("output is not valid JSON: " ^ e)

@@ -85,7 +85,7 @@ let () =
 
   (* Back to machine 1, through a relay that flips one ciphertext bit. *)
   let owner = Migrate.Owner.create (Rng.create 11L) in
-  Plan.install (Plan.make ~seed:3L [ Plan.always Site.Snapshot_flip ]);
+  Plan.install (Plan.make ~seed:3L Site.Snapshot_flip);
   let faulted =
     Migrate.migrate_live ~owner ~mutate:(mutate hv2 m2 dom2) ~src:fid2 ~dst:fid1 dom2
   in

@@ -97,12 +97,16 @@ let deserialize b =
   if Bytes.length b <> wire_length then None
   else
     let domid = Int32.to_int (Bytes.get_int32_be b 38) in
-    Some
-      { xen_measurement = Bytes.sub b 0 32;
-        fw_version =
-          { Sev.Firmware.api_major = Bytes.get_uint16_be b 32;
-            api_minor = Bytes.get_uint16_be b 34;
-            build = Bytes.get_uint16_be b 36 };
-        guest_domid = (if domid < 0 then None else Some domid);
-        nonce = Bytes.get_int64_be b 42;
-        mac = Bytes.sub b 50 32 }
+    (* -1 is the one encoding of "no guest": accepting any other negative
+       id would give one quote several wire forms. *)
+    if domid < -1 then None
+    else
+      Some
+        { xen_measurement = Bytes.sub b 0 32;
+          fw_version =
+            { Sev.Firmware.api_major = Bytes.get_uint16_be b 32;
+              api_minor = Bytes.get_uint16_be b 34;
+              build = Bytes.get_uint16_be b 36 };
+          guest_domid = (if domid < 0 then None else Some domid);
+          nonce = Bytes.get_int64_be b 42;
+          mac = Bytes.sub b 50 32 }

@@ -84,5 +84,7 @@ val verify :
 val serialize : quote -> bytes
 val deserialize : bytes -> quote option
 (** Wire format, for shipping the quote over an untrusted channel.
-    [deserialize] is [None] on any length mismatch; field tampering is
-    caught later by {!verify}'s MAC check, not here. *)
+    [deserialize] is [None] on any length mismatch and on a guest id
+    below -1 (the encoding of "no guest"), so every byte string it
+    accepts is the [serialize] of the quote it returns; field tampering
+    is caught later by {!verify}'s MAC check, not here. *)

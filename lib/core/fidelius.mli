@@ -41,22 +41,13 @@ val boot_protected_vm :
   t -> name:string -> memory_pages:int -> prepared:Sev.Transport.Owner.prepared ->
   (Xen.Domain.t, string) result
 
-val start : t -> Xen.Domain.t -> (unit, string) result
 val shutdown_protected_vm : t -> Xen.Domain.t -> unit
-val write_start_info : ?off:int -> t -> Xen.Domain.t -> bytes -> (unit, string) result
 val kblk_of_guest : t -> Xen.Domain.t -> bytes
 val attestation_report : t -> string
-
-(** {2 Migration} *)
-
-val migrate : src:t -> dst:t -> Xen.Domain.t -> (Xen.Domain.t, string) result
-(** {!Migrate.migrate_live} with the default config and no owner, the
-    report dropped. On failure the source guest keeps running. *)
 
 (** {2 I/O protection} *)
 
 val aesni_codec : t -> kblk:bytes -> Xen.Blkif.codec
-val software_codec : t -> kblk:bytes -> Xen.Blkif.codec
 val setup_sev_io :
   t -> Xen.Domain.t -> md_gvfn:Hw.Addr.vfn -> (Io_protect.sev_io, string) result
 val sev_codec : Io_protect.sev_io -> Xen.Blkif.codec
@@ -72,18 +63,9 @@ val share :
   owner_gvfn:Hw.Addr.vfn -> peer_gvfn:Hw.Addr.vfn -> writable:bool ->
   (Sharing.shared, string) result
 
-val share_range :
-  t ->
-  owner:Xen.Domain.t -> peer:Xen.Domain.t ->
-  owner_gvfn:Hw.Addr.vfn -> peer_gvfn:Hw.Addr.vfn -> nr:int -> writable:bool ->
-  (Sharing.shared list, string) result
-
 val unshare : t -> owner:Xen.Domain.t -> Sharing.shared -> (unit, string) result
 
 (** {2 Introspection} *)
-
-val gate_counts : t -> int * int * int
-(** (type-1, type-2, type-3) gate crossings so far. *)
 
 val violations : t -> string list
 (** Audit log of denied operations, most recent first. *)

@@ -25,15 +25,6 @@ module Xen = Fidelius_xen
 
 val install : Xen.Hypervisor.t -> Ctx.t
 
-val protect_table_pages : Ctx.t -> Hw.Pagetable.t -> Pit.usage -> unit
-(** Register any new page-table-pages of [table] in the PIT and remap them
-    read-only in the host space. Must run inside a WP-cleared window (the
-    hooks call it from within their type-1 gate). *)
-
-val mark_pit_frames : Ctx.t -> unit
-(** Fixpoint: claim newly allocated PIT radix pages as Fidelius data and
-    unmap them from the hypervisor. Must run inside a WP-cleared window. *)
-
 val new_shadow : Ctx.t -> Xen.Domain.t -> Shadow.t
 (** Allocate (or fetch) the shadow state for a domain, backed by a
     Fidelius-private frame. *)

@@ -19,10 +19,6 @@ type boot_error =
 
 let boot_error_to_string = function Rejected e | Failed e -> e
 
-let pp_boot_error fmt = function
-  | Rejected e -> Format.fprintf fmt "rejected: %s" e
-  | Failed e -> Format.fprintf fmt "failed: %s" e
-
 let start ctx dom = Xen.Hypervisor.vmrun ctx.Ctx.hv dom
 
 (* The one boot-window write (paper Section 6.2): the hypervisor maps one

@@ -22,7 +22,6 @@ type boot_error =
           matching error strings *)
 
 val boot_error_to_string : boot_error -> string
-val pp_boot_error : Format.formatter -> boot_error -> unit
 
 val boot_protected_vm :
   Ctx.t ->
@@ -102,9 +101,6 @@ val receive_abort : session -> unit
 val session_domain : session -> Xen.Domain.t
 (** The not-yet-runnable domain under construction — exposed for
     diagnostics only; it must not be started by hand. *)
-
-val start : Ctx.t -> Xen.Domain.t -> (unit, string) result
-(** (Re-)enter the guest through the gated VMRUN path. *)
 
 val shutdown_protected_vm : Ctx.t -> Xen.Domain.t -> unit
 (** The paper's Section 4.3.8, the one teardown of a protected domain

@@ -69,7 +69,6 @@ type error =
           nonce, bad MAC, wrong hypervisor measurement); the disk key was
           not released *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 (** {2 Wire format}
@@ -190,9 +189,6 @@ type config = {
       (** forced-stop cap for guests that dirty faster than the wire
           drains — pre-copy must terminate *)
 }
-
-val default_config : config
-(** 10 µs budget, 8 rounds. *)
 
 val budget_pages : config -> int
 (** How many residual pages fit the downtime budget. *)

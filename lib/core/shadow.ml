@@ -87,7 +87,6 @@ let capture t machine vmcb reason =
     Trace.emit (Trace.Shadow_capture (Vmcb.exit_reason_to_string reason))
 
 let has_capture t = t.has_capture
-let last_exit t = if t.has_capture then Some t.reason else None
 
 let verify_and_restore t machine vmcb =
   if not t.has_capture then

@@ -5,18 +5,14 @@
     into a private frame that is unmapped from the hypervisor, then masks
     the live copies down to the fields the exit reason legitimately needs.
     Before VMRUN it verifies the hypervisor's modifications against the
-    shadow — only the exit reason's exchange ({!Hw.Vmcb.exchange_fields},
-    {!Hw.Vmcb.exchange_regs}, the table the SEV-ES world switch uses) may
-    differ — and restores every other register from the shadow. *)
+    shadow — only the exit reason's exchange ({!Hw.Vmcb.exchange_field_masks},
+    {!Hw.Vmcb.exchange_reg_masks}, the table the SEV-ES world switch uses)
+    may differ — and restores every other register from the shadow. The
+    registers and fields left unmasked for the hypervisor follow the exit
+    reason too (e.g. CPUID leaves exactly RAX/RBX/RCX/RDX, paper Section
+    5.1). *)
 
 module Hw = Fidelius_hw
-
-val visible_regs : Hw.Vmcb.exit_reason -> Hw.Cpu.reg list
-(** Registers left unmasked for the hypervisor to read, by exit reason
-    (e.g. CPUID leaves exactly RAX/RBX/RCX/RDX, paper Section 5.1). *)
-
-val visible_fields : Hw.Vmcb.exit_reason -> Hw.Vmcb.field list
-(** Save-area fields left unmasked in the live VMCB. *)
 
 val protected_fields : Hw.Vmcb.field list
 (** Fields verified against the shadow whenever outside the exchange:
@@ -41,8 +37,5 @@ val verify_and_restore :
     register outside the exchange from the shadow and return. On
     tampering, return [Error] naming the field. *)
 
-val last_exit : t -> Hw.Vmcb.exit_reason option
-
 val has_capture : t -> bool
-(** Whether a vmexit capture is pending re-entry — [last_exit t <> None]
-    without allocating the option. *)
+(** Whether a vmexit capture is pending re-entry. *)

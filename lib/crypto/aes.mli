@@ -37,9 +37,6 @@ type key
 val block_size : int
 (** Block size in bytes (16). *)
 
-val key_size : int
-(** Key size in bytes (16). *)
-
 val expand : bytes -> key
 (** [expand raw] expands a 16-byte key — in OCaml for the reference
     schedule and in C (with [aeskeygenassist] on the hardware tiers) for

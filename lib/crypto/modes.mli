@@ -44,9 +44,6 @@ val xex_encrypt_into :
     span is whitened with [AES_k(tweak + i)]. [len] must be a multiple of 16.
     [src] and [dst] may be the same buffer at the same offset. *)
 
-val xex_decrypt_into :
-  Aes.key -> tweak:int64 -> src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> unit
-
 val xex_encrypt_span :
   Aes.key ->
   tweak0:int64 -> tweak_step:int64 ->

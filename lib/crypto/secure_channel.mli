@@ -27,6 +27,3 @@ val seal : session -> bytes -> bytes
 val open_record : session -> bytes -> (bytes, string) result
 (** Verify and decrypt the peer's next record; fails on tampering, replay,
     reordering or truncation. *)
-
-val overhead : int
-(** Bytes added to each record (header + tag). *)

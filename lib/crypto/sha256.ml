@@ -13,8 +13,6 @@
    hashes with it, and the test suite and the [cpu-features] self-test
    cross-check the active backend against it. *)
 
-let digest_size = 32
-
 external stub_backend : unit -> int = "fidelius_sha256_backend" [@@noalloc]
 
 external stub_compress : int array -> Bytes.t -> int -> int -> unit

@@ -25,9 +25,6 @@
     from different fleet domains but must not be nested inside a
     {!digest_build} callback. *)
 
-val digest_size : int
-(** 32 bytes. *)
-
 type ctx
 (** Streaming interface for hashing data that arrives in pieces (e.g. the
     per-page SEND_UPDATE measurement accumulation). All feed variants

@@ -10,5 +10,3 @@ let blocks_per_page = page_size / block_size
 let addr_of frame off = (frame lsl page_shift) lor off
 let frame_of addr = addr lsr page_shift
 let offset_of addr = addr land (page_size - 1)
-
-let pp_frame fmt frame = Format.fprintf fmt "0x%05x" frame

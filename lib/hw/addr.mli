@@ -14,9 +14,6 @@ type vfn = int (** virtual frame number (host-virtual or guest-virtual) *)
 val page_size : int
 (** 4096 bytes, as on the paper's hardware. *)
 
-val page_shift : int
-(** log2 of {!page_size}. *)
-
 val block_size : int
 (** Encryption-engine granularity: 16 bytes (one AES block). *)
 
@@ -30,6 +27,3 @@ val frame_of : int -> int
 
 val offset_of : int -> int
 (** Offset within the page of a byte address. *)
-
-val pp_frame : Format.formatter -> int -> unit
-(** Hex rendering like [0x00042]. *)

@@ -312,8 +312,6 @@ let reset l =
      after a mid-scope reset. *)
   l.frames <- Hashtbl.create 8
 
-let snapshot = total
-
 let pp fmt l =
   Format.fprintf fmt "@[<v>total: %d cycles" l.cycles;
   List.iter (fun (k, v) -> Format.fprintf fmt "@,  %-24s %12d" k v) (categories l);

@@ -117,7 +117,4 @@ val scope_categories : ledger -> string -> (string * int) list
 
 val reset : ledger -> unit
 
-val snapshot : ledger -> int
-(** Alias of {!total}; convenient for delta measurements. *)
-
 val pp : Format.formatter -> ledger -> unit

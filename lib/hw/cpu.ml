@@ -55,7 +55,6 @@ let set_reg t r v = t.gprs.(reg_index r) <- v
 let nr_regs = 16
 let get_reg_i t i = t.gprs.(i)
 let set_reg_i t i v = t.gprs.(i) <- v
-let unsafe_get_reg_i t i = Array.unsafe_get t.gprs i
 let unsafe_set_reg_i t i v = Array.unsafe_set t.gprs i v
 let snapshot_regs_into t dst = Array.blit t.gprs 0 dst 0 16
 let all_regs t = List.map (fun r -> (r, get_reg t r)) regs
@@ -80,5 +79,4 @@ let priv_set_smep t v = t.cr4_smep <- v
 let priv_set_nxe t v = t.efer_nxe <- v
 let priv_set_cr3 t v = t.cr3_space <- v
 
-let interrupts_enabled t = t.irq_enabled
 let priv_set_interrupts t v = t.irq_enabled <- v

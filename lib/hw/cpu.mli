@@ -41,10 +41,9 @@ val set_reg_i : t -> int -> int64 -> unit
     restore); moving [int64]s between arrays this way copies pointers only,
     so the loops allocate nothing. *)
 
-val unsafe_get_reg_i : t -> int -> int64
 val unsafe_set_reg_i : t -> int -> int64 -> unit
-(** Unchecked variants for the per-crossing loops whose bounds are pinned
-    to [0 .. nr_regs - 1]; the caller guarantees the range. *)
+(** Unchecked {!set_reg_i} for the per-crossing loops whose bounds are
+    pinned to [0 .. nr_regs - 1]; the caller guarantees the range. *)
 
 val snapshot_regs_into : t -> int64 array -> unit
 (** Blit all 16 GPRs into a caller-owned array (allocation-free). *)
@@ -75,7 +74,6 @@ val priv_set_smep : t -> bool -> unit
 val priv_set_nxe : t -> bool -> unit
 val priv_set_cr3 : t -> int -> unit
 
-val interrupts_enabled : t -> bool
 val priv_set_interrupts : t -> bool -> unit
 
 val reg_of_string : string -> reg option

@@ -29,17 +29,6 @@ let mark t gfn =
     Bytes.set t.bits byte (Char.chr (Char.code (Bytes.get t.bits byte) lor (1 lsl bit)))
   end
 
-let count t =
-  let n = ref 0 in
-  Bytes.iter
-    (fun c ->
-      let c = Char.code c in
-      for bit = 0 to 7 do
-        if c land (1 lsl bit) <> 0 then incr n
-      done)
-    t.bits;
-  !n
-
 let drain t =
   let acc = ref [] in
   for byte = Bytes.length t.bits - 1 downto 0 do

@@ -29,9 +29,6 @@ val mark : t -> int -> unit
 (** [mark t gfn] records a store to guest-physical frame [gfn]. No-op when
     tracking is off or [gfn] is negative. *)
 
-val count : t -> int
-(** Number of distinct dirty frames currently recorded. *)
-
 val drain : t -> int list
 (** The dirty frames in ascending order; clears the bitmap so the next
     round accumulates afresh. *)

@@ -5,17 +5,14 @@ let c_pte_write = Cost.intern "pte-write"
 
 type access = Read | Write | Exec
 
-let access_to_string = function Read -> "read" | Write -> "write" | Exec -> "exec"
-
 exception Fault of { space : int; vfn : Addr.vfn; access : access; reason : string }
 exception Npt_fault of { domid : int; gfn : Addr.gfn; access : access }
 
 let fault space vfn access reason =
   raise (Fault { space = Pagetable.id space; vfn; access; reason })
 
-(* Packed walk: everything the hot access paths need from one host
-   translation, without building the [proto] record or the result tuple
-   ([translate] below is the boxing wrapper for external callers). *)
+(* Packed walk: everything the host access paths need from one
+   translation, without building a [proto] record or a result tuple. *)
 let translate_packed (m : Machine.t) space access addr =
   let vfn = Addr.frame_of addr in
   ignore (Tlb.lookup m.tlb ~space_id:(Pagetable.id space) vfn);
@@ -32,14 +29,6 @@ let translate_packed (m : Machine.t) space access addr =
       if not (Pagetable.packed_executable p || not (Cpu.nxe m.cpu)) then
         fault space vfn access "non-executable mapping with EFER.NXE set");
   p
-
-let translate (m : Machine.t) space access addr =
-  let p = translate_packed m space access addr in
-  ( Pagetable.packed_frame p,
-    { Pagetable.frame = Pagetable.packed_frame p;
-      writable = Pagetable.packed_writable p;
-      executable = Pagetable.packed_executable p;
-      c_bit = Pagetable.packed_c_bit p } )
 
 let exec_ok (m : Machine.t) space vfn =
   let p = Pagetable.lookup_packed space vfn in
@@ -274,9 +263,6 @@ let guest_read_sel m ~domid ~gpt ~npt ~asid_sel ~addr ~len =
   guest_read_sel_into m ~domid ~gpt ~npt ~asid_sel ~addr ~len ~dst ~dst_off:0;
   dst
 
-let guest_read m ~domid ~gpt ~npt ~asid ~addr ~len =
-  guest_read_sel m ~domid ~gpt ~npt ~asid_sel:(Memctrl.Asid asid) ~addr ~len
-
 let guest_write_sel m ~domid ~gpt ~npt ~asid_sel ~addr data =
   iter_pages ~addr ~len:(Bytes.length data) (fun ~chunk_addr ~chunk_off ~chunk_len ->
       let c = guest_translate_code m ~domid ~gpt ~npt Write chunk_addr in
@@ -286,6 +272,3 @@ let guest_write_sel m ~domid ~gpt ~npt ~asid_sel ~addr data =
       in
       cached_write m (sel_of_code ~asid_sel c) (c lsr 2)
         ~off:(Addr.offset_of chunk_addr) chunk)
-
-let guest_write m ~domid ~gpt ~npt ~asid ~addr data =
-  guest_write_sel m ~domid ~gpt ~npt ~asid_sel:(Memctrl.Asid asid) ~addr data

@@ -18,16 +18,10 @@
 
 type access = Read | Write | Exec
 
-val access_to_string : access -> string
-
 exception Fault of { space : int; vfn : Addr.vfn; access : access; reason : string }
 (** Host-side page fault (the event Fidelius' fault handler mediates). *)
 
 exception Npt_fault of { domid : int; gfn : Addr.gfn; access : access }
-
-val translate : Machine.t -> Pagetable.t -> access -> int -> Addr.pfn * Pagetable.proto
-(** [translate m space access addr] walks one host mapping and applies the
-    supervisor permission rules; charges TLB costs. *)
 
 val read : Machine.t -> Pagetable.t -> addr:int -> len:int -> bytes
 (** Host read (may span pages). Probes the plaintext cache per block. *)
@@ -82,16 +76,6 @@ val guest_translate :
     (paper Section 2.1). Raises {!Fault} for guest-page-table misses and
     {!Npt_fault} for nested misses/permission shortfalls. *)
 
-val guest_read :
-  Machine.t ->
-  domid:int -> gpt:Pagetable.t -> npt:Pagetable.t -> asid:int ->
-  addr:int -> len:int -> bytes
-
-val guest_write :
-  Machine.t ->
-  domid:int -> gpt:Pagetable.t -> npt:Pagetable.t -> asid:int ->
-  addr:int -> bytes -> unit
-
 val guest_read_sel :
   Machine.t ->
   domid:int -> gpt:Pagetable.t -> npt:Pagetable.t -> asid_sel:Memctrl.selector ->
@@ -101,11 +85,10 @@ val guest_write_sel :
   Machine.t ->
   domid:int -> gpt:Pagetable.t -> npt:Pagetable.t -> asid_sel:Memctrl.selector ->
   addr:int -> bytes -> unit
-(** Like {!guest_read}/{!guest_write}, but the caller supplies the
-    selector used for guest-C-bit traffic (normally its cached
-    [Memctrl.Asid asid]) so the per-access path does not allocate one.
-    Results are identical to the [~asid] variants when
-    [asid_sel = Asid asid]. *)
+(** Guest read and write through {!guest_translate}'s two-level walk and
+    the plaintext cache. The caller supplies the selector used for
+    guest-C-bit traffic (normally its cached [Memctrl.Asid asid]), so the
+    per-access path does not allocate one. *)
 
 val guest_read_sel_into :
   Machine.t ->

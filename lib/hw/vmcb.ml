@@ -51,9 +51,6 @@ let fields =
 
 let save_area = [ Rip; Rsp; Rax; Cr0; Cr3; Cr4; Efer ]
 
-let control_area =
-  [ Exit_reason; Exit_info1; Exit_info2; Intercepts; Asid; Sev_enabled; Np_enabled; Np_cr3 ]
-
 let field_to_string = function
   | Rip -> "rip" | Rsp -> "rsp" | Rax -> "rax"
   | Cr0 -> "cr0" | Cr3 -> "cr3" | Cr4 -> "cr4" | Efer -> "efer"
@@ -80,10 +77,6 @@ let set_i (t : t) i v = t.(i) <- v
 let unsafe_get_i (t : t) i = Array.unsafe_get t i
 let unsafe_set_i (t : t) i v = Array.unsafe_set t i v
 let snapshot_into (t : t) dst = Array.blit t 0 dst 0 15
-let copy t = Array.copy t
-let blit ~src ~dst = Array.blit src 0 dst 0 15
-
-let diff a b = List.filter (fun f -> not (Int64.equal (get a f) (get b f))) fields
 
 let exit_reason t = exit_reason_of_int64 (get t Exit_reason)
 
@@ -112,8 +105,3 @@ let field_mask fs = List.fold_left (fun m f -> m lor (1 lsl index f)) 0 fs
 let reg_mask rs = List.fold_left (fun m r -> m lor (1 lsl Cpu.reg_index r)) 0 rs
 let exchange_field_masks = Array.map (fun r -> field_mask (exchange_fields r)) exit_reasons
 let exchange_reg_masks = Array.map (fun r -> reg_mask (exchange_regs r)) exit_reasons
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter (fun f -> Format.fprintf fmt "%-12s 0x%Lx@," (field_to_string f) (get t f)) fields;
-  Format.fprintf fmt "@]"

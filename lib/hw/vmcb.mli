@@ -34,7 +34,6 @@ val save_area : field list
 (** The guest-state fields (confidential once SEV-ES-style protection is
     wanted). *)
 
-val control_area : field list
 val field_to_string : field -> string
 
 type t
@@ -67,15 +66,6 @@ val unsafe_set_i : t -> int -> int64 -> unit
 val snapshot_into : t -> int64 array -> unit
 (** Blit all 15 fields into a caller-owned array (allocation-free). *)
 
-val copy : t -> t
-(** Deep copy; used by the Fidelius shadowing step. *)
-
-val blit : src:t -> dst:t -> unit
-(** Overwrite every field of [dst] with [src]'s values. *)
-
-val diff : t -> t -> field list
-(** Fields whose values differ, for exit-reason-based verification. *)
-
 val exit_reason : t -> exit_reason option
 (** Decoded [Exit_reason] field. *)
 
@@ -95,12 +85,6 @@ val exit_reasons : exit_reason array
 val reason_index : exit_reason -> int
 (** Dense 0-based index of an exit reason, for the per-reason arrays. *)
 
-val exchange_fields : exit_reason -> field list
-(** Save-area fields of the exchange (typically RIP advance and RAX). *)
-
-val exchange_regs : exit_reason -> Cpu.reg list
-(** GPRs of the exchange (e.g. CPUID's RAX/RBX/RCX/RDX). *)
-
 val field_mask : field list -> int
 (** Bit [index f] set for each listed field. *)
 
@@ -108,9 +92,9 @@ val reg_mask : Cpu.reg list -> int
 (** Bit [Cpu.reg_index r] set for each listed register. *)
 
 val exchange_field_masks : int array
-(** [field_mask (exchange_fields r)] at [reason_index r]. Read-only. *)
+(** At [reason_index r], the {!field_mask} of [r]'s exchanged save-area
+    fields (typically RIP advance and RAX). Read-only. *)
 
 val exchange_reg_masks : int array
-(** [reg_mask (exchange_regs r)] at [reason_index r]. Read-only. *)
-
-val pp : Format.formatter -> t -> unit
+(** At [reason_index r], the {!reg_mask} of [r]'s exchanged GPRs (e.g.
+    CPUID's RAX/RBX/RCX/RDX). Read-only. *)

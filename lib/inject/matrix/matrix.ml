@@ -10,8 +10,6 @@ module Wire = Core.Migrate.Wire
 
 type stack_kind = Plain_sev | Fidelius
 
-let stack_kind_to_string = function Plain_sev -> "plain-SEV" | Fidelius -> "Fidelius"
-
 type verdict = Fail_closed | Detected | Silent_corruption | Harness_error
 
 let verdict_to_string = function
@@ -42,7 +40,7 @@ type report = {
    on its first guarded occurrence, making each cell's perturbation both
    minimal and perfectly reproducible. *)
 let with_plan ~seed site f =
-  Plan.install (Plan.make ~seed [ Plan.always site ]);
+  Plan.install (Plan.make ~seed site);
   Fun.protect ~finally:Plan.uninstall f
 
 let build kind ~seed =

@@ -19,8 +19,6 @@ module Site = Fidelius_inject.Site
 
 type stack_kind = Plain_sev | Fidelius
 
-val stack_kind_to_string : stack_kind -> string
-
 type verdict =
   | Fail_closed
       (** the fault had no security-relevant effect: outcomes match the
@@ -37,9 +35,6 @@ type verdict =
           in the harness, never a defence *)
 
 val verdict_to_string : verdict -> string
-
-val severity : verdict -> int
-(** [Fail_closed] < [Detected] < [Silent_corruption] < [Harness_error]. *)
 
 type cell = {
   site : Site.t;

@@ -1,43 +1,11 @@
-type rule = {
-  site : Site.t;
-  probability : float;
-  max_fires : int;
-}
-
-let always ?(max_fires = 1) site = { site; probability = 1.; max_fires }
-
-let nsites = List.length Site.all
-
 type t = {
   seed : int64;
-  (* all arrays indexed by Site.index *)
-  probability : float array;
-  max_fires : int array;
-  occurrences : int array;  (* guard consultations per site *)
-  fired : int array;  (* firings per site *)
-  draws : int array;  (* parameter draws per site *)
+  site : Site.t;
+  mutable fired : bool;
+  mutable draws : int;  (* parameter draws so far *)
 }
 
-let make ?(seed = 2026L) rules =
-  let probability = Array.make nsites 0. in
-  let max_fires = Array.make nsites 0 in
-  List.iter
-    (fun (r : rule) ->
-      if not (r.probability >= 0. && r.probability <= 1.) then
-        invalid_arg "Plan.make: probability must be in [0,1]";
-      if r.max_fires < 0 then invalid_arg "Plan.make: max_fires must be >= 0";
-      let i = Site.index r.site in
-      probability.(i) <- r.probability;
-      max_fires.(i) <- r.max_fires)
-    rules;
-  { seed;
-    probability;
-    max_fires;
-    occurrences = Array.make nsites 0;
-    fired = Array.make nsites 0;
-    draws = Array.make nsites 0 }
-
-let seed t = t.seed
+let make ?(seed = 2026L) site = { seed; site; fired = false; draws = 0 }
 
 (* The active plan is domain-local: each fleet shard arms and clears its
    own plan without a lock, and a freshly spawned domain starts with no
@@ -52,61 +20,36 @@ let install t = Domain.DLS.get slot := Some t
 
 let uninstall () = Domain.DLS.get slot := None
 
-(* splitmix64 finalizer — the decision for (seed, site, counter) is a pure
-   hash, so no site's schedule depends on what other sites did. *)
+let fire site =
+  match installed () with
+  | Some t when (not t.fired) && Site.index t.site = Site.index site ->
+      t.fired <- true;
+      if Fidelius_obs.Trace.enabled () then
+        Fidelius_obs.Trace.emit (Fault { site = Site.to_string site; hit = 1 });
+      true
+  | _ -> false
+
+(* splitmix64 finalizer — each parameter is a pure hash of (seed, site,
+   counter), so nothing else's state can shift it. *)
 let mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   logxor z (shift_right_logical z 31)
 
-let hash seed ~salt ~site ~counter =
-  mix64
-    (Int64.logxor
-       (Int64.add seed (Int64.mul 0x9e3779b97f4a7c15L (Int64.of_int salt)))
-       (mix64 (Int64.of_int ((site * 0x10001) + counter))))
-
-(* top 53 bits as a float in [0,1) *)
-let to_unit_float h =
-  Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53
-
-let fire site =
-  match installed () with
-  | None -> false
-  | Some t ->
-      let i = Site.index site in
-      let k = t.occurrences.(i) in
-      t.occurrences.(i) <- k + 1;
-      let p = t.probability.(i) in
-      if p <= 0. || t.fired.(i) >= t.max_fires.(i) then false
-      else if to_unit_float (hash t.seed ~salt:0 ~site:i ~counter:k) < p then begin
-        t.fired.(i) <- t.fired.(i) + 1;
-        if Fidelius_obs.Trace.enabled () then
-          Fidelius_obs.Trace.emit
-            (Fault { site = Site.to_string site; hit = t.fired.(i) });
-        true
-      end
-      else false
-
 let draw site ~bound =
   if bound <= 0 then invalid_arg "Plan.draw: bound must be positive";
   match installed () with
   | None -> invalid_arg "Plan.draw: no plan installed"
   | Some t ->
-      let i = Site.index site in
-      let k = t.draws.(i) in
-      t.draws.(i) <- k + 1;
-      let h = hash t.seed ~salt:1 ~site:i ~counter:k in
+      let k = t.draws in
+      t.draws <- k + 1;
+      let h =
+        mix64
+          (Int64.logxor
+             (Int64.add t.seed 0x9e3779b97f4a7c15L)
+             (mix64 (Int64.of_int ((Site.index site * 0x10001) + k))))
+      in
       Int64.to_int (Int64.rem (Int64.shift_right_logical h 1) (Int64.of_int bound))
 
-let fires t =
-  List.filter_map
-    (fun s ->
-      let i = Site.index s in
-      if t.max_fires.(i) > 0 && t.probability.(i) > 0. then Some (s, t.fired.(i))
-      else None)
-    Site.all
-
-let total_fires t = Array.fold_left ( + ) 0 t.fired
-
-let occurrences t site = t.occurrences.(Site.index site)
+let fired t = t.fired

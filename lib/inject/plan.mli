@@ -1,10 +1,11 @@
-(** Deterministic, seed-driven fault plan.
+(** Deterministic, seed-driven single-shot fault plan.
 
-    A plan arms a subset of {!Site.t}s with a firing probability and an
-    optional firing budget. Product code asks [if Plan.armed () &&
-    Plan.fire Site.X then ...] at each instrumented site — the same
-    cheap-when-off discipline as [Obs.Trace]: with no plan installed the
-    guard is a single domain-local load and nothing else runs.
+    A plan arms one {!Site.t} for one firing: the site's first guarded
+    occurrence fires, and every later occurrence and every other site
+    never does. Product code asks [if Plan.armed () && Plan.fire Site.X
+    then ...] at each instrumented site — the same cheap-when-off
+    discipline as [Obs.Trace]: with no plan installed the guard is a
+    single domain-local load and nothing else runs.
 
     {2 Thread-safety: one plan per domain}
 
@@ -12,51 +13,33 @@
     {!draw} and {!uninstall} all act on the calling domain's slot only.
     Fleet shards ([Fidelius_fleet.Pool]) arm independent plans
     concurrently without locks; a freshly spawned domain starts with no
-    plan installed. A plan value carries mutable counters, so installing
-    the same [t] in two domains at once is a data race — build one plan
-    per shard ({!make} is cheap).
+    plan installed. A plan value carries mutable state (whether it has
+    fired, how many parameters it has drawn), so installing the same [t]
+    in two domains at once is a data race — build one plan per shard
+    ({!make} is cheap).
 
     {2 Determinism}
 
-    Whether occurrence [k] at site [s] fires is a pure function of
-    [(plan seed, Site.index s, k)] — a splitmix64-style finalizer hashed
-    over the triple, mapped to [0,1) and compared against the rule's
-    probability. No hidden generator state is shared between sites, so
-    adding instrumentation at one site can never shift another site's
-    schedule, and the same seed always reproduces the same firing
-    schedule. Fault {e parameters} (which bit to flip, which frame to
-    remap to) come from {!draw}, keyed the same way over a separate
-    per-site draw counter.
+    When a plan fires is fixed by its site alone. Fault {e parameters}
+    (which bit to flip, which page to hit) come from {!draw}: a
+    splitmix64-style finalizer hashed over [(plan seed, Site.index s,
+    k)] for the [k]-th draw, so the same seed always reproduces the same
+    perturbation, and no generator state is shared with anything else.
 
-    A rule with [probability = 0.] never fires, emits no trace events and
-    charges no cost: running under such a plan is byte-identical to
-    running with injection disabled (pinned by a qcheck property).
+    A plan armed on a site the run never reaches never fires, emits no
+    trace events and charges no cost: running under it is byte-identical
+    to running with injection disabled (pinned by a qcheck property).
 
     {2 Observability}
 
-    Every firing emits [Obs.Trace.Fault {site; hit}] when tracing is
+    The firing emits [Obs.Trace.Fault {site; hit = 1}] when tracing is
     enabled, so a trace shows exactly which fault landed when. *)
-
-type rule = {
-  site : Site.t;
-  probability : float;  (** chance each occurrence fires, in [0,1] *)
-  max_fires : int;  (** firing budget; occurrences beyond it never fire *)
-}
-
-val always : ?max_fires:int -> Site.t -> rule
-(** [always site] is [{site; probability = 1.; max_fires = 1}] — the
-    single-shot deterministic rule the matrix runner uses. *)
 
 type t
 
-val make : ?seed:int64 -> rule list -> t
-(** [make ~seed rules] builds a plan. Sites not mentioned never fire.
-    Duplicate sites: the last rule wins. [seed] defaults to [2026L].
-    Raises [Invalid_argument] on a probability outside [0,1] or a
-    negative [max_fires]. *)
-
-val seed : t -> int64
-(** The seed the plan's firing schedule and parameter draws hash over. *)
+val make : ?seed:int64 -> Site.t -> t
+(** [make ~seed site] arms [site] for one firing. [seed] defaults to
+    [2026L]. *)
 
 val armed : unit -> bool
 (** The cheap guard: true iff the calling domain has a plan installed.
@@ -64,31 +47,23 @@ val armed : unit -> bool
 
 val install : t -> unit
 (** Makes [t] the calling domain's active plan (replacing any previous
-    one). Counters are {e not} reset — install a fresh plan for a fresh
-    schedule. *)
+    one). A plan that has fired stays spent — install a fresh plan to
+    fire again. *)
 
 val uninstall : unit -> unit
 (** Clears the calling domain's plan; subsequent [fire] calls return
     false. *)
 
-val installed : unit -> t option
-(** The calling domain's active plan, if any. *)
-
 val fire : Site.t -> bool
-(** Decide occurrence [k] at this site (and advance the site's occurrence
-    counter). False when no plan is installed or the site is unarmed.
-    Emits the trace event on true. *)
+(** True exactly once: on the armed site's first occurrence. False when
+    no plan is installed, for any other site, and once the plan has
+    fired. Emits the trace event on true. *)
 
 val draw : Site.t -> bound:int -> int
 (** Deterministic fault parameter in [\[0, bound)], from the plan's seed
-    and the site's draw counter. Meant to be called only after {!fire}
-    returned true. Raises [Invalid_argument] if [bound <= 0] or no plan
-    is installed. *)
+    and its draw counter. Meant to be called only after {!fire} returned
+    true. Raises [Invalid_argument] if [bound <= 0] or no plan is
+    installed. *)
 
-val fires : t -> (Site.t * int) list
-(** Firing counts so far, armed sites only, declaration order. *)
-
-val total_fires : t -> int
-
-val occurrences : t -> Site.t -> int
-(** How many times the site's guard was consulted. *)
+val fired : t -> bool
+(** Whether the plan's site has fired. *)

@@ -43,5 +43,3 @@ let to_string = function
   | Secret_before_attest -> "secret-before-attest"
 
 let of_string s = List.find_opt (fun t -> to_string t = s) all
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -40,9 +40,8 @@ val all : t list
 
 val index : t -> int
 (** Stable 0-based position in {!all}; part of the determinism contract
-    (the firing schedule hashes over it). New sites must be appended,
-    never inserted, so existing indices stay stable. *)
+    ([Plan.draw]'s fault parameters hash over it). New sites must be
+    appended, never inserted, so existing indices stay stable. *)
 
 val to_string : t -> string
 val of_string : string -> t option
-val pp : Format.formatter -> t -> unit

@@ -143,7 +143,15 @@ let parse_string c =
         | Some 'u' ->
             advance c;
             if c.pos + 4 > String.length c.src then fail c "truncated \\u escape";
-            let code = int_of_string ("0x" ^ String.sub c.src c.pos 4) in
+            (* Exactly four hex digits: no sign, underscore or blank. *)
+            let digit i =
+              match c.src.[c.pos + i] with
+              | '0' .. '9' as d -> Char.code d - Char.code '0'
+              | 'a' .. 'f' as d -> Char.code d - Char.code 'a' + 10
+              | 'A' .. 'F' as d -> Char.code d - Char.code 'A' + 10
+              | _ -> fail c "bad \\u escape"
+            in
+            let code = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
             c.pos <- c.pos + 4;
             (* Codepoints beyond one byte only appear in our own escapes for
                control characters, so a byte is enough here. *)
@@ -174,10 +182,16 @@ let parse_number c =
       | Some f -> Float f
       | None -> fail c (Printf.sprintf "bad number %S" s))
 
-let rec parse_value c =
+(* The parser recurses once per nesting level, so without a bound a long
+   run of '[' would exhaust the stack and escape as [Stack_overflow]
+   rather than [Parse_error]. The exporters nest at most four levels. *)
+let max_depth = 512
+
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | None -> fail c "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth -> fail c "nesting too deep"
   | Some '{' ->
       advance c;
       skip_ws c;
@@ -188,7 +202,7 @@ let rec parse_value c =
           let k = parse_string c in
           skip_ws c;
           expect c ':';
-          let v = parse_value c in
+          let v = parse_value c (depth + 1) in
           skip_ws c;
           match peek c with
           | Some ',' -> advance c; fields ((k, v) :: acc)
@@ -203,7 +217,7 @@ let rec parse_value c =
       if peek c = Some ']' then begin advance c; Arr [] end
       else begin
         let rec items acc =
-          let v = parse_value c in
+          let v = parse_value c (depth + 1) in
           skip_ws c;
           match peek c with
           | Some ',' -> advance c; items (v :: acc)
@@ -220,7 +234,7 @@ let rec parse_value c =
 
 let parse s =
   let c = { src = s; pos = 0 } in
-  let v = parse_value c in
+  let v = parse_value c 0 in
   skip_ws c;
   if c.pos <> String.length s then fail c "trailing garbage";
   v

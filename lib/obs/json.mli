@@ -5,7 +5,7 @@
     instead of pulling in yojson. The printer emits deterministic output
     (object fields in the order given, no whitespace variation) so traces
     can be compared byte-for-byte; the parser exists so exported traces can
-    be validated round-trip in tests and by the trace-smoke CI rule. *)
+    be validated round-trip in tests and by the CLI's own trace export. *)
 
 type t =
   | Null
@@ -43,7 +43,9 @@ val add_str : Buffer.t -> string -> unit
 exception Parse_error of string
 
 val parse : string -> t
-(** Raises {!Parse_error} on malformed input or trailing garbage. *)
+(** Raises {!Parse_error} on malformed input, trailing garbage, or arrays
+    and objects nested more than 512 deep — and never any other
+    exception. *)
 
 val member : string -> t -> t option
 (** [member k (Obj ...)] is the value bound to [k], if any; [None] on

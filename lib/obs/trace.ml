@@ -120,8 +120,6 @@ let ring ?(capacity = default_capacity) () =
   s.capacity <- capacity;
   s
 
-let ring_capacity (r : ring) = r.capacity
-
 let ring_reset (r : ring) =
   r.on <- false;
   r.next <- 0;
@@ -220,7 +218,7 @@ let jsonl_of entries =
 
 let to_jsonl () = jsonl_of (entries ())
 
-let chrome_event ?(pid = 1) ?(tid = 1) e =
+let chrome_event ?(pid = 1) e =
   Json.Obj
     [ ("name", Json.Str (event_name e.event));
       ("cat", Json.Str (if e.scope = "" then "platform" else e.scope));
@@ -228,7 +226,7 @@ let chrome_event ?(pid = 1) ?(tid = 1) e =
       ("s", Json.Str "t");
       ("ts", Json.Int e.ts);
       ("pid", Json.Int pid);
-      ("tid", Json.Int tid);
+      ("tid", Json.Int 1);
       ("args", Json.Obj (("seq", Json.Int e.seq) :: event_args e.event)) ]
 
 (* [chrome_event] printed without building it: the same fields in the same

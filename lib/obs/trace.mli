@@ -119,9 +119,6 @@ val ring : ?capacity:int -> unit -> ring
     and is fixed for the ring's lifetime. Raises [Invalid_argument] if
     [capacity <= 0]. *)
 
-val ring_capacity : ring -> int
-(** The capacity the ring was created with. *)
-
 val record_into : ring -> ?clock:(unit -> int) -> (unit -> 'a) -> 'a
 (** [record_into r f] is {!capture} into a caller-owned ring: resets [r]
     (counters, scope stack, clock — {e not} the slot array), enables it,
@@ -149,16 +146,16 @@ val ring_iter : ring -> (entry -> unit) -> unit
     re-enter the ring (emit into or reset [r]). *)
 
 val ring_length : ring -> int
-(** How many entries the ring currently holds:
-    [min (ring_emitted r) (ring_capacity r)]. *)
+(** How many entries the ring currently holds: {!ring_emitted}, capped
+    at the ring's capacity. *)
 
 val ring_emitted : ring -> int
 (** Total events emitted into the ring during its last [record_into]
     (including any the ring overwrote after wrapping). *)
 
 val ring_dropped : ring -> int
-(** How many of those the ring overwrote:
-    [max 0 (ring_emitted r - ring_capacity r)]. *)
+(** How many of those the ring overwrote: how far {!ring_emitted}
+    exceeds the ring's capacity, or 0. *)
 
 val ring_reset : ring -> unit
 (** Disable the ring and drop its recorded entries (counters, scope
@@ -178,24 +175,20 @@ val dropped : unit -> int
 val event_name : event -> string
 (** Stable wire name of the event constructor (e.g. ["tlb-flush"]). *)
 
-val event_args : event -> (string * Json.t) list
-(** The event's payload as JSON fields, in declaration order —
-    deterministic, so exports are byte-stable. *)
-
-val jsonl_of : entry list -> string
-(** Render any entry list (e.g. a fleet shard's capture) as JSONL, one
-    [{"seq":N,"ts":N,"scope":S,"name":S,"args":{...}}] object per line. *)
-
 val to_jsonl : unit -> string
-(** {!jsonl_of} applied to the calling domain's {!entries}. *)
+(** The calling domain's {!entries} as JSONL, one
+    [{"seq":N,"ts":N,"scope":S,"name":S,"args":{...}}] object per line.
+    The payload fields follow the event's declaration order, so exports
+    are byte-stable. *)
 
-val chrome_event : ?pid:int -> ?tid:int -> entry -> Json.t
-(** One Chrome [trace_event] instant-event object. [pid]/[tid] default to
-    1; the fleet's merged export gives each shard its own [pid] row. *)
+val chrome_event : ?pid:int -> entry -> Json.t
+(** One Chrome [trace_event] instant-event object on thread row 1. [pid]
+    defaults to 1; the fleet's merged export gives each shard its own
+    [pid] row. *)
 
 val chrome_event_into : Buffer.t -> pid:int -> entry -> unit
 (** [chrome_event_into buf ~pid e] appends exactly the bytes
-    [Json.to_buffer buf (chrome_event ~pid e)] appends ([tid] 1), without
+    [Json.to_buffer buf (chrome_event ~pid e)] appends, without
     building the [Json.t]: the fleet's per-event serialiser. Allocates
     nothing once [buf] has room, and keeps no state outside its arguments,
     so workers on different domains may each write their own buffer at

@@ -30,9 +30,6 @@ type handle = int
 
 type version = { api_major : int; api_minor : int; build : int }
 
-val current_version : version
-(** The up-to-date blob every platform boots by default. *)
-
 val vulnerable_version : version
 (** The last blob with a published key-extraction bug — what a rollback
     attacker loads. *)
@@ -48,8 +45,8 @@ val pp_version : Format.formatter -> version -> unit
 
 val create : ?version:version -> Fidelius_hw.Machine.t -> t
 (** Attach a secure processor to a platform. Generates the platform ECDH
-    identity key. [version] (default {!current_version}) is the firmware
-    blob the platform boots with. *)
+    identity key. [version] is the firmware blob the platform boots with;
+    the default is the up-to-date blob (0.24.15). *)
 
 val load_blob : t -> version -> unit
 (** The hypervisor swaps the firmware blob — the rollback attack. Nothing

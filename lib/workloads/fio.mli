@@ -28,9 +28,6 @@ type pattern = {
   unit_bytes_per_rate : float;  (** KB/s or MB/s conversion *)
 }
 
-val patterns : pattern list
-(** rand-read, seq-read, rand-write, seq-write — Table 3's rows. *)
-
 type row = {
   pattern : pattern;
   xen_rate : float;      (** throughput on stock Xen, in [unit_name] *)
@@ -38,5 +35,4 @@ type row = {
   slowdown_pct : float;
 }
 
-val run_pattern : pattern -> row
 val table : unit -> row list

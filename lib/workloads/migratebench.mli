@@ -22,9 +22,6 @@ type row = {
 
 type t = { rows : row list }
 
-val memory_pages : int
-(** Guest size used by every migration job. *)
-
 val run : ?domains:int -> ?vms:int -> budget_us:float -> unit -> t
 (** Run [vms] (default 8) complete live migrations under the given
     downtime budget. The guest's working set halves every pre-copy round,

@@ -23,5 +23,3 @@ let all =
     mk "swaptions" ~stall:0.003 ~ws:8 ~vmexits:81 ~wf:0.30;
     mk "vips" ~stall:0.015 ~ws:20 ~vmexits:281 ~wf:0.40;
     mk "x264" ~stall:0.005 ~ws:16 ~vmexits:199 ~wf:0.44 ]
-
-let find name = List.find_opt (fun p -> String.equal p.Profile.name name) all

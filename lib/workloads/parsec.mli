@@ -4,4 +4,3 @@
     the paper's 1.97% (Fidelius-enc) and 0.43% (Fidelius). *)
 
 val all : Profile.t list
-val find : string -> Profile.t option

@@ -8,4 +8,3 @@ type t = {
   write_fraction : float;
 }
 
-let scale = 1000

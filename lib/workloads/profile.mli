@@ -17,7 +17,3 @@ type t = {
   vmexits : int;                  (** hypervisor round trips during the run *)
   write_fraction : float;         (** stores among memory operations *)
 }
-
-val scale : int
-(** Cycle scale-down factor versus the paper's multi-minute runs (purely
-    cosmetic; overheads are ratios). *)

@@ -22,5 +22,3 @@ let all =
     mk "h264ref" ~stall:0.003 ~ws:16 ~vmexits:237 ~wf:0.42;
     mk "astar" ~stall:0.100 ~ws:36 ~vmexits:544 ~wf:0.30;
     mk "hmmer" ~stall:0.002 ~ws:8 ~vmexits:162 ~wf:0.36 ]
-
-let find name = List.find_opt (fun p -> String.equal p.Profile.name name) all

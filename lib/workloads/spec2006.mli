@@ -5,4 +5,3 @@
     suite average around 5.4%. *)
 
 val all : Profile.t list
-val find : string -> Profile.t option

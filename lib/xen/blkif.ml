@@ -229,8 +229,6 @@ let connect ?(ring_size = Ring.default_size) ?(buffer_pages = 1) hv dom ~disk ~b
 
 let set_codec fe codec = fe.codec <- codec
 
-let buffer_pages fe = Array.length fe.f_queue.q_grefs
-
 let fresh_req_id fe =
   let id = fe.next_req_id in
   fe.next_req_id <- id + 1;

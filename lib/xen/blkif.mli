@@ -76,8 +76,6 @@ val connect :
 
 val set_codec : frontend -> codec -> unit
 
-val buffer_pages : frontend -> int
-
 val fresh_req_id : frontend -> int
 
 val data_gref : frontend -> page:int -> int

@@ -65,8 +65,6 @@ let guest_map t ~gvfn ~gfn ~writable ~executable ~c_bit =
   Hw.Pagetable.hw_set t.gpt gvfn
     (Some { Hw.Pagetable.frame = gfn; writable; executable; c_bit })
 
-let guest_unmap t ~gvfn = Hw.Pagetable.hw_set t.gpt gvfn None
-
 let read_into machine t ~addr ~len ~dst ~dst_off =
   Hw.Mmu.guest_read_sel_into machine ~domid:t.domid ~gpt:t.gpt ~npt:t.npt
     ~asid_sel:t.asid_sel ~addr ~len ~dst ~dst_off
@@ -96,13 +94,3 @@ let alloc_gfn t =
   let gfn = t.next_free_gfn in
   t.next_free_gfn <- gfn + 1;
   gfn
-
-let pp fmt t =
-  Format.fprintf fmt "dom%d(%s)%s asid=%d %s" t.domid t.name
-    (if t.sev_protected then "[SEV]" else "")
-    t.asid
-    (match t.state with
-    | Created -> "created"
-    | Runnable -> "runnable"
-    | Paused -> "paused"
-    | Dying -> "dying")

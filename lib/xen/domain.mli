@@ -66,8 +66,6 @@ val guest_map :
   writable:bool -> executable:bool -> c_bit:bool -> unit
 (** Guest-side page-table update (a store into guest-owned memory). *)
 
-val guest_unmap : t -> gvfn:Hw.Addr.vfn -> unit
-
 val read : Hw.Machine.t -> t -> addr:int -> len:int -> bytes
 (** Guest-mode memory read: two-level walk under the domain's ASID. Raises
     {!Hw.Mmu.Npt_fault} when the nested mapping is absent — callers in the
@@ -85,5 +83,3 @@ val write : Hw.Machine.t -> t -> addr:int -> bytes -> unit
 
 val alloc_gfn : t -> Hw.Addr.gfn
 (** Next unused guest-physical frame number (simple bump allocator). *)
-
-val pp : Format.formatter -> t -> unit

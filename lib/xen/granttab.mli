@@ -26,7 +26,6 @@ val create : Hw.Machine.t -> nr_frames:int -> t
 (** Allocate the table's backing frames. *)
 
 val backing_frames : t -> Hw.Addr.pfn list
-val capacity : t -> int
 
 val get : t -> int -> entry option
 (** Decode one entry; [None] for free slots or out-of-range refs. *)

@@ -250,12 +250,6 @@ let boot machine =
 
 (* --- host mappings ---------------------------------------------------- *)
 
-let map_identity t pfn ~writable ~executable =
-  t.med.host_map_update pfn
-    (Some { Hw.Pagetable.frame = pfn; writable; executable; c_bit = false })
-
-let unmap_identity t pfn = t.med.host_map_update pfn None
-
 let host_read_into t pfn ~off ~len ~dst ~dst_off =
   Hw.Mmu.read_into t.machine t.host_space ~addr:(Hw.Addr.addr_of pfn off) ~len ~dst ~dst_off
 

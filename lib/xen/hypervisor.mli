@@ -74,12 +74,6 @@ val boot : Hw.Machine.t -> t
 
 (** {2 Host mappings} *)
 
-val map_identity :
-  t -> Hw.Addr.pfn -> writable:bool -> executable:bool -> (unit, string) result
-(** Change the direct-map entry for one frame, through the mediation hook. *)
-
-val unmap_identity : t -> Hw.Addr.pfn -> (unit, string) result
-
 val host_read : t -> Hw.Addr.pfn -> off:int -> len:int -> bytes
 (** Hypervisor-privilege read through the direct map (faults if the frame is
     unmapped from the host space). *)
@@ -126,10 +120,6 @@ val vmrun_effect : t -> int64 -> (unit, string) result
     once fetched. Exposed so Fidelius can re-home the instruction onto its
     own (normally unmapped) page after the binary scan. *)
 
-val handle_npf : t -> Domain.t -> gfn:Hw.Addr.gfn -> (unit, string) result
-(** The NPT-violation handler: allocate a frame and fill the nested entry
-    (through the mediation hook). *)
-
 val in_guest : t -> Domain.t -> (unit -> 'a) -> 'a
 (** Run guest-side work, transparently turning NPT faults into the full
     NPF vmexit/handle/vmrun cycle and retrying. *)
@@ -162,6 +152,5 @@ val wrmsr_guest : t -> Domain.t -> msr:int -> int64 -> (unit, string) result
 (** {2 Introspection} *)
 
 val console : t -> int -> string
-val fresh_asid : t -> int
 val stats : t -> int * int
 (** (vmexits, nested page faults). *)

@@ -83,26 +83,19 @@ let create ?(size = default_size) () =
     invalid_arg (Printf.sprintf "Ring.create: size %d must be a power of two >= 2" size);
   { ring_size = size; req = half_create size; resp = half_create size }
 
-let size t = t.ring_size
-
 let push_request t r = half_push t.req r ~capacity:t.ring_size
 let pop_request t = half_pop t.req
 let push_response t r = half_push t.resp r ~capacity:t.ring_size
-let pop_response t = half_pop t.resp
 
-let pop_many pop t ~max =
+let pop_responses t ~max =
   let rec go acc n =
     if n <= 0 then List.rev acc
-    else match pop t with None -> List.rev acc | Some v -> go (v :: acc) (n - 1)
+    else match half_pop t.resp with None -> List.rev acc | Some v -> go (v :: acc) (n - 1)
   in
   go [] max
-
-let pop_requests t ~max = pop_many pop_request t ~max
-let pop_responses t ~max = pop_many pop_response t ~max
 
 let requests_pending t = half_pending t.req
 let responses_pending t = half_pending t.resp
 let free_request_slots t = t.ring_size - half_pending t.req
-let free_response_slots t = t.ring_size - half_pending t.resp
 
 let indices t = ((t.req.prod, t.req.cons), (t.resp.prod, t.resp.cons))

@@ -12,8 +12,9 @@
     Xen shared ring: a fixed power-of-two number of descriptor slots with
     free-running producer/consumer indices on each direction. Producers see
     backpressure ({!push_request} fails with {!Ring_full}) instead of
-    unbounded growth, and consumers can drain a whole batch per
-    notification ({!pop_requests}). *)
+    unbounded growth. The backend pops requests one at a time
+    ({!pop_request}); the frontend drains a whole batch of responses per
+    notification ({!pop_responses}). *)
 
 type op = Read | Write
 
@@ -63,26 +64,18 @@ val create : ?size:int -> unit -> t
     response slots. [size] must be a power of two ≥ 2 (like Xen's
     [__RING_SIZE]); raises [Invalid_argument] otherwise. *)
 
-val size : t -> int
-
 val push_request : t -> request -> (unit, error) result
 (** Fails with {!Ring_full} when all request slots are in flight —
     the frontend's backpressure signal. *)
 
 val pop_request : t -> request option
 
-val pop_requests : t -> max:int -> request list
-(** Drain up to [max] pending requests in FIFO order — the backend's
-    batch consumption step (one event notification, N descriptors). *)
-
 val push_response : t -> response -> (unit, error) result
-val pop_response : t -> response option
 val pop_responses : t -> max:int -> response list
 
 val requests_pending : t -> int
 val responses_pending : t -> int
 val free_request_slots : t -> int
-val free_response_slots : t -> int
 
 val indices : t -> (int * int) * (int * int)
 (** [((req_prod, req_cons), (resp_prod, resp_cons))] — the free-running

@@ -11,11 +11,6 @@ let effect_of (r : Db.record) =
   | Db.Hypervisor, Db.Guest_internal -> Guest_flaw
   | Db.Hypervisor, Db.Denial_of_service -> Dos_not_targeted
 
-let effect_to_string = function
-  | Thwarted -> "thwarted"
-  | Out_of_scope_qemu -> "out-of-scope (qemu)"
-  | Guest_flaw -> "guest-internal"
-  | Dos_not_targeted -> "DoS (not targeted)"
 
 let why (r : Db.record) =
   match (r.Db.component, r.Db.category) with

@@ -14,7 +14,6 @@ type effect =
   | Dos_not_targeted
 
 val effect_of : Db.record -> effect
-val effect_to_string : effect -> string
 
 val why : Db.record -> string
 (** One-line rationale naming the Fidelius mechanism (or the reason it is

@@ -259,7 +259,7 @@ let test_gate3_mapping_window () =
   Alcotest.(check bool) "withdrawn after" true
     (Hw.Pagetable.lookup hv.Hv.host_space target = None)
 
-let test_gate_counts () =
+let test_gate_crossing_counts () =
   let _, hv, fid = installed () in
   let dom = Hv.create_domain hv ~name:"g" ~memory_pages:2 in
   let g1a, _, g3a = Gate.counts fid in
@@ -569,7 +569,7 @@ let test_nosend_policy () =
   let m2 = Hw.Machine.create ~seed:72L () in
   let fid2 = Fid.install (Hv.boot m2) in
   Alcotest.(check bool) "migration refused" true
-    (Result.is_error (Fid.migrate ~src:fid ~dst:fid2 dom))
+    (Result.is_error (Core.Migrate.migrate_live ~src:fid ~dst:fid2 dom))
 
 let test_boot_wrong_platform_fails () =
   let (_, _, fid) = installed () in
@@ -635,17 +635,17 @@ let test_write_start_info_once () =
   let _, _, fid = env in
   let dom, _ = protected_vm env "tenant" in
   Alcotest.(check bool) "first write ok" true
-    (Result.is_ok (Fid.write_start_info fid dom (Bytes.of_string "start info")));
+    (Result.is_ok (Core.Lifecycle.write_start_info fid dom (Bytes.of_string "start info")));
   (* Byte-granular bit-vector (paper 5.3): a disjoint range is fine, any
      overlap is denied. *)
   Alcotest.(check bool) "disjoint range ok" true
-    (Result.is_ok (Fid.write_start_info ~off:100 fid dom (Bytes.of_string "more fields")));
+    (Result.is_ok (Core.Lifecycle.write_start_info ~off:100 fid dom (Bytes.of_string "more fields")));
   Alcotest.(check bool) "overlapping rewrite denied" true
-    (Result.is_error (Fid.write_start_info ~off:4 fid dom (Bytes.of_string "again")));
+    (Result.is_error (Core.Lifecycle.write_start_info ~off:4 fid dom (Bytes.of_string "again")));
   Alcotest.(check bool) "exact rewrite denied" true
-    (Result.is_error (Fid.write_start_info fid dom (Bytes.of_string "start info")));
+    (Result.is_error (Core.Lifecycle.write_start_info fid dom (Bytes.of_string "start info")));
   Alcotest.(check bool) "out of page denied" true
-    (Result.is_error (Fid.write_start_info ~off:4090 fid dom (Bytes.of_string "overflowing")))
+    (Result.is_error (Core.Lifecycle.write_start_info ~off:4090 fid dom (Bytes.of_string "overflowing")))
 
 (* A hypervisor-chosen [off] near [max_int] wrapped the policy's
    [off + len] check: nothing was recorded, the boot window opened, the
@@ -664,7 +664,7 @@ let test_write_start_info_wrapping_off () =
   let audits = List.length (Fid.violations fid) in
   (* 32 bytes at [max_int - 10]: the sum wraps to [min_int + 21]. *)
   Alcotest.(check bool) "wrapping range refused" true
-    (Result.is_error (Fid.write_start_info ~off:(max_int - 10) fid dom (Bytes.make 32 's')));
+    (Result.is_error (Core.Lifecycle.write_start_info ~off:(max_int - 10) fid dom (Bytes.make 32 's')));
   Alcotest.(check int) "one audit entry" (audits + 1) (List.length (Fid.violations fid));
   Alcotest.(check bool) "boot window closed" true (fid.Core.Ctx.boot_window = None);
   Alcotest.(check bool) "start_info frame unmapped" true
@@ -831,7 +831,7 @@ let test_software_codec_roundtrip () =
   let kblk = prepared.Sev.Transport.Owner.kblk in
   let disk = Xen.Vdisk.create ~nr_sectors:16 in
   let fe, _ = ok (Xen.Blkif.connect hv dom ~disk ~buffer_gvfn:210) in
-  Xen.Blkif.set_codec fe (Fid.software_codec fid ~kblk);
+  Xen.Blkif.set_codec fe (Core.Io_protect.software_codec fid ~kblk);
   ok (Xen.Blkif.write_sectors fe ~sector:1 (Bytes.make 512 's'));
   let before = Hw.Cost.category hv.Hv.machine.Hw.Machine.ledger "io-encode-sw" in
   let b = ok (Xen.Blkif.read_sectors fe ~sector:1 ~count:1) in
@@ -960,7 +960,7 @@ let test_five_codecs_roundtrip () =
            (Bytes.sub data (3 * 512) (5 * 512))))
     [ Xen.Blkif.identity_codec;
       Fid.aesni_codec fid ~kblk;
-      Fid.software_codec fid ~kblk;
+      Core.Io_protect.software_codec fid ~kblk;
       Fid.sev_codec sev;
       Fid.gek_codec gek ]
 
@@ -1064,7 +1064,7 @@ let test_share_range () =
   let a, _ = protected_vm env "alice" in
   let b, _ = protected_vm env "bob" in
   let shares =
-    ok (Fid.share_range fid ~owner:a ~peer:b ~owner_gvfn:60 ~peer_gvfn:70 ~nr:3 ~writable:true)
+    ok (Core.Sharing.share_range fid ~owner:a ~peer:b ~owner_gvfn:60 ~peer_gvfn:70 ~nr:3 ~writable:true)
   in
   Alcotest.(check int) "three pages" 3 (List.length shares);
   (* Each page is independently usable under the one declared intent. *)
@@ -1239,6 +1239,98 @@ let test_attestation_detects_modified_hypervisor () =
     (Result.is_error
        (Core.Attest.verify ~attestation_key:(Sev.Firmware.attestation_key hv2.Hv.fw)
           ~expected_xen_measurement:good ~nonce:7L q))
+
+(* The quote decoder on arbitrary, truncated and mutated bytes, with the
+   guest-id and version fields drawn at their Int32 and uint16 bounds. It
+   never raises; whatever it accepts is the [serialize] of the quote it
+   returns, and a quote that is not the genuine one is refused by [verify]
+   with a typed error. *)
+type quote_input =
+  | Arbitrary of string
+  | Truncated of int
+  | Domid of int32
+  | Version of int * int  (** field 0..2, uint16 value *)
+  | Nonce of int64
+  | Bit of int
+
+let quote_fixture =
+  lazy
+    (let ((_, hv, fid) as env) = installed () in
+     let dom, _ = protected_vm env "quoted" in
+     let akey = Sev.Firmware.attestation_key hv.Hv.fw in
+     let expected = Core.Iso.measure_xen_text hv in
+     ( akey,
+       expected,
+       [ Core.Attest.quote fid ~guest:dom ~nonce:42L (); Core.Attest.quote fid ~nonce:43L () ] ))
+
+let quote_input_gen =
+  let open QCheck.Gen in
+  let wire = 82 in
+  oneof
+    [ map (fun s -> Arbitrary s)
+        (string_size (frequency [ (1, return wire); (1, int_bound (2 * wire)) ]));
+      map (fun n -> Truncated n) (int_bound (wire - 1));
+      map (fun d -> Domid d)
+        (frequency
+           [ ( 3,
+               oneofl
+                 [ Int32.min_int; Int32.succ Int32.min_int; -2l; -1l; 0l; 1l;
+                   Int32.pred Int32.max_int; Int32.max_int ] );
+             (1, map Int32.of_int int) ]);
+      map2 (fun f v -> Version (f, v)) (int_bound 2)
+        (frequency
+           [ (3, oneofl [ 0; 1; 0x7fff; 0x8000; 0xfffe; 0xffff ]); (1, int_bound 0xffff) ]);
+      map (fun n -> Nonce n) (oneofl [ 0L; -1L; 42L; 43L; Int64.min_int; Int64.max_int ]);
+      map (fun i -> Bit i) (int_bound ((8 * wire) - 1)) ]
+
+let print_quote_input = function
+  | Arbitrary s -> Printf.sprintf "Arbitrary %S" s
+  | Truncated n -> Printf.sprintf "Truncated %d" n
+  | Domid d -> Printf.sprintf "Domid %ld" d
+  | Version (f, v) -> Printf.sprintf "Version (%d, 0x%x)" f v
+  | Nonce n -> Printf.sprintf "Nonce %Ld" n
+  | Bit i -> Printf.sprintf "Bit %d" i
+
+let prop_quote_decoding_total =
+  QCheck.Test.make ~name:"quote decoding is total under mutation" ~count:2000
+    (QCheck.make
+       ~print:(fun (which, input) -> Printf.sprintf "quote %d, %s" which (print_quote_input input))
+       QCheck.Gen.(pair (int_bound 1) quote_input_gen))
+    (fun (which, input) ->
+      let akey, expected, quotes = Lazy.force quote_fixture in
+      let genuine = List.nth quotes which in
+      let wire = Core.Attest.serialize genuine in
+      let b =
+        match input with
+        | Arbitrary s -> Bytes.of_string s
+        | Truncated n -> Bytes.sub wire 0 n
+        | Domid d ->
+            let b = Bytes.copy wire in
+            Bytes.set_int32_be b 38 d;
+            b
+        | Version (f, v) ->
+            let b = Bytes.copy wire in
+            Bytes.set_uint16_be b (32 + (2 * f)) v;
+            b
+        | Nonce n ->
+            let b = Bytes.copy wire in
+            Bytes.set_int64_be b 42 n;
+            b
+        | Bit i ->
+            let b = Bytes.copy wire in
+            Bytes.set b (i / 8)
+              (Char.chr (Char.code (Bytes.get b (i / 8)) lxor (1 lsl (i mod 8))));
+            b
+      in
+      match Core.Attest.deserialize b with
+      | None -> true
+      | Some q ->
+          let verdict =
+            Core.Attest.verify ~attestation_key:akey ~expected_xen_measurement:expected
+              ~nonce:genuine.Core.Attest.nonce q
+          in
+          Bytes.equal (Core.Attest.serialize q) b
+          && if Bytes.equal b wire then Result.is_ok verdict else Result.is_error verdict)
 
 (* --- xl toolstack ------------------------------------------------------------- *)
 
@@ -1440,7 +1532,10 @@ let test_migration_roundtrip () =
   Hv.in_guest hv1 dom (fun () ->
       Domain.write hv1.Hv.machine dom ~addr:0x6000 (Bytes.of_string "runtime state"));
   let m2, hv2, fid2 = second_machine () in
-  let dom' = ok (Fid.migrate ~src:fid1 ~dst:fid2 dom) in
+  let dom', _ =
+    ok (Result.map_error Core.Migrate.error_to_string
+          (Core.Migrate.migrate_live ~src:fid1 ~dst:fid2 dom))
+  in
   Alcotest.(check bool) "source destroyed" true (Hv.find_domain hv1 dom.Domain.domid = None);
   let b = Hv.in_guest hv2 dom' (fun () -> Domain.read m2 dom' ~addr:0x6000 ~len:13) in
   Alcotest.(check string) "runtime state survives" "runtime state" (Bytes.to_string b);
@@ -1517,9 +1612,9 @@ let test_migration_preserves_arbitrary_state =
         writes;
       let m2, hv2, fid2 = second_machine ~seed:(Int64.of_int (Hashtbl.hash writes)) () in
       ignore m2;
-      match Fid.migrate ~src:fid1 ~dst:fid2 dom with
+      match Core.Migrate.migrate_live ~src:fid1 ~dst:fid2 dom with
       | Error _ -> false
-      | Ok dom' ->
+      | Ok (dom', _) ->
           List.for_all
             (fun (page, payload) ->
               let got =
@@ -1536,7 +1631,7 @@ let test_migration_requires_protection () =
   let plain = Hv.create_domain hv ~name:"plain" ~memory_pages:4 in
   let _, _, fid2 = second_machine () in
   Alcotest.(check bool) "unprotected refused" true
-    (Result.is_error (Fid.migrate ~src:fid ~dst:fid2 plain))
+    (Result.is_error (Core.Migrate.migrate_live ~src:fid ~dst:fid2 plain))
 
 let prop t = QCheck_alcotest.to_alcotest t
 
@@ -1562,7 +1657,7 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_gate1_restores_on_exception;
           Alcotest.test_case "no re-entry" `Quick test_gate1_not_reentrant;
           Alcotest.test_case "type-3 window" `Quick test_gate3_mapping_window;
-          Alcotest.test_case "counters" `Quick test_gate_counts ] );
+          Alcotest.test_case "counters" `Quick test_gate_crossing_counts ] );
       ( "shadow",
         [ Alcotest.test_case "mask and restore" `Quick test_shadow_mask_and_restore;
           Alcotest.test_case "visibility by reason" `Quick test_shadow_visible_fields_by_reason;
@@ -1622,7 +1717,8 @@ let () =
       ( "attestation",
         [ Alcotest.test_case "quote/verify flow" `Quick test_attestation_flow;
           Alcotest.test_case "modified hypervisor detected" `Quick
-            test_attestation_detects_modified_hypervisor ] );
+            test_attestation_detects_modified_hypervisor;
+          QCheck_alcotest.to_alcotest prop_quote_decoding_total ] );
       ( "xl",
         [ Alcotest.test_case "unprotected + plain disk" `Quick test_xl_unprotected;
           Alcotest.test_case "protected + aes-ni disk" `Quick test_xl_protected_aesni;

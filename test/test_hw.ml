@@ -340,18 +340,6 @@ let test_reg_names () =
       | None -> Alcotest.fail "name roundtrip")
     Cpu.regs
 
-let test_vmcb () =
-  let v = Vmcb.create () in
-  Vmcb.set v Vmcb.Rip 0x1000L;
-  Vmcb.set v Vmcb.Asid 3L;
-  let copy = Vmcb.copy v in
-  Vmcb.set v Vmcb.Rip 0x2000L;
-  Alcotest.(check int64) "copy is deep" 0x1000L (Vmcb.get copy Vmcb.Rip);
-  Alcotest.(check bool) "diff finds rip" true (List.mem Vmcb.Rip (Vmcb.diff v copy));
-  Alcotest.(check bool) "diff excludes asid" false (List.mem Vmcb.Asid (Vmcb.diff v copy));
-  Vmcb.blit ~src:copy ~dst:v;
-  Alcotest.(check int64) "blit restores" 0x1000L (Vmcb.get v Vmcb.Rip)
-
 let test_exit_reason_codes () =
   List.iter
     (fun r ->
@@ -542,10 +530,12 @@ let test_guest_sme_priority () =
 
 let test_guest_rw_encrypted () =
   let m, gpt, npt = guest_env () in
-  Mmu.guest_write m ~domid:1 ~gpt ~npt ~asid:7 ~addr:(Addr.addr_of 1 0)
-    (Bytes.of_string "enc guest data");
+  Mmu.guest_write_sel m ~domid:1 ~gpt ~npt ~asid_sel:(Memctrl.Asid 7)
+    ~addr:(Addr.addr_of 1 0) (Bytes.of_string "enc guest data");
   Alcotest.(check string) "guest reads own data" "enc guest data"
-    (Bytes.to_string (Mmu.guest_read m ~domid:1 ~gpt ~npt ~asid:7 ~addr:(Addr.addr_of 1 0) ~len:14));
+    (Bytes.to_string
+       (Mmu.guest_read_sel m ~domid:1 ~gpt ~npt ~asid_sel:(Memctrl.Asid 7)
+          ~addr:(Addr.addr_of 1 0) ~len:14));
   let raw = Physmem.read_raw m.Machine.mem 11 ~off:0 ~len:14 in
   Alcotest.(check bool) "DRAM ciphertext" false (Bytes.to_string raw = "enc guest data")
 
@@ -553,7 +543,9 @@ let test_guest_npt_fault () =
   let m, gpt, npt = guest_env () in
   Pagetable.hw_set gpt 5 (Some { Pagetable.frame = 9; writable = true; executable = false; c_bit = false });
   try
-    ignore (Mmu.guest_read m ~domid:1 ~gpt ~npt ~asid:7 ~addr:(Addr.addr_of 5 0) ~len:1);
+    ignore
+      (Mmu.guest_read_sel m ~domid:1 ~gpt ~npt ~asid_sel:(Memctrl.Asid 7)
+         ~addr:(Addr.addr_of 5 0) ~len:1);
     Alcotest.fail "expected NPT fault"
   with Mmu.Npt_fault { gfn; domid; _ } ->
     Alcotest.(check int) "faulting gfn" 9 gfn;
@@ -562,12 +554,15 @@ let test_guest_npt_fault () =
 let test_guest_gpt_protections () =
   let m, gpt, npt = guest_env () in
   (try
-     ignore (Mmu.guest_read m ~domid:1 ~gpt ~npt ~asid:7 ~addr:(Addr.addr_of 9 0) ~len:1);
+     ignore
+       (Mmu.guest_read_sel m ~domid:1 ~gpt ~npt ~asid_sel:(Memctrl.Asid 7)
+          ~addr:(Addr.addr_of 9 0) ~len:1);
      Alcotest.fail "expected guest PT fault"
    with Mmu.Fault { reason; _ } ->
      Alcotest.(check string) "gpt miss" "guest page table: not present" reason);
   try
-    Mmu.guest_write m ~domid:1 ~gpt ~npt ~asid:7 ~addr:(Addr.addr_of 3 0) (Bytes.of_string "x");
+    Mmu.guest_write_sel m ~domid:1 ~gpt ~npt ~asid_sel:(Memctrl.Asid 7)
+      ~addr:(Addr.addr_of 3 0) (Bytes.of_string "x");
     Alcotest.fail "expected guest RO fault"
   with Mmu.Fault { reason; _ } ->
     Alcotest.(check string) "gpt ro" "guest page table: read-only" reason
@@ -576,8 +571,8 @@ let test_cache_leak_channel () =
   (* The plaintext-cache remap channel the paper describes: after a guest
      encrypted access, a Plain read of the same frame hits the cache. *)
   let m, gpt, npt = guest_env () in
-  Mmu.guest_write m ~domid:1 ~gpt ~npt ~asid:7 ~addr:(Addr.addr_of 1 0)
-    (Bytes.of_string "0123456789abcdef");
+  Mmu.guest_write_sel m ~domid:1 ~gpt ~npt ~asid_sel:(Memctrl.Asid 7)
+    ~addr:(Addr.addr_of 1 0) (Bytes.of_string "0123456789abcdef");
   let snoop = Mmu.read_frame_as m ~sel:Memctrl.Plain 11 ~off:0 ~len:16 in
   Alcotest.(check string) "resident line leaks" "0123456789abcdef" (Bytes.to_string snoop);
   Cache.invalidate_page m.Machine.cache 11;
@@ -709,7 +704,6 @@ let () =
         [ Alcotest.test_case "registers" `Quick test_cpu_regs;
           Alcotest.test_case "defaults" `Quick test_cpu_defaults;
           Alcotest.test_case "reg names" `Quick test_reg_names;
-          Alcotest.test_case "vmcb" `Quick test_vmcb;
           Alcotest.test_case "exit reason codes" `Quick test_exit_reason_codes ] );
       ( "insn",
         [ Alcotest.test_case "registry/scrub" `Quick test_insn_registry;

@@ -1,8 +1,8 @@
-(* Tests for the fault-injection subsystem: plan determinism and firing
-   budgets, the probability-0 no-perturbation property (a disarmed plan is
-   byte-identical to no plan at all, ledger and trace included), typed
-   fail-closed migration errors under transport faults, and matrix
-   determinism on a reduced cell set. *)
+(* Tests for the fault-injection subsystem: the single-shot firing
+   budget, the no-perturbation property (a plan armed on a site the run
+   never reaches is byte-identical to no plan at all, ledger and trace
+   included), typed fail-closed migration errors under transport faults,
+   and matrix determinism on a reduced cell set. *)
 
 module Hw = Fidelius_hw
 module Xen = Fidelius_xen
@@ -42,65 +42,27 @@ let with_installed plan f =
   Fun.protect ~finally:Plan.uninstall f
 
 let test_single_shot_budget () =
-  let plan = Plan.make ~seed:1L [ Plan.always Site.Dram_flip ] in
+  let plan = Plan.make ~seed:1L Site.Dram_flip in
   with_installed plan (fun () ->
       Alcotest.(check bool) "first occurrence fires" true (Plan.fire Site.Dram_flip);
       Alcotest.(check bool) "budget exhausted" false (Plan.fire Site.Dram_flip);
       Alcotest.(check bool) "other sites never armed" false (Plan.fire Site.Fw_drop));
-  Alcotest.(check int) "one firing recorded" 1 (Plan.total_fires plan);
-  Alcotest.(check int) "occurrences still counted" 2 (Plan.occurrences plan Site.Dram_flip)
+  Alcotest.(check bool) "firing recorded" true (Plan.fired plan)
 
-let test_same_seed_same_schedule () =
-  let schedule seed =
-    let plan =
-      Plan.make ~seed [ { Plan.site = Site.Fw_replay; probability = 0.4; max_fires = max_int } ]
-    in
-    with_installed plan (fun () -> List.init 200 (fun _ -> Plan.fire Site.Fw_replay))
-  in
-  Alcotest.(check (list bool)) "identical schedule" (schedule 7L) (schedule 7L);
-  Alcotest.(check bool) "some occurrences fire" true (List.mem true (schedule 7L));
-  Alcotest.(check bool) "some occurrences do not" true (List.mem false (schedule 7L))
-
-let test_sites_independent () =
-  (* Arming a second site must not shift the first site's schedule. *)
-  let schedule rules =
-    let plan = Plan.make ~seed:9L rules in
-    with_installed plan (fun () ->
-        List.init 100 (fun _ ->
-            let a = Plan.fire Site.Tlb_omit_flush in
-            ignore (Plan.fire Site.Spurious_npf);
-            a))
-  in
-  let alone =
-    schedule [ { Plan.site = Site.Tlb_omit_flush; probability = 0.3; max_fires = max_int } ]
-  in
-  let paired =
-    schedule
-      [ { Plan.site = Site.Tlb_omit_flush; probability = 0.3; max_fires = max_int };
-        { Plan.site = Site.Spurious_npf; probability = 0.7; max_fires = max_int } ]
-  in
-  Alcotest.(check (list bool)) "schedule unmoved by other site" alone paired
-
-let test_make_validates () =
-  Alcotest.(check bool) "probability > 1 rejected" true
-    (try
-       ignore (Plan.make [ { Plan.site = Site.Dram_flip; probability = 1.5; max_fires = 1 } ]);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "negative budget rejected" true
-    (try
-       ignore (Plan.make [ { Plan.site = Site.Dram_flip; probability = 0.5; max_fires = -1 } ]);
-       false
-     with Invalid_argument _ -> true)
-
-(* --- probability 0 perturbs nothing ------------------------------------- *)
+(* --- a plan that never fires perturbs nothing --------------------------- *)
 
 (* Drive a representative workload (protected boot, guest writes and reads,
    a TLB-flushing remap cycle) and return every observable the harness
    cares about: final ledger total, per-category ledger, and the full
-   trace. Under a probability-0 plan all of it must be byte-identical to a
-   run with no plan installed. *)
-let observable_run ~machine_seed ~with_plan =
+   trace. Under a plan armed on a site the workload never reaches — a plan
+   that fires with probability 0 on this run — all of it must be
+   byte-identical to a run with no plan installed, although every
+   [Plan.armed ()] guard now takes its armed branch. *)
+let unreached_sites =
+  [ Site.Snapshot_truncate; Site.Snapshot_flip; Site.Round_truncate; Site.Stale_firmware;
+    Site.Secret_before_attest ]
+
+let observable_run ~machine_seed ~plan =
   let m, hv, fid = installed ~seed:machine_seed () in
   Trace.set_clock (fun () -> Hw.Cost.total m.Hw.Machine.ledger);
   Trace.enable ();
@@ -110,13 +72,8 @@ let observable_run ~machine_seed ~with_plan =
     Trace.clear ();
     t
   in
-  let plan =
-    Plan.make ~seed:5L
-      (List.map (fun s -> { Plan.site = s; probability = 0.; max_fires = max_int }) Site.all)
-  in
-  if with_plan then Plan.install plan;
-  Fun.protect
-    ~finally:(fun () -> if with_plan then Plan.uninstall ())
+  Option.iter Plan.install plan;
+  Fun.protect ~finally:Plan.uninstall
     (fun () ->
       let dom = protected_vm fid "prob0" in
       Hv.in_guest hv dom (fun () ->
@@ -126,14 +83,15 @@ let observable_run ~machine_seed ~with_plan =
       let trace = finishing () in
       (Hw.Cost.total m.Hw.Machine.ledger, Hw.Cost.categories m.Hw.Machine.ledger, trace))
 
-let test_probability_zero_is_inert =
+let test_unreached_plan_is_inert =
   QCheck.Test.make ~name:"probability-0 plan perturbs nothing" ~count:5
-    QCheck.(int_bound 1000)
-    (fun seed ->
+    QCheck.(pair (int_bound 1000) (make ~print:Site.to_string (Gen.oneofl unreached_sites)))
+    (fun (seed, site) ->
       let machine_seed = Int64.of_int (seed + 1) in
-      let base = observable_run ~machine_seed ~with_plan:false in
-      let armed = observable_run ~machine_seed ~with_plan:true in
-      base = armed)
+      let base = observable_run ~machine_seed ~plan:None in
+      let plan = Plan.make ~seed:5L site in
+      let armed = observable_run ~machine_seed ~plan:(Some plan) in
+      base = armed && not (Plan.fired plan))
 
 (* --- migration under transport faults ----------------------------------- *)
 
@@ -151,7 +109,7 @@ let migration_pair () =
 let test_truncated_snapshot_fails_closed () =
   let fid1, dom, fid2 = migration_pair () in
   with_installed
-    (Plan.make ~seed:3L [ Plan.always Site.Snapshot_truncate ])
+    (Plan.make ~seed:3L Site.Snapshot_truncate)
     (fun () ->
       match Core.Migrate.migrate_live ~src:fid1 ~dst:fid2 dom with
       | Error (Core.Migrate.Truncated { expected; got }) ->
@@ -165,7 +123,7 @@ let test_truncated_snapshot_fails_closed () =
 let test_flipped_snapshot_fails_closed () =
   let fid1, dom, fid2 = migration_pair () in
   with_installed
-    (Plan.make ~seed:3L [ Plan.always Site.Snapshot_flip ])
+    (Plan.make ~seed:3L Site.Snapshot_flip)
     (fun () ->
       match Core.Migrate.migrate_live ~src:fid1 ~dst:fid2 dom with
       | Error (Core.Migrate.Rejected _) -> ()
@@ -238,10 +196,7 @@ let () =
   Alcotest.run "inject"
     [ ( "plan",
         [ Alcotest.test_case "single-shot budget" `Quick test_single_shot_budget;
-          Alcotest.test_case "same seed, same schedule" `Quick test_same_seed_same_schedule;
-          Alcotest.test_case "sites independent" `Quick test_sites_independent;
-          Alcotest.test_case "make validates" `Quick test_make_validates;
-          QCheck_alcotest.to_alcotest test_probability_zero_is_inert ] );
+          QCheck_alcotest.to_alcotest test_unreached_plan_is_inert ] );
       ( "migration-faults",
         [ Alcotest.test_case "truncation fails closed" `Quick
             test_truncated_snapshot_fails_closed;

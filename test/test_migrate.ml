@@ -115,7 +115,7 @@ let test_monotone_budget_tradeoff () =
 let test_rollback_refused_fidelius () =
   let _, hv1, fid1, dom, _, hv2, fid2, mutate, owner = live_pair () in
   with_installed
-    (Plan.make ~seed:5L [ Plan.always Site.Stale_firmware ])
+    (Plan.make ~seed:5L Site.Stale_firmware)
     (fun () ->
       match Migrate.migrate_live ~owner ~mutate ~src:fid1 ~dst:fid2 dom with
       | Error (Migrate.Stale_firmware { got; minimum }) ->
@@ -249,7 +249,7 @@ let test_update_roundtrip =
 let test_secret_before_attest_refused () =
   let _, _, fid1, dom, _, _, fid2, mutate, owner = live_pair () in
   with_installed
-    (Plan.make ~seed:6L [ Plan.always Site.Secret_before_attest ])
+    (Plan.make ~seed:6L Site.Secret_before_attest)
     (fun () ->
       match Migrate.migrate_live ~owner ~mutate ~src:fid1 ~dst:fid2 dom with
       | Error (Migrate.Protocol_violation _) -> ()
@@ -261,7 +261,7 @@ let test_secret_before_attest_refused () =
 let test_round_truncate_rejected () =
   let _, _, fid1, dom, _, _, fid2, mutate, owner = live_pair () in
   with_installed
-    (Plan.make ~seed:7L [ Plan.always Site.Round_truncate ])
+    (Plan.make ~seed:7L Site.Round_truncate)
     (fun () ->
       (* The frame is re-framed consistently after the drop, so no length
          check can notice — only the keyed measurement at RECEIVE_FINISH. *)
@@ -344,7 +344,7 @@ let test_start_size_refused () =
 let test_retry_after_failure () =
   let _, hv1, fid1, dom, m2, hv2, fid2, mutate, owner = live_pair () in
   with_installed
-    (Plan.make ~seed:3L [ Plan.always Site.Snapshot_flip ])
+    (Plan.make ~seed:3L Site.Snapshot_flip)
     (fun () ->
       match Migrate.migrate_live ~owner ~mutate ~src:fid1 ~dst:fid2 dom with
       | Error (Migrate.Rejected _) -> ()

@@ -168,7 +168,7 @@ let test_clock_and_scope_tagging () =
 (* The demo scenario distilled to its post-boot core: a protected guest
    writes a secret, the hypervisor round-trips a hypercall. Boot noise is
    excluded (tracing starts after install) to keep the golden file small;
-   the full demo trace is exercised end-to-end by the trace-smoke alias. *)
+   the full demo trace is pinned by the behaviour contract (test/contract). *)
 let demo_slice () =
   let machine = Hw.Machine.create ~seed:2026L () in
   let ledger = machine.Hw.Machine.ledger in
@@ -284,7 +284,8 @@ let test_json_values () =
       ("-42", Json.Int (-42));
       ("2.5", Json.Float 2.5);
       ("[1,[2],{}]", Json.Arr [ Json.Int 1; Json.Arr [ Json.Int 2 ]; Json.Obj [] ]);
-      ("  {\"a\" : 1}  ", Json.Obj [ ("a", Json.Int 1) ]) ]
+      ("  {\"a\" : 1}  ", Json.Obj [ ("a", Json.Int 1) ]);
+      ({|"\u0041\u00e9"|}, Json.Str "A\xe9") ]
 
 let test_json_rejects () =
   List.iter
@@ -294,7 +295,114 @@ let test_json_rejects () =
            ignore (Json.parse s);
            false
          with Json.Parse_error _ -> true))
-    [ "{"; "[1,]"; "nul"; "\"unterminated"; "1 2"; "" ]
+    [ "{"; "[1,]"; "nul"; "\"unterminated"; "1 2"; "";
+      (* a \u escape is exactly four hex digits *)
+      {|"\uZZZZ"|}; {|"\u00zz"|}; {|"\u-123"|}; {|"\u+123"|}; {|"\u_1_2"|}; {|"\u 12 "|};
+      {|"\u12"|} ]
+
+(* The parser recurses once per nesting level: under an 800 KB stack a
+   megabyte of '[' must still come back as [Parse_error], not
+   [Stack_overflow]. 512 levels is the documented limit. *)
+let test_json_deep_nesting () =
+  let g = Gc.get () in
+  Gc.set { g with Gc.stack_limit = 100_000 };
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Gc.set g)
+      (fun () ->
+        match Json.parse (String.make 1_000_000 '[') with
+        | _ -> "parsed"
+        | exception Json.Parse_error _ -> "Parse_error"
+        | exception Stack_overflow -> "Stack_overflow")
+  in
+  Alcotest.(check string) "a megabyte of '[' refused" "Parse_error" outcome;
+  let nested n = String.make n '[' ^ String.make n ']' in
+  Alcotest.(check bool) "512 levels parse" true (Json.parse (nested 512) <> Json.Null);
+  Alcotest.(check bool) "513 levels refused" true
+    (try
+       ignore (Json.parse (nested 513));
+       false
+     with Json.Parse_error _ -> true)
+
+(* A real Chrome export under byte flips, truncations and insertions,
+   drawn toward escape starts, quotes, hex and non-hex digits, signs,
+   blanks, brackets and the buffer ends: the parser returns a tree or
+   raises [Parse_error], never anything else. *)
+type json_mutation =
+  | Set of [ `Start of int | `End of int | `Any of int ] * char
+  | Cut of [ `Start of int | `End of int | `Any of int ]
+  | Insert of [ `Start of int | `End of int | `Any of int ] * string
+
+let resolve len = function
+  | `Start k -> min k len
+  | `End k -> max 0 (len - k)
+  | `Any n -> n mod (len + 1)
+
+let apply_json_mutation s = function
+  | Set (p, ch) ->
+      let i = resolve (String.length s) p in
+      if i >= String.length s then s
+      else String.mapi (fun j c -> if j = i then ch else c) s
+  | Cut p -> String.sub s 0 (resolve (String.length s) p)
+  | Insert (p, ins) ->
+      let i = resolve (String.length s) p in
+      String.sub s 0 i ^ ins ^ String.sub s i (String.length s - i)
+
+let json_mutation_gen =
+  let open QCheck.Gen in
+  let hot =
+    frequency
+      [ ( 4,
+          oneofl
+            [ '\\'; 'u'; '"'; '0'; '7'; '9'; 'a'; 'F'; 'g'; 'z'; '-'; '+'; '_'; ' '; '[';
+              ']'; '{'; '}'; ','; ':' ] );
+        (1, char) ]
+  in
+  let pos =
+    frequency
+      [ (1, map (fun k -> `Start k) (int_bound 8));
+        (1, map (fun k -> `End k) (int_bound 8));
+        (4, map (fun n -> `Any n) nat) ]
+  in
+  let snippet =
+    frequency
+      [ (2, string_size ~gen:hot (int_range 1 6));
+        (2, map (fun t -> "\\u" ^ t) (string_size ~gen:hot (int_bound 4))) ]
+  in
+  list_size (int_range 1 4)
+    (frequency
+       [ (3, map2 (fun p c -> Set (p, c)) pos hot);
+         (1, map (fun p -> Cut p) pos);
+         (3, map2 (fun p ins -> Insert (p, ins)) pos snippet) ])
+
+let print_json_mutation m =
+  let pos = function
+    | `Start k -> Printf.sprintf "start+%d" k
+    | `End k -> Printf.sprintf "end-%d" k
+    | `Any n -> Printf.sprintf "any %d" n
+  in
+  match m with
+  | Set (p, c) -> Printf.sprintf "Set (%s, %C)" (pos p) c
+  | Cut p -> Printf.sprintf "Cut %s" (pos p)
+  | Insert (p, s) -> Printf.sprintf "Insert (%s, %S)" (pos p) s
+
+let chrome_export =
+  lazy
+    (let _machine, ledger = demo_slice () in
+     let json =
+       Trace.to_chrome ~attribution:(Cost.scopes ledger) ~total_cycles:(Cost.total ledger) ()
+     in
+     Trace.clear ();
+     Json.to_string json)
+
+let prop_json_parse_total =
+  QCheck.Test.make ~count:3000 ~name:"Json.parse is total on a mutated chrome export"
+    (QCheck.make
+       ~print:(fun ms -> String.concat "; " (List.map print_json_mutation ms))
+       json_mutation_gen)
+    (fun ms ->
+      let s = List.fold_left apply_json_mutation (Lazy.force chrome_export) ms in
+      match Json.parse s with _ -> true | exception Json.Parse_error _ -> true)
 
 (* --- streaming Chrome writer and the leaf printers ------------------------ *)
 
@@ -445,5 +553,7 @@ let () =
           Alcotest.test_case "values" `Quick test_json_values;
           Alcotest.test_case "rejects" `Quick test_json_rejects;
           Alcotest.test_case "escape classes" `Quick test_escape_classes;
+          Alcotest.test_case "deep nesting" `Quick test_json_deep_nesting;
+          QCheck_alcotest.to_alcotest prop_json_parse_total;
           QCheck_alcotest.to_alcotest prop_leaf_printers;
           QCheck_alcotest.to_alcotest prop_to_buffer_matches_reference ] ) ]

@@ -8,7 +8,7 @@ module Profile = W.Profile
 module Engine = W.Engine
 module Fio = W.Fio
 
-let find_spec name = Option.get (W.Spec2006.find name)
+let find_spec name = List.find (fun p -> p.Profile.name = name) W.Spec2006.all
 
 (* cache the expensive suite runs *)
 let spec = lazy (Engine.run_suite W.Spec2006.all)
@@ -28,8 +28,7 @@ let test_profiles_complete () =
         && p.Profile.mem_stall_fraction < 1.0
         && p.Profile.working_set_pages > 0
         && p.Profile.vmexits >= 0))
-    (W.Spec2006.all @ W.Parsec.all);
-  Alcotest.(check bool) "find miss" true (W.Spec2006.find "quake" = None)
+    (W.Spec2006.all @ W.Parsec.all)
 
 let test_run_result_shape () =
   let p = find_spec "bzip2" in
