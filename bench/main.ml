@@ -24,14 +24,13 @@ module Json = Fidelius_obs.Json
 
 let results_dir = "results"
 
-let write_csv name header rows =
+let write_result name contents =
   (try Unix.mkdir results_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let path = Filename.concat results_dir name in
-  let oc = open_out path in
-  output_string oc (header ^ "\n");
-  List.iter (fun row -> output_string oc (row ^ "\n")) rows;
-  close_out oc;
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
   Printf.printf "  [written: %s]\n" path
+
+let write_csv name header rows = write_result name (Fidelius_fleet.Merge.csv ~header [ rows ])
 
 let header title =
   Printf.printf "\n%s\n%s\n%s\n" (String.make 78 '=') title (String.make 78 '=')
@@ -73,7 +72,7 @@ let figure suite profiles paper_fid_avg paper_enc_avg highlights =
   let n = float_of_int (List.length rows) in
   let sum_f, sum_e =
     List.fold_left
-      (fun (a, b) (p, f, e) ->
+      (fun (a, b) (p, f, e, _) ->
         Printf.printf "%-15s %+12.2f%% %+16.2f%%   %s\n" p.W.Profile.name f e (bar e);
         (a +. f, b +. e))
       (0.0, 0.0) rows
@@ -84,7 +83,7 @@ let figure suite profiles paper_fid_avg paper_enc_avg highlights =
     (Printf.sprintf "%s.csv" (String.map (fun c -> if c = ' ' || c = ':' then '_' else c)
                                 (String.lowercase_ascii (List.hd (String.split_on_char ':' suite)))))
     "benchmark,fidelius_pct,fidelius_enc_pct"
-    (List.map (fun (p, f, e) -> Printf.sprintf "%s,%.3f,%.3f" p.W.Profile.name f e) rows)
+    (List.map (fun (p, f, e, _) -> Printf.sprintf "%s,%.3f,%.3f" p.W.Profile.name f e) rows)
 
 let fig5 () =
   figure "Figure 5: SPECCPU 2006" W.Spec2006.all "0.88%" "5.38%"
@@ -679,9 +678,7 @@ let serve ?(requests = 512) ?(batches = [ 1; 2; 4; 8 ]) ?(record = true) () =
   Printf.printf "%6s %10s %10s %10s %10s %12s %10s\n" "batch" "req/s" "p50 us" "p90 us"
     "p99 us" "hypercalls" "blk-doorb";
   let rows =
-    List.map
-      (fun b -> W.Serve.run { W.Serve.default_config with W.Serve.batch = b; requests })
-      batches
+    List.map (fun b -> W.Serve.run { W.Serve.batch = b; requests }) batches
   in
   List.iter
     (fun (r : W.Serve.report) ->
@@ -726,7 +723,7 @@ let serve_smoke () =
          "serve-smoke: batch-8 ring throughput only %.2fx the synchronous path (smoke floor \
           1.8x)"
          ratio);
-  let run b = W.Serve.run { W.Serve.default_config with W.Serve.batch = b; requests = 64 } in
+  let run b = W.Serve.run { W.Serve.batch = b; requests = 64 } in
   let r1 = run 1 and r1' = run 1 and r8 = run 8 in
   if r1 <> r1' then failwith "serve-smoke: batch-1 serve report is not deterministic";
   if r8.W.Serve.hypercalls >= r1.W.Serve.hypercalls then
@@ -777,17 +774,8 @@ let migrate_bench ?(budgets = [ 2.5; 10.0; 40.0 ]) ?(fleets = [ 8; 16 ]) ?(recor
           fleets)
       budgets
   in
-  write_csv "migrate.csv" "vm,budget_us,rounds,pages_sent,residual_pages,downtime_us,key_delivered"
-    (List.concat_map
-       (fun (_, _, _, _, t) ->
-         List.map
-           (fun r ->
-             Printf.sprintf "%d,%.1f,%d,%d,%d,%.1f,%b" r.W.Migratebench.vm
-               r.W.Migratebench.budget_us r.W.Migratebench.rounds r.W.Migratebench.pages_sent
-               r.W.Migratebench.residual_pages r.W.Migratebench.downtime_us
-               r.W.Migratebench.key_delivered)
-           t.W.Migratebench.rows)
-       cells);
+  let rows = List.concat_map (fun (_, _, _, _, t) -> t.W.Migratebench.rows) cells in
+  write_result "migrate.csv" (W.Migratebench.csv { W.Migratebench.rows });
   if record then
     update_bench_json
       (List.concat_map

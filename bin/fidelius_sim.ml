@@ -164,17 +164,7 @@ let bench suite breakdown =
   | "spec" | "parsec" ->
       let profiles = if suite = "spec" then W.Spec2006.all else W.Parsec.all in
       Printf.printf "%-15s %12s %16s\n" "benchmark" "Fidelius" "Fidelius-enc";
-      (* Same three runs [Engine.run_suite] performs, kept by hand so the
-         per-run ledgers are available for --breakdown. *)
-      let rows =
-        List.map
-          (fun p ->
-            let base = W.Engine.run p W.Engine.Xen_baseline in
-            let fid = W.Engine.run p W.Engine.Fidelius in
-            let enc = W.Engine.run p W.Engine.Fidelius_enc in
-            (p, W.Engine.overhead_pct ~base fid, W.Engine.overhead_pct ~base enc, enc))
-          profiles
-      in
+      let rows = W.Engine.run_suite profiles in
       let n = float_of_int (List.length rows) in
       let sf, se =
         List.fold_left
@@ -286,21 +276,22 @@ let trace scenario out format seed =
   | "demo" -> (
       let machine = Hw.Machine.create ~seed () in
       let ledger = machine.Hw.Machine.ledger in
-      Obs.Trace.enable ~clock:(fun () -> Hw.Cost.total ledger) ();
-      run_demo_scenario ~quiet:true machine;
-      Obs.Trace.disable ();
+      let ring = Obs.Trace.ring () in
+      Obs.Trace.record_into ring
+        ~clock:(fun () -> Hw.Cost.total ledger)
+        (fun () -> run_demo_scenario ~quiet:true machine);
       let attribution = Hw.Cost.scopes ledger in
       let total = Hw.Cost.total ledger in
       let content, validation =
         match format with
         | "chrome" ->
             let c =
-              Obs.Json.to_string (Obs.Trace.to_chrome ~attribution ~total_cycles:total ())
+              Obs.Json.to_string (Obs.Trace.to_chrome ~attribution ~total_cycles:total ring)
               ^ "\n"
             in
             (c, validate_chrome c ~total)
         | "jsonl" ->
-            let c = Obs.Trace.to_jsonl () in
+            let c = Obs.Trace.to_jsonl ring in
             (c, validate_jsonl c)
         | other -> ("", Error (Printf.sprintf "unknown format %S (chrome|jsonl)" other))
       in
@@ -312,7 +303,7 @@ let trace scenario out format seed =
           Out_channel.with_open_bin out (fun oc -> output_string oc content);
           Printf.printf
             "trace: %d events recorded (%d dropped), %d cycles attributed across %d scopes -> %s\n"
-            events (Obs.Trace.dropped ()) (attributed_cycles attribution)
+            events (Obs.Trace.ring_dropped ring) (attributed_cycles attribution)
             (List.length attribution) out;
           `Ok ())
   | other -> `Error (false, Printf.sprintf "unknown scenario %S (only: demo)" other)
@@ -473,7 +464,7 @@ let migrate seed budget_us =
     done
   in
   let owner = Core.Migrate.Owner.create (Rng.create (Int64.add seed 2L)) in
-  let config = { Core.Migrate.downtime_budget_us = budget_us; max_rounds = 8 } in
+  let config = { Core.Migrate.downtime_budget_us = budget_us } in
   Printf.printf "live migration, downtime budget %.1fus (%d-page stop-and-copy residual):\n"
     budget_us (Core.Migrate.budget_pages config);
   match Core.Migrate.migrate_live ~config ~owner ~mutate ~src:fid1 ~dst:fid2 dom with

@@ -39,11 +39,9 @@ let with_type1 (ctx : Ctx.t) f =
     Hw.Cost.charge_id machine.Hw.Machine.ledger c_gate1 machine.Hw.Machine.costs.Hw.Cost.gate1;
     if Trace.enabled () then Trace.emit (Trace.Gate 1);
     Hw.Cpu.enter_fidelius cpu;
-    Hw.Cpu.priv_set_interrupts cpu false;
     let restore () =
       (* The context flag must never leak. *)
       wp_on ctx cpu;
-      Hw.Cpu.priv_set_interrupts cpu true;
       Hw.Cpu.leave_fidelius cpu
     in
     match

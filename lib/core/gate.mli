@@ -5,7 +5,10 @@
       turning Xen's read-only views of the protected structures writable for
       the duration of a policy-checked update — then restore. The WP write
       itself goes through the monopolized [mov CR0] instance, so the
-      instruction-placement invariant is exercised on every crossing.
+      instruction-placement invariant is exercised on every crossing. The
+      simulator delivers no interrupts (event channels run their handlers
+      synchronously), so the interrupt disable and the stack switch exist
+      only in the 306-cycle charge.
     - Type 2 (16 cycles): the checking loop wrapped around a monopolized
       privileged instruction; pure policy cost, accounted where the
       instruction handlers run.

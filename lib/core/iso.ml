@@ -240,47 +240,38 @@ let install_hooks ctx =
 
 let place_gated_insns ctx =
   let machine = ctx.Ctx.machine in
-  let cpu = machine.Hw.Machine.cpu in
+  let cpu = machine.Hw.Machine.cpu and tlb = machine.Hw.Machine.tlb in
   let insns = machine.Hw.Machine.insns in
-  (* All tested bits sit below 62, so the untagged-int view is exact and
-     the extraction never boxes an intermediate [int64]. *)
-  let bit v pos = (Int64.to_int v lsr pos) land 1 = 1 in
   let fid_page = List.hd ctx.Ctx.fid_text in
-  let gate2 check apply v =
+  (* Each handler is the policy check, then the instruction's one effect. *)
+  let gated check op v =
+    match check v with
+    | Ok () ->
+        Hw.Insn.apply cpu tlb op v;
+        Ok ()
+    | Error e -> Error e
+  in
+  let gate2 check op v =
     (* The checking loop charges only hypervisor-originated executions;
        Fidelius' own pass through the monopolized instance is part of the
        surrounding gate's budget. *)
     if not (Hw.Cpu.in_fidelius cpu) then Gate.charge_type2 ctx;
-    match check v with
-    | Ok () ->
-        apply v;
-        Ok ()
-    | Error e -> Error e
+    gated check op v
   in
   let scrub_and_place op ~page handler =
     Hw.Insn.scrub insns op ~keep:(-1);
     Hw.Insn.place insns op ~page ~handler
   in
-  scrub_and_place Hw.Insn.Mov_cr0 ~page:fid_page
-    (gate2 (Policy.check_cr0 ctx) (fun v ->
-         Hw.Cpu.priv_set_wp cpu (bit v 16);
-         Hw.Cpu.priv_set_paging cpu (bit v 31)));
-  scrub_and_place Hw.Insn.Mov_cr4 ~page:fid_page
-    (gate2 (Policy.check_cr4 ctx) (fun v -> Hw.Cpu.priv_set_smep cpu (bit v 20)));
-  scrub_and_place Hw.Insn.Wrmsr ~page:fid_page
-    (gate2 (Policy.check_efer ctx) (fun v -> Hw.Cpu.priv_set_nxe cpu (bit v 11)));
+  scrub_and_place Hw.Insn.Mov_cr0 ~page:fid_page (gate2 (Policy.check_cr0 ctx) Hw.Insn.Mov_cr0);
+  scrub_and_place Hw.Insn.Mov_cr4 ~page:fid_page (gate2 (Policy.check_cr4 ctx) Hw.Insn.Mov_cr4);
+  scrub_and_place Hw.Insn.Wrmsr ~page:fid_page (gate2 (Policy.check_efer ctx) Hw.Insn.Wrmsr);
   scrub_and_place Hw.Insn.Lgdt ~page:fid_page
-    (gate2 (fun _ -> Policy.exec_once ctx ~what:"lgdt") (fun _ -> ()));
+    (gate2 (fun _ -> Policy.exec_once ctx ~what:"lgdt") Hw.Insn.Lgdt);
   scrub_and_place Hw.Insn.Lidt ~page:fid_page
-    (gate2 (fun _ -> Policy.exec_once ctx ~what:"lidt") (fun _ -> ()));
+    (gate2 (fun _ -> Policy.exec_once ctx ~what:"lidt") Hw.Insn.Lidt);
   (* mov CR3 and VMRUN live on normally-unmapped pages (type-3 gated). *)
-  scrub_and_place Hw.Insn.Mov_cr3 ~page:ctx.Ctx.cr3_page (fun v ->
-      match Policy.check_cr3 ctx v with
-      | Ok () ->
-          Hw.Cpu.priv_set_cr3 cpu (Int64.to_int v);
-          Hw.Tlb.flush_all machine.Hw.Machine.tlb;
-          Ok ()
-      | Error e -> Error e);
+  scrub_and_place Hw.Insn.Mov_cr3 ~page:ctx.Ctx.cr3_page
+    (gated (Policy.check_cr3 ctx) Hw.Insn.Mov_cr3);
   scrub_and_place Hw.Insn.Vmrun ~page:ctx.Ctx.vmrun_page (fun v ->
       Xen.Hypervisor.vmrun_effect ctx.Ctx.hv v)
 

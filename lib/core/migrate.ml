@@ -519,9 +519,13 @@ let rx_deliver rx b =
 
 (* --- live pre-copy driver ----------------------------------------------- *)
 
-type config = { downtime_budget_us : float; max_rounds : int }
+type config = { downtime_budget_us : float }
 
-let default_config = { downtime_budget_us = 10.; max_rounds = 8 }
+let default_config = { downtime_budget_us = 10. }
+
+(* Pre-copy stops after this many rounds even if the guest dirties faster
+   than the wire drains. *)
+let max_rounds = 8
 
 let budget_pages config =
   max 0 (int_of_float (config.downtime_budget_us /. page_us))
@@ -689,7 +693,7 @@ let migrate_live ?(config = default_config) ?owner ?(mutate = fun _ -> ()) ~src 
             (* The guest ran while the round was on the wire. *)
             mutate round;
             let dirty = Hw.Dirty.drain dom.Xen.Domain.dirty in
-            if List.length dirty <= budget || round + 1 >= config.max_rounds then begin
+            if List.length dirty <= budget || round + 1 >= max_rounds then begin
               (* Residual fits the downtime budget (or we hit the round
                  cap): stop-and-copy what remains. *)
               dom.Xen.Domain.state <- Xen.Domain.Paused;

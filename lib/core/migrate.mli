@@ -185,10 +185,9 @@ type config = {
       (** stop-and-copy tolerance: the final paused copy may take at most
           this long, at the per-page firmware cost of
           {!Hw.Cost.default} *)
-  max_rounds : int;
-      (** forced-stop cap for guests that dirty faster than the wire
-          drains — pre-copy must terminate *)
 }
+(** Pre-copy also stops after 8 rounds, so it terminates for a guest that
+    dirties faster than the wire drains. *)
 
 val budget_pages : config -> int
 (** How many residual pages fit the downtime budget. *)
@@ -213,8 +212,8 @@ val migrate_live :
   (Xen.Domain.t * report, error) result
 (** Live-migrate a protected guest. Round 0 copies every mapped page while
     the guest runs; each later round resends what the dirty log recorded;
-    when the residual fits [config]'s downtime budget (or [max_rounds] is
-    hit) the guest pauses for the final stop-and-copy. With [owner] set,
+    when the residual fits [config]'s downtime budget (or the eighth round
+    is reached) the guest pauses for the final stop-and-copy. With [owner] set,
     the owner then challenges the target for a quote and — only on
     successful verification — releases the disk key as a wrapped [Secret]
     frame the target injects at the guest's kblk slot.

@@ -5,8 +5,6 @@ let deny ctx msg =
   Ctx.audit ctx msg;
   Error msg
 
-let bit v pos = not (Int64.equal (Int64.logand v (Int64.shift_left 1L pos)) 0L)
-
 (* A cross-domain nested mapping is legitimate only when backed by a grant
    entry naming this (owner, mapper) pair for a gfn that resolves to the
    frame, and a GIT intent covering it. *)
@@ -190,20 +188,20 @@ let check_grant_update ctx gref entry =
 let check_cr0 ctx v =
   let machine = ctx.Ctx.machine in
   if Hw.Cpu.in_fidelius machine.Hw.Machine.cpu then Ok ()
-  else if not (bit v 31) then deny ctx "CR0 policy: PG bit cannot be cleared"
-  else if not (bit v 16) then deny ctx "CR0 policy: WP bit cannot be cleared"
+  else if not (Hw.Insn.cr0_pg v) then deny ctx "CR0 policy: PG bit cannot be cleared"
+  else if not (Hw.Insn.cr0_wp v) then deny ctx "CR0 policy: WP bit cannot be cleared"
   else Ok ()
 
 let check_cr4 ctx v =
   let machine = ctx.Ctx.machine in
   if Hw.Cpu.in_fidelius machine.Hw.Machine.cpu then Ok ()
-  else if not (bit v 20) then deny ctx "CR4 policy: SMEP bit cannot be cleared"
+  else if not (Hw.Insn.cr4_smep v) then deny ctx "CR4 policy: SMEP bit cannot be cleared"
   else Ok ()
 
 let check_efer ctx v =
   let machine = ctx.Ctx.machine in
   if Hw.Cpu.in_fidelius machine.Hw.Machine.cpu then Ok ()
-  else if not (bit v 11) then deny ctx "EFER policy: NXE bit cannot be cleared"
+  else if not (Hw.Insn.efer_nxe v) then deny ctx "EFER policy: NXE bit cannot be cleared"
   else Ok ()
 
 let check_cr3 ctx v =

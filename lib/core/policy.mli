@@ -33,7 +33,9 @@ val check_grant_update :
     only; unprotected domains keep stock semantics). *)
 
 val check_cr0 : Ctx.t -> int64 -> (unit, string) result
-(** PG and WP may never be cleared by the hypervisor (Table 2). *)
+(** PG and WP may never be cleared by the hypervisor (Table 2). This check
+    and the two below read the operand through {!Hw.Insn}'s decoders, the
+    same ones the instruction's effect ({!Hw.Insn.apply}) runs after it. *)
 
 val check_cr4 : Ctx.t -> int64 -> (unit, string) result
 (** SMEP may never be cleared. *)

@@ -1,9 +1,11 @@
 (** Secure inter-VM memory sharing (paper Section 4.3.7).
 
     The flow a cooperative pair of guests runs: the initiator declares its
-    intent with the [pre_sharing_op] hypercall (recorded in the GIT), offers
-    the page through the ordinary grant-table hypercall (now GIT-validated),
-    and the peer maps the grant reference. A hypervisor that forges or
+    intent with the [pre_sharing_op] hypercall (recorded in the GIT) and
+    offers the pages through the ordinary grant-table hypercall (now
+    GIT-validated) — {!Xen.Hypervisor.grant_pages}, the grant flow the
+    block and network drivers run too — and the peer maps each grant
+    reference. A hypervisor that forges or
     widens the grant, or redirects it to a conspirator, is denied by the GIT
     policy. *)
 
@@ -36,7 +38,8 @@ val share_range :
   (shared list, string) result
 (** Multi-frame sharing under a single pre_sharing_op intent — the paper's
     hypercall carries "the number of shared frames" precisely for this. One
-    grant entry per frame, all validated against the one recorded range. *)
+    grant entry per frame, all validated against the one recorded range;
+    the peer maps the frames once the owner has granted them all. *)
 
 val owner_write : Ctx.t -> Xen.Domain.t -> shared -> off:int -> bytes -> unit
 val peer_read : Ctx.t -> Xen.Domain.t -> shared -> off:int -> len:int -> bytes

@@ -20,12 +20,14 @@ let feed_payload nonce ciphertext ctx =
   Sha256.feed_u64_be ctx nonce;
   Sha256.feed ctx ciphertext
 
-let nonce_counter = ref 0L
+(* The one process-wide counter (SCALING.md): fleet workers on different
+   domains wrap at once, so each draw is one atomic fetch-and-add; a
+   single-domain run draws 1, 2, 3, … *)
+let nonce_counter = Atomic.make 0
 
 let wrap ~kek key =
   let enc_key, mac_key = subkeys kek in
-  nonce_counter := Int64.add !nonce_counter 1L;
-  let nonce = !nonce_counter in
+  let nonce = Int64.of_int (Atomic.fetch_and_add nonce_counter 1 + 1) in
   let ciphertext = Modes.ctr_transform enc_key ~nonce key in
   let tag = Hmac.mac_build mac_key (feed_payload nonce ciphertext) in
   { nonce; ciphertext; tag }

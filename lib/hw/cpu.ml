@@ -32,7 +32,6 @@ type t = {
   mutable cr4_smep : bool;
   mutable efer_nxe : bool;
   mutable fidelius_ctx : bool;
-  mutable irq_enabled : bool;
 }
 
 let create () =
@@ -44,8 +43,7 @@ let create () =
     cr3_space = 0;
     cr4_smep = true;
     efer_nxe = true;
-    fidelius_ctx = false;
-    irq_enabled = true }
+    fidelius_ctx = false }
 
 let mode t = t.cpu_mode
 let set_mode t m = t.cpu_mode <- m
@@ -58,7 +56,6 @@ let set_reg_i t i v = t.gprs.(i) <- v
 let unsafe_set_reg_i t i v = Array.unsafe_set t.gprs i v
 let snapshot_regs_into t dst = Array.blit t.gprs 0 dst 0 16
 let all_regs t = List.map (fun r -> (r, get_reg t r)) regs
-let clear_regs t = Array.fill t.gprs 0 16 0L
 
 let rip t = t.cpu_rip
 let set_rip t v = t.cpu_rip <- v
@@ -78,5 +75,3 @@ let priv_set_paging t v = t.cr0_pg <- v
 let priv_set_smep t v = t.cr4_smep <- v
 let priv_set_nxe t v = t.efer_nxe <- v
 let priv_set_cr3 t v = t.cr3_space <- v
-
-let priv_set_interrupts t v = t.irq_enabled <- v

@@ -6,9 +6,11 @@
     corresponding privileged instructions. Software never calls them
     directly: the only software-reachable path is {!Insn.execute}, whose
     handler (installed by Fidelius as a gate) decides whether the write is
-    allowed. The [in_fidelius] flag records which protection context the
-    host kernel is currently executing in — the simulator's rendering of
-    "control is inside the Fidelius text section". *)
+    allowed and then runs the instruction's one effect, {!Insn.apply},
+    which decodes the operand's bits. The [in_fidelius] flag records which
+    protection context the host kernel is currently executing in — the
+    simulator's rendering of "control is inside the Fidelius text
+    section". *)
 
 type mode =
   | Host
@@ -49,8 +51,6 @@ val snapshot_regs_into : t -> int64 array -> unit
 (** Blit all 16 GPRs into a caller-owned array (allocation-free). *)
 
 val all_regs : t -> (reg * int64) list
-val clear_regs : t -> unit
-(** Zero every GPR (used when masking guest state on exit). *)
 
 val rip : t -> int64
 val set_rip : t -> int64 -> unit
@@ -73,8 +73,6 @@ val priv_set_paging : t -> bool -> unit
 val priv_set_smep : t -> bool -> unit
 val priv_set_nxe : t -> bool -> unit
 val priv_set_cr3 : t -> int -> unit
-
-val priv_set_interrupts : t -> bool -> unit
 
 val reg_of_string : string -> reg option
 val reg_to_string : reg -> string

@@ -18,6 +18,27 @@ let op_to_string = function
 
 let all_ops = [ Mov_cr0; Mov_cr3; Mov_cr4; Wrmsr; Vmrun; Lgdt; Lidt ]
 
+(* Every decoded bit sits below 62, so the untagged-int view is exact and
+   never boxes an [int64]. *)
+let bit v pos = (Int64.to_int v lsr pos) land 1 = 1
+let cr0_wp v = bit v 16
+let cr0_pg v = bit v 31
+let cr4_smep v = bit v 20
+let efer_nxe v = bit v 11
+
+let apply cpu tlb op v =
+  match op with
+  | Mov_cr0 ->
+      Cpu.priv_set_wp cpu (cr0_wp v);
+      Cpu.priv_set_paging cpu (cr0_pg v)
+  | Mov_cr4 -> Cpu.priv_set_smep cpu (cr4_smep v)
+  | Wrmsr -> Cpu.priv_set_nxe cpu (efer_nxe v)
+  | Mov_cr3 ->
+      Cpu.priv_set_cr3 cpu (Int64.to_int v);
+      Tlb.flush_all tlb
+  | Lgdt | Lidt -> ()
+  | Vmrun -> invalid_arg "Insn.apply: VMRUN's effect is the hypervisor's world switch"
+
 type instance = {
   page : Addr.vfn;
   handler : int64 -> (unit, string) result;

@@ -25,6 +25,22 @@ type op =
 val op_to_string : op -> string
 val all_ops : op list
 
+val cr0_wp : int64 -> bool
+val cr0_pg : int64 -> bool
+val cr4_smep : int64 -> bool
+val efer_nxe : int64 -> bool
+(** The one decoding of the control-register bits the paper's isolation
+    depends on (Table 2) — CR0.WP bit 16, CR0.PG bit 31, CR4.SMEP bit 20,
+    EFER.NXE bit 11 — read by {!apply} and by Fidelius' policy checks. *)
+
+val apply : Cpu.t -> Tlb.t -> op -> int64 -> unit
+(** An instruction's one architectural effect: mov-CR0 sets WP and PG,
+    mov-CR4 SMEP, WRMSR(EFER) NXE; mov-CR3 loads the address space and
+    flushes the TLB; LGDT/LIDT change nothing modelled. Stock handlers run
+    it as is, Fidelius' after their policy check. Allocates nothing.
+    Raises [Invalid_argument] on [Vmrun], whose effect is the world
+    switch. *)
+
 type registry
 
 val create : Cost.ledger -> registry

@@ -23,53 +23,38 @@ type entry = {
 
 let default_capacity = 65536
 
-type state = {
+(* A ring is an un-installed recording: [record_into] swaps it into the
+   domain's DLS slot for the duration of one run, so reuse means resetting
+   counters — the entry array, allocated on the first emit, survives
+   across runs and the steady-state fleet loop stops reallocating 64k-slot
+   arrays per VM. *)
+type ring = {
   mutable on : bool;
   mutable buf : entry array;
-  mutable capacity : int;
+  capacity : int;
   mutable next : int;  (* slot the next entry lands in *)
-  mutable total : int;  (* entries emitted since last clear *)
+  mutable total : int;  (* entries emitted since the last reset *)
   mutable clock : unit -> int;
   mutable scopes : string list;
 }
 
 let dummy = { seq = -1; ts = 0; scope = ""; event = Mark "" }
 
-let fresh_state () =
-  { on = false;
-    buf = [||];
-    capacity = default_capacity;
-    next = 0;
-    total = 0;
-    clock = (fun () -> 0);
-    scopes = [] }
+let ring ?(capacity = default_capacity) () =
+  if capacity <= 0 then invalid_arg "Trace.ring: capacity must be positive";
+  { on = false; buf = [||]; capacity; next = 0; total = 0; clock = (fun () -> 0); scopes = [] }
 
-(* One recording per domain: every fleet shard (and the main domain) owns
-   its own ring, clock and scope stack, so concurrent shards can record
-   without a lock and without perturbing each other. *)
-let key = Domain.DLS.new_key fresh_state
+(* One recording per domain: the slot holds the ring [record_into] has
+   installed, or an idle ring that records nothing. Every fleet shard (and
+   the main domain) owns its own, so concurrent shards record without a
+   lock and without perturbing each other. *)
+let key = Domain.DLS.new_key (fun () -> ring ())
 
 let st () = Domain.DLS.get key
 
 let enabled () = (st ()).on
 
-let clear () =
-  let st = st () in
-  st.buf <- [||];
-  st.next <- 0;
-  st.total <- 0
-
 let set_clock f = (st ()).clock <- f
-
-let enable ?(capacity = default_capacity) ?clock () =
-  if capacity <= 0 then invalid_arg "Trace.enable: capacity must be positive";
-  clear ();
-  let st = st () in
-  st.capacity <- capacity;
-  (match clock with Some f -> st.clock <- f | None -> ());
-  st.on <- true
-
-let disable () = (st ()).on <- false
 
 let push_scope s =
   let st = st () in
@@ -89,38 +74,9 @@ let emit event =
     st.total <- st.total + 1
   end
 
-let emitted () = (st ()).total
+(* --- rings ---------------------------------------------------------------- *)
 
-let dropped () =
-  let st = st () in
-  max 0 (st.total - st.capacity)
-
-let entries_of st =
-  let n = min st.total st.capacity in
-  if n = 0 then []
-  else begin
-    (* Oldest entry sits at [next] once the ring has wrapped. *)
-    let start = if st.total > st.capacity then st.next else 0 in
-    List.init n (fun i -> st.buf.((start + i) mod st.capacity))
-  end
-
-let entries () = entries_of (st ())
-
-(* --- reusable rings ---------------------------------------------------- *)
-
-(* A ring is just an un-installed recording state: [record_into] swaps it
-   into the domain's DLS slot for the duration of one run, so reuse means
-   resetting counters — the entry array survives across runs and the
-   steady-state fleet loop stops reallocating 64k-slot arrays per VM. *)
-type ring = state
-
-let ring ?(capacity = default_capacity) () =
-  if capacity <= 0 then invalid_arg "Trace.ring: capacity must be positive";
-  let s = fresh_state () in
-  s.capacity <- capacity;
-  s
-
-let ring_reset (r : ring) =
+let ring_reset r =
   r.on <- false;
   r.next <- 0;
   r.total <- 0;
@@ -129,7 +85,7 @@ let ring_reset (r : ring) =
      must never stamp the first events of the next job. *)
   r.clock <- (fun () -> 0)
 
-let record_into (r : ring) ?clock f =
+let record_into r ?clock f =
   ring_reset r;
   (match clock with Some c -> r.clock <- c | None -> ());
   r.on <- true;
@@ -141,28 +97,28 @@ let record_into (r : ring) ?clock f =
       Domain.DLS.set key saved)
     f
 
-let ring_entries (r : ring) = entries_of r
+let ring_length r = min r.total r.capacity
 
-let ring_length (r : ring) = min r.total r.capacity
+let ring_emitted r = r.total
 
-let ring_emitted (r : ring) = r.total
+let ring_dropped r = max 0 (r.total - r.capacity)
 
-let ring_dropped (r : ring) = max 0 (r.total - r.capacity)
+let ring_iter r g =
+  (* Oldest entry sits at [next] once the ring has wrapped. *)
+  let start = if r.total > r.capacity then r.next else 0 in
+  for i = 0 to ring_length r - 1 do
+    g r.buf.((start + i) mod r.capacity)
+  done
 
-let ring_iter (r : ring) g =
-  let n = min r.total r.capacity in
-  if n > 0 then begin
-    let start = if r.total > r.capacity then r.next else 0 in
-    for i = 0 to n - 1 do
-      g r.buf.((start + i) mod r.capacity)
-    done
-  end
+let ring_entries r =
+  let acc = ref [] in
+  ring_iter r (fun e -> acc := e :: !acc);
+  List.rev !acc
 
-let capture ?(capacity = default_capacity) ?clock f =
-  if capacity <= 0 then invalid_arg "Trace.capture: capacity must be positive";
-  let r = ring ~capacity () in
+let capture ?capacity ?clock f =
+  let r = ring ?capacity () in
   let result = record_into r ?clock f in
-  (result, entries_of r)
+  (result, ring_entries r)
 
 (* --- export ------------------------------------------------------------ *)
 
@@ -207,16 +163,12 @@ let entry_json e =
       ("name", Json.Str (event_name e.event));
       ("args", Json.Obj (event_args e.event)) ]
 
-let jsonl_of entries =
+let to_jsonl r =
   let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
+  ring_iter r (fun e ->
       Json.to_buffer buf (entry_json e);
-      Buffer.add_char buf '\n')
-    entries;
+      Buffer.add_char buf '\n');
   Buffer.contents buf
-
-let to_jsonl () = jsonl_of (entries ())
 
 let chrome_event ?(pid = 1) e =
   Json.Obj
@@ -282,10 +234,10 @@ let chrome_event_into buf ~pid e =
   | Mark label -> str_field buf ",\"label\":" label);
   Buffer.add_string buf "}}"
 
-let to_chrome ?(attribution = []) ?total_cycles () =
-  let events = List.map chrome_event (entries ()) in
+let to_chrome ?(attribution = []) ?total_cycles r =
+  let events = List.map chrome_event (ring_entries r) in
   let other =
-    [ ("emitted", Json.Int (emitted ())); ("dropped", Json.Int (dropped ())) ]
+    [ ("emitted", Json.Int (ring_emitted r)); ("dropped", Json.Int (ring_dropped r)) ]
     @ (match total_cycles with Some t -> [ ("total_cycles", Json.Int t) ] | None -> [])
     @
     match attribution with

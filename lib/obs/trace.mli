@@ -1,31 +1,31 @@
 (** Bounded, deterministic event trace of the simulated platform.
 
     Every layer of the stack — memory controller, TLB, hypervisor,
-    Fidelius gates, SEV firmware — emits structured events here when
-    tracing is enabled. Timestamps are read from the cost ledger (via the
-    installed {!set_clock} hook), never from wall time, so two runs with
-    the same seed produce byte-identical traces: the determinism contract
-    the golden-trace tests pin.
+    Fidelius gates, SEV firmware — emits structured events here while a
+    recording is installed. Timestamps are read from the cost ledger (via
+    the recording's clock, {!set_clock}), never from wall time, so two
+    runs with the same seed produce byte-identical traces: the
+    determinism contract the golden-trace tests pin.
 
-    The store is a ring buffer: once [capacity] events have been recorded
-    the oldest are overwritten and counted in {!dropped}. The disabled
-    path is one domain-local load — emit sites guard with
-    [if Trace.enabled () then Trace.emit ...] so no event is allocated
-    when tracing is off.
+    There is one way to record: into a {!ring}, a bounded buffer that
+    {!record_into} installs for the duration of one run. Once its
+    capacity is reached the oldest entries are overwritten and counted in
+    {!ring_dropped}. Outside a recording nothing is kept: emit sites guard
+    with [if Trace.enabled () then Trace.emit ...], one domain-local load,
+    so no event is allocated when tracing is off.
 
     {2 Thread-safety: one recording per domain}
 
-    All recording state (ring, clock, scope stack, on/off flag) lives in
-    [Domain.DLS]: each domain owns an independent recording, and every
-    function in this interface reads or writes only the calling domain's
-    state. Fleet shards ([Fidelius_fleet.Pool]) therefore trace
-    concurrently without locks and without perturbing one another — each
-    fleet worker records its VMs into its own reusable {!ring} with
-    {!record_into} and serializes them before the next job. Entries
-    themselves are immutable and may be handed freely across domains;
-    what must not be shared is a live recording. A freshly spawned domain
-    starts with tracing disabled regardless of the spawning domain's
-    state. *)
+    The installed recording (ring, clock, scope stack, on/off flag) lives
+    in [Domain.DLS]: every function in this interface reads or writes
+    only the calling domain's recording. Fleet shards
+    ([Fidelius_fleet.Pool]) therefore trace concurrently without locks
+    and without perturbing one another — each fleet worker records its
+    VMs into its own reusable {!ring} with {!record_into} and serializes
+    them before the next job. Entries themselves are immutable and may be
+    handed freely across domains; what must not be shared is a live
+    recording. A freshly spawned domain starts with tracing disabled
+    regardless of the spawning domain's state. *)
 
 type event =
   | Vmrun of { domid : int }
@@ -56,24 +56,11 @@ val enabled : unit -> bool
 (** Whether the calling domain is recording. The cheap guard for emit
     sites: one domain-local load, no allocation. *)
 
-val enable : ?capacity:int -> ?clock:(unit -> int) -> unit -> unit
-(** Clears the calling domain's buffer and starts recording. [capacity]
-    defaults to 65536 entries; [clock] defaults to the previously
-    installed clock (a constant 0 if none was ever installed). Raises
-    [Invalid_argument] if [capacity <= 0]. *)
-
-val disable : unit -> unit
-(** Stops recording on the calling domain; the buffer is retained for
-    export. *)
-
-val clear : unit -> unit
-(** Drops every recorded entry (and the emitted/dropped counters) of the
-    calling domain's recording; on/off state and clock are untouched. *)
-
 val set_clock : (unit -> int) -> unit
-(** Install the timestamp source for the calling domain, typically
-    [fun () -> Cost.total machine.ledger]. Timestamps are simulated
-    cycles, never wall time — the determinism contract depends on it. *)
+(** Install the timestamp source of the calling domain's recording,
+    typically [fun () -> Cost.total machine.ledger] from code that boots
+    its machine inside {!record_into}. Timestamps are simulated cycles,
+    never wall time — the determinism contract depends on it. *)
 
 val push_scope : string -> unit
 (** Scope tagging for emitted events; driven by [Cost.with_scope]. *)
@@ -82,37 +69,24 @@ val pop_scope : unit -> unit
 (** Inverse of {!push_scope}; a no-op on an empty scope stack. *)
 
 val emit : event -> unit
-(** Record one event in the calling domain's ring (a no-op when
-    disabled). Timestamped with the installed clock, tagged with the
-    innermost scope. *)
+(** Record one event in the calling domain's installed ring (a no-op
+    outside a recording). Timestamped with the recording's clock, tagged
+    with the innermost scope. *)
 
-val capture : ?capacity:int -> ?clock:(unit -> int) -> (unit -> 'a) -> 'a * entry list
-(** [capture f] runs [f] under a fresh, enabled, domain-local recording
-    and returns [f]'s result together with everything it emitted (oldest
-    first). The previous recording — whatever the domain had active,
-    enabled or not — is saved and restored afterwards, even on
-    exceptions, so captures nest and never leak state. [capacity]
-    defaults to 65536; [clock] defaults to constant 0 until [f] installs
-    one with {!set_clock}. Raises [Invalid_argument] if [capacity <= 0].
-    The fleet records with {!record_into} instead; the fleet tests use
-    [capture] as the fresh-state oracle that reused rings must match. *)
+(** {2 Rings}
 
-(** {2 Reusable rings (per-worker arenas)}
-
-    {!capture} allocates a fresh ring per call; a fleet worker that runs
-    hundreds of VM jobs back-to-back would churn one [capacity]-slot
-    array (plus one entry list) per job through the major heap — exactly
-    the allocation pattern that forces OCaml 5's stop-the-world GC
-    rendezvous across domains and flattens the fleet curve. A {!ring} is
-    the reusable alternative: allocate it once per worker, then
-    {!record_into} it for each job. The slot array survives across jobs;
-    only counters, scope stack and clock are reset. *)
+    A fleet worker that runs hundreds of VM jobs back-to-back allocates
+    one ring and {!record_into} it for each job: the slot array survives
+    across jobs, and only counters, scope stack and clock are reset. A
+    fresh ring per job would churn one [capacity]-slot array per job
+    through the major heap — exactly the allocation pattern that forces
+    OCaml 5's stop-the-world GC rendezvous across domains and flattens the
+    fleet curve. *)
 
 type ring
-(** A reusable recording: the same state {!capture} builds internally,
-    not yet installed on any domain. Owned by exactly one worker at a
-    time — installing one ring on two domains concurrently is a data
-    race, same rule as any live recording. *)
+(** A recording, not yet installed on any domain. Owned by exactly one
+    worker at a time — installing one ring on two domains concurrently is
+    a data race, same rule as any live recording. *)
 
 val ring : ?capacity:int -> unit -> ring
 (** A fresh, empty, disabled ring. [capacity] defaults to 65536 entries
@@ -120,12 +94,14 @@ val ring : ?capacity:int -> unit -> ring
     [capacity <= 0]. *)
 
 val record_into : ring -> ?clock:(unit -> int) -> (unit -> 'a) -> 'a
-(** [record_into r f] is {!capture} into a caller-owned ring: resets [r]
-    (counters, scope stack, clock — {e not} the slot array), enables it,
-    installs it as the calling domain's recording, runs [f], and restores
-    the previous recording afterwards — even on exceptions, which
-    propagate unchanged. Entries stay in [r] for the caller to read
-    ({!ring_entries}/{!ring_iter}) until the next [record_into] on it.
+(** [record_into r f] resets [r] (counters, scope stack, clock — {e not}
+    the slot array), enables it, installs it as the calling domain's
+    recording, runs [f], and restores the previous recording afterwards —
+    even on exceptions, which propagate unchanged — so recordings nest
+    and never leak state. [clock] defaults to constant 0 until [f]
+    installs one with {!set_clock}. Entries stay in [r] for the caller to
+    read ({!ring_entries}/{!ring_iter}) until the next [record_into] on
+    it.
 
     Determinism: because the reset clears everything a previous job could
     have left behind (clock included — a stale neighbour clock never
@@ -134,6 +110,13 @@ val record_into : ring -> ?clock:(unit -> int) -> (unit -> 'a) -> 'a
     arena-reuse property in [test/test_fleet.ml] pins this. Stale
     entries from earlier runs beyond the new run's count are never
     observable: both readers bound themselves by the current counters. *)
+
+val capture : ?capacity:int -> ?clock:(unit -> int) -> (unit -> 'a) -> 'a * entry list
+(** [capture f] is {!record_into} a fresh ring of [capacity] entries
+    (default 65536), returning [f]'s result and everything it emitted,
+    oldest first. The fleet tests use it as the fresh-state oracle that
+    reused rings must match. Raises [Invalid_argument] if
+    [capacity <= 0]. *)
 
 val ring_entries : ring -> entry list
 (** The ring's recorded entries, oldest first (allocates the list; for
@@ -163,20 +146,11 @@ val ring_reset : ring -> unit
     reuse). {!record_into} does this implicitly; explicit reset is for
     releasing entry references early without dropping the arena. *)
 
-val entries : unit -> entry list
-(** The calling domain's recorded entries, oldest first. *)
-
-val emitted : unit -> int
-(** Total events emitted since the last {!clear}, including dropped. *)
-
-val dropped : unit -> int
-(** How many of the emitted events the ring has overwritten. *)
-
 val event_name : event -> string
 (** Stable wire name of the event constructor (e.g. ["tlb-flush"]). *)
 
-val to_jsonl : unit -> string
-(** The calling domain's {!entries} as JSONL, one
+val to_jsonl : ring -> string
+(** The ring's entries as JSONL, oldest first, one
     [{"seq":N,"ts":N,"scope":S,"name":S,"args":{...}}] object per line.
     The payload fields follow the event's declaration order, so exports
     are byte-stable. *)
@@ -195,12 +169,13 @@ val chrome_event_into : Buffer.t -> pid:int -> entry -> unit
     once. {!chrome_event} stays the executable specification; a qcheck
     property over all fourteen constructors holds the two byte-equal. *)
 
-val to_chrome : ?attribution:(string * int) list -> ?total_cycles:int -> unit -> Json.t
+val to_chrome : ?attribution:(string * int) list -> ?total_cycles:int -> ring -> Json.t
 (** Chrome [trace_event] format: an object with a [traceEvents] array of
-    instant events (timestamps in ledger cycles) and an [otherData]
-    section carrying the per-scope cycle attribution and the ledger
-    total, so viewers and tests can check that attribution sums to the
-    total. Single-recording export ([pid] 1 throughout); the fleet's
+    the ring's entries as instant events (timestamps in ledger cycles)
+    and an [otherData] section carrying {!ring_emitted}, {!ring_dropped},
+    the per-scope cycle attribution and the ledger total, so viewers and
+    tests can check that attribution sums to the total. Single-recording
+    export ([pid] 1 throughout); the fleet's
     multi-VM trace is streamed instead, one fragment per VM
     ([Fidelius_workloads.Fleetbench.chrome_fragment] between
     [Fidelius_fleet.Merge.chrome_header] and [chrome_footer]). *)

@@ -78,7 +78,7 @@ type t = {
 let policy_nodbg = 1
 let policy_nosend = 2
 
-let create ?(version = current_version) machine =
+let create machine =
   let rng = Rng.split machine.Machine.rng in
   let platform_secret, platform_pub = Dh.generate rng in
   { machine;
@@ -90,7 +90,7 @@ let create ?(version = current_version) machine =
     rng;
     geks = Hashtbl.create 16;
     next_gek = 1;
-    fw_version = version;
+    fw_version = current_version;
     plain = Bytes.create Addr.page_size;
     cipher = Bytes.create Addr.page_size }
 
@@ -152,60 +152,44 @@ let kvek c = Option.get c.kvek
 
 let fresh_kvek t = Some (Aes.expand (Rng.bytes t.rng 16))
 
-let fresh_handle t =
-  let h = t.next_handle in
-  t.next_handle <- h + 1;
-  h
+(* Every context starts here, in the state its starting command's row
+   of the state table names: LAUNCH_START, RECEIVE_START and
+   LAUNCH(shared)'s helper. *)
+let start t ~state ~kvek ~policy ?tek ?tik ?(nonce = 0L) () =
+  let handle = t.next_handle in
+  t.next_handle <- handle + 1;
+  Hashtbl.replace t.contexts handle
+    { handle; state; kvek; policy; asid = None; tek; tik; nonce; measure = Measure.create () };
+  Ok handle
 
 let launch_start t ~policy =
   charge_cmd t "LAUNCH_START";
   let* () = need_init t "LAUNCH_START" in
-  let handle = fresh_handle t in
-  Hashtbl.replace t.contexts handle
-    { handle;
-      state = State.Launching;
-      kvek = fresh_kvek t;
-      policy;
-      asid = None;
-      tek = None;
-      tik = None;
-      nonce = 0L;
-      measure = Measure.create () };
-  Ok handle
+  start t ~state:(State.leaves "LAUNCH_START") ~kvek:(fresh_kvek t) ~policy ()
 
 let launch_update t ~handle ~pfn =
   charge_page t "LAUNCH_UPDATE";
   let* c = ctx t handle "LAUNCH_UPDATE" in
-  let* () = State.require c.state ~expected:[ State.Launching ] ~cmd:"LAUNCH_UPDATE" in
+  let* next = State.check c.state ~cmd:"LAUNCH_UPDATE" in
   let plain = Physmem.read_raw t.machine.Machine.mem pfn ~off:0 ~len:Addr.page_size in
   Measure.add_page c.measure ~index:pfn plain;
   coherent_encrypt t ~key:(kvek c) pfn;
+  c.state <- next;
   Ok ()
 
 let launch_finish t ~handle =
   charge_cmd t "LAUNCH_FINISH";
   let* c = ctx t handle "LAUNCH_FINISH" in
-  let* () = State.require c.state ~expected:[ State.Launching ] ~cmd:"LAUNCH_FINISH" in
-  c.state <- State.Running;
+  let* next = State.check c.state ~cmd:"LAUNCH_FINISH" in
+  c.state <- next;
   (* Unkeyed digest: the launch flow's attestation root. *)
   Ok (Measure.finalize c.measure ~tik:(Bytes.create 0))
 
 let launch_shared t ~handle =
   charge_cmd t "LAUNCH(shared)";
   let* c = ctx t handle "LAUNCH(shared)" in
-  let* () = State.require c.state ~expected:[ State.Running ] ~cmd:"LAUNCH(shared)" in
-  let helper = fresh_handle t in
-  Hashtbl.replace t.contexts helper
-    { handle = helper;
-      state = State.Running;
-      kvek = c.kvek;
-      policy = c.policy;
-      asid = None;
-      tek = None;
-      tik = None;
-      nonce = 0L;
-      measure = Measure.create () };
-  Ok helper
+  let* state = State.check c.state ~cmd:"LAUNCH(shared)" in
+  start t ~state ~kvek:c.kvek ~policy:c.policy ()
 
 (* ACTIVATE binds handle to ASID with no ownership validation: the
    handle/ASID relationship is hypervisor-managed state, which is precisely
@@ -244,7 +228,7 @@ let decommission t ~handle =
       | Some k when k == key ->
           Option.iter (fun asid -> Memctrl.uninstall_key t.machine.Machine.ctrl ~asid) other.asid;
           other.asid <- None;
-          other.state <- State.Decommissioned;
+          other.state <- State.leaves "DECOMMISSION";
           other.kvek <- None;
           Hashtbl.filter_map_inplace (fun (g, _) k -> if g = h then None else Some k) t.geks
       | _ -> ())
@@ -260,7 +244,7 @@ let asid_of t ~handle =
 let send_start t ~handle ~target_public ~nonce =
   charge_cmd t "SEND_START";
   let* c = ctx t handle "SEND_START" in
-  let* () = State.require c.state ~expected:[ State.Running ] ~cmd:"SEND_START" in
+  let* next = State.check c.state ~cmd:"SEND_START" in
   let* () =
     if c.policy land policy_nosend <> 0 then
       Error "SEND_START: forbidden by guest policy (NOSEND)"
@@ -271,7 +255,7 @@ let send_start t ~handle ~target_public ~nonce =
   c.tik <- Some tik;
   c.nonce <- nonce;
   c.measure <- Measure.create ();
-  c.state <- State.Sending;
+  c.state <- next;
   let kek =
     Transport.derive_master_secret ~secret:t.platform_secret ~peer_public:target_public ~nonce
   in
@@ -280,10 +264,11 @@ let send_start t ~handle ~target_public ~nonce =
 let send_update t ~handle ~index ~src_pfn =
   charge_page t "SEND_UPDATE";
   let* c = ctx t handle "SEND_UPDATE" in
-  let* () = State.require c.state ~expected:[ State.Sending ] ~cmd:"SEND_UPDATE" in
+  let* next = State.check c.state ~cmd:"SEND_UPDATE" in
   match c.tek with
   | None -> Error "SEND_UPDATE: no transport key"
   | Some tek ->
+      c.state <- next;
       let plain = t.plain in
       Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:(kvek c) src_pfn ~dst:plain;
       Measure.add_page c.measure ~index plain;
@@ -292,22 +277,22 @@ let send_update t ~handle ~index ~src_pfn =
 let send_finish t ~handle =
   charge_cmd t "SEND_FINISH";
   let* c = ctx t handle "SEND_FINISH" in
-  let* () = State.require c.state ~expected:[ State.Sending ] ~cmd:"SEND_FINISH" in
+  let* next = State.check c.state ~cmd:"SEND_FINISH" in
   match c.tik with
   | None -> Error "SEND_FINISH: no integrity key"
   | Some tik ->
-      c.state <- State.Sent;
+      c.state <- next;
       Measure.add_data c.measure (Transport.measurement_meta ~policy:c.policy ~nonce:c.nonce);
       Ok (Measure.finalize c.measure ~tik)
 
 let send_cancel t ~handle =
   charge_cmd t "SEND_CANCEL";
   let* c = ctx t handle "SEND_CANCEL" in
-  let* () = State.require c.state ~expected:[ State.Sending; State.Sent ] ~cmd:"SEND_CANCEL" in
+  let* next = State.check c.state ~cmd:"SEND_CANCEL" in
   c.tek <- None;
   c.tik <- None;
   c.measure <- Measure.create ();
-  c.state <- State.Running;
+  c.state <- next;
   Ok ()
 
 let receive_start t ~wrapped ~origin_public ~nonce ~policy ?kvek_of () =
@@ -332,23 +317,12 @@ let receive_start t ~wrapped ~origin_public ~nonce ~policy ?kvek_of () =
             let* src = ctx t h "RECEIVE_START(kvek_of)" in
             Ok src.kvek
       in
-      let handle = fresh_handle t in
-      Hashtbl.replace t.contexts handle
-        { handle;
-          state = State.Receiving;
-          kvek;
-          policy;
-          asid = None;
-          tek = Some tek;
-          tik = Some tik;
-          nonce;
-          measure = Measure.create () };
-      Ok handle)
+      start t ~state:(State.leaves "RECEIVE_START") ~kvek ~policy ~tek ~tik ~nonce ())
 
 let receive_update t ~handle ~index ~cipher ~dst_pfn =
   charge_page t "RECEIVE_UPDATE";
   let* c = ctx t handle "RECEIVE_UPDATE" in
-  let* () = State.require c.state ~expected:[ State.Receiving ] ~cmd:"RECEIVE_UPDATE" in
+  let* next = State.check c.state ~cmd:"RECEIVE_UPDATE" in
   match c.tek with
   | None -> Error "RECEIVE_UPDATE: no transport key"
   | Some tek ->
@@ -358,6 +332,7 @@ let receive_update t ~handle ~index ~cipher ~dst_pfn =
            success; the gap must surface at RECEIVE_FINISH, not here *)
         Ok ()
       else begin
+        c.state <- next;
         let plain = t.plain in
         Transport.page_plain_into ~tek ~index cipher ~dst:plain;
         let apply () =
@@ -377,13 +352,13 @@ let receive_update_in_place t ~handle ~index ~pfn =
 let receive_finish t ~handle ~expected =
   charge_cmd t "RECEIVE_FINISH";
   let* c = ctx t handle "RECEIVE_FINISH" in
-  let* () = State.require c.state ~expected:[ State.Receiving ] ~cmd:"RECEIVE_FINISH" in
+  let* next = State.check c.state ~cmd:"RECEIVE_FINISH" in
   match c.tik with
   | None -> Error "RECEIVE_FINISH: no integrity key"
   | Some tik ->
       Measure.add_data c.measure (Transport.measurement_meta ~policy:c.policy ~nonce:c.nonce);
       if Measure.verify c.measure ~tik ~expected then begin
-        c.state <- State.Running;
+        c.state <- next;
         Ok ()
       end
       else Error "RECEIVE_FINISH: measurement mismatch (image tampered or replayed)"
@@ -394,26 +369,30 @@ let receive_finish t ~handle ~expected =
    [len] bytes of a Kvek-encrypted guest frame into CTR ciphertext under
    the command's key; [io_in] is its inverse, a read-modify-write of the
    Kvek frame in which only the payload prefix changes. The pairs differ
-   in the state they require and in [key_of]: the helper's transport key
-   Ktek (SEND_UPDATE(io), RECEIVE_UPDATE(io)) or one of the guest's GEKs
-   (ENC, DEC). *)
-let io_command t ~cmd ~handle ~state ~key_of ~len =
+   in their row of the state table and in [key_of]: the helper's transport
+   key Ktek (SEND_UPDATE(io), RECEIVE_UPDATE(io)) or one of the guest's
+   GEKs (ENC, DEC). *)
+let io_command t ~cmd ~handle ~key_of ~len =
   charge_page t cmd;
   let* c = ctx t handle cmd in
-  let* () = State.require c.state ~expected:[ state ] ~cmd in
+  let* next = State.check c.state ~cmd in
   let* key = key_of c cmd in
-  if len <= 0 || len > Addr.page_size then Error (cmd ^ ": bad length") else Ok (c, key)
+  if len <= 0 || len > Addr.page_size then Error (cmd ^ ": bad length")
+  else begin
+    c.state <- next;
+    Ok (c, key)
+  end
 
-let io_out t ~cmd ~handle ~state ~key_of ~nonce ~src_pfn ~len =
-  let* c, key = io_command t ~cmd ~handle ~state ~key_of ~len in
+let io_out t ~cmd ~handle ~key_of ~nonce ~src_pfn ~len =
+  let* c, key = io_command t ~cmd ~handle ~key_of ~len in
   Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:(kvek c) src_pfn ~dst:t.plain;
   let cipher = Bytes.create len in
   Aes.ctr_into key ~nonce ~src:t.plain ~dst:cipher ~len;
   Ok cipher
 
-let io_in t ~cmd ~handle ~state ~key_of ~nonce ~cipher ~dst_pfn =
+let io_in t ~cmd ~handle ~key_of ~nonce ~cipher ~dst_pfn =
   let len = Bytes.length cipher in
-  let* c, key = io_command t ~cmd ~handle ~state ~key_of ~len in
+  let* c, key = io_command t ~cmd ~handle ~key_of ~len in
   let kvek = kvek c in
   Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:kvek dst_pfn ~dst:t.plain;
   Aes.ctr_into key ~nonce ~src:cipher ~dst:t.plain ~len;
@@ -425,16 +404,17 @@ let tek_of c cmd =
   | Some tek -> Ok tek.Transport.aes
   | None -> Error (cmd ^ ": no transport key")
 
-let send_update_io t = io_out t ~cmd:"SEND_UPDATE(io)" ~state:State.Sending ~key_of:tek_of
+let send_update_io t = io_out t ~cmd:"SEND_UPDATE(io)" ~key_of:tek_of
 
-let receive_update_io t = io_in t ~cmd:"RECEIVE_UPDATE(io)" ~state:State.Receiving ~key_of:tek_of
+let receive_update_io t = io_in t ~cmd:"RECEIVE_UPDATE(io)" ~key_of:tek_of
 
 (* Customized-key extension (paper Section 8). *)
 
 let setenc_gek t ~handle =
   charge_cmd t "SETENC_GEK";
   let* c = ctx t handle "SETENC_GEK" in
-  let* () = State.require c.state ~expected:[ State.Running ] ~cmd:"SETENC_GEK" in
+  let* next = State.check c.state ~cmd:"SETENC_GEK" in
+  c.state <- next;
   let id = t.next_gek in
   t.next_gek <- id + 1;
   Hashtbl.replace t.geks (handle, id) (Aes.expand (Rng.bytes t.rng 16));
@@ -447,11 +427,9 @@ let gek_of t gek c cmd =
   | Some k -> Ok k
   | None -> Error (Printf.sprintf "%s: no GEK %d for handle %d" cmd gek c.handle)
 
-let enc_range t ~handle ~gek =
-  io_out t ~cmd:"ENC" ~handle ~state:State.Running ~key_of:(gek_of t gek)
+let enc_range t ~handle ~gek = io_out t ~cmd:"ENC" ~handle ~key_of:(gek_of t gek)
 
-let dec_range t ~handle ~gek =
-  io_in t ~cmd:"DEC" ~handle ~state:State.Running ~key_of:(gek_of t gek)
+let dec_range t ~handle ~gek = io_in t ~cmd:"DEC" ~handle ~key_of:(gek_of t gek)
 
 (* --- attestation -------------------------------------------------------- *)
 

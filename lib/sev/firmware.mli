@@ -2,7 +2,8 @@
 
     Implements the command set the paper builds on: INIT, LAUNCH_*,
     ACTIVATE/DEACTIVATE/DECOMMISSION, SEND_*, RECEIVE_*, DBG_DECRYPT — with
-    the AMD state machine enforced per guest context. Kvek never crosses the
+    the AMD state machine enforced per guest context: every command checks
+    and moves its context through {!State.table}. Kvek never crosses the
     API boundary: it exists only inside contexts and in memory-controller
     key slots. Each Kvek is expanded once, when LAUNCH_START or
     RECEIVE_START creates it; the helper contexts that share it and the
@@ -43,10 +44,10 @@ val version_at_least : version -> minimum:version -> bool
 val version_to_string : version -> string
 val pp_version : Format.formatter -> version -> unit
 
-val create : ?version:version -> Fidelius_hw.Machine.t -> t
+val create : Fidelius_hw.Machine.t -> t
 (** Attach a secure processor to a platform. Generates the platform ECDH
-    identity key. [version] is the firmware blob the platform boots with;
-    the default is the up-to-date blob (0.24.15). *)
+    identity key. The platform boots the up-to-date blob (0.24.15);
+    {!load_blob} swaps it. *)
 
 val load_blob : t -> version -> unit
 (** The hypervisor swaps the firmware blob — the rollback attack. Nothing

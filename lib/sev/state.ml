@@ -16,19 +16,43 @@ let to_string = function
   | Sent -> "SENT"
   | Decommissioned -> "DECOMMISSIONED"
 
+type row = Step of t list * t | Start of t list * t
+
+let table =
+  [ ("LAUNCH_START", Start ([], Launching));
+    ("LAUNCH_UPDATE", Step ([ Launching ], Launching));
+    ("LAUNCH_FINISH", Step ([ Launching ], Running));
+    ("LAUNCH(shared)", Start ([ Running ], Running));
+    ("SEND_START", Step ([ Running ], Sending));
+    ("SEND_UPDATE", Step ([ Sending ], Sending));
+    ("SEND_UPDATE(io)", Step ([ Sending ], Sending));
+    ("SEND_FINISH", Step ([ Sending ], Sent));
+    (* SEND_CANCEL abandons an outgoing migration *)
+    ("SEND_CANCEL", Step ([ Sending; Sent ], Running));
+    ("RECEIVE_START", Start ([], Receiving));
+    ("RECEIVE_UPDATE", Step ([ Receiving ], Receiving));
+    ("RECEIVE_UPDATE(io)", Step ([ Receiving ], Receiving));
+    ("RECEIVE_FINISH", Step ([ Receiving ], Running));
+    ("SETENC_GEK", Step ([ Running ], Running));
+    ("ENC", Step ([ Running ], Running));
+    ("DEC", Step ([ Running ], Running));
+    ( "DECOMMISSION",
+      Step ([ Uninit; Launching; Running; Sending; Receiving; Sent ], Decommissioned) ) ]
+
+(* The page commands look their row up once per page; the scan allocates
+   nothing. *)
+let rec find cmd = function
+  | [] -> invalid_arg ("State: no row for " ^ cmd)
+  | (name, r) :: rest -> if String.equal name cmd then r else find cmd rest
+
+let leaves cmd = match find cmd table with Step (_, s) | Start (_, s) -> s
+
 let can_transition from into =
-  match (from, into) with
-  | Uninit, Launching
-  | Uninit, Receiving
-  | Launching, Running
-  | Running, Sending
-  | Receiving, Running
-  | Sending, Sent
-  (* SEND_CANCEL abandons an outgoing migration *)
-  | Sending, Running
-  | Sent, Running -> true
-  | _, Decommissioned -> not (from = Decommissioned)
-  | _, _ -> false
+  List.exists
+    (function
+      | _, Step (accepts, leaves) -> leaves = into && List.mem from accepts
+      | _, Start (_, leaves) -> leaves = into && from = Uninit)
+    table
 
 type 'a command_result = ('a, string) result
 
@@ -38,3 +62,8 @@ let require current ~expected ~cmd =
     Error
       (Printf.sprintf "%s: invalid guest state %s (expected %s)" cmd (to_string current)
          (String.concat " or " (List.map to_string expected)))
+
+let check current ~cmd =
+  match find cmd table with
+  | Step (accepts, next) | Start (accepts, next) -> (
+      match require current ~expected:accepts ~cmd with Ok () -> Ok next | Error e -> Error e)

@@ -3,10 +3,12 @@
     Every firmware command is legal only in specific states; Fidelius' novel
     API reuse (booting from an encrypted image via RECEIVE, I/O encryption
     via perpetually-sending/receiving helper contexts) leans on exactly
-    these transition rules, so the simulator enforces them strictly. *)
+    these transition rules, so the simulator enforces them strictly. The
+    rules are one table: [Sev.Firmware] checks and moves every context
+    through it, and {!can_transition} is derived from it. *)
 
 type t =
-  | Uninit      (** context allocated, no key material *)
+  | Uninit      (** before a context exists *)
   | Launching   (** between LAUNCH_START and LAUNCH_FINISH *)
   | Running     (** guest may execute *)
   | Sending     (** between SEND_START and SEND_FINISH; guest stopped *)
@@ -16,11 +18,30 @@ type t =
 
 val to_string : t -> string
 
+(** A command's row: the states the context it names must be in, and the
+    state it leaves that context in — or, for a [Start], the state it
+    creates a new context in (LAUNCH(shared)'s helper, or the context of
+    LAUNCH_START and RECEIVE_START, which name none). *)
+type row = Step of t list * t | Start of t list * t
+
+val table : (string * row) list
+(** Every command that checks or moves a context's state, by mnemonic.
+    ACTIVATE, DEACTIVATE, DBG_DECRYPT and ATTEST keep any live context's
+    state and have no row. *)
+
+val leaves : string -> t
+(** The state the named command leaves its context in. *)
+
 val can_transition : t -> t -> bool
-(** Legal state-machine edges. *)
+(** Some command takes a context from the first state to the second ([a
+    -> a] when it keeps the state; out of {!Uninit} for a [Start]). *)
 
 type 'a command_result = ('a, string) result
 
 val require : t -> expected:t list -> cmd:string -> unit command_result
 (** [require current ~expected ~cmd] is [Ok ()] when [current] is one of
     [expected], otherwise a descriptive [Error] naming the command. *)
+
+val check : t -> cmd:string -> t command_result
+(** {!require} against the states [cmd]'s row accepts, then the state it
+    leaves. *)

@@ -136,5 +136,5 @@ let run_suite ?domains profiles =
       let base = run p Xen_baseline in
       let fid = run p Fidelius in
       let enc = run p Fidelius_enc in
-      (p, overhead_pct ~base fid, overhead_pct ~base enc))
+      (p, overhead_pct ~base fid, overhead_pct ~base enc, enc))
     profiles

@@ -56,9 +56,11 @@ val overhead_pct : base:result -> result -> float
 (** [(cycles - base.cycles) / base.cycles * 100]. *)
 
 val run_suite :
-  ?domains:int -> Profile.t list -> (Profile.t * float * float) list
-(** For each profile: (profile, Fidelius overhead %, Fidelius-enc overhead %)
-    against the Xen baseline. Each profile's three runs are one
+  ?domains:int -> Profile.t list -> (Profile.t * float * float * result) list
+(** For each profile: (profile, Fidelius overhead %, Fidelius-enc overhead %,
+    the Fidelius-enc run) against the Xen baseline — the one runner behind
+    Figures 5/6 and the CLI's [bench spec|parsec --breakdown], which reads
+    the Fidelius-enc run's ledgers. Each profile's three runs are one
     independent job on [Fidelius_fleet.Pool] — [domains] (default
     [Fidelius_fleet.Pool.recommended_domains ()]) shards profiles across
     that many OCaml domains; every run builds a fresh machine from

@@ -68,7 +68,7 @@ let run_vm ~budget_us vm =
     done
   in
   let owner = Core.Migrate.Owner.create (Rng.create (Int64.add seed 99L)) in
-  let config = { Core.Migrate.downtime_budget_us = budget_us; max_rounds = 8 } in
+  let config = { Core.Migrate.downtime_budget_us = budget_us } in
   match Core.Migrate.migrate_live ~config ~owner ~mutate ~src:fid1 ~dst:fid2 dom with
   | Error e -> failwith ("migratebench: " ^ Core.Migrate.error_to_string e)
   | Ok (dom', rep) ->

@@ -4,16 +4,15 @@ module Sev = Fidelius_sev
 module Core = Fidelius_core
 module Rng = Fidelius_crypto.Rng
 
-type config = {
-  requests : int;
-  batch : int;
-  net_fraction : int;
-  load : float;
-  seed : int64;
-}
+type config = { requests : int; batch : int }
 
-let default_config =
-  { requests = 512; batch = 8; net_fraction = 30; load = 0.8; seed = 97L }
+let default_config = { requests = 512; batch = 8 }
+
+(* The traffic mix: 30% of batches are network exchanges, offered at 0.8
+   of calibrated capacity, from seed 97. *)
+let net_fraction = 30
+let load = 0.8
+let seed = 97L
 
 type report = {
   batch : int;
@@ -87,8 +86,8 @@ let boot_stack seed =
 
 type kind = Blk_read | Blk_write | Net_exchange
 
-let pick_kind cfg rng =
-  if Rng.int rng 100 < cfg.net_fraction then Net_exchange
+let pick_kind rng =
+  if Rng.int rng 100 < net_fraction then Net_exchange
   else if Rng.int rng 2 = 0 then Blk_read
   else Blk_write
 
@@ -131,11 +130,10 @@ let percentile sorted p =
   else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
 
 let run (cfg : config) =
-  if cfg.load <= 0.0 then invalid_arg "Serve.run: load must be positive";
   let cfg = { cfg with batch = max 1 (min 8 cfg.batch) } in
-  let st = boot_stack cfg.seed in
+  let st = boot_stack seed in
   let ledger = st.machine.Hw.Machine.ledger in
-  let rng = Rng.create (Int64.add cfg.seed 17L) in
+  let rng = Rng.create (Int64.add seed 17L) in
   (* Closed-loop calibration: mean service cycles per request sets the
      open-loop arrival gap. *)
   let calib_kinds = [ Blk_read; Blk_write; Net_exchange; Blk_read ] in
@@ -145,7 +143,7 @@ let run (cfg : config) =
     float_of_int (Hw.Cost.total ledger - c0)
     /. float_of_int (List.length calib_kinds * cfg.batch)
   in
-  let gap = mean_service /. cfg.load in
+  let gap = mean_service /. load in
   let groups = max 1 (cfg.requests / cfg.batch) in
   let completed = groups * cfg.batch in
   let latencies = Array.make completed 0.0 in
@@ -165,7 +163,7 @@ let run (cfg : config) =
        is free. *)
     let start = Float.max !clock arrivals.(cfg.batch - 1) in
     let b0 = Hw.Cost.total ledger in
-    run_batch st cfg rng (pick_kind cfg rng);
+    run_batch st cfg rng (pick_kind rng);
     clock := start +. float_of_int (Hw.Cost.total ledger - b0);
     Array.iter
       (fun a ->

@@ -10,20 +10,19 @@
     which exposes the batching trade-off: throughput rises with [batch]
     while early members of a batch wait for it to fill.
 
-    The load generator is calibrated closed-loop first: the measured mean
-    service cost per request sets the arrival gap to
-    [mean_service / load] with uniform jitter in [0.5, 1.5] of the gap. *)
+    The traffic mix is fixed: 30% of batches are network exchanges, the
+    offered load is 0.8 of calibrated capacity, and the platform seed is
+    97. The load generator is calibrated closed-loop first: the measured
+    mean service cost per request sets the arrival gap to
+    [mean_service / 0.8] with uniform jitter in [0.5, 1.5] of the gap. *)
 
 type config = {
   requests : int;      (** total requests (rounded down to whole batches) *)
   batch : int;         (** descriptors per doorbell, clamped to [1, 8] *)
-  net_fraction : int;  (** percent of batches that are network exchanges *)
-  load : float;        (** offered load as a fraction of calibrated capacity *)
-  seed : int64;
 }
 
 val default_config : config
-(** 512 requests, batch 8, 30% network, load 0.8, seed 97. *)
+(** 512 requests, batch 8. *)
 
 type report = {
   batch : int;

@@ -147,40 +147,12 @@ let process_ring be =
 
 let connect ?(ring_size = Ring.default_size) ?(buffer_pages = 1) hv dom ~disk ~buffer_gvfn =
   if buffer_pages < 1 then invalid_arg "Blkif.connect: buffer_pages must be >= 1";
-  let machine = hv.Hypervisor.machine in
-  (* The guest sets up unencrypted buffer pages (DMA memory cannot carry
-     the C-bit) and faults them in. *)
-  let gfns =
-    Array.init buffer_pages (fun pi ->
-        let gfn = Domain.alloc_gfn dom in
-        Domain.guest_map dom ~gvfn:(buffer_gvfn + pi) ~gfn ~writable:true ~executable:false
-          ~c_bit:false;
-        Hypervisor.in_guest hv dom (fun () ->
-            Domain.write machine dom
-              ~addr:(Hw.Addr.addr_of (buffer_gvfn + pi) 0)
-              (Bytes.make Hw.Addr.page_size '\000'));
-        gfn)
+  (* The guest grants dom0 its data pages (DMA memory cannot carry the
+     C-bit), then publishes the wiring via XenStore. *)
+  let* _gfns, grefs =
+    Hypervisor.grant_pages hv dom ~target:0 ~gvfn:buffer_gvfn ~nr:buffer_pages ~writable:true
   in
   let gvas = Array.init buffer_pages (fun pi -> Hw.Addr.addr_of (buffer_gvfn + pi) 0) in
-  (* Declare the sharing intent first (Fidelius' pre_sharing_op; a no-op
-     on stock Xen) — one declaration covers the whole run of data pages —
-     then grant each to dom0 and publish the wiring via XenStore. *)
-  let* _ =
-    Hypervisor.hypercall hv dom
-      (Hypercall.Pre_sharing { target = 0; gfn = gfns.(0); nr = buffer_pages; writable = true })
-  in
-  let rec grant pi acc =
-    if pi = buffer_pages then Ok (List.rev acc)
-    else
-      let* gref64 =
-        Hypervisor.hypercall hv dom
-          (Hypercall.Grant_table_op
-             (Hypercall.Grant_access { target = 0; gfn = gfns.(pi); writable = true }))
-      in
-      grant (pi + 1) (Int64.to_int gref64 :: acc)
-  in
-  let* grefs = grant 0 [] in
-  let grefs = Array.of_list grefs in
   let event_port = Event.alloc_unbound hv.Hypervisor.events ~domid:dom.Domain.domid ~remote:0 in
   let path leaf = Printf.sprintf "/local/domain/%d/device/vbd/%s" dom.Domain.domid leaf in
   Xenstore.write hv.Hypervisor.store ~domid:dom.Domain.domid ~path:(path "ring-ref")

@@ -69,10 +69,11 @@ val connect :
   buffer_gvfn:Hw.Addr.vfn ->
   (frontend * backend, string) result
 (** Wire a guest front-end to a dom0 back-end serving [disk]: the guest
-    maps [buffer_pages] fresh unencrypted pages (default 1) starting at
-    [buffer_gvfn] as data buffers, grants them to dom0, publishes the
-    wiring through XenStore, and dom0 binds the ring. [ring_size]
-    (default {!Ring.default_size}) must be a power of two. *)
+    grants dom0 [buffer_pages] fresh unencrypted data pages (default 1)
+    starting at [buffer_gvfn] ({!Hypervisor.grant_pages}) and publishes
+    the wiring through XenStore; dom0 binds the event channel and
+    resolves the grants to frames. [ring_size] (default
+    {!Ring.default_size}) must be a power of two. *)
 
 val set_codec : frontend -> codec -> unit
 

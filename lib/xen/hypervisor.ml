@@ -84,37 +84,24 @@ let stock_mediation machine host_space granttab =
 
 (* --- boot ------------------------------------------------------------ *)
 
+(* Stock Xen code carries several copies of each privileged instruction
+   scattered through its text — the state the Fidelius binary scan later
+   scrubs down to a monopoly. Each copy runs the bare effect. *)
 let place_baseline_insns t =
   let machine = t.machine in
-  let cpu = machine.Hw.Machine.cpu in
+  let cpu = machine.Hw.Machine.cpu and tlb = machine.Hw.Machine.tlb in
   let text = Array.of_list t.xen_text in
-  let bit v pos = not (Int64.equal (Int64.logand v (Int64.shift_left 1L pos)) 0L) in
-  let handlers =
-    [ (Hw.Insn.Mov_cr0,
-       fun v ->
-         Hw.Cpu.priv_set_wp cpu (bit v 16);
-         Hw.Cpu.priv_set_paging cpu (bit v 31);
-         Ok ());
-      (Hw.Insn.Mov_cr4, fun v -> Hw.Cpu.priv_set_smep cpu (bit v 20); Ok ());
-      (Hw.Insn.Wrmsr, fun v -> Hw.Cpu.priv_set_nxe cpu (bit v 11); Ok ());
-      (Hw.Insn.Mov_cr3,
-       fun v ->
-         Hw.Cpu.priv_set_cr3 cpu (Int64.to_int v);
-         Hw.Tlb.flush_all machine.Hw.Machine.tlb;
-         Ok ());
-      (Hw.Insn.Lgdt, fun _ -> Ok ());
-      (Hw.Insn.Lidt, fun _ -> Ok ()) ]
-  in
-  (* Stock Xen code carries several copies of each privileged instruction
-     scattered through its text — the state the Fidelius binary scan later
-     scrubs down to a monopoly. *)
   List.iteri
-    (fun i (op, handler) ->
+    (fun i op ->
+      let handler v =
+        Hw.Insn.apply cpu tlb op v;
+        Ok ()
+      in
       Hw.Insn.place machine.Hw.Machine.insns op ~page:text.(i mod Array.length text) ~handler;
       Hw.Insn.place machine.Hw.Machine.insns op
         ~page:text.((i + 3) mod Array.length text)
         ~handler)
-    handlers
+    Hw.Insn.[ Mov_cr0; Mov_cr4; Wrmsr; Mov_cr3; Lgdt; Lidt ]
 
 (* Stock Xen's text holds two VMRUN sites, identified by role rather than
    bare positions so a shrunken text section degrades gracefully instead of
@@ -189,6 +176,13 @@ let do_vmrun_effect t dom =
     Ok ()
   end
 
+(* VMRUN: the world-switch instruction, dispatching on the domid the
+   hypervisor loaded as its argument. *)
+let vmrun_effect t v =
+  match find_dom t.domains (Int64.to_int v) with
+  | dom -> do_vmrun_effect t dom
+  | exception Not_found -> Error (Printf.sprintf "VMRUN: no such domain %Ld" v)
+
 let boot machine =
   let host_space = Hw.Machine.new_table machine in
   let xen_text = Hw.Machine.alloc_frames machine nr_text_frames in
@@ -235,16 +229,9 @@ let boot machine =
   in
   Sched.add t.sched dom0;
   place_baseline_insns t;
-  (* VMRUN: the world-switch instruction, dispatching on the domid the
-     hypervisor loaded as its argument. *)
-  let vmrun_handler v =
-    match find_dom t.domains (Int64.to_int v) with
-    | dom -> do_vmrun_effect t dom
-    | exception Not_found -> Error (Printf.sprintf "VMRUN: no such domain %Ld" v)
-  in
+  let handler = vmrun_effect t in
   List.iter
-    (fun page ->
-      Hw.Insn.place machine.Hw.Machine.insns Hw.Insn.Vmrun ~page ~handler:vmrun_handler)
+    (fun page -> Hw.Insn.place machine.Hw.Machine.insns Hw.Insn.Vmrun ~page ~handler)
     (vmrun_sites xen_text);
   t
 
@@ -268,19 +255,20 @@ let fresh_asid t =
 
 let find_domain t domid = List.find_opt (fun d -> d.Domain.domid = domid) t.domains
 
+(* Back [gfn] with a fresh frame: boot-time population and the NPF
+   handler's demand allocation run this one body. *)
+let back_gfn t dom gfn =
+  let pfn = Hw.Machine.alloc_frame t.machine in
+  dom.Domain.frames <- pfn :: dom.Domain.frames;
+  t.med.on_guest_frame_alloc dom pfn;
+  t.med.npt_update dom gfn
+    (Some { Hw.Pagetable.frame = pfn; writable = true; executable = true; c_bit = false })
+
 let populate t dom memory_pages =
   (* Xen allocates most guest memory up front; NPT updates are batched at
      boot (paper Section 4.3.4). *)
   for gfn = 0 to memory_pages - 1 do
-    let pfn = Hw.Machine.alloc_frame t.machine in
-    dom.Domain.frames <- pfn :: dom.Domain.frames;
-    t.med.on_guest_frame_alloc dom pfn;
-    match
-      t.med.npt_update dom gfn
-        (Some { Hw.Pagetable.frame = pfn; writable = true; executable = true; c_bit = false })
-    with
-    | Ok () -> ()
-    | Error e -> failwith ("populate: " ^ e)
+    match back_gfn t dom gfn with Ok () -> () | Error e -> failwith ("populate: " ^ e)
   done;
   dom.Domain.next_free_gfn <- memory_pages
 
@@ -402,11 +390,6 @@ let vmexit t dom reason ~info1 ~info2 =
   Hw.Cpu.set_mode cpu Hw.Cpu.Host;
   t.med.on_vmexit dom reason
 
-let vmrun_effect t v =
-  match find_dom t.domains (Int64.to_int v) with
-  | dom -> do_vmrun_effect t dom
-  | exception Not_found -> Error (Printf.sprintf "VMRUN: no such domain %Ld" v)
-
 (* The VMRUN fetch+execute is one closure per domain, built on first entry
    and cached: it carries the preapplied exec-ok check and the domain's
    boxed domid, so re-entering a guest hands the gate an existing thunk
@@ -442,12 +425,7 @@ let handle_npf t dom ~gfn =
   | Some _ ->
       (* Mapping exists (permission-level violation): leave it to policy. *)
       Ok ()
-  | None ->
-      let pfn = Hw.Machine.alloc_frame t.machine in
-      dom.Domain.frames <- pfn :: dom.Domain.frames;
-      t.med.on_guest_frame_alloc dom pfn;
-      t.med.npt_update dom gfn
-        (Some { Hw.Pagetable.frame = pfn; writable = true; executable = true; c_bit = false })
+  | None -> back_gfn t dom gfn
 
 let service_npf t dom ~gfn ~ctx =
   vmexit t dom Hw.Vmcb.Npf ~info1:0L ~info2:(Int64.of_int gfn);
@@ -470,12 +448,14 @@ let rec in_guest_unscoped t dom f =
     service_npf t dom ~gfn ~ctx:"NPF";
     in_guest_unscoped t dom f
 
-(* Scope entry/exit by hand (matching [Cost.with_scope]'s discipline,
-   including exceptions) so entering guest context allocates nothing. *)
-let in_guest t dom f =
+(* [f t dom x] booked to [dom]'s scope, for guest execution and hypercall
+   round trips alike. Scope entry/exit by hand (matching
+   [Cost.with_scope]'s discipline, including exceptions), and [f] a
+   top-level function, so entering guest context allocates nothing. *)
+let scoped t dom f x =
   let ledger = t.machine.Hw.Machine.ledger in
   Hw.Cost.scope_enter ledger dom.Domain.scope;
-  match in_guest_unscoped t dom f with
+  match f t dom x with
   | v ->
       Hw.Cost.scope_exit ledger;
       v
@@ -483,6 +463,8 @@ let in_guest t dom f =
       let bt = Printexc.get_raw_backtrace () in
       Hw.Cost.scope_exit ledger;
       Printexc.raise_with_backtrace e bt
+
+let in_guest t dom f = scoped t dom in_guest_unscoped f
 
 (* --- hypercalls -------------------------------------------------------- *)
 
@@ -610,17 +592,39 @@ let hypercall_body t dom call =
   | Ok () -> result
   | Error e -> Error ("vmrun: " ^ e)
 
-let hypercall t dom call =
-  let ledger = t.machine.Hw.Machine.ledger in
-  Hw.Cost.scope_enter ledger dom.Domain.scope;
-  match hypercall_body t dom call with
-  | v ->
-      Hw.Cost.scope_exit ledger;
-      v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Hw.Cost.scope_exit ledger;
-      Printexc.raise_with_backtrace e bt
+let hypercall t dom call = scoped t dom hypercall_body call
+
+(* --- guest grants ------------------------------------------------------- *)
+
+(* The guest side of every grant: fresh unencrypted pages (each guest has
+   its own Kvek, so plaintext is the only common coin), faulted in, one
+   declared intent over the run (a no-op on stock Xen), one grant each. *)
+let grant_pages t dom ~target ~gvfn ~nr ~writable =
+  if nr < 1 then invalid_arg "Hypervisor.grant_pages: nr must be >= 1";
+  let zero = Bytes.make Hw.Addr.page_size '\000' in
+  let gfns =
+    Array.init nr (fun i ->
+        let gfn = Domain.alloc_gfn dom in
+        Domain.guest_map dom ~gvfn:(gvfn + i) ~gfn ~writable:true ~executable:false
+          ~c_bit:false;
+        in_guest t dom (fun () ->
+            Domain.write t.machine dom ~addr:(Hw.Addr.addr_of (gvfn + i) 0) zero);
+        gfn)
+  in
+  let* _ = hypercall t dom (Hypercall.Pre_sharing { target; gfn = gfns.(0); nr; writable }) in
+  let grefs = Array.make nr 0 in
+  let rec grant i =
+    if i = nr then Ok (gfns, grefs)
+    else
+      let* gref =
+        hypercall t dom
+          (Hypercall.Grant_table_op
+             (Hypercall.Grant_access { target; gfn = gfns.(i); writable }))
+      in
+      grefs.(i) <- Int64.to_int gref;
+      grant (i + 1)
+  in
+  grant 0
 
 (* --- instruction emulation --------------------------------------------- *)
 

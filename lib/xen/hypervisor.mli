@@ -128,6 +128,19 @@ val hypercall : t -> Domain.t -> Hypercall.call -> (int64, string) result
 (** Complete hypercall round trip: VMMCALL vmexit, host-side dispatch,
     result in RAX, vmrun back into the guest. *)
 
+(** {2 Guest grants} *)
+
+val grant_pages :
+  t -> Domain.t -> target:int -> gvfn:Hw.Addr.vfn -> nr:int -> writable:bool ->
+  (Hw.Addr.gfn array * int array, string) result
+(** The one guest grant flow (paper Section 4.3.7), behind every block,
+    network and inter-VM share: [dom] maps [nr] fresh gfns at [gvfn ..]
+    writable, non-executable and unencrypted, faults each in with a
+    zeroing store, declares the run to [target] with one [Pre_sharing],
+    then offers each page with one [Grant_access]. Returns the gfns and
+    grant references in page order, or the first refused hypercall's
+    error. Raises [Invalid_argument] if [nr < 1]. *)
+
 (** {2 Instruction emulation}
 
     Guest-executed intercepted instructions, each a full masked world

@@ -40,24 +40,11 @@ let ( let* ) = Result.bind
 
 let connect hv dom ~wire ~buffer_gvfn =
   if List.length wire.endpoints >= 2 then Error "netif: wire already has two endpoints"
-  else begin
-    let machine = hv.Hypervisor.machine in
-    let buffer_gfn = Domain.alloc_gfn dom in
-    Domain.guest_map dom ~gvfn:buffer_gvfn ~gfn:buffer_gfn ~writable:true ~executable:false
-      ~c_bit:false;
-    let buffer_gva = Hw.Addr.addr_of buffer_gvfn 0 in
-    Hypervisor.in_guest hv dom (fun () ->
-        Domain.write machine dom ~addr:buffer_gva (Bytes.make Hw.Addr.page_size '\000'));
-    let* _ =
-      Hypervisor.hypercall hv dom
-        (Hypercall.Pre_sharing { target = 0; gfn = buffer_gfn; nr = 1; writable = true })
+  else
+    let* gfns, _grefs =
+      Hypervisor.grant_pages hv dom ~target:0 ~gvfn:buffer_gvfn ~nr:1 ~writable:true
     in
-    let* _gref64 =
-      Hypervisor.hypercall hv dom
-        (Hypercall.Grant_table_op
-           (Hypercall.Grant_access { target = 0; gfn = buffer_gfn; writable = true }))
-    in
-    match Hw.Pagetable.lookup dom.Domain.npt buffer_gfn with
+    match Hw.Pagetable.lookup dom.Domain.npt gfns.(0) with
     | None -> Error "netif: shared frame unbacked"
     | Some npte ->
         let ep =
@@ -65,12 +52,11 @@ let connect hv dom ~wire ~buffer_gvfn =
             dom;
             e_wire = wire;
             slot = List.length wire.endpoints;
-            buffer_gva;
+            buffer_gva = Hw.Addr.addr_of buffer_gvfn 0;
             shared_frame = npte.Hw.Pagetable.frame }
         in
         wire.endpoints <- wire.endpoints @ [ ep ];
         Ok ep
-  end
 
 (* Per-transfer costs split in two: the event-channel doorbell, paid once
    per notification, and the copy cost, paid per frame. A batch of N frames

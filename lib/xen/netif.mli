@@ -27,9 +27,9 @@ val wire_capacity : wire -> int
 val connect :
   Hypervisor.t -> Domain.t -> wire:wire -> buffer_gvfn:Hw.Addr.vfn ->
   (endpoint, string) result
-(** Attach a guest: allocates the unencrypted shared frame, declares intent
-    and grants it to dom0, binds the event channel. At most two endpoints
-    per wire. *)
+(** Attach a guest: it grants dom0 one fresh unencrypted shared frame at
+    [buffer_gvfn] ({!Hypervisor.grant_pages}). At most two endpoints per
+    wire. *)
 
 val send_batch : endpoint -> bytes list -> (unit, string) result
 (** Transmit N frames with one event-channel notification: the front end

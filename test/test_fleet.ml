@@ -181,17 +181,16 @@ let test_shard_trace_isolation () =
   (* A recording on the caller's domain must be invisible to pool jobs
      (they start from pristine DLS state), and their captures must not
      perturb it. *)
-  Trace.enable ();
-  Trace.emit (Trace.Mark "outer");
+  let ring = Trace.ring () in
   let inside =
-    Pool.map ~domains:2 ~njobs:4 (fun j ->
-        let enabled_at_entry = Trace.enabled () in
-        let (), entries = Trace.capture (fun () -> Trace.emit (Trace.Mark "inner")) in
-        (enabled_at_entry, List.length entries, j))
+    Trace.record_into ring (fun () ->
+        Trace.emit (Trace.Mark "outer");
+        Pool.map ~domains:2 ~njobs:4 (fun j ->
+            let enabled_at_entry = Trace.enabled () in
+            let (), entries = Trace.capture (fun () -> Trace.emit (Trace.Mark "inner")) in
+            (enabled_at_entry, List.length entries, j)))
   in
-  let outer = Trace.entries () in
-  Trace.disable ();
-  Trace.clear ();
+  let outer = Trace.ring_entries ring in
   List.iter
     (fun (enabled_at_entry, n, j) ->
       Alcotest.(check bool)

@@ -64,24 +64,19 @@ let unreached_sites =
 
 let observable_run ~machine_seed ~plan =
   let m, hv, fid = installed ~seed:machine_seed () in
-  Trace.set_clock (fun () -> Hw.Cost.total m.Hw.Machine.ledger);
-  Trace.enable ();
-  let finishing () =
-    let t = Trace.to_jsonl () in
-    Trace.disable ();
-    Trace.clear ();
-    t
-  in
+  let ring = Trace.ring () in
   Option.iter Plan.install plan;
   Fun.protect ~finally:Plan.uninstall
     (fun () ->
-      let dom = protected_vm fid "prob0" in
-      Hv.in_guest hv dom (fun () ->
-          Domain.write m dom ~addr:0x5000 (Bytes.of_string "observable payload"));
-      let b = Hv.in_guest hv dom (fun () -> Domain.read m dom ~addr:0x5000 ~len:18) in
-      Alcotest.(check string) "workload readback" "observable payload" (Bytes.to_string b);
-      let trace = finishing () in
-      (Hw.Cost.total m.Hw.Machine.ledger, Hw.Cost.categories m.Hw.Machine.ledger, trace))
+      Trace.record_into ring ~clock:(fun () -> Hw.Cost.total m.Hw.Machine.ledger) (fun () ->
+          let dom = protected_vm fid "prob0" in
+          Hv.in_guest hv dom (fun () ->
+              Domain.write m dom ~addr:0x5000 (Bytes.of_string "observable payload"));
+          let b = Hv.in_guest hv dom (fun () -> Domain.read m dom ~addr:0x5000 ~len:18) in
+          Alcotest.(check string) "workload readback" "observable payload" (Bytes.to_string b));
+      ( Hw.Cost.total m.Hw.Machine.ledger,
+        Hw.Cost.categories m.Hw.Machine.ledger,
+        Trace.to_jsonl ring ))
 
 let test_unreached_plan_is_inert =
   QCheck.Test.make ~name:"probability-0 plan perturbs nothing" ~count:5

@@ -71,7 +71,7 @@ let live_pair () =
 
 let test_live_roundtrip () =
   let _, hv1, fid1, dom, m2, hv2, fid2, mutate, owner = live_pair () in
-  let config = { Migrate.downtime_budget_us = 10.; max_rounds = 8 } in
+  let config = { Migrate.downtime_budget_us = 10. } in
   let dom', rep = ok (Result.map_error Migrate.error_to_string
     (Migrate.migrate_live ~config ~owner ~mutate ~src:fid1 ~dst:fid2 dom)) in
   Alcotest.(check bool) "several dirty rounds ran" true (rep.Migrate.rounds > 2);
@@ -93,7 +93,7 @@ let test_live_roundtrip () =
 let test_monotone_budget_tradeoff () =
   let run budget =
     let _, _, fid1, dom, _, _, fid2, mutate, owner = live_pair () in
-    let config = { Migrate.downtime_budget_us = budget; max_rounds = 8 } in
+    let config = { Migrate.downtime_budget_us = budget } in
     let _, rep = ok (Result.map_error Migrate.error_to_string
       (Migrate.migrate_live ~config ~owner ~mutate ~src:fid1 ~dst:fid2 dom)) in
     rep

@@ -122,46 +122,43 @@ let prop_scope_sums_to_total =
 
 (* --- trace ring buffer -------------------------------------------------- *)
 
-(* Tracing is process-global: every test that records re-enables from a
-   clean state and disables afterwards. *)
-let with_trace ?capacity ?clock f =
-  Trace.enable ?capacity ?clock ();
-  Fun.protect ~finally:(fun () -> Trace.disable (); Trace.clear ()) f
-
+(* Every test that records does so into a ring of its own. *)
 let test_ring_wrap () =
-  with_trace ~capacity:4 (fun () ->
+  let r = Trace.ring ~capacity:4 () in
+  Trace.record_into r (fun () ->
       for i = 0 to 9 do
         Trace.emit (Trace.Gate (1 + (i mod 3)))
-      done;
-      Alcotest.(check int) "emitted" 10 (Trace.emitted ());
-      Alcotest.(check int) "dropped" 6 (Trace.dropped ());
-      let es = Trace.entries () in
-      Alcotest.(check int) "retained" 4 (List.length es);
-      Alcotest.(check (list int)) "oldest-first, newest retained" [ 6; 7; 8; 9 ]
-        (List.map (fun e -> e.Trace.seq) es))
+      done);
+  Alcotest.(check int) "emitted" 10 (Trace.ring_emitted r);
+  Alcotest.(check int) "dropped" 6 (Trace.ring_dropped r);
+  let es = Trace.ring_entries r in
+  Alcotest.(check int) "retained" 4 (List.length es);
+  Alcotest.(check (list int)) "oldest-first, newest retained" [ 6; 7; 8; 9 ]
+    (List.map (fun e -> e.Trace.seq) es)
 
 let test_disabled_emits_nothing () =
-  Trace.clear ();
+  let r = Trace.ring () in
+  Trace.record_into r (fun () -> ());
   Alcotest.(check bool) "off" false (Trace.enabled ());
   Trace.emit (Trace.Mark "ignored");
-  Alcotest.(check int) "no entries" 0 (List.length (Trace.entries ()))
+  Alcotest.(check int) "no entries" 0 (Trace.ring_length r)
 
 let test_clock_and_scope_tagging () =
   let l = Cost.ledger () in
-  with_trace ~clock:(fun () -> Cost.total l) (fun () ->
+  let r = Trace.ring () in
+  Trace.record_into r ~clock:(fun () -> Cost.total l) (fun () ->
       Cost.charge l "setup" 100;
       Trace.emit (Trace.Mark "before");
       Cost.with_scope l "dom7" (fun () ->
           Cost.charge l "work" 23;
-          Trace.emit (Trace.Mark "inside"));
-      match Trace.entries () with
-      | [ a; b ] ->
-          Alcotest.(check int) "ledger timestamp" 100 a.Trace.ts;
-          Alcotest.(check string) "unscoped" "" a.Trace.scope;
-          Alcotest.(check int) "later timestamp" 123 b.Trace.ts;
-          Alcotest.(check string) "scope mirrored from Cost.with_scope" "dom7"
-            b.Trace.scope
-      | es -> Alcotest.failf "expected 2 entries, got %d" (List.length es))
+          Trace.emit (Trace.Mark "inside")));
+  match Trace.ring_entries r with
+  | [ a; b ] ->
+      Alcotest.(check int) "ledger timestamp" 100 a.Trace.ts;
+      Alcotest.(check string) "unscoped" "" a.Trace.scope;
+      Alcotest.(check int) "later timestamp" 123 b.Trace.ts;
+      Alcotest.(check string) "scope mirrored from Cost.with_scope" "dom7" b.Trace.scope
+  | es -> Alcotest.failf "expected 2 entries, got %d" (List.length es)
 
 (* --- golden JSONL trace -------------------------------------------------- *)
 
@@ -188,14 +185,14 @@ let demo_slice () =
     | Ok d -> d
     | Error e -> Alcotest.fail e
   in
-  Trace.enable ~clock:(fun () -> Cost.total ledger) ();
-  Trace.emit (Trace.Mark "slice-start");
-  Xen.Hypervisor.in_guest hv dom (fun () ->
-      Xen.Domain.write machine dom ~addr:0x3000 (Bytes.of_string "golden secret"));
-  ignore (Xen.Hypervisor.hypercall hv dom (Xen.Hypercall.Console_write "hi"));
-  Trace.emit (Trace.Mark "slice-end");
-  Trace.disable ();
-  (machine, ledger)
+  let ring = Trace.ring () in
+  Trace.record_into ring ~clock:(fun () -> Cost.total ledger) (fun () ->
+      Trace.emit (Trace.Mark "slice-start");
+      Xen.Hypervisor.in_guest hv dom (fun () ->
+          Xen.Domain.write machine dom ~addr:0x3000 (Bytes.of_string "golden secret"));
+      ignore (Xen.Hypervisor.hypercall hv dom (Xen.Hypercall.Console_write "hi"));
+      Trace.emit (Trace.Mark "slice-end"));
+  (ledger, ring)
 
 (* cwd is test/ under `dune runtest`, the workspace root under `dune exec`. *)
 let read_golden name =
@@ -207,9 +204,8 @@ let read_golden name =
   | None -> Alcotest.failf "golden file %s not found" name
 
 let test_golden_jsonl () =
-  let _machine, _ledger = demo_slice () in
-  let actual = Trace.to_jsonl () in
-  Trace.clear ();
+  let _ledger, ring = demo_slice () in
+  let actual = Trace.to_jsonl ring in
   let golden = read_golden "trace_demo.jsonl" in
   if golden <> actual then begin
     (* Dump next to the runner so a deliberate regeneration is one copy. *)
@@ -222,11 +218,10 @@ let test_golden_jsonl () =
   end
 
 let test_jsonl_well_formed () =
-  let _machine, ledger = demo_slice () in
+  let ledger, ring = demo_slice () in
   let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Trace.to_jsonl ()))
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Trace.to_jsonl ring))
   in
-  Trace.clear ();
   Alcotest.(check bool) "non-empty" true (lines <> []);
   let last_seq = ref (-1) and last_ts = ref (-1) in
   List.iter
@@ -248,12 +243,11 @@ let test_jsonl_well_formed () =
 (* --- Chrome exporter round-trip ----------------------------------------- *)
 
 let test_chrome_roundtrip () =
-  let _machine, ledger = demo_slice () in
+  let ledger, ring = demo_slice () in
   let attribution = Cost.scopes ledger in
   let total = Cost.total ledger in
-  let events = List.length (Trace.entries ()) in
-  let json = Trace.to_chrome ~attribution ~total_cycles:total () in
-  Trace.clear ();
+  let events = Trace.ring_length ring in
+  let json = Trace.to_chrome ~attribution ~total_cycles:total ring in
   let reparsed = Json.parse (Json.to_string json) in
   Alcotest.(check bool) "print/parse round-trips structurally" true
     (reparsed = json);
@@ -388,12 +382,9 @@ let print_json_mutation m =
 
 let chrome_export =
   lazy
-    (let _machine, ledger = demo_slice () in
-     let json =
-       Trace.to_chrome ~attribution:(Cost.scopes ledger) ~total_cycles:(Cost.total ledger) ()
-     in
-     Trace.clear ();
-     Json.to_string json)
+    (let ledger, ring = demo_slice () in
+     Json.to_string
+       (Trace.to_chrome ~attribution:(Cost.scopes ledger) ~total_cycles:(Cost.total ledger) ring))
 
 let prop_json_parse_total =
   QCheck.Test.make ~count:3000 ~name:"Json.parse is total on a mutated chrome export"

@@ -28,7 +28,8 @@ let test_state_transitions () =
   let open State in
   let legal = [ (Uninit, Launching); (Launching, Running); (Running, Sending);
                 (Sending, Sent); (Uninit, Receiving); (Receiving, Running);
-                (Sending, Running); (Sent, Running) (* SEND_CANCEL *) ] in
+                (Sending, Running); (Sent, Running) (* SEND_CANCEL *);
+                (Uninit, Running) (* LAUNCH(shared)'s helper *) ] in
   List.iter
     (fun (a, b) ->
       Alcotest.(check bool)
@@ -36,7 +37,7 @@ let test_state_transitions () =
         true (can_transition a b))
     legal;
   let illegal = [ (Running, Launching); (Sent, Sending); (Launching, Sending);
-                  (Receiving, Sending); (Decommissioned, Running); (Uninit, Running) ] in
+                  (Receiving, Sending); (Decommissioned, Running) ] in
   List.iter
     (fun (a, b) ->
       Alcotest.(check bool)
@@ -45,6 +46,70 @@ let test_state_transitions () =
     illegal;
   Alcotest.(check bool) "anything can decommission" true
     (can_transition Running Decommissioned && can_transition Sending Decommissioned)
+
+(* One launched guest and one received context through every row of the
+   state table: after each command, the firmware reports the state the
+   row says the command leaves. *)
+let test_every_row () =
+  let m1, fw1 = env () in
+  let m2 = Hw.Machine.create ~nr_frames:256 ~seed:22L () in
+  let fw2 = Firmware.create m2 in
+  ok (Firmware.init fw2);
+  let seen = ref [] in
+  let after fw cmd handle =
+    seen := cmd :: !seen;
+    Alcotest.(check (option string)) cmd
+      (Some (State.to_string (State.leaves cmd)))
+      (Option.map State.to_string (Firmware.state_of fw ~handle))
+  in
+  let h = ok (Firmware.launch_start fw1 ~policy:0) in
+  after fw1 "LAUNCH_START" h;
+  let pfn = Hw.Machine.alloc_frame m1 in
+  Hw.Physmem.write_raw m1.Hw.Machine.mem pfn ~off:0 (page 'R');
+  ok (Firmware.launch_update fw1 ~handle:h ~pfn);
+  after fw1 "LAUNCH_UPDATE" h;
+  ignore (ok (Firmware.launch_finish fw1 ~handle:h));
+  after fw1 "LAUNCH_FINISH" h;
+  let helper = ok (Firmware.launch_shared fw1 ~handle:h) in
+  after fw1 "LAUNCH(shared)" helper;
+  let gek = ok (Firmware.setenc_gek fw1 ~handle:h) in
+  after fw1 "SETENC_GEK" h;
+  let c = ok (Firmware.enc_range fw1 ~handle:h ~gek ~nonce:1L ~src_pfn:pfn ~len:64) in
+  after fw1 "ENC" h;
+  ok (Firmware.dec_range fw1 ~handle:h ~gek ~nonce:1L ~cipher:c ~dst_pfn:pfn);
+  after fw1 "DEC" h;
+  let wrapped =
+    ok (Firmware.send_start fw1 ~handle:h ~target_public:(Firmware.platform_public fw2) ~nonce:9L)
+  in
+  after fw1 "SEND_START" h;
+  let cipher = ok (Firmware.send_update fw1 ~handle:h ~index:0 ~src_pfn:pfn) in
+  after fw1 "SEND_UPDATE" h;
+  let io = ok (Firmware.send_update_io fw1 ~handle:h ~nonce:2L ~src_pfn:pfn ~len:64) in
+  after fw1 "SEND_UPDATE(io)" h;
+  let measurement = ok (Firmware.send_finish fw1 ~handle:h) in
+  after fw1 "SEND_FINISH" h;
+  let r =
+    ok (Firmware.receive_start fw2 ~wrapped ~origin_public:(Firmware.platform_public fw1)
+          ~nonce:9L ~policy:0 ())
+  in
+  after fw2 "RECEIVE_START" r;
+  let dst = Hw.Machine.alloc_frame m2 in
+  ok (Firmware.receive_update fw2 ~handle:r ~index:0 ~cipher ~dst_pfn:dst);
+  after fw2 "RECEIVE_UPDATE" r;
+  ok (Firmware.receive_update_io fw2 ~handle:r ~nonce:2L ~cipher:io ~dst_pfn:dst);
+  after fw2 "RECEIVE_UPDATE(io)" r;
+  ok (Firmware.receive_finish fw2 ~handle:r ~expected:measurement);
+  after fw2 "RECEIVE_FINISH" r;
+  ok (Firmware.send_cancel fw1 ~handle:h);
+  after fw1 "SEND_CANCEL" h;
+  ok (Firmware.decommission fw1 ~handle:h);
+  after fw1 "DECOMMISSION" h;
+  after fw1 "DECOMMISSION" helper;
+  ok (Firmware.decommission fw2 ~handle:r);
+  after fw2 "DECOMMISSION" r;
+  Alcotest.(check (list string)) "every row driven"
+    (List.sort compare (List.map fst State.table))
+    (List.sort_uniq compare !seen)
 
 let test_require () =
   Alcotest.(check bool) "matching state ok" true
@@ -534,7 +599,8 @@ let () =
   Alcotest.run "sev"
     [ ( "state",
         [ Alcotest.test_case "transitions" `Quick test_state_transitions;
-          Alcotest.test_case "require" `Quick test_require ] );
+          Alcotest.test_case "require" `Quick test_require;
+          Alcotest.test_case "every row of the table" `Quick test_every_row ] );
       ( "init-launch",
         [ Alcotest.test_case "double init" `Quick test_double_init;
           Alcotest.test_case "commands need init" `Quick test_commands_need_init;
