@@ -131,9 +131,10 @@ let measure_gate2 stack iters =
   let ledger = m.Hw.Machine.ledger in
   let t0 = Hw.Cost.category ledger "gate2" in
   let exec_ok = Hw.Mmu.exec_ok m hv.Xen.Hypervisor.host_space in
+  let smep_on = Hw.Insn.cr4 ~smep:true in
   for _ = 1 to iters do
     (* A legitimate (policy-passing) pass through the checking loop. *)
-    ignore (Hw.Insn.execute m.Hw.Machine.insns ~exec_ok Hw.Insn.Mov_cr4 0x100000L)
+    ignore (Hw.Insn.execute m.Hw.Machine.insns ~exec_ok Hw.Insn.Mov_cr4 smep_on)
   done;
   float_of_int (Hw.Cost.category ledger "gate2" - t0) /. float_of_int iters
 
@@ -381,6 +382,7 @@ let bechamel ?(quota = 0.25) ?(record = true) () =
   let dom = protected_guest stack "bench" 8 in
   let pit = fid.Core.Ctx.pit in
   let exec_ok = Hw.Mmu.exec_ok m hv.Xen.Hypervisor.host_space in
+  let smep_on = Hw.Insn.cr4 ~smep:true in
   (* The BMT entries run against their own machine so their tree/ledger
      traffic can't perturb the stack the gate benchmarks measure. The
      fetch-check input is dumped once, outside the staged closure: the
@@ -422,7 +424,7 @@ let bechamel ?(quota = 0.25) ?(record = true) () =
         Test.make ~name:"gate1-crossing" (Staged.stage (fun () ->
             ignore (Core.Gate.with_type1 fid (fun () -> Ok ()))));
         Test.make ~name:"checking-loop" (Staged.stage (fun () ->
-            ignore (Hw.Insn.execute m.Hw.Machine.insns ~exec_ok Hw.Insn.Mov_cr4 0x100000L)));
+            ignore (Hw.Insn.execute m.Hw.Machine.insns ~exec_ok Hw.Insn.Mov_cr4 smep_on)));
         Test.make ~name:"void-hypercall" (Staged.stage (fun () ->
             ignore (Xen.Hypervisor.hypercall hv dom Xen.Hypercall.Void)));
         Test.make ~name:"guest-read-64B" (Staged.stage (fun () ->

@@ -399,7 +399,7 @@ let exec_insn stack op v =
 let wp_disable =
   mk "wp-disable" ~paper_ref:"4.1.2/Table 2"
     "clear CR0.WP to write through read-only protections" (fun stack ->
-      match exec_insn stack Hw.Insn.Mov_cr0 0x8000_0000L with
+      match exec_insn stack Hw.Insn.Mov_cr0 (Hw.Insn.cr0 ~pg:true ~wp:false) with
       | Error e -> Blocked e
       | Ok () ->
           let open_now = not (Hw.Cpu.wp stack.machine.Hw.Machine.cpu) in
@@ -410,7 +410,7 @@ let wp_disable =
 let smep_disable =
   mk "smep-disable" ~paper_ref:"Table 2"
     "clear CR4.SMEP to run user-controlled code in kernel mode" (fun stack ->
-      match exec_insn stack Hw.Insn.Mov_cr4 0L with
+      match exec_insn stack Hw.Insn.Mov_cr4 (Hw.Insn.cr4 ~smep:false) with
       | Error e -> Blocked e
       | Ok () ->
           let cleared = not (Hw.Cpu.smep stack.machine.Hw.Machine.cpu) in
@@ -420,7 +420,7 @@ let smep_disable =
 let nxe_disable =
   mk "nxe-disable" ~paper_ref:"Table 2"
     "clear EFER.NXE so data pages become executable" (fun stack ->
-      match exec_insn stack Hw.Insn.Wrmsr 0L with
+      match exec_insn stack Hw.Insn.Wrmsr (Hw.Insn.efer ~nxe:false) with
       | Error e -> Blocked e
       | Ok () ->
           let cleared = not (Hw.Cpu.nxe stack.machine.Hw.Machine.cpu) in

@@ -6,10 +6,10 @@ let c_gate1 = Hw.Cost.intern "gate1"
 let c_gate2 = Hw.Cost.intern "gate2"
 let c_gate3 = Hw.Cost.intern "gate3"
 
-(* Both CR0 images are constants (PG always on, WP toggled), so the
+(* Both CR0 images are computed once (PG always on, WP toggled), so the
    per-toggle value is never recomputed or boxed. *)
-let cr0_wp_set = 0x8001_0000L
-let cr0_wp_clear = 0x8000_0000L
+let cr0_wp_set = Hw.Insn.cr0 ~pg:true ~wp:true
+let cr0_wp_clear = Hw.Insn.cr0 ~pg:true ~wp:false
 
 let cr0_value ~wp = if wp then cr0_wp_set else cr0_wp_clear
 

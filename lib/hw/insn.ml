@@ -18,13 +18,23 @@ let op_to_string = function
 
 let all_ops = [ Mov_cr0; Mov_cr3; Mov_cr4; Wrmsr; Vmrun; Lgdt; Lidt ]
 
+let cr0_wp_bit = 16
+let cr0_pg_bit = 31
+let cr4_smep_bit = 20
+let efer_nxe_bit = 11
+
 (* Every decoded bit sits below 62, so the untagged-int view is exact and
    never boxes an [int64]. *)
 let bit v pos = (Int64.to_int v lsr pos) land 1 = 1
-let cr0_wp v = bit v 16
-let cr0_pg v = bit v 31
-let cr4_smep v = bit v 20
-let efer_nxe v = bit v 11
+let cr0_wp v = bit v cr0_wp_bit
+let cr0_pg v = bit v cr0_pg_bit
+let cr4_smep v = bit v cr4_smep_bit
+let efer_nxe v = bit v efer_nxe_bit
+
+let image set pos = if set then 1 lsl pos else 0
+let cr0 ~pg ~wp = Int64.of_int (image pg cr0_pg_bit lor image wp cr0_wp_bit)
+let cr4 ~smep = Int64.of_int (image smep cr4_smep_bit)
+let efer ~nxe = Int64.of_int (image nxe efer_nxe_bit)
 
 let apply cpu tlb op v =
   match op with

@@ -33,6 +33,13 @@ val efer_nxe : int64 -> bool
     depends on (Table 2) — CR0.WP bit 16, CR0.PG bit 31, CR4.SMEP bit 20,
     EFER.NXE bit 11 — read by {!apply} and by Fidelius' policy checks. *)
 
+val cr0 : pg:bool -> wp:bool -> int64
+val cr4 : smep:bool -> int64
+val efer : nxe:bool -> int64
+(** The matching encoders: the register image with exactly the named
+    bits set, for the gates' CR0 writes, the hypervisor's EFER read-back
+    and the attacks' hostile writes. *)
+
 val apply : Cpu.t -> Tlb.t -> op -> int64 -> unit
 (** An instruction's one architectural effect: mov-CR0 sets WP and PG,
     mov-CR4 SMEP, WRMSR(EFER) NXE; mov-CR3 loads the address space and

@@ -7,80 +7,93 @@ type proto = {
 
 let entries_per_page = Addr.page_size / 8
 
-(* Small open-addressed int set (linear probing, power-of-two capacity,
-   tombstones). The reverse index below churns one add + one remove per
-   world switch (map/withdraw of the VMRUN page); a re-add lands back in
-   its tombstoned slot, so the steady state allocates nothing — a stdlib
-   [Hashtbl] would cons a bucket per add. *)
-module Iset = struct
+(* The reverse index: one open-addressed table of (frame, vfn) pairs per
+   page table, two ints per slot, linear probing from a hash of the frame
+   alone. Every pair of a frame therefore sits in the run of occupied
+   slots that starts at the frame's home slot, and a frame query scans
+   that run up to the first empty slot. Removal shifts the rest of the run
+   back over the hole instead of leaving a tombstone, so churn never fills
+   the table: it grows (doubling, load below 1/2) only when the live pairs
+   outgrow it, and storing or clearing a pair allocates nothing. The probe
+   loops are [while]s over local refs, which the native compiler keeps
+   unboxed; a local [let rec] would allocate its closure per call. *)
+module Rindex = struct
   type t = {
-    mutable slots : int array;  (* -1 empty, -2 tombstone, else the member *)
+    mutable slots : int array; (* 2i: frame, or -1 empty; 2i+1: vfn *)
     mutable live : int;
-    mutable used : int;         (* live + tombstones *)
   }
 
-  let create () = { slots = Array.make 8 (-1); live = 0; used = 0 }
+  let empty = -1
+  let create () = { slots = Array.make 32 empty; live = 0 }
+  let mask t = (Array.length t.slots / 2) - 1
+  let home t frame = ((frame * 0x9E3779B1) lsr 8) land mask t
+  let vfn_at t i = Array.unsafe_get t.slots ((2 * i) + 1)
 
-  (* The probe loops are [while]s over locally unboxed refs, not local
-     [let rec]s: a local recursive function closes over its environment
-     and the native compiler heap-allocates that closure per call, which
-     would put ~13 words on the minor heap for every map/unmap cycle. *)
-  let index t v =
-    let slots = t.slots in
-    let mask = Array.length slots - 1 in
-    let i = ref (((v * 0x9E3779B1) lsr 8) land mask) in
-    while
-      let s = Array.unsafe_get slots !i in
-      s <> v && s <> -1
-    do
-      i := (!i + 1) land mask
+  (* The first slot from [i] on, within the run [i] is in, that holds a
+     pair of [frame]; -1 when the run ends first. *)
+  let seek t frame i =
+    let slots = t.slots and mask = mask t in
+    let i = ref i and found = ref (-1) in
+    while !found < 0 && Array.unsafe_get slots (2 * !i) <> empty do
+      if Array.unsafe_get slots (2 * !i) = frame then found := !i
+      else i := (!i + 1) land mask
+    done;
+    !found
+
+  let first t frame = seek t frame (home t frame)
+  let after t frame i = seek t frame ((i + 1) land mask t)
+
+  let find t frame vfn =
+    let i = ref (first t frame) in
+    while !i >= 0 && vfn_at t !i <> vfn do
+      i := after t frame !i
     done;
     !i
 
-  let rec add t v =
-    (* Keep load below 1/2 counting tombstones so probes stay short. *)
-    if 2 * (t.used + 1) > Array.length t.slots then begin
-      let old = t.slots in
-      t.slots <- Array.make (2 * Array.length old) (-1);
-      t.used <- 0;
-      t.live <- 0;
-      Array.iter (fun s -> if s >= 0 then add t s) old;
-      add t v
-    end
-    else begin
-      let slots = t.slots in
-      let mask = Array.length slots - 1 in
-      let i = ref (((v * 0x9E3779B1) lsr 8) land mask) in
-      let ins = ref (-1) in
-      let running = ref true in
-      while !running do
-        let s = Array.unsafe_get slots !i in
-        if s = v then running := false
-        else if s = -1 then begin
-          let slot = if !ins >= 0 then !ins else !i in
-          Array.unsafe_set slots slot v;
-          t.live <- t.live + 1;
-          if slot = !i then t.used <- t.used + 1;
-          running := false
-        end
-        else begin
-          if s = -2 && !ins < 0 then ins := !i;
-          i := (!i + 1) land mask
-        end
-      done
+  (* Store a pair known to be absent, in a table with room for it. *)
+  let place t frame vfn =
+    let slots = t.slots and mask = mask t in
+    let i = ref (home t frame) in
+    while Array.unsafe_get slots (2 * !i) <> empty do
+      i := (!i + 1) land mask
+    done;
+    Array.unsafe_set slots (2 * !i) frame;
+    Array.unsafe_set slots ((2 * !i) + 1) vfn;
+    t.live <- t.live + 1
+
+  let add t frame vfn =
+    if find t frame vfn < 0 then begin
+      if 2 * (t.live + 1) > mask t + 1 then begin
+        let old = t.slots in
+        t.slots <- Array.make (2 * Array.length old) empty;
+        t.live <- 0;
+        for i = 0 to (Array.length old / 2) - 1 do
+          let f = Array.unsafe_get old (2 * i) in
+          if f <> empty then place t f (Array.unsafe_get old ((2 * i) + 1))
+        done
+      end;
+      place t frame vfn
     end
 
-  let remove t v =
-    if t.live > 0 then begin
-      let i = index t v in
-      if Array.unsafe_get t.slots i = v then begin
-        t.slots.(i) <- -2;
-        t.live <- t.live - 1
-      end
+  (* Backward-shift deletion: walk the run after the hole and move back
+     each pair whose home slot does not lie between the hole and it. *)
+  let remove t frame vfn =
+    let i = find t frame vfn in
+    if i >= 0 then begin
+      let slots = t.slots and mask = mask t in
+      let hole = ref i and j = ref ((i + 1) land mask) in
+      while Array.unsafe_get slots (2 * !j) <> empty do
+        let f = Array.unsafe_get slots (2 * !j) in
+        if (!j - home t f) land mask >= (!j - !hole) land mask then begin
+          Array.unsafe_set slots (2 * !hole) f;
+          Array.unsafe_set slots ((2 * !hole) + 1) (Array.unsafe_get slots ((2 * !j) + 1));
+          hole := !j
+        end;
+        j := (!j + 1) land mask
+      done;
+      Array.unsafe_set slots (2 * !hole) empty;
+      t.live <- t.live - 1
     end
-
-  let iter f t =
-    Array.iter (fun s -> if s >= 0 then f s) t.slots
 end
 
 type t = {
@@ -98,11 +111,9 @@ type t = {
      group (-1 = empty), [cg_page] its backing page bytes. *)
   mutable cg : int;
   mutable cg_page : bytes;
-  reverse : (Addr.pfn, Iset.t) Hashtbl.t;
+  reverse : Rindex.t;
   (* [reverse] is an acceleration index maintained by [hw_set]; the
-     authoritative state is always the serialized bytes in [mem]. Emptied
-     sets stay cached so the map/unmap cycle of a pinned frame never
-     reallocates. *)
+     authoritative state is always the serialized bytes in [mem]. *)
 }
 
 let create ~id ~mem ~alloc =
@@ -113,7 +124,7 @@ let create ~id ~mem ~alloc =
     backing = [];
     cg = -1;
     cg_page = Bytes.empty;
-    reverse = Hashtbl.create 256 }
+    reverse = Rindex.create () }
 
 (* Entry encoding: bit 63 present, 62 writable, 61 executable, 60 c-bit,
    low 40 bits the target frame. *)
@@ -223,26 +234,13 @@ let lookup t vfn =
         executable = packed_executable p;
         c_bit = packed_c_bit p }
 
-let reverse_set t frame =
-  match Hashtbl.find t.reverse frame with
-  | s -> s
-  | exception Not_found ->
-      let s = Iset.create () in
-      Hashtbl.replace t.reverse frame s;
-      s
-
-let reverse_remove t frame vfn =
-  match Hashtbl.find t.reverse frame with
-  | s -> Iset.remove s vfn
-  | exception Not_found -> ()
-
 let hw_set_packed t vfn p =
   let pt_page = Physmem.page t.mem (ensure_group t (group_of vfn)) in
   let off = slot_of vfn * 8 in
   let old = read_packed pt_page off in
-  if old <> packed_absent then reverse_remove t (packed_frame old) vfn;
+  if old <> packed_absent then Rindex.remove t.reverse (packed_frame old) vfn;
   write_packed pt_page off p;
-  if p <> packed_absent then Iset.add (reverse_set t (packed_frame p)) vfn
+  if p <> packed_absent then Rindex.add t.reverse (packed_frame p) vfn
 
 let hw_set t vfn proto =
   hw_set_packed t vfn
@@ -266,36 +264,28 @@ let mapped_frames t =
       !group_entries @ acc)
     t.groups []
 
-let frame_is_mapped t frame =
-  match Hashtbl.find t.reverse frame with
-  | s -> s.Iset.live > 0
-  | exception Not_found -> false
+let frame_is_mapped t frame = Rindex.first t.reverse frame >= 0
 
 let frame_mapped_writable t frame =
-  match Hashtbl.find t.reverse frame with
-  | exception Not_found -> false
-  | s ->
-      let found = ref false in
-      Iset.iter
-        (fun vfn ->
-          if not !found then
-            let p = lookup_packed t vfn in
-            if p <> packed_absent && packed_frame p = frame && packed_writable p then
-              found := true)
-        s;
-      !found
+  let r = t.reverse in
+  let i = ref (Rindex.first r frame) and found = ref false in
+  while (not !found) && !i >= 0 do
+    let p = lookup_packed t (Rindex.vfn_at r !i) in
+    if p <> packed_absent && packed_frame p = frame && packed_writable p then found := true
+    else i := Rindex.after r frame !i
+  done;
+  !found
 
 let frame_mapped t frame =
-  match Hashtbl.find_opt t.reverse frame with
-  | None -> []
-  | Some set ->
-      let acc = ref [] in
-      Iset.iter
-        (fun vfn ->
-          match lookup t vfn with
-          | Some p when p.frame = frame -> acc := (vfn, p) :: !acc
-          | Some _ | None -> ())
-        set;
-      !acc
+  let r = t.reverse in
+  let i = ref (Rindex.first r frame) and acc = ref [] in
+  while !i >= 0 do
+    let vfn = Rindex.vfn_at r !i in
+    (match lookup t vfn with
+    | Some p when p.frame = frame -> acc := (vfn, p) :: !acc
+    | Some _ | None -> ());
+    i := Rindex.after r frame !i
+  done;
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
 
 let entry_count t = List.length (mapped_frames t)

@@ -82,8 +82,9 @@ val hw_set : t -> Addr.vfn -> proto option -> unit
 val mapped_frames : t -> (Addr.vfn * proto) list
 
 val frame_mapped : t -> Addr.pfn -> (Addr.vfn * proto) list
-(** Reverse lookup: every mapping whose target is the given frame. Used for
-    permission checks ("does the acting context hold any writable mapping of
-    this frame?") and by remap-attack detection. *)
+(** Reverse lookup: every mapping whose target is the given frame, in
+    ascending vfn order. Used for permission checks ("does the acting
+    context hold any writable mapping of this frame?") and by remap-attack
+    detection. *)
 
 val entry_count : t -> int

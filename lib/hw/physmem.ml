@@ -1,23 +1,40 @@
-type t = { frames : bytes array }
+(* [written] holds one mark per frame, set whenever the frame is handed out
+   in a way that can change its bytes ([page], [write_raw], [flip_bit]).
+   Marks are never cleared: a [page] reference taken before a [reset] can
+   still be written through after it, so the next reset must zero that
+   frame again. *)
+type t = {
+  frames : bytes array;
+  written : Bytes.t;
+}
 
 let create ~nr_frames =
   if nr_frames <= 0 then invalid_arg "Physmem.create: nr_frames must be positive";
-  { frames = Array.init nr_frames (fun _ -> Bytes.make Addr.page_size '\000') }
+  { frames = Array.init nr_frames (fun _ -> Bytes.make Addr.page_size '\000');
+    written = Bytes.make nr_frames '\000' }
 
 let nr_frames t = Array.length t.frames
 
 (* Reuse path for the fleet arenas: a reset backing must be
-   indistinguishable from [create]'s fresh zeroed memory — [Bytes.fill]
-   is the memset the allocator would otherwise pay as fresh-page zeroing,
-   without the 32 MiB of major-heap churn per simulated machine. *)
+   indistinguishable from [create]'s fresh zeroed memory. Only a marked
+   frame can hold a nonzero byte, so zeroing the marked frames zeroes the
+   backing, at the cost of what the previous machines touched rather than
+   a 32 MiB memset. *)
 let reset t =
-  Array.iter (fun frame -> Bytes.fill frame 0 (Bytes.length frame) '\000') t.frames
+  for pfn = 0 to Array.length t.frames - 1 do
+    if Bytes.unsafe_get t.written pfn <> '\000' then
+      Bytes.fill t.frames.(pfn) 0 Addr.page_size '\000'
+  done
 
+(* [off > page_size - len] rather than [off + len > page_size]: the sum
+   wraps for an [off] or [len] near [max_int]. *)
 let check t pfn off len =
   if pfn < 0 || pfn >= Array.length t.frames then
     invalid_arg (Printf.sprintf "Physmem: frame 0x%x out of bounds" pfn);
-  if off < 0 || len < 0 || off + len > Addr.page_size then
+  if off < 0 || len < 0 || off > Addr.page_size - len then
     invalid_arg (Printf.sprintf "Physmem: range %d+%d leaves the page" off len)
+
+let mark t pfn = Bytes.unsafe_set t.written pfn '\001'
 
 let read_raw t pfn ~off ~len =
   check t pfn off len;
@@ -29,6 +46,7 @@ let read_raw_into t pfn ~off ~len ~dst ~dst_off =
 
 let write_raw t pfn ~off data =
   check t pfn off (Bytes.length data);
+  mark t pfn;
   Bytes.blit data 0 t.frames.(pfn) off (Bytes.length data)
 
 let scrub t pfn =
@@ -37,11 +55,13 @@ let scrub t pfn =
 
 let page t pfn =
   check t pfn 0 0;
+  mark t pfn;
   t.frames.(pfn)
 
 let flip_bit t pfn ~off ~bit =
   check t pfn off 1;
   if bit < 0 || bit > 7 then invalid_arg "Physmem.flip_bit: bit must be 0..7";
+  mark t pfn;
   let b = Char.code (Bytes.get t.frames.(pfn) off) in
   Bytes.set t.frames.(pfn) off (Char.chr (b lxor (1 lsl bit)))
 

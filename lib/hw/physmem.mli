@@ -15,17 +15,24 @@ val create : nr_frames:int -> t
 val nr_frames : t -> int
 
 val reset : t -> unit
-(** Zero every frame in place, making the backing byte-identical to a
-    fresh [create ~nr_frames] result. The arena-reuse primitive behind
+(** Zero the backing in place, making it byte-identical to a fresh
+    [create ~nr_frames] result. The arena-reuse primitive behind
     [Machine.create ?mem]: a fleet worker resets one backing per job
     instead of allocating (and garbage-collecting) 32 MiB of pages per
-    simulated machine. Not thread-safe against concurrent users of the
-    same [t] — the caller owns the backing exclusively across the reset
-    (the per-worker arena discipline guarantees this). *)
+    simulated machine. Only {!page}, {!write_raw} and {!flip_bit} can
+    change a frame's bytes, and each records the frame it hands out; the
+    reset zeroes the recorded frames, so it costs what earlier machines
+    on this backing touched. Records outlive the reset, so a {!page}
+    reference taken before it is still covered by the next one. Not
+    thread-safe against concurrent users of the same [t] — the caller
+    owns the backing exclusively across the reset (the per-worker arena
+    discipline guarantees this). *)
 
 val read_raw : t -> Addr.pfn -> off:int -> len:int -> bytes
 (** Physical-channel read (no decryption). Raises [Invalid_argument] when the
-    range leaves the page or the frame is out of bounds. *)
+    range leaves the page or the frame is out of bounds, for any [off] and
+    [len], [max_int] and [min_int] included; every accessor below checks
+    its range the same way. *)
 
 val read_raw_into : t -> Addr.pfn -> off:int -> len:int -> dst:bytes -> dst_off:int -> unit
 (** {!read_raw} into a caller-provided buffer: no result allocation. *)

@@ -125,6 +125,28 @@ let charge_page t name =
 
 let ( let* ) = Result.bind
 
+(* Each command's entry in the state table, resolved once: checking a
+   context against it neither scans the table nor allocates. *)
+module Row = struct
+  let launch_start = State.command "LAUNCH_START"
+  let launch_update = State.command "LAUNCH_UPDATE"
+  let launch_finish = State.command "LAUNCH_FINISH"
+  let launch_shared = State.command "LAUNCH(shared)"
+  let send_start = State.command "SEND_START"
+  let send_update = State.command "SEND_UPDATE"
+  let send_update_io = State.command "SEND_UPDATE(io)"
+  let send_finish = State.command "SEND_FINISH"
+  let send_cancel = State.command "SEND_CANCEL"
+  let receive_start = State.command "RECEIVE_START"
+  let receive_update = State.command "RECEIVE_UPDATE"
+  let receive_update_io = State.command "RECEIVE_UPDATE(io)"
+  let receive_finish = State.command "RECEIVE_FINISH"
+  let setenc_gek = State.command "SETENC_GEK"
+  let enc = State.command "ENC"
+  let dec = State.command "DEC"
+  let decommission = State.command "DECOMMISSION"
+end
+
 let initialized t = t.is_initialized
 
 let init t =
@@ -165,31 +187,31 @@ let start t ~state ~kvek ~policy ?tek ?tik ?(nonce = 0L) () =
 let launch_start t ~policy =
   charge_cmd t "LAUNCH_START";
   let* () = need_init t "LAUNCH_START" in
-  start t ~state:(State.leaves "LAUNCH_START") ~kvek:(fresh_kvek t) ~policy ()
+  start t ~state:(State.next Row.launch_start) ~kvek:(fresh_kvek t) ~policy ()
 
 let launch_update t ~handle ~pfn =
   charge_page t "LAUNCH_UPDATE";
   let* c = ctx t handle "LAUNCH_UPDATE" in
-  let* next = State.check c.state ~cmd:"LAUNCH_UPDATE" in
+  let* () = State.check c.state Row.launch_update in
   let plain = Physmem.read_raw t.machine.Machine.mem pfn ~off:0 ~len:Addr.page_size in
   Measure.add_page c.measure ~index:pfn plain;
   coherent_encrypt t ~key:(kvek c) pfn;
-  c.state <- next;
+  c.state <- State.next Row.launch_update;
   Ok ()
 
 let launch_finish t ~handle =
   charge_cmd t "LAUNCH_FINISH";
   let* c = ctx t handle "LAUNCH_FINISH" in
-  let* next = State.check c.state ~cmd:"LAUNCH_FINISH" in
-  c.state <- next;
+  let* () = State.check c.state Row.launch_finish in
+  c.state <- State.next Row.launch_finish;
   (* Unkeyed digest: the launch flow's attestation root. *)
   Ok (Measure.finalize c.measure ~tik:(Bytes.create 0))
 
 let launch_shared t ~handle =
   charge_cmd t "LAUNCH(shared)";
   let* c = ctx t handle "LAUNCH(shared)" in
-  let* state = State.check c.state ~cmd:"LAUNCH(shared)" in
-  start t ~state ~kvek:c.kvek ~policy:c.policy ()
+  let* () = State.check c.state Row.launch_shared in
+  start t ~state:(State.next Row.launch_shared) ~kvek:c.kvek ~policy:c.policy ()
 
 (* ACTIVATE binds handle to ASID with no ownership validation: the
    handle/ASID relationship is hypervisor-managed state, which is precisely
@@ -228,7 +250,7 @@ let decommission t ~handle =
       | Some k when k == key ->
           Option.iter (fun asid -> Memctrl.uninstall_key t.machine.Machine.ctrl ~asid) other.asid;
           other.asid <- None;
-          other.state <- State.leaves "DECOMMISSION";
+          other.state <- State.next Row.decommission;
           other.kvek <- None;
           Hashtbl.filter_map_inplace (fun (g, _) k -> if g = h then None else Some k) t.geks
       | _ -> ())
@@ -244,7 +266,7 @@ let asid_of t ~handle =
 let send_start t ~handle ~target_public ~nonce =
   charge_cmd t "SEND_START";
   let* c = ctx t handle "SEND_START" in
-  let* next = State.check c.state ~cmd:"SEND_START" in
+  let* () = State.check c.state Row.send_start in
   let* () =
     if c.policy land policy_nosend <> 0 then
       Error "SEND_START: forbidden by guest policy (NOSEND)"
@@ -255,7 +277,7 @@ let send_start t ~handle ~target_public ~nonce =
   c.tik <- Some tik;
   c.nonce <- nonce;
   c.measure <- Measure.create ();
-  c.state <- next;
+  c.state <- State.next Row.send_start;
   let kek =
     Transport.derive_master_secret ~secret:t.platform_secret ~peer_public:target_public ~nonce
   in
@@ -264,11 +286,11 @@ let send_start t ~handle ~target_public ~nonce =
 let send_update t ~handle ~index ~src_pfn =
   charge_page t "SEND_UPDATE";
   let* c = ctx t handle "SEND_UPDATE" in
-  let* next = State.check c.state ~cmd:"SEND_UPDATE" in
+  let* () = State.check c.state Row.send_update in
   match c.tek with
   | None -> Error "SEND_UPDATE: no transport key"
   | Some tek ->
-      c.state <- next;
+      c.state <- State.next Row.send_update;
       let plain = t.plain in
       Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:(kvek c) src_pfn ~dst:plain;
       Measure.add_page c.measure ~index plain;
@@ -277,22 +299,22 @@ let send_update t ~handle ~index ~src_pfn =
 let send_finish t ~handle =
   charge_cmd t "SEND_FINISH";
   let* c = ctx t handle "SEND_FINISH" in
-  let* next = State.check c.state ~cmd:"SEND_FINISH" in
+  let* () = State.check c.state Row.send_finish in
   match c.tik with
   | None -> Error "SEND_FINISH: no integrity key"
   | Some tik ->
-      c.state <- next;
+      c.state <- State.next Row.send_finish;
       Measure.add_data c.measure (Transport.measurement_meta ~policy:c.policy ~nonce:c.nonce);
       Ok (Measure.finalize c.measure ~tik)
 
 let send_cancel t ~handle =
   charge_cmd t "SEND_CANCEL";
   let* c = ctx t handle "SEND_CANCEL" in
-  let* next = State.check c.state ~cmd:"SEND_CANCEL" in
+  let* () = State.check c.state Row.send_cancel in
   c.tek <- None;
   c.tik <- None;
   c.measure <- Measure.create ();
-  c.state <- next;
+  c.state <- State.next Row.send_cancel;
   Ok ()
 
 let receive_start t ~wrapped ~origin_public ~nonce ~policy ?kvek_of () =
@@ -317,12 +339,12 @@ let receive_start t ~wrapped ~origin_public ~nonce ~policy ?kvek_of () =
             let* src = ctx t h "RECEIVE_START(kvek_of)" in
             Ok src.kvek
       in
-      start t ~state:(State.leaves "RECEIVE_START") ~kvek ~policy ~tek ~tik ~nonce ())
+      start t ~state:(State.next Row.receive_start) ~kvek ~policy ~tek ~tik ~nonce ())
 
 let receive_update t ~handle ~index ~cipher ~dst_pfn =
   charge_page t "RECEIVE_UPDATE";
   let* c = ctx t handle "RECEIVE_UPDATE" in
-  let* next = State.check c.state ~cmd:"RECEIVE_UPDATE" in
+  let* () = State.check c.state Row.receive_update in
   match c.tek with
   | None -> Error "RECEIVE_UPDATE: no transport key"
   | Some tek ->
@@ -332,7 +354,7 @@ let receive_update t ~handle ~index ~cipher ~dst_pfn =
            success; the gap must surface at RECEIVE_FINISH, not here *)
         Ok ()
       else begin
-        c.state <- next;
+        c.state <- State.next Row.receive_update;
         let plain = t.plain in
         Transport.page_plain_into ~tek ~index cipher ~dst:plain;
         let apply () =
@@ -352,13 +374,13 @@ let receive_update_in_place t ~handle ~index ~pfn =
 let receive_finish t ~handle ~expected =
   charge_cmd t "RECEIVE_FINISH";
   let* c = ctx t handle "RECEIVE_FINISH" in
-  let* next = State.check c.state ~cmd:"RECEIVE_FINISH" in
+  let* () = State.check c.state Row.receive_finish in
   match c.tik with
   | None -> Error "RECEIVE_FINISH: no integrity key"
   | Some tik ->
       Measure.add_data c.measure (Transport.measurement_meta ~policy:c.policy ~nonce:c.nonce);
       if Measure.verify c.measure ~tik ~expected then begin
-        c.state <- next;
+        c.state <- State.next Row.receive_finish;
         Ok ()
       end
       else Error "RECEIVE_FINISH: measurement mismatch (image tampered or replayed)"
@@ -373,13 +395,14 @@ let receive_finish t ~handle ~expected =
    key Ktek (SEND_UPDATE(io), RECEIVE_UPDATE(io)) or one of the guest's
    GEKs (ENC, DEC). *)
 let io_command t ~cmd ~handle ~key_of ~len =
-  charge_page t cmd;
-  let* c = ctx t handle cmd in
-  let* next = State.check c.state ~cmd in
-  let* key = key_of c cmd in
-  if len <= 0 || len > Addr.page_size then Error (cmd ^ ": bad length")
+  let name = State.name cmd in
+  charge_page t name;
+  let* c = ctx t handle name in
+  let* () = State.check c.state cmd in
+  let* key = key_of c name in
+  if len <= 0 || len > Addr.page_size then Error (name ^ ": bad length")
   else begin
-    c.state <- next;
+    c.state <- State.next cmd;
     Ok (c, key)
   end
 
@@ -404,17 +427,17 @@ let tek_of c cmd =
   | Some tek -> Ok tek.Transport.aes
   | None -> Error (cmd ^ ": no transport key")
 
-let send_update_io t = io_out t ~cmd:"SEND_UPDATE(io)" ~key_of:tek_of
+let send_update_io t = io_out t ~cmd:Row.send_update_io ~key_of:tek_of
 
-let receive_update_io t = io_in t ~cmd:"RECEIVE_UPDATE(io)" ~key_of:tek_of
+let receive_update_io t = io_in t ~cmd:Row.receive_update_io ~key_of:tek_of
 
 (* Customized-key extension (paper Section 8). *)
 
 let setenc_gek t ~handle =
   charge_cmd t "SETENC_GEK";
   let* c = ctx t handle "SETENC_GEK" in
-  let* next = State.check c.state ~cmd:"SETENC_GEK" in
-  c.state <- next;
+  let* () = State.check c.state Row.setenc_gek in
+  c.state <- State.next Row.setenc_gek;
   let id = t.next_gek in
   t.next_gek <- id + 1;
   Hashtbl.replace t.geks (handle, id) (Aes.expand (Rng.bytes t.rng 16));
@@ -427,9 +450,9 @@ let gek_of t gek c cmd =
   | Some k -> Ok k
   | None -> Error (Printf.sprintf "%s: no GEK %d for handle %d" cmd gek c.handle)
 
-let enc_range t ~handle ~gek = io_out t ~cmd:"ENC" ~handle ~key_of:(gek_of t gek)
+let enc_range t ~handle ~gek = io_out t ~cmd:Row.enc ~handle ~key_of:(gek_of t gek)
 
-let dec_range t ~handle ~gek = io_in t ~cmd:"DEC" ~handle ~key_of:(gek_of t gek)
+let dec_range t ~handle ~gek = io_in t ~cmd:Row.dec ~handle ~key_of:(gek_of t gek)
 
 (* --- attestation -------------------------------------------------------- *)
 

@@ -39,13 +39,18 @@ let table =
     ( "DECOMMISSION",
       Step ([ Uninit; Launching; Running; Sending; Receiving; Sent ], Decommissioned) ) ]
 
-(* The page commands look their row up once per page; the scan allocates
-   nothing. *)
+type command = string * row
+
+(* The firmware resolves each command once, when it is loaded; the scan
+   returns the table's own entry, so it allocates nothing. *)
 let rec find cmd = function
   | [] -> invalid_arg ("State: no row for " ^ cmd)
-  | (name, r) :: rest -> if String.equal name cmd then r else find cmd rest
+  | ((name, _) as c) :: rest -> if String.equal name cmd then c else find cmd rest
 
-let leaves cmd = match find cmd table with Step (_, s) | Start (_, s) -> s
+let command cmd = find cmd table
+let name ((name, _) : command) = name
+let next ((_, r) : command) = match r with Step (_, s) | Start (_, s) -> s
+let leaves cmd = next (command cmd)
 
 let can_transition from into =
   List.exists
@@ -63,7 +68,5 @@ let require current ~expected ~cmd =
       (Printf.sprintf "%s: invalid guest state %s (expected %s)" cmd (to_string current)
          (String.concat " or " (List.map to_string expected)))
 
-let check current ~cmd =
-  match find cmd table with
-  | Step (accepts, next) | Start (accepts, next) -> (
-      match require current ~expected:accepts ~cmd with Ok () -> Ok next | Error e -> Error e)
+let check current ((cmd, r) : command) =
+  match r with Step (accepts, _) | Start (accepts, _) -> require current ~expected:accepts ~cmd

@@ -29,8 +29,22 @@ val table : (string * row) list
     ACTIVATE, DEACTIVATE, DBG_DECRYPT and ATTEST keep any live context's
     state and have no row. *)
 
+type command
+(** One command's entry in {!table}: its mnemonic and its row. *)
+
+val command : string -> command
+(** The named command's entry. Raises [Invalid_argument] for a mnemonic
+    with no row. Allocates nothing: the firmware resolves each command
+    once and checks against the entry from then on, so a per-page command
+    never scans the table. *)
+
+val name : command -> string
+
+val next : command -> t
+(** The state the command leaves its context in. *)
+
 val leaves : string -> t
-(** The state the named command leaves its context in. *)
+(** [next (command name)]. *)
 
 val can_transition : t -> t -> bool
 (** Some command takes a context from the first state to the second ([a
@@ -42,6 +56,6 @@ val require : t -> expected:t list -> cmd:string -> unit command_result
 (** [require current ~expected ~cmd] is [Ok ()] when [current] is one of
     [expected], otherwise a descriptive [Error] naming the command. *)
 
-val check : t -> cmd:string -> t command_result
-(** {!require} against the states [cmd]'s row accepts, then the state it
-    leaves. *)
+val check : t -> command -> unit command_result
+(** {!require} against the states the command's row accepts, naming the
+    command in the error. Allocates nothing. *)

@@ -183,21 +183,24 @@ let vmrun_effect t v =
   | dom -> do_vmrun_effect t dom
   | exception Not_found -> Error (Printf.sprintf "VMRUN: no such domain %Ld" v)
 
+(* [List.mem] on frame numbers without the polymorphic compare. *)
+let rec mem_pfn (pfn : Hw.Addr.pfn) = function
+  | [] -> false
+  | x :: rest -> x = pfn || mem_pfn pfn rest
+
 let boot machine =
   let host_space = Hw.Machine.new_table machine in
   let xen_text = Hw.Machine.alloc_frames machine nr_text_frames in
   (* Direct map: every physical frame identity-mapped, Xen-style. Text is
      RX, everything else RW/NX. Paging is not yet enforced, so these early
-     stores are unmediated (real pre-paging boot). *)
+     stores are unmediated (real pre-paging boot). Each entry is stored
+     packed: no option or record per frame. *)
   let nr = Hw.Physmem.nr_frames machine.Hw.Machine.mem in
   for pfn = 1 to nr - 1 do
-    let is_text = List.mem pfn xen_text in
-    Hw.Mmu.set_pte machine ~space:host_space ~table:host_space pfn
-      (Some
-         { Hw.Pagetable.frame = pfn;
-           writable = not is_text;
-           executable = is_text;
-           c_bit = false })
+    let is_text = mem_pfn pfn xen_text in
+    Hw.Mmu.set_pte_packed machine ~space:host_space ~table:host_space pfn
+      (Hw.Pagetable.packed_make ~frame:pfn ~writable:(not is_text) ~executable:is_text
+         ~c_bit:false)
   done;
   (* The direct map covers frames allocated later for page-table growth
      too, because it spans all of RAM up front. *)
@@ -683,7 +686,7 @@ let rdmsr t dom ~msr =
   vmexit t dom Hw.Vmcb.Msr ~info1:0L (* 0 = read *) ~info2:0L;
   let which = Int64.to_int (Hw.Cpu.get_reg cpu Hw.Cpu.Rcx) in
   let value =
-    if which = msr_efer then if Hw.Cpu.nxe cpu then 0x800L else 0L
+    if which = msr_efer then Hw.Insn.efer ~nxe:(Hw.Cpu.nxe cpu)
     else match Hashtbl.find_opt dom.Domain.msrs which with Some v -> v | None -> 0L
   in
   (* EDX:EAX split as on hardware. *)

@@ -99,6 +99,98 @@ let test_physmem_dump_is_copy () =
   Alcotest.(check char) "original unchanged" '\000'
     (Bytes.get (Physmem.read_raw mem 1 ~off:0 ~len:1) 0)
 
+(* Every range check at the bounds of [int]: a sum that wraps must not let
+   a range through to the stdlib's own bounds checks, whose messages name
+   no page. Valid ranges must still succeed. *)
+let test_physmem_range_bounds =
+  let ps = Addr.page_size in
+  let edge = QCheck.oneofl [ 0; 1; ps - 1; ps; ps + 1; max_int; max_int - 1; min_int; -1 ] in
+  QCheck.Test.make ~name:"range checks never wrap" ~count:300
+    (QCheck.triple edge edge (QCheck.oneofl [ 0; 1; ps - 1; ps; ps + 1 ]))
+    (fun (off, len, data_len) ->
+      let mem = Physmem.create ~nr_frames:2 in
+      let valid off len = off >= 0 && len >= 0 && off <= ps && len <= ps - off in
+      let expect valid f =
+        match f () with
+        | () -> valid
+        | exception Invalid_argument msg ->
+            (not valid) && String.starts_with ~prefix:"Physmem: range" msg
+      in
+      expect (valid off len) (fun () -> ignore (Physmem.read_raw mem 1 ~off ~len))
+      && expect (valid off len) (fun () ->
+             Physmem.read_raw_into mem 1 ~off ~len ~dst:(Bytes.create ps) ~dst_off:0)
+      && expect (valid off data_len) (fun () ->
+             Physmem.write_raw mem 1 ~off (Bytes.make data_len 'w'))
+      && expect (valid off 1) (fun () -> Physmem.flip_bit mem 1 ~off ~bit:0))
+
+(* The arena reset: dirty a backing through every path that can change a
+   frame's bytes, recycle it with [Machine.create ~mem], and every frame
+   must dump as zeros — also after writes through a [page] reference
+   taken before an earlier reset. *)
+type dirty_op =
+  | Write_raw of int * int
+  | Page_write of int * int
+  | Flip of int * int
+  | Ctrl_plain of int * int
+  | Ctrl_enc of int * int
+  | Dma of int * int
+  | Pte of int * int
+
+let dirty_op_gen nr_frames =
+  let open QCheck.Gen in
+  let pfn = int_range 1 (nr_frames - 1) and off = int_bound (Addr.page_size - 16) in
+  map3
+    (fun k pfn off ->
+      match k with
+      | 0 -> Write_raw (pfn, off)
+      | 1 -> Page_write (pfn, off)
+      | 2 -> Flip (pfn, off)
+      | 3 -> Ctrl_plain (pfn, off)
+      | 4 -> Ctrl_enc (pfn, off)
+      | 5 -> Dma (pfn, off)
+      | _ -> Pte (off, pfn))
+    (int_bound 6) pfn off
+
+let test_arena_reset_zeroes =
+  let nr_frames = 64 in
+  let ops = QCheck.Gen.(list_size (int_range 1 40) (dirty_op_gen nr_frames)) in
+  QCheck.Test.make ~name:"Machine.create ~mem zeroes every dirtied frame" ~count:60
+    (QCheck.make (QCheck.Gen.pair ops ops))
+    (fun (round1, round2) ->
+      let zeros = Bytes.make Addr.page_size '\000' in
+      let all_zero (m : Machine.t) =
+        List.for_all
+          (fun pfn -> Bytes.equal zeros (Physmem.dump m.Machine.mem pfn))
+          (List.init nr_frames Fun.id)
+      in
+      let run (m : Machine.t) table stale op =
+        let data = Bytes.of_string "dirty" in
+        match op with
+        | Write_raw (pfn, off) -> Physmem.write_raw m.Machine.mem pfn ~off data
+        | Page_write (pfn, off) ->
+            let page = Physmem.page m.Machine.mem pfn in
+            Bytes.set page off 'p';
+            stale := (page, off) :: !stale
+        | Flip (pfn, off) -> Physmem.flip_bit m.Machine.mem pfn ~off ~bit:(off mod 8)
+        | Ctrl_plain (pfn, off) -> Memctrl.write m.Machine.ctrl Memctrl.Plain pfn ~off data
+        | Ctrl_enc (pfn, off) -> Memctrl.write m.Machine.ctrl Memctrl.Smek pfn ~off data
+        | Dma (pfn, off) -> ignore (Machine.dma_write m pfn ~off data)
+        | Pte (vfn, frame) ->
+            if Machine.frames_free m > 0 then
+              Pagetable.hw_set table vfn
+                (Some { Pagetable.frame; writable = true; executable = false; c_bit = false })
+      in
+      let mem = Physmem.create ~nr_frames in
+      let m1 = Machine.create ~nr_frames ~mem ~seed:5L () in
+      let stale = ref [] in
+      List.iter (run m1 (Machine.new_table m1) stale) round1;
+      let m2 = Machine.create ~nr_frames ~mem ~seed:5L () in
+      let clean1 = all_zero m2 in
+      List.iter (fun (page, off) -> Bytes.set page off 's') !stale;
+      List.iter (run m2 (Machine.new_table m2) (ref [])) round2;
+      let m3 = Machine.create ~nr_frames ~mem ~seed:5L () in
+      clean1 && all_zero m3)
+
 (* --- Memctrl ----------------------------------------------------------------- *)
 
 let ctrl_env () =
@@ -302,6 +394,41 @@ let test_pt_backing_and_reverse () =
   Alcotest.(check int) "reverse shrinks" 1 (List.length (Pagetable.frame_mapped t 7));
   Alcotest.(check int) "entry count" 1 (Pagetable.entry_count t)
 
+(* The reverse index against a brute-force scan of [mapped_frames], over
+   random store sequences: remaps to the same frame, unmaps, one frame at
+   several vfns, and gfn-sized frames far above the host's frame count. *)
+let test_pt_reverse_index_model =
+  let high = 1 lsl 36 in
+  let frame_gen = QCheck.Gen.(oneof [ int_range 1 24; map (fun k -> high + k) (int_bound 8) ]) in
+  let op_gen =
+    QCheck.Gen.(
+      triple (int_bound 1100) (opt ~ratio:0.8 frame_gen) bool)
+  in
+  QCheck.Test.make ~name:"reverse index = scan of mapped_frames" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 300) op_gen))
+    (fun ops ->
+      let m = machine () in
+      let t = table m in
+      List.iter
+        (fun (vfn, frame, writable) ->
+          Pagetable.hw_set t vfn
+            (Option.map
+               (fun frame -> { Pagetable.frame; writable; executable = false; c_bit = false })
+               frame))
+        ops;
+      let entries = Pagetable.mapped_frames t in
+      let frames = List.init 25 Fun.id @ List.init 9 (fun k -> high + k) in
+      List.for_all
+        (fun f ->
+          let at_f =
+            List.sort compare (List.filter (fun (_, p) -> p.Pagetable.frame = f) entries)
+          in
+          Pagetable.frame_is_mapped t f = (at_f <> [])
+          && List.sort compare (Pagetable.frame_mapped t f) = at_f
+          && Pagetable.frame_mapped_writable t f
+             = List.exists (fun (_, p) -> p.Pagetable.writable) at_f)
+        frames)
+
 let test_pt_lives_in_physmem () =
   (* A raw physical write to the page-table-page changes the translation. *)
   let m = machine () in
@@ -348,6 +475,19 @@ let test_exit_reason_codes () =
   Alcotest.(check bool) "unknown code" true (Vmcb.exit_reason_of_int64 0xdeadL = None)
 
 (* --- Insn ------------------------------------------------------------------------- *)
+
+let test_insn_encoders () =
+  Alcotest.(check int64) "CR0 PG|WP" 0x8001_0000L (Insn.cr0 ~pg:true ~wp:true);
+  Alcotest.(check int64) "CR0 PG" 0x8000_0000L (Insn.cr0 ~pg:true ~wp:false);
+  Alcotest.(check int64) "CR4 SMEP" 0x10_0000L (Insn.cr4 ~smep:true);
+  Alcotest.(check int64) "EFER NXE" 0x800L (Insn.efer ~nxe:true);
+  List.iter
+    (fun (a, b) ->
+      let cr0 = Insn.cr0 ~pg:a ~wp:b in
+      Alcotest.(check (pair bool bool)) "CR0 decodes" (a, b) (Insn.cr0_pg cr0, Insn.cr0_wp cr0);
+      Alcotest.(check bool) "CR4 decodes" a (Insn.cr4_smep (Insn.cr4 ~smep:a));
+      Alcotest.(check bool) "EFER decodes" b (Insn.efer_nxe (Insn.efer ~nxe:b)))
+    [ (false, false); (false, true); (true, false); (true, true) ]
 
 let test_insn_registry () =
   let reg = Insn.create (Cost.ledger ()) in
@@ -677,7 +817,9 @@ let () =
         [ Alcotest.test_case "rw" `Quick test_physmem_rw;
           Alcotest.test_case "bounds" `Quick test_physmem_bounds;
           Alcotest.test_case "bit flip" `Quick test_physmem_flip;
-          Alcotest.test_case "dump is a copy" `Quick test_physmem_dump_is_copy ] );
+          Alcotest.test_case "dump is a copy" `Quick test_physmem_dump_is_copy;
+          prop test_physmem_range_bounds;
+          prop test_arena_reset_zeroes ] );
       ( "memctrl",
         [ Alcotest.test_case "plain" `Quick test_memctrl_plain;
           Alcotest.test_case "encrypted roundtrip" `Quick test_memctrl_encrypted_roundtrip;
@@ -698,6 +840,7 @@ let () =
         [ prop test_pt_roundtrip;
           Alcotest.test_case "clear" `Quick test_pt_clear;
           Alcotest.test_case "backing/reverse" `Quick test_pt_backing_and_reverse;
+          prop test_pt_reverse_index_model;
           Alcotest.test_case "entries live in physmem" `Quick test_pt_lives_in_physmem ] );
       ( "cpu-vmcb",
         [ Alcotest.test_case "registers" `Quick test_cpu_regs;
@@ -706,6 +849,7 @@ let () =
           Alcotest.test_case "exit reason codes" `Quick test_exit_reason_codes ] );
       ( "insn",
         [ Alcotest.test_case "registry/scrub" `Quick test_insn_registry;
+          Alcotest.test_case "control-register encoders" `Quick test_insn_encoders;
           Alcotest.test_case "fetch check" `Quick test_insn_execute_fetch_check;
           Alcotest.test_case "inject" `Quick test_insn_inject ] );
       ( "machine",

@@ -120,6 +120,28 @@ let test_require () =
       Alcotest.(check bool) "names command" true
         (String.length msg > 3 && String.sub msg 0 3 = "CMD")
 
+(* A checked command costs the firmware no words: the row is resolved
+   once and the check returns the shared [Ok ()]. The error names the
+   command and the states its row accepts. *)
+let test_check_allocation_free () =
+  let send_update = State.command "SEND_UPDATE" in
+  Alcotest.(check string) "resolved by name" "SEND_UPDATE" (State.name send_update);
+  Alcotest.(check string) "leaves" "SENDING" (State.to_string (State.next send_update));
+  let n = 10_000 in
+  for _ = 1 to 100 do ignore (Sys.opaque_identity (State.check State.Sending send_update)) done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do ignore (Sys.opaque_identity (State.check State.Sending send_update)) done;
+  Alcotest.(check (float 0.01)) "0 minor words per checked command" 0.0
+    ((Gc.minor_words () -. w0) /. float_of_int n);
+  Alcotest.(check (result unit string)) "refused state named"
+    (Error "SEND_UPDATE: invalid guest state RUNNING (expected SENDING)")
+    (State.check State.Running send_update);
+  Alcotest.(check (result unit string)) "every accepted state listed"
+    (Error "SEND_CANCEL: invalid guest state RUNNING (expected SENDING or SENT)")
+    (State.check State.Running (State.command "SEND_CANCEL"));
+  Alcotest.check_raises "unknown mnemonic" (Invalid_argument "State: no row for NOPE")
+    (fun () -> ignore (State.command "NOPE"))
+
 (* --- init / launch ------------------------------------------------------- *)
 
 let test_double_init () =
@@ -600,6 +622,7 @@ let () =
     [ ( "state",
         [ Alcotest.test_case "transitions" `Quick test_state_transitions;
           Alcotest.test_case "require" `Quick test_require;
+          Alcotest.test_case "allocation-free check" `Quick test_check_allocation_free;
           Alcotest.test_case "every row of the table" `Quick test_every_row ] );
       ( "init-launch",
         [ Alcotest.test_case "double init" `Quick test_double_init;

@@ -169,6 +169,21 @@ let test_seed_stability () =
            [ Engine.Xen_baseline; Engine.Fidelius; Engine.Fidelius_enc ])
        (W.Spec2006.all @ W.Parsec.all))
 
+(* A backing recycled after another profile's run gives the same result
+   record as a fresh one: the arena reset leaves nothing of the first VM. *)
+let test_recycled_backing () =
+  let by_size =
+    List.sort
+      (fun a b -> compare b.Profile.working_set_pages a.Profile.working_set_pages)
+      (W.Spec2006.all @ W.Parsec.all)
+  in
+  let big = List.hd by_size and small = List.nth by_size (List.length by_size - 1) in
+  let mem = Fidelius_hw.Physmem.create ~nr_frames:Fidelius_hw.Machine.default_nr_frames in
+  ignore (Engine.run ~mem big Engine.Fidelius_enc);
+  let recycled = Engine.run ~mem small Engine.Fidelius_enc in
+  Alcotest.(check bool) "same result record" true
+    (recycled = Engine.run small Engine.Fidelius_enc)
+
 let test_config_names () =
   Alcotest.(check string) "xen" "xen" (Engine.config_to_string Engine.Xen_baseline);
   Alcotest.(check string) "fidelius" "fidelius" (Engine.config_to_string Engine.Fidelius);
@@ -180,6 +195,7 @@ let () =
         [ Alcotest.test_case "complete" `Quick test_profiles_complete;
           Alcotest.test_case "run shape" `Quick test_run_result_shape;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "recycled backing" `Quick test_recycled_backing;
           Alcotest.test_case "config names" `Quick test_config_names ] );
       ( "figures",
         [ Alcotest.test_case "fidelius avg < 1-2%" `Slow test_fidelius_overhead_small;

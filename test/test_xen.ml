@@ -838,6 +838,28 @@ let test_crossing_allocation_free () =
     (Printf.sprintf "void hypercall <= 4 words/call (got %.1f)" void)
     true (void <= 4.0)
 
+let test_pte_store_allocation_free () =
+  (* The reverse index, pinned the same way: once a table's groups exist
+     and its index has grown to the pairs it holds, storing a PTE that maps
+     a fresh (vfn, frame) pair — raw, or through the MMU's boot-time path —
+     allocates nothing, so the direct map costs no words per frame. *)
+  let m = Hw.Machine.create ~nr_frames:64 ~seed:43L () in
+  let t = Hw.Machine.new_table m in
+  let n = 1024 in
+  let entry frame =
+    Hw.Pagetable.packed_make ~frame ~writable:true ~executable:false ~c_bit:false
+  in
+  for vfn = 0 to n - 1 do Hw.Pagetable.hw_set_packed t vfn (entry (vfn + 1)) done;
+  let next = ref n in
+  let map_fresh store () =
+    incr next;
+    store (!next mod n) (entry !next)
+  in
+  let raw = words_per_call 1000 (map_fresh (Hw.Pagetable.hw_set_packed t)) in
+  Alcotest.(check (float 0.01)) "hw_set_packed allocates nothing" 0.0 raw;
+  let via_mmu = words_per_call 1000 (map_fresh (Hw.Mmu.set_pte_packed m ~space:t ~table:t)) in
+  Alcotest.(check (float 0.01)) "set_pte_packed allocates nothing" 0.0 via_mmu
+
 let test_fragment_writer_allocation_free () =
   (* The fleet's Chrome fragment writer, pinned the same way: once the
      serialisation buffer has grown to the fragment's size, writing the
@@ -899,6 +921,8 @@ let () =
           Alcotest.test_case "unknown domain" `Quick test_vmrun_unknown_domain;
           Alcotest.test_case "allocation-free crossing" `Quick
             test_crossing_allocation_free;
+          Alcotest.test_case "allocation-free PTE store" `Quick
+            test_pte_store_allocation_free;
           Alcotest.test_case "allocation-free trace fragment" `Quick
             test_fragment_writer_allocation_free ] );
       ( "hypercalls",
