@@ -491,9 +491,8 @@ let print_gc_stats gc =
 
 (* The deterministic artifacts (per-VM CSV, merged Chrome trace) are
    streamed to disk by every run — the fleet determinism contract
-   (pinned in test/test_fleet.ml) says every run writes identical bytes,
-   and the smoke rule re-checks it across two domain counts. Only the
-   VMs/sec column is wall-clock. *)
+   (pinned in test/test_fleet.ml) says every run writes identical bytes.
+   Only the VMs/sec column is wall-clock. *)
 let fleet ?(vms = 16) ?(domain_counts = [ 1; 2; 4; 8 ]) ?(gc_stats = false) ?(record = true) ()
     =
   header
@@ -576,68 +575,25 @@ let fleet_scale ?(vms = 32) () =
     else Printf.printf "fleet-scale: OK (%.2fx >= 2.0x)\n" ratio
   end
 
-(* Tiny fleet for CI: checks the sharded run still works, that two domain
-   counts stream byte-identical artifacts, that a streamed run leaves no
-   per-VM residue on the live heap, and that asking for more domains does
-   not make the run slower (the scaling inversion the worker-domain cap
-   fixed), in a few seconds. *)
+(* Fleet wall-clock smoke: asking for more domains must not make the run
+   slower (the scaling inversion the worker-domain cap fixed), in a few
+   seconds. Generous slack (d2 may be up to 1/0.7 = 1.43x slower) because
+   a smoke box is noisy; the real curve is recorded by the full fleet
+   section. Before the worker-domain cap in Fidelius_fleet.Pool, d2 was
+   reliably beyond even this slack on a single-core host. The exact
+   fleet checks (artifacts at any domain count, the bounded live heap)
+   are test_fleet's. *)
 let fleet_smoke () =
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
   let tmp name = Filename.concat (Filename.get_temp_dir_name ()) ("fidelius-" ^ name) in
   let csv = tmp "fleet-smoke.csv" and trace = tmp "fleet-smoke-trace.json" in
-  let artifacts domains =
-    let s = W.Fleetbench.run_stream ~domains ~vms:4 ~csv ~trace () in
-    (read_file csv, read_file trace, s.W.Fleetbench.vm_rows)
-  in
-  let csv1, trace1, rows1 = artifacts 1 in
-  let csv3, trace3, rows3 = artifacts 3 in
-  Sys.remove csv;
-  Sys.remove trace;
-  if csv1 <> csv3 then failwith "fleet-smoke: streamed CSV differs between domain counts";
-  if trace1 <> trace3 then
-    failwith "fleet-smoke: streamed Chrome trace differs between domain counts";
-  if rows1 <> rows3 then failwith "fleet-smoke: per-VM rows differ between domain counts";
-  Printf.printf "fleet-smoke: 4 VMs, domains 1 vs 3: streamed artifacts byte-identical\n";
-  (* Bounded-memory guard for the 1,000-VM story: a streamed 100-VM run
-     must not grow the live heap with per-VM state (rows are ~a dozen
-     words each; trace events must all have been spilled and collected,
-     arenas freed with their worker domains). The 2M-word (~16 MiB)
-     ceiling is far above the rows yet far below what one retained trace
-     shard population (100 rings' worth of entries) would cost. *)
-  let live_words () =
-    Gc.full_major ();
-    (Gc.stat ()).Gc.live_words
-  in
-  let csv = tmp "fleet-smoke-100.csv" and trace = tmp "fleet-smoke-100-trace.json" in
-  ignore (W.Fleetbench.run_stream ~domains:2 ~vms:8 ~csv ~trace ());
-  let before = live_words () in
-  ignore (W.Fleetbench.run_stream ~domains:4 ~vms:100 ~csv ~trace ());
-  let growth = live_words () - before in
-  if growth > 2_000_000 then
-    failwith
-      (Printf.sprintf
-         "fleet-smoke: streamed 100-VM run grew the live heap by %d words (> 2M): per-VM \
-          state is being retained"
-         growth);
-  Printf.printf "fleet-smoke: 100 streamed VMs grew the live heap by %d words (bounded)\n"
-    growth;
-  (* The two runs above double as warmup. Generous slack (d2 may be up to
-     1/0.7 = 1.43x slower) because a smoke box is noisy; the real curve is
-     recorded by the full fleet section. Before the worker-domain cap in
-     Fidelius_fleet.Pool, d2 was reliably beyond even this slack on a
-     single-core host. *)
   let timed d =
     Gc.compact ();
     let t0 = Unix.gettimeofday () in
     ignore (W.Fleetbench.run_stream ~domains:d ~vms:8 ~csv ~trace ());
     Unix.gettimeofday () -. t0
   in
+  (* One untimed run first, so first-run effects land on neither side. *)
+  ignore (timed 2);
   let t1 = timed 1 in
   let t2 = timed 2 in
   Sys.remove csv;
@@ -703,9 +659,10 @@ let serve ?(requests = 512) ?(batches = [ 1; 2; 4; 8 ]) ?(record = true) () =
   in
   if record then update_bench_json kvs
 
-(* Serve smoke for CI: the batched datapath must still amortize the
-   doorbell, batching must reduce world switches, and the batch-1 report
-   must be deterministic for a fixed seed. Seconds, not minutes.
+(* Serve wall-clock smoke: the batched datapath must still amortize the
+   doorbell. Seconds, not minutes. The exact serve checks (a
+   deterministic batch-1 report, fewer world switches at batch 8) are
+   test_workloads'.
 
    Floor calibration: the original 3.5x slack (against a 5x full-bench
    ratio) dated from when the doorbell crossing cost ~14.5us of wall
@@ -725,17 +682,7 @@ let serve_smoke () =
          "serve-smoke: batch-8 ring throughput only %.2fx the synchronous path (smoke floor \
           1.8x)"
          ratio);
-  let run b = W.Serve.run { W.Serve.batch = b; requests = 64 } in
-  let r1 = run 1 and r1' = run 1 and r8 = run 8 in
-  if r1 <> r1' then failwith "serve-smoke: batch-1 serve report is not deterministic";
-  if r8.W.Serve.hypercalls >= r1.W.Serve.hypercalls then
-    failwith
-      (Printf.sprintf "serve-smoke: batch-8 took %d world switches vs %d at batch-1"
-         r8.W.Serve.hypercalls r1.W.Serve.hypercalls);
-  Printf.printf
-    "serve-smoke: ring batch-8 %.2fx sync; %d -> %d hypercalls at batch 8; batch-1 \
-     deterministic\n"
-    ratio r1.W.Serve.hypercalls r8.W.Serve.hypercalls
+  Printf.printf "serve-smoke: ring batch-8 %.2fx sync\n" ratio
 
 (* ---- migrate: fleet live migration under a downtime budget ----------------------------- *)
 
@@ -746,7 +693,7 @@ let serve_smoke () =
    earlier, so total pages sent decreases monotonically as the budget
    grows (the guest's working set halves every round). All per-VM rows
    land in results/migrate.csv; the artifacts are deterministic at any
-   domain count (the SCALING.md contract, re-checked by migrate-smoke). *)
+   domain count (the SCALING.md contract, pinned by test_migrate). *)
 let migrate_bench ?(budgets = [ 2.5; 10.0; 40.0 ]) ?(fleets = [ 8; 16 ]) ?(record = true) () =
   header "Migrate: fleet live migration, pages sent vs downtime budget (attested key release)";
   Printf.printf "%10s %6s %10s %10s %13s %13s\n" "budget-us" "vms" "seconds" "VMs/sec"
@@ -786,52 +733,6 @@ let migrate_bench ?(budgets = [ 2.5; 10.0; 40.0 ]) ?(fleets = [ 8; 16 ]) ?(recor
               float_of_int vms /. dt);
              (Printf.sprintf "migrate/total-pages-b%g-f%d" budget_us vms, float_of_int pages) ])
          cells)
-
-(* Migrate smoke for CI: real pre-copy rounds must happen, the pages-sent
-   vs budget trade-off must be monotone, the per-VM CSV must be
-   byte-identical across domain counts, and a firmware-rollback platform
-   must be refused with the typed error and the disk key provably never
-   released. Seconds, not minutes. *)
-let migrate_smoke () =
-  let tight = W.Migratebench.run ~domains:1 ~vms:4 ~budget_us:2.5 () in
-  let loose = W.Migratebench.run ~domains:1 ~vms:4 ~budget_us:40.0 () in
-  if not (List.exists (fun r -> r.W.Migratebench.rounds > 2) tight.W.Migratebench.rows) then
-    failwith "migrate-smoke: no migration took multiple pre-copy rounds";
-  let pt = W.Migratebench.total_pages tight and pl = W.Migratebench.total_pages loose in
-  if pt <= pl then
-    failwith
-      (Printf.sprintf
-         "migrate-smoke: pages-sent not monotone vs downtime budget (%d @2.5us <= %d @40us)" pt
-         pl);
-  if not (W.Migratebench.all_keys_delivered tight && W.Migratebench.all_keys_delivered loose)
-  then failwith "migrate-smoke: a migration finished without its disk key";
-  let a = W.Migratebench.csv (W.Migratebench.run ~domains:1 ~vms:4 ~budget_us:10.0 ()) in
-  let b = W.Migratebench.csv (W.Migratebench.run ~domains:2 ~vms:4 ~budget_us:10.0 ()) in
-  if a <> b then failwith "migrate-smoke: per-VM CSV differs between domain counts";
-  (* Rollback: the destination host quotes from a firmware blob older than
-     the owner's floor; the owner must refuse with the typed error and the
-     release gate must never open. *)
-  let stack1 = installed_stack 71L in
-  let _, _, fid1 = stack1 in
-  let dom = protected_guest stack1 "smoke" 16 in
-  let _, _, fid2 = installed_stack 72L in
-  let owner = Core.Migrate.Owner.create (Rng.create 73L) in
-  Fidelius_inject.Plan.install
-    (Fidelius_inject.Plan.make ~seed:1L Fidelius_inject.Site.Stale_firmware);
-  let result = Core.Migrate.migrate_live ~owner ~src:fid1 ~dst:fid2 dom in
-  Fidelius_inject.Plan.uninstall ();
-  (match result with
-  | Error (Core.Migrate.Stale_firmware _) -> ()
-  | Error e ->
-      failwith ("migrate-smoke: rollback refused with the wrong error: "
-                ^ Core.Migrate.error_to_string e)
-  | Ok _ -> failwith "migrate-smoke: rolled-back platform was accepted");
-  if Core.Migrate.Owner.released owner || Core.Migrate.Owner.release_count owner <> 0 then
-    failwith "migrate-smoke: disk key released to a rolled-back platform";
-  Printf.printf
-    "migrate-smoke: %d pages @2.5us > %d pages @40us; d1 vs d2 byte-identical; rollback \
-     refused, key never released\n"
-    pt pl
 
 (* ---- perf delta ------------------------------------------------------------------------ *)
 
@@ -1031,12 +932,11 @@ let () =
           (flag_arg "--fleets")
       in
       migrate_bench ?budgets ?fleets ()
-  | "migrate-smoke" -> migrate_smoke ()
   | "all" -> all ()
   | other ->
       Printf.eprintf
         "unknown section %S; expected \
          fig5|fig6|tab3|micro|xsa|attacks|tab1|tab2|ablate|bechamel|bechamel-smoke|perf|\
-         fleet|fleet-smoke|fleet-scale|serve|serve-smoke|migrate|migrate-smoke|all\n"
+         fleet|fleet-smoke|fleet-scale|serve|serve-smoke|migrate|all\n"
         other;
       exit 1

@@ -6,17 +6,23 @@ type row = {
 }
 
 (* Only exceptions that model a defense mechanism turning the attacker
-   away count as [Blocked]. Anything else — [Failure], [Invalid_argument],
-   a programming error in an attack — is a harness fault and must surface
-   as [Errored]: mapping it to [Blocked] would count simulator crashes as
-   successful defenses. *)
+   away count as a defence. Anything else — [Failure], [Invalid_argument],
+   a programming error in an attack — is a harness fault: counting it as
+   a defence would count simulator crashes as successful defenses. *)
+let attempt f =
+  match f () with
+  | v -> Ok v
+  | exception Fidelius_hw.Denial.Denied m -> Error (`Denied m)
+  | exception Fidelius_xen.Hypervisor.Npf_unresolved m ->
+      Error (`Denied ("NPF handler refused: " ^ m))
+  | exception Fidelius_hw.Mmu.Fault { reason; _ } -> Error (`Denied ("page fault: " ^ reason))
+  | exception e -> Error (`Exn (Printexc.to_string e))
+
 let guard f =
-  try f ()
-  with
-  | Fidelius_hw.Denial.Denied m -> Surface.Blocked m
-  | Fidelius_xen.Hypervisor.Npf_unresolved m -> Surface.Blocked ("NPF handler refused: " ^ m)
-  | Fidelius_hw.Mmu.Fault { reason; _ } -> Surface.Blocked ("page fault: " ^ reason)
-  | e -> Surface.Errored (Printexc.to_string e)
+  match attempt f with
+  | Ok o -> o
+  | Error (`Denied m) -> Surface.Blocked m
+  | Error (`Exn m) -> Surface.Errored m
 
 (* The per-attack seed hashes the attack *id*, not its position in
    [Suite.all], so reordering the catalogue (or running a single attack in

@@ -19,14 +19,18 @@ type row = {
   fidelius : Surface.outcome;
 }
 
+val attempt : (unit -> 'a) -> ('a, [> `Denied of string | `Exn of string ]) result
+(** [attempt f] runs [f]; the one rule for what counts as a defence. A
+    {!Fidelius_hw.Denial.Denied} [m] is [`Denied m], a refused NPF
+    ({!Fidelius_xen.Hypervisor.Npf_unresolved} [m]) is
+    [`Denied ("NPF handler refused: " ^ m)] and a page fault is
+    [`Denied ("page fault: " ^ reason)]. Any other exception is a harness
+    fault: [`Exn] of its [Printexc.to_string]. *)
+
 val guard : (unit -> Surface.outcome) -> Surface.outcome
-(** Run one attack body and classify how it ended. Only exceptions that
-    model a defence turning the attacker away count as
-    {!Surface.Blocked}: a {!Fidelius_hw.Denial.Denied}, a refused NPF
-    ({!Fidelius_xen.Hypervisor.Npf_unresolved}) or a page fault. Any other
-    exception is a harness fault and comes back as {!Surface.Errored}, so
-    a simulator crash never counts as a defence. The fault matrix
-    classifies its cells with the same function. *)
+(** Run one attack body and classify how it ended with {!attempt}: a
+    defence is {!Surface.Blocked}, anything else {!Surface.Errored}, so a
+    simulator crash never counts as a defence. *)
 
 val run_all : ?seed:int64 -> ?domains:int -> unit -> row list
 (** Runs the whole catalogue, one fresh stack-triple per attack.

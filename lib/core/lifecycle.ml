@@ -171,17 +171,9 @@ let receive_complete s ~expected =
     match Sev.Firmware.receive_finish hv.Xen.Hypervisor.fw ~handle:s.handle ~expected with
     | Error e -> rollback_session s (Rejected ("boot: " ^ e))
     | Ok () -> (
-        match Sev.Firmware.activate hv.Xen.Hypervisor.fw ~handle:s.handle ~asid:dom.Xen.Domain.asid with
+        match Xen.Hypervisor.activate_sev hv dom ~handle:s.handle ~memory_pages:s.memory_pages with
         | Error e -> rollback_session s (Failed ("boot: " ^ e))
         | Ok () ->
-            dom.Xen.Domain.sev_handle <- Some s.handle;
-            dom.Xen.Domain.sev_protected <- true;
-            Hw.Vmcb.set dom.Xen.Domain.vmcb Hw.Vmcb.Sev_enabled 1L;
-            (* The guest kernel maps its memory with the C-bit. *)
-            for gvfn = 0 to s.memory_pages - 1 do
-              Xen.Domain.guest_map dom ~gvfn ~gfn:gvfn ~writable:true ~executable:true
-                ~c_bit:true
-            done;
             (* 5. First entry through the gated VMRUN. *)
             (match start ctx dom with
             | Ok () ->

@@ -37,8 +37,8 @@ val concat_spills : out:string -> ?header:string -> ?footer:string -> string lis
     [out] — streaming in 64 KiB blocks, so peak memory is independent of
     the spill sizes (the bounded-RSS half of the 1,000-VM fleet story).
     Determinism is inherited from the inputs: callers pass spill paths in
-    canonical chunk order, and each spill was written by exactly one
-    worker in canonical job order. No separators are inserted — writers
+    worker order, and each spill was written by exactly one worker, its
+    contiguous block of jobs in canonical job order. No separators are inserted — writers
     embed their own (the fleet's chrome spills carry a leading comma on
     every job fragment after the global first). Raises [Sys_error] if
     any file cannot be opened; [out] is closed (possibly truncated) on

@@ -11,24 +11,21 @@
 
     {2 Scheduling}
 
-    Scheduling is chunked and static: job [j] belongs to the domain given
-    by {!chunks}, a pure function of [(njobs, ndomains)]. There is no
+    Scheduling is static: {!workers} worker domains are spawned, and
+    worker [w] runs the [w]-th of that many contiguous, in-order blocks
+    of jobs, whose sizes differ by at most one. There is no
     work-stealing and no shared queue, so no lock, no contention, and no
-    run-to-run variation in which domain executes which job.
+    run-to-run variation in which domain executes which job on a given
+    host.
 
-    Requested parallelism and spawned domains are decoupled: [domains]
-    fixes the chunking (and therefore the results), while the number of
-    worker domains actually spawned is capped at {!recommended_domains},
-    with excess chunks dealt out to the workers in contiguous blocks
-    ({!worker_of_chunk}), so each worker runs one contiguous job range.
-    OCaml 5's minor GC is a stop-the-world rendezvous over all running
-    domains, so running more domains than cores stalls every allocation
-    on timesliced stragglers, and even {e sequential} extra domains pay
-    a measurable spawn/teardown cost against a warm heap — both were
-    measured as [~domains:2] running slower than [~domains:1] on one
-    core before the cap. The cap changes only which domain hosts a
-    chunk, never the chunking itself, so results and artifacts remain
-    byte-identical across domain counts.
+    The worker count is capped at {!recommended_domains}. OCaml 5's
+    minor GC is a stop-the-world rendezvous over all running domains, so
+    running more domains than cores stalls every allocation on
+    timesliced stragglers — measured as [~domains:2] running slower than
+    [~domains:1] on one core before the cap. The schedule therefore
+    depends on the core count, but no result does: every job writes only
+    its own slot, so results and artifacts are byte-identical across
+    domain counts and host shapes.
 
     {2 State ownership}
 
@@ -36,8 +33,8 @@
     caller's domain, even when [domains = 1] — so no job inherits the
     caller's [Domain.DLS] state: tracing disabled ({!Fidelius_obs.Trace}),
     no fault plan installed ([Fidelius_inject.Plan]). Jobs mapped to the
-    same worker share that worker's DLS (this was always true within a
-    chunk: [domains = 1] runs every job on one domain), so a job that
+    same worker share that worker's DLS ([domains = 1] runs every job
+    on one domain), so a job that
     mutates DLS must restore it — e.g. scope tracing with
     [Trace.capture] — or jobs could observe co-scheduled neighbours and
     break domain-count invariance. A job must construct (or be handed
@@ -52,31 +49,13 @@ val recommended_domains : unit -> int
 val workers : njobs:int -> ndomains:int -> int
 (** [workers ~njobs ~ndomains] is how many worker domains {!map} (and
     {!map_with}) will actually spawn for that job/domain request:
-    [min (recommended_domains ()) (List.length (chunks ~njobs ~ndomains))].
-    Deterministic for a fixed host ({!recommended_domains} is the only
-    environment-dependent input); never 0 for [njobs >= 0]. Callers that
-    size per-worker accumulators (e.g. one GC report slot per worker)
-    must use this, not [ndomains] — requested domains beyond the cap are
-    multiplexed and own no worker of their own. Raises
-    [Invalid_argument] like {!chunks}. *)
-
-val chunks : njobs:int -> ndomains:int -> (int * int) list
-(** [chunks ~njobs ~ndomains] is the static job → domain assignment: one
-    [(start, len)] pair per worker domain, covering [0 .. njobs - 1] with
-    contiguous, disjoint, in-order chunks whose lengths differ by at most
-    one. A pure function of its two arguments — part of the determinism
-    contract, pinned by a qcheck partition property. At most
-    [max njobs 1] domains are used, so no worker is ever empty (except
-    the single worker of an empty job list). Raises [Invalid_argument]
-    if [njobs < 0] or [ndomains < 1]. *)
-
-val worker_of_chunk : nchunks:int -> nworkers:int -> int -> int
-(** [worker_of_chunk ~nchunks ~nworkers i] is the worker that runs chunk
-    [i] of [nchunks]: [i * nworkers / nchunks]. Non-decreasing in [i], so
-    each worker's chunks are contiguous and run in chunk order; for
-    [nworkers <= nchunks] (always the case in {!map}) every worker gets
-    at least one chunk and block sizes differ by at most one. Pure;
-    pinned by a qcheck property over every shape up to 8 x 8. *)
+    [min (recommended_domains ()) (min ndomains njobs)] — 0 when there
+    are no jobs. Deterministic for a fixed host ({!recommended_domains}
+    is the only environment-dependent input). Callers that size
+    per-worker accumulators (e.g. one GC report slot per worker) must use
+    this, not [ndomains] — requested domains beyond the cap own no worker
+    of their own. Raises [Invalid_argument] if [njobs < 0] or
+    [ndomains < 1]. *)
 
 exception Job_failed of { job : int; exn : exn }
 (** Raised by {!map} after all workers have joined, carrying the
@@ -107,12 +86,12 @@ val map_with :
     worker domain [w] (indices [0 .. workers ~njobs ~ndomains - 1]):
 
     - [init w] runs once, {e on the worker domain}, before its first
-      chunk — allocate the arena (reusable machine backing, trace ring,
+      job — allocate the arena (reusable machine backing, trace ring,
       scratch buffers) and snapshot GC baselines here;
     - every job [j] assigned to [w] runs as [f st j] with the state [st]
       that [init] returned — jobs on the same worker see the {e same}
-      [st], in canonical job order within each chunk;
-    - [finish w st] runs once after the worker's last chunk, still on the
+      [st], in canonical job order, and form one contiguous block;
+    - [finish w st] runs once after the worker's last job, still on the
       worker domain, {e even when jobs raised} (job exceptions are
       confined to their result slots) — close spill channels and publish
       GC deltas here.

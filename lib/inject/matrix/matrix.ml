@@ -121,29 +121,26 @@ let fidelius_migration_probe ~seed site =
   in
   let outcome =
     with_plan ~seed site (fun () ->
-        try `Result (Core.Migrate.migrate_live ~owner ~mutate ~src:fid1 ~dst:fid2 dom) with
-        | Hw.Denial.Denied m -> `Denied m
-        | Xen.Hypervisor.Npf_unresolved m -> `Denied m
-        | Hw.Mmu.Fault { reason; _ } -> `Denied reason
-        | e -> `Exn (Printexc.to_string e))
+        Attacks.Runner.attempt (fun () ->
+            Core.Migrate.migrate_live ~owner ~mutate ~src:fid1 ~dst:fid2 dom))
   in
   match outcome with
-  | `Denied m -> (Detected, "migration denied: " ^ m)
-  | `Exn m -> (Harness_error, "migration raised: " ^ m)
-  | `Result (Error (Core.Migrate.Truncated _ as e))
-  | `Result (Error (Core.Migrate.Malformed _ as e))
-  | `Result (Error (Core.Migrate.Rejected _ as e))
-  | `Result (Error (Core.Migrate.Unknown_version _ as e))
-  | `Result (Error (Core.Migrate.Protocol_violation _ as e))
-  | `Result (Error (Core.Migrate.Stale_firmware _ as e))
-  | `Result (Error (Core.Migrate.Attest_refused _ as e)) ->
+  | Error (`Denied m) -> (Detected, "migration denied: " ^ m)
+  | Error (`Exn m) -> (Harness_error, "migration raised: " ^ m)
+  | Ok (Error (Core.Migrate.Truncated _ as e))
+  | Ok (Error (Core.Migrate.Malformed _ as e))
+  | Ok (Error (Core.Migrate.Rejected _ as e))
+  | Ok (Error (Core.Migrate.Unknown_version _ as e))
+  | Ok (Error (Core.Migrate.Protocol_violation _ as e))
+  | Ok (Error (Core.Migrate.Stale_firmware _ as e))
+  | Ok (Error (Core.Migrate.Attest_refused _ as e)) ->
       (* a defence (framing, measurement, state machine or the owner's
          attestation policy) named the fault; the key was never released *)
       (Detected, Core.Migrate.error_to_string e)
-  | `Result (Error e) ->
+  | Ok (Error e) ->
       (* refused or rolled back before any guest ran: closed, undetected *)
       (Fail_closed, Core.Migrate.error_to_string e)
-  | `Result (Ok (dom', report)) ->
+  | Ok (Ok (dom', report)) ->
       if not (secret_survives m2 hv2 dom') then
         (Silent_corruption, "guest resumed with corrupted state")
       else if
@@ -205,64 +202,53 @@ let plain_migration_probe ~seed site =
   | Ok frames -> (
       let received =
         with_plan ~seed site (fun () ->
-            try
-              (* Every frame crosses the untrusted channel before the
-                 target acts on any of them. *)
-              let* frames =
-                List.fold_left
-                  (fun acc f ->
-                    let* acc = acc in
-                    match Wire.decode (Wire.transmit (Wire.encode f)) with
-                    | Ok f -> Ok (f :: acc)
-                    | Error e -> Error (`Wire (Core.Migrate.error_to_string e)))
-                  (Ok []) frames
-              in
-              match List.rev frames with
-              | [ Wire.Start { memory_pages; policy; nonce; wrapped_keys; origin_public; _ };
-                  Wire.Update { pages; _ };
-                  Wire.Finish { measurement; _ } ] ->
-                  let dom2 = Xen.Hypervisor.create_domain hv2 ~name:"victim" ~memory_pages in
-                  let* handle2 =
-                    Result.map_error (fun e -> `Rejected e)
-                      (Sev.Firmware.receive_start fw2 ~wrapped:wrapped_keys ~origin_public
-                         ~nonce ~policy ())
-                  in
-                  let* () =
-                    List.fold_left
-                      (fun acc (index, cipher) ->
-                        let* () = acc in
-                        let gfn = Core.Migrate.gfn_of_index index in
-                        match Hw.Pagetable.lookup dom2.Xen.Domain.npt gfn with
-                        | None -> Error (`Mechanical (Printf.sprintf "gfn 0x%x unbacked" gfn))
-                        | Some npte ->
-                            Result.map_error
-                              (fun e -> `Rejected e)
-                              (Sev.Firmware.receive_update fw2 ~handle:handle2 ~index ~cipher
-                                 ~dst_pfn:npte.Hw.Pagetable.frame))
-                      (Ok ()) pages
-                  in
-                  let* () =
-                    Result.map_error (fun e -> `Rejected e)
-                      (Sev.Firmware.receive_finish fw2 ~handle:handle2 ~expected:measurement)
-                  in
-                  let* () =
-                    Result.map_error (fun e -> `Mechanical e)
-                      (Sev.Firmware.activate fw2 ~handle:handle2 ~asid:dom2.Xen.Domain.asid)
-                  in
-                  dom2.Xen.Domain.sev_handle <- Some handle2;
-                  dom2.Xen.Domain.sev_protected <- true;
-                  Hw.Vmcb.set dom2.Xen.Domain.vmcb Hw.Vmcb.Sev_enabled 1L;
-                  for gvfn = 0 to memory_pages - 1 do
-                    Xen.Domain.guest_map dom2 ~gvfn ~gfn:gvfn ~writable:true ~executable:true
-                      ~c_bit:true
-                  done;
-                  Ok dom2
-              | _ -> Error (`Wire "unexpected frame sequence")
-            with
-            | Hw.Denial.Denied m -> Error (`Denied m)
-            | Xen.Hypervisor.Npf_unresolved m -> Error (`Denied m)
-            | Hw.Mmu.Fault { reason; _ } -> Error (`Denied reason)
-            | e -> Error (`Exn (Printexc.to_string e)))
+            Result.join
+              (Attacks.Runner.attempt (fun () ->
+                   (* Every frame crosses the untrusted channel before the
+                      target acts on any of them. *)
+                   let* frames =
+                     List.fold_left
+                       (fun acc f ->
+                         let* acc = acc in
+                         match Wire.decode (Wire.transmit (Wire.encode f)) with
+                         | Ok f -> Ok (f :: acc)
+                         | Error e -> Error (`Wire (Core.Migrate.error_to_string e)))
+                       (Ok []) frames
+                   in
+                   match List.rev frames with
+                   | [ Wire.Start { memory_pages; policy; nonce; wrapped_keys; origin_public; _ };
+                       Wire.Update { pages; _ };
+                       Wire.Finish { measurement; _ } ] ->
+                       let dom2 = Xen.Hypervisor.create_domain hv2 ~name:"victim" ~memory_pages in
+                       let* handle2 =
+                         Result.map_error (fun e -> `Rejected e)
+                           (Sev.Firmware.receive_start fw2 ~wrapped:wrapped_keys ~origin_public
+                              ~nonce ~policy ())
+                       in
+                       let* () =
+                         List.fold_left
+                           (fun acc (index, cipher) ->
+                             let* () = acc in
+                             let gfn = Core.Migrate.gfn_of_index index in
+                             match Hw.Pagetable.lookup dom2.Xen.Domain.npt gfn with
+                             | None -> Error (`Mechanical (Printf.sprintf "gfn 0x%x unbacked" gfn))
+                             | Some npte ->
+                                 Result.map_error
+                                   (fun e -> `Rejected e)
+                                   (Sev.Firmware.receive_update fw2 ~handle:handle2 ~index ~cipher
+                                      ~dst_pfn:npte.Hw.Pagetable.frame))
+                           (Ok ()) pages
+                       in
+                       let* () =
+                         Result.map_error (fun e -> `Rejected e)
+                           (Sev.Firmware.receive_finish fw2 ~handle:handle2 ~expected:measurement)
+                       in
+                       let* () =
+                         Result.map_error (fun e -> `Mechanical e)
+                           (Xen.Hypervisor.activate_sev hv2 dom2 ~handle:handle2 ~memory_pages)
+                       in
+                       Ok dom2
+                   | _ -> Error (`Wire "unexpected frame sequence"))))
       in
       match received with
       | Error (`Wire e) -> (Detected, "channel damage detected: " ^ e)
@@ -314,19 +300,12 @@ let runtime_probe ~seed site kind =
          attack always gets to pair with an eviction. *)
       Hw.Cache.invalidate_page stack.Surface.machine.Hw.Machine.cache
         (Attacks.Env.resolve_secret_frame stack);
-      let outcome =
-        with_plan ~seed site (fun () ->
-            try `Result (read ()) with
-            | Hw.Denial.Denied m -> `Denied m
-            | Xen.Hypervisor.Npf_unresolved m -> `Denied m
-            | Hw.Mmu.Fault { reason; _ } -> `Denied reason
-            | e -> `Exn (Printexc.to_string e))
-      in
+      let outcome = with_plan ~seed site (fun () -> Attacks.Runner.attempt read) in
       match outcome with
-      | `Denied m -> (Detected, "read denied: " ^ m)
-      | `Exn m -> (Harness_error, "read raised: " ^ m)
-      | `Result (Error e) -> (Detected, "verified read refused: " ^ e)
-      | `Result (Ok s) ->
+      | Error (`Denied m) -> (Detected, "read denied: " ^ m)
+      | Error (`Exn m) -> (Harness_error, "read raised: " ^ m)
+      | Ok (Error e) -> (Detected, "verified read refused: " ^ e)
+      | Ok (Ok s) ->
           if s = clean then (Fail_closed, "guest page intact")
           else (Silent_corruption, "guest page garbled unnoticed"))
 

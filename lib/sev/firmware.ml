@@ -168,6 +168,18 @@ let ctx t handle cmd =
   | Some _ -> Error (Printf.sprintf "%s: handle %d is decommissioned" cmd handle)
   | None -> Error (Printf.sprintf "%s: unknown handle %d" cmd handle)
 
+(* The one entry of every command that names a context with a row:
+   charge it under the row's mnemonic ([charge_cmd], or [charge_page] for
+   a per-page command) before anything can refuse it, look up the live
+   context and check its state against the row. A context that passes
+   costs no allocation beyond [ctx]'s [Ok]. *)
+let enter t ~charge row ~handle =
+  let name = State.name row in
+  charge t name;
+  match ctx t handle name with
+  | Error _ as e -> e
+  | Ok c as ok -> ( match State.check c.state row with Ok () -> ok | Error e -> Error e)
+
 (* A context [ctx] hands out is live, and only DECOMMISSION drops a
    context's Kvek. *)
 let kvek c = Option.get c.kvek
@@ -190,9 +202,7 @@ let launch_start t ~policy =
   start t ~state:(State.next Row.launch_start) ~kvek:(fresh_kvek t) ~policy ()
 
 let launch_update t ~handle ~pfn =
-  charge_page t "LAUNCH_UPDATE";
-  let* c = ctx t handle "LAUNCH_UPDATE" in
-  let* () = State.check c.state Row.launch_update in
+  let* c = enter t ~charge:charge_page Row.launch_update ~handle in
   let plain = Physmem.read_raw t.machine.Machine.mem pfn ~off:0 ~len:Addr.page_size in
   Measure.add_page c.measure ~index:pfn plain;
   coherent_encrypt t ~key:(kvek c) pfn;
@@ -200,17 +210,13 @@ let launch_update t ~handle ~pfn =
   Ok ()
 
 let launch_finish t ~handle =
-  charge_cmd t "LAUNCH_FINISH";
-  let* c = ctx t handle "LAUNCH_FINISH" in
-  let* () = State.check c.state Row.launch_finish in
+  let* c = enter t ~charge:charge_cmd Row.launch_finish ~handle in
   c.state <- State.next Row.launch_finish;
   (* Unkeyed digest: the launch flow's attestation root. *)
   Ok (Measure.finalize c.measure ~tik:(Bytes.create 0))
 
 let launch_shared t ~handle =
-  charge_cmd t "LAUNCH(shared)";
-  let* c = ctx t handle "LAUNCH(shared)" in
-  let* () = State.check c.state Row.launch_shared in
+  let* c = enter t ~charge:charge_cmd Row.launch_shared ~handle in
   start t ~state:(State.next Row.launch_shared) ~kvek:c.kvek ~policy:c.policy ()
 
 (* ACTIVATE binds handle to ASID with no ownership validation: the
@@ -241,8 +247,7 @@ let deactivate t ~handle =
    made from it — in the one command. Each loses its key slot, its Kvek
    and its GEKs. *)
 let decommission t ~handle =
-  charge_cmd t "DECOMMISSION";
-  let* c = ctx t handle "DECOMMISSION" in
+  let* c = enter t ~charge:charge_cmd Row.decommission ~handle in
   let key = kvek c in
   Hashtbl.iter
     (fun h other ->
@@ -264,9 +269,7 @@ let asid_of t ~handle =
   Option.bind (Hashtbl.find_opt t.contexts handle) (fun c -> c.asid)
 
 let send_start t ~handle ~target_public ~nonce =
-  charge_cmd t "SEND_START";
-  let* c = ctx t handle "SEND_START" in
-  let* () = State.check c.state Row.send_start in
+  let* c = enter t ~charge:charge_cmd Row.send_start ~handle in
   let* () =
     if c.policy land policy_nosend <> 0 then
       Error "SEND_START: forbidden by guest policy (NOSEND)"
@@ -284,9 +287,7 @@ let send_start t ~handle ~target_public ~nonce =
   Ok (Keywrap.wrap ~kek (Bytes.cat tek tik))
 
 let send_update t ~handle ~index ~src_pfn =
-  charge_page t "SEND_UPDATE";
-  let* c = ctx t handle "SEND_UPDATE" in
-  let* () = State.check c.state Row.send_update in
+  let* c = enter t ~charge:charge_page Row.send_update ~handle in
   match c.tek with
   | None -> Error "SEND_UPDATE: no transport key"
   | Some tek ->
@@ -297,9 +298,7 @@ let send_update t ~handle ~index ~src_pfn =
       Ok (Transport.page_cipher ~tek ~index plain)
 
 let send_finish t ~handle =
-  charge_cmd t "SEND_FINISH";
-  let* c = ctx t handle "SEND_FINISH" in
-  let* () = State.check c.state Row.send_finish in
+  let* c = enter t ~charge:charge_cmd Row.send_finish ~handle in
   match c.tik with
   | None -> Error "SEND_FINISH: no integrity key"
   | Some tik ->
@@ -308,9 +307,7 @@ let send_finish t ~handle =
       Ok (Measure.finalize c.measure ~tik)
 
 let send_cancel t ~handle =
-  charge_cmd t "SEND_CANCEL";
-  let* c = ctx t handle "SEND_CANCEL" in
-  let* () = State.check c.state Row.send_cancel in
+  let* c = enter t ~charge:charge_cmd Row.send_cancel ~handle in
   c.tek <- None;
   c.tik <- None;
   c.measure <- Measure.create ();
@@ -342,9 +339,7 @@ let receive_start t ~wrapped ~origin_public ~nonce ~policy ?kvek_of () =
       start t ~state:(State.next Row.receive_start) ~kvek ~policy ~tek ~tik ~nonce ())
 
 let receive_update t ~handle ~index ~cipher ~dst_pfn =
-  charge_page t "RECEIVE_UPDATE";
-  let* c = ctx t handle "RECEIVE_UPDATE" in
-  let* () = State.check c.state Row.receive_update in
+  let* c = enter t ~charge:charge_page Row.receive_update ~handle in
   match c.tek with
   | None -> Error "RECEIVE_UPDATE: no transport key"
   | Some tek ->
@@ -372,9 +367,7 @@ let receive_update_in_place t ~handle ~index ~pfn =
   receive_update t ~handle ~index ~cipher:t.cipher ~dst_pfn:pfn
 
 let receive_finish t ~handle ~expected =
-  charge_cmd t "RECEIVE_FINISH";
-  let* c = ctx t handle "RECEIVE_FINISH" in
-  let* () = State.check c.state Row.receive_finish in
+  let* c = enter t ~charge:charge_cmd Row.receive_finish ~handle in
   match c.tik with
   | None -> Error "RECEIVE_FINISH: no integrity key"
   | Some tik ->
@@ -395,10 +388,8 @@ let receive_finish t ~handle ~expected =
    key Ktek (SEND_UPDATE(io), RECEIVE_UPDATE(io)) or one of the guest's
    GEKs (ENC, DEC). *)
 let io_command t ~cmd ~handle ~key_of ~len =
+  let* c = enter t ~charge:charge_page cmd ~handle in
   let name = State.name cmd in
-  charge_page t name;
-  let* c = ctx t handle name in
-  let* () = State.check c.state cmd in
   let* key = key_of c name in
   if len <= 0 || len > Addr.page_size then Error (name ^ ": bad length")
   else begin
@@ -434,9 +425,7 @@ let receive_update_io t = io_in t ~cmd:Row.receive_update_io ~key_of:tek_of
 (* Customized-key extension (paper Section 8). *)
 
 let setenc_gek t ~handle =
-  charge_cmd t "SETENC_GEK";
-  let* c = ctx t handle "SETENC_GEK" in
-  let* () = State.check c.state Row.setenc_gek in
+  let* c = enter t ~charge:charge_cmd Row.setenc_gek ~handle in
   c.state <- State.next Row.setenc_gek;
   let id = t.next_gek in
   t.next_gek <- id + 1;

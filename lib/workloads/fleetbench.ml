@@ -78,32 +78,19 @@ type summary = {
   gc : gc_stats list;
 }
 
-(* Per-worker streaming state: the arena plus the spill channels of the
-   chunk currently being written. A worker runs its chunks in order and
-   the jobs of a chunk in order, so at most one (csv, trace) channel pair
-   is open per worker at a time; [finish] closes whatever is left open
-   even when a job raised. *)
+(* Per-worker streaming state: the arena plus the worker's two spill
+   channels, opened in [init] and closed in [finish] even when a job
+   raised. A worker runs one contiguous block of jobs in order, so its
+   spills hold that block's rows and fragments in job order. *)
 type stream_state = {
   a : arena;
-  mutable csv_spill : (int * out_channel) option;
-  mutable trc_spill : (int * out_channel) option;
+  csv_oc : out_channel;
+  trc_oc : out_channel;
   gc0 : Gc.stat;
   mutable njobs_run : int;
 }
 
-let spill_path ~dir ~kind chunk = Filename.concat dir (Printf.sprintf "%s-%06d" kind chunk)
-
-(* Advance a worker's open spill channel to [chunk]: workers visit their
-   chunks in increasing order, so "a different chunk" always means the
-   previous spill is complete and can be closed. Returns the slot value
-   to store back plus the channel to write. *)
-let spill_chan ~dir ~kind current chunk =
-  match current with
-  | Some (c, oc) when c = chunk -> (current, oc)
-  | prev ->
-      (match prev with Some (_, oc) -> close_out oc | None -> ());
-      let oc = open_out_bin (spill_path ~dir ~kind chunk) in
-      (Some (chunk, oc), oc)
+let spill_path ~dir ~kind worker = Filename.concat dir (Printf.sprintf "%s-%06d" kind worker)
 
 let mkdir_p dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
@@ -122,76 +109,53 @@ let chrome_fragment buf ~vm ring =
 let run_stream ?domains ?(vms = 16) ~csv:csv_out ~trace:trace_out () =
   if vms < 0 then invalid_arg "Fleetbench.run_stream: vms must be >= 0";
   let ndomains = match domains with None -> Pool.recommended_domains () | Some d -> d in
+  let nworkers = Pool.workers ~njobs:vms ~ndomains in
   let spill_dir = trace_out ^ ".spill" in
-  let finalize chunk_list results gc_list =
-    (* Canonical chunk order = canonical job order: chunk c covers jobs
-       [start, start+len), chunks are contiguous and in order, and each
-       worker wrote its chunks' jobs in order. *)
-    let nchunks = List.length chunk_list in
-    let paths kind = List.init nchunks (fun c -> spill_path ~dir:spill_dir ~kind c) in
-    Merge.concat_spills ~out:csv_out ~header:(csv_header ^ "\n") (paths "rows");
-    let shards = List.map (fun (r : vm_row) -> (label_of r.vm, r.events)) results in
-    Merge.concat_spills ~out:trace_out ~header:Merge.chrome_header
-      ~footer:(Merge.chrome_footer ~shards ^ "\n")
-      (paths "trace");
-    List.iter (fun kind -> List.iter Sys.remove (paths kind)) [ "rows"; "trace" ];
-    (try Sys.rmdir spill_dir with Sys_error _ -> ());
-    { vm_rows = results; gc = gc_list }
+  mkdir_p spill_dir;
+  (* One slot per worker, written only by that worker; Pool's joins
+     publish the writes before we read them back — the same disjoint-
+     write pattern Pool uses for job slots. *)
+  let gc_slots = Array.make nworkers None in
+  let rows =
+    Pool.map_with ?domains ~njobs:vms
+      ~init:(fun w ->
+        let a = arena () in
+        let csv_oc = open_out_bin (spill_path ~dir:spill_dir ~kind:"rows" w) in
+        let trc_oc = open_out_bin (spill_path ~dir:spill_dir ~kind:"trace" w) in
+        { a; csv_oc; trc_oc; gc0 = Gc.quick_stat (); njobs_run = 0 })
+      ~finish:(fun w st ->
+        close_out st.csv_oc;
+        close_out st.trc_oc;
+        let g1 = Gc.quick_stat () in
+        let g0 = st.gc0 in
+        gc_slots.(w) <-
+          Some
+            { worker = w;
+              jobs = st.njobs_run;
+              minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+              promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
+              major_words = g1.Gc.major_words -. g0.Gc.major_words;
+              minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
+              major_collections = g1.Gc.major_collections - g0.Gc.major_collections })
+      (fun st vm ->
+        let row = run_vm st.a vm in
+        output_string st.csv_oc (csv_row row);
+        output_char st.csv_oc '\n';
+        chrome_fragment st.a.jbuf ~vm st.a.ring;
+        Buffer.output_buffer st.trc_oc st.a.jbuf;
+        Buffer.clear st.a.jbuf;
+        Trace.ring_reset st.a.ring;
+        st.njobs_run <- st.njobs_run + 1;
+        row)
   in
-  if vms = 0 then begin
-    ignore (Pool.chunks ~njobs:vms ~ndomains) (* validate ndomains like Pool.map would *);
-    finalize [] [] []
-  end
-  else begin
-    let chunk_list = Pool.chunks ~njobs:vms ~ndomains in
-    let chunk_of = Array.make vms 0 in
-    List.iteri
-      (fun c (start, len) ->
-        for j = start to start + len - 1 do
-          chunk_of.(j) <- c
-        done)
-      chunk_list;
-    mkdir_p spill_dir;
-    let nworkers = Pool.workers ~njobs:vms ~ndomains in
-    (* One slot per worker, written only by that worker; Pool's joins
-       publish the writes before we read them back — the same disjoint-
-       write pattern Pool uses for job slots. *)
-    let gc_slots = Array.make nworkers None in
-    let rows =
-      Pool.map_with ?domains ~njobs:vms
-        ~init:(fun _w ->
-          let a = arena () in
-          { a; csv_spill = None; trc_spill = None; gc0 = Gc.quick_stat (); njobs_run = 0 })
-        ~finish:(fun w st ->
-          (match st.csv_spill with Some (_, oc) -> close_out oc | None -> ());
-          (match st.trc_spill with Some (_, oc) -> close_out oc | None -> ());
-          let g1 = Gc.quick_stat () in
-          let g0 = st.gc0 in
-          gc_slots.(w) <-
-            Some
-              { worker = w;
-                jobs = st.njobs_run;
-                minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-                promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-                major_words = g1.Gc.major_words -. g0.Gc.major_words;
-                minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
-                major_collections = g1.Gc.major_collections - g0.Gc.major_collections })
-        (fun st vm ->
-          let row = run_vm st.a vm in
-          let c = chunk_of.(vm) in
-          let csv_slot, csv_oc = spill_chan ~dir:spill_dir ~kind:"rows" st.csv_spill c in
-          st.csv_spill <- csv_slot;
-          output_string csv_oc (csv_row row);
-          output_char csv_oc '\n';
-          let trc_slot, trc_oc = spill_chan ~dir:spill_dir ~kind:"trace" st.trc_spill c in
-          st.trc_spill <- trc_slot;
-          chrome_fragment st.a.jbuf ~vm st.a.ring;
-          Buffer.output_buffer trc_oc st.a.jbuf;
-          Buffer.clear st.a.jbuf;
-          Trace.ring_reset st.a.ring;
-          st.njobs_run <- st.njobs_run + 1;
-          row)
-    in
-    let gc_list = Array.to_list gc_slots |> List.filter_map Fun.id in
-    finalize chunk_list rows gc_list
-  end
+  (* Worker order = canonical job order: worker w ran the w-th
+     contiguous block of jobs, in order. *)
+  let paths kind = List.init nworkers (fun w -> spill_path ~dir:spill_dir ~kind w) in
+  Merge.concat_spills ~out:csv_out ~header:(csv_header ^ "\n") (paths "rows");
+  let shards = List.map (fun (r : vm_row) -> (label_of r.vm, r.events)) rows in
+  Merge.concat_spills ~out:trace_out ~header:Merge.chrome_header
+    ~footer:(Merge.chrome_footer ~shards ^ "\n")
+    (paths "trace");
+  List.iter (fun kind -> List.iter Sys.remove (paths kind)) [ "rows"; "trace" ];
+  (try Sys.rmdir spill_dir with Sys_error _ -> ());
+  { vm_rows = rows; gc = Array.to_list gc_slots |> List.filter_map Fun.id }

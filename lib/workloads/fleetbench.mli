@@ -25,8 +25,8 @@
 
     Worker domains own reusable {!arena}s (DRAM backing, trace ring,
     serialization buffer), and each VM's row and trace bytes are spilled
-    to per-chunk files as the job completes, then concatenated in
-    canonical order. Peak memory stays bounded by [workers × arena], not
+    to the worker's own files as the job completes, then concatenated in
+    worker order, which is canonical VM order. Peak memory stays bounded by [workers × arena], not
     [vms × trace], which is what lets a 1,000-VM fleet finish. *)
 
 type vm_row = {
@@ -87,10 +87,12 @@ val run_stream :
 (** [run_stream ~csv ~trace ()] boots and measures [vms] (default 16)
     protected VMs across [domains] (default
     [Fidelius_fleet.Pool.recommended_domains ()]) worker domains. Worker
-    [w] reuses one {!arena} for all its jobs, writes each finished VM's
-    CSV row and serialized Chrome events to per-chunk spill files (in a
-    [<trace>.spill] directory, removed on success), and the final merge
-    concatenates the spills in canonical chunk order into [csv] and
+    [w] runs the [w]-th contiguous block of VMs ({!Fidelius_fleet.Pool}),
+    reuses one {!arena} for all of them, and writes each finished VM's
+    CSV row and serialized Chrome events to its two spill files (in a
+    [<trace>.spill] directory, removed on success), opened before its
+    first VM and closed after its last. The final merge concatenates the
+    spills in worker order, which is canonical VM order, into [csv] and
     [trace] (the latter newline-terminated). Both files are
     byte-identical at every domain count. Peak live heap is
     [workers × arena] plus the (tiny) row list; no VM's trace entries

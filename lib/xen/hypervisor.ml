@@ -299,10 +299,24 @@ let create_domain t ~name ~memory_pages =
 
 let ( let* ) = Result.bind
 
+(* The guest marks its private memory encrypted in its own page table;
+   shared/IO pages are mapped with the C-bit clear later. *)
+let activate_sev t dom ~handle ~memory_pages =
+  match Sev.Firmware.activate t.fw ~handle ~asid:dom.Domain.asid with
+  | Error _ as e -> e
+  | Ok () ->
+      dom.Domain.sev_handle <- Some handle;
+      dom.Domain.sev_protected <- true;
+      Hw.Vmcb.set dom.Domain.vmcb Hw.Vmcb.Sev_enabled 1L;
+      for gvfn = 0 to memory_pages - 1 do
+        Domain.guest_map dom ~gvfn ~gfn:gvfn ~writable:true ~executable:true ~c_bit:true
+      done;
+      Ok ()
+
 let create_sev_domain t ~name ~memory_pages ~kernel =
-  let dom = create_domain t ~name ~memory_pages in
   if List.length kernel > memory_pages then Error "kernel larger than guest memory"
   else
+    let dom = create_domain t ~name ~memory_pages in
     let* handle = Sev.Firmware.launch_start t.fw ~policy:Sev.Firmware.policy_nodbg in
     let* () =
       List.fold_left
@@ -319,15 +333,7 @@ let create_sev_domain t ~name ~memory_pages ~kernel =
         (List.mapi (fun i p -> (i, p)) kernel)
     in
     let* _digest = Sev.Firmware.launch_finish t.fw ~handle in
-    let* () = Sev.Firmware.activate t.fw ~handle ~asid:dom.Domain.asid in
-    dom.Domain.sev_handle <- Some handle;
-    dom.Domain.sev_protected <- true;
-    Hw.Vmcb.set dom.Domain.vmcb Hw.Vmcb.Sev_enabled 1L;
-    (* The SEV guest marks its private memory encrypted in its own page
-       table; shared/IO pages are mapped with the C-bit clear later. *)
-    for gvfn = 0 to memory_pages - 1 do
-      Domain.guest_map dom ~gvfn ~gfn:gvfn ~writable:true ~executable:true ~c_bit:true
-    done;
+    let* () = activate_sev t dom ~handle ~memory_pages in
     Ok dom
 
 let enable_sev_es t dom =

@@ -94,7 +94,16 @@ val create_domain : t -> name:string -> memory_pages:int -> Domain.t
 val create_sev_domain :
   t -> name:string -> memory_pages:int -> kernel:bytes list -> (Domain.t, string) result
 (** Plain-SEV guest (the baseline Fidelius improves on): LAUNCH flow over a
-    plaintext-loaded kernel, ACTIVATE, C-bit set in the guest page table. *)
+    plaintext-loaded kernel, then {!activate_sev}. A kernel larger than
+    [memory_pages] is refused before any domain or frame is allocated. *)
+
+val activate_sev :
+  t -> Domain.t -> handle:Sev.Firmware.handle -> memory_pages:int -> (unit, string) result
+(** The one way an SEV guest starts running encrypted: ACTIVATE binds
+    [handle] to [dom]'s ASID, then [dom] is marked SEV-protected with
+    [Sev_enabled] in its VMCB, and gvfns [0 .. memory_pages - 1] map the
+    same gfns with the C-bit set. An ACTIVATE refusal is returned with
+    nothing marked. *)
 
 val enable_sev_es : t -> Domain.t -> unit
 (** Switch an SEV domain into ES mode: from now on the hardware snapshots

@@ -78,6 +78,47 @@ let test_errored_not_defended () =
   Alcotest.(check string) "rendering" "ERRORED: boom"
     (Surface.outcome_to_string (Surface.Errored "boom"))
 
+(* The one classifier, every verdict: the three defence exceptions come
+   back as [`Denied] with guard's messages and anything else as [`Exn];
+   guard turns them into Blocked and Errored. No attack in the catalogue
+   raises a non-defence exception, so this is the Errored path's test. *)
+let test_attempt_verdicts () =
+  let verdict = function
+    | Ok () -> "ok"
+    | Error (`Denied m) -> "denied: " ^ m
+    | Error (`Exn m) -> "exn: " ^ m
+  in
+  let cases =
+    [ ( "Denial.Denied",
+        (fun () -> raise (Fidelius_hw.Denial.Denied "gate refused")),
+        "denied: gate refused",
+        Surface.Blocked "gate refused" );
+      ( "Npf_unresolved",
+        (fun () -> raise (Fidelius_xen.Hypervisor.Npf_unresolved "gfn 0x5")),
+        "denied: NPF handler refused: gfn 0x5",
+        Surface.Blocked "NPF handler refused: gfn 0x5" );
+      ( "Mmu.Fault",
+        (fun () ->
+          raise
+            (Fidelius_hw.Mmu.Fault
+               { space = 0; vfn = 7; access = Fidelius_hw.Mmu.Write; reason = "read-only" })),
+        "denied: page fault: read-only",
+        Surface.Blocked "page fault: read-only" );
+      ( "Failure",
+        (fun () -> failwith "harness bug"),
+        "exn: Failure(\"harness bug\")",
+        Surface.Errored "Failure(\"harness bug\")" ) ]
+  in
+  Alcotest.(check string) "a body that returns" "ok" (verdict (Runner.attempt (fun () -> ())));
+  List.iter
+    (fun (name, raiser, expected, outcome) ->
+      Alcotest.(check string) ("attempt: " ^ name) expected (verdict (Runner.attempt raiser));
+      Alcotest.(check string) ("guard: " ^ name)
+        (Surface.outcome_to_string outcome)
+        (Surface.outcome_to_string
+           (Runner.guard (fun () -> raiser (); Surface.Leaked "unreached"))))
+    cases
+
 let test_summary () =
   let total, defended, baseline_vulnerable = Runner.summary (Lazy.force rows) in
   Alcotest.(check int) "catalogue size" (List.length Suite.all) total;
@@ -225,4 +266,5 @@ let () =
         [ Alcotest.test_case "totals" `Quick test_summary;
           Alcotest.test_case "no harness errors" `Quick test_no_harness_errors;
           Alcotest.test_case "errored scoring" `Quick test_errored_not_defended;
+          Alcotest.test_case "one classifier, every verdict" `Quick test_attempt_verdicts;
           Alcotest.test_case "catalogue" `Quick test_catalogue_structure ] ) ]

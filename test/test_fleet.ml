@@ -1,4 +1,4 @@
-(* Tests for the fleet runner: the chunked-scheduling partition property,
+(* Tests for the fleet runner: the static block schedule,
    pool edge cases (empty job list, more domains than jobs, failing jobs),
    per-shard trace isolation, and the determinism contract — the fleet
    benchmark's merged artifacts and the fault matrix's verdicts must be
@@ -12,51 +12,37 @@ module W = Fidelius_workloads
 module Matrix = Fidelius_inject_matrix.Matrix
 module Site = Fidelius_inject.Site
 
-(* --- chunks: the static schedule ----------------------------------------- *)
+(* --- the static schedule ---------------------------------------------------- *)
 
-let test_chunks_partition =
-  QCheck.Test.make ~count:200 ~name:"chunks partition 0..njobs-1 evenly"
-    QCheck.(pair (int_bound 200) (int_range 1 32))
+(* Worker w runs the w-th of [Pool.workers] contiguous blocks: along the
+   job order the worker index never decreases, every worker runs at least
+   one job, and block sizes differ by at most one. The worker count
+   depends on the host's core count; the property holds on any host. *)
+let test_map_with_blocks =
+  QCheck.Test.make ~count:100 ~name:"map_with runs contiguous blocks"
+    QCheck.(pair (int_bound 40) (int_range 1 8))
     (fun (njobs, ndomains) ->
-      let cs = Pool.chunks ~njobs ~ndomains in
-      let covered = List.concat_map (fun (s, l) -> List.init l (fun i -> s + i)) cs in
-      let lens = List.map snd cs in
-      let lo = List.fold_left min max_int lens and hi = List.fold_left max 0 lens in
-      (* contiguous in-order cover of the job range... *)
-      covered = List.init njobs (fun j -> j)
-      (* ...with chunk sizes differing by at most one... *)
-      && (njobs = 0 || hi - lo <= 1)
-      (* ...and never more domains than jobs. *)
-      && List.length cs <= max njobs 1)
-
-let test_chunks_pure () =
-  Alcotest.(check bool) "same inputs, same schedule" true
-    (Pool.chunks ~njobs:17 ~ndomains:4 = Pool.chunks ~njobs:17 ~ndomains:4);
-  Alcotest.(check (list (pair int int))) "13 jobs over 4 domains"
-    [ (0, 4); (4, 3); (7, 3); (10, 3) ]
-    (Pool.chunks ~njobs:13 ~ndomains:4);
-  Alcotest.check_raises "njobs < 0 rejected"
-    (Invalid_argument "Pool.chunks: njobs must be >= 0") (fun () ->
-      ignore (Pool.chunks ~njobs:(-1) ~ndomains:2));
-  Alcotest.check_raises "ndomains < 1 rejected"
-    (Invalid_argument "Pool.chunks: ndomains must be >= 1") (fun () ->
-      ignore (Pool.chunks ~njobs:4 ~ndomains:0))
-
-(* Chunks beyond the worker cap go to workers in contiguous blocks: along
-   the chunk order the worker index never decreases, so each worker's
-   chunks form one run, in order, and when there are at least as many
-   chunks as workers every worker gets a block, the blocks differing in
-   size by at most one. 1000 draws cover all 64 shapes. *)
-let test_worker_of_chunk_blocks =
-  QCheck.Test.make ~count:1000 ~name:"worker_of_chunk deals contiguous ordered blocks"
-    QCheck.(pair (int_range 1 8) (int_range 1 8))
-    (fun (nchunks, nworkers) ->
-      let owner = List.init nchunks (Pool.worker_of_chunk ~nchunks ~nworkers) in
-      let sizes = List.init nworkers (fun w -> List.length (List.filter (( = ) w) owner)) in
+      let nworkers = Pool.workers ~njobs ~ndomains in
+      let ran = Pool.map_with ~domains:ndomains ~njobs ~init:Fun.id (fun w j -> (w, j)) in
+      let ws = List.map fst ran in
+      let sizes = List.init nworkers (fun w -> List.length (List.filter (( = ) w) ws)) in
       let lo = List.fold_left min max_int sizes and hi = List.fold_left max 0 sizes in
-      List.for_all (fun w -> w >= 0 && w < nworkers) owner
-      && List.sort compare owner = owner
-      && (nworkers > nchunks || (lo >= 1 && hi - lo <= 1)))
+      List.map snd ran = List.init njobs Fun.id
+      && List.sort compare ws = ws
+      && List.for_all (fun w -> w >= 0 && w < nworkers) ws
+      && (njobs = 0 || (lo >= 1 && hi - lo <= 1)))
+
+let test_workers_validated () =
+  let cap = Pool.recommended_domains () in
+  Alcotest.(check int) "13 jobs on 4 domains" (min cap 4) (Pool.workers ~njobs:13 ~ndomains:4);
+  Alcotest.(check int) "2 jobs on 8 domains" (min cap 2) (Pool.workers ~njobs:2 ~ndomains:8);
+  Alcotest.(check int) "no jobs, no workers" 0 (Pool.workers ~njobs:0 ~ndomains:4);
+  Alcotest.check_raises "njobs < 0 rejected"
+    (Invalid_argument "Pool.workers: njobs must be >= 0") (fun () ->
+      ignore (Pool.workers ~njobs:(-1) ~ndomains:2));
+  Alcotest.check_raises "ndomains < 1 rejected"
+    (Invalid_argument "Pool.workers: ndomains must be >= 1") (fun () ->
+      ignore (Pool.workers ~njobs:4 ~ndomains:0))
 
 (* --- map: order, edge cases, failure ------------------------------------- *)
 
@@ -126,12 +112,12 @@ let test_map_with_init_finish_once_per_worker () =
   Alcotest.(check (list int)) "jobs in canonical order"
     (List.init njobs (fun j -> j))
     (List.map snd results);
-  (* A worker's jobs are its chunk: contiguous, so each worker index must
+  (* A worker's jobs are one block: contiguous, so each worker index must
      tag a contiguous run of job indices. *)
-  let chunk_workers = List.map fst results in
+  let block_workers = List.map fst results in
   let deduped =
     List.fold_left (fun acc w -> match acc with x :: _ when x = w -> acc | _ -> w :: acc) []
-      chunk_workers
+      block_workers
   in
   Alcotest.(check int) "each worker owns one contiguous job range" nworkers
     (List.length deduped)
@@ -147,7 +133,7 @@ let test_map_with_shared_state_sequential () =
   List.iter
     (fun (j, nth) ->
       Alcotest.(check bool)
-        (Printf.sprintf "job %d is its worker's %dth (1-based, within chunk)" j nth)
+        (Printf.sprintf "job %d is its worker's %dth (1-based)" j nth)
         true
         (nth >= 1 && nth <= 10))
     rows;
@@ -412,6 +398,29 @@ let test_fleet_golden_md5 () =
             "120031c2649237798ee84524fffa9b5b" (md5 trc_f))
         [ 1; 2 ])
 
+(* Bounded memory for the 1,000-VM story: a streamed 100-VM run must not
+   grow the live heap with per-VM state. Rows are about a dozen words
+   each; every trace event must have been spilled and collected, and the
+   arenas freed with their worker domains. The 2M-word (~16 MiB) ceiling
+   is far above the rows yet far below what one retained trace shard
+   population (100 rings' worth of entries) would cost. *)
+let test_stream_live_heap_bounded () =
+  let csv_f = Filename.temp_file "fleet" ".csv" and trc_f = Filename.temp_file "fleet" ".json" in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove csv_f; Sys.remove trc_f)
+    (fun () ->
+      ignore (W.Fleetbench.run_stream ~domains:2 ~vms:8 ~csv:csv_f ~trace:trc_f ());
+      let before = live_words () in
+      ignore (W.Fleetbench.run_stream ~domains:4 ~vms:100 ~csv:csv_f ~trace:trc_f ());
+      let growth = live_words () - before in
+      Alcotest.(check bool)
+        (Printf.sprintf "100 streamed VMs grew the live heap by %d words (<= 2M)" growth)
+        true (growth <= 2_000_000))
+
 let test_fleetbench_domain_count_invariance () =
   let csv1, trace1, rows = stream ~domains:1 ~vms:3 in
   let csv3, trace3, rows3 = stream ~domains:3 ~vms:3 in
@@ -442,10 +451,9 @@ let test_matrix_domain_count_invariance () =
 
 let () =
   Alcotest.run "fleet"
-    [ ( "chunks",
-        [ QCheck_alcotest.to_alcotest test_chunks_partition;
-          Alcotest.test_case "pure and validated" `Quick test_chunks_pure;
-          QCheck_alcotest.to_alcotest test_worker_of_chunk_blocks ] );
+    [ ( "schedule",
+        [ QCheck_alcotest.to_alcotest test_map_with_blocks;
+          Alcotest.test_case "workers capped and validated" `Quick test_workers_validated ] );
       ( "pool",
         [ Alcotest.test_case "canonical order" `Quick test_map_canonical_order;
           Alcotest.test_case "empty job list" `Quick test_map_empty;
@@ -476,5 +484,7 @@ let () =
             test_fleetbench_domain_count_invariance;
           QCheck_alcotest.to_alcotest test_stream_domain_invariant;
           Alcotest.test_case "24-VM artifact MD5s" `Quick test_fleet_golden_md5;
+          Alcotest.test_case "100 VMs leave the live heap bounded" `Quick
+            test_stream_live_heap_bounded;
           Alcotest.test_case "fault matrix verdicts" `Quick
             test_matrix_domain_count_invariance ] ) ]

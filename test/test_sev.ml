@@ -109,7 +109,104 @@ let test_every_row () =
   after fw2 "DECOMMISSION" r;
   Alcotest.(check (list string)) "every row driven"
     (List.sort compare (List.map fst State.table))
-    (List.sort_uniq compare !seen)
+    (List.sort_uniq compare !seen);
+  (* Every row's command refused twice, on an unknown handle and on a
+     context in a state the row refuses. Each refusal keeps its error
+     string and is charged exactly once, before the lookup: a
+     [firmware_page] for a per-page command, else a [firmware_cmd]. The
+     two Start rows name no context of their own: theirs are refused on
+     an uninitialized platform, and RECEIVE_START's [~kvek_of] on an
+     unknown handle. *)
+  let m3, fw3 = env () in
+  let bare = Firmware.create m3 in
+  let launching = ok (Firmware.launch_start fw3 ~policy:0) in
+  let running = ok (Firmware.launch_start fw3 ~policy:0) in
+  ignore (ok (Firmware.launch_finish fw3 ~handle:running));
+  let gone = ok (Firmware.launch_start fw3 ~policy:0) in
+  ok (Firmware.decommission fw3 ~handle:gone);
+  let pfn3 = Hw.Machine.alloc_frame m3 in
+  let refused = ref [] in
+  let refuse (m : Hw.Machine.t) cmd ~per_page expected f =
+    refused := cmd :: !refused;
+    let before = Hw.Cost.category m.Hw.Machine.ledger "sev-fw" in
+    let r, events = Fidelius_obs.Trace.capture (fun () -> Result.map ignore (f ())) in
+    Alcotest.(check (result unit string)) cmd (Error expected) r;
+    Alcotest.(check int) (expected ^ ": one charge")
+      (if per_page then m.Hw.Machine.costs.Hw.Cost.firmware_page
+       else m.Hw.Machine.costs.Hw.Cost.firmware_cmd)
+      (Hw.Cost.category m.Hw.Machine.ledger "sev-fw" - before);
+    Alcotest.(check (list string)) (expected ^ ": one command traced") [ cmd ]
+      (List.filter_map
+         (fun (e : Fidelius_obs.Trace.entry) ->
+           match e.Fidelius_obs.Trace.event with
+           | Fidelius_obs.Trace.Fw_cmd name -> Some name
+           | _ -> None)
+         events)
+  in
+  refuse m3 "LAUNCH_START" ~per_page:false "LAUNCH_START: platform not initialized" (fun () ->
+      Firmware.launch_start bare ~policy:0);
+  refuse m3 "RECEIVE_START" ~per_page:false "RECEIVE_START: platform not initialized" (fun () ->
+      Firmware.receive_start bare ~wrapped ~origin_public:(Firmware.platform_public fw1)
+        ~nonce:9L ~policy:0 ());
+  refuse m2 "RECEIVE_START" ~per_page:false "RECEIVE_START(kvek_of): unknown handle 999"
+    (fun () ->
+      Firmware.receive_start fw2 ~wrapped ~origin_public:(Firmware.platform_public fw1)
+        ~nonce:9L ~policy:0 ~kvek_of:999 ());
+  let u r = Result.map ignore r in
+  List.iter
+    (fun (cmd, per_page, handle, refusal, call) ->
+      refuse m3 cmd ~per_page (Printf.sprintf "%s: unknown handle 999" cmd) (fun () -> call 999);
+      refuse m3 cmd ~per_page refusal (fun () -> call handle))
+    [ ( "LAUNCH_UPDATE", true, running,
+        "LAUNCH_UPDATE: invalid guest state RUNNING (expected LAUNCHING)",
+        fun handle -> Firmware.launch_update fw3 ~handle ~pfn:pfn3 );
+      ( "LAUNCH_FINISH", false, running,
+        "LAUNCH_FINISH: invalid guest state RUNNING (expected LAUNCHING)",
+        fun handle -> u (Firmware.launch_finish fw3 ~handle) );
+      ( "LAUNCH(shared)", false, launching,
+        "LAUNCH(shared): invalid guest state LAUNCHING (expected RUNNING)",
+        fun handle -> u (Firmware.launch_shared fw3 ~handle) );
+      ( "SEND_START", false, launching,
+        "SEND_START: invalid guest state LAUNCHING (expected RUNNING)",
+        fun handle ->
+          u (Firmware.send_start fw3 ~handle ~target_public:(Firmware.platform_public fw2)
+               ~nonce:3L) );
+      ( "SEND_UPDATE", true, running,
+        "SEND_UPDATE: invalid guest state RUNNING (expected SENDING)",
+        fun handle -> u (Firmware.send_update fw3 ~handle ~index:0 ~src_pfn:pfn3) );
+      ( "SEND_UPDATE(io)", true, running,
+        "SEND_UPDATE(io): invalid guest state RUNNING (expected SENDING)",
+        fun handle -> u (Firmware.send_update_io fw3 ~handle ~nonce:2L ~src_pfn:pfn3 ~len:64) );
+      ( "SEND_FINISH", false, running,
+        "SEND_FINISH: invalid guest state RUNNING (expected SENDING)",
+        fun handle -> u (Firmware.send_finish fw3 ~handle) );
+      ( "SEND_CANCEL", false, running,
+        "SEND_CANCEL: invalid guest state RUNNING (expected SENDING or SENT)",
+        fun handle -> Firmware.send_cancel fw3 ~handle );
+      ( "RECEIVE_UPDATE", true, running,
+        "RECEIVE_UPDATE: invalid guest state RUNNING (expected RECEIVING)",
+        fun handle -> Firmware.receive_update fw3 ~handle ~index:0 ~cipher ~dst_pfn:pfn3 );
+      ( "RECEIVE_UPDATE(io)", true, running,
+        "RECEIVE_UPDATE(io): invalid guest state RUNNING (expected RECEIVING)",
+        fun handle -> Firmware.receive_update_io fw3 ~handle ~nonce:2L ~cipher:io ~dst_pfn:pfn3 );
+      ( "RECEIVE_FINISH", false, running,
+        "RECEIVE_FINISH: invalid guest state RUNNING (expected RECEIVING)",
+        fun handle -> Firmware.receive_finish fw3 ~handle ~expected:measurement );
+      ( "SETENC_GEK", false, launching,
+        "SETENC_GEK: invalid guest state LAUNCHING (expected RUNNING)",
+        fun handle -> u (Firmware.setenc_gek fw3 ~handle) );
+      ( "ENC", true, launching,
+        "ENC: invalid guest state LAUNCHING (expected RUNNING)",
+        fun handle -> u (Firmware.enc_range fw3 ~handle ~gek:1 ~nonce:1L ~src_pfn:pfn3 ~len:64) );
+      ( "DEC", true, launching,
+        "DEC: invalid guest state LAUNCHING (expected RUNNING)",
+        fun handle -> Firmware.dec_range fw3 ~handle ~gek:1 ~nonce:1L ~cipher:c ~dst_pfn:pfn3 );
+      ( "DECOMMISSION", false, gone,
+        Printf.sprintf "DECOMMISSION: handle %d is decommissioned" gone,
+        fun handle -> Firmware.decommission fw3 ~handle ) ];
+  Alcotest.(check (list string)) "every row refused"
+    (List.sort compare (List.map fst State.table))
+    (List.sort_uniq compare !refused)
 
 let test_require () =
   Alcotest.(check bool) "matching state ok" true

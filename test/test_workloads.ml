@@ -189,6 +189,21 @@ let test_config_names () =
   Alcotest.(check string) "fidelius" "fidelius" (Engine.config_to_string Engine.Fidelius);
   Alcotest.(check string) "fidelius-enc" "fidelius-enc" (Engine.config_to_string Engine.Fidelius_enc)
 
+(* --- serve: the batched PV datapath -------------------------------------- *)
+
+let serve batch = W.Serve.run { W.Serve.batch; requests = 64 }
+
+let test_serve_deterministic () =
+  Alcotest.(check bool) "the batch-1 report is deterministic" true (serve 1 = serve 1)
+
+let test_serve_batching_fewer_hypercalls () =
+  let r1 = serve 1 and r8 = serve 8 in
+  Alcotest.(check bool)
+    (Printf.sprintf "batch 8 takes fewer hypercalls (%d) than batch 1 (%d)" r8.W.Serve.hypercalls
+       r1.W.Serve.hypercalls)
+    true
+    (r8.W.Serve.hypercalls < r1.W.Serve.hypercalls)
+
 let () =
   Alcotest.run "workloads"
     [ ( "profiles",
@@ -208,5 +223,9 @@ let () =
           Alcotest.test_case "Table 3 shape" `Quick test_fio_shape;
           Alcotest.test_case "rates" `Quick test_fio_rates_positive;
           Alcotest.test_case "rand vs seq" `Quick test_fio_random_much_slower_than_seq ] );
+      ( "serve",
+        [ Alcotest.test_case "batch-1 report is deterministic" `Quick test_serve_deterministic;
+          Alcotest.test_case "batch 8 takes fewer hypercalls" `Quick
+            test_serve_batching_fewer_hypercalls ] );
       ( "golden",
         [ Alcotest.test_case "seed stability" `Quick test_seed_stability ] ) ]

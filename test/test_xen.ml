@@ -114,11 +114,18 @@ let test_sev_domain () =
       Alcotest.(check bool) "DRAM ciphertext" false (Bytes.to_string raw = "KKKK")
   | None -> Alcotest.fail "gfn 0 unbacked"
 
+(* The refusal comes before anything is allocated: the host keeps every
+   frame and gains no domain. *)
 let test_sev_kernel_too_big () =
-  let _, hv = boot () in
+  let m, hv = boot () in
   let kernel = List.init 5 (fun _ -> Bytes.make Hw.Addr.page_size 'K') in
-  Alcotest.(check bool) "oversized kernel rejected" true
-    (Result.is_error (Hv.create_sev_domain hv ~name:"s" ~memory_pages:4 ~kernel))
+  let domids () = List.map (fun d -> d.Domain.domid) hv.Hv.domains in
+  let free = Hw.Machine.frames_free m and before = domids () in
+  Alcotest.(check (result reject string)) "oversized kernel rejected"
+    (Error "kernel larger than guest memory")
+    (Hv.create_sev_domain hv ~name:"s" ~memory_pages:4 ~kernel);
+  Alcotest.(check int) "frames_free unchanged" free (Hw.Machine.frames_free m);
+  Alcotest.(check (list int)) "no domain left behind" before (domids ())
 
 (* --- world switches ----------------------------------------------------------- *)
 
