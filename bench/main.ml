@@ -476,16 +476,17 @@ let results_path name =
 (* Per-worker GC/alloc report — the reproducible diagnosis behind the
    arena refactor (SCALING.md "Profiling a flat curve"): words allocated
    per VM tell you how often each worker drags every other domain into a
-   stop-the-world minor-GC rendezvous. *)
+   stop-the-world minor-GC rendezvous, and turn waits how often a worker
+   finished a VM before that VM's turn to be written and blocked. *)
 let print_gc_stats gc =
-  Printf.printf "  %8s %6s %14s %14s %14s %8s %8s %12s\n" "worker" "jobs" "minor-words"
-    "promoted" "major-words" "minorGC" "majorGC" "minor/VM";
+  Printf.printf "  %8s %6s %10s %14s %14s %14s %8s %8s %12s\n" "worker" "jobs" "turn-waits"
+    "minor-words" "promoted" "major-words" "minorGC" "majorGC" "minor/VM";
   List.iter
     (fun (g : W.Fleetbench.gc_stats) ->
-      Printf.printf "  %8d %6d %14.3e %14.3e %14.3e %8d %8d %12.3e\n" g.W.Fleetbench.worker
-        g.W.Fleetbench.jobs g.W.Fleetbench.minor_words g.W.Fleetbench.promoted_words
-        g.W.Fleetbench.major_words g.W.Fleetbench.minor_collections
-        g.W.Fleetbench.major_collections
+      Printf.printf "  %8d %6d %10d %14.3e %14.3e %14.3e %8d %8d %12.3e\n" g.W.Fleetbench.worker
+        g.W.Fleetbench.jobs g.W.Fleetbench.turn_waits g.W.Fleetbench.minor_words
+        g.W.Fleetbench.promoted_words g.W.Fleetbench.major_words
+        g.W.Fleetbench.minor_collections g.W.Fleetbench.major_collections
         (g.W.Fleetbench.minor_words /. float_of_int (max 1 g.W.Fleetbench.jobs)))
     gc
 
@@ -502,11 +503,10 @@ let fleet ?(vms = 16) ?(domain_counts = [ 1; 2; 4; 8 ]) ?(gc_stats = false) ?(re
   (* Each timed entry must see the same heap: one untimed warmup so
      first-run effects (code paging, lazy init) don't land on the first
      entry, and a compaction before each run so all start from the same
-     major-heap state. Since the streaming refactor no entry retains
-     anything heavier than its per-VM row list — every shard's trace
-     events go to a spill file as the VM finishes — so back-to-back
-     entries no longer drift the heap (what once read as a scaling
-     inversion). *)
+     major-heap state. No entry retains anything heavier than its per-VM
+     row list — each VM's trace events are written to the trace file, in
+     VM order, as soon as its turn comes — so back-to-back entries do not
+     drift the heap (what once read as a scaling inversion). *)
   ignore (W.Fleetbench.run_stream ~domains:1 ~vms:(min vms 4) ~csv ~trace ());
   Printf.printf "%8s %10s %10s %10s\n" "domains" "seconds" "VMs/sec" "speedup";
   let timed =
@@ -568,7 +568,7 @@ let fleet_scale ?(vms = 32) () =
       Printf.printf
         "fleet-scale: FAIL — d4 ran only %.2fx faster than d1 (floor 2.0x): the curve has gone \
          flat again; profile with `bench fleet --gc-stats` (SCALING.md, \"Profiling a flat \
-         curve\").\n"
+         curve\"; its turn-waits column counts VMs blocked on write order).\n"
         ratio;
       exit 1
     end

@@ -88,8 +88,13 @@ let teardown ctx (dom : Xen.Domain.t) =
   Hashtbl.remove ctx.Ctx.shadows domid;
   ctx.Ctx.protected_domids <- List.filter (fun d -> d <> domid) ctx.Ctx.protected_domids
 
+(* Until ACTIVATE binds it, the RECEIVE_START context is the session's,
+   not the domain's: destroying the domain retires only a handle it
+   holds, so the session retires one it never handed over. *)
 let rollback_session s err =
   s.closed <- true;
+  if s.dom.Xen.Domain.sev_handle = None then
+    ignore (Sev.Firmware.decommission s.ctx.Ctx.hv.Xen.Hypervisor.fw ~handle:s.handle);
   teardown s.ctx s.dom;
   Error err
 
@@ -125,14 +130,15 @@ let receive_begin ctx ~name ~memory_pages ~wrapped_keys ~origin_public ~nonce ~p
     ctx.Ctx.next_domain_protected <- false;
     ctx.Ctx.protected_domids <- dom.Xen.Domain.domid :: ctx.Ctx.protected_domids;
     ignore (Iso.new_shadow ctx dom);
-    let s = { ctx; dom; handle = 0; memory_pages; closed = false } in
     (* 1. RECEIVE_START: unwrap Ktek/Ktik via the platform identity. *)
     match
       Sev.Firmware.receive_start hv.Xen.Hypervisor.fw ~wrapped:wrapped_keys
         ~origin_public ~nonce ~policy ()
     with
-    | Error e -> rollback_session s (Rejected ("boot: " ^ e))
-    | Ok handle -> Ok { s with handle }
+    | Error e ->
+        teardown ctx dom;
+        Error (Rejected ("boot: " ^ e))
+    | Ok handle -> Ok { ctx; dom; handle; memory_pages; closed = false }
   end
 
 let receive_pages s pages =

@@ -18,7 +18,7 @@ let chrome_header = "{\"traceEvents\":["
 let chrome_footer ~shards =
   "],\"displayTimeUnit\":\"ns\",\"otherData\":" ^ Json.to_string (chrome_other_data shards) ^ "}"
 
-(* --- spill files: streaming shard output -------------------------------- *)
+(* --- files: streaming shard output -------------------------------------- *)
 
 let concat_spills ~out ?(header = "") ?(footer = "") paths =
   let oc = open_out_bin out in

@@ -1,8 +1,8 @@
 (** Deterministic merging of per-shard fleet results.
 
     Every merge in this module keeps its input {e in the order given} —
-    callers pass shard results, or the spill files shards wrote, in
-    canonical job order (what {!Pool.map} returns), so merged output is
+    callers pass shard results, or the files shards wrote, in canonical
+    job order (what {!Pool.map} returns), so merged output is
     byte-identical for any domain count. Nothing here reads domain-local
     state; all inputs are plain values or files handed over by finished
     shards.
@@ -11,8 +11,10 @@
     [chrome_header ^ fragments ^ chrome_footer ~shards], where shard [k]'s
     fragment is its {!process_meta} event followed by its own serialized
     events, comma-separated, and every fragment after the first starts
-    with its separating comma. Spill files holding fragments can
-    therefore be joined by {!concat_spills} without parsing. *)
+    with its separating comma. Fragments can therefore be appended to the
+    document in shard order without parsing — as
+    [Fidelius_workloads.Fleetbench.run_stream] does, one fragment per
+    turn — or joined from files by {!concat_spills}. *)
 
 val process_meta : pid:int -> string -> Fidelius_obs.Json.t
 (** The Chrome [process_name] metadata event that names shard row [pid]
@@ -33,16 +35,19 @@ val chrome_footer : shards:(string * int) list -> string
 
 val concat_spills : out:string -> ?header:string -> ?footer:string -> string list -> unit
 (** [concat_spills ~out ~header ~footer paths] writes [header], then the
-    raw bytes of every spill file in {e list order}, then [footer], to
-    [out] — streaming in 64 KiB blocks, so peak memory is independent of
-    the spill sizes (the bounded-RSS half of the 1,000-VM fleet story).
-    Determinism is inherited from the inputs: callers pass spill paths in
-    worker order, and each spill was written by exactly one worker, its
-    contiguous block of jobs in canonical job order. No separators are inserted — writers
-    embed their own (the fleet's chrome spills carry a leading comma on
-    every job fragment after the global first). Raises [Sys_error] if
-    any file cannot be opened; [out] is closed (possibly truncated) on
-    any failure, never left dangling. *)
+    raw bytes of every file in {e list order}, then [footer], to [out] —
+    streaming in 64 KiB blocks, so peak memory is independent of the file
+    sizes. Determinism is inherited from the inputs: callers pass the
+    paths in job order. No separators are inserted — writers embed their
+    own (chrome fragments carry a leading comma after the global first).
+    Raises [Sys_error] if any file cannot be opened; [out] is closed
+    (possibly truncated) on any failure, never left dangling.
+
+    [Fidelius_workloads.Fleetbench.run_stream] no longer spills: it
+    appends each fragment to its output in VM order. This stays for its
+    one caller, perfbench's fleet workload ([perfbench/fleet_wl.ml]),
+    whose traced half repeats the fleet's per-VM steps on one domain
+    through files of its own. *)
 
 val csv : header:string -> (string list) list -> string
 (** [csv ~header rows] assembles per-shard row groups into one CSV

@@ -12,11 +12,14 @@
     {2 Scheduling}
 
     Scheduling is static: {!workers} worker domains are spawned, and
-    worker [w] runs the [w]-th of that many contiguous, in-order blocks
-    of jobs, whose sizes differ by at most one. There is no
-    work-stealing and no shared queue, so no lock, no contention, and no
+    worker [w] of [n] runs jobs [w], [w + n], [w + 2n], ... in increasing
+    order, so job [j] runs on worker [j mod n] and job counts differ by
+    at most one. There is no work-stealing and no shared queue, and no
     run-to-run variation in which domain executes which job on a given
-    host.
+    host. The only lock is {!map_with}'s commit turn, taken only when a
+    [commit] is given. The stride keeps consecutive jobs on different
+    workers, so commits taken in job order never wait on a whole block
+    of another worker's jobs.
 
     The worker count is capped at {!recommended_domains}. OCaml 5's
     minor GC is a stop-the-world rendezvous over all running domains, so
@@ -79,22 +82,30 @@ val map_with :
   njobs:int ->
   init:(int -> 'w) ->
   ?finish:(int -> 'w -> unit) ->
+  ?commit:('w -> int -> 'a -> waited:bool -> unit) ->
   ('w -> int -> 'a) ->
   'a list
-(** [map_with ~njobs ~init ~finish f] is {!map} with worker-lifetime
-    state — the hook the per-domain arenas hang off. On each spawned
-    worker domain [w] (indices [0 .. workers ~njobs ~ndomains - 1]):
+(** [map_with ~njobs ~init ~finish ~commit f] is {!map} with
+    worker-lifetime state — the hook the per-domain arenas hang off — and
+    an optional in-order commit. On each spawned worker domain [w]
+    (indices [0 .. workers ~njobs ~ndomains - 1]):
 
     - [init w] runs once, {e on the worker domain}, before its first
       job — allocate the arena (reusable machine backing, trace ring,
       scratch buffers) and snapshot GC baselines here;
-    - every job [j] assigned to [w] runs as [f st j] with the state [st]
-      that [init] returned — jobs on the same worker see the {e same}
-      [st], in canonical job order, and form one contiguous block;
+    - every job [j] assigned to [w] (the stride above) runs as [f st j]
+      with the state [st] that [init] returned — jobs on the same worker
+      see the {e same} [st], in increasing job order;
+    - [commit st j v ~waited], when given, runs on the worker right after
+      [f st j] returned [v], but only once the commits of jobs [0 .. j-1]
+      have run: commits run one at a time, in job order, so they may
+      append to shared outputs. [waited] tells whether job [j] finished
+      before its turn and blocked for it. A job that raises, in [f] or in
+      its commit, still passes its turn, and a worker whose [init] raised
+      passes the turns of all its jobs, so no commit ever waits forever;
     - [finish w st] runs once after the worker's last job, still on the
       worker domain, {e even when jobs raised} (job exceptions are
-      confined to their result slots) — close spill channels and publish
-      GC deltas here.
+      confined to their result slots) — publish GC deltas here.
 
     Determinism contract: [st] is a reuse pool, never an input — [f st j]
     must return (and write) bytes that are a pure function of [j], so a
@@ -102,8 +113,9 @@ val map_with :
     allocates fresh. The qcheck arena-reuse property in
     [test/test_fleet.ml] pins exactly this.
 
-    Error behaviour: a job exception is recorded and re-raised as
-    {!Job_failed} for the lowest failing index, after all workers joined.
+    Error behaviour: a job exception, or one raised by its commit, is
+    recorded and re-raised as {!Job_failed} for the lowest failing index,
+    after all workers joined; the commits of every other job still run.
     An exception escaping [init] or [finish] itself aborts the call —
     every worker is still joined first (no leaked domains, no unpublished
     slots), then the lowest-indexed worker's exception is re-raised
@@ -112,7 +124,9 @@ val map_with :
     Thread-safety: [init]/[f]/[finish] run concurrently across workers —
     anything they share must be safe for that (the arena itself must not
     be shared; per-worker slot arrays with disjoint writes are the
-    intended pattern, published by the internal joins). *)
+    intended pattern, published by the internal joins). [commit] never
+    overlaps another commit, and each sees every earlier commit's
+    writes. *)
 
 val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list f xs] is {!map} over the elements of [xs], preserving list

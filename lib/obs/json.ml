@@ -10,9 +10,9 @@ type t =
 (* --- printing ---------------------------------------------------------- *)
 
 (* The two leaf printers below are shared by [to_buffer] and by the
-   streaming writers that bypass [t] altogether (Trace.chrome_event_into).
-   Neither allocates once the buffer has room, and neither keeps scratch
-   outside its arguments: fleet workers print on several domains at once. *)
+   streaming Chrome writer that bypasses [t] altogether (Chrome). Neither
+   allocates once the buffer has room, and neither keeps scratch outside
+   its arguments: fleet workers print on several domains at once. *)
 
 (* Digits of [m] (<= 0), most significant first; at most 19 frames deep.
    Working on the non-positive side spares [min_int] a special case. *)
@@ -30,16 +30,18 @@ let add_int buf n =
 let hex = "0123456789abcdef"
 
 (* Whether [s] from [i] on prints verbatim: the common case, one blit. *)
-let rec plain s i =
+let rec plain_from s i =
   i >= String.length s
   ||
   match String.unsafe_get s i with
   | '"' | '\\' -> false
-  | c -> c >= ' ' && plain s (i + 1)
+  | c -> c >= ' ' && plain_from s (i + 1)
+
+let plain s = plain_from s 0
 
 let add_str buf s =
   Buffer.add_char buf '"';
-  if plain s 0 then Buffer.add_string buf s
+  if plain s then Buffer.add_string buf s
   else
     for i = 0 to String.length s - 1 do
       match String.unsafe_get s i with

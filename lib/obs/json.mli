@@ -40,6 +40,10 @@ val add_str : Buffer.t -> string -> unit
     and bytes above 0x7f included, is copied verbatim. A string with
     nothing to escape is copied in one blit. *)
 
+val plain : string -> bool
+(** [plain s]: nothing in [s] needs escaping, so {!add_str} prints it
+    verbatim between its quotes. *)
+
 exception Parse_error of string
 
 val parse : string -> t

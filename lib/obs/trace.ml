@@ -104,10 +104,15 @@ let ring_emitted r = r.total
 let ring_dropped r = max 0 (r.total - r.capacity)
 
 let ring_iter r g =
-  (* Oldest entry sits at [next] once the ring has wrapped. *)
+  (* Oldest entry sits at [next] once the ring has wrapped: the slots from
+     [start] to the end, then the wrapped ones from 0. *)
   let start = if r.total > r.capacity then r.next else 0 in
-  for i = 0 to ring_length r - 1 do
-    g r.buf.((start + i) mod r.capacity)
+  let stop = start + ring_length r in
+  for i = start to min stop r.capacity - 1 do
+    g r.buf.(i)
+  done;
+  for i = 0 to stop - r.capacity - 1 do
+    g r.buf.(i)
   done
 
 let ring_entries r =
@@ -180,59 +185,6 @@ let chrome_event ?(pid = 1) e =
       ("pid", Json.Int pid);
       ("tid", Json.Int 1);
       ("args", Json.Obj (("seq", Json.Int e.seq) :: event_args e.event)) ]
-
-(* [chrome_event] printed without building it: the same fields in the same
-   order, through the same leaf printers, straight into [buf]. The fleet
-   serialises every event of every VM through here, so it allocates
-   nothing; the byte-identity qcheck in test/test_obs.ml holds it to
-   [Json.to_buffer buf (chrome_event ~pid e)]. Each [*_field] takes its
-   key pre-rendered, separator and colon included. *)
-let int_field buf key v =
-  Buffer.add_string buf key;
-  Json.add_int buf v
-
-let str_field buf key v =
-  Buffer.add_string buf key;
-  Json.add_str buf v
-
-let bool_field buf key v =
-  Buffer.add_string buf key;
-  Buffer.add_string buf (if v then "true" else "false")
-
-let chrome_event_into buf ~pid e =
-  str_field buf "{\"name\":" (event_name e.event);
-  str_field buf ",\"cat\":" (if e.scope = "" then "platform" else e.scope);
-  Buffer.add_string buf ",\"ph\":\"i\",\"s\":\"t\"";
-  int_field buf ",\"ts\":" e.ts;
-  int_field buf ",\"pid\":" pid;
-  Buffer.add_string buf ",\"tid\":1";
-  int_field buf ",\"args\":{\"seq\":" e.seq;
-  (match e.event with
-  | Vmrun { domid } -> int_field buf ",\"domid\":" domid
-  | Vmexit { domid; reason } ->
-      int_field buf ",\"domid\":" domid;
-      str_field buf ",\"reason\":" reason
-  | Npf { domid; gfn } ->
-      int_field buf ",\"domid\":" domid;
-      int_field buf ",\"gfn\":" gfn
-  | Hypercall name -> str_field buf ",\"call\":" name
-  | Gate n -> int_field buf ",\"type\":" n
-  | Shadow_capture reason -> str_field buf ",\"reason\":" reason
-  | Shadow_verify { ok } -> bool_field buf ",\"ok\":" ok
-  | Fw_cmd name -> str_field buf ",\"cmd\":" name
-  | Dram { blocks; encrypted } ->
-      int_field buf ",\"blocks\":" blocks;
-      bool_field buf ",\"encrypted\":" encrypted
-  | Walk { space; vfn } ->
-      int_field buf ",\"space\":" space;
-      int_field buf ",\"vfn\":" vfn
-  | Tlb_flush { full } -> bool_field buf ",\"full\":" full
-  | Pte_write { vfn } -> int_field buf ",\"vfn\":" vfn
-  | Fault { site; hit } ->
-      str_field buf ",\"site\":" site;
-      int_field buf ",\"hit\":" hit
-  | Mark label -> str_field buf ",\"label\":" label);
-  Buffer.add_string buf "}}"
 
 let to_chrome ?(attribution = []) ?total_cycles r =
   let events = List.map chrome_event (ring_entries r) in

@@ -125,7 +125,7 @@ val ring_entries : ring -> entry list
 val ring_iter : ring -> (entry -> unit) -> unit
 (** [ring_iter r g] applies [g] to each recorded entry, oldest first,
     without allocating a list — the streaming-serialization path: fleet
-    workers fold entries straight into a spill buffer. [g] must not
+    workers fold entries straight into their [Chrome] writer. [g] must not
     re-enter the ring (emit into or reset [r]). *)
 
 val ring_length : ring -> int
@@ -158,16 +158,8 @@ val to_jsonl : ring -> string
 val chrome_event : ?pid:int -> entry -> Json.t
 (** One Chrome [trace_event] instant-event object on thread row 1. [pid]
     defaults to 1; the fleet's merged export gives each shard its own
-    [pid] row. *)
-
-val chrome_event_into : Buffer.t -> pid:int -> entry -> unit
-(** [chrome_event_into buf ~pid e] appends exactly the bytes
-    [Json.to_buffer buf (chrome_event ~pid e)] appends, without
-    building the [Json.t]: the fleet's per-event serialiser. Allocates
-    nothing once [buf] has room, and keeps no state outside its arguments,
-    so workers on different domains may each write their own buffer at
-    once. {!chrome_event} stays the executable specification; a qcheck
-    property over all fourteen constructors holds the two byte-equal. *)
+    [pid] row. The executable specification of [Chrome.add_event], which
+    prints the same bytes without building the tree. *)
 
 val to_chrome : ?attribution:(string * int) list -> ?total_cycles:int -> ring -> Json.t
 (** Chrome [trace_event] format: an object with a [traceEvents] array of
@@ -175,7 +167,7 @@ val to_chrome : ?attribution:(string * int) list -> ?total_cycles:int -> ring ->
     and an [otherData] section carrying {!ring_emitted}, {!ring_dropped},
     the per-scope cycle attribution and the ledger total, so viewers and
     tests can check that attribution sums to the total. Single-recording
-    export ([pid] 1 throughout); the fleet's
-    multi-VM trace is streamed instead, one fragment per VM
-    ([Fidelius_workloads.Fleetbench.chrome_fragment] between
-    [Fidelius_fleet.Merge.chrome_header] and [chrome_footer]). *)
+    export ([pid] 1 throughout); the fleet's multi-VM trace is streamed
+    instead, one fragment per VM written by [Chrome] and appended to the
+    output in VM order ([Fidelius_workloads.Fleetbench.chrome_fragment]
+    between [Fidelius_fleet.Merge.chrome_header] and [chrome_footer]). *)

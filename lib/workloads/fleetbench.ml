@@ -1,6 +1,6 @@
 module Hw = Fidelius_hw
 module Trace = Fidelius_obs.Trace
-module Json = Fidelius_obs.Json
+module Chrome = Fidelius_obs.Chrome
 module Pool = Fidelius_fleet.Pool
 module Merge = Fidelius_fleet.Merge
 
@@ -19,8 +19,8 @@ let profiles = Array.of_list (Spec2006.all @ Parsec.all)
 
 let csv_header = "vm,profile,cycles,per_access_cycles,per_exit_cycles,trace_events"
 
-let csv_row r =
-  Printf.sprintf "%d,%s,%d,%.2f,%.2f,%d" r.vm r.profile r.cycles r.per_access r.per_exit
+let add_csv_row buf r =
+  Printf.bprintf buf "%d,%s,%d,%.2f,%.2f,%d\n" r.vm r.profile r.cycles r.per_access r.per_exit
     r.events
 
 let label_of vm = Printf.sprintf "vm%d:%s" vm profiles.(vm mod Array.length profiles).Profile.name
@@ -29,9 +29,10 @@ let label_of vm = Printf.sprintf "vm%d:%s" vm profiles.(vm mod Array.length prof
 
 (* Everything a VM job needs that is expensive to allocate and safe to
    reuse: the DRAM backing (32 MiB of pages, reset to zero per job), the
-   trace ring (a 64k-slot array, counters reset per job) and the JSON
-   serialization buffer. One arena per worker domain; jobs on a worker
-   run sequentially, so ownership is exclusive without a lock. VM j's
+   trace ring (a 64k-slot array, counters reset per job), and the two
+   buffers a finished VM is rendered into: its CSV row and its Chrome
+   fragment. One arena per worker domain; jobs on a worker run
+   sequentially, so ownership is exclusive without a lock. VM j's
    results stay a pure function of j because every reused piece is reset
    to its fresh state before the job reads it — pinned by the arena-reuse
    qcheck property in test/test_fleet.ml. *)
@@ -39,16 +40,19 @@ type arena = {
   mem : Hw.Physmem.t;
   ring : Trace.ring;
   jbuf : Buffer.t;
+  chrome : Chrome.t;
 }
 
 let arena () =
   { mem = Hw.Physmem.create ~nr_frames:Hw.Machine.default_nr_frames;
     ring = Trace.ring ();
-    jbuf = Buffer.create 65536 }
+    jbuf = Buffer.create 65536;
+    chrome = Chrome.create () }
 
 type gc_stats = {
   worker : int;
   jobs : int;
+  turn_waits : int;
   minor_words : float;
   promoted_words : float;
   major_words : float;
@@ -78,84 +82,77 @@ type summary = {
   gc : gc_stats list;
 }
 
-(* Per-worker streaming state: the arena plus the worker's two spill
-   channels, opened in [init] and closed in [finish] even when a job
-   raised. A worker runs one contiguous block of jobs in order, so its
-   spills hold that block's rows and fragments in job order. *)
+(* Per-worker state: the arena, the GC baseline taken in [init], and
+   what [finish] reports. *)
 type stream_state = {
   a : arena;
-  csv_oc : out_channel;
-  trc_oc : out_channel;
   gc0 : Gc.stat;
   mutable njobs_run : int;
+  mutable turn_waits : int;
 }
 
-let spill_path ~dir ~kind worker = Filename.concat dir (Printf.sprintf "%s-%06d" kind worker)
-
-let mkdir_p dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-
-(* Serialize one VM's chrome fragment from the ring, in-place: the
-   process_name metadata object, then every entry as an instant event
-   with this VM's pid. Fragments after the global first carry a leading
-   comma so the final merge is pure byte concatenation. *)
-let chrome_fragment buf ~vm ring =
-  Buffer.clear buf;
-  if vm > 0 then Buffer.add_char buf ',';
-  Json.to_buffer buf (Merge.process_meta ~pid:(vm + 1) (label_of vm));
-  Trace.ring_iter ring (fun e ->
-      Buffer.add_char buf ',';
-      Trace.chrome_event_into buf ~pid:(vm + 1) e)
+(* Render one VM's chrome fragment from the ring: the process_name
+   metadata object, then every entry as an instant event with this VM's
+   pid. Fragments after the global first carry a leading comma, so the
+   trace is the header, the fragments in VM order and the footer. *)
+let chrome_fragment w ~vm ring =
+  Chrome.clear w;
+  if vm > 0 then Chrome.add_string w ",";
+  Chrome.add_json w (Merge.process_meta ~pid:(vm + 1) (label_of vm));
+  Chrome.add_ring w ~pid:(vm + 1) ring
 
 let run_stream ?domains ?(vms = 16) ~csv:csv_out ~trace:trace_out () =
   if vms < 0 then invalid_arg "Fleetbench.run_stream: vms must be >= 0";
   let ndomains = match domains with None -> Pool.recommended_domains () | Some d -> d in
   let nworkers = Pool.workers ~njobs:vms ~ndomains in
-  let spill_dir = trace_out ^ ".spill" in
-  mkdir_p spill_dir;
   (* One slot per worker, written only by that worker; Pool's joins
      publish the writes before we read them back — the same disjoint-
      write pattern Pool uses for job slots. *)
   let gc_slots = Array.make nworkers None in
-  let rows =
-    Pool.map_with ?domains ~njobs:vms
-      ~init:(fun w ->
-        let a = arena () in
-        let csv_oc = open_out_bin (spill_path ~dir:spill_dir ~kind:"rows" w) in
-        let trc_oc = open_out_bin (spill_path ~dir:spill_dir ~kind:"trace" w) in
-        { a; csv_oc; trc_oc; gc0 = Gc.quick_stat (); njobs_run = 0 })
-      ~finish:(fun w st ->
-        close_out st.csv_oc;
-        close_out st.trc_oc;
-        let g1 = Gc.quick_stat () in
-        let g0 = st.gc0 in
-        gc_slots.(w) <-
-          Some
-            { worker = w;
-              jobs = st.njobs_run;
-              minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-              promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-              major_words = g1.Gc.major_words -. g0.Gc.major_words;
-              minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
-              major_collections = g1.Gc.major_collections - g0.Gc.major_collections })
-      (fun st vm ->
-        let row = run_vm st.a vm in
-        output_string st.csv_oc (csv_row row);
-        output_char st.csv_oc '\n';
-        chrome_fragment st.a.jbuf ~vm st.a.ring;
-        Buffer.output_buffer st.trc_oc st.a.jbuf;
-        Buffer.clear st.a.jbuf;
-        Trace.ring_reset st.a.ring;
-        st.njobs_run <- st.njobs_run + 1;
-        row)
-  in
-  (* Worker order = canonical job order: worker w ran the w-th
-     contiguous block of jobs, in order. *)
-  let paths kind = List.init nworkers (fun w -> spill_path ~dir:spill_dir ~kind w) in
-  Merge.concat_spills ~out:csv_out ~header:(csv_header ^ "\n") (paths "rows");
-  let shards = List.map (fun (r : vm_row) -> (label_of r.vm, r.events)) rows in
-  Merge.concat_spills ~out:trace_out ~header:Merge.chrome_header
-    ~footer:(Merge.chrome_footer ~shards ^ "\n")
-    (paths "trace");
-  List.iter (fun kind -> List.iter Sys.remove (paths kind)) [ "rows"; "trace" ];
-  (try Sys.rmdir spill_dir with Sys_error _ -> ());
-  { vm_rows = rows; gc = Array.to_list gc_slots |> List.filter_map Fun.id }
+  let csv_oc = open_out_bin csv_out in
+  let trace_oc = try open_out_bin trace_out with e -> close_out_noerr csv_oc; raise e in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr csv_oc;
+      close_out_noerr trace_oc)
+    (fun () ->
+      output_string csv_oc csv_header;
+      output_char csv_oc '\n';
+      output_string trace_oc Merge.chrome_header;
+      let rows =
+        Pool.map_with ?domains ~njobs:vms
+          ~init:(fun _ -> { a = arena (); gc0 = Gc.quick_stat (); njobs_run = 0; turn_waits = 0 })
+          ~finish:(fun w st ->
+            let g1 = Gc.quick_stat () in
+            let g0 = st.gc0 in
+            gc_slots.(w) <-
+              Some
+                { worker = w;
+                  jobs = st.njobs_run;
+                  turn_waits = st.turn_waits;
+                  minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+                  promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
+                  major_words = g1.Gc.major_words -. g0.Gc.major_words;
+                  minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
+                  major_collections = g1.Gc.major_collections - g0.Gc.major_collections })
+          (* VM order: the commits run one at a time, VM 0 first, so each
+             appends its row and fragment straight to the outputs. *)
+          ~commit:(fun st _ _ ~waited ->
+            if waited then st.turn_waits <- st.turn_waits + 1;
+            Buffer.output_buffer csv_oc st.a.jbuf;
+            Chrome.output trace_oc st.a.chrome)
+          (fun st vm ->
+            let row = run_vm st.a vm in
+            Buffer.clear st.a.jbuf;
+            add_csv_row st.a.jbuf row;
+            chrome_fragment st.a.chrome ~vm st.a.ring;
+            Trace.ring_reset st.a.ring;
+            st.njobs_run <- st.njobs_run + 1;
+            row)
+      in
+      let shards = List.map (fun (r : vm_row) -> (label_of r.vm, r.events)) rows in
+      output_string trace_oc (Merge.chrome_footer ~shards);
+      output_char trace_oc '\n';
+      close_out csv_oc;
+      close_out trace_oc;
+      { vm_rows = rows; gc = Array.to_list gc_slots |> List.filter_map Fun.id })

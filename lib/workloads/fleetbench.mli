@@ -21,13 +21,16 @@
     by the {e caller} around {!run_stream}; it is the only
     nondeterministic quantity and never appears in the artifacts.
 
-    {2 Arenas and streaming}
+    {2 Arenas and ordered output}
 
     Worker domains own reusable {!arena}s (DRAM backing, trace ring,
-    serialization buffer), and each VM's row and trace bytes are spilled
-    to the worker's own files as the job completes, then concatenated in
-    worker order, which is canonical VM order. Peak memory stays bounded by [workers × arena], not
-    [vms × trace], which is what lets a 1,000-VM fleet finish. *)
+    row and fragment buffers). A worker renders a finished VM's row and
+    trace fragment into its arena, waits for that VM's turn, appends both
+    straight to the output files and passes the turn on
+    ([Fidelius_fleet.Pool.map_with]'s [commit]), so every byte is written
+    once, in canonical VM order. Peak memory stays bounded by
+    [workers × arena], not [vms × trace], which is what lets a 1,000-VM
+    fleet finish. *)
 
 type vm_row = {
   vm : int;                        (** canonical job index, [0 .. vms-1] *)
@@ -44,7 +47,8 @@ type arena = {
           zeroed per job by [Machine.create ?mem] *)
   ring : Fidelius_obs.Trace.ring;
       (** reusable trace ring, reset per job by [Trace.record_into] *)
-  jbuf : Buffer.t;  (** serialization scratch, cleared per fragment *)
+  jbuf : Buffer.t;  (** text scratch: {!run_stream} renders the VM's CSV row here *)
+  chrome : Fidelius_obs.Chrome.t;  (** the VM's Chrome fragment, see {!chrome_fragment} *)
 }
 (** Everything a VM job reuses across jobs on one worker. Ownership rule
     (SCALING.md): an arena belongs to exactly one worker domain; jobs on
@@ -54,13 +58,16 @@ type arena = {
     reads it. *)
 
 val arena : unit -> arena
-(** A fresh arena (~32 MiB of page backing + a 64k-slot ring). Allocate
-    once per worker — per job would reintroduce exactly the churn the
-    arena exists to kill. *)
+(** A fresh arena (~32 MiB of page backing, a 64k-slot ring, two 64 KiB
+    buffers that grow to the largest row and fragment). Allocate once per
+    worker — per job would reintroduce exactly the churn the arena exists
+    to kill. *)
 
 type gc_stats = {
   worker : int;           (** worker-domain index, [0 .. Pool.workers - 1] *)
   jobs : int;             (** VM jobs this worker completed *)
+  turn_waits : int;       (** of those, jobs that finished before their turn to
+                              be written and blocked for it *)
   minor_words : float;    (** words allocated on this worker's minor heap *)
   promoted_words : float; (** of those, words that survived into the major heap *)
   major_words : float;    (** words allocated directly on the major heap *)
@@ -86,17 +93,16 @@ val run_stream :
   ?domains:int -> ?vms:int -> csv:string -> trace:string -> unit -> summary
 (** [run_stream ~csv ~trace ()] boots and measures [vms] (default 16)
     protected VMs across [domains] (default
-    [Fidelius_fleet.Pool.recommended_domains ()]) worker domains. Worker
-    [w] runs the [w]-th contiguous block of VMs ({!Fidelius_fleet.Pool}),
-    reuses one {!arena} for all of them, and writes each finished VM's
-    CSV row and serialized Chrome events to its two spill files (in a
-    [<trace>.spill] directory, removed on success), opened before its
-    first VM and closed after its last. The final merge concatenates the
-    spills in worker order, which is canonical VM order, into [csv] and
-    [trace] (the latter newline-terminated). Both files are
-    byte-identical at every domain count. Peak live heap is
-    [workers × arena] plus the (tiny) row list; no VM's trace entries
-    survive its own job.
+    [Fidelius_fleet.Pool.recommended_domains ()]) worker domains. It
+    opens [csv] and [trace] once and writes their headers; worker [w] of
+    [n] runs VMs [w], [w + n], ... ({!Fidelius_fleet.Pool}), reusing one
+    {!arena} for all of them. Each finished VM's CSV row and Chrome
+    fragment are rendered into the arena, then appended to the two files
+    in VM order, one VM at a time; after the last VM the trace footer
+    (and a final newline) is written. Nothing else touches the disk: no
+    temporary or spill file is made. Both files are byte-identical at
+    every domain count. Peak live heap is [workers × arena] plus the
+    (tiny) row list; no VM's trace entries survive its own job.
 
     [csv] holds {!csv_header}, then one row per VM:
     [vm,profile,cycles,per_access_cycles,per_exit_cycles,trace_events].
@@ -109,20 +115,20 @@ val run_stream :
     The returned {!summary} carries the canonical rows plus one
     {!gc_stats} per worker — the [--gc-stats] diagnosis data.
 
-    Raises [Invalid_argument] if [vms < 0] or [domains < 1], and
-    [Pool.Job_failed] if a VM job raises; on failure the spill directory
-    may be left behind (it is truncated and reused by the next call). Not
-    re-entrant on the same output paths: two concurrent streams would
-    race on the spill directory. *)
+    Raises [Invalid_argument] if [vms < 0] or [domains < 1], [Sys_error]
+    if an output cannot be opened, and [Pool.Job_failed] for the lowest
+    VM whose job or write raised; every other VM is still written in
+    order, and both files are closed, holding the output up to the
+    failure with no footer. Not re-entrant on the same output paths. *)
 
-val chrome_fragment : Buffer.t -> vm:int -> Fidelius_obs.Trace.ring -> unit
-(** [chrome_fragment buf ~vm ring] replaces [buf]'s contents with VM
-    [vm]'s slice of the merged Chrome trace: a leading comma unless [vm]
-    is 0, the [process_name] metadata event, then every entry of [ring]
-    as an instant event with [pid = vm + 1], each written by
-    [Trace.chrome_event_into]. These are the bytes {!run_stream} spills
-    per VM. Past a fixed per-fragment cost (the label and the metadata
-    event) it allocates nothing per event once [buf] has grown to the
+val chrome_fragment : Fidelius_obs.Chrome.t -> vm:int -> Fidelius_obs.Trace.ring -> unit
+(** [chrome_fragment w ~vm ring] replaces [w]'s contents with VM [vm]'s
+    slice of the merged Chrome trace: a leading comma unless [vm] is 0,
+    the [process_name] metadata event, then every entry of [ring] as an
+    instant event with [pid = vm + 1] ({!Fidelius_obs.Chrome.add_ring}).
+    These are the bytes {!run_stream} writes per VM. Past a fixed
+    per-fragment cost (the label, the metadata event and the pid
+    literal) it allocates nothing per event once [w] has grown to the
     fragment's size; a [Gc.minor_words] pin in [test/test_xen.ml] holds
     that. *)
 

@@ -774,7 +774,31 @@ let test_refused_receive_tears_down () =
   Alcotest.(check bool) "not protected" false (Fid.is_protected fid domid);
   Alcotest.(check bool) "no GIT intent" false
     (List.exists (fun i -> i.Git.initiator = domid) (Git.intents fid.Core.Ctx.git));
-  Alcotest.(check int) "ledger" 1402520 (Hw.Cost.total m.Hw.Machine.ledger)
+  Alcotest.(check int) "ledger" 1407520 (Hw.Cost.total m.Hw.Machine.ledger)
+
+(* A receive refused before ACTIVATE must retire its RECEIVE_START
+   context: the domain never held the handle, so destroying the domain
+   alone would leave the context live in the firmware. *)
+let test_refused_receives_retire_contexts () =
+  let _, hv, fid = installed () in
+  let prepared = owner_image fid () in
+  let image = prepared.Sev.Transport.Owner.image in
+  let tampered =
+    { prepared with
+      Sev.Transport.Owner.image = { image with Sev.Transport.measurement = Bytes.make 32 'x' } }
+  in
+  for i = 1 to 3 do
+    match Fid.boot_protected_vm fid ~name:(Printf.sprintf "tampered%d" i) ~memory_pages:16
+            ~prepared:tampered with
+    | Ok _ -> Alcotest.fail "a tampered measurement booted"
+    | Error _ -> ()
+  done;
+  let receiving =
+    List.filter
+      (fun handle -> Sev.Firmware.state_of hv.Hv.fw ~handle = Some Sev.State.Receiving)
+      (List.init 64 Fun.id)
+  in
+  Alcotest.(check (list int)) "no RECEIVING context left" [] receiving
 
 (* --- io protection ---------------------------------------------------------------------- *)
 
@@ -1692,7 +1716,9 @@ let () =
           Alcotest.test_case "over-long image page" `Quick test_overlong_image_page;
           Alcotest.test_case "shutdown retires the I/O helpers" `Quick
             test_shutdown_retires_io_helpers;
-          Alcotest.test_case "shutdown drops GEKs" `Quick test_shutdown_drops_geks ] );
+          Alcotest.test_case "shutdown drops GEKs" `Quick test_shutdown_drops_geks;
+          Alcotest.test_case "refused receives retire their contexts" `Quick
+            test_refused_receives_retire_contexts ] );
       ( "io",
         [ Alcotest.test_case "aes-ni codec" `Quick test_aesni_codec_roundtrip;
           Alcotest.test_case "disk helpers" `Quick test_disk_encrypt_helpers;

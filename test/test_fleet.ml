@@ -1,8 +1,8 @@
-(* Tests for the fleet runner: the static block schedule,
-   pool edge cases (empty job list, more domains than jobs, failing jobs),
-   per-shard trace isolation, and the determinism contract — the fleet
-   benchmark's merged artifacts and the fault matrix's verdicts must be
-   byte-identical for any domain count (SCALING.md). *)
+(* Tests for the fleet runner: the static stride schedule and its
+   in-order commits, pool edge cases (empty job list, more domains than
+   jobs, failing jobs), per-shard trace isolation, and the determinism
+   contract — the fleet benchmark's artifacts and the fault matrix's
+   verdicts must be byte-identical for any domain count (SCALING.md). *)
 
 module Pool = Fidelius_fleet.Pool
 module Merge = Fidelius_fleet.Merge
@@ -14,22 +14,36 @@ module Site = Fidelius_inject.Site
 
 (* --- the static schedule ---------------------------------------------------- *)
 
-(* Worker w runs the w-th of [Pool.workers] contiguous blocks: along the
-   job order the worker index never decreases, every worker runs at least
-   one job, and block sizes differ by at most one. The worker count
-   depends on the host's core count; the property holds on any host. *)
-let test_map_with_blocks =
-  QCheck.Test.make ~count:100 ~name:"map_with runs contiguous blocks"
+(* Each worker's jobs in the order it ran them, by worker index. *)
+let run_order ~njobs ~ndomains =
+  let nworkers = Pool.workers ~njobs ~ndomains in
+  let ran = Array.make nworkers [] in
+  let tagged =
+    Pool.map_with ~domains:ndomains ~njobs
+      ~init:(fun w -> (w, ref []))
+      ~finish:(fun w (_, seen) -> ran.(w) <- List.rev !seen)
+      (fun (w, seen) j ->
+        seen := j :: !seen;
+        (w, j))
+  in
+  (nworkers, tagged, ran)
+
+(* Worker w of n runs jobs w, w + n, w + 2n, ... in increasing order:
+   job j runs on worker j mod n, every worker is busy, and job counts
+   differ by at most one. The worker count depends on the host's core
+   count; the property holds on any host. *)
+let test_map_with_stride =
+  QCheck.Test.make ~count:100 ~name:"map_with runs a stride"
     QCheck.(pair (int_bound 40) (int_range 1 8))
     (fun (njobs, ndomains) ->
-      let nworkers = Pool.workers ~njobs ~ndomains in
-      let ran = Pool.map_with ~domains:ndomains ~njobs ~init:Fun.id (fun w j -> (w, j)) in
-      let ws = List.map fst ran in
-      let sizes = List.init nworkers (fun w -> List.length (List.filter (( = ) w) ws)) in
+      let nworkers, tagged, ran = run_order ~njobs ~ndomains in
+      let sizes = Array.to_list (Array.map List.length ran) in
       let lo = List.fold_left min max_int sizes and hi = List.fold_left max 0 sizes in
-      List.map snd ran = List.init njobs Fun.id
-      && List.sort compare ws = ws
-      && List.for_all (fun w -> w >= 0 && w < nworkers) ws
+      List.map snd tagged = List.init njobs Fun.id
+      && List.for_all (fun (w, j) -> w = j mod nworkers) tagged
+      && Array.for_all (fun jobs -> List.sort compare jobs = jobs) ran
+      && Array.to_list ran
+         = List.init nworkers (fun w -> List.filter (fun j -> j mod nworkers = w) (List.init njobs Fun.id))
       && (njobs = 0 || (lo >= 1 && hi - lo <= 1)))
 
 let test_workers_validated () =
@@ -112,15 +126,12 @@ let test_map_with_init_finish_once_per_worker () =
   Alcotest.(check (list int)) "jobs in canonical order"
     (List.init njobs (fun j -> j))
     (List.map snd results);
-  (* A worker's jobs are one block: contiguous, so each worker index must
-     tag a contiguous run of job indices. *)
-  let block_workers = List.map fst results in
-  let deduped =
-    List.fold_left (fun acc w -> match acc with x :: _ when x = w -> acc | _ -> w :: acc) []
-      block_workers
-  in
-  Alcotest.(check int) "each worker owns one contiguous job range" nworkers
-    (List.length deduped)
+  (* The stride: job j ran on worker j mod nworkers. *)
+  List.iter
+    (fun (w, j) ->
+      Alcotest.(check int) (Printf.sprintf "job %d ran on worker %d" j (j mod nworkers))
+        (j mod nworkers) w)
+    results
 
 let test_map_with_shared_state_sequential () =
   (* Jobs on one worker reuse the same state sequentially: a per-worker
@@ -154,6 +165,84 @@ let test_map_with_finish_runs_on_job_failure () =
   Alcotest.(check int) "finish ran on every worker despite the failure"
     (Pool.workers ~njobs:6 ~ndomains:2)
     (Atomic.get finished)
+
+(* --- map_with ~commit: turns in job order ------------------------------------ *)
+
+(* Spin for longer on low jobs, so later jobs tend to finish first and
+   must wait for their turn. *)
+let spin j ~njobs =
+  let x = ref 0 in
+  for i = 1 to (njobs - j) * 20_000 do
+    x := !x + Sys.opaque_identity i
+  done;
+  ignore (Sys.opaque_identity !x)
+
+(* Runs [njobs] jobs with a commit that appends the job to a shared log
+   (safe only because commits never overlap); [fail_job j] and
+   [fail_commit j] pick the jobs that raise in the job or in its commit,
+   [fail_init w] the workers whose init raises. Returns the outcome and
+   the commit log, oldest first. *)
+let committed ?(fail_job = fun _ -> false) ?(fail_commit = fun _ -> false)
+    ?(fail_init = fun _ -> false) ~domains njobs =
+  let log = ref [] in
+  let outcome =
+    match
+      Pool.map_with ~domains ~njobs
+        ~init:(fun w -> if fail_init w then failwith (Printf.sprintf "init %d" w))
+        ~commit:(fun () j v ~waited:_ ->
+          if fail_commit j then failwith (Printf.sprintf "commit %d" j);
+          log := (j, v) :: !log)
+        (fun () j ->
+          spin j ~njobs;
+          if fail_job j then failwith (Printf.sprintf "job %d" j);
+          j * j)
+    with
+    | vs -> Ok vs
+    | exception e -> Error e
+  in
+  (outcome, List.rev !log)
+
+let test_commit_in_job_order () =
+  List.iter
+    (fun domains ->
+      let outcome, log = committed ~domains 11 in
+      let expected = List.init 11 (fun j -> (j, j * j)) in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "commits in job order on %d domains" domains)
+        expected log;
+      Alcotest.(check bool) "results returned" true (outcome = Ok (List.map snd expected)))
+    [ 1; 2; 3 ]
+
+let test_commit_turn_passes_on_failure () =
+  (* Job 3 raises in the job, job 5 in its commit: every other commit
+     still runs, in order, and the lowest failing job is reported. *)
+  let outcome, log =
+    committed ~fail_job:(( = ) 3) ~fail_commit:(( = ) 5) ~domains:2 9
+  in
+  Alcotest.(check (list int)) "every other turn came round, in order"
+    [ 0; 1; 2; 4; 6; 7; 8 ] (List.map fst log);
+  match outcome with
+  | Error (Pool.Job_failed { job; exn = Failure m }) ->
+      Alcotest.(check int) "lowest failing job" 3 job;
+      Alcotest.(check string) "its own exception" "job 3" m
+  | Error e -> Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "expected Job_failed"
+
+let test_commit_turn_passes_on_init_failure () =
+  (* The last worker's init raises: its jobs never run, but their turns
+     pass, so every other worker's commits still run, in order, and the
+     init exception is re-raised. *)
+  let njobs = 10 and domains = 3 in
+  let nworkers = Pool.workers ~njobs ~ndomains:domains in
+  let dead = nworkers - 1 in
+  let outcome, log = committed ~fail_init:(( = ) dead) ~domains njobs in
+  Alcotest.(check (list int)) "the live workers' turns came round, in order"
+    (List.filter (fun j -> j mod nworkers <> dead) (List.init njobs Fun.id))
+    (List.map fst log);
+  match outcome with
+  | Error (Failure m) -> Alcotest.(check string) "init exception" (Printf.sprintf "init %d" dead) m
+  | Error e -> Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "expected the init failure"
 
 let test_map_with_validates () =
   Alcotest.check_raises "domains < 1 rejected"
@@ -192,13 +281,13 @@ let profiles = Array.of_list (W.Spec2006.all @ W.Parsec.all)
 let label vm = Printf.sprintf "vm%d:%s" vm profiles.(vm mod Array.length profiles).W.Profile.name
 
 (* A streamed fleet trace assembled from [Fleetbench.chrome_fragment]
-   exactly as run_stream assembles its spills: header, one fragment per
-   VM, footer. VM k records [counts.(k)] Mark events; one VM records
+   exactly as run_stream writes it: header, one fragment per VM in VM
+   order, footer. VM k records [counts.(k)] Mark events; one VM records
    none. *)
 let counts = [| 3; 0; 2 |]
 
 let streamed_document () =
-  let ring = Trace.ring () and buf = Buffer.create 256 in
+  let ring = Trace.ring () and w = Fidelius_obs.Chrome.create () in
   let doc = Buffer.create 1024 in
   Buffer.add_string doc Merge.chrome_header;
   Array.iteri
@@ -207,8 +296,8 @@ let streamed_document () =
           for i = 0 to n - 1 do
             Trace.emit (Trace.Mark (Printf.sprintf "vm%d-%d" vm i))
           done);
-      W.Fleetbench.chrome_fragment buf ~vm ring;
-      Buffer.add_buffer doc buf)
+      W.Fleetbench.chrome_fragment w ~vm ring;
+      Buffer.add_string doc (Fidelius_obs.Chrome.contents w))
     counts;
   Buffer.add_string doc
     (Merge.chrome_footer ~shards:(Array.to_list (Array.mapi (fun vm n -> (label vm, n)) counts)));
@@ -369,7 +458,7 @@ let stream ~domains ~vms =
       let summary = W.Fleetbench.run_stream ~domains ~vms ~csv:csv_f ~trace:trc_f () in
       (read csv_f, read trc_f, summary.W.Fleetbench.vm_rows))
 
-(* The same property end-to-end: run_stream (arenas + spill files) must
+(* The same property end-to-end: run_stream (arenas + ordered writes) must
    write the same bytes and return the same rows at any domain count as
    on one worker, for random population and domain counts. *)
 let test_stream_domain_invariant =
@@ -421,6 +510,47 @@ let test_stream_live_heap_bounded () =
         (Printf.sprintf "100 streamed VMs grew the live heap by %d words (<= 2M)" growth)
         true (growth <= 2_000_000))
 
+(* --- the ordered writer leaves nothing behind --------------------------------- *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A fresh directory for one run's outputs; removed with what is left in it. *)
+let with_dir f =
+  let dir = Filename.temp_file "fleet-out" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let listing dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let test_stream_writes_only_outputs () =
+  with_dir (fun dir ->
+      let fds = open_fds () in
+      let csv = Filename.concat dir "fleet.csv" and trace = Filename.concat dir "fleet.json" in
+      ignore (W.Fleetbench.run_stream ~domains:2 ~vms:3 ~csv ~trace ());
+      Alcotest.(check (list string)) "no spill or temporary file" [ "fleet.csv"; "fleet.json" ]
+        (listing dir);
+      Alcotest.(check int) "both outputs closed" fds (open_fds ()))
+
+let test_stream_failed_write_strands_no_worker () =
+  (* Every write to the trace fails (/dev/full), from VM 0's commit on:
+     each VM's turn must still come round, the lowest failing VM is
+     reported, and both outputs end closed with nothing else left. *)
+  with_dir (fun dir ->
+      let fds = open_fds () in
+      let csv = Filename.concat dir "fleet.csv" in
+      (match W.Fleetbench.run_stream ~domains:2 ~vms:3 ~csv ~trace:"/dev/full" () with
+      | _ -> Alcotest.fail "expected Job_failed"
+      | exception Pool.Job_failed { job; exn = Sys_error _ } ->
+          Alcotest.(check int) "lowest failing VM" 0 job
+      | exception e -> Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e));
+      Alcotest.(check (list string)) "no spill or temporary file" [ "fleet.csv" ] (listing dir);
+      Alcotest.(check int) "both outputs closed" fds (open_fds ()))
+
 let test_fleetbench_domain_count_invariance () =
   let csv1, trace1, rows = stream ~domains:1 ~vms:3 in
   let csv3, trace3, rows3 = stream ~domains:3 ~vms:3 in
@@ -452,7 +582,7 @@ let test_matrix_domain_count_invariance () =
 let () =
   Alcotest.run "fleet"
     [ ( "schedule",
-        [ QCheck_alcotest.to_alcotest test_map_with_blocks;
+        [ QCheck_alcotest.to_alcotest test_map_with_stride;
           Alcotest.test_case "workers capped and validated" `Quick test_workers_validated ] );
       ( "pool",
         [ Alcotest.test_case "canonical order" `Quick test_map_canonical_order;
@@ -469,6 +599,12 @@ let () =
           Alcotest.test_case "finish survives job failure" `Quick
             test_map_with_finish_runs_on_job_failure;
           Alcotest.test_case "validates domains" `Quick test_map_with_validates ] );
+      ( "commit",
+        [ Alcotest.test_case "commits in job order" `Quick test_commit_in_job_order;
+          Alcotest.test_case "a failing job passes its turn" `Quick
+            test_commit_turn_passes_on_failure;
+          Alcotest.test_case "a failing init passes its turns" `Quick
+            test_commit_turn_passes_on_init_failure ] );
       ( "isolation",
         [ Alcotest.test_case "shard traces isolated" `Quick test_shard_trace_isolation ] );
       ( "arena",
@@ -484,7 +620,12 @@ let () =
             test_fleetbench_domain_count_invariance;
           QCheck_alcotest.to_alcotest test_stream_domain_invariant;
           Alcotest.test_case "24-VM artifact MD5s" `Quick test_fleet_golden_md5;
+
           Alcotest.test_case "100 VMs leave the live heap bounded" `Quick
             test_stream_live_heap_bounded;
           Alcotest.test_case "fault matrix verdicts" `Quick
-            test_matrix_domain_count_invariance ] ) ]
+            test_matrix_domain_count_invariance;
+          Alcotest.test_case "run_stream writes only its outputs" `Quick
+            test_stream_writes_only_outputs;
+          Alcotest.test_case "a failed write strands no worker" `Quick
+            test_stream_failed_write_strands_no_worker ] ) ]

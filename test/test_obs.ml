@@ -497,11 +497,23 @@ let arbitrary_chrome_event =
     ~print:(fun (pid, e) -> Json.to_string (Trace.chrome_event ~pid e))
     QCheck.Gen.(pair pid_gen entry_gen)
 
-let prop_chrome_event_into_matches_spec =
-  QCheck.Test.make ~count:2000 ~name:"chrome_event_into = Json.to_buffer (chrome_event)"
-    arbitrary_chrome_event (fun (pid, e) ->
-      render (fun buf e -> Trace.chrome_event_into buf ~pid e) e
-      = Json.to_string (Trace.chrome_event ~pid e))
+(* Runs of events through one writer, with pids drawn from few values so
+   the writer's per-pid literal is both reused and re-rendered. *)
+let arbitrary_chrome_events =
+  QCheck.make
+    ~print:(fun evs ->
+      String.concat "\n" (List.map (fun (pid, e) -> Json.to_string (Trace.chrome_event ~pid e)) evs))
+    QCheck.Gen.(
+      list_size (int_range 1 8)
+        (pair (frequency [ (3, oneofl [ 1; 2; 3 ]); (1, pid_gen) ]) entry_gen))
+
+let prop_chrome_add_event_matches_spec =
+  QCheck.Test.make ~count:1000 ~name:"Chrome.add_event = Json.to_buffer (chrome_event)"
+    arbitrary_chrome_events (fun evs ->
+      let w = Obs.Chrome.create () in
+      List.iter (fun (pid, e) -> Obs.Chrome.add_event w ~pid e) evs;
+      Obs.Chrome.contents w
+      = String.concat "" (List.map (fun (pid, e) -> Json.to_string (Trace.chrome_event ~pid e)) evs))
 
 let prop_to_buffer_matches_reference =
   QCheck.Test.make ~count:2000 ~name:"Json.to_buffer = pre-primitive printer"
@@ -538,7 +550,7 @@ let () =
         [ Alcotest.test_case "golden jsonl" `Slow test_golden_jsonl;
           Alcotest.test_case "jsonl well-formed" `Quick test_jsonl_well_formed;
           Alcotest.test_case "chrome round-trip" `Quick test_chrome_roundtrip;
-          QCheck_alcotest.to_alcotest prop_chrome_event_into_matches_spec ] );
+          QCheck_alcotest.to_alcotest prop_chrome_add_event_matches_spec ] );
       ( "json",
         [ Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "values" `Quick test_json_values;

@@ -869,9 +869,9 @@ let test_pte_store_allocation_free () =
 
 let test_fragment_writer_allocation_free () =
   (* The fleet's Chrome fragment writer, pinned the same way: once the
-     serialisation buffer has grown to the fragment's size, writing the
-     fragment again costs a fixed few words for its label and metadata
-     event and nothing per trace event. Two rings that differ only in
+     writer has grown to the fragment's size, writing the fragment again
+     costs a fixed few words for its label, metadata event and pid
+     literal and nothing per trace event. Two rings that differ only in
      length must therefore cost the same words. *)
   let module Trace = Fidelius_obs.Trace in
   let module Fleetbench = Fidelius_workloads.Fleetbench in
@@ -898,10 +898,10 @@ let test_fragment_writer_allocation_free () =
     r
   in
   let second_write_words ring =
-    let buf = Buffer.create 16 in
-    Fleetbench.chrome_fragment buf ~vm:5 ring;
+    let w = Fidelius_obs.Chrome.create () in
+    Fleetbench.chrome_fragment w ~vm:5 ring;
     let w0 = Gc.minor_words () in
-    Fleetbench.chrome_fragment buf ~vm:5 ring;
+    Fleetbench.chrome_fragment w ~vm:5 ring;
     Gc.minor_words () -. w0
   in
   let short = ring_of 50 and long = ring_of 200 in
