@@ -15,48 +15,69 @@ let protect ctx (dom : Xen.Domain.t) =
      silently garbled guest state. Frames outside the tree pass through. *)
   Hw.Memctrl.set_fetch_check ctx.Ctx.machine.Hw.Machine.ctrl
     (Some
-       (fun pfn data ->
-         if Hw.Bmt.covered bmt pfn then Hw.Bmt.verify_fetched bmt pfn ~data else Ok ()));
+       (fun pfn ~src -> if Hw.Bmt.covered bmt pfn then Hw.Bmt.verify_fill bmt pfn ~src else Ok ()));
   { ctx; dom; bmt }
 
-let frames_of_range t ~addr ~len =
-  let first = Hw.Addr.frame_of addr in
-  let last = Hw.Addr.frame_of (addr + max 0 (len - 1)) in
-  let rec collect gvfn acc =
-    if gvfn > last then Ok (List.rev acc)
-    else
-      (* Resolve through the guest's own tables: gva -> gfn -> pfn. *)
-      match Hw.Pagetable.lookup t.dom.Xen.Domain.gpt gvfn with
-      | None -> Error (Printf.sprintf "integrity: gva frame 0x%x unmapped" gvfn)
-      | Some gpte -> (
-          match Hw.Pagetable.lookup t.dom.Xen.Domain.npt gpte.Hw.Pagetable.frame with
-          | None -> Error (Printf.sprintf "integrity: gfn 0x%x unbacked" gpte.Hw.Pagetable.frame)
-          | Some npte -> collect (gvfn + 1) (npte.Hw.Pagetable.frame :: acc))
-  in
-  collect first []
+let last_gvfn ~addr ~len = Hw.Addr.frame_of (addr + max 0 (len - 1))
 
-let ( let* ) = Result.bind
+(* The host frame behind guest-virtual frame [gvfn], resolved through the
+   guest's own tables (gva -> gfn -> pfn) with the packed lookups, so no
+   option or record is built per frame; [packed_absent] when either step
+   is missing, and [unresolved] then says which. *)
+let frame_of t gvfn =
+  let gpte = Hw.Pagetable.lookup_packed t.dom.Xen.Domain.gpt gvfn in
+  if gpte = Hw.Pagetable.packed_absent then gpte
+  else
+    let npte = Hw.Pagetable.lookup_packed t.dom.Xen.Domain.npt (Hw.Pagetable.packed_frame gpte) in
+    if npte = Hw.Pagetable.packed_absent then npte else Hw.Pagetable.packed_frame npte
+
+let unresolved t gvfn =
+  let gpte = Hw.Pagetable.lookup_packed t.dom.Xen.Domain.gpt gvfn in
+  if gpte = Hw.Pagetable.packed_absent then
+    Error (Printf.sprintf "integrity: gva frame 0x%x unmapped" gvfn)
+  else Error (Printf.sprintf "integrity: gfn 0x%x unbacked" (Hw.Pagetable.packed_frame gpte))
+
+(* The first frame of [first..last] that does not resolve, or -1. *)
+let first_unresolved t first last =
+  let g = ref first in
+  while !g <= last && frame_of t !g <> Hw.Pagetable.packed_absent do
+    incr g
+  done;
+  if !g > last then -1 else !g
 
 let verified_read t ~addr ~len =
-  let* frames = frames_of_range t ~addr ~len in
-  let* () =
-    List.fold_left (fun acc pfn -> let* () = acc in Hw.Bmt.verify t.bmt pfn) (Ok ()) frames
-  in
-  Ok
-    (Xen.Hypervisor.in_guest t.ctx.Ctx.hv t.dom (fun () ->
-         Xen.Domain.read t.ctx.Ctx.machine t.dom ~addr ~len))
+  let first = Hw.Addr.frame_of addr and last = last_gvfn ~addr ~len in
+  let bad = first_unresolved t first last in
+  if bad >= 0 then unresolved t bad
+  else begin
+    (* Every frame resolves: verify them in order, up to the first
+       failure. *)
+    let g = ref first and r = ref (Ok ()) in
+    while Result.is_ok !r && !g <= last do
+      r := Hw.Bmt.verify t.bmt (frame_of t !g);
+      incr g
+    done;
+    match !r with
+    | Error _ as e -> e
+    | Ok () ->
+        Ok
+          (Xen.Hypervisor.in_guest t.ctx.Ctx.hv t.dom (fun () ->
+               Xen.Domain.read t.ctx.Ctx.machine t.dom ~addr ~len))
+  end
 
 let guest_write t ~addr data =
   Xen.Hypervisor.in_guest t.ctx.Ctx.hv t.dom (fun () ->
       Xen.Domain.write t.ctx.Ctx.machine t.dom ~addr data);
-  match frames_of_range t ~addr ~len:(Bytes.length data) with
-  | Ok frames ->
+  let first = Hw.Addr.frame_of addr and last = last_gvfn ~addr ~len:(Bytes.length data) in
+  if first_unresolved t first last < 0 then
+    if first = last then Hw.Bmt.update t.bmt (frame_of t first)
+    else
       (* One batch: a write spanning k frames rebuilds each shared
          ancestor once instead of once per frame. *)
-      Hw.Bmt.update_many t.bmt frames
-  | Error _ -> ()
+      Hw.Bmt.update_many t.bmt (List.init (last - first + 1) (fun i -> frame_of t (first + i)))
 
 let verify_domain t = Hw.Bmt.verify_all t.bmt
 
+let bmt t = t.bmt
 let root t = Hw.Bmt.root t.bmt
 let hashes_performed t = Hw.Bmt.hashes_performed t.bmt

@@ -38,5 +38,8 @@ val guest_write : t -> addr:int -> bytes -> unit
 val verify_domain : t -> (unit, string) result
 (** Full sweep over the domain's frames. *)
 
+val bmt : t -> Hw.Bmt.t
+(** The tree itself, for its counters. *)
+
 val root : t -> bytes
 val hashes_performed : t -> int

@@ -71,7 +71,7 @@ let new_shadow ctx (dom : Xen.Domain.t) =
       mark_pit_frames ctx;
       Hw.Cpu.priv_set_wp cpu true;
       Hw.Cpu.leave_fidelius cpu;
-      let s = Shadow.create machine ~backing in
+      let s = Shadow.create ~backing in
       Hashtbl.replace ctx.Ctx.shadows dom.Xen.Domain.domid s;
       s
 

@@ -96,7 +96,8 @@ let create machine =
   let root = Hw.Machine.alloc_frame machine in
   { machine; root; allocated = [ root ] }
 
-let page t pfn = Hw.Physmem.page t.machine.Hw.Machine.mem pfn
+let view t pfn = Hw.Physmem.view t.machine.Hw.Machine.mem pfn
+let page_for_write t pfn = Hw.Physmem.page_for_write t.machine.Hw.Machine.mem pfn
 
 (* Index split: leaf slot = pfn mod 1024, L2 slot = (pfn / 1024) mod 1024,
    root slot = pfn / 1024^2. Level slots hold the child page's PFN (0 =
@@ -104,13 +105,12 @@ let page t pfn = Hw.Physmem.page t.machine.Hw.Machine.mem pfn
    [child] and [walk] return for a missing page — no option is built on
    the per-update policy walks. *)
 let child t level_pfn slot ~alloc =
-  let bytes = page t level_pfn in
-  let v = Int32.to_int (Bytes.get_int32_be bytes (slot * 4)) in
+  let v = Int32.to_int (Bytes.get_int32_be (view t level_pfn) (slot * 4)) in
   if v <> 0 || not alloc then v
   else begin
     let fresh = Hw.Machine.alloc_frame t.machine in
     t.allocated <- fresh :: t.allocated;
-    Bytes.set_int32_be bytes (slot * 4) (Int32.of_int fresh);
+    Bytes.set_int32_be (page_for_write t level_pfn) (slot * 4) (Int32.of_int fresh);
     fresh
   end
 
@@ -130,13 +130,13 @@ let entry_off pfn = pfn mod entries_per_page * 4
 let set t pfn info =
   let leaf = walk t pfn ~alloc:true in
   assert (leaf <> 0);
-  Bytes.set_int32_be (page t leaf) (entry_off pfn) (encode info)
+  Bytes.set_int32_be (page_for_write t leaf) (entry_off pfn) (encode info)
 
 (* The raw leaf entry; a never-recorded frame reads as 0 = [encode free_info]. *)
 let raw t pfn =
   let leaf = walk t pfn ~alloc:false in
   if leaf = 0 then 0
-  else Int32.to_int (Bytes.get_int32_be (page t leaf) (entry_off pfn)) land 0xffffffff
+  else Int32.to_int (Bytes.get_int32_be (view t leaf) (entry_off pfn)) land 0xffffffff
 
 let get t pfn =
   let v = raw t pfn in

@@ -41,17 +41,17 @@ type t = {
   (* The backing frame stays the externally visible artifact (it is what
      Fidelius unmaps from the hypervisor); [snap_fields]/[snap_regs] cache
      the identical [int64] values so verify/restore move pointers between
-     arrays instead of re-boxing each field out of the page bytes. *)
-  page : bytes;
+     arrays instead of re-boxing each field out of the page bytes. Each
+     store into the frame takes its bytes afresh through
+     [Physmem.page_for_write], so the frame's write stamp sees it. *)
   snap_fields : int64 array;
   snap_regs : int64 array;
   mutable has_capture : bool;
   mutable reason : Vmcb.exit_reason;
 }
 
-let create (machine : Hw.Machine.t) ~backing =
+let create ~backing =
   { frame = backing;
-    page = Hw.Physmem.page machine.Hw.Machine.mem backing;
     snap_fields = Array.make Vmcb.nr_fields 0L;
     snap_regs = Array.make Cpu.nr_regs 0L;
     has_capture = false;
@@ -61,7 +61,7 @@ let backing t = t.frame
 
 let capture t machine vmcb reason =
   let cpu = machine.Hw.Machine.cpu in
-  let bytes = t.page in
+  let bytes = Hw.Physmem.page_for_write machine.Hw.Machine.mem t.frame in
   (* Snapshot: arrays first (pointer moves), then one fused pass that
      serializes each snapshotted value into the backing frame and applies
      the mask — zero the save area except the reason's visible fields, and
@@ -94,7 +94,6 @@ let verify_and_restore t machine vmcb =
   else begin
     let reason = t.reason in
     let cpu = machine.Hw.Machine.cpu in
-    let bytes = t.page in
     let ri = Vmcb.reason_index reason in
     let upd_f = Vmcb.exchange_field_masks.(ri) and vis_f = vis_f_masks.(ri) in
     (* A field outside the exchange must come back exactly as it was
@@ -135,7 +134,7 @@ let verify_and_restore t machine vmcb =
           Cpu.unsafe_set_reg_i cpu i (Array.unsafe_get t.snap_regs i)
       done;
       t.has_capture <- false;
-      Bytes.set bytes flag_off '\000';
+      Bytes.set (Hw.Physmem.page_for_write machine.Hw.Machine.mem t.frame) flag_off '\000';
       Ok ()
     end
   end

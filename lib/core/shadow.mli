@@ -21,7 +21,7 @@ val protected_fields : Hw.Vmcb.field list
 
 type t
 
-val create : Hw.Machine.t -> backing:Hw.Addr.pfn -> t
+val create : backing:Hw.Addr.pfn -> t
 (** The shadow lives in [backing], a Fidelius-private frame. *)
 
 val backing : t -> Hw.Addr.pfn

@@ -7,12 +7,16 @@ let hash_node_cycles = 80
 
 type t = {
   machine : Machine.t;
-  frames : Addr.pfn array;            (* sorted *)
-  index_of : (Addr.pfn, int) Hashtbl.t;
+  frames : Addr.pfn array;            (* sorted, duplicate-free *)
   mutable levels : bytes array array;
       (* levels.(0) = leaf digests, levels.(top) = [| root |] *)
+  leaf_stamps : int array;
+      (* [leaf_stamps.(i)]: the write stamp frame [frames.(i)] carried when
+         the engine hashed [levels.(0).(i)]. While the frame still carries
+         it, its bytes are the ones that leaf was hashed from. *)
   mutable hashes : int;
-  mutable fetch_hashes : int;         (* uncharged inline fetch checks *)
+  mutable fetch_hashes : int;         (* modelled inline fetch checks *)
+  mutable page_hashes : int;          (* page hashes the host computed *)
   scratch : Sha256.ctx;               (* per-tree hash unit state *)
   walk : Bytes.t;                     (* 32-byte running digest for walks *)
   upd_a : int array;                  (* dirty-index scratch, even levels *)
@@ -20,13 +24,37 @@ type t = {
   upd_mark : Bytes.t;                 (* per-leaf dedup marks, cleared after use *)
 }
 
-(* Hash of one leaf — pfn header || page contents — into [dst] at
-   [dst_off]. Uncharged core; the charged wrappers below book the cost. *)
-let leaf_digest_into t pfn ~dst ~dst_off =
+(* The leaf index of [pfn]: a binary search of the sorted frame array, -1
+   when the frame is outside the tree. No option, no allocation. *)
+let index_of t pfn =
+  let lo = ref 0 and hi = ref (Array.length t.frames - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let v = Array.unsafe_get t.frames mid in
+    if v = pfn then found := mid else if v < pfn then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
+
+(* Hash of one leaf — pfn header || page bytes — into [dst] at [dst_off].
+   Uncharged core; the charged paths book the cost. *)
+let digest_into t pfn data ~dst ~dst_off =
+  t.page_hashes <- t.page_hashes + 1;
   Sha256.reset t.scratch;
   Sha256.feed_u64_be t.scratch (Int64.of_int pfn);
-  Sha256.feed t.scratch (Physmem.page t.machine.Machine.mem pfn);
+  Sha256.feed t.scratch data;
   Sha256.finalize_into t.scratch ~dst ~dst_off
+
+(* Store leaf [idx] from its frame's current bytes, with the stamp they
+   carry. *)
+let rehash_leaf t idx =
+  let mem = t.machine.Machine.mem and pfn = t.frames.(idx) in
+  t.leaf_stamps.(idx) <- Physmem.stamp mem pfn;
+  digest_into t pfn (Physmem.view mem pfn) ~dst:t.levels.(0).(idx) ~dst_off:0
+
+(* Whether leaf [idx] was hashed from the bytes frame [frames.(idx)] holds
+   now. *)
+let leaf_current t idx =
+  Physmem.stamp t.machine.Machine.mem t.frames.(idx) = t.leaf_stamps.(idx)
 
 let c_bmt = Cost.intern "bmt"
 
@@ -37,12 +65,6 @@ let charge_leaf t =
 let charge_node t =
   t.hashes <- t.hashes + 1;
   Cost.charge_id t.machine.Machine.ledger c_bmt hash_node_cycles
-
-let leaf_hash t pfn =
-  charge_leaf t;
-  let dst = Bytes.create 32 in
-  leaf_digest_into t pfn ~dst ~dst_off:0;
-  dst
 
 let node_hash t left right =
   charge_node t;
@@ -61,46 +83,54 @@ let rebuild_level t below =
 let create machine ~frames =
   if frames = [] then invalid_arg "Bmt.create: no frames";
   let frames = Array.of_list (List.sort_uniq compare frames) in
-  let index_of = Hashtbl.create (Array.length frames) in
-  Array.iteri (fun i pfn -> Hashtbl.replace index_of pfn i) frames;
+  let n = Array.length frames in
   let t =
-    { machine; frames; index_of; levels = [||]; hashes = 0; fetch_hashes = 0;
+    { machine; frames; levels = [| Array.init n (fun _ -> Bytes.create 32) |];
+      leaf_stamps = Array.make n 0; hashes = 0; fetch_hashes = 0; page_hashes = 0;
       scratch = Sha256.init (); walk = Bytes.create 32;
-      upd_a = Array.make (Array.length frames) 0;
-      upd_b = Array.make (Array.length frames) 0;
-      upd_mark = Bytes.make (Array.length frames) '\000' }
+      upd_a = Array.make n 0; upd_b = Array.make n 0; upd_mark = Bytes.make n '\000' }
   in
-  let leaves = Array.map (fun pfn -> leaf_hash t pfn) frames in
+  for idx = 0 to n - 1 do
+    charge_leaf t;
+    rehash_leaf t idx
+  done;
   let rec build acc level =
     if Array.length level = 1 then Array.of_list (List.rev (level :: acc))
     else build (level :: acc) (rebuild_level t level)
   in
-  t.levels <- build [] leaves;
+  t.levels <- build [] t.levels.(0);
   t
 
 let root t = Bytes.copy t.levels.(Array.length t.levels - 1).(0)
 
-let covered t pfn = Hashtbl.mem t.index_of pfn
+let covered t pfn = index_of t pfn >= 0
+
+let not_covered pfn = Error (Printf.sprintf "BMT: frame 0x%x is not integrity-protected" pfn)
 
 let verify t pfn =
-  match Hashtbl.find_opt t.index_of pfn with
-  | None -> Error (Printf.sprintf "BMT: frame 0x%x is not integrity-protected" pfn)
-  | Some idx ->
-      (* Recompute leaf-to-root using stored siblings; compare with the
-         stored root. The running digest lives in [t.walk]. *)
-      charge_leaf t;
-      leaf_digest_into t pfn ~dst:t.walk ~dst_off:0;
-      let i = ref idx in
-      for level = 0 to Array.length t.levels - 2 do
-        let sib = sibling t.levels.(level) !i in
-        charge_node t;
-        if !i land 1 = 0 then
-          Sha256.digest_pair_into t.walk sib ~dst:t.walk ~dst_off:0
-        else Sha256.digest_pair_into sib t.walk ~dst:t.walk ~dst_off:0;
-        i := !i / 2
-      done;
-      if Bytes.equal t.walk t.levels.(Array.length t.levels - 1).(0) then Ok ()
-      else Error (Printf.sprintf "BMT: integrity violation detected on frame 0x%x" pfn)
+  let idx = index_of t pfn in
+  if idx < 0 then not_covered pfn
+  else begin
+    (* Recompute leaf-to-root using stored siblings; compare with the
+       stored root. The running digest lives in [t.walk]. The leaf is
+       charged as a page hash either way; the host skips the hash when the
+       frame still carries the stamp its stored leaf was hashed at, since
+       the hash would reproduce that leaf. *)
+    charge_leaf t;
+    if leaf_current t idx then Bytes.blit t.levels.(0).(idx) 0 t.walk 0 32
+    else digest_into t pfn (Physmem.view t.machine.Machine.mem pfn) ~dst:t.walk ~dst_off:0;
+    let i = ref idx in
+    for level = 0 to Array.length t.levels - 2 do
+      let sib = sibling t.levels.(level) !i in
+      charge_node t;
+      if !i land 1 = 0 then
+        Sha256.digest_pair_into t.walk sib ~dst:t.walk ~dst_off:0
+      else Sha256.digest_pair_into sib t.walk ~dst:t.walk ~dst_off:0;
+      i := !i / 2
+    done;
+    if Bytes.equal t.walk t.levels.(Array.length t.levels - 1).(0) then Ok ()
+    else Error (Printf.sprintf "BMT: integrity violation detected on frame 0x%x" pfn)
+  end
 
 (* Inline pipeline check of a fetched page: hash what the bus actually
    delivered and compare against the stored level-0 digest — O(1) hashes
@@ -109,22 +139,33 @@ let verify t pfn =
    channels can reach DRAM but never these arrays, so under collision
    resistance "recomputed leaf = stored leaf" is exactly as strong as
    rewalking to the root. Free of charge — the engine verifies in
-   parallel with the fill, so the simulator books no extra cycles and the
-   explicit verify paths keep their exact costs; counted separately in
-   [fetch_hashes]. *)
-let verify_fetched t pfn ~data =
-  match Hashtbl.find_opt t.index_of pfn with
-  | None -> Error (Printf.sprintf "BMT: frame 0x%x is not integrity-protected" pfn)
-  | Some idx ->
-      t.fetch_hashes <- t.fetch_hashes + 1;
-      Sha256.reset t.scratch;
-      Sha256.feed_u64_be t.scratch (Int64.of_int pfn);
-      Sha256.feed t.scratch data;
-      Sha256.finalize_into t.scratch ~dst:t.walk ~dst_off:0;
+   parallel with the fill, so the simulator books no cycles and the
+   explicit verify paths keep their exact costs; each check counts one
+   modelled hash in [fetch_hashes].
+
+   [src] is the frame the bytes were read from, or -1 when [data] is not
+   a frame's live bytes. Only a fill from the requested frame itself, with
+   that frame still at its leaf's stamp, may skip the host hash: bytes
+   from any other frame (an aliased decode) are always hashed, so they
+   pass only if they hash to the requested frame's leaf. *)
+let check_fill t pfn ~src ~data =
+  let idx = index_of t pfn in
+  if idx < 0 then not_covered pfn
+  else begin
+    t.fetch_hashes <- t.fetch_hashes + 1;
+    if src = pfn && leaf_current t idx then Ok ()
+    else begin
+      digest_into t pfn data ~dst:t.walk ~dst_off:0;
       if Bytes.equal t.walk t.levels.(0).(idx) then Ok ()
       else
         Error
           (Printf.sprintf "BMT: fetched data for frame 0x%x does not match the tree" pfn)
+    end
+  end
+
+let verify_fetched t pfn ~data = check_fill t pfn ~src:(-1) ~data
+
+let verify_fill t pfn ~src = check_fill t pfn ~src ~data:(Physmem.view t.machine.Machine.mem src)
 
 let verify_all t =
   Array.fold_left
@@ -138,16 +179,14 @@ let rec collect_dirty t pfns n =
   match pfns with
   | [] -> n
   | pfn :: rest ->
+      let idx = index_of t pfn in
       let n =
-        match Hashtbl.find t.index_of pfn with
-        | idx ->
-            if Bytes.unsafe_get t.upd_mark idx = '\000' then begin
-              Bytes.unsafe_set t.upd_mark idx '\001';
-              t.upd_a.(n) <- idx;
-              n + 1
-            end
-            else n
-        | exception Not_found -> n
+        if idx >= 0 && Bytes.unsafe_get t.upd_mark idx = '\000' then begin
+          Bytes.unsafe_set t.upd_mark idx '\001';
+          t.upd_a.(n) <- idx;
+          n + 1
+        end
+        else n
       in
       collect_dirty t rest n
 
@@ -184,11 +223,9 @@ let update_many t pfns =
   done;
   if n > 0 then begin
     sort_prefix t.upd_a n;
-    let leaves = t.levels.(0) in
     for i = 0 to n - 1 do
-      let idx = t.upd_a.(i) in
       charge_leaf t;
-      leaf_digest_into t t.frames.(idx) ~dst:leaves.(idx) ~dst_off:0
+      rehash_leaf t t.upd_a.(i)
     done;
     let count = ref n in
     for level = 0 to Array.length t.levels - 2 do
@@ -220,20 +257,21 @@ let update_many t pfns =
    amortize — bit-identical tree and charges to [update_many t [pfn]]
    without staging the batch pipeline. *)
 let update t pfn =
-  match Hashtbl.find t.index_of pfn with
-  | exception Not_found -> ()
-  | idx ->
-      charge_leaf t;
-      leaf_digest_into t pfn ~dst:t.levels.(0).(idx) ~dst_off:0;
-      let i = ref idx in
-      for level = 0 to Array.length t.levels - 2 do
-        let parent = !i lsr 1 in
-        let below = t.levels.(level) in
-        charge_node t;
-        Sha256.digest_pair_into below.(2 * parent) (sibling below (2 * parent))
-          ~dst:t.levels.(level + 1).(parent) ~dst_off:0;
-        i := parent
-      done
+  let idx = index_of t pfn in
+  if idx >= 0 then begin
+    charge_leaf t;
+    rehash_leaf t idx;
+    let i = ref idx in
+    for level = 0 to Array.length t.levels - 2 do
+      let parent = !i lsr 1 in
+      let below = t.levels.(level) in
+      charge_node t;
+      Sha256.digest_pair_into below.(2 * parent) (sibling below (2 * parent))
+        ~dst:t.levels.(level + 1).(parent) ~dst_off:0;
+      i := parent
+    done
+  end
 
 let hashes_performed t = t.hashes
 let fetch_hashes_performed t = t.fetch_hashes
+let page_hashes_computed t = t.page_hashes

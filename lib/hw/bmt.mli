@@ -14,7 +14,14 @@
 
     Verification charges the cost model per hash recomputed, so the
     integrity ablation (`bench/main.exe ablate`) can weigh the protection
-    against its overhead. *)
+    against its overhead.
+
+    The tree records, with each stored leaf, the {!Physmem.stamp} its frame
+    carried when the leaf was hashed. A frame's stamp moves on every path
+    that can change its bytes, so while the stamp stands the page's hash
+    is the stored leaf, and the host reuses it instead of re-hashing 4 KiB.
+    This changes no charge and no counter of the model: only
+    {!page_hashes_computed} sees it. *)
 
 type t
 
@@ -31,7 +38,11 @@ val covered : t -> Addr.pfn -> bool
 val verify : t -> Addr.pfn -> (unit, string) result
 (** Recompute the frame's leaf and path and compare against the root.
     [Error] names the frame on mismatch. Frames outside the tree fail
-    closed. *)
+    closed. Every level is walked and charged, the leaf as a page hash;
+    the host computes that page hash only when the frame's
+    {!Physmem.stamp} has moved since the engine stored its leaf —
+    otherwise the hash would reproduce the stored leaf, which stands in
+    for it (see {!page_hashes_computed}). *)
 
 val verify_all : t -> (unit, string) result
 (** Whole-tree sweep (boot-time or attestation-time check). *)
@@ -42,6 +53,7 @@ val verify_fetched : t -> Addr.pfn -> data:bytes -> (unit, string) result
     fetch, the way real BMT engines check a fill. Unlike {!verify} this
     catches misrouted fetches (address-aliasing/remap faults) where DRAM
     still holds pristine bytes but the bus delivered another frame's.
+    [data] may be any bytes, so the host always hashes them.
 
     {b Trust argument.} Comparing against the stored leaf is as strong as
     rewalking to the root: the leaf digests, interior nodes and root are
@@ -60,6 +72,16 @@ val verify_fetched : t -> Addr.pfn -> data:bytes -> (unit, string) result
     {!fetch_hashes_performed} counter), so enabling it leaves the
     ablation's explicit verify costs untouched. *)
 
+val verify_fill : t -> Addr.pfn -> src:Addr.pfn -> (unit, string) result
+(** The memory controller's form of {!verify_fetched}: a fetch requested
+    frame [pfn] and read frame [src]'s DRAM (they differ under an aliased
+    address decode), and the check hashes those bytes. When [src = pfn]
+    and the frame still carries the {!Physmem.stamp} its stored leaf was
+    hashed at, the bytes are the ones that leaf was hashed from, so the
+    host skips the hash and the check passes. Bytes from any other frame
+    are always hashed, so a misrouted fill still fails closed. Counts one
+    {!fetch_hashes_performed} either way. *)
+
 val update : t -> Addr.pfn -> unit
 (** Recompute the path after an *authorized* write to the frame (the secure
     processor witnesses legitimate writes; attackers cannot call this —
@@ -75,8 +97,18 @@ val update_many : t -> Addr.pfn list -> unit
     sequential {!update}s; duplicates and uncovered frames are ignored. *)
 
 val hashes_performed : t -> int
-(** Total charged leaf+node hash computations so far, for the ablation. *)
+(** Total charged leaf+node hash computations so far, for the ablation.
+    A leaf is counted whether or not the host computed it. *)
 
 val fetch_hashes_performed : t -> int
-(** Total (uncharged) inline fetch-check hashes — exactly one per
-    {!verify_fetched} call on a covered frame, regardless of tree size. *)
+(** Total modelled inline fetch-check hashes — exactly one per
+    {!verify_fetched} or {!verify_fill} call on a covered frame,
+    regardless of tree size. This is the engine's work in the model, not
+    the host's: see {!page_hashes_computed}. *)
+
+val page_hashes_computed : t -> int
+(** Page hashes the host actually computed: every leaf hash of {!create},
+    {!update} and {!update_many}, each {!verify} of a frame whose stamp
+    moved since its leaf was stored, and each fetch check that hashed.
+    Host-independent and exact; it differs from the modelled counters
+    above only by the hashes the stored leaves stood in for. *)

@@ -2,124 +2,283 @@
 let c_cache_fill = Cost.intern "cache-fill"
 let c_cache_hit = Cost.intern "cache-hit"
 
+(* The store is three growable structures, none allocated per line:
+
+   - [tbl], an open-addressed table from int keys to ints. A line key maps
+     to the line's slot in [slab], or to [ghost] once [invalidate_page]
+     dropped the line while its key still waits in the FIFO; a key is in
+     [tbl] exactly while it is in [ring]. A frame key maps to the number
+     of the frame's lines that are resident, and is removed at zero, so
+     the MMU can skip the per-block probe loop in O(1) for frames with
+     nothing cached (a probe miss has no ledger effect, so the skip is
+     cycle- and byte-identical).
+   - [ring], the FIFO of line keys awaiting eviction, ghosts included. A
+     key appears at most once; ghosts are purged lazily when the eviction
+     scan pops them, and evictions trigger on the LIVE count, so ghosts
+     never shrink the effective capacity.
+   - [slab], the resident lines' bytes, 16 per slot. Free slots are
+     chained through their own first 8 bytes from [free].
+
+   Each doubles only when what it holds outgrows it — the slab never past
+   [nr_lines] slots — so a machine that caches little stays small, and a
+   steady-state fill, miss or hit, allocates nothing. *)
 type t = {
-  lines : (int, bytes) Hashtbl.t;
-  order : int Queue.t;
-  (* [order] is the FIFO of line keys awaiting eviction. A key appears at
-     most once ([queued] tracks membership); [invalidate_page] removes the
-     line but leaves the key behind as a ghost, purged lazily when the
-     eviction scan pops it. Evictions trigger on the LIVE count, so ghosts
-     can no longer shrink the effective capacity. *)
-  queued : (int, unit) Hashtbl.t;
-  (* Resident-line count per frame, so the MMU can skip the per-block probe
-     loop in O(1) for frames with nothing cached (a probe miss has no
-     ledger effect, so the skip is cycle- and byte-identical). *)
-  per_frame : (int, int) Hashtbl.t;
+  mutable tbl : int array; (* 2i: key, or [empty]; 2i+1: value *)
+  mutable tbl_live : int;
+  mutable ring : int array;
+  mutable head : int;
+  mutable len : int;
+  mutable slab : bytes;
+  mutable used : int; (* slots ever handed out; the rest of [slab] is fresh *)
+  mutable free : int; (* first free slot below [used], -1 if none *)
+  mutable live : int; (* resident lines *)
   nr_lines : int;
   ledger : Cost.ledger;
   costs : Cost.table;
 }
 
-(* One tagged int per line: pfn above the block bits. A page holds
-   [Addr.blocks_per_page] = 256 blocks, hence 8 block bits. *)
-let key pfn block = (pfn lsl 8) lor block
-let key_pfn k = k lsr 8
+let empty = -1
+let ghost = -1
+let initial = 16
+
+(* Keys: a line's is its pfn above 9 bits of block (a page holds
+   [Addr.blocks_per_page] = 256 blocks); a frame's takes the block value
+   256, which no line key uses. *)
+let line_key pfn block = (pfn lsl 9) lor block
+let frame_key pfn = (pfn lsl 9) lor 256
+let key_pfn k = k lsr 9
 
 let create ?(nr_lines = 4096) ledger =
-  { lines = Hashtbl.create nr_lines;
-    order = Queue.create ();
-    queued = Hashtbl.create nr_lines;
-    per_frame = Hashtbl.create 64;
+  if nr_lines <= 0 then invalid_arg "Cache.create: nr_lines must be positive";
+  { tbl = Array.make (2 * initial) empty;
+    tbl_live = 0;
+    ring = Array.make initial 0;
+    head = 0;
+    len = 0;
+    slab = Bytes.create (initial * Addr.block_size);
+    used = 0;
+    free = -1;
+    live = 0;
     nr_lines;
     ledger;
     costs = Cost.default }
 
-(* [find] + exception, not [find_opt]: the option would be the only
-   allocation left on an all-hit read. *)
-let frame_count t pfn =
-  match Hashtbl.find t.per_frame pfn with n -> n | exception Not_found -> 0
+(* ---- the table: linear probing from a hash of the key, load below 1/2,
+   backward-shift removal (no tombstones), as in [Pagetable]'s reverse
+   index. The probe loops are [while]s over local refs, which the native
+   compiler keeps unboxed. *)
 
-let bump t pfn delta =
-  let n = frame_count t pfn + delta in
-  if n <= 0 then Hashtbl.remove t.per_frame pfn else Hashtbl.replace t.per_frame pfn n
+let mask t = (Array.length t.tbl / 2) - 1
+let home t k = ((k * 0x9E3779B1) lsr 8) land mask t
+
+(* The slot holding [k], or -1. *)
+let find t k =
+  let tbl = t.tbl and mask = mask t in
+  let i = ref (home t k) and found = ref (-1) in
+  while !found < 0 && Array.unsafe_get tbl (2 * !i) <> empty do
+    if Array.unsafe_get tbl (2 * !i) = k then found := !i else i := (!i + 1) land mask
+  done;
+  !found
+
+let value t i = Array.unsafe_get t.tbl ((2 * i) + 1)
+let set_value t i v = Array.unsafe_set t.tbl ((2 * i) + 1) v
+
+(* Store a key known to be absent, in a table with room for it. *)
+let place t k v =
+  let tbl = t.tbl and mask = mask t in
+  let i = ref (home t k) in
+  while Array.unsafe_get tbl (2 * !i) <> empty do
+    i := (!i + 1) land mask
+  done;
+  Array.unsafe_set tbl (2 * !i) k;
+  Array.unsafe_set tbl ((2 * !i) + 1) v;
+  t.tbl_live <- t.tbl_live + 1
+
+let add t k v =
+  if 2 * (t.tbl_live + 1) > mask t + 1 then begin
+    let old = t.tbl in
+    t.tbl <- Array.make (2 * Array.length old) empty;
+    t.tbl_live <- 0;
+    for i = 0 to (Array.length old / 2) - 1 do
+      let k = Array.unsafe_get old (2 * i) in
+      if k <> empty then place t k (Array.unsafe_get old ((2 * i) + 1))
+    done
+  end;
+  place t k v
+
+(* Backward-shift deletion: walk the run after the hole and move back each
+   entry whose home slot does not lie between the hole and it. *)
+let remove_at t i =
+  let tbl = t.tbl and mask = mask t in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while Array.unsafe_get tbl (2 * !j) <> empty do
+    let k = Array.unsafe_get tbl (2 * !j) in
+    if (!j - home t k) land mask >= (!j - !hole) land mask then begin
+      Array.unsafe_set tbl (2 * !hole) k;
+      Array.unsafe_set tbl ((2 * !hole) + 1) (Array.unsafe_get tbl ((2 * !j) + 1));
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  Array.unsafe_set tbl (2 * !hole) empty;
+  t.tbl_live <- t.tbl_live - 1
+
+(* ---- the FIFO ring *)
+
+let ring_push t k =
+  let cap = Array.length t.ring in
+  if t.len = cap then begin
+    let grown = Array.make (2 * cap) 0 in
+    for n = 0 to cap - 1 do
+      Array.unsafe_set grown n (Array.unsafe_get t.ring ((t.head + n) land (cap - 1)))
+    done;
+    t.ring <- grown;
+    t.head <- 0
+  end;
+  let mask = Array.length t.ring - 1 in
+  Array.unsafe_set t.ring ((t.head + t.len) land mask) k;
+  t.len <- t.len + 1
+
+let ring_pop t =
+  let k = Array.unsafe_get t.ring t.head in
+  t.head <- (t.head + 1) land (Array.length t.ring - 1);
+  t.len <- t.len - 1;
+  k
+
+(* ---- the slab *)
+
+let alloc_slot t =
+  if t.free >= 0 then begin
+    let s = t.free in
+    t.free <- Int64.to_int (Bytes.get_int64_le t.slab (s * Addr.block_size));
+    s
+  end
+  else begin
+    let cap = Bytes.length t.slab / Addr.block_size in
+    if t.used = cap then begin
+      let grown = Bytes.create (min t.nr_lines (2 * cap) * Addr.block_size) in
+      Bytes.blit t.slab 0 grown 0 (Bytes.length t.slab);
+      t.slab <- grown
+    end;
+    t.used <- t.used + 1;
+    t.used - 1
+  end
+
+let free_slot t s =
+  Bytes.set_int64_le t.slab (s * Addr.block_size) (Int64.of_int t.free);
+  t.free <- s
+
+(* ---- the cache *)
+
+let frame_resident t pfn = find t (frame_key pfn) >= 0
+
+let bump_frame t pfn delta =
+  let i = find t (frame_key pfn) in
+  if i < 0 then (if delta > 0 then add t (frame_key pfn) delta)
+  else
+    let n = value t i + delta in
+    if n <= 0 then remove_at t i else set_value t i n
 
 (* Pop FIFO keys until a live victim surfaces; ghosts left by
-   [invalidate_page] are discarded on the way. The queue cannot run dry
+   [invalidate_page] are discarded on the way. The ring cannot run dry
    here: every live line's key is queued, and the caller only evicts when
    at least [nr_lines] lines are live. *)
 let rec evict_one t =
-  let victim = Queue.pop t.order in
-  Hashtbl.remove t.queued victim;
-  if Hashtbl.mem t.lines victim then begin
-    Hashtbl.remove t.lines victim;
-    bump t (key_pfn victim) (-1)
+  let victim = ring_pop t in
+  let i = find t victim in
+  let slot = value t i in
+  remove_at t i;
+  if slot = ghost then evict_one t
+  else begin
+    free_slot t slot;
+    t.live <- t.live - 1;
+    bump_frame t (key_pfn victim) (-1)
   end
-  else evict_one t
 
 (* Ghosts drain only at eviction, so a workload that invalidates below
-   capacity could grow the queue without bound; compact it (preserving
-   FIFO order of the live keys) when it overshoots. *)
+   capacity could grow the ring without bound; compact it in place
+   (preserving FIFO order of the live keys) when it overshoots. *)
 let compact t =
-  if Queue.length t.order > 4 * t.nr_lines then begin
-    let live = Queue.create () in
-    Queue.iter
-      (fun k -> if Hashtbl.mem t.lines k then Queue.push k live else Hashtbl.remove t.queued k)
-      t.order;
-    Queue.clear t.order;
-    Queue.transfer live t.order
+  if t.len > 4 * t.nr_lines then begin
+    let mask = Array.length t.ring - 1 in
+    let kept = ref 0 in
+    for n = 0 to t.len - 1 do
+      let k = Array.unsafe_get t.ring ((t.head + n) land mask) in
+      let i = find t k in
+      if value t i = ghost then remove_at t i
+      else begin
+        Array.unsafe_set t.ring ((t.head + !kept) land mask) k;
+        incr kept
+      end
+    done;
+    t.len <- !kept
   end
 
 let fill_from t pfn ~block src ~src_off =
-  let key = key pfn block in
-  (match Hashtbl.find t.lines key with
-  | line ->
-      (* Refill of a resident line reuses its buffer — the steady-state
-         path allocates nothing. *)
-      Bytes.blit src src_off line 0 Addr.block_size
-  | exception Not_found ->
-      if Hashtbl.length t.lines >= t.nr_lines then evict_one t;
-      compact t;
-      Hashtbl.replace t.lines key (Bytes.sub src src_off Addr.block_size);
-      if not (Hashtbl.mem t.queued key) then begin
-        Hashtbl.replace t.queued key ();
-        Queue.push key t.order
-      end;
-      bump t pfn 1);
+  let key = line_key pfn block in
+  let i = find t key in
+  if i >= 0 && value t i <> ghost then
+    (* Refill of a resident line: overwrite its slot in place. *)
+    Bytes.blit src src_off t.slab (value t i * Addr.block_size) Addr.block_size
+  else begin
+    if t.live >= t.nr_lines then evict_one t;
+    compact t;
+    let slot = alloc_slot t in
+    Bytes.blit src src_off t.slab (slot * Addr.block_size) Addr.block_size;
+    (* A key still queued as a ghost keeps its place in the FIFO; the
+       eviction or compaction above may just have dropped it. *)
+    let i = find t key in
+    if i >= 0 then set_value t i slot
+    else begin
+      add t key slot;
+      ring_push t key
+    end;
+    t.live <- t.live + 1;
+    bump_frame t pfn 1
+  end;
   Cost.charge_id t.ledger c_cache_fill t.costs.Cost.cacheline_write
 
 let fill t pfn ~block plain = fill_from t pfn ~block plain ~src_off:0
 
-let frame_resident t pfn = frame_count t pfn > 0
-
 let probe_into t pfn ~block ~dst ~dst_off =
-  match Hashtbl.find t.lines (key pfn block) with
-  | line ->
-      Cost.charge_id t.ledger c_cache_hit t.costs.Cost.cache_hit;
-      Bytes.blit line 0 dst dst_off Addr.block_size;
-      true
-  | exception Not_found -> false
+  let i = find t (line_key pfn block) in
+  if i >= 0 && value t i <> ghost then begin
+    Cost.charge_id t.ledger c_cache_hit t.costs.Cost.cache_hit;
+    Bytes.blit t.slab (value t i * Addr.block_size) dst dst_off Addr.block_size;
+    true
+  end
+  else false
 
 (* The scan stops once the frame's resident count is used up, so a frame
    with nothing cached (every release and most firmware rewrites) costs
-   one table lookup instead of 256 probes. *)
+   one table lookup instead of 256 probes. The dropped lines' keys stay
+   queued as ghosts. *)
 let invalidate_page t pfn =
-  let left = ref (frame_count t pfn) in
-  let block = ref 0 in
-  while !left > 0 && !block < Addr.blocks_per_page do
-    let key = key pfn !block in
-    if Hashtbl.mem t.lines key then begin
-      Hashtbl.remove t.lines key;
-      decr left
-    end;
-    incr block
-  done;
-  Hashtbl.remove t.per_frame pfn
+  let fi = find t (frame_key pfn) in
+  if fi >= 0 then begin
+    let left = ref (value t fi) and block = ref 0 in
+    while !left > 0 && !block < Addr.blocks_per_page do
+      let i = find t (line_key pfn !block) in
+      if i >= 0 && value t i <> ghost then begin
+        free_slot t (value t i);
+        set_value t i ghost;
+        t.live <- t.live - 1;
+        decr left
+      end;
+      incr block
+    done;
+    remove_at t fi
+  end
 
-let resident t = Hashtbl.length t.lines
+let resident t = t.live
 
 (* FIFO-order introspection for the invariant tests: number of queued
-   keys whose line is live, and the raw queue length (live + ghosts). *)
+   keys whose line is live, and the raw ring length (live + ghosts). *)
 let order_live t =
-  Queue.fold (fun acc k -> if Hashtbl.mem t.lines k then acc + 1 else acc) 0 t.order
+  let mask = Array.length t.ring - 1 and n = ref 0 in
+  for j = 0 to t.len - 1 do
+    if value t (find t (Array.unsafe_get t.ring ((t.head + j) land mask))) <> ghost then incr n
+  done;
+  !n
 
-let order_length t = Queue.length t.order
+let order_length t = t.len

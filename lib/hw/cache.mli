@@ -9,19 +9,23 @@
 
     The model keys lines by physical block address only (no ASID tag —
     matching the attack's premise), with a bounded line count and FIFO
-    eviction. *)
+    eviction. The store grows with what is cached, up to the capacity,
+    and a steady-state fill or probe allocates nothing. *)
 
 type t
 
 val create : ?nr_lines:int -> Cost.ledger -> t
+(** [nr_lines] bounds the resident lines: by default 4096 lines of 16 B,
+    64 KiB of plaintext. Raises [Invalid_argument] unless it is
+    positive. *)
 
 val fill : t -> Addr.pfn -> block:int -> bytes -> unit
 (** Record the plaintext of a 16-byte block after a CPU access. *)
 
 val fill_from : t -> Addr.pfn -> block:int -> bytes -> src_off:int -> unit
 (** [fill] reading the block at [src_off] of a larger span — same ledger
-    effect, no per-block [Bytes.sub] at the call site, and a refill of a
-    resident line reuses the line buffer instead of allocating. *)
+    effect, no per-block [Bytes.sub] at the call site. A full cache evicts
+    its oldest live line first. *)
 
 val probe_into : t -> Addr.pfn -> block:int -> dst:bytes -> dst_off:int -> bool
 (** A hit blits the resident plaintext into [dst] at [dst_off] and returns

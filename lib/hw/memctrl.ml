@@ -20,7 +20,7 @@ type t = {
   smek : Aes.key;
   slots : (int, Aes.key) Hashtbl.t;
   costs : Cost.table;
-  mutable fetch_check : (Addr.pfn -> bytes -> (unit, string) result) option;
+  mutable fetch_check : (Addr.pfn -> src:Addr.pfn -> (unit, string) result) option;
   (* Span scratch for the encrypted read-modify-write paths: plaintext
      spans never outlive the call (reads copy out with [Bytes.sub]), so
      one page-sized buffer per controller replaces a [Bytes.create] per
@@ -101,19 +101,22 @@ let read_into t sel pfn ~off ~len ~dst ~dst_off =
         (* DRAM traffic is block-granular even without encryption: an
            unaligned access touching two blocks costs two accesses. *)
         charge_blocks t ~encrypted:false (last - first + 1);
-        Bytes.blit (Physmem.page t.mem src_pfn) off dst dst_off len
+        Bytes.blit (Physmem.view t.mem src_pfn) off dst dst_off len
     | Some key ->
         charge_blocks t ~encrypted:true (last - first + 1);
         let span = (last - first + 1) * Addr.block_size in
         let plain = t.scratch in
-        let page = Physmem.page t.mem src_pfn in
+        let page = Physmem.view t.mem src_pfn in
         (* Integrity engine, if armed: check the ciphertext actually
            fetched against the tree entry for the *requested* frame, so a
-           misrouted or disturbed fill is refused before any data flows. *)
+           misrouted or disturbed fill is refused before any data flows.
+           The check is told which frame's DRAM the fetch read; only a fill
+           from the requested frame itself may be vouched for by that
+           frame's write stamp. *)
         (match t.fetch_check with
         | None -> ()
         | Some check -> (
-            match check pfn page with
+            match check pfn ~src:src_pfn with
             | Ok () -> ()
             | Error e -> Denial.deny "memory integrity: %s" e));
         Modes.xex_decrypt_span key ~tweak0:(tweak_of pfn first) ~tweak_step
@@ -140,7 +143,7 @@ let write t sel pfn ~off data =
         charge_blocks t ~encrypted:true (last - first + 1);
         let span = (last - first + 1) * Addr.block_size in
         let plain = t.scratch in
-        let page = Physmem.page t.mem pfn in
+        let page = Physmem.page_for_write t.mem pfn in
         Modes.xex_decrypt_span key ~tweak0:(tweak_of pfn first) ~tweak_step
           ~src:page ~src_off:(first * Addr.block_size) ~dst:plain ~dst_off:0 ~len:span;
         Bytes.blit data 0 plain (off - (first * Addr.block_size)) len;
@@ -158,7 +161,7 @@ let fw_write_page t ~key pfn plain =
   if Bytes.length plain <> Addr.page_size then
     invalid_arg "Memctrl.fw_write_page: need a full page";
   fw_charge t;
-  let page = Physmem.page t.mem pfn in
+  let page = Physmem.page_for_write t.mem pfn in
   Modes.xex_encrypt_span key ~tweak0:(tweak_of pfn 0) ~tweak_step
     ~src:plain ~src_off:0 ~dst:page ~dst_off:0 ~len:Addr.page_size
 
@@ -170,7 +173,7 @@ let fw_decrypt_page_into t ~key pfn ~dst =
   if Bytes.length dst <> Addr.page_size then
     invalid_arg "Memctrl.fw_decrypt_page_into: need a full page";
   fw_charge t;
-  let page = Physmem.page t.mem pfn in
+  let page = Physmem.view t.mem pfn in
   Modes.xex_decrypt_span key ~tweak0:(tweak_of pfn 0) ~tweak_step
     ~src:page ~src_off:0 ~dst ~dst_off:0 ~len:Addr.page_size
 

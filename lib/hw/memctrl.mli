@@ -78,13 +78,16 @@ val fw_write_page : t -> key:Fidelius_crypto.Aes.key -> Addr.pfn -> bytes -> uni
 
     Hook point for the hardware-integrity extension ({!Bmt},
     [Core.Integrity]): when armed, every encrypted CPU read hands the
-    ciphertext page it actually fetched — together with the frame number
-    the CPU {e requested} — to the check. A mismatch (disturbed row,
-    aliased address decode, replay) raises {!Denial.Denied}, so corrupted
-    data never reaches software. Disarmed (the default), the cost is one
-    option match per read and behaviour is bit-for-bit unchanged. *)
+    frame number the CPU {e requested} and the frame whose DRAM it
+    actually fetched ([src]; it differs under an aliased address decode)
+    to the check, which reads that frame's ciphertext itself. A mismatch
+    (disturbed row, aliased address decode, replay) raises
+    {!Denial.Denied}, so corrupted data never reaches software. Disarmed
+    (the default), the cost is one option match per read and behaviour is
+    bit-for-bit unchanged. *)
 
-val set_fetch_check : t -> (Addr.pfn -> bytes -> (unit, string) result) option -> unit
+val set_fetch_check :
+  t -> (Addr.pfn -> src:Addr.pfn -> (unit, string) result) option -> unit
 (** Install ([Some]) or clear ([None]) the inline check. Installing
     replaces any previous check — compose externally if two protected
     regions must coexist. *)

@@ -108,7 +108,8 @@ type t = {
   (* One-entry front for [lookup_packed]: consecutive walks overwhelmingly
      hit the same page-table-page, and the hashed group lookup is the
      single most expensive step of the packed walk. [cg] is the cached
-     group (-1 = empty), [cg_page] its backing page bytes. *)
+     group (-1 = empty), [cg_page] its backing page's read view (stores
+     take the stamping write path afresh each time). *)
   mutable cg : int;
   mutable cg_page : bytes;
   reverse : Rindex.t;
@@ -219,7 +220,7 @@ let lookup_packed t vfn =
     match Hashtbl.find t.groups g with
     | exception Not_found -> packed_absent
     | pfn ->
-        let page = Physmem.page t.mem pfn in
+        let page = Physmem.view t.mem pfn in
         t.cg <- g;
         t.cg_page <- page;
         read_packed page (slot_of vfn * 8)
@@ -235,7 +236,7 @@ let lookup t vfn =
         c_bit = packed_c_bit p }
 
 let hw_set_packed t vfn p =
-  let pt_page = Physmem.page t.mem (ensure_group t (group_of vfn)) in
+  let pt_page = Physmem.page_for_write t.mem (ensure_group t (group_of vfn)) in
   let off = slot_of vfn * 8 in
   let old = read_packed pt_page off in
   if old <> packed_absent then Rindex.remove t.reverse (packed_frame old) vfn;
@@ -253,7 +254,7 @@ let hw_set t vfn proto =
 let mapped_frames t =
   Hashtbl.fold
     (fun g pfn acc ->
-      let page = Physmem.page t.mem pfn in
+      let page = Physmem.view t.mem pfn in
       let base = g * entries_per_page in
       let group_entries = ref [] in
       for slot = 0 to entries_per_page - 1 do

@@ -1,29 +1,33 @@
-(* [written] holds one mark per frame, set whenever the frame is handed out
-   in a way that can change its bytes ([page], [write_raw], [flip_bit]).
-   Marks are never cleared: a [page] reference taken before a [reset] can
-   still be written through after it, so the next reset must zero that
-   frame again. *)
+(* [stamps] holds one write stamp per frame. Every path that can change a
+   frame's bytes ([page_for_write], [write_raw], [flip_bit], [scrub], and
+   [reset] of a written frame) moves the frame's stamp first; nothing else
+   does. A stamp starts at 0 and only grows, so a frame still at 0 has
+   never been written and holds zeros: that is what [reset] skips. *)
 type t = {
   frames : bytes array;
-  written : Bytes.t;
+  stamps : int array;
 }
 
 let create ~nr_frames =
   if nr_frames <= 0 then invalid_arg "Physmem.create: nr_frames must be positive";
   { frames = Array.init nr_frames (fun _ -> Bytes.make Addr.page_size '\000');
-    written = Bytes.make nr_frames '\000' }
+    stamps = Array.make nr_frames 0 }
 
 let nr_frames t = Array.length t.frames
 
+let bump t pfn = Array.unsafe_set t.stamps pfn (Array.unsafe_get t.stamps pfn + 1)
+
 (* Reuse path for the fleet arenas: a reset backing must be
-   indistinguishable from [create]'s fresh zeroed memory. Only a marked
-   frame can hold a nonzero byte, so zeroing the marked frames zeroes the
-   backing, at the cost of what the previous machines touched rather than
-   a 32 MiB memset. *)
+   indistinguishable from [create]'s fresh zeroed memory. Only a frame
+   with a nonzero stamp can hold a nonzero byte, so zeroing those zeroes
+   the backing, at the cost of what the previous machines touched rather
+   than a 32 MiB memset. *)
 let reset t =
   for pfn = 0 to Array.length t.frames - 1 do
-    if Bytes.unsafe_get t.written pfn <> '\000' then
+    if Array.unsafe_get t.stamps pfn <> 0 then begin
+      bump t pfn;
       Bytes.fill t.frames.(pfn) 0 Addr.page_size '\000'
+    end
   done
 
 (* [off > page_size - len] rather than [off + len > page_size]: the sum
@@ -34,7 +38,9 @@ let check t pfn off len =
   if off < 0 || len < 0 || off > Addr.page_size - len then
     invalid_arg (Printf.sprintf "Physmem: range %d+%d leaves the page" off len)
 
-let mark t pfn = Bytes.unsafe_set t.written pfn '\001'
+let stamp t pfn =
+  check t pfn 0 0;
+  Array.unsafe_get t.stamps pfn
 
 let read_raw t pfn ~off ~len =
   check t pfn off len;
@@ -46,22 +52,27 @@ let read_raw_into t pfn ~off ~len ~dst ~dst_off =
 
 let write_raw t pfn ~off data =
   check t pfn off (Bytes.length data);
-  mark t pfn;
+  bump t pfn;
   Bytes.blit data 0 t.frames.(pfn) off (Bytes.length data)
 
 let scrub t pfn =
   check t pfn 0 Addr.page_size;
+  bump t pfn;
   Bytes.fill t.frames.(pfn) 0 Addr.page_size '\000'
 
-let page t pfn =
+let view t pfn =
   check t pfn 0 0;
-  mark t pfn;
+  t.frames.(pfn)
+
+let page_for_write t pfn =
+  check t pfn 0 0;
+  bump t pfn;
   t.frames.(pfn)
 
 let flip_bit t pfn ~off ~bit =
   check t pfn off 1;
   if bit < 0 || bit > 7 then invalid_arg "Physmem.flip_bit: bit must be 0..7";
-  mark t pfn;
+  bump t pfn;
   let b = Char.code (Bytes.get t.frames.(pfn) off) in
   Bytes.set t.frames.(pfn) off (Char.chr (b lxor (1 lsl bit)))
 

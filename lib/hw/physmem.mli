@@ -19,14 +19,20 @@ val reset : t -> unit
     [create ~nr_frames] result. The arena-reuse primitive behind
     [Machine.create ?mem]: a fleet worker resets one backing per job
     instead of allocating (and garbage-collecting) 32 MiB of pages per
-    simulated machine. Only {!page}, {!write_raw} and {!flip_bit} can
-    change a frame's bytes, and each records the frame it hands out; the
-    reset zeroes the recorded frames, so it costs what earlier machines
-    on this backing touched. Records outlive the reset, so a {!page}
-    reference taken before it is still covered by the next one. Not
+    simulated machine. Only a frame whose {!stamp} has ever moved can hold
+    a nonzero byte, so the reset zeroes those frames (moving their stamps
+    again) and costs what earlier machines on this backing touched. Not
     thread-safe against concurrent users of the same [t] — the caller
     owns the backing exclusively across the reset (the per-worker arena
     discipline guarantees this). *)
+
+val stamp : t -> Addr.pfn -> int
+(** The frame's write stamp. It moves on every path that can change the
+    frame's bytes — {!page_for_write}, {!write_raw}, {!flip_bit},
+    {!scrub}, and {!reset} of a written frame — and on no other, and it
+    never moves back. So a frame that shows the same stamp twice holds
+    the same bytes at both times: the on-die integrity engine ({!Bmt})
+    keys its stored leaf digests on it. *)
 
 val read_raw : t -> Addr.pfn -> off:int -> len:int -> bytes
 (** Physical-channel read (no decryption). Raises [Invalid_argument] when the
@@ -43,11 +49,21 @@ val write_raw : t -> Addr.pfn -> off:int -> bytes -> unit
 val scrub : t -> Addr.pfn -> unit
 (** Zero one frame in place (the allocator's scrub-on-free). *)
 
-val page : t -> Addr.pfn -> bytes
-(** The backing store of one page, shared (mutations are visible). Reserved
-    for the memory controller and the on-die integrity engine ({!Bmt}
-    hashes frames without a cold-boot copy); everything else goes through
-    the raw/MMU paths. *)
+val view : t -> Addr.pfn -> bytes
+(** The backing store of one page, shared, {e for reading only}: the
+    bytes change under the holder as the frame is written, and writing
+    through them would change the frame without moving its {!stamp}.
+    Reserved for the memory controller, the page-table walkers and the
+    on-die integrity engine ({!Bmt} hashes frames without a cold-boot
+    copy); everything else goes through the raw/MMU paths. *)
+
+val page_for_write : t -> Addr.pfn -> bytes
+(** The same shared bytes for an in-place store: moves the frame's
+    {!stamp}, then hands them out. The caller writes through them before
+    it returns and keeps no reference afterwards — a write made later
+    would land after the stamp moved and go unseen. Reserved for the
+    in-place writers of the memory controller, page tables, the PIT and
+    the VMCB shadow. *)
 
 val flip_bit : t -> Addr.pfn -> off:int -> bit:int -> unit
 (** Rowhammer-style disturbance: flip one bit in place. *)

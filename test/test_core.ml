@@ -273,7 +273,7 @@ let test_gate_crossing_counts () =
 let shadow_env () =
   let m = Hw.Machine.create ~nr_frames:128 ~seed:3L () in
   let backing = Hw.Machine.alloc_frame m in
-  let s = Shadow.create m ~backing in
+  let s = Shadow.create ~backing in
   let vmcb = Hw.Vmcb.create () in
   Hw.Vmcb.set vmcb Hw.Vmcb.Rip 0x1000L;
   Hw.Vmcb.set vmcb Hw.Vmcb.Rsp 0x8000L;

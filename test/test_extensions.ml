@@ -299,6 +299,289 @@ let test_integrity_unmapped_range () =
   Alcotest.(check bool) "unmapped gva fails closed" true
     (Result.is_error (Core.Integrity.verified_read integ ~addr:(Hw.Addr.addr_of 500 0) ~len:8))
 
+(* --- The leaf memo, differentially ------------------------------------------- *)
+
+module Plan = Fidelius_inject.Plan
+module Site = Fidelius_inject.Site
+
+(* Ops on eight consecutive guest pages (gvfn 2..9) of a protected guest
+   under [Integrity]. A write may run on into the next page, and covers
+   whole 16 B blocks: a guest write that only partly covers a resident
+   line is refused whether or not leaves are reused, because the MMU
+   reloads that line through the armed fetch check before the tree has
+   seen the store. *)
+type mem_op =
+  | Write of int * int * int (* page, first block, blocks *)
+  | Verified_read of int * int * int (* page, off, len *)
+  | Plain_read of int * int * int
+  | Invalidate of int
+  | Flip of int * int * int (* page, off, bit *)
+  | Flip_restore of int * int * int
+  | Raw_write of int * int (* page, off *)
+  | Snapshot of int
+  | Replay of int (* which snapshot *)
+  | Dma of int * int
+  | Faulted_read of bool * bool * int * int * int (* remap?, verified?, page, off, len *)
+
+let mem_pages = 8
+
+let show_mem_op = function
+  | Write (p, b, n) -> Printf.sprintf "Write(%d,%d,%d)" p b n
+  | Verified_read (p, o, l) -> Printf.sprintf "Verified_read(%d,%d,%d)" p o l
+  | Plain_read (p, o, l) -> Printf.sprintf "Plain_read(%d,%d,%d)" p o l
+  | Invalidate p -> Printf.sprintf "Invalidate %d" p
+  | Flip (p, o, b) -> Printf.sprintf "Flip(%d,%d,%d)" p o b
+  | Flip_restore (p, o, b) -> Printf.sprintf "Flip_restore(%d,%d,%d)" p o b
+  | Raw_write (p, o) -> Printf.sprintf "Raw_write(%d,%d)" p o
+  | Snapshot p -> Printf.sprintf "Snapshot %d" p
+  | Replay i -> Printf.sprintf "Replay %d" i
+  | Dma (p, o) -> Printf.sprintf "Dma(%d,%d)" p o
+  | Faulted_read (r, v, p, o, l) -> Printf.sprintf "Faulted_read(%b,%b,%d,%d,%d)" r v p o l
+
+let mem_op_gen =
+  let open QCheck.Gen in
+  let page = int_bound (mem_pages - 1) in
+  let range =
+    page >>= fun p ->
+    int_range 1 256 >>= fun len ->
+    int_bound (Hw.Addr.page_size - len) >>= fun off -> return (p, off, len)
+  in
+  frequency
+    [ ( 4,
+        page >>= fun p ->
+        int_bound 255 >>= fun b ->
+        int_range 1 (if p < mem_pages - 1 then 64 else 256 - b) >>= fun n -> return (Write (p, b, n)) );
+      (4, map (fun (p, o, l) -> Verified_read (p, o, l)) range);
+      (2, map (fun (p, o, l) -> Plain_read (p, o, l)) range);
+      (2, map (fun p -> Invalidate p) page);
+      (1, map3 (fun p o b -> Flip (p, o, b)) page (int_bound 4095) (int_bound 7));
+      (1, map3 (fun p o b -> Flip_restore (p, o, b)) page (int_bound 4095) (int_bound 7));
+      (1, map2 (fun p o -> Raw_write (p, o)) page (int_bound 4080));
+      (1, map (fun p -> Snapshot p) page);
+      (1, map (fun i -> Replay i) (int_bound 7));
+      (1, map2 (fun p o -> Dma (p, o)) page (int_bound 4080));
+      ( 2,
+        map2
+          (fun (remap, verified) (p, o, l) -> Faulted_read (remap, verified, p, o, l))
+          (pair bool bool) range ) ]
+
+(* Run [ops], checking each against an oracle that knows nothing of the
+   memo: [expected] holds each frame's DRAM bytes as of its last
+   legitimate update (the tree's build, or a guest write through the
+   engine). A verify must pass iff the frame's DRAM equals that copy, and
+   a read that fetched from DRAM must be refused iff a page it fetched
+   differs from it. [clean] marks the pages nothing but the engine has
+   written since; reading one must cost the host no page hash
+   ([host_hashes]), as the stored leaves stand in for them. Returns the
+   tree for its counters, and whether every check held. *)
+let run_mem_ops ~host_hashes ops =
+  let m, hv, fid, dom = protected_env () in
+  let integ = Core.Integrity.protect fid dom in
+  let bmt = Core.Integrity.bmt integ in
+  let host_hashes () = host_hashes bmt in
+  let mem = m.Hw.Machine.mem in
+  let pfn_of page =
+    match Hw.Pagetable.lookup dom.Xen.Domain.npt (2 + page) with
+    | Some npte -> npte.Hw.Pagetable.frame
+    | None -> Alcotest.fail "guest page unbacked"
+  in
+  let gva page off = Hw.Addr.addr_of (2 + page) off in
+  let expected = Hashtbl.create 16 in
+  List.iter (fun pfn -> Hashtbl.replace expected pfn (Hw.Physmem.dump mem pfn)) dom.Xen.Domain.frames;
+  let intact pfn = Bytes.equal (Hw.Physmem.dump mem pfn) (Hashtbl.find expected pfn) in
+  let clean = Array.make mem_pages true and snapshots = ref [] in
+  let neighbour pfn = if pfn + 1 < Hw.Physmem.nr_frames mem then pfn + 1 else pfn - 1 in
+  (* A read's outcome: [Some true] refused by the fetch check, [Some false]
+     returned data, [None] refused by the verify before any fetch. *)
+  let read ~verified page off len =
+    let addr = gva page off in
+    match
+      if verified then Result.is_ok (Core.Integrity.verified_read integ ~addr ~len)
+      else begin
+        ignore (Xen.Hypervisor.in_guest hv dom (fun () -> Xen.Domain.read m dom ~addr ~len));
+        true
+      end
+    with
+    | true -> Some false
+    | false -> None
+    | exception Hw.Denial.Denied _ -> Some true
+  in
+  (* Check one read of [page], under a plan if [armed]. A read makes one
+     fetch check per run of missing lines, [n] in all. Under a remap plan
+     the first fetch reads the neighbouring frame's page; every other
+     fetch reads the frame's own. The engine must refuse at the first
+     check whose page differs from the frame's copy, and only there. *)
+  let check_read ~verified ~armed ~remap page off len =
+    let pfn = pfn_of page in
+    let was_intact = intact pfn and was_clean = clean.(page) in
+    let fetches = Bmt.fetch_hashes_performed bmt and hashes = host_hashes () in
+    let outcome = read ~verified page off len in
+    let n = Bmt.fetch_hashes_performed bmt - fetches in
+    let differs f = not (Bytes.equal (Hw.Physmem.dump mem f) (Hashtbl.find expected pfn)) in
+    let own_bad = differs pfn in
+    let bad k = if k = 1 && remap then differs (neighbour pfn) else own_bad in
+    let rec passed k = k >= n || ((not (bad k)) && passed (k + 1)) in
+    let verdicts =
+      match outcome with
+      | None -> verified && (not was_intact) && n = 0
+      | Some refused -> ((not verified) || was_intact) && passed 1 && refused = (n > 0 && bad n)
+    in
+    verdicts && (armed || (not was_clean) || host_hashes () = hashes)
+  in
+  let step op =
+    match op with
+    | Write (page, block, n) ->
+        let data = Bytes.init (n * 16) (fun i -> Char.chr ((page + block + i) land 0xff)) in
+        Core.Integrity.guest_write integ ~addr:(gva page (block * 16)) data;
+        let last = (((block + n) * 16) - 1) / Hw.Addr.page_size in
+        for p = page to page + last do
+          Hashtbl.replace expected (pfn_of p) (Hw.Physmem.dump mem (pfn_of p));
+          clean.(p) <- true
+        done;
+        true
+    | Verified_read (page, off, len) -> check_read ~verified:true ~armed:false ~remap:false page off len
+    | Plain_read (page, off, len) -> check_read ~verified:false ~armed:false ~remap:false page off len
+    | Invalidate page ->
+        Hw.Cache.invalidate_page m.Hw.Machine.cache (pfn_of page);
+        true
+    | Flip (page, off, bit) ->
+        Hw.Physmem.flip_bit mem (pfn_of page) ~off ~bit;
+        clean.(page) <- false;
+        true
+    | Flip_restore (page, off, bit) ->
+        Hw.Physmem.flip_bit mem (pfn_of page) ~off ~bit;
+        Hw.Physmem.flip_bit mem (pfn_of page) ~off ~bit;
+        clean.(page) <- false;
+        true
+    | Raw_write (page, off) ->
+        Hw.Physmem.write_raw mem (pfn_of page) ~off (Bytes.make 16 'R');
+        clean.(page) <- false;
+        true
+    | Snapshot page ->
+        snapshots := (page, Hw.Physmem.dump mem (pfn_of page)) :: !snapshots;
+        true
+    | Replay i ->
+        (match !snapshots with
+        | [] -> ()
+        | l ->
+            let page, stale = List.nth l (i mod List.length l) in
+            Hw.Physmem.write_raw mem (pfn_of page) ~off:0 stale;
+            clean.(page) <- false);
+        true
+    | Dma (page, off) ->
+        if Result.is_ok (Hw.Machine.dma_write m (pfn_of page) ~off (Bytes.make 16 'D')) then
+          clean.(page) <- false;
+        true
+    | Faulted_read (remap, verified, page, off, len) ->
+        let plan =
+          Plan.make ~seed:(Int64.of_int (off + len)) (if remap then Site.Dram_remap else Site.Dram_flip)
+        in
+        Plan.install plan;
+        let ok =
+          Fun.protect ~finally:Plan.uninstall (fun () ->
+              check_read ~verified ~armed:true ~remap page off len)
+        in
+        if Plan.fired plan && not remap then clean.(page) <- false;
+        ok
+  in
+  let all_ops = List.for_all step ops in
+  let verdicts =
+    List.for_all (fun pfn -> Result.is_ok (Bmt.verify bmt pfn) = intact pfn) dom.Xen.Domain.frames
+    && Result.is_ok (Core.Integrity.verify_domain integ)
+       = List.for_all intact dom.Xen.Domain.frames
+  in
+  (m, bmt, all_ops && verdicts)
+
+let test_memo_differential =
+  QCheck.Test.make ~name:"leaf memo: verify and fetch verdicts = DRAM-copy oracle" ~count:150
+    (QCheck.make ~print:(QCheck.Print.list show_mem_op)
+       (QCheck.Gen.list_size (QCheck.Gen.int_range 1 50) mem_op_gen))
+    (fun ops ->
+      let _, _, ok = run_mem_ops ~host_hashes:Bmt.page_hashes_computed ops in
+      ok)
+
+(* One fixed sequence, its modelled costs pinned at the values the tree
+   had before it kept stored leaves: the memo changes what the host
+   computes, never a charge or a modelled count. *)
+let fixed_mem_ops () =
+  QCheck.Gen.generate1 ~rand:(Random.State.make [| 26 |])
+    (QCheck.Gen.list_size (QCheck.Gen.return 60) mem_op_gen)
+
+let test_memo_fixed_sequence_pin () =
+  let m, bmt, ok = run_mem_ops ~host_hashes:Bmt.page_hashes_computed (fixed_mem_ops ()) in
+  Alcotest.(check bool) "oracle holds" true ok;
+  Alcotest.(check int) "bmt cycles" 106400 (Hw.Cost.category m.Hw.Machine.ledger "bmt");
+  Alcotest.(check int) "charged hashes" 247 (Bmt.hashes_performed bmt);
+  Alcotest.(check int) "modelled fetch hashes" 13 (Bmt.fetch_hashes_performed bmt)
+
+(* The host-work counter: a verified read of a frame nothing has written
+   since the engine stored its leaf costs the host no page hash — neither
+   in the verify nor in the fetch check — while the charged walk and the
+   modelled fetch check count as before. A flip moves the frame's stamp,
+   so the host hashes it again, and keeps doing so after the flip is
+   undone. *)
+let test_integrity_host_hashes () =
+  let m, _, fid, dom = protected_env () in
+  let integ = Core.Integrity.protect fid dom in
+  let bmt = Core.Integrity.bmt integ in
+  Core.Integrity.guest_write integ ~addr:0x3000 (Bytes.of_string "ledger row");
+  let frame =
+    match Hw.Pagetable.lookup dom.Xen.Domain.npt 3 with
+    | Some npte -> npte.Hw.Pagetable.frame
+    | None -> Alcotest.fail "frame"
+  in
+  (* Each read starts from DRAM, so the fetch check runs too. *)
+  let read () =
+    Hw.Cache.invalidate_page m.Hw.Machine.cache frame;
+    let host = Bmt.page_hashes_computed bmt
+    and charged = Bmt.hashes_performed bmt
+    and fetches = Bmt.fetch_hashes_performed bmt in
+    let ok = Result.is_ok (Core.Integrity.verified_read integ ~addr:0x3000 ~len:10) in
+    ( ok,
+      Bmt.page_hashes_computed bmt - host,
+      Bmt.hashes_performed bmt - charged,
+      Bmt.fetch_hashes_performed bmt - fetches )
+  in
+  let levels = 4 (* 12 leaves *) in
+  let first = read () and second = read () in
+  Alcotest.(check (list int)) "first read: no host hash" [ 0; 1 + levels; 1 ]
+    (let _, h, c, f = first in [ h; c; f ]);
+  Alcotest.(check (list int)) "second read: no host hash" [ 0; 1 + levels; 1 ]
+    (let ok, h, c, f = second in
+     Alcotest.(check bool) "verifies" true ok;
+     [ h; c; f ]);
+  Hw.Physmem.flip_bit m.Hw.Machine.mem frame ~off:2 ~bit:1;
+  let ok, h, c, f = read () in
+  Alcotest.(check bool) "flip refused" false ok;
+  Alcotest.(check (list int)) "after a flip the verify hashes" [ 1; 1 + levels; 0 ] [ h; c; f ];
+  Hw.Physmem.flip_bit m.Hw.Machine.mem frame ~off:2 ~bit:1;
+  let ok, h, c, f = read () in
+  Alcotest.(check bool) "restored frame verifies" true ok;
+  Alcotest.(check (list int)) "and both checks hash it" [ 2; 1 + levels; 1 ] [ h; c; f ]
+
+let words_per_call n f =
+  for _ = 1 to 100 do f () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do f () done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Words per 64 B access through the engine, pinned: the frame range is
+   resolved through the packed table lookups and the leaf index by a
+   search of the tree's frame array, so what is left is the guest-mode
+   closure, the result buffer and the MMU's own. *)
+let test_integrity_allocation_pins () =
+  Alcotest.(check bool) "tracing off" false (Fidelius_obs.Trace.enabled ());
+  let _, _, fid, dom = protected_env () in
+  let integ = Core.Integrity.protect fid dom in
+  let data = Bytes.make 64 'w' and addr = 0x3040 in
+  Core.Integrity.guest_write integ ~addr data;
+  let read =
+    words_per_call 1000 (fun () -> ignore (Core.Integrity.verified_read integ ~addr ~len:64))
+  in
+  Alcotest.(check (float 0.01)) "verified 64 B read" 18.0 read;
+  let write = words_per_call 1000 (fun () -> Core.Integrity.guest_write integ ~addr data) in
+  Alcotest.(check (float 0.01)) "64 B guest write" 32.0 write
+
 (* --- GEK / customized keys ---------------------------------------------------- *)
 
 let test_gek_firmware_roundtrip () =
@@ -403,7 +686,12 @@ let () =
           Alcotest.test_case "rowhammer detected" `Quick test_integrity_detects_rowhammer;
           Alcotest.test_case "ciphertext replay detected" `Quick
             test_integrity_detects_ciphertext_replay;
-          Alcotest.test_case "unmapped range" `Quick test_integrity_unmapped_range ] );
+          Alcotest.test_case "unmapped range" `Quick test_integrity_unmapped_range;
+          Alcotest.test_case "host page hashes" `Quick test_integrity_host_hashes;
+          Alcotest.test_case "words per access" `Quick test_integrity_allocation_pins ] );
+      ( "memo",
+        [ prop test_memo_differential;
+          Alcotest.test_case "fixed sequence pinned" `Quick test_memo_fixed_sequence_pin ] );
       ( "gek",
         [ Alcotest.test_case "firmware roundtrip" `Quick test_gek_firmware_roundtrip;
           Alcotest.test_case "isolation" `Quick test_gek_isolation;

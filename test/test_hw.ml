@@ -125,8 +125,8 @@ let test_physmem_range_bounds =
 
 (* The arena reset: dirty a backing through every path that can change a
    frame's bytes, recycle it with [Machine.create ~mem], and every frame
-   must dump as zeros — also after writes through a [page] reference
-   taken before an earlier reset. *)
+   must dump as zeros — also after the frames an earlier round stored to
+   through [page_for_write] are stored to again between two resets. *)
 type dirty_op =
   | Write_raw of int * int
   | Page_write of int * int
@@ -168,9 +168,8 @@ let test_arena_reset_zeroes =
         match op with
         | Write_raw (pfn, off) -> Physmem.write_raw m.Machine.mem pfn ~off data
         | Page_write (pfn, off) ->
-            let page = Physmem.page m.Machine.mem pfn in
-            Bytes.set page off 'p';
-            stale := (page, off) :: !stale
+            Bytes.set (Physmem.page_for_write m.Machine.mem pfn) off 'p';
+            stale := (pfn, off) :: !stale
         | Flip (pfn, off) -> Physmem.flip_bit m.Machine.mem pfn ~off ~bit:(off mod 8)
         | Ctrl_plain (pfn, off) -> Memctrl.write m.Machine.ctrl Memctrl.Plain pfn ~off data
         | Ctrl_enc (pfn, off) -> Memctrl.write m.Machine.ctrl Memctrl.Smek pfn ~off data
@@ -186,10 +185,102 @@ let test_arena_reset_zeroes =
       List.iter (run m1 (Machine.new_table m1) stale) round1;
       let m2 = Machine.create ~nr_frames ~mem ~seed:5L () in
       let clean1 = all_zero m2 in
-      List.iter (fun (page, off) -> Bytes.set page off 's') !stale;
+      List.iter
+        (fun (pfn, off) -> Bytes.set (Physmem.page_for_write m2.Machine.mem pfn) off 's')
+        !stale;
       List.iter (run m2 (Machine.new_table m2) (ref [])) round2;
       let m3 = Machine.create ~nr_frames ~mem ~seed:5L () in
       clean1 && all_zero m3)
+
+(* The write stamp the integrity engine keys its stored leaves on: each
+   path that can change a frame's bytes moves that frame's stamp and no
+   other, and no read path moves any. Steps a measured op depends on
+   (allocating a table group, walking a PIT path into existence) run
+   before the snapshot, so each op's own stores are all that is seen. The
+   machine hands out frames from the top down, so the fixtures' frames
+   stay clear of the low half the ops write to. *)
+let test_stamps_track_writes =
+  let nr_frames = 64 in
+  QCheck.Test.make ~name:"a frame's write stamp moves on each of its writes and on no read"
+    ~count:100
+    QCheck.(
+      list_of_size (Gen.int_range 1 60)
+        (triple (int_bound 20) (int_bound ((nr_frames / 2) - 1)) (int_bound (Addr.page_size - 16))))
+    (fun ops ->
+      let module Pit = Fidelius_core.Pit in
+      let module Shadow = Fidelius_core.Shadow in
+      let m = Machine.create ~nr_frames ~seed:9L () in
+      let mem = m.Machine.mem and ctrl = m.Machine.ctrl in
+      let table = Machine.new_table m in
+      let pit = Pit.create m in
+      let shadow_frame = Machine.alloc_frame m in
+      let shadow = Shadow.create ~backing:shadow_frame in
+      let vmcb = Vmcb.create () in
+      let bmt = Hw.Bmt.create m ~frames:[ 1; 2; 3 ] in
+      let key = Aes.expand (Bytes.make 16 'k') in
+      let data = Bytes.of_string "stamped" and dst = Bytes.create Addr.page_size in
+      let stamps () = Array.init nr_frames (Physmem.stamp mem) in
+      let info = { Pit.owner = Pit.Xen; usage = Pit.Xen_data; asid = 0; valid = true } in
+      let exactly frames moved = List.sort_uniq compare frames = moved in
+      List.for_all
+        (fun (kind, pfn, off) ->
+          let pfn = pfn + 1 and vfn = off mod 1024 in
+          (match kind with
+          | 8 -> ignore (Pagetable.backing_frame_of table vfn)
+          | 9 -> Pit.set pit pfn info
+          | _ -> ());
+          let before = stamps () in
+          let expect =
+            match kind with
+            | 0 -> Physmem.write_raw mem pfn ~off data; exactly [ pfn ]
+            | 1 -> Physmem.flip_bit mem pfn ~off ~bit:(off mod 8); exactly [ pfn ]
+            | 2 -> Physmem.scrub mem pfn; exactly [ pfn ]
+            | 3 ->
+                let dirtied = List.filter (fun f -> before.(f) <> 0) (List.init nr_frames Fun.id) in
+                Physmem.reset mem;
+                exactly dirtied
+            | 4 -> ignore (Machine.dma_write m pfn ~off data); exactly [ pfn ]
+            | 5 -> Memctrl.write ctrl Memctrl.Plain pfn ~off data; exactly [ pfn ]
+            | 6 -> Memctrl.write ctrl Memctrl.Smek pfn ~off data; exactly [ pfn ]
+            | 7 -> Memctrl.fw_write_page ctrl ~key pfn (Bytes.make Addr.page_size 'f'); exactly [ pfn ]
+            | 8 ->
+                Pagetable.hw_set_packed table vfn
+                  (Pagetable.packed_make ~frame:pfn ~writable:true ~executable:false ~c_bit:false);
+                exactly [ Pagetable.backing_frame_of table vfn ]
+            | 9 ->
+                (* The path exists, so only the leaf page holding the entry
+                   is stored to. *)
+                Pit.set pit pfn { info with Pit.asid = off };
+                (function [ f ] -> List.mem f (Pit.tree_frames pit) | _ -> false)
+            | 10 -> Shadow.capture shadow m vmcb Vmcb.Cpuid; exactly [ shadow_frame ]
+            | 11 ->
+                (* Only a verified restore clears the in-use flag. *)
+                let captured = Shadow.has_capture shadow in
+                ignore (Shadow.verify_and_restore shadow m vmcb);
+                exactly (if captured then [ shadow_frame ] else [])
+            | 12 -> ignore (Physmem.read_raw mem pfn ~off ~len:16); exactly []
+            | 13 -> Physmem.read_raw_into mem pfn ~off ~len:16 ~dst ~dst_off:0; exactly []
+            | 14 -> ignore (Physmem.dump mem pfn); exactly []
+            | 15 -> ignore (Bytes.get (Physmem.view mem pfn) off); exactly []
+            | 16 -> Memctrl.read_into ctrl Memctrl.Plain pfn ~off ~len:16 ~dst ~dst_off:0; exactly []
+            | 17 -> Memctrl.read_into ctrl Memctrl.Smek pfn ~off ~len:16 ~dst ~dst_off:0; exactly []
+            | 18 ->
+                let f = 1 + (pfn mod 3) in
+                ignore (Hw.Bmt.verify bmt f);
+                ignore (Hw.Bmt.verify_fill bmt f ~src:pfn);
+                ignore (Hw.Bmt.verify_fetched bmt f ~data:(Physmem.dump mem pfn));
+                exactly []
+            | 19 ->
+                ignore (Pagetable.lookup_packed table vfn);
+                ignore (Pagetable.lookup table vfn);
+                ignore (Pagetable.mapped_frames table);
+                ignore (Pagetable.frame_mapped table pfn);
+                exactly []
+            | _ -> ignore (Pit.get pit pfn); exactly []
+          in
+          let after = stamps () in
+          expect (List.filter (fun f -> before.(f) <> after.(f)) (List.init nr_frames Fun.id)))
+        ops)
 
 (* --- Memctrl ----------------------------------------------------------------- *)
 
@@ -771,6 +862,126 @@ let test_cache_fifo_invariants =
           && Cache.order_length cache <= (4 * nr_lines) + 1)
         ops)
 
+(* A list-based reference for the cache's FIFO-with-ghosts discipline,
+   written from the rules rather than the store: a miss fill on a full
+   cache first pops the FIFO until it evicts a live line (dropping the
+   ghosts on the way), the FIFO is compacted to its live keys once it
+   holds more than 4x the capacity, and a refilled key whose ghost is
+   still queued keeps the ghost's place. [lines] is keyed by (pfn, block);
+   [order] runs oldest first. *)
+module Cache_model = struct
+  type t = {
+    nr_lines : int;
+    mutable lines : ((int * int) * string) list;
+    mutable order : (int * int) list;
+    mutable fills : int;
+    mutable hits : int;
+  }
+
+  let create nr_lines = { nr_lines; lines = []; order = []; fills = 0; hits = 0 }
+  let live t k = List.mem_assoc k t.lines
+
+  let rec evict_one t =
+    match t.order with
+    | [] -> assert false
+    | k :: rest ->
+        t.order <- rest;
+        if live t k then t.lines <- List.remove_assoc k t.lines else evict_one t
+
+  let fill t k line =
+    t.fills <- t.fills + 1;
+    if live t k then t.lines <- (k, line) :: List.remove_assoc k t.lines
+    else begin
+      if List.length t.lines >= t.nr_lines then evict_one t;
+      if List.length t.order > 4 * t.nr_lines then t.order <- List.filter (live t) t.order;
+      t.lines <- (k, line) :: t.lines;
+      if not (List.mem k t.order) then t.order <- t.order @ [ k ]
+    end
+
+  let probe t k =
+    match List.assoc_opt k t.lines with
+    | Some line ->
+        t.hits <- t.hits + 1;
+        Some line
+    | None -> None
+
+  let invalidate t pfn = t.lines <- List.filter (fun ((p, _), _) -> p <> pfn) t.lines
+  let frame_resident t pfn = List.exists (fun ((p, _), _) -> p = pfn) t.lines
+  let order_live t = List.length (List.filter (live t) t.order)
+end
+
+let test_cache_matches_model =
+  QCheck.Test.make ~name:"cache store = list-based FIFO-with-ghosts model" ~count:200
+    QCheck.(
+      pair (int_range 1 8)
+        (list_of_size (Gen.int_range 1 300)
+           (quad (int_bound 5) (int_bound 4) (int_bound 7) (int_bound 255))))
+    (fun (nr_lines, ops) ->
+      let ledger = Cost.ledger () in
+      let cache = Cache.create ~nr_lines ledger in
+      let model = Cache_model.create nr_lines in
+      let costs = Cost.default in
+      let dst = Bytes.make (3 * Addr.block_size) '.' in
+      List.for_all
+        (fun (op, pfn, block, byte) ->
+          let k = (pfn, block) in
+          let line = String.init Addr.block_size (fun i -> Char.chr ((byte + i) land 0xff)) in
+          let probe_ok =
+            match op with
+            | 0 | 1 ->
+                Cache.fill cache pfn ~block (Bytes.of_string line);
+                Cache_model.fill model k line;
+                true
+            | 2 ->
+                (* [fill_from] reads the block out of a larger span. *)
+                let span = Bytes.make (3 * Addr.block_size) '#' in
+                Bytes.blit_string line 0 span (byte mod 33) Addr.block_size;
+                Cache.fill_from cache pfn ~block span ~src_off:(byte mod 33);
+                Cache_model.fill model k line;
+                true
+            | 3 | 4 -> (
+                let off = byte mod (2 * Addr.block_size + 1) in
+                Bytes.fill dst 0 (Bytes.length dst) '.';
+                let hit = Cache.probe_into cache pfn ~block ~dst ~dst_off:off in
+                match Cache_model.probe model k with
+                | Some expected ->
+                    hit && Bytes.sub_string dst off Addr.block_size = expected
+                | None -> (not hit) && Bytes.for_all (fun c -> c = '.') dst)
+            | _ ->
+                Cache.invalidate_page cache pfn;
+                Cache_model.invalidate model pfn;
+                true
+          in
+          probe_ok
+          && Cache.resident cache = List.length model.Cache_model.lines
+          && Cache.order_live cache = Cache_model.order_live model
+          && Cache.order_length cache = List.length model.Cache_model.order
+          && List.for_all
+               (fun f -> Cache.frame_resident cache f = Cache_model.frame_resident model f)
+               (List.init 6 Fun.id)
+          && Cost.category ledger "cache-fill" = model.Cache_model.fills * costs.Cost.cacheline_write
+          && Cost.category ledger "cache-hit" = model.Cache_model.hits * costs.Cost.cache_hit)
+        ops)
+
+(* A steady-state miss fill that evicts allocates nothing: the store has
+   grown to capacity, the evicted line's slot takes the new line, and the
+   FIFO and table reuse their cells. *)
+let test_cache_fill_allocation_free () =
+  let cache = Cache.create ~nr_lines:4096 (Cost.ledger ()) in
+  let span = Bytes.make (2 * Addr.block_size) 'c' in
+  let k = ref 0 in
+  let fill_next () =
+    Cache.fill_from cache (1 + (!k / Addr.blocks_per_page)) ~block:(!k mod Addr.blocks_per_page)
+      span ~src_off:Addr.block_size;
+    incr k
+  in
+  for _ = 1 to 3 * 4096 do fill_next () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do fill_next () done;
+  let words = (Gc.minor_words () -. w0) /. 10_000. in
+  Alcotest.(check int) "full" 4096 (Cache.resident cache);
+  Alcotest.(check (float 0.01)) "miss fill that evicts allocates nothing" 0.0 words
+
 (* --- interned charge sites -------------------------------------------------- *)
 
 (* The interned fast path must be observationally identical to the
@@ -819,7 +1030,8 @@ let () =
           Alcotest.test_case "bit flip" `Quick test_physmem_flip;
           Alcotest.test_case "dump is a copy" `Quick test_physmem_dump_is_copy;
           prop test_physmem_range_bounds;
-          prop test_arena_reset_zeroes ] );
+          prop test_arena_reset_zeroes;
+          prop test_stamps_track_writes ] );
       ( "memctrl",
         [ Alcotest.test_case "plain" `Quick test_memctrl_plain;
           Alcotest.test_case "encrypted roundtrip" `Quick test_memctrl_encrypted_roundtrip;
@@ -835,7 +1047,9 @@ let () =
           Alcotest.test_case "eviction" `Quick test_cache_eviction;
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
           Alcotest.test_case "copies" `Quick test_cache_returns_copies;
-          prop test_cache_fifo_invariants ] );
+          prop test_cache_fifo_invariants;
+          prop test_cache_matches_model;
+          Alcotest.test_case "fill allocates nothing" `Quick test_cache_fill_allocation_free ] );
       ( "pagetable",
         [ prop test_pt_roundtrip;
           Alcotest.test_case "clear" `Quick test_pt_clear;
