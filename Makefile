@@ -1,4 +1,6 @@
-# Convenience entry points; everything is plain dune underneath.
+# Convenience entry points; everything is plain dune underneath. Every
+# paper section, benchmark and gate below is a subcommand of the one front
+# end, bin/fidelius_sim.exe (`dune exec bin/fidelius_sim.exe -- --help`).
 #
 #   make build       compile everything
 #   make test        full test suite (includes the behaviour contract, the
@@ -19,8 +21,9 @@
 #                    (ring throughput sync vs batched, serve sweep -> bench.json)
 #   make serve-smoke wall-clock check, run alone: batch-8 ring throughput
 #                    must stay >= 1.8x the synchronous path
-#   make migrate     fleet live-migration benchmark: pages sent vs downtime
-#                    budget across fleet sizes (results/migrate.csv, bench.json)
+#   make migrate     fleet live-migration benchmark (`migrate-fleet`): pages
+#                    sent vs downtime budget across fleet sizes
+#                    (results/migrate.csv, bench.json)
 #   make perf        re-measure the bechamel primitives and print the
 #                    speedup against the recorded results/bench.json baseline
 #   make perf-gate   regression gate over the pinned fast-path keys: any key
@@ -29,16 +32,19 @@
 #   make perfbench   the repository benchmark (BENCHMARK.json): serve,
 #                    guest-mem, migrate and fleet, 20 s each, seed 1, one
 #                    JSON result line per workload
-#   make contract    diff the behaviour contract (deterministic bench
+#   make contract    diff the behaviour contract (deterministic paper
 #                    sections, fault matrix, examples, CLI outputs, trace
-#                    export digests) against test/contract; part of
-#                    `make test`. Re-pin a moved artifact with `dune promote`
+#                    export digests, usage errors) against test/contract;
+#                    part of `make test`. Re-pin a moved artifact with
+#                    `dune promote`
 #   make crypto-selftest  report the CPUID-selected AES/SHA backends and
 #                    cross-check every tier against the executable
 #                    specification (nonzero exit on any mismatch)
 #   make check       what CI runs: build + tests (contract and fault matrix
 #                    included) + crypto self-test + fleet smoke + serve smoke
 #                    + perf gate + docs
+
+SIM = dune exec bin/fidelius_sim.exe --
 
 .PHONY: build test doc doc-strict contract matrix fleet fleet-smoke fleet-scale serve serve-smoke migrate perf perf-gate perfbench crypto-selftest check clean
 
@@ -58,31 +64,31 @@ contract:
 	dune build @contract
 
 matrix:
-	dune exec bin/fidelius_sim.exe -- inject matrix
+	$(SIM) inject matrix
 
 fleet:
-	dune exec bench/main.exe -- fleet
+	$(SIM) fleet
 
 fleet-smoke:
 	dune build @fleet-smoke
 
 fleet-scale:
-	dune exec bench/main.exe -- fleet-scale
+	$(SIM) fleet-scale
 
 serve-smoke:
 	dune build @serve-smoke
 
 serve:
-	dune exec bench/main.exe -- serve
+	$(SIM) serve
 
 migrate:
-	dune exec bench/main.exe -- migrate
+	$(SIM) migrate-fleet
 
 perf:
-	dune exec bench/main.exe -- perf
+	$(SIM) perf
 
 perf-gate:
-	dune exec bench/main.exe -- perf-gate
+	$(SIM) perf-gate
 
 perfbench:
 	for w in serve guest-mem migrate fleet; do \
@@ -90,7 +96,7 @@ perfbench:
 	done
 
 crypto-selftest:
-	dune exec bin/fidelius_sim.exe -- cpu-features
+	$(SIM) cpu-features
 
 check: build test crypto-selftest fleet-smoke serve-smoke perf-gate doc
 

@@ -1,54 +1,75 @@
-(* fidelius-sim: command-line front-end to the simulator.
+(* fidelius-sim: the simulator's one front end. Every section of the
+   paper's evaluation, every wall-clock measurement and every walkthrough
+   is a subcommand:
 
-     fidelius_sim demo              full life-cycle walkthrough
-     fidelius_sim attacks [--id X]  security matrix (or one attack)
-     fidelius_sim xsa               quantitative XSA analysis
-     fidelius_sim bench SUITE       workload overheads (spec|parsec|fio|serve)
-     fidelius_sim trace demo        record an event trace of a scenario
-     fidelius_sim inject matrix     differential fault-injection matrix
-     fidelius_sim inspect           post-install system inventory
-     fidelius_sim migrate           live migration + attested key release demo *)
+     fidelius_sim all                       every section below, in paper order
+     fidelius_sim bench spec|parsec         Figures 5/6 ([--breakdown] adds the ledger)
+     fidelius_sim bench fio|serve           Table 3, the serve sweep's simulated rows
+     fidelius_sim micro|tab1|tab2|ablate    Section 7.2, Tables 1-2, DESIGN.md §4
+     fidelius_sim attacks [--id X]          security matrix (or one attack)
+     fidelius_sim xsa [--verbose]           quantitative XSA analysis
+     fidelius_sim fleet|fleet-scale|fleet-smoke   fleet scaling curve and its gates
+     fidelius_sim serve|serve-smoke         serve ring rates and sweep, and its gate
+     fidelius_sim migrate-fleet             fleet live migration vs downtime budget
+     fidelius_sim bechamel|bechamel-smoke|perf|perf-gate   hot-primitive timings
+     fidelius_sim demo|inspect|quote|migrate   walkthroughs of one platform
+     fidelius_sim trace demo                record an event trace of a scenario
+     fidelius_sim inject matrix             differential fault-injection matrix
+     fidelius_sim cpu-features              crypto backends and their self-test *)
 
 module Hw = Fidelius_hw
 module Xen = Fidelius_xen
 module Sev = Fidelius_sev
 module Core = Fidelius_core
 module Fid = Core.Fidelius
-module W = Fidelius_workloads
 module Attacks = Fidelius_attacks
-module Xsa = Fidelius_xsa
 module Obs = Fidelius_obs
 module Rng = Fidelius_crypto.Rng
 open Cmdliner
 
+(* Typed flag values: a bad one is a usage error (exit 124), caught before
+   any work or any write. *)
+let checked what ok parse print =
+  Arg.conv'
+    ( (fun s ->
+        match parse s with
+        | Some v when ok v -> Ok v
+        | _ -> Error (Printf.sprintf "expected %s, got %S" what s)),
+      print )
+
+let count = checked "a positive count" (fun n -> n > 0) int_of_string_opt Format.pp_print_int
+
+let budget =
+  checked "a finite, non-negative budget"
+    (fun b -> Float.is_finite b && b >= 0.0)
+    float_of_string_opt Format.pp_print_float
+
+(* A comma-separated, non-empty list of [conv] values. *)
+let list_of conv =
+  let l = Arg.list conv in
+  Arg.conv'
+    ( (fun s ->
+        match Arg.conv_parser l s with
+        | Ok [] -> Error "expected a non-empty list"
+        | Ok vs -> Ok vs
+        | Error (`Msg e) -> Error e),
+      Arg.conv_printer l )
+
+let default_seed = 2026L
+
 let seed_arg =
   let doc = "Deterministic seed for the simulated platform." in
-  Arg.(value & opt int64 2026L & info [ "seed" ] ~docv:"SEED" ~doc)
+  Arg.(value & opt int64 default_seed & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let domains_arg =
   let doc =
     "Worker domains to shard independent runs across (default: the runtime's \
      recommended count). Results are identical for any value — see SCALING.md."
   in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some count) None & info [ "domains" ] ~docv:"N" ~doc)
 
-let stack_on machine =
-  let hv = Xen.Hypervisor.boot machine in
-  let fid = Fid.install hv in
-  (machine, hv, fid)
-
-let stack seed = stack_on (Hw.Machine.create ~seed ())
-
-let boot_guest fid name pages =
-  let rng = Rng.create 77L in
-  let prepared =
-    Sev.Transport.Owner.prepare ~rng ~platform_public:(Fid.platform_key fid)
-      ~policy:Sev.Firmware.policy_nodbg
-      ~kernel_pages:[ Bytes.make Hw.Addr.page_size '\000' ]
-  in
-  match Fid.boot_protected_vm fid ~name ~memory_pages:pages ~prepared with
-  | Ok d -> d
-  | Error e -> failwith e
+(* A subcommand that takes no flags. *)
+let plain (name, doc, f) = Cmd.v (Cmd.info name ~doc) Term.(const f $ const ())
 
 (* --- demo ------------------------------------------------------------------ *)
 
@@ -57,11 +78,11 @@ let boot_guest fid name pages =
 let run_demo_scenario ?(quiet = false) machine =
   let say fmt = if quiet then Printf.ifprintf stdout fmt else Printf.printf fmt in
   let mark label = if Obs.Trace.enabled () then Obs.Trace.emit (Obs.Trace.Mark label) in
-  let machine, hv, fid = stack_on machine in
+  let machine, hv, fid = Paper.stack_on machine in
   say "platform up: %d frames of DRAM, SEV firmware initialized\n"
     (Hw.Physmem.nr_frames machine.Hw.Machine.mem);
   mark "platform-up";
-  let dom = boot_guest fid "demo-tenant" 24 in
+  let dom = Paper.boot_guest fid "demo-tenant" 24 in
   say "protected guest dom%d booted from encrypted image\n" dom.Xen.Domain.domid;
   mark "guest-booted";
   Xen.Hypervisor.in_guest hv dom (fun () ->
@@ -90,134 +111,149 @@ let demo_cmd =
   let term = Term.(ret (const demo $ seed_arg)) in
   Cmd.v (Cmd.info "demo" ~doc:"Boot a protected guest and exercise the life cycle") term
 
-(* --- attacks ---------------------------------------------------------------- *)
+(* --- attacks and xsa ---------------------------------------------------------- *)
 
-let attacks id seed domains =
-  match id with
-  | None -> (
-      let rows = Attacks.Runner.run_all ~seed ?domains () in
-      Format.printf "%a@." Attacks.Runner.pp_table rows;
-      match Attacks.Runner.errors rows with
-      | [] -> `Ok ()
-      | errs ->
-          List.iter
-            (fun (id, stack, msg) ->
-              Printf.eprintf "harness error: %s on %s: %s\n" id stack msg)
-            errs;
-          `Error (false, Printf.sprintf "%d attack run(s) errored" (List.length errs)))
-  | Some id -> (
-      match Attacks.Suite.find id with
-      | None ->
-          `Error
-            (false,
-             Printf.sprintf "unknown attack %S; known: %s" id
-               (String.concat ", "
-                  (List.map (fun a -> a.Attacks.Surface.id) Attacks.Suite.all)))
-      | Some attack ->
-          let row = Attacks.Runner.run_one ~seed attack in
-          Printf.printf "%s — %s (paper %s)\n" attack.Attacks.Surface.id
-            attack.Attacks.Surface.description attack.Attacks.Surface.paper_ref;
-          Printf.printf "  plain SEV: %s\n"
-            (Attacks.Surface.outcome_to_string row.Attacks.Runner.baseline);
-          Printf.printf "  fidelius:  %s\n"
-            (Attacks.Surface.outcome_to_string row.Attacks.Runner.fidelius);
-          `Ok ())
+(* A matrix with harness errors exits nonzero, each error on stderr. *)
+let matrix_result = function
+  | [] -> `Ok ()
+  | errs ->
+      List.iter
+        (fun (id, stack, msg) -> Printf.eprintf "harness error: %s on %s: %s\n" id stack msg)
+        errs;
+      `Error (false, Printf.sprintf "%d attack run(s) errored" (List.length errs))
+
+let attacks attack seed domains =
+  match attack with
+  | None -> matrix_result (Paper.attacks ~seed ?domains ())
+  | Some a ->
+      Paper.attack ~seed a;
+      `Ok ()
 
 let attacks_cmd =
-  let id =
-    Arg.(value & opt (some string) None & info [ "id" ] ~docv:"ATTACK" ~doc:"Run one attack only.")
+  let attack =
+    let ids = List.map (fun a -> (a.Attacks.Surface.id, a)) Attacks.Suite.all in
+    Arg.(value & opt (some (enum ids)) None & info [ "id" ] ~docv:"ATTACK" ~doc:"Run one attack only.")
   in
-  let term = Term.(ret (const attacks $ id $ seed_arg $ domains_arg)) in
-  Cmd.v (Cmd.info "attacks" ~doc:"Run the security-analysis attack catalogue") term
-
-(* --- xsa --------------------------------------------------------------------- *)
-
-let xsa verbose =
-  Format.printf "%a@." Xsa.Report.pp (Xsa.Report.compute ());
-  if verbose then begin
-    print_newline ();
-    List.iter
-      (fun r ->
-        Printf.printf "XSA-%-4d %-10s %-22s %s\n    -> %s\n" r.Xsa.Db.xsa
-          (Xsa.Db.component_to_string r.Xsa.Db.component)
-          (Xsa.Db.category_to_string r.Xsa.Db.category)
-          r.Xsa.Db.title (Xsa.Classify.why r))
-      Xsa.Db.all
-  end;
-  `Ok ()
+  let term = Term.(ret (const attacks $ attack $ seed_arg $ domains_arg)) in
+  Cmd.v (Cmd.info "attacks" ~doc:"Run the security-analysis attack catalogue (Section 6)") term
 
 let xsa_cmd =
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"List every advisory with its rationale.")
   in
-  let term = Term.(ret (const xsa $ verbose)) in
+  let term = Term.(const (fun verbose -> Paper.xsa ~verbose) $ verbose) in
   Cmd.v (Cmd.info "xsa" ~doc:"Quantitative XSA analysis (paper Section 6.2)") term
 
-(* --- bench ------------------------------------------------------------------- *)
-
-let pp_counts label counts =
-  Printf.printf "    %-12s %s\n" label
-    (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counts))
-
-let bench suite breakdown =
-  (match suite with
-  | "spec" | "parsec" ->
-      let profiles = if suite = "spec" then W.Spec2006.all else W.Parsec.all in
-      Printf.printf "%-15s %12s %16s\n" "benchmark" "Fidelius" "Fidelius-enc";
-      let rows = W.Engine.run_suite profiles in
-      let n = float_of_int (List.length rows) in
-      let sf, se =
-        List.fold_left
-          (fun (a, b) (p, f, e, enc) ->
-            Printf.printf "%-15s %+11.2f%% %+15.2f%%\n" p.W.Profile.name f e;
-            if breakdown then begin
-              pp_counts "cycles:" enc.W.Engine.breakdown;
-              pp_counts "scopes:" enc.W.Engine.attribution
-            end;
-            (a +. f, b +. e))
-          (0.0, 0.0) rows
-      in
-      Printf.printf "%-15s %+11.2f%% %+15.2f%%\n" "AVERAGE" (sf /. n) (se /. n)
-  | "fio" ->
-      if breakdown then
-        prerr_endline "note: --breakdown applies to the sampled suites (spec|parsec) only";
-      Printf.printf "%-12s %14s %16s %10s\n" "operation" "Xen" "Fidelius" "slowdown";
-      List.iter
-        (fun r ->
-          Printf.printf "%-12s %10.1f %s %12.1f %s %8.2f%%\n" r.W.Fio.pattern.W.Fio.pat_name
-            r.W.Fio.xen_rate r.W.Fio.pattern.W.Fio.unit_name r.W.Fio.fidelius_rate
-            r.W.Fio.pattern.W.Fio.unit_name r.W.Fio.slowdown_pct)
-        (W.Fio.table ())
-  | "serve" ->
-      if breakdown then
-        prerr_endline "note: --breakdown applies to the sampled suites (spec|parsec) only";
-      (* Simulated-time sweep only; the wall-clock ring-throughput numbers
-         (sync vs batched doorbells) come from `bench/main.exe serve`,
-         which links a timer. *)
-      Printf.printf "%6s %10s %10s %10s %10s %12s %10s\n" "batch" "req/s" "p50 us" "p90 us"
-        "p99 us" "hypercalls" "blk-doorb";
-      List.iter
-        (fun b ->
-          let r = W.Serve.run { W.Serve.default_config with W.Serve.batch = b } in
-          Printf.printf "%6d %10.0f %10.1f %10.1f %10.1f %12d %10d\n" r.W.Serve.batch
-            r.W.Serve.rps r.W.Serve.p50_us r.W.Serve.p90_us r.W.Serve.p99_us
-            r.W.Serve.hypercalls r.W.Serve.blk_notifications)
-        [ 1; 2; 4; 8 ]
-  | other -> Printf.eprintf "unknown suite %S (spec|parsec|fio|serve)\n" other);
-  `Ok ()
+(* --- bench: Figures 5/6, Table 3, the serve sweep ------------------------------- *)
 
 let bench_cmd =
-  let suite =
-    Arg.(value & pos 0 string "spec" & info [] ~docv:"SUITE" ~doc:"spec, parsec, fio or serve.")
-  in
   let breakdown =
     Arg.(
       value & flag
       & info [ "breakdown" ]
           ~doc:"After each row, print the Fidelius-enc run's ledger categories and per-scope attribution.")
   in
-  let term = Term.(ret (const bench $ suite $ breakdown)) in
-  Cmd.v (Cmd.info "bench" ~doc:"Workload overheads (Figures 5/6, Table 3)") term
+  let figure name doc f =
+    Cmd.v (Cmd.info name ~doc) Term.(const (fun breakdown -> f ~breakdown) $ breakdown)
+  in
+  Cmd.group
+    (Cmd.info "bench" ~doc:"Workload overheads in simulated time (Figures 5/6, Table 3, serve)")
+    [ figure "spec" "Figure 5: SPEC CPU 2006 overheads (writes results/figure_5.csv)" Paper.fig5;
+      figure "parsec" "Figure 6: PARSEC overheads (writes results/figure_6.csv)" Paper.fig6;
+      plain ("fio", "Table 3: fio under AES-NI I/O protection (writes results/table_3.csv)", Paper.tab3);
+      plain
+        ( "serve",
+          "The serve sweep's simulated-time rows, without the wall-clock ring rates",
+          fun () -> ignore (Paper.serve_rows ()) ) ]
+
+(* --- wall-clock sections ---------------------------------------------------------- *)
+
+let vms_arg =
+  Arg.(value & opt (some count) None
+       & info [ "vms" ] ~docv:"N" ~doc:"Fleet size (default: 16 for fleet, 32 for fleet-scale).")
+
+let fleet_cmd =
+  let domains =
+    Arg.(value & opt (some (list_of count)) None
+         & info [ "domains" ] ~docv:"N,..." ~doc:"Worker-domain counts to time (default 1,2,4,8).")
+  in
+  let gc_stats =
+    Arg.(value & flag & info [ "gc-stats" ] ~doc:"Print each worker's GC, allocation and turn-wait counts.")
+  in
+  let run vms domain_counts gc_stats = Wallclock.fleet ?vms ?domain_counts ~gc_stats () in
+  Cmd.v
+    (Cmd.info "fleet" ~doc:"Fleet VMs/sec against worker-domain count (SCALING.md)")
+    Term.(const run $ vms_arg $ domains $ gc_stats)
+
+let fleet_scale_cmd =
+  Cmd.v
+    (Cmd.info "fleet-scale" ~doc:"Gate: d4 must beat d1 by 2.0x (skips on hosts under 4 cores)")
+    Term.(const (fun vms -> Wallclock.fleet_scale ?vms ()) $ vms_arg)
+
+let serve_cmd =
+  let requests =
+    Arg.(value & opt (some count) None
+         & info [ "requests" ] ~docv:"N" ~doc:"Requests per sweep row (default 512).")
+  in
+  let batches =
+    Arg.(value & opt (some (list_of count)) None
+         & info [ "batches" ] ~docv:"N,..." ~doc:"Batch sizes of the sweep (default 1,2,4,8).")
+  in
+  Cmd.v
+    (Cmd.info "serve" ~doc:"Ring wall-clock rates, sync against batch-8, then the serve sweep")
+    Term.(const (fun requests batches -> Wallclock.serve ?requests ?batches ()) $ requests $ batches)
+
+let migrate_fleet_cmd =
+  let budgets =
+    Arg.(value & opt (some (list_of budget)) None
+         & info [ "budgets" ] ~docv:"US,..." ~doc:"Downtime budgets in microseconds (default 2.5,10,40).")
+  in
+  let fleets =
+    Arg.(value & opt (some (list_of count)) None
+         & info [ "fleets" ] ~docv:"N,..." ~doc:"Fleet sizes (default 8,16).")
+  in
+  Cmd.v
+    (Cmd.info "migrate-fleet"
+       ~doc:"Fleet live migration: pages sent against downtime budget (writes results/migrate.csv)")
+    Term.(const (fun budgets fleets -> Wallclock.migrate_fleet ?budgets ?fleets ()) $ budgets $ fleets)
+
+(* Every section in paper order; a harness error in the matrix makes the
+   run exit nonzero once everything else has run. *)
+let all () =
+  Paper.tab1 ();
+  Paper.tab2 ();
+  let matrix = Paper.attacks ~seed:default_seed () in
+  Paper.xsa ~verbose:false;
+  Paper.fig5 ~breakdown:false;
+  Paper.fig6 ~breakdown:false;
+  Paper.tab3 ();
+  Paper.micro ();
+  Paper.ablate ();
+  Wallclock.serve ();
+  Wallclock.migrate_fleet ();
+  Wallclock.fleet ();
+  ignore (Wallclock.bechamel ());
+  matrix_result matrix
+
+let sections =
+  List.map plain
+    [ ("micro", "Gate, shadow and encoder micro-benchmarks (Section 7.2)", Paper.micro);
+      ("tab1", "Table 1: resource permissions under Fidelius, verified live", Paper.tab1);
+      ("tab2", "Table 2: privileged instructions under Fidelius, verified live", Paper.tab2);
+      ("ablate", "Ablations of the design choices (DESIGN.md §4)", Paper.ablate);
+      ( "bechamel",
+        "Wall-clock cost of the hot primitives (records results/bench.json)",
+        fun () -> ignore (Wallclock.bechamel ()) );
+      ( "bechamel-smoke",
+        "The bechamel section at a tiny quota, without recording",
+        fun () -> ignore (Wallclock.bechamel ~quota:0.01 ~record:false ()) );
+      ("perf", "Re-measure the primitives against the recorded results/bench.json", Wallclock.perf);
+      ( "perf-gate",
+        "Gate: no pinned fast-path key slower than 2x its recorded baseline (PERF_GATE_SKIP=1 skips)",
+        Wallclock.perf_gate );
+      ("fleet-smoke", "Gate: domains=2 must reach 0.7x the VMs/sec of domains=1", Wallclock.fleet_smoke);
+      ("serve-smoke", "Gate: batch-8 ring throughput at least 1.8x the synchronous path", Wallclock.serve_smoke) ]
+  @ [ Cmd.v (Cmd.info "all" ~doc:"Every section, in paper order") Term.(ret (const all $ const ())) ]
 
 (* --- trace -------------------------------------------------------------------- *)
 
@@ -271,56 +307,50 @@ let validate_jsonl content =
     in
     check 0 lines
 
-let trace scenario out format seed =
-  match scenario with
-  | "demo" -> (
-      let machine = Hw.Machine.create ~seed () in
-      let ledger = machine.Hw.Machine.ledger in
-      let ring = Obs.Trace.ring () in
-      Obs.Trace.record_into ring
-        ~clock:(fun () -> Hw.Cost.total ledger)
-        (fun () -> run_demo_scenario ~quiet:true machine);
-      let attribution = Hw.Cost.scopes ledger in
-      let total = Hw.Cost.total ledger in
-      let content, validation =
-        match format with
-        | "chrome" ->
-            let c =
-              Obs.Json.to_string (Obs.Trace.to_chrome ~attribution ~total_cycles:total ring)
-              ^ "\n"
-            in
-            (c, validate_chrome c ~total)
-        | "jsonl" ->
-            let c = Obs.Trace.to_jsonl ring in
-            (c, validate_jsonl c)
-        | other -> ("", Error (Printf.sprintf "unknown format %S (chrome|jsonl)" other))
-      in
-      match validation with
-      | Error e -> `Error (false, "trace: " ^ e)
-      | Ok events ->
-          let dir = Filename.dirname out in
-          if dir <> "." && dir <> "" && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          Out_channel.with_open_bin out (fun oc -> output_string oc content);
-          Printf.printf
-            "trace: %d events recorded (%d dropped), %d cycles attributed across %d scopes -> %s\n"
-            events (Obs.Trace.ring_dropped ring) (attributed_cycles attribution)
-            (List.length attribution) out;
-          `Ok ())
-  | other -> `Error (false, Printf.sprintf "unknown scenario %S (only: demo)" other)
+let trace () out format seed =
+  let machine = Hw.Machine.create ~seed () in
+  let ledger = machine.Hw.Machine.ledger in
+  let ring = Obs.Trace.ring () in
+  Obs.Trace.record_into ring
+    ~clock:(fun () -> Hw.Cost.total ledger)
+    (fun () -> run_demo_scenario ~quiet:true machine);
+  let attribution = Hw.Cost.scopes ledger in
+  let total = Hw.Cost.total ledger in
+  let content, validation =
+    match format with
+    | `Chrome ->
+        let c =
+          Obs.Json.to_string (Obs.Trace.to_chrome ~attribution ~total_cycles:total ring) ^ "\n"
+        in
+        (c, validate_chrome c ~total)
+    | `Jsonl ->
+        let c = Obs.Trace.to_jsonl ring in
+        (c, validate_jsonl c)
+  in
+  match validation with
+  | Error e -> `Error (false, "trace: " ^ e)
+  | Ok events ->
+      Out_channel.with_open_bin (Paper.output_path out) (fun oc -> output_string oc content);
+      Printf.printf
+        "trace: %d events recorded (%d dropped), %d cycles attributed across %d scopes -> %s\n"
+        events (Obs.Trace.ring_dropped ring) (attributed_cycles attribution)
+        (List.length attribution) out;
+      `Ok ()
 
 let trace_cmd =
   let scenario =
-    Arg.(value & pos 0 string "demo" & info [] ~docv:"SCENARIO" ~doc:"Scenario to record (demo).")
+    Arg.(value & pos 0 (enum [ ("demo", ()) ]) () & info [] ~docv:"SCENARIO" ~doc:"Scenario to record (demo).")
   in
   let out =
     Arg.(
       value
       & opt string (Filename.concat "results" "trace.json")
-      & info [ "out" ] ~docv:"FILE" ~doc:"Output file.")
+      & info [ "out" ] ~docv:"FILE" ~doc:"Output file; missing parent directories are created.")
   in
   let format =
     Arg.(
-      value & opt string "chrome"
+      value
+      & opt (enum [ ("chrome", `Chrome); ("jsonl", `Jsonl) ]) `Chrome
       & info [ "format" ] ~docv:"FMT"
           ~doc:"chrome (trace_event JSON for about://tracing) or jsonl (one event per line).")
   in
@@ -332,8 +362,8 @@ let trace_cmd =
 (* --- inspect ------------------------------------------------------------------ *)
 
 let inspect seed =
-  let machine, hv, fid = stack seed in
-  let dom = boot_guest fid "inspect" 8 in
+  let machine, hv, fid = Paper.stack seed in
+  let dom = Paper.boot_guest fid "inspect" 8 in
   Printf.printf "host space id: %d, cr3: %d\n"
     (Hw.Pagetable.id hv.Xen.Hypervisor.host_space)
     (Hw.Cpu.cr3 machine.Hw.Machine.cpu);
@@ -367,37 +397,18 @@ let inspect_cmd =
 
 let inject_matrix seed domains sites =
   let module Matrix = Fidelius_inject_matrix.Matrix in
-  let module Site = Fidelius_inject.Site in
-  match
-    List.fold_left
-      (fun acc name ->
-        match acc with
-        | Error _ as e -> e
-        | Ok sites -> (
-            match Site.of_string name with
-            | Some s -> Ok (s :: sites)
-            | None -> Error name))
-      (Ok []) sites
-  with
-  | Error name ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown fault site %S (known: %s)" name
-            (String.concat " " (List.map Site.to_string Site.all)) )
-  | Ok chosen ->
-      let sites = if chosen = [] then Site.all else List.rev chosen in
-      let report = Matrix.run ~seed ?domains ~sites () in
-      Format.printf "%a@." Matrix.pp_table report;
-      if Matrix.fidelius_clean report then `Ok ()
-      else
-        `Error
-          ( false,
-            "fault matrix: the Fidelius column shows silent corruption or a harness error" )
+  let sites = if sites = [] then Fidelius_inject.Site.all else sites in
+  let report = Matrix.run ~seed ?domains ~sites () in
+  Format.printf "%a@." Matrix.pp_table report;
+  if Matrix.fidelius_clean report then `Ok ()
+  else `Error (false, "fault matrix: the Fidelius column shows silent corruption or a harness error")
 
 let inject_cmd =
   let sites =
+    let module Site = Fidelius_inject.Site in
     Arg.(
-      value & opt_all string []
+      value
+      & opt_all (enum (List.map (fun s -> (Site.to_string s, s)) Site.all)) []
       & info [ "site" ] ~docv:"SITE"
           ~doc:"Fault site to include (repeatable); default is all sites.")
   in
@@ -415,9 +426,8 @@ let inject_cmd =
 (* --- quote -------------------------------------------------------------------- *)
 
 let quote seed nonce =
-  let machine, hv, fid = stack seed in
-  ignore machine;
-  let dom = boot_guest fid "attested" 8 in
+  let _, hv, fid = Paper.stack seed in
+  let dom = Paper.boot_guest fid "attested" 8 in
   let q = Core.Attest.quote fid ~guest:dom ~nonce () in
   Printf.printf "platform quote (nonce %Ld):\n" nonce;
   Printf.printf "  hypervisor text: %s\n"
@@ -450,11 +460,11 @@ let quote_cmd =
    destination quoting from a downgraded firmware blob — refused with the
    typed error and the disk key provably withheld. *)
 let migrate seed budget_us =
-  let machine1, hv1, fid1 = stack seed in
-  let dom = boot_guest fid1 "traveller" 16 in
+  let machine1, hv1, fid1 = Paper.stack seed in
+  let dom = Paper.boot_guest fid1 "traveller" 16 in
   Xen.Hypervisor.in_guest hv1 dom (fun () ->
       Xen.Domain.write machine1 dom ~addr:0xC000 (Bytes.of_string "runtime state"));
-  let _machine2, hv2, fid2 = stack (Int64.add seed 1L) in
+  let _, hv2, fid2 = Paper.stack (Int64.add seed 1L) in
   let mutate round =
     let w = max 1 (8 lsr round) in
     for p = 1 to w do
@@ -483,9 +493,9 @@ let migrate seed budget_us =
          else "MISSING");
       (* Rollback: fresh pair, but the destination firmware is downgraded
          to a vulnerable-but-genuine blob before it quotes. *)
-      let _, _, fid3 = stack (Int64.add seed 3L) in
-      let dom3 = boot_guest fid3 "traveller2" 16 in
-      let _, hv4, fid4 = stack (Int64.add seed 4L) in
+      let _, _, fid3 = Paper.stack (Int64.add seed 3L) in
+      let dom3 = Paper.boot_guest fid3 "traveller2" 16 in
+      let _, hv4, fid4 = Paper.stack (Int64.add seed 4L) in
       Sev.Firmware.load_blob hv4.Xen.Hypervisor.fw Sev.Firmware.vulnerable_version;
       let owner2 = Core.Migrate.Owner.create (Rng.create (Int64.add seed 5L)) in
       Printf.printf "\nrollback scenario: destination firmware downgraded to %s:\n"
@@ -503,7 +513,7 @@ let migrate seed budget_us =
 
 let migrate_cmd =
   let budget =
-    Arg.(value & opt float 10.0
+    Arg.(value & opt budget 10.0
          & info [ "budget" ] ~docv:"US"
              ~doc:"Downtime budget in microseconds; decides when pre-copy stops and the \
                    residual is stop-and-copied.")
@@ -632,7 +642,9 @@ let cpu_features_cmd =
 let main_cmd =
   let doc = "Fidelius: comprehensive VM protection against an untrusted hypervisor (HPCA'18), simulated" in
   Cmd.group (Cmd.info "fidelius_sim" ~version:"1.0.0" ~doc)
-    [ demo_cmd; attacks_cmd; xsa_cmd; bench_cmd; trace_cmd; inject_cmd; inspect_cmd; quote_cmd;
-      migrate_cmd; cpu_features_cmd ]
+    ([ demo_cmd; attacks_cmd; xsa_cmd; bench_cmd; fleet_cmd; fleet_scale_cmd; serve_cmd;
+       migrate_fleet_cmd; trace_cmd; inject_cmd; inspect_cmd; quote_cmd; migrate_cmd;
+       cpu_features_cmd ]
+    @ sections)
 
 let () = exit (Cmd.eval main_cmd)

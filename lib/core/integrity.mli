@@ -7,7 +7,7 @@
 
     This is deliberately layered as an extension: the baseline Fidelius of
     the paper runs without it (the hardware did not exist), and the
-    `bench/main.exe ablate` section quantifies what the missing hardware
+    `fidelius_sim ablate` section quantifies what the missing hardware
     would cost. *)
 
 module Hw = Fidelius_hw

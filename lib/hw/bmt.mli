@@ -13,7 +13,7 @@
     flipping").
 
     Verification charges the cost model per hash recomputed, so the
-    integrity ablation (`bench/main.exe ablate`) can weigh the protection
+    integrity ablation (`fidelius_sim ablate`) can weigh the protection
     against its overhead.
 
     The tree records, with each stored leaf, the {!Physmem.stamp} its frame

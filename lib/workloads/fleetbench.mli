@@ -1,7 +1,7 @@
 (** The fleet scaling benchmark: N independent guest-VM simulations
     sharded across a domain pool.
 
-    This is the shared core behind [bench fleet], perfbench's fleet
+    This is the shared core behind [fidelius_sim fleet], perfbench's fleet
     workload and the fleet determinism tests: all of them call
     {!run_stream}, so the benchmark and the tests exercise exactly the
     same code path. Each VM job boots a protected stack ([Engine.run]
@@ -82,7 +82,7 @@ type gc_stats = {
     [major_collections] read the shared major heap, so when several
     workers run each delta includes the neighbours' contributions.
     Per-VM division is meaningful on the one-worker diagnosis run
-    ([bench fleet --domains 1 --gc-stats]). *)
+    ([fidelius_sim fleet --domains 1 --gc-stats]). *)
 
 type summary = {
   vm_rows : vm_row list;  (** one per VM, canonical order *)
