@@ -657,8 +657,6 @@ let all =
     bus_snoop;
     rowhammer ]
 
-let find id = List.find_opt (fun a -> a.id = id) all
-
 let hardware =
   List.filter (fun a -> List.mem a.id [ "cold-boot"; "bus-snoop"; "rowhammer"; "dma-overwrite-pt"; "dma-read-guest" ]) all
 

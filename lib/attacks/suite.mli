@@ -6,8 +6,6 @@
 
 val all : Surface.attack list
 
-val find : string -> Surface.attack option
-
 val hardware : Surface.attack list
 (** The physical-channel subset (cold boot, bus snoop, Rowhammer, DMA). *)
 

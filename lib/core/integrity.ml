@@ -5,18 +5,31 @@ type t = {
   ctx : Ctx.t;
   dom : Xen.Domain.t;
   bmt : Hw.Bmt.t;
+  (* While [guest_write] stores: the frames holding the first and last
+     byte of its range, the only ones whose blocks it can cover partly;
+     -1 otherwise. *)
+  mutable store_first : Hw.Addr.pfn;
+  mutable store_last : Hw.Addr.pfn;
 }
 
 let protect ctx (dom : Xen.Domain.t) =
   let bmt = Hw.Bmt.create ctx.Ctx.machine ~frames:dom.Xen.Domain.frames in
+  let t = { ctx; dom; bmt; store_first = -1; store_last = -1 } in
   (* Arm the controller's inline check: any encrypted fetch of a covered
      frame is verified against the tree as it happens, so a misrouted or
      disturbed fill surfaces as a Denial.Denied at the access — not as
-     silently garbled guest state. Frames outside the tree pass through. *)
+     silently garbled guest state. Frames outside the tree pass through.
+     The cache reloads a line that a store covers partly from DRAM right
+     after the store, before [guest_write] refreshes the leaf: that fill
+     is checked against the leaf plus the store. *)
   Hw.Memctrl.set_fetch_check ctx.Ctx.machine.Hw.Machine.ctrl
     (Some
-       (fun pfn ~src -> if Hw.Bmt.covered bmt pfn then Hw.Bmt.verify_fill bmt pfn ~src else Ok ()));
-  { ctx; dom; bmt }
+       (fun pfn ~src ->
+         if not (Hw.Bmt.covered bmt pfn) then Ok ()
+         else if pfn = t.store_first || pfn = t.store_last then
+           Hw.Bmt.verify_store_fill bmt pfn ~src
+         else Hw.Bmt.verify_fill bmt pfn ~src));
+  t
 
 let last_gvfn ~addr ~len = Hw.Addr.frame_of (addr + max 0 (len - 1))
 
@@ -66,9 +79,20 @@ let verified_read t ~addr ~len =
   end
 
 let guest_write t ~addr data =
-  Xen.Hypervisor.in_guest t.ctx.Ctx.hv t.dom (fun () ->
-      Xen.Domain.write t.ctx.Ctx.machine t.dom ~addr data);
   let first = Hw.Addr.frame_of addr and last = last_gvfn ~addr ~len:(Bytes.length data) in
+  t.store_first <- frame_of t first;
+  t.store_last <- frame_of t last;
+  (match
+     Xen.Hypervisor.in_guest t.ctx.Ctx.hv t.dom (fun () ->
+         Xen.Domain.write t.ctx.Ctx.machine t.dom ~addr data)
+   with
+  | () ->
+      t.store_first <- -1;
+      t.store_last <- -1
+  | exception e ->
+      t.store_first <- -1;
+      t.store_last <- -1;
+      raise e);
   if first_unresolved t first last < 0 then
     if first = last then Hw.Bmt.update t.bmt (frame_of t first)
     else

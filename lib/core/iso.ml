@@ -23,34 +23,54 @@ let measure_xen_text hv =
   Sha256.finalize ctx
 
 (* Claim newly allocated PIT radix pages as Fidelius data and unmap them.
-   Marking can itself allocate radix pages, so iterate to a fixpoint. *)
-let mark_pit_frames ctx =
-  let rec loop () =
-    let fresh =
-      List.filter
-        (fun pfn -> Pit.usage_of ctx.Ctx.pit pfn <> Pit.Fidelius_data)
-        (Pit.tree_frames ctx.Ctx.pit)
-    in
-    if fresh <> [] then begin
-      List.iter
-        (fun pfn ->
-          Pit.set ctx.Ctx.pit pfn
-            { Pit.owner = Pit.Fidelius; usage = Pit.Fidelius_data; asid = 0; valid = true };
-          raw_map ctx pfn None)
-        fresh;
-      loop ()
-    end
-  in
-  loop ()
+   Marking can itself allocate radix pages, so iterate to a fixpoint.
 
+   Every call books one PIT walk per tree page. A typed page keeps its
+   usage (the frame hooks below refuse to retype one), so when the tree
+   has gained no page since the last fixpoint every walk would find its
+   page already marked: the host books them in one charge and walks
+   nothing (a charge emits no event, so the ledger and the trace clock
+   read the same as after the walks). *)
+let mark_pit_frames ctx =
+  let pit = ctx.Ctx.pit in
+  let n = Pit.nr_tree_frames pit in
+  if n = Pit.vetted pit then Pit.charge_walks pit n
+  else begin
+    let rec loop () =
+      let fresh =
+        List.filter (fun pfn -> Pit.usage_of pit pfn <> Pit.Fidelius_data) (Pit.tree_frames pit)
+      in
+      if fresh <> [] then begin
+        List.iter
+          (fun pfn ->
+            Pit.set pit pfn
+              { Pit.owner = Pit.Fidelius; usage = Pit.Fidelius_data; asid = 0; valid = true };
+            raw_map ctx pfn None)
+          fresh;
+        loop ()
+      end
+    in
+    loop ();
+    Pit.set_vetted pit (Pit.nr_tree_frames pit)
+  end
+
+(* Record every page-table-page of [table] as [usage] and map it read-only.
+   A table that has gained no page since this PIT last recorded it would
+   find every one already recorded, so its walks are booked, not taken. *)
 let protect_table_pages ctx table usage =
-  List.iter
-    (fun pfn ->
-      if Pit.usage_of ctx.Ctx.pit pfn <> usage then begin
-        Pit.set ctx.Ctx.pit pfn { Pit.owner = Pit.Xen; usage; asid = 0; valid = true };
-        raw_map ctx pfn (identity pfn ~writable:false ~executable:false)
-      end)
-    (Hw.Pagetable.backing_frames table);
+  let pit = ctx.Ctx.pit in
+  let n = Hw.Pagetable.nr_backing_frames table in
+  if n = Hw.Pagetable.vetted table ~by:(Pit.id pit) then Pit.charge_walks pit n
+  else begin
+    List.iter
+      (fun pfn ->
+        if Pit.usage_of pit pfn <> usage then begin
+          Pit.set pit pfn { Pit.owner = Pit.Xen; usage; asid = 0; valid = true };
+          raw_map ctx pfn (identity pfn ~writable:false ~executable:false)
+        end)
+      (Hw.Pagetable.backing_frames table);
+    Hw.Pagetable.set_vetted table ~by:(Pit.id pit) n
+  end;
   mark_pit_frames ctx
 
 let new_shadow ctx (dom : Xen.Domain.t) =
@@ -191,15 +211,51 @@ let install_hooks ctx =
   med.Xen.Hypervisor.vmrun_gate <-
     (fun f -> Gate.with_type3 ctx ~pfns:ctx.Ctx.vmrun_pfns ~executable:true f);
 
+  (* The frame hooks retype a frame the hypervisor names, so each reads
+     the entry it replaces first. Allocation takes only a free frame.
+     Release gives back guest memory, but never a protected guest's frame
+     its NPT still maps (teardown and ballooning unmap first). Neither
+     retypes Xen's or Fidelius' own frames: a typed page-table page or
+     PIT tree page keeps its usage, which [protect_table_pages] and
+     [mark_pit_frames] rely on. *)
+  let retype what pfn ~allow info =
+    match Pit.retype ctx.Ctx.pit pfn ~allow info with
+    | Ok () -> Ok ()
+    | Error old ->
+        let msg =
+          Printf.sprintf "PIT: frame 0x%x (%s/%s%s) may not be %s" pfn
+            (Pit.owner_to_string old.Pit.owner)
+            (Pit.usage_to_string old.Pit.usage)
+            (if old.Pit.valid then ", mapped" else "")
+            what
+        in
+        Ctx.audit ctx msg;
+        Error msg
+  in
+  let allocatable (old : Pit.info) = old.Pit.usage = Pit.Free in
+  let releasable (old : Pit.info) =
+    match (old.Pit.usage, old.Pit.owner) with
+    | Pit.Free, _ -> true
+    | (Pit.Guest_page | Pit.Shared_io), Pit.Dom d ->
+        not (old.Pit.valid && Ctx.is_protected ctx d)
+    | (Pit.Guest_page | Pit.Shared_io), (Pit.Nobody | Pit.Xen | Pit.Fidelius) -> true
+    | ( ( Pit.Xen_text | Pit.Xen_data | Pit.Xen_pt | Pit.Guest_npt | Pit.Grant_table
+        | Pit.Fidelius_text | Pit.Fidelius_data ),
+        _ ) ->
+        false
+  in
+
   med.Xen.Hypervisor.on_guest_frame_alloc <-
     (fun dom pfn ->
       let result =
         Gate.with_type1 ctx (fun () ->
-            Pit.set ctx.Ctx.pit pfn
-              { Pit.owner = Pit.Dom dom.Xen.Domain.domid;
-                usage = Pit.Guest_page;
-                asid = dom.Xen.Domain.asid;
-                valid = false };
+            let* () =
+              retype "allocated" pfn ~allow:allocatable
+                { Pit.owner = Pit.Dom dom.Xen.Domain.domid;
+                  usage = Pit.Guest_page;
+                  asid = dom.Xen.Domain.asid;
+                  valid = false }
+            in
             if
               Ctx.is_protected ctx dom.Xen.Domain.domid || ctx.Ctx.next_domain_protected
             then raw_map ctx pfn None;
@@ -216,8 +272,10 @@ let install_hooks ctx =
       let result =
         Gate.with_type1 ctx (fun () ->
             ignore dom;
-            Pit.set ctx.Ctx.pit pfn
-              { Pit.owner = Pit.Nobody; usage = Pit.Free; asid = 0; valid = false };
+            let* () =
+              retype "released" pfn ~allow:releasable
+                { Pit.owner = Pit.Nobody; usage = Pit.Free; asid = 0; valid = false }
+            in
             Hw.Cache.invalidate_page machine.Hw.Machine.cache pfn;
             raw_map ctx pfn (identity pfn ~writable:true ~executable:false);
             mark_pit_frames ctx;

@@ -90,11 +90,14 @@ type t = {
   machine : Hw.Machine.t;
   root : Hw.Addr.pfn;
   mutable allocated : Hw.Addr.pfn list;
+  mutable nr_allocated : int;
+  mutable vetted : int;
+  mutable walks : int;  (* radix walks performed, not just charged *)
 }
 
 let create machine =
   let root = Hw.Machine.alloc_frame machine in
-  { machine; root; allocated = [ root ] }
+  { machine; root; allocated = [ root ]; nr_allocated = 1; vetted = 0; walks = 0 }
 
 let view t pfn = Hw.Physmem.view t.machine.Hw.Machine.mem pfn
 let page_for_write t pfn = Hw.Physmem.page_for_write t.machine.Hw.Machine.mem pfn
@@ -110,6 +113,7 @@ let child t level_pfn slot ~alloc =
   else begin
     let fresh = Hw.Machine.alloc_frame t.machine in
     t.allocated <- fresh :: t.allocated;
+    t.nr_allocated <- t.nr_allocated + 1;
     Bytes.set_int32_be (page_for_write t level_pfn) (slot * 4) (Int32.of_int fresh);
     fresh
   end
@@ -122,6 +126,7 @@ let walk t pfn ~alloc =
   if root_slot >= slots_per_page then invalid_arg "Pit: pfn out of radix range";
   Hw.Cost.charge_id t.machine.Hw.Machine.ledger c_pit
     t.machine.Hw.Machine.costs.Hw.Cost.pit_lookup;
+  t.walks <- t.walks + 1;
   let l2 = child t t.root root_slot ~alloc in
   if l2 = 0 then 0 else child t l2 l2_slot ~alloc
 
@@ -131,6 +136,18 @@ let set t pfn info =
   let leaf = walk t pfn ~alloc:true in
   assert (leaf <> 0);
   Bytes.set_int32_be (page_for_write t leaf) (entry_off pfn) (encode info)
+
+(* [set] behind a check of the entry it replaces, read in the same walk. A
+   refused entry is never absent, so a refusal allocates no tree page. *)
+let retype t pfn ~allow info =
+  let leaf = walk t pfn ~alloc:true in
+  let v = Int32.to_int (Bytes.get_int32_be (view t leaf) (entry_off pfn)) land 0xffffffff in
+  let old = if v = 0 then free_info else decode v in
+  if allow old then begin
+    Bytes.set_int32_be (page_for_write t leaf) (entry_off pfn) (encode info);
+    Ok ()
+  end
+  else Error old
 
 (* The raw leaf entry; a never-recorded frame reads as 0 = [encode free_info]. *)
 let raw t pfn =
@@ -144,7 +161,16 @@ let get t pfn =
 
 let usage_of t pfn = usage_of_code ((raw t pfn lsr 24) land 0x7f)
 
+let id t = t.root
 let tree_frames t = t.allocated
+let nr_tree_frames t = t.nr_allocated
+let vetted t = t.vetted
+let set_vetted t n = t.vetted <- n
+let walks t = t.walks
+
+let charge_walks t n =
+  Hw.Cost.charge_id t.machine.Hw.Machine.ledger c_pit
+    (n * t.machine.Hw.Machine.costs.Hw.Cost.pit_lookup)
 
 let count_usage t usage =
   let nr = Hw.Physmem.nr_frames t.machine.Hw.Machine.mem in

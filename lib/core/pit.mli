@@ -49,6 +49,12 @@ val create : Hw.Machine.t -> t
     tree pages are recorded so they can be registered as Fidelius data. *)
 
 val set : t -> Hw.Addr.pfn -> info -> unit
+
+val retype : t -> Hw.Addr.pfn -> allow:(info -> bool) -> info -> (unit, info) result
+(** [set] for a frame the caller did not choose: writes [info] only if
+    [allow] admits the entry it would replace, and otherwise returns that
+    entry and changes nothing. One walk, charged as [set]'s. *)
+
 val get : t -> Hw.Addr.pfn -> info
 (** Never-recorded frames read back as {!free_info}. Charges the walk. *)
 
@@ -56,7 +62,31 @@ val usage_of : t -> Hw.Addr.pfn -> usage
 (** [(get t pfn).usage] without building the record: same walk, same
     charge. *)
 
+val id : t -> int
+(** Tells this PIT from every other PIT on its machine (it is the root
+    frame, so never 0). *)
+
 val tree_frames : t -> Hw.Addr.pfn list
 (** Every frame the radix tree itself occupies. *)
+
+val nr_tree_frames : t -> int
+(** [List.length (tree_frames t)], in O(1). It only grows. *)
+
+val vetted : t -> int
+val set_vetted : t -> int -> unit
+(** How many tree frames the tree had when Fidelius last recorded every
+    one of them as its own data ({!Fidelius_hw.Pagetable.vetted} keeps
+    the same count for a page table). Starts at 0; the PIT never moves
+    it. *)
+
+val walks : t -> int
+(** Radix walks the host really performed, each charged [pit_lookup].
+    A walk the model charges but the host skips ({!charge_walks}) is not
+    counted, as {!Fidelius_hw.Bmt.page_hashes_computed} counts only the
+    hashes the host computes. *)
+
+val charge_walks : t -> int -> unit
+(** [charge_walks t n] books [n] walks' [pit_lookup] cycles in one charge,
+    without walking: for checks whose every answer is already known. *)
 
 val count_usage : t -> usage -> int

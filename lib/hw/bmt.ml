@@ -51,10 +51,12 @@ let rehash_leaf t idx =
   t.leaf_stamps.(idx) <- Physmem.stamp mem pfn;
   digest_into t pfn (Physmem.view mem pfn) ~dst:t.levels.(0).(idx) ~dst_off:0
 
-(* Whether leaf [idx] was hashed from the bytes frame [frames.(idx)] holds
-   now. *)
-let leaf_current t idx =
-  Physmem.stamp t.machine.Machine.mem t.frames.(idx) = t.leaf_stamps.(idx)
+(* How many changes frame [frames.(idx)] has taken since leaf [idx] was
+   hashed from its bytes: 0 while the leaf is current. *)
+let stamps_past t idx =
+  Physmem.stamp t.machine.Machine.mem t.frames.(idx) - t.leaf_stamps.(idx)
+
+let leaf_current t idx = stamps_past t idx = 0
 
 let c_bmt = Cost.intern "bmt"
 
@@ -148,12 +150,12 @@ let verify t pfn =
    that frame still at its leaf's stamp, may skip the host hash: bytes
    from any other frame (an aliased decode) are always hashed, so they
    pass only if they hash to the requested frame's leaf. *)
-let check_fill t pfn ~src ~data =
+let check_fill t pfn ~src ~data ~stores =
   let idx = index_of t pfn in
   if idx < 0 then not_covered pfn
   else begin
     t.fetch_hashes <- t.fetch_hashes + 1;
-    if src = pfn && leaf_current t idx then Ok ()
+    if src = pfn && stamps_past t idx <= stores then Ok ()
     else begin
       digest_into t pfn data ~dst:t.walk ~dst_off:0;
       if Bytes.equal t.walk t.levels.(0).(idx) then Ok ()
@@ -163,9 +165,17 @@ let check_fill t pfn ~src ~data =
     end
   end
 
-let verify_fetched t pfn ~data = check_fill t pfn ~src:(-1) ~data
+let verify_fetched t pfn ~data = check_fill t pfn ~src:(-1) ~data ~stores:0
 
-let verify_fill t pfn ~src = check_fill t pfn ~src ~data:(Physmem.view t.machine.Machine.mem src)
+let verify_fill t pfn ~src =
+  check_fill t pfn ~src ~data:(Physmem.view t.machine.Machine.mem src) ~stores:0
+
+(* A fill behind the CPU's own store, before the leaf catches up: the
+   frame may be one change past its leaf, that store. Anything more (a
+   flip on the fill, a tamper before the store) moves the stamp again and
+   is hashed. *)
+let verify_store_fill t pfn ~src =
+  check_fill t pfn ~src ~data:(Physmem.view t.machine.Machine.mem src) ~stores:1
 
 let verify_all t =
   Array.fold_left

@@ -82,6 +82,17 @@ val verify_fill : t -> Addr.pfn -> src:Addr.pfn -> (unit, string) result
     are always hashed, so a misrouted fill still fails closed. Counts one
     {!fetch_hashes_performed} either way. *)
 
+val verify_store_fill : t -> Addr.pfn -> src:Addr.pfn -> (unit, string) result
+(** {!verify_fill} for a fill made while an authorized CPU store to [pfn]
+    is in flight: the store has reached DRAM, but the engine refreshes the
+    leaf only when the write completes ({!update}). A cache that reloads a
+    line the store covered partly fetches the frame in between. When
+    [src = pfn] and the frame is at most one {!Physmem.stamp} past its
+    stored leaf — the store itself — the fill passes without a hash. A
+    tamper before the store, a flip on the fill or an aliased decode moves
+    the frame further or reads another, and is hashed and refused as
+    {!verify_fill} would. Counts one {!fetch_hashes_performed}. *)
+
 val update : t -> Addr.pfn -> unit
 (** Recompute the path after an *authorized* write to the frame (the secure
     processor witnesses legitimate writes; attackers cannot call this —

@@ -103,8 +103,12 @@ type t = {
   groups : (int, Addr.pfn) Hashtbl.t; (* vfn/512 -> page-table-page *)
   mutable backing : Addr.pfn list;
   (* The values of [groups], ascending and duplicate-free, kept up to date
-     as [ensure_group] allocates: Fidelius re-reads them on every mediated
-     table update. *)
+     as [ensure_group] allocates, and their number. *)
+  mutable nr_backing : int;
+  mutable vetted : int;
+  mutable vetted_by : int;
+  (* The owner's count and whose it is (see [vetted]); the table never
+     moves them. *)
   (* One-entry front for [lookup_packed]: consecutive walks overwhelmingly
      hit the same page-table-page, and the hashed group lookup is the
      single most expensive step of the packed walk. [cg] is the cached
@@ -123,6 +127,9 @@ let create ~id ~mem ~alloc =
     alloc;
     groups = Hashtbl.create 64;
     backing = [];
+    nr_backing = 0;
+    vetted = 0;
+    vetted_by = 0;
     cg = -1;
     cg_page = Bytes.empty;
     reverse = Rindex.create () }
@@ -156,12 +163,19 @@ let ensure_group t g =
       let pfn = t.alloc () in
       Hashtbl.replace t.groups g pfn;
       t.backing <- insert_sorted pfn t.backing;
+      t.nr_backing <- t.nr_backing + 1;
       t.cg <- -1;
       pfn
 
 let backing_frame_of t vfn = ensure_group t (group_of vfn)
 
 let backing_frames t = t.backing
+let nr_backing_frames t = t.nr_backing
+let vetted t ~by = if t.vetted_by = by then t.vetted else 0
+
+let set_vetted t ~by n =
+  t.vetted_by <- by;
+  t.vetted <- n
 
 (* ---- packed entries ---------------------------------------------------
 

@@ -75,6 +75,20 @@ val backing_frames : t -> Addr.pfn list
 (** Every allocated page-table-page, for Fidelius to write-protect and to
     record in the PIT. *)
 
+val nr_backing_frames : t -> int
+(** [List.length (backing_frames t)], in O(1). It only grows: a
+    page-table-page backs its table for the table's whole life. *)
+
+val vetted : t -> by:int -> int
+val set_vetted : t -> by:int -> int -> unit
+(** A count the table's owner keeps with the table: Fidelius stores here
+    how many backing frames the table had when the PIT named [by] (a
+    non-zero [Fidelius_core.Pit.id]) last recorded every one of them, so
+    an update that adds none can skip the re-check. [vetted] reads 0
+    until then and for any other [by], so a second PIT never takes the
+    first one's word. The table never moves the count; keeping it in the
+    table means it dies with the table. *)
+
 val hw_set : t -> Addr.vfn -> proto option -> unit
 (** Raw store of an entry ([None] clears it). No permission check — callers
     are {!Mmu} and boot-time setup only. *)

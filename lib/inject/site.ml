@@ -41,5 +41,3 @@ let to_string = function
   | Round_truncate -> "round-truncate"
   | Stale_firmware -> "stale-firmware"
   | Secret_before_attest -> "secret-before-attest"
-
-let of_string s = List.find_opt (fun t -> to_string t = s) all

@@ -44,4 +44,3 @@ val index : t -> int
     appended, never inserted, so existing indices stay stable. *)
 
 val to_string : t -> string
-val of_string : string -> t option

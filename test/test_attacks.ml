@@ -135,8 +135,13 @@ let test_catalogue_structure () =
       Alcotest.(check bool) (a.Surface.id ^ " has paper ref") true
         (String.length a.Surface.paper_ref > 0))
     Suite.all;
-  Alcotest.(check bool) "find works" true (Suite.find "cold-boot" <> None);
-  Alcotest.(check bool) "find unknown" true (Suite.find "nope" = None)
+  (* The front end's [--id] is a cmdliner enum over these ids: they must
+     be distinct, and name the catalogue. *)
+  let ids = List.map (fun (a : Surface.attack) -> a.Surface.id) Suite.all in
+  Alcotest.(check int) "ids are distinct" (List.length ids)
+    (List.length (List.sort_uniq String.compare ids));
+  Alcotest.(check bool) "cold-boot is an id" true (List.mem "cold-boot" ids);
+  Alcotest.(check bool) "nope is not" false (List.mem "nope" ids)
 
 let vulnerable_baseline =
   [ "vmcb-register-harvest"; "vmcb-control-tamper"; "vmcb-sev-disable"; "direct-map-read";

@@ -1466,21 +1466,119 @@ let isolation_invariants (m, hv, fid) victim =
   (* 5. CPU protection bits survived *)
   Alcotest.(check bool) "WP" true (Hw.Cpu.wp m.Hw.Machine.cpu);
   Alcotest.(check bool) "SMEP" true (Hw.Cpu.smep m.Hw.Machine.cpu);
-  Alcotest.(check bool) "NXE" true (Hw.Cpu.nxe m.Hw.Machine.cpu)
+  Alcotest.(check bool) "NXE" true (Hw.Cpu.nxe m.Hw.Machine.cpu);
+  (* 6. a typed page-table page keeps its PIT usage: every backing frame
+     of the host space and of each live NPT, and every PIT tree frame,
+     still reads what Fidelius recorded. [Iso] books the walks of a table
+     that gained no page without taking them, which is exact only while
+     this holds. *)
+  let reads usage what pfn =
+    let got = Pit.usage_of fid.Core.Ctx.pit pfn in
+    if got <> usage then
+      Alcotest.fail
+        (Printf.sprintf "%s frame 0x%x reads %s, want %s" what pfn (Pit.usage_to_string got)
+           (Pit.usage_to_string usage))
+  in
+  List.iter (reads Pit.Xen_pt "host page-table") (Hw.Pagetable.backing_frames host);
+  List.iter
+    (fun (d : Domain.t) ->
+      List.iter
+        (reads Pit.Guest_npt (Printf.sprintf "dom%d NPT" d.Domain.domid))
+        (Hw.Pagetable.backing_frames d.Domain.npt))
+    hv.Hv.domains;
+  List.iter (reads Pit.Fidelius_data "PIT tree") (Pit.tree_frames fid.Core.Ctx.pit)
+
+(* One mediated host map+unmap pair on a settled host. The ledger books
+   a PIT walk for each page-table page and tree page on every call (40
+   walks, 960 of the 1,834 cycles), but the host walks only for the two
+   policy checks and books the other 38 in one charge. *)
+let test_host_map_pair_pinned () =
+  let m, hv, fid = installed () in
+  let pfn = Hw.Machine.alloc_frame m in
+  let map = hv.Hv.med.Hv.host_map_update in
+  let proto = Some { Hw.Pagetable.frame = pfn; writable = true; executable = false; c_bit = false } in
+  let pair () =
+    ok (map pfn proto);
+    ok (map pfn None)
+  in
+  pair ();
+  let ledger = m.Hw.Machine.ledger and pit = fid.Core.Ctx.pit in
+  let cycles = Hw.Cost.total ledger and booked = Hw.Cost.category ledger "pit" in
+  let walks = Pit.walks pit in
+  pair ();
+  Alcotest.(check int) "charged cycles" 1834 (Hw.Cost.total ledger - cycles);
+  Alcotest.(check int) "pit cycles (40 walks)" 960 (Hw.Cost.category ledger "pit" - booked);
+  Alcotest.(check int) "host PIT walks" 2 (Pit.walks pit - walks);
+  for _ = 1 to 100 do pair () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do pair () done;
+  Alcotest.(check (float 0.01)) "minor words per pair" 65.0 ((Gc.minor_words () -. w0) /. 1000.)
+
+(* The frame hooks take whatever frame the hypervisor names. Neither may
+   retype a page-table page, a PIT tree page or Fidelius text, nor hand a
+   protected guest's frame to another domain or back to the hypervisor
+   while its NPT maps it. *)
+let test_frame_hooks_keep_typed_frames () =
+  let ((_, hv, fid) as env) = installed () in
+  let victim, _ = protected_vm env "victim" in
+  let evil = Hv.create_domain hv ~name:"evil" ~memory_pages:4 in
+  let pit = fid.Core.Ctx.pit in
+  let refused what hook pfn =
+    let before = Pit.get pit pfn in
+    (match hook pfn with
+    | () -> Alcotest.fail (Printf.sprintf "%s frame 0x%x admitted" what pfn)
+    | exception Hw.Denial.Denied _ -> ());
+    Alcotest.(check bool) (what ^ " entry unchanged") true (Pit.get pit pfn = before)
+  in
+  let alloc = hv.Hv.med.Hv.on_guest_frame_alloc evil
+  and release = hv.Hv.med.Hv.on_guest_frame_release victim in
+  List.iter
+    (fun (what, pfn) ->
+      refused ("alloc " ^ what) alloc pfn;
+      refused ("release " ^ what) release pfn)
+    [ ("host page-table", List.hd (Hw.Pagetable.backing_frames hv.Hv.host_space));
+      ("NPT", List.hd (Hw.Pagetable.backing_frames victim.Domain.npt));
+      ("PIT tree", List.hd (Pit.tree_frames pit));
+      ("Fidelius text", List.hd fid.Core.Ctx.fid_text);
+      ("mapped protected", List.hd victim.Domain.frames) ];
+  (* A free frame still passes both ways. *)
+  let pfn = List.hd evil.Domain.frames in
+  release pfn;
+  Alcotest.(check bool) "released frame free" true (Pit.usage_of pit pfn = Pit.Free);
+  alloc pfn;
+  Alcotest.(check bool) "allocated frame evil's" true
+    ((Pit.get pit pfn).Pit.owner = Pit.Dom evil.Domain.domid)
+
+(* A second install on the same hypervisor builds a fresh PIT, which must
+   record the host page tables itself, not trust the count the first PIT
+   left in the table. *)
+let test_reinstall_types_host_tables () =
+  let _, hv, _ = installed () in
+  let fid2 = Fid.install hv in
+  List.iter
+    (fun pfn ->
+      Alcotest.(check string)
+        (Printf.sprintf "host page-table frame 0x%x" pfn)
+        "xen-pt"
+        (Pit.usage_to_string (Pit.usage_of fid2.Core.Ctx.pit pfn)))
+    (Hw.Pagetable.backing_frames hv.Hv.host_space)
 
 let test_isolation_survives_random_ops =
   QCheck.Test.make ~name:"isolation invariants survive random mediated op sequences" ~count:15
     QCheck.int64
     (fun seed ->
       let env = installed () in
-      let m, hv, _ = env in
+      let m, hv, fid = env in
       let victim, _ = protected_vm env "victim" in
       let evil = Hv.create_domain hv ~name:"evil" ~memory_pages:4 in
       let rng = Fidelius_crypto.Rng.create seed in
+      let pick l = List.nth l (Fidelius_crypto.Rng.int rng (List.length l)) in
       let rand_frame () =
-        match Fidelius_crypto.Rng.int rng 3 with
-        | 0 -> List.nth victim.Domain.frames (Fidelius_crypto.Rng.int rng (List.length victim.Domain.frames))
+        match Fidelius_crypto.Rng.int rng 5 with
+        | 0 -> pick victim.Domain.frames
         | 1 -> List.hd (Hw.Pagetable.backing_frames hv.Hv.host_space)
+        | 2 -> pick (Hw.Pagetable.backing_frames victim.Domain.npt)
+        | 3 -> pick (Pit.tree_frames fid.Core.Ctx.pit)
         | _ -> 1 + Fidelius_crypto.Rng.int rng 4000
       in
       let rand_proto () =
@@ -1494,7 +1592,7 @@ let test_isolation_survives_random_ops =
         (* A hypervisor that faults itself (e.g. after unmapping its own
            structures) is a self-DoS, out of the threat model: absorb it. *)
         try
-          match Fidelius_crypto.Rng.int rng 7 with
+          match Fidelius_crypto.Rng.int rng 9 with
         | 0 ->
             ignore (hv.Hv.med.Hv.host_map_update (rand_frame ())
                       (if Fidelius_crypto.Rng.int rng 4 = 0 then None else rand_proto ()))
@@ -1531,11 +1629,17 @@ let test_isolation_survives_random_ops =
             | Error _ ->
                 Hw.Vmcb.set victim.Domain.vmcb field old;
                 ignore (Hv.vmrun hv victim))
-          | _ ->
+          | 6 ->
               ignore
                 (Hw.Machine.dma_write m (rand_frame ()) ~off:0
                    (Bytes.make 8 (Char.chr (Fidelius_crypto.Rng.int rng 256))))
-        with Hw.Mmu.Fault _ | Hv.Npf_unresolved _ -> ()
+          | 7 ->
+              let dom = if Fidelius_crypto.Rng.int rng 2 = 0 then victim else evil in
+              hv.Hv.med.Hv.on_guest_frame_alloc dom (rand_frame ())
+          | _ ->
+              let dom = if Fidelius_crypto.Rng.int rng 2 = 0 then victim else evil in
+              hv.Hv.med.Hv.on_guest_frame_release dom (rand_frame ())
+        with Hw.Mmu.Fault _ | Hv.Npf_unresolved _ | Hw.Denial.Denied _ -> ()
       done;
       isolation_invariants env victim;
       true)
@@ -1681,7 +1785,12 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_gate1_restores_on_exception;
           Alcotest.test_case "no re-entry" `Quick test_gate1_not_reentrant;
           Alcotest.test_case "type-3 window" `Quick test_gate3_mapping_window;
-          Alcotest.test_case "counters" `Quick test_gate_crossing_counts ] );
+          Alcotest.test_case "counters" `Quick test_gate_crossing_counts;
+          Alcotest.test_case "host map pair pinned" `Quick test_host_map_pair_pinned;
+          Alcotest.test_case "frame hooks keep typed frames" `Quick
+            test_frame_hooks_keep_typed_frames;
+          Alcotest.test_case "reinstall types host tables" `Quick
+            test_reinstall_types_host_tables ] );
       ( "shadow",
         [ Alcotest.test_case "mask and restore" `Quick test_shadow_mask_and_restore;
           Alcotest.test_case "visibility by reason" `Quick test_shadow_visible_fields_by_reason;

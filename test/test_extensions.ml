@@ -293,6 +293,84 @@ let test_integrity_detects_ciphertext_replay () =
   Alcotest.(check bool) "replay detected" true
     (Result.is_error (Core.Integrity.verified_read integ ~addr:0x3000 ~len:9))
 
+(* A write that covers part of a 16 B block whose line is resident: the
+   MMU reloads that line from DRAM right after the store, before the
+   engine refreshes the leaf. The reload is checked against the leaf plus
+   that store, so both writes land and the frame stays verifiable; a flip
+   on that reload is still refused. *)
+let test_integrity_partial_block_write () =
+  let _, _, fid, dom = protected_env () in
+  let integ = Core.Integrity.protect fid dom in
+  Core.Integrity.guest_write integ ~addr:0x3000 (Bytes.of_string "AAAAAAAAAAAAAAAA");
+  Core.Integrity.guest_write integ ~addr:0x3004 (Bytes.of_string "BBBB");
+  (match Core.Integrity.verified_read integ ~addr:0x3000 ~len:16 with
+  | Ok b -> Alcotest.(check string) "both writes read back" "AAAABBBBAAAAAAAA" (Bytes.to_string b)
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "domain verifies" true (Result.is_ok (Core.Integrity.verify_domain integ));
+  Core.Integrity.guest_write integ ~addr:0x5000 (Bytes.of_string "CCCCCCCCCCCCCCCC");
+  let plan = Fidelius_inject.Plan.make ~seed:5L Fidelius_inject.Site.Dram_flip in
+  Fidelius_inject.Plan.install plan;
+  let refused =
+    Fun.protect ~finally:Fidelius_inject.Plan.uninstall (fun () ->
+        match Core.Integrity.guest_write integ ~addr:0x5004 (Bytes.of_string "DDDD") with
+        | () -> false
+        | exception Hw.Denial.Denied _ -> true)
+  in
+  Alcotest.(check bool) "a flip landed" true (Fidelius_inject.Plan.fired plan);
+  Alcotest.(check bool) "a flip on the reload is refused" true refused
+
+(* Random writes of any length at any offset, through the engine, against
+   a plaintext model of four guest pages (gvfn 2..5; a write may run on
+   into gvfn 6). Lines are made resident by the reads, so the partly
+   covered blocks at each end of a write are reloaded behind the store. *)
+type sub_op =
+  | Sub_write of int * int * int * char (* page, off, len, fill *)
+  | Sub_read of int * int * int (* page, off, len *)
+  | Sub_invalidate of int
+
+let show_sub_op = function
+  | Sub_write (p, o, l, c) -> Printf.sprintf "Write(%d,%d,%d,%C)" p o l c
+  | Sub_read (p, o, l) -> Printf.sprintf "Read(%d,%d,%d)" p o l
+  | Sub_invalidate p -> Printf.sprintf "Invalidate %d" p
+
+let test_integrity_sub_block_writes =
+  let open QCheck.Gen in
+  let page = int_bound 3 and off = int_bound (Hw.Addr.page_size - 1) in
+  let op =
+    frequency
+      [ (4, map3 (fun (p, o) l c -> Sub_write (p, o, l, c)) (pair page off) (int_range 1 40) printable);
+        (3, map3 (fun p o l -> Sub_read (p, o, l)) page off (int_range 1 64));
+        (1, map (fun p -> Sub_invalidate p) page) ]
+  in
+  QCheck.Test.make ~name:"sub-block guest writes = plaintext model" ~count:60
+    (QCheck.make ~print:(QCheck.Print.list show_sub_op) (list_size (int_range 1 40) op))
+    (fun ops ->
+      let m, _, fid, dom = protected_env () in
+      let integ = Core.Integrity.protect fid dom in
+      let span = 5 * Hw.Addr.page_size and base = Hw.Addr.addr_of 2 0 in
+      let read addr len =
+        match Core.Integrity.verified_read integ ~addr ~len with
+        | Ok b -> b
+        | Error e -> QCheck.Test.fail_reportf "verified read at 0x%x: %s" addr e
+      in
+      let model = read base span in
+      List.iter
+        (function
+          | Sub_write (p, o, l, c) ->
+              let at = (p * Hw.Addr.page_size) + o in
+              Core.Integrity.guest_write integ ~addr:(base + at) (Bytes.make l c);
+              Bytes.fill model at l c
+          | Sub_read (p, o, l) ->
+              let at = (p * Hw.Addr.page_size) + o in
+              if not (Bytes.equal (read (base + at) l) (Bytes.sub model at l)) then
+                QCheck.Test.fail_reportf "read of %d B at page %d + %d differs" l p o
+          | Sub_invalidate p -> (
+              match Hw.Pagetable.lookup dom.Xen.Domain.npt (2 + p) with
+              | Some npte -> Hw.Cache.invalidate_page m.Hw.Machine.cache npte.Hw.Pagetable.frame
+              | None -> ()))
+        ops;
+      Bytes.equal (read base span) model && Result.is_ok (Core.Integrity.verify_domain integ))
+
 let test_integrity_unmapped_range () =
   let _, _, fid, dom = protected_env () in
   let integ = Core.Integrity.protect fid dom in
@@ -306,10 +384,8 @@ module Site = Fidelius_inject.Site
 
 (* Ops on eight consecutive guest pages (gvfn 2..9) of a protected guest
    under [Integrity]. A write may run on into the next page, and covers
-   whole 16 B blocks: a guest write that only partly covers a resident
-   line is refused whether or not leaves are reused, because the MMU
-   reloads that line through the armed fetch check before the tree has
-   seen the store. *)
+   whole 16 B blocks (partly covered blocks have their own property,
+   [test_integrity_sub_block_writes]). *)
 type mem_op =
   | Write of int * int * int (* page, first block, blocks *)
   | Verified_read of int * int * int (* page, off, len *)
@@ -687,6 +763,8 @@ let () =
           Alcotest.test_case "ciphertext replay detected" `Quick
             test_integrity_detects_ciphertext_replay;
           Alcotest.test_case "unmapped range" `Quick test_integrity_unmapped_range;
+          Alcotest.test_case "partial-block write" `Quick test_integrity_partial_block_write;
+          prop test_integrity_sub_block_writes;
           Alcotest.test_case "host page hashes" `Quick test_integrity_host_hashes;
           Alcotest.test_case "words per access" `Quick test_integrity_allocation_pins ] );
       ( "memo",

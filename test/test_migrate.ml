@@ -110,6 +110,53 @@ let test_monotone_budget_tradeoff () =
   Alcotest.(check bool) "downtime: mid <= loose" true
     (mid.Migrate.downtime_us <= loose.Migrate.downtime_us)
 
+(* --- ledger guard ---------------------------------------------------------- *)
+
+(* One seed-fixed live migration there and back (A -> B -> A) of a 64-page
+   protected guest, with dirty rounds and the attested key release on both
+   legs, pins both hosts' whole ledger by category. A change that makes the
+   migration path faster must leave every row exactly where it is. *)
+let test_round_trip_ledger () =
+  let m1, hv1, fid1 = installed ~seed:91L () in
+  let m2, hv2, fid2 = installed ~seed:92L () in
+  let prepared =
+    Sev.Transport.Owner.prepare ~rng:(Rng.create 94L) ~platform_public:(Fid.platform_key fid1)
+      ~policy:Sev.Firmware.policy_nodbg ~kernel_pages:[ page 'A'; page 'B' ]
+  in
+  let dom = ok (Fid.boot_protected_vm fid1 ~name:"ledger" ~memory_pages:64 ~prepared) in
+  let leg ~src_m ~src_hv ~src ~dst ~seed dom =
+    let mutate round =
+      for p = 1 to max 1 (16 lsr round) do
+        Hv.in_guest src_hv dom (fun () ->
+            Domain.write src_m dom ~addr:(Hw.Addr.addr_of (p * 3) 16)
+              (Bytes.of_string (Printf.sprintf "leg %Ld round %d" seed round)))
+      done
+    in
+    let owner = Migrate.Owner.create (Rng.create seed) in
+    fst
+      (ok
+         (Result.map_error Migrate.error_to_string
+            (Migrate.migrate_live ~owner ~mutate ~src ~dst dom)))
+  in
+  let there = leg ~src_m:m1 ~src_hv:hv1 ~src:fid1 ~dst:fid2 ~seed:95L dom in
+  let back = leg ~src_m:m2 ~src_hv:hv2 ~src:fid2 ~dst:fid1 ~seed:96L there in
+  Alcotest.(check string) "guest state survives the round trip" "leg 96 round 2"
+    (Bytes.to_string
+       (Hv.in_guest hv1 back (fun () -> Domain.read m1 back ~addr:(Hw.Addr.addr_of 3 16) ~len:14)));
+  let ledger = Alcotest.(list (pair string int)) in
+  Alcotest.check ledger "host A ledger"
+    [ ("enc-engine", 9524400); ("dram", 3855040); ("tlb-flush", 1126144); ("sev-fw", 525000);
+      ("gate1", 175032); ("pit", 138192); ("tlb-miss", 8960); ("pte-write", 8798);
+      ("world-switch", 1600); ("insn-fetch", 1154); ("gate3", 678); ("shadow", 662);
+      ("tlb-hit", 48); ("cache-fill", 2) ]
+    (Hw.Cost.categories m1.Hw.Machine.ledger);
+  Alcotest.check ledger "host B ledger"
+    [ ("enc-engine", 9421960); ("dram", 3772960); ("tlb-flush", 1108736); ("sev-fw", 505000);
+      ("gate1", 134640); ("pit", 120792); ("tlb-miss", 8720); ("pte-write", 8662);
+      ("insn-fetch", 885); ("world-switch", 800); ("gate3", 339); ("shadow", 331);
+      ("tlb-hit", 48); ("cache-fill", 1) ]
+    (Hw.Cost.categories m2.Hw.Machine.ledger)
+
 (* --- rollback refusal ---------------------------------------------------- *)
 
 let test_rollback_refused_fidelius () =
@@ -493,27 +540,43 @@ type mutation =
   | Set_u32 of int * int * int32
       (** frame, field (three in four pick a {!u32_fields} offset, the rest
           any offset), value *)
+  | Update_bound of int * int * int32
+      (** UPDATE frame (1: round 0, 2: the empty residual), field (its
+          payload length, its record count or a record's length), value
+          near a bound *)
 
 let pp_mutation = function
   | Flip (f, bit) -> Printf.sprintf "flip frame %d bit %d" f bit
   | Cut (f, keep) -> Printf.sprintf "cut frame %d to %d bytes" f keep
   | Set_u32 (f, field, v) -> Printf.sprintf "set frame %d u32 field %d to %ld" f field v
+  | Update_bound (f, field, v) -> Printf.sprintf "set UPDATE frame %d bound %d to %ld" f field v
+
+(* Counts and lengths at and around their bounds: empty, one page and its
+   neighbours, the largest and smallest u32, negatives, and lengths whose
+   sum with any record offset wraps a 32-bit position. *)
+let bounds =
+  [ 0l; 1l; -1l; -8l; -4096l; 16l; 17l; 4095l; 4096l; 4097l; 100_000l;
+    Int32.of_int (1 lsl 20); Int32.of_int ((1 lsl 20) + 1); Int32.max_int; Int32.min_int;
+    Int32.sub Int32.max_int 7l; Int32.sub Int32.max_int 4103l; Int32.add Int32.min_int 8l ]
 
 let gen_mutation =
   let open QCheck.Gen in
-  let value =
-    frequency
-      [ ( 1,
-          oneofl
-            [ 0l; 1l; -1l; -4096l; Int32.max_int; Int32.min_int; 16l; 17l; 4095l; 4096l;
-              100_000l; Int32.of_int (1 lsl 20); Int32.of_int ((1 lsl 20) + 1) ] );
-        (1, map Int32.of_int int) ]
-  in
+  let value = frequency [ (1, oneofl bounds); (1, map Int32.of_int int) ] in
   let frame = int_bound 3 and pos = int_bound 0x3FFF_FFFF in
   frequency
     [ (1, map2 (fun f b -> Flip (f, b)) frame pos);
       (1, map2 (fun f k -> Cut (f, k)) frame pos);
-      (3, map3 (fun f i v -> Set_u32 (f, i, v)) frame pos value) ]
+      (3, map3 (fun f i v -> Set_u32 (f, i, v)) frame pos value);
+      (2, map3 (fun f i v -> Update_bound (f, i, v)) (int_range 1 2) pos (oneofl bounds)) ]
+
+(* An UPDATE frame's payload length, record count and record lengths,
+   from its own decoding. *)
+let update_bound_fields frame =
+  let h = 4 + 2 + 1 + 4 in
+  match Migrate.Wire.decode frame with
+  | Ok (Migrate.Wire.Update { pages; _ }) ->
+      7 :: (h + 4) :: List.mapi (fun i _ -> h + 8 + (i * (8 + Hw.Addr.page_size)) + 4) pages
+  | _ -> [ 7; h + 4 ]
 
 let apply frames m =
   List.mapi
@@ -535,9 +598,51 @@ let apply frames m =
           in
           Bytes.set_int32_be b off v;
           b
+      | Update_bound (f, field, v) when f = i && Bytes.length b >= 15 ->
+          let b = Bytes.copy b in
+          let fields = update_bound_fields b in
+          Bytes.set_int32_be b (List.nth fields (field mod List.length fields)) v;
+          b
       | _ -> b)
     frames
 
+(* A round whose last record is one byte short of a page still decodes
+   (the byte left over is ignored), so only the receiver's page check
+   refuses it, and it does so before the first page is loaded. *)
+let test_short_last_page_refused () =
+  let fid, frames = Lazy.force real_stream in
+  let update = Bytes.copy (List.nth frames 1) in
+  let last_len = List.hd (List.rev (update_bound_fields update)) in
+  Bytes.set_int32_be update last_len 4095l;
+  (match Migrate.Wire.decode update with
+  | Ok (Migrate.Wire.Update { pages; _ }) ->
+      Alcotest.(check int) "last page is short" 4095 (Bytes.length (snd (List.nth pages 15)))
+  | _ -> Alcotest.fail "the frame no longer decodes");
+  let frames = List.mapi (fun i f -> if i = 1 then update else f) frames in
+  let results, events =
+    Fidelius_obs.Trace.capture (fun () -> deliver_all fid frames)
+  in
+  (match List.nth results 1 with
+  | Error (Migrate.Malformed _) -> ()
+  | Error e -> Alcotest.failf "expected Malformed, got %s" (Migrate.error_to_string e)
+  | Ok _ -> Alcotest.fail "a short page was accepted");
+  Alcotest.(check int) "no RECEIVE_UPDATE issued" 0
+    (List.length
+       (List.filter
+          (fun e -> e.Fidelius_obs.Trace.event = Fidelius_obs.Trace.Fw_cmd "RECEIVE_UPDATE")
+          events))
+
+(* Room for every event of one delivery: a START may claim thousands of
+   pages, and refusing a later frame tears that domain down. *)
+let rx_ring = lazy (Fidelius_obs.Trace.ring ~capacity:(1 lsl 17) ())
+
+(* Whatever a relay does to the frames, [rx_deliver] returns. On every
+   frame that still carries the UPDATE tag it agrees with [Wire.decode]: a
+   frame decode refuses is refused with the same error; one with a page
+   that is not one page is refused by its state, its round or that page;
+   any other is refused, if at all, by the receive state machine or a
+   failed load, never by its framing. A frame refused before loading
+   issues no RECEIVE_UPDATE. *)
 let test_rx_deliver_total =
   QCheck.Test.make ~name:"rx_deliver is total over a mutated real stream" ~count:300
     (QCheck.make
@@ -546,8 +651,46 @@ let test_rx_deliver_total =
     (fun ms ->
       let fid, frames = Lazy.force real_stream in
       let frames = List.fold_left apply frames ms in
-      match deliver_all fid frames with
-      | _ -> true
+      let rx = Migrate.rx_create fid in
+      let ring = Lazy.force rx_ring in
+      let classify i b =
+        let r = Fidelius_obs.Trace.record_into ring (fun () -> Migrate.rx_deliver rx b) in
+        let updates = ref 0 in
+        Fidelius_obs.Trace.ring_iter ring (fun e ->
+            match e.Fidelius_obs.Trace.event with
+            | Fidelius_obs.Trace.Fw_cmd "RECEIVE_UPDATE" -> incr updates
+            | _ -> ());
+        if Fidelius_obs.Trace.ring_dropped ring > 0 then
+          QCheck.Test.fail_reportf "frame %d: trace ring overflowed" i;
+        if Bytes.length b > 6 && Bytes.get_uint8 b 6 = 2 then begin
+          match (Migrate.Wire.decode b, r) with
+          | Error d, Error e when d = e -> ()
+          | Error d, _ ->
+              QCheck.Test.fail_reportf "frame %d: decode refused (%s), rx_deliver did not"
+                i (Migrate.error_to_string d)
+          | Ok (Migrate.Wire.Update { pages; _ }), _
+            when List.exists (fun (_, c) -> Bytes.length c <> Hw.Addr.page_size) pages -> (
+              match r with
+              | Error (Migrate.Malformed _ | Migrate.Protocol_violation _) -> ()
+              | _ -> QCheck.Test.fail_reportf "frame %d: a page that is not one page got through" i)
+          | Ok _, Error ((Migrate.Truncated _ | Migrate.Unknown_version _ | Migrate.Malformed _) as e)
+            ->
+              QCheck.Test.fail_reportf "frame %d: decode accepted, rx_deliver refused: %s" i
+                (Migrate.error_to_string e)
+          | Ok _, _ -> ()
+        end;
+        match r with
+        | Error (Migrate.Boot_failed _) | Ok _ -> ()
+        | Error e ->
+            if !updates > 0 then
+              QCheck.Test.fail_reportf "frame %d refused (%s) after %d RECEIVE_UPDATEs" i
+                (Migrate.error_to_string e) !updates
+      in
+      match List.iteri classify frames with
+      | () ->
+          Option.iter (Fid.shutdown_protected_vm fid) (Migrate.rx_domain rx);
+          true
+      | exception (QCheck.Test.Test_fail _ as e) -> raise e
       | exception e -> QCheck.Test.fail_reportf "rx_deliver raised %s" (Printexc.to_string e))
 
 (* --- fleet determinism --------------------------------------------------- *)
@@ -565,7 +708,8 @@ let () =
   Alcotest.run "migrate"
     [ ( "live",
         [ Alcotest.test_case "round trip with dirty rounds" `Quick test_live_roundtrip;
-          Alcotest.test_case "pages-vs-downtime monotone" `Quick test_monotone_budget_tradeoff
+          Alcotest.test_case "pages-vs-downtime monotone" `Quick test_monotone_budget_tradeoff;
+          Alcotest.test_case "A->B->A ledger by category" `Quick test_round_trip_ledger
         ] );
       ( "rollback",
         [ Alcotest.test_case "fidelius refusal, key withheld" `Quick
@@ -595,6 +739,8 @@ let () =
             test_finish_entry_range_refused;
           Alcotest.test_case "FINISH entries beyond the free frames refused" `Quick
             test_finish_entries_exhaust_refused;
+          Alcotest.test_case "short last page refused before loading" `Quick
+            test_short_last_page_refused;
           QCheck_alcotest.to_alcotest test_rx_deliver_total
         ] );
       ( "retry",
