@@ -375,7 +375,7 @@ let secret_kek (q : Attest.quote) =
 
 type rx_state =
   | Expect_start
-  | Streaming of { session : Lifecycle.session; next_round : int }
+  | Streaming of { session : Lifecycle.session; memory_pages : int; next_round : int }
   | Attesting of { dom : Xen.Domain.t; quote : Attest.quote option }
   | Complete of Xen.Domain.t
   | Rx_failed
@@ -416,6 +416,23 @@ let inject_secret ctx dom key =
         ~addr:(Hw.Addr.addr_of 0 Sev.Transport.Owner.kblk_offset)
         key)
 
+(* Every record of an UPDATE round is checked before its first page is
+   loaded: the first that is not a page, or that names a gfn the guest
+   does not have, refuses the round before any RECEIVE_UPDATE is
+   issued. *)
+let rec update_refusal ~memory_pages = function
+  | [] -> None
+  | (index, c) :: rest ->
+      if Bytes.length c <> Hw.Addr.page_size then
+        Some
+          (Printf.sprintf "page at index 0x%x is %d bytes, want %d" index (Bytes.length c)
+             Hw.Addr.page_size)
+      else if gfn_of_index index >= memory_pages then
+        Some
+          (Printf.sprintf "page at index 0x%x names gfn 0x%x, past the guest's %d pages" index
+             (gfn_of_index index) memory_pages)
+      else update_refusal ~memory_pages rest
+
 let rx_deliver rx b =
   match Wire.decode b with
   | Error e ->
@@ -439,20 +456,16 @@ let rx_deliver rx b =
       with
       | Error e -> rx_fail rx (of_boot e)
       | Ok session ->
-          rx.rx_state <- Streaming { session; next_round = 0 };
+          rx.rx_state <- Streaming { session; memory_pages; next_round = 0 };
           Ok None)
-  | Streaming { session; next_round }, Wire.Update { round; pages } ->
+  | Streaming { session; memory_pages; next_round }, Wire.Update { round; pages } ->
       if round <> next_round then
         rx_fail rx
           (Protocol_violation
              (Printf.sprintf "UPDATE round %d arrived, expected %d" round next_round))
       else begin
-        match List.find_opt (fun (_, c) -> Bytes.length c <> Hw.Addr.page_size) pages with
-        | Some (index, c) ->
-            rx_fail rx
-              (Malformed
-                 (Printf.sprintf "page at index 0x%x is %d bytes, want %d" index
-                    (Bytes.length c) Hw.Addr.page_size))
+        match update_refusal ~memory_pages pages with
+        | Some why -> rx_fail rx (Malformed why)
         | None -> (
             let triples =
               List.map (fun (index, cipher) -> (index, gfn_of_index index, cipher)) pages
@@ -460,7 +473,7 @@ let rx_deliver rx b =
             match Lifecycle.receive_pages session triples with
             | Error e -> rx_fail rx (of_boot e)
             | Ok () ->
-                rx.rx_state <- Streaming { session; next_round = next_round + 1 };
+                rx.rx_state <- Streaming { session; memory_pages; next_round = next_round + 1 };
                 Ok None)
       end
   | Streaming _, Wire.Finish { gpt_entries; _ }

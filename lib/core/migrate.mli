@@ -172,8 +172,11 @@ val rx_deliver : rx -> bytes -> (bytes option, error) result
     untrusted; a [Secret] delivered before a quote was issued is refused
     as [Protocol_violation] {e without} tearing down the already verified
     and running guest — refusing the injection is the fail-closed
-    behaviour there. Total: whatever the bytes, the result is [Ok] or a
-    typed [Error]; it never raises. *)
+    behaviour there. An UPDATE round is checked record by record before
+    its first page loads: a record that is not one page, or whose index
+    names a gfn at or past the START's [memory_pages], refuses the round
+    as [Malformed] with no RECEIVE_UPDATE issued. Total: whatever the
+    bytes, the result is [Ok] or a typed [Error]; it never raises. *)
 
 val rx_domain : rx -> Xen.Domain.t option
 (** The received domain, once RECEIVE_FINISH has accepted it. *)

@@ -194,13 +194,16 @@ let check_frame_writable (m : Machine.t) ~space pfn =
 let set_pte_packed (m : Machine.t) ~space ~table vfn packed =
   (* The PTE store is a memory write to the page-table-page: the acting
      space must hold a writable mapping of that frame (or any mapping with
-     CR0.WP clear). *)
+     CR0.WP clear). Before paging is enforced (boot building its direct
+     map) every store is charged the same but traced by its caller as one
+     phase, so neither the store nor its flush records an event. *)
   let backing = Pagetable.backing_frame_of table vfn in
   check_frame_writable m ~space backing;
   Cost.charge_id m.ledger c_pte_write m.costs.Cost.cacheline_write;
-  if Trace.enabled () then Trace.emit (Trace.Pte_write { vfn });
+  let record = m.enforce_paging in
+  if record && Trace.enabled () then Trace.emit (Trace.Pte_write { vfn });
   Pagetable.hw_set_packed table vfn packed;
-  Tlb.flush_entry m.tlb ~space_id:(Pagetable.id table) vfn
+  Tlb.flush_entry m.tlb ~space_id:(Pagetable.id table) ~record vfn
 
 let set_pte (m : Machine.t) ~space ~table vfn proto =
   set_pte_packed m ~space ~table vfn

@@ -50,7 +50,9 @@ val set_pte :
     store targets the page-table-page that holds the entry, so it faults
     unless [space] holds a writable mapping of that frame — or holds any
     mapping while CR0.WP is clear. Flushes the affected TLB entry. Before
-    [Machine.enforce_paging] is set (early boot), the check is waived. *)
+    [Machine.enforce_paging] is set (early boot), the check is waived and
+    the store and its flush are charged as ever but emit no trace event:
+    their caller records the whole phase as one [Mark]. *)
 
 val set_pte_packed :
   Machine.t -> space:Pagetable.t -> table:Pagetable.t -> Addr.vfn -> int -> unit

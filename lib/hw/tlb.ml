@@ -43,15 +43,16 @@ let lookup t ~space_id vfn =
   end
 
 (* A hypervisor that "forgets" TLB maintenance does no work at all: the
-   omitted flush charges nothing and invalidates nothing. *)
-let flush_entry t ~space_id vfn =
+   omitted flush charges nothing and invalidates nothing. [record] gates
+   only the trace event, never the charge or the injection site. *)
+let flush_entry t ~space_id ~record vfn =
   if Plan.armed () && Plan.fire Site.Tlb_omit_flush then ()
   else begin
     let key = key ~space_id vfn in
     if key = t.mru then t.mru <- min_int;
     Hashtbl.remove t.cached key;
     Cost.charge_id t.ledger c_tlb_flush t.costs.Cost.tlb_flush_entry;
-    if Trace.enabled () then Trace.emit (Trace.Tlb_flush { full = false })
+    if record && Trace.enabled () then Trace.emit (Trace.Tlb_flush { full = false })
   end
 
 let flush_all t =

@@ -15,8 +15,13 @@ val lookup : t -> space_id:int -> Addr.vfn -> bool
 (** [lookup t ~space_id vfn] returns whether the translation was cached, and
     caches it if not. Charges a walk on miss, a hit cost otherwise. *)
 
-val flush_entry : t -> space_id:int -> Addr.vfn -> unit
-(** INVLPG-equivalent; charges {!Cost.table.tlb_flush_entry}. *)
+val flush_entry : t -> space_id:int -> record:bool -> Addr.vfn -> unit
+(** INVLPG-equivalent; charges {!Cost.table.tlb_flush_entry}. [record]
+    says whether the flush emits a [Tlb_flush] trace event while a
+    recording is on: [Mmu.set_pte_packed] passes
+    [Machine.enforce_paging], so the stores of boot's direct map are
+    charged one by one but traced as one phase by their caller. An
+    armed [Tlb_omit_flush] plan fires either way. *)
 
 val flush_all : t -> unit
 (** Full flush (what a CR3 write costs on the paper's AMD parts); charges

@@ -194,7 +194,8 @@ let boot machine =
   (* Direct map: every physical frame identity-mapped, Xen-style. Text is
      RX, everything else RW/NX. Paging is not yet enforced, so these early
      stores are unmediated (real pre-paging boot). Each entry is stored
-     packed: no option or record per frame. *)
+     packed: no option or record per frame. Each store is charged as a
+     store and a flush, but none is traced: the phase is one [Mark]. *)
   let nr = Hw.Physmem.nr_frames machine.Hw.Machine.mem in
   for pfn = 1 to nr - 1 do
     let is_text = mem_pfn pfn xen_text in
@@ -202,6 +203,8 @@ let boot machine =
       (Hw.Pagetable.packed_make ~frame:pfn ~writable:(not is_text) ~executable:is_text
          ~c_bit:false)
   done;
+  if Trace.enabled () then
+    Trace.emit (Trace.Mark (Printf.sprintf "boot-direct-map entries=%d" (nr - 1)));
   (* The direct map covers frames allocated later for page-table growth
      too, because it spans all of RAM up front. *)
   machine.Hw.Machine.enforce_paging <- true;

@@ -70,7 +70,9 @@ val boot : Hw.Machine.t -> t
     of physical memory, Xen-style), place the privileged instructions in the
     hypervisor text region (several stray copies per opcode — the state the
     binary scan later cleans up), enable paging enforcement, initialize the
-    SEV firmware, dom0, grant table, event channels and XenStore. *)
+    SEV firmware, dom0, grant table, event channels and XenStore. The
+    direct map's stores are charged one by one but traced as one phase:
+    a [Mark "boot-direct-map entries=N"] stamped after the last of them. *)
 
 (** {2 Host mappings} *)
 

@@ -398,7 +398,7 @@ let test_tlb () =
   Alcotest.(check bool) "first lookup misses" false (Tlb.lookup tlb ~space_id:1 5);
   Alcotest.(check bool) "second hits" true (Tlb.lookup tlb ~space_id:1 5);
   Alcotest.(check bool) "other space misses" false (Tlb.lookup tlb ~space_id:2 5);
-  Tlb.flush_entry tlb ~space_id:1 5;
+  Tlb.flush_entry tlb ~space_id:1 ~record:true 5;
   Alcotest.(check bool) "flushed entry misses" false (Tlb.lookup tlb ~space_id:1 5);
   Tlb.flush_all tlb;
   Alcotest.(check int) "flush_all counted" 1 (Tlb.flushes tlb);

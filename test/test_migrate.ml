@@ -544,12 +544,16 @@ type mutation =
       (** UPDATE frame (1: round 0, 2: the empty residual), field (its
           payload length, its record count or a record's length), value
           near a bound *)
+  | Update_gfn of int * int
+      (** round 0's record, gfn its index names (at or around the guest's
+          last page) *)
 
 let pp_mutation = function
   | Flip (f, bit) -> Printf.sprintf "flip frame %d bit %d" f bit
   | Cut (f, keep) -> Printf.sprintf "cut frame %d to %d bytes" f keep
   | Set_u32 (f, field, v) -> Printf.sprintf "set frame %d u32 field %d to %ld" f field v
   | Update_bound (f, field, v) -> Printf.sprintf "set UPDATE frame %d bound %d to %ld" f field v
+  | Update_gfn (r, gfn) -> Printf.sprintf "point round 0 record %d at gfn %d" r gfn
 
 (* Counts and lengths at and around their bounds: empty, one page and its
    neighbours, the largest and smallest u32, negatives, and lengths whose
@@ -559,6 +563,10 @@ let bounds =
     Int32.of_int (1 lsl 20); Int32.of_int ((1 lsl 20) + 1); Int32.max_int; Int32.min_int;
     Int32.sub Int32.max_int 7l; Int32.sub Int32.max_int 4103l; Int32.add Int32.min_int 8l ]
 
+(* Gfns at the guest's last page, at its size and just past it, and the
+   largest a transport index can name. *)
+let gfns = [ memory_pages - 1; memory_pages; memory_pages + 1; (1 lsl 20) - 1 ]
+
 let gen_mutation =
   let open QCheck.Gen in
   let value = frequency [ (1, oneofl bounds); (1, map Int32.of_int int) ] in
@@ -567,7 +575,8 @@ let gen_mutation =
     [ (1, map2 (fun f b -> Flip (f, b)) frame pos);
       (1, map2 (fun f k -> Cut (f, k)) frame pos);
       (3, map3 (fun f i v -> Set_u32 (f, i, v)) frame pos value);
-      (2, map3 (fun f i v -> Update_bound (f, i, v)) (int_range 1 2) pos (oneofl bounds)) ]
+      (2, map3 (fun f i v -> Update_bound (f, i, v)) (int_range 1 2) pos (oneofl bounds));
+      (1, map2 (fun r gfn -> Update_gfn (r, gfn)) (int_bound (memory_pages - 1)) (oneofl gfns)) ]
 
 (* An UPDATE frame's payload length, record count and record lengths,
    from its own decoding. *)
@@ -603,6 +612,14 @@ let apply frames m =
           let fields = update_bound_fields b in
           Bytes.set_int32_be b (List.nth fields (field mod List.length fields)) v;
           b
+      | Update_gfn (r, gfn) when i = 1 -> (
+          match (Migrate.Wire.decode b, u32_fields b) with
+          | Ok (Migrate.Wire.Update { round; pages }), _ :: fields when r < List.length pages ->
+              let b = Bytes.copy b in
+              Bytes.set_int32_be b (List.nth fields (2 * r))
+                (Int32.of_int (Migrate.index_of ~round ~gfn));
+              b
+          | _ -> b)
       | _ -> b)
     frames
 
@@ -632,6 +649,41 @@ let test_short_last_page_refused () =
           (fun e -> e.Fidelius_obs.Trace.event = Fidelius_obs.Trace.Fw_cmd "RECEIVE_UPDATE")
           events))
 
+(* A round whose 6th record names gfn 100,000 of a 16-page guest is
+   refused like a short page: by the receiver's check of every record,
+   before the first page is loaded, so no RECEIVE_UPDATE is issued and
+   the host is charged what the short page's refusal costs it. *)
+let test_out_of_range_gfn_refused () =
+  let fid, frames = Lazy.force real_stream in
+  let update = Bytes.copy (List.nth frames 1) in
+  let sixth_index = List.nth (u32_fields update) (1 + (2 * 5)) in
+  Bytes.set_int32_be update sixth_index 100_000l;
+  (match Migrate.Wire.decode update with
+  | Ok (Migrate.Wire.Update { pages; _ }) ->
+      Alcotest.(check int) "6th record names gfn 100,000" 100_000
+        (Migrate.gfn_of_index (fst (List.nth pages 5)))
+  | _ -> Alcotest.fail "the frame no longer decodes");
+  let ledger = fid.Core.Ctx.machine.Hw.Machine.ledger in
+  let deliver frames =
+    let before = Hw.Cost.total ledger in
+    let results, events = Fidelius_obs.Trace.capture (fun () -> deliver_all fid frames) in
+    (List.nth results 1, events, Hw.Cost.total ledger - before)
+  in
+  let r, events, charged = deliver (List.mapi (fun i f -> if i = 1 then update else f) frames) in
+  (match r with
+  | Error (Migrate.Malformed _) -> ()
+  | Error e -> Alcotest.failf "expected Malformed, got %s" (Migrate.error_to_string e)
+  | Ok _ -> Alcotest.fail "a gfn past the guest was accepted");
+  Alcotest.(check int) "no RECEIVE_UPDATE issued" 0
+    (List.length
+       (List.filter
+          (fun e -> e.Fidelius_obs.Trace.event = Fidelius_obs.Trace.Fw_cmd "RECEIVE_UPDATE")
+          events));
+  let short = Bytes.copy (List.nth frames 1) in
+  Bytes.set_int32_be short (List.hd (List.rev (update_bound_fields short))) 4095l;
+  let _, _, short_charged = deliver (List.mapi (fun i f -> if i = 1 then short else f) frames) in
+  Alcotest.(check int) "charged as the short page's refusal" short_charged charged
+
 (* Room for every event of one delivery: a START may claim thousands of
    pages, and refusing a later frame tears that domain down. *)
 let rx_ring = lazy (Fidelius_obs.Trace.ring ~capacity:(1 lsl 17) ())
@@ -639,10 +691,11 @@ let rx_ring = lazy (Fidelius_obs.Trace.ring ~capacity:(1 lsl 17) ())
 (* Whatever a relay does to the frames, [rx_deliver] returns. On every
    frame that still carries the UPDATE tag it agrees with [Wire.decode]: a
    frame decode refuses is refused with the same error; one with a page
-   that is not one page is refused by its state, its round or that page;
-   any other is refused, if at all, by the receive state machine or a
-   failed load, never by its framing. A frame refused before loading
-   issues no RECEIVE_UPDATE. *)
+   that is not one page, or a record naming a gfn past the START's
+   guest, is refused by its state, its round or that record; any other
+   is refused, if at all, by the receive state machine or a failed load,
+   never by its framing. A frame refused before loading issues no
+   RECEIVE_UPDATE. *)
 let test_rx_deliver_total =
   QCheck.Test.make ~name:"rx_deliver is total over a mutated real stream" ~count:300
     (QCheck.make
@@ -651,10 +704,20 @@ let test_rx_deliver_total =
     (fun ms ->
       let fid, frames = Lazy.force real_stream in
       let frames = List.fold_left apply frames ms in
+      let guest_pages =
+        match Migrate.Wire.decode (List.hd frames) with
+        | Ok (Migrate.Wire.Start { memory_pages; _ }) -> memory_pages
+        | _ -> max_int
+      in
       let rx = Migrate.rx_create fid in
       let ring = Lazy.force rx_ring in
       let classify i b =
-        let r = Fidelius_obs.Trace.record_into ring (fun () -> Migrate.rx_deliver rx b) in
+        let r =
+          match Fidelius_obs.Trace.record_into ring (fun () -> Migrate.rx_deliver rx b) with
+          | r -> r
+          | exception e ->
+              QCheck.Test.fail_reportf "frame %d: rx_deliver raised %s" i (Printexc.to_string e)
+        in
         let updates = ref 0 in
         Fidelius_obs.Trace.ring_iter ring (fun e ->
             match e.Fidelius_obs.Trace.event with
@@ -673,6 +736,14 @@ let test_rx_deliver_total =
               match r with
               | Error (Migrate.Malformed _ | Migrate.Protocol_violation _) -> ()
               | _ -> QCheck.Test.fail_reportf "frame %d: a page that is not one page got through" i)
+          | Ok (Migrate.Wire.Update { pages; _ }), _
+            when List.exists (fun (index, _) -> Migrate.gfn_of_index index >= guest_pages) pages
+            -> (
+              match r with
+              | Error (Migrate.Malformed _ | Migrate.Protocol_violation _) -> ()
+              | _ ->
+                  QCheck.Test.fail_reportf "frame %d: a gfn past the guest's %d pages got through"
+                    i guest_pages)
           | Ok _, Error ((Migrate.Truncated _ | Migrate.Unknown_version _ | Migrate.Malformed _) as e)
             ->
               QCheck.Test.fail_reportf "frame %d: decode accepted, rx_deliver refused: %s" i
@@ -686,12 +757,9 @@ let test_rx_deliver_total =
               QCheck.Test.fail_reportf "frame %d refused (%s) after %d RECEIVE_UPDATEs" i
                 (Migrate.error_to_string e) !updates
       in
-      match List.iteri classify frames with
-      | () ->
-          Option.iter (Fid.shutdown_protected_vm fid) (Migrate.rx_domain rx);
-          true
-      | exception (QCheck.Test.Test_fail _ as e) -> raise e
-      | exception e -> QCheck.Test.fail_reportf "rx_deliver raised %s" (Printexc.to_string e))
+      List.iteri classify frames;
+      Option.iter (Fid.shutdown_protected_vm fid) (Migrate.rx_domain rx);
+      true)
 
 (* --- fleet determinism --------------------------------------------------- *)
 
@@ -741,6 +809,8 @@ let () =
             test_finish_entries_exhaust_refused;
           Alcotest.test_case "short last page refused before loading" `Quick
             test_short_last_page_refused;
+          Alcotest.test_case "gfn past the guest refused before loading" `Quick
+            test_out_of_range_gfn_refused;
           QCheck_alcotest.to_alcotest test_rx_deliver_total
         ] );
       ( "retry",

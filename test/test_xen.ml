@@ -13,6 +13,9 @@ module Vdisk = Xen.Vdisk
 module Blkif = Xen.Blkif
 module Sched = Xen.Sched
 module Hypercall = Xen.Hypercall
+module Trace = Fidelius_obs.Trace
+module Plan = Fidelius_inject.Plan
+module Site = Fidelius_inject.Site
 
 let boot () =
   let m = Hw.Machine.create ~seed:41L () in
@@ -50,6 +53,85 @@ let test_direct_map_covers_ram () =
     if Hw.Pagetable.lookup hv.Hv.host_space pfn = None then incr missing
   done;
   Alcotest.(check int) "all frames direct-mapped" 0 !missing
+
+(* --- boot's direct map: charged per store, traced as one phase ---------------- *)
+
+(* The direct map stores one entry per frame but frame 0. *)
+let direct_map_entries = Hw.Machine.default_nr_frames - 1
+
+(* A boot on a fresh machine, recorded when [ring] is given, with the
+   ledger as the recording's clock. *)
+let boot_on ?ring () =
+  let m = Hw.Machine.create ~seed:41L () in
+  let before = Hw.Cost.total m.Hw.Machine.ledger in
+  let clock () = Hw.Cost.total m.Hw.Machine.ledger in
+  (match ring with
+  | None -> ignore (Hv.boot m)
+  | Some r -> ignore (Trace.record_into r ~clock (fun () -> Hv.boot m)));
+  (m, before)
+
+let test_boot_ledger_pinned () =
+  let untraced, _ = boot_on () in
+  let traced, _ = boot_on ~ring:(Trace.ring ()) () in
+  let ledger = Alcotest.(list (pair string int)) in
+  Alcotest.check ledger "boot ledger by category"
+    [ ("tlb-flush", 1048448); ("pte-write", 8191); ("sev-fw", 5000) ]
+    (Hw.Cost.categories untraced.Hw.Machine.ledger);
+  Alcotest.(check int) "direct map's flushes" (direct_map_entries * 128)
+    (Hw.Cost.category untraced.Hw.Machine.ledger "tlb-flush");
+  Alcotest.(check int) "direct map's stores" direct_map_entries
+    (Hw.Cost.category untraced.Hw.Machine.ledger "pte-write");
+  Alcotest.check ledger "same ledger under a recording"
+    (Hw.Cost.categories untraced.Hw.Machine.ledger)
+    (Hw.Cost.categories traced.Hw.Machine.ledger)
+
+(* A traced boot records the firmware's INIT and one mark, the first
+   entry, for the whole direct map: no store or flush of its own. *)
+let test_boot_direct_map_one_mark () =
+  let ring = Trace.ring () in
+  let _, before = boot_on ~ring () in
+  let entries = Trace.ring_entries ring in
+  let census = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      let k = Trace.event_name e.Trace.event in
+      Hashtbl.replace census k (1 + Option.value ~default:0 (Hashtbl.find_opt census k)))
+    entries;
+  Alcotest.(check (list (pair string int))) "boot's trace census"
+    [ ("fw-cmd", 1); ("mark", 1) ]
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) census [] |> List.sort compare);
+  match entries with
+  | { Trace.event = Trace.Mark label; ts; seq = 0; _ } :: _ ->
+      Alcotest.(check string) "names the phase and its entries"
+        (Printf.sprintf "boot-direct-map entries=%d" direct_map_entries)
+        label;
+      Alcotest.(check int) "stamped after every store and flush" (direct_map_entries * 129)
+        (ts - before)
+  | _ -> Alcotest.fail "boot's trace does not open with the direct map's mark"
+
+(* An armed omit-flush plan fires on the direct map's first flush, traced
+   or not: the one flush it omits is one 128-cycle charge. *)
+let test_boot_omit_flush_plan () =
+  let armed ?ring () =
+    let plan = Plan.make Site.Tlb_omit_flush in
+    Plan.install plan;
+    let m, _ = Fun.protect ~finally:Plan.uninstall (fun () -> boot_on ?ring ()) in
+    Alcotest.(check bool) "plan fired" true (Plan.fired plan);
+    Alcotest.(check int) "one flush omitted" ((direct_map_entries - 1) * 128)
+      (Hw.Cost.category m.Hw.Machine.ledger "tlb-flush");
+    m
+  in
+  let untraced = armed () in
+  let ring = Trace.ring () in
+  let traced = armed ~ring () in
+  Alcotest.(check (list (pair string int))) "same ledger under a recording"
+    (Hw.Cost.categories untraced.Hw.Machine.ledger)
+    (Hw.Cost.categories traced.Hw.Machine.ledger);
+  match Trace.ring_entries ring with
+  | { Trace.event = Trace.Fault { site = "tlb-omit-flush"; hit = 1 }; ts = 1; _ }
+    :: { Trace.event = Trace.Mark _; ts; _ } :: _ ->
+      Alcotest.(check int) "mark after the omitted flush" ((direct_map_entries * 129) - 128) ts
+  | _ -> Alcotest.fail "expected the first store's omitted flush, then the mark"
 
 (* --- domains ---------------------------------------------------------------- *)
 
@@ -915,7 +997,11 @@ let () =
   Alcotest.run "xen"
     [ ( "boot",
         [ Alcotest.test_case "invariants" `Quick test_boot_invariants;
-          Alcotest.test_case "direct map" `Quick test_direct_map_covers_ram ] );
+          Alcotest.test_case "direct map" `Quick test_direct_map_covers_ram;
+          Alcotest.test_case "ledger by category" `Quick test_boot_ledger_pinned;
+          Alcotest.test_case "direct map traced as one mark" `Quick
+            test_boot_direct_map_one_mark;
+          Alcotest.test_case "omit-flush plan across boot" `Quick test_boot_omit_flush_plan ] );
       ( "domains",
         [ Alcotest.test_case "create" `Quick test_create_domain;
           Alcotest.test_case "guest rw" `Quick test_guest_rw;
