@@ -99,8 +99,18 @@ let create machine =
   let root = Hw.Machine.alloc_frame machine in
   { machine; root; allocated = [ root ]; nr_allocated = 1; vetted = 0; walks = 0 }
 
-let view t pfn = Hw.Physmem.view t.machine.Hw.Machine.mem pfn
-let page_for_write t pfn = Hw.Physmem.page_for_write t.machine.Hw.Machine.mem pfn
+(* The 32-bit slot at byte [off] of PIT page [pfn]. Inlined, so a
+   caller's [Int32.of_int] reaches the store unboxed. *)
+let[@inline] get32 t pfn off =
+  Int32.to_int
+    (Bytes.get_int32_be
+       (Hw.Physmem.view t.machine.Hw.Machine.mem pfn ~off ~len:4)
+       (Hw.Physmem.base pfn + off))
+
+let[@inline] set32 t pfn off v =
+  Bytes.set_int32_be
+    (Hw.Physmem.page_for_write t.machine.Hw.Machine.mem pfn ~off ~len:4)
+    (Hw.Physmem.base pfn + off) v
 
 (* Index split: leaf slot = pfn mod 1024, L2 slot = (pfn / 1024) mod 1024,
    root slot = pfn / 1024^2. Level slots hold the child page's PFN (0 =
@@ -108,13 +118,13 @@ let page_for_write t pfn = Hw.Physmem.page_for_write t.machine.Hw.Machine.mem pf
    [child] and [walk] return for a missing page — no option is built on
    the per-update policy walks. *)
 let child t level_pfn slot ~alloc =
-  let v = Int32.to_int (Bytes.get_int32_be (view t level_pfn) (slot * 4)) in
+  let v = get32 t level_pfn (slot * 4) in
   if v <> 0 || not alloc then v
   else begin
     let fresh = Hw.Machine.alloc_frame t.machine in
     t.allocated <- fresh :: t.allocated;
     t.nr_allocated <- t.nr_allocated + 1;
-    Bytes.set_int32_be (page_for_write t level_pfn) (slot * 4) (Int32.of_int fresh);
+    set32 t level_pfn (slot * 4) (Int32.of_int fresh);
     fresh
   end
 
@@ -135,16 +145,16 @@ let entry_off pfn = pfn mod entries_per_page * 4
 let set t pfn info =
   let leaf = walk t pfn ~alloc:true in
   assert (leaf <> 0);
-  Bytes.set_int32_be (page_for_write t leaf) (entry_off pfn) (encode info)
+  set32 t leaf (entry_off pfn) (encode info)
 
 (* [set] behind a check of the entry it replaces, read in the same walk. A
    refused entry is never absent, so a refusal allocates no tree page. *)
 let retype t pfn ~allow info =
   let leaf = walk t pfn ~alloc:true in
-  let v = Int32.to_int (Bytes.get_int32_be (view t leaf) (entry_off pfn)) land 0xffffffff in
+  let v = get32 t leaf (entry_off pfn) land 0xffffffff in
   let old = if v = 0 then free_info else decode v in
   if allow old then begin
-    Bytes.set_int32_be (page_for_write t leaf) (entry_off pfn) (encode info);
+    set32 t leaf (entry_off pfn) (encode info);
     Ok ()
   end
   else Error old
@@ -153,7 +163,7 @@ let retype t pfn ~allow info =
 let raw t pfn =
   let leaf = walk t pfn ~alloc:false in
   if leaf = 0 then 0
-  else Int32.to_int (Bytes.get_int32_be (view t leaf) (entry_off pfn)) land 0xffffffff
+  else get32 t leaf (entry_off pfn) land 0xffffffff
 
 let get t pfn =
   let v = raw t pfn in

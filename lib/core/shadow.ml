@@ -61,7 +61,10 @@ let backing t = t.frame
 
 let capture t machine vmcb reason =
   let cpu = machine.Hw.Machine.cpu in
-  let bytes = Hw.Physmem.page_for_write machine.Hw.Machine.mem t.frame in
+  let bytes =
+    Hw.Physmem.page_for_write machine.Hw.Machine.mem t.frame ~off:0 ~len:(flag_off + 1)
+  in
+  let at = Hw.Physmem.base t.frame in
   (* Snapshot: arrays first (pointer moves), then one fused pass that
      serializes each snapshotted value into the backing frame and applies
      the mask — zero the save area except the reason's visible fields, and
@@ -71,16 +74,16 @@ let capture t machine vmcb reason =
   let ri = Vmcb.reason_index reason in
   let vis_f = vis_f_masks.(ri) and vis_r = vis_r_masks.(ri) in
   for i = 0 to Vmcb.nr_fields - 1 do
-    Bytes.set_int64_be bytes (8 * i) (Array.unsafe_get t.snap_fields i);
+    Bytes.set_int64_be bytes (at + (8 * i)) (Array.unsafe_get t.snap_fields i);
     if save_area_mask land (1 lsl i) <> 0 && vis_f land (1 lsl i) = 0 then
       Vmcb.unsafe_set_i vmcb i 0L
   done;
   for i = 0 to Cpu.nr_regs - 1 do
-    Bytes.set_int64_be bytes (128 + (8 * i)) (Array.unsafe_get t.snap_regs i);
+    Bytes.set_int64_be bytes (at + 128 + (8 * i)) (Array.unsafe_get t.snap_regs i);
     if vis_r land (1 lsl i) = 0 then Cpu.unsafe_set_reg_i cpu i 0L
   done;
-  Bytes.set_int64_be bytes exit_off (Vmcb.exit_reason_to_int64 reason);
-  Bytes.set bytes flag_off '\001';
+  Bytes.set_int64_be bytes (at + exit_off) (Vmcb.exit_reason_to_int64 reason);
+  Bytes.set bytes (at + flag_off) '\001';
   t.has_capture <- true;
   t.reason <- reason;
   if Trace.enabled () then
@@ -134,7 +137,9 @@ let verify_and_restore t machine vmcb =
           Cpu.unsafe_set_reg_i cpu i (Array.unsafe_get t.snap_regs i)
       done;
       t.has_capture <- false;
-      Bytes.set (Hw.Physmem.page_for_write machine.Hw.Machine.mem t.frame) flag_off '\000';
+      Bytes.set
+        (Hw.Physmem.page_for_write machine.Hw.Machine.mem t.frame ~off:flag_off ~len:1)
+        (Hw.Physmem.base t.frame + flag_off) '\000';
       Ok ()
     end
   end

@@ -35,21 +35,28 @@ let index_of t pfn =
   done;
   !found
 
-(* Hash of one leaf — pfn header || page bytes — into [dst] at [dst_off].
-   Uncharged core; the charged paths book the cost. *)
-let digest_into t pfn data ~dst ~dst_off =
+(* Hash of one leaf — pfn header || page bytes, [len] of them at [off] in
+   [data] — into [dst] at [dst_off]. Uncharged core; the charged paths
+   book the cost. *)
+let digest_into t pfn data ~off ~len ~dst ~dst_off =
   t.page_hashes <- t.page_hashes + 1;
   Sha256.reset t.scratch;
   Sha256.feed_u64_be t.scratch (Int64.of_int pfn);
-  Sha256.feed t.scratch data;
+  Sha256.feed_sub t.scratch data ~off ~len;
   Sha256.finalize_into t.scratch ~dst ~dst_off
+
+(* The hash of leaf [pfn] over frame [pfn]'s live bytes. *)
+let digest_frame_into t pfn ~dst ~dst_off =
+  digest_into t pfn
+    (Physmem.view t.machine.Machine.mem pfn ~off:0 ~len:Addr.page_size)
+    ~off:(Physmem.base pfn) ~len:Addr.page_size ~dst ~dst_off
 
 (* Store leaf [idx] from its frame's current bytes, with the stamp they
    carry. *)
 let rehash_leaf t idx =
   let mem = t.machine.Machine.mem and pfn = t.frames.(idx) in
   t.leaf_stamps.(idx) <- Physmem.stamp mem pfn;
-  digest_into t pfn (Physmem.view mem pfn) ~dst:t.levels.(0).(idx) ~dst_off:0
+  digest_frame_into t pfn ~dst:t.levels.(0).(idx) ~dst_off:0
 
 (* How many changes frame [frames.(idx)] has taken since leaf [idx] was
    hashed from its bytes: 0 while the leaf is current. *)
@@ -120,7 +127,7 @@ let verify t pfn =
        the hash would reproduce that leaf. *)
     charge_leaf t;
     if leaf_current t idx then Bytes.blit t.levels.(0).(idx) 0 t.walk 0 32
-    else digest_into t pfn (Physmem.view t.machine.Machine.mem pfn) ~dst:t.walk ~dst_off:0;
+    else digest_frame_into t pfn ~dst:t.walk ~dst_off:0;
     let i = ref idx in
     for level = 0 to Array.length t.levels - 2 do
       let sib = sibling t.levels.(level) !i in
@@ -150,14 +157,14 @@ let verify t pfn =
    that frame still at its leaf's stamp, may skip the host hash: bytes
    from any other frame (an aliased decode) are always hashed, so they
    pass only if they hash to the requested frame's leaf. *)
-let check_fill t pfn ~src ~data ~stores =
+let check_fill t pfn ~src ~data ~off ~len ~stores =
   let idx = index_of t pfn in
   if idx < 0 then not_covered pfn
   else begin
     t.fetch_hashes <- t.fetch_hashes + 1;
     if src = pfn && stamps_past t idx <= stores then Ok ()
     else begin
-      digest_into t pfn data ~dst:t.walk ~dst_off:0;
+      digest_into t pfn data ~off ~len ~dst:t.walk ~dst_off:0;
       if Bytes.equal t.walk t.levels.(0).(idx) then Ok ()
       else
         Error
@@ -165,17 +172,21 @@ let check_fill t pfn ~src ~data ~stores =
     end
   end
 
-let verify_fetched t pfn ~data = check_fill t pfn ~src:(-1) ~data ~stores:0
+let verify_fetched t pfn ~data =
+  check_fill t pfn ~src:(-1) ~data ~off:0 ~len:(Bytes.length data) ~stores:0
 
-let verify_fill t pfn ~src =
-  check_fill t pfn ~src ~data:(Physmem.view t.machine.Machine.mem src) ~stores:0
+let check_frame_fill t pfn ~src ~stores =
+  check_fill t pfn ~src
+    ~data:(Physmem.view t.machine.Machine.mem src ~off:0 ~len:Addr.page_size)
+    ~off:(Physmem.base src) ~len:Addr.page_size ~stores
+
+let verify_fill t pfn ~src = check_frame_fill t pfn ~src ~stores:0
 
 (* A fill behind the CPU's own store, before the leaf catches up: the
    frame may be one change past its leaf, that store. Anything more (a
    flip on the fill, a tamper before the store) moves the stamp again and
    is hashed. *)
-let verify_store_fill t pfn ~src =
-  check_fill t pfn ~src ~data:(Physmem.view t.machine.Machine.mem src) ~stores:1
+let verify_store_fill t pfn ~src = check_frame_fill t pfn ~src ~stores:1
 
 let verify_all t =
   Array.fold_left

@@ -101,12 +101,15 @@ let read_into t sel pfn ~off ~len ~dst ~dst_off =
         (* DRAM traffic is block-granular even without encryption: an
            unaligned access touching two blocks costs two accesses. *)
         charge_blocks t ~encrypted:false (last - first + 1);
-        Bytes.blit (Physmem.view t.mem src_pfn) off dst dst_off len
+        Bytes.blit (Physmem.view t.mem src_pfn ~off ~len) (Physmem.base src_pfn + off)
+          dst dst_off len
     | Some key ->
         charge_blocks t ~encrypted:true (last - first + 1);
         let span = (last - first + 1) * Addr.block_size in
         let plain = t.scratch in
-        let page = Physmem.view t.mem src_pfn in
+        let at = first * Addr.block_size in
+        let page = Physmem.view t.mem src_pfn ~off:at ~len:span in
+        let at = Physmem.base src_pfn + at in
         (* Integrity engine, if armed: check the ciphertext actually
            fetched against the tree entry for the *requested* frame, so a
            misrouted or disturbed fill is refused before any data flows.
@@ -120,7 +123,7 @@ let read_into t sel pfn ~off ~len ~dst ~dst_off =
             | Ok () -> ()
             | Error e -> Denial.deny "memory integrity: %s" e));
         Modes.xex_decrypt_span key ~tweak0:(tweak_of pfn first) ~tweak_step
-          ~src:page ~src_off:(first * Addr.block_size) ~dst:plain ~dst_off:0 ~len:span;
+          ~src:page ~src_off:at ~dst:plain ~dst_off:0 ~len:span;
         Bytes.blit plain (off - (first * Addr.block_size)) dst dst_off len
   end
 
@@ -143,12 +146,14 @@ let write t sel pfn ~off data =
         charge_blocks t ~encrypted:true (last - first + 1);
         let span = (last - first + 1) * Addr.block_size in
         let plain = t.scratch in
-        let page = Physmem.page_for_write t.mem pfn in
+        let at = first * Addr.block_size in
+        let page = Physmem.page_for_write t.mem pfn ~off:at ~len:span in
+        let at = Physmem.base pfn + at in
         Modes.xex_decrypt_span key ~tweak0:(tweak_of pfn first) ~tweak_step
-          ~src:page ~src_off:(first * Addr.block_size) ~dst:plain ~dst_off:0 ~len:span;
+          ~src:page ~src_off:at ~dst:plain ~dst_off:0 ~len:span;
         Bytes.blit data 0 plain (off - (first * Addr.block_size)) len;
         Modes.xex_encrypt_span key ~tweak0:(tweak_of pfn first) ~tweak_step
-          ~src:plain ~src_off:0 ~dst:page ~dst_off:(first * Addr.block_size) ~len:span
+          ~src:plain ~src_off:0 ~dst:page ~dst_off:at ~len:span
   end
 
 let fw_charge t =
@@ -161,9 +166,9 @@ let fw_write_page t ~key pfn plain =
   if Bytes.length plain <> Addr.page_size then
     invalid_arg "Memctrl.fw_write_page: need a full page";
   fw_charge t;
-  let page = Physmem.page_for_write t.mem pfn in
+  let page = Physmem.page_for_write t.mem pfn ~off:0 ~len:Addr.page_size in
   Modes.xex_encrypt_span key ~tweak0:(tweak_of pfn 0) ~tweak_step
-    ~src:plain ~src_off:0 ~dst:page ~dst_off:0 ~len:Addr.page_size
+    ~src:plain ~src_off:0 ~dst:page ~dst_off:(Physmem.base pfn) ~len:Addr.page_size
 
 let fw_encrypt_page t ~key pfn =
   let plain = Physmem.read_raw t.mem pfn ~off:0 ~len:Addr.page_size in
@@ -173,9 +178,9 @@ let fw_decrypt_page_into t ~key pfn ~dst =
   if Bytes.length dst <> Addr.page_size then
     invalid_arg "Memctrl.fw_decrypt_page_into: need a full page";
   fw_charge t;
-  let page = Physmem.view t.mem pfn in
+  let page = Physmem.view t.mem pfn ~off:0 ~len:Addr.page_size in
   Modes.xex_decrypt_span key ~tweak0:(tweak_of pfn 0) ~tweak_step
-    ~src:page ~src_off:0 ~dst ~dst_off:0 ~len:Addr.page_size
+    ~src:page ~src_off:(Physmem.base pfn) ~dst ~dst_off:0 ~len:Addr.page_size
 
 let fw_decrypt_page t ~key pfn =
   let plain = Bytes.create Addr.page_size in

@@ -112,10 +112,12 @@ type t = {
   (* One-entry front for [lookup_packed]: consecutive walks overwhelmingly
      hit the same page-table-page, and the hashed group lookup is the
      single most expensive step of the packed walk. [cg] is the cached
-     group (-1 = empty), [cg_page] its backing page's read view (stores
-     take the stamping write path afresh each time). *)
+     group (-1 = empty), [cg_page] the read view holding its backing page
+     and [cg_base] where that page starts in it (stores take the stamping
+     write path afresh each time). *)
   mutable cg : int;
   mutable cg_page : bytes;
+  mutable cg_base : int;
   reverse : Rindex.t;
   (* [reverse] is an acceleration index maintained by [hw_set]; the
      authoritative state is always the serialized bytes in [mem]. *)
@@ -132,6 +134,7 @@ let create ~id ~mem ~alloc =
     vetted_by = 0;
     cg = -1;
     cg_page = Bytes.empty;
+    cg_base = 0;
     reverse = Rindex.create () }
 
 (* Entry encoding: bit 63 present, 62 writable, 61 executable, 60 c-bit,
@@ -229,15 +232,16 @@ let write_packed page off p =
 
 let lookup_packed t vfn =
   let g = group_of vfn in
-  if g = t.cg then read_packed t.cg_page (slot_of vfn * 8)
+  if g = t.cg then read_packed t.cg_page (t.cg_base + (slot_of vfn * 8))
   else
     match Hashtbl.find t.groups g with
     | exception Not_found -> packed_absent
     | pfn ->
-        let page = Physmem.view t.mem pfn in
+        let page = Physmem.view t.mem pfn ~off:0 ~len:Addr.page_size in
         t.cg <- g;
         t.cg_page <- page;
-        read_packed page (slot_of vfn * 8)
+        t.cg_base <- Physmem.base pfn;
+        read_packed page (t.cg_base + (slot_of vfn * 8))
 
 let lookup t vfn =
   let p = lookup_packed t vfn in
@@ -250,8 +254,9 @@ let lookup t vfn =
         c_bit = packed_c_bit p }
 
 let hw_set_packed t vfn p =
-  let pt_page = Physmem.page_for_write t.mem (ensure_group t (group_of vfn)) in
-  let off = slot_of vfn * 8 in
+  let pfn = ensure_group t (group_of vfn) and off = slot_of vfn * 8 in
+  let pt_page = Physmem.page_for_write t.mem pfn ~off ~len:8 in
+  let off = Physmem.base pfn + off in
   let old = read_packed pt_page off in
   if old <> packed_absent then Rindex.remove t.reverse (packed_frame old) vfn;
   write_packed pt_page off p;
@@ -268,11 +273,12 @@ let hw_set t vfn proto =
 let mapped_frames t =
   Hashtbl.fold
     (fun g pfn acc ->
-      let page = Physmem.view t.mem pfn in
+      let page = Physmem.view t.mem pfn ~off:0 ~len:Addr.page_size in
+      let at = Physmem.base pfn in
       let base = g * entries_per_page in
       let group_entries = ref [] in
       for slot = 0 to entries_per_page - 1 do
-        match decode (Bytes.get_int64_be page (slot * 8)) with
+        match decode (Bytes.get_int64_be page (at + (slot * 8))) with
         | Some p -> group_entries := (base + slot, p) :: !group_entries
         | None -> ()
       done;

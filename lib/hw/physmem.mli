@@ -10,21 +10,27 @@
 type t
 
 val create : nr_frames:int -> t
-(** Fresh zeroed memory of [nr_frames] pages. *)
+(** Fresh memory of [nr_frames] pages, every one reading as zeros. The
+    backing is one [nr_frames * page_size] block that [create] allocates
+    but touches no page of: each frame starts blank, and the first
+    accessor below that reads it or hands it out zeroes that frame alone.
+    Zeroing a blank frame changes no byte a reader can see, so it moves
+    no {!stamp}. *)
 
 val nr_frames : t -> int
 
 val reset : t -> unit
-(** Zero the backing in place, making it byte-identical to a fresh
+(** Make every frame read as zeros again, indistinguishable from a fresh
     [create ~nr_frames] result. The arena-reuse primitive behind
     [Machine.create ?mem]: a fleet worker resets one backing per job
     instead of allocating (and garbage-collecting) 32 MiB of pages per
     simulated machine. Only a frame whose {!stamp} has ever moved can hold
-    a nonzero byte, so the reset zeroes those frames (moving their stamps
-    again) and costs what earlier machines on this backing touched. Not
-    thread-safe against concurrent users of the same [t] — the caller
-    owns the backing exclusively across the reset (the per-worker arena
-    discipline guarantees this). *)
+    a nonzero byte, so the reset marks those frames blank (moving their
+    stamps again) and writes no frame byte; each is zeroed when next
+    touched, like a fresh frame. The bytes of a {!view} taken before the
+    reset are stale after it. Not thread-safe against concurrent users of
+    the same [t] — the caller owns the backing exclusively across the
+    reset (the per-worker arena discipline guarantees this). *)
 
 val stamp : t -> Addr.pfn -> int
 (** The frame's write stamp. It moves on every path that can change the
@@ -32,7 +38,8 @@ val stamp : t -> Addr.pfn -> int
     {!scrub}, and {!reset} of a written frame — and on no other, and it
     never moves back. So a frame that shows the same stamp twice holds
     the same bytes at both times: the on-die integrity engine ({!Bmt})
-    keys its stored leaf digests on it. *)
+    keys its stored leaf digests on it. Reads no frame byte, as
+    {!nr_frames} does not. *)
 
 val read_raw : t -> Addr.pfn -> off:int -> len:int -> bytes
 (** Physical-channel read (no decryption). Raises [Invalid_argument] when the
@@ -49,21 +56,31 @@ val write_raw : t -> Addr.pfn -> off:int -> bytes -> unit
 val scrub : t -> Addr.pfn -> unit
 (** Zero one frame in place (the allocator's scrub-on-free). *)
 
-val view : t -> Addr.pfn -> bytes
-(** The backing store of one page, shared, {e for reading only}: the
-    bytes change under the holder as the frame is written, and writing
-    through them would change the frame without moving its {!stamp}.
-    Reserved for the memory controller, the page-table walkers and the
-    on-die integrity engine ({!Bmt} hashes frames without a cold-boot
-    copy); everything else goes through the raw/MMU paths. *)
+val base : Addr.pfn -> int
+(** Where frame [pfn]'s first byte sits in the block {!view} and
+    {!page_for_write} return: byte [off] of the frame is byte
+    [base pfn + off] of the block. *)
 
-val page_for_write : t -> Addr.pfn -> bytes
-(** The same shared bytes for an in-place store: moves the frame's
-    {!stamp}, then hands them out. The caller writes through them before
-    it returns and keeps no reference afterwards — a write made later
-    would land after the stamp moved and go unseen. Reserved for the
-    in-place writers of the memory controller, page tables, the PIT and
-    the VMCB shadow. *)
+val view : t -> Addr.pfn -> off:int -> len:int -> bytes
+(** The whole backing block, shared, {e for reading only} the range
+    [off, off + len) of frame [pfn], at [base pfn + off]. The range is
+    checked as {!read_raw} checks it, so a caller that would run off its
+    page raises [Invalid_argument] instead of reading a neighbouring
+    frame; a blank frame is zeroed first. The bytes change under the
+    holder as the frame is written, and writing through them would change
+    the frame without moving its {!stamp}. Reserved for the memory
+    controller, the page-table walkers and the on-die integrity engine
+    ({!Bmt} hashes frames without a cold-boot copy); everything else goes
+    through the raw/MMU paths. *)
+
+val page_for_write : t -> Addr.pfn -> off:int -> len:int -> bytes
+(** The same block for an in-place store to the range [off, off + len)
+    of frame [pfn], checked as {!view} checks it: moves the frame's
+    {!stamp}, then hands the block out. The caller writes only inside
+    that range, before it returns, and keeps no reference afterwards — a
+    write made later would land after the stamp moved and go unseen.
+    Reserved for the in-place writers of the memory controller, page
+    tables, the PIT and the VMCB shadow. *)
 
 val flip_bit : t -> Addr.pfn -> off:int -> bit:int -> unit
 (** Rowhammer-style disturbance: flip one bit in place. *)

@@ -151,6 +151,26 @@ let dirty_op_gen nr_frames =
       | _ -> Pte (off, pfn))
     (int_bound 6) pfn off
 
+(* Apply one dirtying op; [stale] collects each (frame, offset) stored to
+   through [page_for_write]. *)
+let dirty (m : Machine.t) table stale op =
+  let data = Bytes.of_string "dirty" in
+  match op with
+  | Write_raw (pfn, off) -> Physmem.write_raw m.Machine.mem pfn ~off data
+  | Page_write (pfn, off) ->
+      Bytes.set
+        (Physmem.page_for_write m.Machine.mem pfn ~off ~len:1)
+        (Physmem.base pfn + off) 'p';
+      stale := (pfn, off) :: !stale
+  | Flip (pfn, off) -> Physmem.flip_bit m.Machine.mem pfn ~off ~bit:(off mod 8)
+  | Ctrl_plain (pfn, off) -> Memctrl.write m.Machine.ctrl Memctrl.Plain pfn ~off data
+  | Ctrl_enc (pfn, off) -> Memctrl.write m.Machine.ctrl Memctrl.Smek pfn ~off data
+  | Dma (pfn, off) -> ignore (Machine.dma_write m pfn ~off data)
+  | Pte (vfn, frame) ->
+      if Machine.frames_free m > 0 then
+        Pagetable.hw_set table vfn
+          (Some { Pagetable.frame; writable = true; executable = false; c_bit = false })
+
 let test_arena_reset_zeroes =
   let nr_frames = 64 in
   let ops = QCheck.Gen.(list_size (int_range 1 40) (dirty_op_gen nr_frames)) in
@@ -163,34 +183,64 @@ let test_arena_reset_zeroes =
           (fun pfn -> Bytes.equal zeros (Physmem.dump m.Machine.mem pfn))
           (List.init nr_frames Fun.id)
       in
-      let run (m : Machine.t) table stale op =
-        let data = Bytes.of_string "dirty" in
-        match op with
-        | Write_raw (pfn, off) -> Physmem.write_raw m.Machine.mem pfn ~off data
-        | Page_write (pfn, off) ->
-            Bytes.set (Physmem.page_for_write m.Machine.mem pfn) off 'p';
-            stale := (pfn, off) :: !stale
-        | Flip (pfn, off) -> Physmem.flip_bit m.Machine.mem pfn ~off ~bit:(off mod 8)
-        | Ctrl_plain (pfn, off) -> Memctrl.write m.Machine.ctrl Memctrl.Plain pfn ~off data
-        | Ctrl_enc (pfn, off) -> Memctrl.write m.Machine.ctrl Memctrl.Smek pfn ~off data
-        | Dma (pfn, off) -> ignore (Machine.dma_write m pfn ~off data)
-        | Pte (vfn, frame) ->
-            if Machine.frames_free m > 0 then
-              Pagetable.hw_set table vfn
-                (Some { Pagetable.frame; writable = true; executable = false; c_bit = false })
-      in
       let mem = Physmem.create ~nr_frames in
       let m1 = Machine.create ~nr_frames ~mem ~seed:5L () in
       let stale = ref [] in
-      List.iter (run m1 (Machine.new_table m1) stale) round1;
+      List.iter (dirty m1 (Machine.new_table m1) stale) round1;
       let m2 = Machine.create ~nr_frames ~mem ~seed:5L () in
       let clean1 = all_zero m2 in
       List.iter
-        (fun (pfn, off) -> Bytes.set (Physmem.page_for_write m2.Machine.mem pfn) off 's')
+        (fun (pfn, off) ->
+          Bytes.set
+            (Physmem.page_for_write m2.Machine.mem pfn ~off ~len:1)
+            (Physmem.base pfn + off) 's')
         !stale;
-      List.iter (run m2 (Machine.new_table m2) (ref [])) round2;
+      List.iter (dirty m2 (Machine.new_table m2) (ref [])) round2;
       let m3 = Machine.create ~nr_frames ~mem ~seed:5L () in
       clean1 && all_zero m3)
+
+(* A reset marks the dirtied frames blank and leaves their stale bytes in
+   the backing until each frame's first touch. So every frame is first
+   touched by one of the read paths, in rotation, and must read as zeros;
+   or first by a flip, which must land on the zeroed frame and read back as
+   exactly that one set bit. *)
+let test_reset_reads_zero =
+  let nr_frames = 32 and ps = Addr.page_size in
+  let ops = QCheck.Gen.(list_size (int_range 0 40) (dirty_op_gen nr_frames)) in
+  QCheck.Test.make ~name:"after a reset every read path sees zeros and a flip one bit"
+    ~count:60
+    (QCheck.make (QCheck.Gen.pair ops (QCheck.Gen.int_bound 6)))
+    (fun (ops, shift) ->
+      let mem = Physmem.create ~nr_frames in
+      let m1 = Machine.create ~nr_frames ~mem ~seed:5L () in
+      for pfn = 1 to nr_frames - 1 do
+        Physmem.write_raw mem pfn ~off:(pfn * 97 mod (ps - 8)) (Bytes.of_string "stale!!!")
+      done;
+      List.iter (dirty m1 (Machine.new_table m1) (ref [])) ops;
+      let m = Machine.create ~nr_frames ~mem ~seed:5L () in
+      let dst = Bytes.create ps in
+      let read k pfn =
+        match k with
+        | 0 -> Physmem.read_raw mem pfn ~off:0 ~len:ps
+        | 1 -> Physmem.read_raw_into mem pfn ~off:0 ~len:ps ~dst ~dst_off:0; Bytes.copy dst
+        | 2 -> Physmem.dump mem pfn
+        | 3 -> Bytes.sub (Physmem.view mem pfn ~off:0 ~len:ps) (Physmem.base pfn) ps
+        | 4 ->
+            Memctrl.read_into m.Machine.ctrl Memctrl.Plain pfn ~off:0 ~len:ps ~dst ~dst_off:0;
+            Bytes.copy dst
+        | _ -> Result.get_ok (Machine.dma_read m pfn ~off:0 ~len:ps)
+      in
+      List.for_all
+        (fun pfn ->
+          let k = (pfn + shift) mod 7 and expect = Bytes.make ps '\000' in
+          if k < 6 then Bytes.equal expect (read k pfn)
+          else begin
+            let off = pfn * 31 mod ps and bit = pfn mod 8 in
+            Physmem.flip_bit mem pfn ~off ~bit;
+            Bytes.set expect off (Char.chr (1 lsl bit));
+            Bytes.equal expect (read (pfn mod 6) pfn)
+          end)
+        (List.init nr_frames Fun.id))
 
 (* The write stamp the integrity engine keys its stored leaves on: each
    path that can change a frame's bytes moves that frame's stamp and no
@@ -261,7 +311,9 @@ let test_stamps_track_writes =
             | 12 -> ignore (Physmem.read_raw mem pfn ~off ~len:16); exactly []
             | 13 -> Physmem.read_raw_into mem pfn ~off ~len:16 ~dst ~dst_off:0; exactly []
             | 14 -> ignore (Physmem.dump mem pfn); exactly []
-            | 15 -> ignore (Bytes.get (Physmem.view mem pfn) off); exactly []
+            | 15 ->
+                ignore (Bytes.get (Physmem.view mem pfn ~off ~len:1) (Physmem.base pfn + off));
+                exactly []
             | 16 -> Memctrl.read_into ctrl Memctrl.Plain pfn ~off ~len:16 ~dst ~dst_off:0; exactly []
             | 17 -> Memctrl.read_into ctrl Memctrl.Smek pfn ~off ~len:16 ~dst ~dst_off:0; exactly []
             | 18 ->
@@ -283,6 +335,39 @@ let test_stamps_track_writes =
         ops)
 
 (* --- Memctrl ----------------------------------------------------------------- *)
+
+(* Every frame lives in one block, so only the range check keeps an access
+   that runs off its page out of the neighbouring frames. *)
+let test_memctrl_range_guard () =
+  let mem = Physmem.create ~nr_frames:16 in
+  let ctrl = Memctrl.create mem (Cost.ledger ()) (Rng.create 3L) in
+  let pfn = 5 and ps = Addr.page_size in
+  List.iter
+    (fun f -> Physmem.write_raw mem f ~off:0 (Bytes.make ps (Char.chr (0x40 + f))))
+    [ pfn - 1; pfn; pfn + 1 ];
+  let neighbours () =
+    List.map (fun f -> (Physmem.dump mem f, Physmem.stamp mem f)) [ pfn - 1; pfn + 1 ]
+  in
+  let before = neighbours () in
+  let dst = Bytes.create 32 in
+  List.iter
+    (fun (name, sel) ->
+      List.iter
+        (fun off ->
+          let raises what f =
+            match f () with
+            | () -> Alcotest.failf "%s %s at %d+16 returned" name what off
+            | exception Invalid_argument _ -> ()
+          in
+          raises "read" (fun () -> Memctrl.read_into ctrl sel pfn ~off ~len:16 ~dst ~dst_off:0);
+          raises "write" (fun () -> Memctrl.write ctrl sel pfn ~off (Bytes.make 16 'x')))
+        [ ps - 6; -16 ])
+    [ ("plain", Memctrl.Plain); ("encrypted", Memctrl.Smek) ];
+  List.iter2
+    (fun (bytes, stamp) (bytes', stamp') ->
+      Alcotest.(check bool) "neighbour's bytes kept" true (Bytes.equal bytes bytes');
+      Alcotest.(check int) "neighbour's stamp kept" stamp stamp')
+    before (neighbours ())
 
 let ctrl_env () =
   let mem = Physmem.create ~nr_frames:16 in
@@ -1031,6 +1116,7 @@ let () =
           Alcotest.test_case "dump is a copy" `Quick test_physmem_dump_is_copy;
           prop test_physmem_range_bounds;
           prop test_arena_reset_zeroes;
+          prop test_reset_reads_zero;
           prop test_stamps_track_writes ] );
       ( "memctrl",
         [ Alcotest.test_case "plain" `Quick test_memctrl_plain;
@@ -1038,6 +1124,7 @@ let () =
           Alcotest.test_case "wrong key garbage" `Quick test_memctrl_wrong_key_garbage;
           Alcotest.test_case "uninstall" `Quick test_memctrl_uninstall;
           prop test_memctrl_partial_rmw;
+          Alcotest.test_case "an access off its page raises" `Quick test_memctrl_range_guard;
           Alcotest.test_case "fw/slot agreement" `Quick test_memctrl_fw_matches_slot;
           Alcotest.test_case "cost charging" `Quick test_memctrl_charges;
           Alcotest.test_case "golden page digests" `Quick test_memctrl_golden ] );

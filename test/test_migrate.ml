@@ -609,7 +609,9 @@ let apply frames m =
           b
       | Update_bound (f, field, v) when f = i && Bytes.length b >= 15 ->
           let b = Bytes.copy b in
-          let fields = update_bound_fields b in
+          (* A cut frame no longer decodes, and its record count may lie
+             past its end. *)
+          let fields = List.filter (fun off -> off + 4 <= Bytes.length b) (update_bound_fields b) in
           Bytes.set_int32_be b (List.nth fields (field mod List.length fields)) v;
           b
       | Update_gfn (r, gfn) when i = 1 -> (
