@@ -58,12 +58,14 @@ let boot_write ctx (dom : Xen.Domain.t) ~gfn ~off data =
 (* A partially received protected domain: RECEIVE_START has run, pages may
    stream in incrementally (live migration delivers them round by round),
    and nothing has been measured or activated yet. Any failure rolls the
-   partial domain back and poisons the session. *)
+   partial domain back and poisons the session. [stage] is the one page
+   every record is staged through on its way into the boot window. *)
 type session = {
   ctx : Ctx.t;
   dom : Xen.Domain.t;
   handle : Sev.Firmware.handle;
   memory_pages : int;
+  stage : bytes;
   mutable closed : bool;
 }
 
@@ -138,34 +140,37 @@ let receive_begin ctx ~name ~memory_pages ~wrapped_keys ~origin_public ~nonce ~p
     | Error e ->
         teardown ctx dom;
         Error (Rejected ("boot: " ^ e))
-    | Ok handle -> Ok { ctx; dom; handle; memory_pages; closed = false }
+    | Ok handle ->
+        Ok { ctx; dom; handle; memory_pages; stage = Bytes.create Hw.Addr.page_size; closed = false }
   end
 
-let receive_pages s pages =
+(* 2./3. The one page load: the page's transport ciphertext, at [src_off]
+   of [src], is staged into the session's page, written through the boot
+   window and re-encrypted in place by RECEIVE_UPDATE. *)
+let receive_page s ~index ~gfn ~src ~src_off =
   if s.closed then Error (Failed "boot: receive session already closed")
   else begin
-    let ctx = s.ctx in
-    let hv = ctx.Ctx.hv in
-    (* 2./3. Load each transport page through the boot window, then
-       re-encrypt it in place. A relayed page that is not exactly one page
-       is refused before anything is mapped. *)
-    let load_all =
-      List.fold_left
-        (fun acc (index, gfn, cipher) ->
-          let* () = acc in
-          let* () =
-            if Bytes.length cipher = Hw.Addr.page_size then Ok ()
-            else Error (Printf.sprintf "image page %d is not one page" index)
-          in
-          let* pfn = boot_write ctx s.dom ~gfn ~off:0 cipher in
-          Sev.Firmware.receive_update_in_place hv.Xen.Hypervisor.fw ~handle:s.handle ~index
-            ~pfn)
-        (Ok ()) pages
-    in
-    match load_all with
+    Bytes.blit src src_off s.stage 0 Hw.Addr.page_size;
+    match
+      let* pfn = boot_write s.ctx s.dom ~gfn ~off:0 s.stage in
+      Sev.Firmware.receive_update_in_place s.ctx.Ctx.hv.Xen.Hypervisor.fw ~handle:s.handle ~index
+        ~pfn
+    with
     | Error e -> rollback_session s (Failed ("boot: " ^ e))
     | Ok () -> Ok ()
   end
+
+(* A page that is not exactly one page is refused before it is mapped. *)
+let receive_pages s pages =
+  if s.closed then Error (Failed "boot: receive session already closed")
+  else
+    List.fold_left
+      (fun acc (index, gfn, cipher) ->
+        let* () = acc in
+        if Bytes.length cipher <> Hw.Addr.page_size then
+          rollback_session s (Failed (Printf.sprintf "boot: image page %d is not one page" index))
+        else receive_page s ~index ~gfn ~src:cipher ~src_off:0)
+      (Ok ()) pages
 
 let receive_complete s ~expected =
   if s.closed then Error (Failed "boot: receive session already closed")

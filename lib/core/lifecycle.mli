@@ -74,17 +74,28 @@ val receive_begin :
     verification verdict). A [memory_pages] that does not fit the host's
     free frames is refused as [Failed] before anything is allocated. *)
 
+val receive_page :
+  session -> index:int -> gfn:Hw.Addr.gfn -> src:bytes -> src_off:int ->
+  (unit, boot_error) result
+(** Load one page whose transport ciphertext is the page at [src_off] of
+    [src] — a record of the UPDATE frame it arrived in, read in place.
+    The page is staged through the session's one page buffer, written
+    through the boot window (the one boot-window write
+    {!write_start_info} uses too) and re-encrypted in place by
+    RECEIVE_UPDATE under the transport index, which decrypts it straight
+    from the loaded frame. The index both keys the transport CTR stream
+    and is folded into the running measurement, so a page replayed at
+    the wrong index or placed at the wrong gfn changes the measurement
+    verified later. Mechanical failures (an unpopulated gfn, a mediation
+    refusal) are [Failed]. Raises [Invalid_argument] when the page leaves
+    [src]. *)
+
 val receive_pages :
   session -> (int * Hw.Addr.gfn * bytes) list -> (unit, boot_error) result
-(** Load one round of [(transport_index, gfn, ciphertext)] triples: each
-    page is written through the boot window (the one boot-window write
-    {!write_start_info} uses too) and re-encrypted in place by
-    RECEIVE_UPDATE under the transport index. The index both keys the
-    transport CTR stream and is folded into the running measurement, so a
-    page replayed at the wrong index or placed at the wrong gfn changes
-    the measurement verified later. Mechanical failures (a relayed page
-    that is not exactly one page, refused before anything is mapped; an
-    unpopulated gfn; a mediation refusal) are [Failed]. *)
+(** {!receive_page} for each of one round of
+    [(transport_index, gfn, ciphertext)] triples, in order. A ciphertext
+    that is not exactly one page is refused as [Failed] before it is
+    mapped. *)
 
 val receive_complete : session -> expected:bytes -> (Xen.Domain.t, boot_error) result
 (** RECEIVE_FINISH against the sender's keyed measurement [expected]

@@ -103,6 +103,28 @@ module Wire = struct
     Buffer.add_uint16_be buf (Bytes.length s);
     Buffer.add_bytes buf s
 
+  (* The one UPDATE writer. The frame is sized up front from its records;
+     round, count and each record's index and length go straight into it,
+     and [put r b off] writes record [r]'s [len r] bytes at [off]: [encode]
+     blits a ciphertext there, the live sender has SEND_UPDATE encrypt
+     into it. The first [Error] from [put] abandons the frame. *)
+  let write_update ~round ~index ~len ~put records =
+    let plen = List.fold_left (fun n r -> n + 8 + len r) 8 records in
+    let b = new_frame ~tag:tag_update plen in
+    Bytes.set_int32_be b header_len (Int32.of_int round);
+    Bytes.set_int32_be b (header_len + 4) (Int32.of_int (List.length records));
+    let rec records_from pos = function
+      | [] -> Ok b
+      | r :: rest -> (
+          let n = len r in
+          Bytes.set_int32_be b pos (Int32.of_int (index r));
+          Bytes.set_int32_be b (pos + 4) (Int32.of_int n);
+          match put r b (pos + 8) with
+          | Ok () -> records_from (pos + 8 + n) rest
+          | Error _ as e -> e)
+    in
+    records_from (header_len + 8) records
+
   let encode = function
     | Start { name; memory_pages; policy; nonce; wrapped_keys; origin_public } ->
         let buf = Buffer.create 96 in
@@ -115,24 +137,11 @@ module Wire = struct
         put_blob buf (Dh.public_to_bytes origin_public);
         frame_bytes ~tag:tag_start (Buffer.to_bytes buf)
     | Update { round; pages } ->
-        (* The bulk frame: sized up front so each ciphertext is copied
-           once, straight into its record. *)
-        let plen =
-          List.fold_left (fun n (_, cipher) -> n + 8 + Bytes.length cipher) 8 pages
-        in
-        let b = new_frame ~tag:tag_update plen in
-        Bytes.set_int32_be b header_len (Int32.of_int round);
-        Bytes.set_int32_be b (header_len + 4) (Int32.of_int (List.length pages));
-        let pos = ref (header_len + 8) in
-        List.iter
-          (fun (index, cipher) ->
-            let len = Bytes.length cipher in
-            Bytes.set_int32_be b !pos (Int32.of_int index);
-            Bytes.set_int32_be b (!pos + 4) (Int32.of_int len);
-            Bytes.blit cipher 0 b (!pos + 8) len;
-            pos := !pos + 8 + len)
-          pages;
-        b
+        Result.get_ok
+          (write_update ~round ~index:fst
+             ~len:(fun (_, cipher) -> Bytes.length cipher)
+             ~put:(fun (_, cipher) b off -> Ok (Bytes.blit cipher 0 b off (Bytes.length cipher)))
+             pages)
     | Finish { measurement; gpt_entries } ->
         let buf = Buffer.create 256 in
         put_blob buf measurement;
@@ -162,7 +171,11 @@ module Wire = struct
 
   exception Short
 
-  let decode b =
+  let overrun = Malformed "payload overruns its declared length"
+
+  (* The header, checked before any payload byte is read: the frame's tag
+     and payload length, or the framing error. *)
+  let header b =
     if Bytes.length b < header_len then Error (Malformed "frame shorter than header")
     else if Bytes.sub_string b 0 4 <> magic then Error (Malformed "bad magic")
     else
@@ -170,113 +183,150 @@ module Wire = struct
       if got_version <> version then
         Error (Unknown_version { got = got_version; expected = version })
       else begin
-        let tag = Bytes.get_uint8 b 6 in
         let plen = Int32.to_int (Bytes.get_int32_be b 7) in
         let avail = Bytes.length b - header_len in
         if plen < 0 then Error (Malformed "negative payload length")
         else if avail < plen then Error (Truncated { expected = plen; got = avail })
-        else begin
-          let p = Bytes.sub b header_len plen in
-          let pos = ref 0 in
-          let need n = if n < 0 || !pos + n > plen then raise Short in
-          let u8 () =
-            need 1;
-            let v = Bytes.get_uint8 p !pos in
-            pos := !pos + 1;
-            v
-          in
-          let u16 () =
-            need 2;
-            let v = Bytes.get_uint16_be p !pos in
-            pos := !pos + 2;
-            v
-          in
-          let u32 () =
-            need 4;
-            let v = Int32.to_int (Bytes.get_int32_be p !pos) in
-            pos := !pos + 4;
-            v
-          in
-          let i64 () =
-            need 8;
-            let v = Bytes.get_int64_be p !pos in
-            pos := !pos + 8;
-            v
-          in
-          let raw n =
-            need n;
-            let v = Bytes.sub p !pos n in
-            pos := !pos + n;
-            v
-          in
-          let blob () = raw (u16 ()) in
-          let rec records n f acc =
-            if n = 0 then List.rev acc else records (n - 1) f (f () :: acc)
-          in
-          try
-            if tag = tag_start then begin
-              let name = Bytes.to_string (blob ()) in
-              let memory_pages = u32 () in
-              let policy = u32 () in
-              let nonce = i64 () in
-              let wrapped = blob () in
-              let pub = blob () in
-              match Keywrap.of_bytes wrapped with
-              | None -> Error (Malformed "START: undecodable key wrap")
-              | Some wrapped_keys ->
-                  Ok
-                    (Start
-                       { name;
-                         memory_pages;
-                         policy;
-                         nonce;
-                         wrapped_keys;
-                         origin_public = Dh.public_of_bytes pub })
-            end
-            else if tag = tag_update then begin
-              let round = u32 () in
-              let count = u32 () in
-              if count < 0 || count > plen then Error (Malformed "UPDATE: absurd page count")
-              else
-                let pages =
-                  records count
-                    (fun () ->
-                      let index = u32 () in
-                      let len = u32 () in
-                      (index, raw len))
-                    []
-                in
-                Ok (Update { round; pages })
-            end
-            else if tag = tag_finish then begin
-              let measurement = blob () in
-              let count = u32 () in
-              if count < 0 || count > plen then Error (Malformed "FINISH: absurd entry count")
-              else
-                let gpt_entries =
-                  records count
-                    (fun () ->
-                      let gvfn = u32 () in
-                      let frame = u32 () in
-                      let flags = u8 () in
-                      ( gvfn,
-                        { Hw.Pagetable.frame;
-                          writable = flags land 1 <> 0;
-                          executable = flags land 2 <> 0;
-                          c_bit = flags land 4 <> 0 } ))
-                    []
-                in
-                Ok (Finish { measurement; gpt_entries })
-            end
-            else if tag = tag_attest_req then Ok (Attest_req { nonce = i64 () })
-            else if tag = tag_attest_resp then Ok (Attest_resp { quote = blob () })
-            else if tag = tag_secret then Ok (Secret { wrapped = blob () })
-            else Error (Malformed (Printf.sprintf "unknown frame tag %d" tag))
-          with
-          | Short -> Error (Malformed "payload overruns its declared length")
-          | Invalid_argument _ -> Error (Malformed "undecodable field")
-        end
+        else Ok (Bytes.get_uint8 b 6, plen)
       end
+
+  (* The one walk of an UPDATE frame [b] whose payload is [plen] bytes,
+     reading every field in place. Each record's framing is checked before
+     the walk returns, so the frame is either refused whole, with the
+     verdict [decode] gives, or yields its round, [f] folded over its
+     records from [init] in order (each record's index and the offset and
+     length of its bytes in [b]), and the first record that is not one
+     page or whose index names a gfn at or past [memory_pages], as its
+     [(index, length)]. *)
+  let walk_update ~memory_pages b ~plen ~init f =
+    let limit = header_len + plen in
+    if plen < 8 then Error overrun
+    else
+      let round = Int32.to_int (Bytes.get_int32_be b header_len) in
+      let count = Int32.to_int (Bytes.get_int32_be b (header_len + 4)) in
+      if count < 0 || count > plen then Error (Malformed "UPDATE: absurd page count")
+      else
+        let rec records i pos acc refusal =
+          if i = count then Ok (round, acc, refusal)
+          else if pos > limit - 8 then Error overrun
+          else
+            let index = Int32.to_int (Bytes.get_int32_be b pos) in
+            let len = Int32.to_int (Bytes.get_int32_be b (pos + 4)) in
+            if len < 0 || len > limit - pos - 8 then Error overrun
+            else
+              let refusal =
+                match refusal with
+                | None when len <> Hw.Addr.page_size || gfn_of_index index >= memory_pages ->
+                    Some (index, len)
+                | _ -> refusal
+              in
+              records (i + 1) (pos + 8 + len) (f acc index (pos + 8) len) refusal
+        in
+        records 0 (header_len + 8) init None
+
+  let refusal_message ~memory_pages (index, len) =
+    if len <> Hw.Addr.page_size then
+      Printf.sprintf "page at index 0x%x is %d bytes, want %d" index len Hw.Addr.page_size
+    else
+      Printf.sprintf "page at index 0x%x names gfn 0x%x, past the guest's %d pages" index
+        (gfn_of_index index) memory_pages
+
+  (* Every frame but UPDATE, read in place from its payload. *)
+  let decode_payload b ~tag ~plen =
+    let limit = header_len + plen in
+    let pos = ref header_len in
+    let need n = if n < 0 || !pos + n > limit then raise Short in
+    let u8 () =
+      need 1;
+      let v = Bytes.get_uint8 b !pos in
+      pos := !pos + 1;
+      v
+    in
+    let u16 () =
+      need 2;
+      let v = Bytes.get_uint16_be b !pos in
+      pos := !pos + 2;
+      v
+    in
+    let u32 () =
+      need 4;
+      let v = Int32.to_int (Bytes.get_int32_be b !pos) in
+      pos := !pos + 4;
+      v
+    in
+    let i64 () =
+      need 8;
+      let v = Bytes.get_int64_be b !pos in
+      pos := !pos + 8;
+      v
+    in
+    let raw n =
+      need n;
+      let v = Bytes.sub b !pos n in
+      pos := !pos + n;
+      v
+    in
+    let blob () = raw (u16 ()) in
+    let rec records n f acc =
+      if n = 0 then List.rev acc else records (n - 1) f (f () :: acc)
+    in
+    try
+      if tag = tag_start then begin
+        let name = Bytes.to_string (blob ()) in
+        let memory_pages = u32 () in
+        let policy = u32 () in
+        let nonce = i64 () in
+        let wrapped = blob () in
+        let pub = blob () in
+        match Keywrap.of_bytes wrapped with
+        | None -> Error (Malformed "START: undecodable key wrap")
+        | Some wrapped_keys ->
+            Ok
+              (Start
+                 { name;
+                   memory_pages;
+                   policy;
+                   nonce;
+                   wrapped_keys;
+                   origin_public = Dh.public_of_bytes pub })
+      end
+      else if tag = tag_finish then begin
+        let measurement = blob () in
+        let count = u32 () in
+        if count < 0 || count > plen then Error (Malformed "FINISH: absurd entry count")
+        else
+          let gpt_entries =
+            records count
+              (fun () ->
+                let gvfn = u32 () in
+                let frame = u32 () in
+                let flags = u8 () in
+                ( gvfn,
+                  { Hw.Pagetable.frame;
+                    writable = flags land 1 <> 0;
+                    executable = flags land 2 <> 0;
+                    c_bit = flags land 4 <> 0 } ))
+              []
+          in
+          Ok (Finish { measurement; gpt_entries })
+      end
+      else if tag = tag_attest_req then Ok (Attest_req { nonce = i64 () })
+      else if tag = tag_attest_resp then Ok (Attest_resp { quote = blob () })
+      else if tag = tag_secret then Ok (Secret { wrapped = blob () })
+      else Error (Malformed (Printf.sprintf "unknown frame tag %d" tag))
+    with
+    | Short -> Error overrun
+    | Invalid_argument _ -> Error (Malformed "undecodable field")
+
+  let decode b =
+    match header b with
+    | Error _ as e -> e
+    | Ok (tag, plen) when tag = tag_update -> (
+        let copy pages index off len = (index, Bytes.sub b off len) :: pages in
+        match walk_update ~memory_pages:max_int b ~plen ~init:[] copy with
+        | Error _ as e -> e
+        | Ok (round, pages, _) -> Ok (Update { round; pages = List.rev pages }))
+    | Ok (tag, plen) -> decode_payload b ~tag ~plen
 
   let is_update b = Bytes.length b >= header_len && Bytes.get_uint8 b 6 = tag_update
 
@@ -416,29 +466,58 @@ let inject_secret ctx dom key =
         ~addr:(Hw.Addr.addr_of 0 Sev.Transport.Owner.kblk_offset)
         key)
 
-(* Every record of an UPDATE round is checked before its first page is
-   loaded: the first that is not a page, or that names a gfn the guest
-   does not have, refuses the round before any RECEIVE_UPDATE is
-   issued. *)
-let rec update_refusal ~memory_pages = function
-  | [] -> None
-  | (index, c) :: rest ->
-      if Bytes.length c <> Hw.Addr.page_size then
-        Some
-          (Printf.sprintf "page at index 0x%x is %d bytes, want %d" index (Bytes.length c)
-             Hw.Addr.page_size)
-      else if gfn_of_index index >= memory_pages then
-        Some
-          (Printf.sprintf "page at index 0x%x names gfn 0x%x, past the guest's %d pages" index
-             (gfn_of_index index) memory_pages)
-      else update_refusal ~memory_pages rest
+(* An UPDATE frame is walked in place before anything acts on it. Framing
+   damage refuses it first, then the receive state and the round, then
+   the first record that is not one page or names a gfn the guest does
+   not have, so a refused round issues no RECEIVE_UPDATE. Only then is
+   each record loaded, from its offset in the frame, by a second pass of
+   the same walk. *)
+let rx_update rx b ~plen =
+  let guest_pages =
+    match rx.rx_state with Streaming { memory_pages; _ } -> memory_pages | _ -> max_int
+  in
+  let checked () _ _ _ = () in
+  match Wire.walk_update ~memory_pages:guest_pages b ~plen ~init:() checked with
+  | Error e -> rx_fail rx e
+  | Ok (round, (), refusal) -> (
+      match rx.rx_state with
+      | Rx_failed -> Error (Protocol_violation "migration stream already failed")
+      | Streaming { session; memory_pages; next_round } -> (
+          if round <> next_round then
+            rx_fail rx
+              (Protocol_violation
+                 (Printf.sprintf "UPDATE round %d arrived, expected %d" round next_round))
+          else
+            match refusal with
+            | Some r -> rx_fail rx (Malformed (Wire.refusal_message ~memory_pages r))
+            | None -> (
+                let load acc index off _ =
+                  match acc with
+                  | Error _ -> acc
+                  | Ok () ->
+                      Lifecycle.receive_page session ~index ~gfn:(gfn_of_index index) ~src:b
+                        ~src_off:off
+                in
+                match Wire.walk_update ~memory_pages b ~plen ~init:(Ok ()) load with
+                | Error e -> rx_fail rx e
+                | Ok (_, Error e, _) -> rx_fail rx (of_boot e)
+                | Ok (_, Ok (), _) ->
+                    rx.rx_state <- Streaming { session; memory_pages; next_round = next_round + 1 };
+                    Ok None))
+      | state ->
+          rx_fail rx
+            (Protocol_violation (Printf.sprintf "UPDATE frame in state %s" (state_name state))))
 
 let rx_deliver rx b =
-  match Wire.decode b with
+  match Wire.header b with
   | Error e ->
       (* wire damage kills the incoming migration: abort any partial
          domain rather than leave it half-streamed *)
       rx_fail rx e
+  | Ok (tag, plen) when tag = Wire.tag_update -> rx_update rx b ~plen
+  | Ok (tag, plen) -> (
+  match Wire.decode_payload b ~tag ~plen with
+  | Error e -> rx_fail rx e
   | Ok frame -> (
   match (rx.rx_state, frame) with
   | Rx_failed, _ -> Error (Protocol_violation "migration stream already failed")
@@ -458,24 +537,6 @@ let rx_deliver rx b =
       | Ok session ->
           rx.rx_state <- Streaming { session; memory_pages; next_round = 0 };
           Ok None)
-  | Streaming { session; memory_pages; next_round }, Wire.Update { round; pages } ->
-      if round <> next_round then
-        rx_fail rx
-          (Protocol_violation
-             (Printf.sprintf "UPDATE round %d arrived, expected %d" round next_round))
-      else begin
-        match update_refusal ~memory_pages pages with
-        | Some why -> rx_fail rx (Malformed why)
-        | None -> (
-            let triples =
-              List.map (fun (index, cipher) -> (index, gfn_of_index index, cipher)) pages
-            in
-            match Lifecycle.receive_pages session triples with
-            | Error e -> rx_fail rx (of_boot e)
-            | Ok () ->
-                rx.rx_state <- Streaming { session; memory_pages; next_round = next_round + 1 };
-                Ok None)
-      end
   | Streaming _, Wire.Finish { gpt_entries; _ }
     when not
            (List.for_all
@@ -528,7 +589,7 @@ let rx_deliver rx b =
         | Wire.Secret _ -> "SECRET"
       in
       rx_fail rx
-        (Protocol_violation (Printf.sprintf "%s frame in state %s" tag (state_name state))))
+        (Protocol_violation (Printf.sprintf "%s frame in state %s" tag (state_name state)))))
 
 (* --- live pre-copy driver ----------------------------------------------- *)
 
@@ -565,42 +626,47 @@ let migrate_live ?(config = default_config) ?owner ?(mutate = fun _ -> ()) ~src 
           (* The guest keeps running; from here on the dirty log records
              what the pre-copy loop still owes the target. *)
           Hw.Dirty.start dom.Xen.Domain.dirty;
+          let rx = rx_create dst in
           let fail e =
             (* A failed migration must leave the source guest running, and
                free to migrate again: SEND_CANCEL returns its firmware
-               context to RUNNING. *)
+               context to RUNNING. A receive still streaming is aborted, so
+               a refusal on the source side leaves no half-received guest
+               on the target either. *)
             Hw.Dirty.stop dom.Xen.Domain.dirty;
             ignore (Sev.Firmware.send_cancel fw ~handle);
             if dom.Xen.Domain.state = Xen.Domain.Paused then
               dom.Xen.Domain.state <- Xen.Domain.Runnable;
-            Error e
+            rx_fail rx e
           in
           let ( let* ) r k = match r with Error e -> fail e | Ok v -> k v in
-          let rx = rx_create dst in
-          let deliver frame = rx_deliver rx (Wire.transmit (Wire.encode frame)) in
+          let deliver_bytes b = rx_deliver rx (Wire.transmit b) in
+          let deliver frame = deliver_bytes (Wire.encode frame) in
           let mapped =
             Hw.Pagetable.mapped_frames dom.Xen.Domain.npt
             |> List.sort (fun (a, _) (b, _) -> compare a b)
           in
           let span = List.fold_left (fun m (g, _) -> max m (g + 1)) 0 mapped in
-          let send_pages round gfns =
-            List.fold_left
-              (fun acc gfn ->
-                match acc with
-                | Error _ as e -> e
-                | Ok acc -> (
-                    match Hw.Pagetable.lookup dom.Xen.Domain.npt gfn with
-                    | None -> Ok acc (* unmapped since it was dirtied: nothing to send *)
-                    | Some npte -> (
-                        let index = index_of ~round ~gfn in
-                        match
-                          Sev.Firmware.send_update fw ~handle ~index
-                            ~src_pfn:npte.Hw.Pagetable.frame
-                        with
-                        | Error e -> Error (Send_refused e)
-                        | Ok cipher -> Ok ((index, cipher) :: acc))))
-              (Ok []) gfns
-            |> Result.map List.rev
+          (* One round's UPDATE frame, sized from the gfns still mapped: each
+             page is SEND_UPDATEd straight into its record. Returns the frame
+             and its page count. *)
+          let update_frame round gfns =
+            let records =
+              List.filter_map
+                (fun gfn ->
+                  match Hw.Pagetable.lookup dom.Xen.Domain.npt gfn with
+                  | None -> None (* unmapped since it was dirtied: nothing to send *)
+                  | Some npte -> Some (index_of ~round ~gfn, npte.Hw.Pagetable.frame))
+                gfns
+            in
+            Wire.write_update ~round ~index:fst
+              ~len:(fun _ -> Hw.Addr.page_size)
+              ~put:(fun (index, src_pfn) dst dst_off ->
+                Result.map_error
+                  (fun e -> Send_refused e)
+                  (Sev.Firmware.send_update_into fw ~handle ~index ~src_pfn ~dst ~dst_off))
+              records
+            |> Result.map (fun frame -> (frame, List.length records))
           in
           let* _ =
             deliver
@@ -700,9 +766,9 @@ let migrate_live ?(config = default_config) ?owner ?(mutate = fun _ -> ()) ~src 
                           | Ok _ -> refuse (Protocol_violation "expected an ATTEST_RESP reply")))
           in
           let rec precopy round gfns pages_sent =
-            let* pages = send_pages round gfns in
-            let* _ = deliver (Wire.Update { round; pages }) in
-            let pages_sent = pages_sent + List.length pages in
+            let* frame, sent = update_frame round gfns in
+            let* _ = deliver_bytes frame in
+            let pages_sent = pages_sent + sent in
             (* The guest ran while the round was on the wire. *)
             mutate round;
             let dirty = Hw.Dirty.drain dom.Xen.Domain.dirty in
@@ -711,10 +777,9 @@ let migrate_live ?(config = default_config) ?owner ?(mutate = fun _ -> ()) ~src 
                  cap): stop-and-copy what remains. *)
               dom.Xen.Domain.state <- Xen.Domain.Paused;
               Hw.Dirty.stop dom.Xen.Domain.dirty;
-              let* residual = send_pages (round + 1) dirty in
-              let* _ = deliver (Wire.Update { round = round + 1; pages = residual }) in
-              finish_with ~round ~pages_sent:(pages_sent + List.length residual)
-                ~residual:(List.length residual)
+              let* frame, residual = update_frame (round + 1) dirty in
+              let* _ = deliver_bytes frame in
+              finish_with ~round ~pages_sent:(pages_sent + residual) ~residual
             end
             else precopy (round + 1) dirty pages_sent
           in

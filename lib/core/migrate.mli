@@ -110,7 +110,13 @@ module Wire : sig
 
   val decode : bytes -> (frame, error) result
   (** Total: any byte string yields a frame or a typed error. The payload
-      is untrusted; internal counts are sanity-bounded before use. *)
+      is untrusted; internal counts are sanity-bounded before use. Every
+      field is read in place. An [Update] is read by the one walk of an
+      UPDATE frame that {!rx_deliver} runs too, which checks every
+      record's framing before the frame is accepted; [decode] then copies
+      each record out into its list, accepting records of any length (the
+      page check is {!rx_deliver}'s). The live receiver never builds that
+      list. *)
 
   val transmit : bytes -> bytes
   (** The untrusted channel. Identity with no fault plan installed; with a
@@ -172,11 +178,16 @@ val rx_deliver : rx -> bytes -> (bytes option, error) result
     untrusted; a [Secret] delivered before a quote was issued is refused
     as [Protocol_violation] {e without} tearing down the already verified
     and running guest — refusing the injection is the fail-closed
-    behaviour there. An UPDATE round is checked record by record before
-    its first page loads: a record that is not one page, or whose index
-    names a gfn at or past the START's [memory_pages], refuses the round
-    as [Malformed] with no RECEIVE_UPDATE issued. Total: whatever the
-    bytes, the result is [Ok] or a typed [Error]; it never raises. *)
+    behaviour there. An UPDATE frame is never decoded into a list: one
+    walk reads it in place and gives {!Wire.decode}'s framing verdict and
+    the first record that is not one page or whose index names a gfn at
+    or past the START's [memory_pages]. Framing errors refuse the frame
+    first, then the receive state and the round, then that record (as
+    [Malformed], with no RECEIVE_UPDATE issued). A frame that passes has
+    each record loaded from its offset in the frame, staged through one
+    page per receive into the boot window, where RECEIVE_UPDATE decrypts
+    it in place. Total: whatever the bytes, the result is [Ok] or a typed
+    [Error]; it never raises. *)
 
 val rx_domain : rx -> Xen.Domain.t option
 (** The received domain, once RECEIVE_FINISH has accepted it. *)
@@ -225,10 +236,16 @@ val migrate_live :
     pre-copy round (with the round number) and typically performs guest
     writes on the source, which the dirty log picks up.
 
+    Each round's UPDATE frame is sized from the gfns still mapped, and
+    SEND_UPDATE writes each page's ciphertext straight into its record
+    ({!Sev.Firmware.send_update_into}) through the writer {!Wire.encode}
+    uses for [Update], so the frame is the only buffer a page crosses in.
+
     Failure semantics: on any error the source guest {e keeps running}
     (unpaused if the failure struck mid-blackout) and SEND_CANCEL returns
     its firmware context to RUNNING, so the migration can be retried; the
-    partial or already-booted target instance is destroyed, and — for every
+    partial or already-booted target instance is destroyed (a refusal on
+    the source mid-stream aborts the target's receive too), and — for every
     attestation-path refusal ([Stale_firmware], [Attest_refused],
     [Protocol_violation]) — the owner's key is provably unreleased
     ({!Owner.released} stays [false]). Only after full success is the

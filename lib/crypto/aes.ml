@@ -33,8 +33,8 @@ external stub_blocks : bytes -> bool -> bytes -> int -> bytes -> int -> int -> u
   = "fidelius_aes_blocks_bytecode" "fidelius_aes_blocks"
 [@@noalloc]
 
-external stub_ctr : bytes -> int64 -> bytes -> bytes -> int -> unit
-  = "fidelius_aes_ctr"
+external stub_ctr : bytes -> int64 -> bytes -> int -> bytes -> int -> int -> unit
+  = "fidelius_aes_ctr_bytecode" "fidelius_aes_ctr"
 [@@noalloc]
 
 external stub_xex :
@@ -353,10 +353,10 @@ let blocks_into key ~encrypt ~src ~src_off ~dst ~dst_off ~nblocks =
   check_items "dst" dst dst_off ~count:nblocks ~width:block_size;
   stub_blocks key.rk encrypt src src_off dst dst_off nblocks
 
-let ctr_into key ~nonce ~src ~dst ~len =
-  check_run "src" src 0 len;
-  check_run "dst" dst 0 len;
-  stub_ctr key.rk nonce src dst len
+let ctr_into key ~nonce ~src ~src_off ~dst ~dst_off ~len =
+  check_run "src" src src_off len;
+  check_run "dst" dst dst_off len;
+  stub_ctr key.rk nonce src src_off dst dst_off len
 
 let xex_span_into key ~encrypt ~tweak0 ~tweak_step ~src ~src_off ~dst ~dst_off ~len =
   if len mod block_size <> 0 then

@@ -66,9 +66,12 @@ val blocks_into :
   key -> encrypt:bool -> src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> nblocks:int -> unit
 (** ECB over [nblocks] consecutive 16-byte blocks. *)
 
-val ctr_into : key -> nonce:int64 -> src:bytes -> dst:bytes -> len:int -> unit
-(** CTR keystream XOR over [len] bytes (any length; the counter block is
-    [nonce || block_index], both big-endian). *)
+val ctr_into :
+  key -> nonce:int64 -> src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> unit
+(** CTR keystream XOR of [len] bytes of [src] from [src_off] into [dst]
+    from [dst_off] (any length; the counter block is
+    [nonce || block_index], both big-endian, and restarts at 0 for the
+    first byte of the run). *)
 
 val xex_span_into :
   key -> encrypt:bool -> tweak0:int64 -> tweak_step:int64 ->

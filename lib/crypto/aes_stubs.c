@@ -865,12 +865,13 @@ CAMLprim value fidelius_aes_blocks_bytecode(value *argv, int argn)
 }
 
 CAMLprim value fidelius_aes_ctr(value vrk, value vnonce, value vsrc,
-                                value vdst, value vlen)
+                                value vsoff, value vdst, value vdoff,
+                                value vlen)
 {
   const uint8_t *rk = (const uint8_t *)Bytes_val(vrk);
   uint64_t nonce = (uint64_t)Int64_val(vnonce);
-  const uint8_t *src = (const uint8_t *)Bytes_val(vsrc);
-  uint8_t *dst = (uint8_t *)Bytes_val(vdst);
+  const uint8_t *src = (const uint8_t *)Bytes_val(vsrc) + Long_val(vsoff);
+  uint8_t *dst = (uint8_t *)Bytes_val(vdst) + Long_val(vdoff);
   long len = Long_val(vlen);
   switch (detect()) {
 #ifdef FIDELIUS_VAES_POSSIBLE
@@ -885,6 +886,13 @@ CAMLprim value fidelius_aes_ctr(value vrk, value vnonce, value vsrc,
     default: portable_ctr(rk, nonce, src, dst, len); break;
   }
   return Val_unit;
+}
+
+CAMLprim value fidelius_aes_ctr_bytecode(value *argv, int argn)
+{
+  (void)argn;
+  return fidelius_aes_ctr(argv[0], argv[1], argv[2], argv[3], argv[4],
+                          argv[5], argv[6]);
 }
 
 static void xex_dispatch(const uint8_t *rk, int enc, uint64_t t0,

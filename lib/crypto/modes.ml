@@ -20,7 +20,7 @@ let ecb_decrypt key data =
 
 let ctr_transform key ~nonce data =
   let out = Bytes.create (Bytes.length data) in
-  Aes.ctr_into key ~nonce ~src:data ~dst:out ~len:(Bytes.length data);
+  Aes.ctr_into key ~nonce ~src:data ~src_off:0 ~dst:out ~dst_off:0 ~len:(Bytes.length data);
   out
 
 let check_span name len =

@@ -65,14 +65,13 @@ type t = {
          handle drops them *)
   mutable next_gek : int;
   mutable fw_version : version;
-  (* Page scratch for the page commands: SEND_UPDATE and the I/O
-     transforms stage plaintext in [plain], RECEIVE_UPDATE(_in_place)
-     stages ciphertext in [cipher] and plaintext in [plain]. Nothing in
-     them outlives one command, so one pair per firmware (hence per
-     machine, local to one fleet job) serves every page; what a command
-     returns is always a fresh buffer. *)
+  (* Plaintext scratch for the page commands: SEND_UPDATE, RECEIVE_UPDATE
+     and the I/O transforms stage a page's plaintext here. Ciphertext is
+     read and written where the caller keeps it (a wire frame, a loaded
+     guest frame). Nothing in it outlives one command, so one page per
+     firmware (hence per machine, local to one fleet job) serves every
+     page; what a command returns is always a fresh buffer. *)
   plain : bytes;
-  cipher : bytes;
 }
 
 let policy_nodbg = 1
@@ -91,8 +90,7 @@ let create machine =
     geks = Hashtbl.create 16;
     next_gek = 1;
     fw_version = current_version;
-    plain = Bytes.create Addr.page_size;
-    cipher = Bytes.create Addr.page_size }
+    plain = Bytes.create Addr.page_size }
 
 (* The hypervisor controls which blob the secure processor boots — that is
    the rollback attack, and nothing here stops it. The platform identity
@@ -286,7 +284,13 @@ let send_start t ~handle ~target_public ~nonce =
   in
   Ok (Keywrap.wrap ~kek (Bytes.cat tek tik))
 
-let send_update t ~handle ~index ~src_pfn =
+(* The one SEND_UPDATE body: the guest frame is decrypted under Kvek into
+   the plaintext scratch, measured, and CTR-encrypted under Ktek straight
+   into [dst] at [dst_off]. A page that would leave [dst] is refused
+   before anything is charged. *)
+let send_update_into t ~handle ~index ~src_pfn ~dst ~dst_off =
+  if dst_off < 0 || dst_off > Bytes.length dst - Addr.page_size then
+    invalid_arg "Firmware.send_update_into: the page leaves dst";
   let* c = enter t ~charge:charge_page Row.send_update ~handle in
   match c.tek with
   | None -> Error "SEND_UPDATE: no transport key"
@@ -295,7 +299,13 @@ let send_update t ~handle ~index ~src_pfn =
       let plain = t.plain in
       Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:(kvek c) src_pfn ~dst:plain;
       Measure.add_page c.measure ~index plain;
-      Ok (Transport.page_cipher ~tek ~index plain)
+      Transport.page_ctr_into ~tek ~index ~src:plain ~src_off:0 ~dst ~dst_off;
+      Ok ()
+
+let send_update t ~handle ~index ~src_pfn =
+  let cipher = Bytes.create Addr.page_size in
+  let* () = send_update_into t ~handle ~index ~src_pfn ~dst:cipher ~dst_off:0 in
+  Ok cipher
 
 let send_finish t ~handle =
   let* c = enter t ~charge:charge_cmd Row.send_finish ~handle in
@@ -338,12 +348,15 @@ let receive_start t ~wrapped ~origin_public ~nonce ~policy ?kvek_of () =
       in
       start t ~state:(State.next Row.receive_start) ~kvek ~policy ~tek ~tik ~nonce ())
 
-let receive_update t ~handle ~index ~cipher ~dst_pfn =
+(* The one RECEIVE_UPDATE body: [len] bytes of transport ciphertext sit
+   in [src] at [src_off]; a full page is CTR-decrypted under Ktek into the
+   plaintext scratch, measured, and stored under Kvek at [dst_pfn]. *)
+let receive_update_from t ~handle ~index ~src ~src_off ~len ~dst_pfn =
   let* c = enter t ~charge:charge_page Row.receive_update ~handle in
   match c.tek with
   | None -> Error "RECEIVE_UPDATE: no transport key"
   | Some tek ->
-      if Bytes.length cipher <> Addr.page_size then Error "RECEIVE_UPDATE: need a full page"
+      if len <> Addr.page_size then Error "RECEIVE_UPDATE: need a full page"
       else if Plan.armed () && Plan.fire Site.Fw_drop then
         (* a hostile platform silently discards the command yet reports
            success; the gap must surface at RECEIVE_FINISH, not here *)
@@ -351,7 +364,7 @@ let receive_update t ~handle ~index ~cipher ~dst_pfn =
       else begin
         c.state <- State.next Row.receive_update;
         let plain = t.plain in
-        Transport.page_plain_into ~tek ~index cipher ~dst:plain;
+        Transport.page_ctr_into ~tek ~index ~src ~src_off ~dst:plain ~dst_off:0;
         let apply () =
           Measure.add_page c.measure ~index plain;
           coherent_write t ~key:(kvek c) dst_pfn plain
@@ -361,10 +374,16 @@ let receive_update t ~handle ~index ~cipher ~dst_pfn =
         Ok ()
       end
 
+let receive_update t ~handle ~index ~cipher ~dst_pfn =
+  receive_update_from t ~handle ~index ~src:cipher ~src_off:0 ~len:(Bytes.length cipher)
+    ~dst_pfn
+
+(* The ciphertext is decrypted where the hypervisor loaded it: the frame's
+   own bytes in the backing block, read before they are overwritten. *)
 let receive_update_in_place t ~handle ~index ~pfn =
-  Physmem.read_raw_into t.machine.Machine.mem pfn ~off:0 ~len:Addr.page_size ~dst:t.cipher
-    ~dst_off:0;
-  receive_update t ~handle ~index ~cipher:t.cipher ~dst_pfn:pfn
+  let block = Physmem.view t.machine.Machine.mem pfn ~off:0 ~len:Addr.page_size in
+  receive_update_from t ~handle ~index ~src:block ~src_off:(Physmem.base pfn)
+    ~len:Addr.page_size ~dst_pfn:pfn
 
 let receive_finish t ~handle ~expected =
   let* c = enter t ~charge:charge_cmd Row.receive_finish ~handle in
@@ -401,7 +420,7 @@ let io_out t ~cmd ~handle ~key_of ~nonce ~src_pfn ~len =
   let* c, key = io_command t ~cmd ~handle ~key_of ~len in
   Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:(kvek c) src_pfn ~dst:t.plain;
   let cipher = Bytes.create len in
-  Aes.ctr_into key ~nonce ~src:t.plain ~dst:cipher ~len;
+  Aes.ctr_into key ~nonce ~src:t.plain ~src_off:0 ~dst:cipher ~dst_off:0 ~len;
   Ok cipher
 
 let io_in t ~cmd ~handle ~key_of ~nonce ~cipher ~dst_pfn =
@@ -409,7 +428,7 @@ let io_in t ~cmd ~handle ~key_of ~nonce ~cipher ~dst_pfn =
   let* c, key = io_command t ~cmd ~handle ~key_of ~len in
   let kvek = kvek c in
   Memctrl.fw_decrypt_page_into t.machine.Machine.ctrl ~key:kvek dst_pfn ~dst:t.plain;
-  Aes.ctr_into key ~nonce ~src:cipher ~dst:t.plain ~len;
+  Aes.ctr_into key ~nonce ~src:cipher ~src_off:0 ~dst:t.plain ~dst_off:0 ~len;
   coherent_write t ~key:kvek dst_pfn t.plain;
   Ok ()
 

@@ -117,10 +117,22 @@ val send_start :
 (** Generate transport keys, wrap them for [target_public]; state SENDING
     (stops guest execution, per the paper's no-live-migration note). *)
 
+val send_update_into :
+  t ->
+  handle:handle -> index:int -> src_pfn:Fidelius_hw.Addr.pfn -> dst:bytes -> dst_off:int ->
+  (unit, string) result
+(** SEND_UPDATE, the one body: decrypt the guest page at [src_pfn] with
+    Kvek into the firmware's plaintext scratch, fold it into the send
+    measurement under [index], and CTR-encrypt it with Ktek straight into
+    [dst] at [dst_off] — the live sender passes its UPDATE frame at the
+    record's offset, so the ciphertext is written once, where it travels.
+    Allocates nothing. Raises [Invalid_argument], before anything is
+    charged, when the page would leave [dst]. *)
+
 val send_update :
   t -> handle:handle -> index:int -> src_pfn:Fidelius_hw.Addr.pfn -> (bytes, string) result
-(** Transport ciphertext of a guest page: decrypt with Kvek, re-encrypt with
-    Ktek, fold into the send measurement. *)
+(** {!send_update_into} a fresh page-sized buffer, returned: the only
+    allocation, one page. For callers that keep pages as a list. *)
 
 val send_finish : t -> handle:handle -> (bytes, string) result
 (** The keyed measurement (HMAC under Ktik); state SENT. *)
@@ -150,13 +162,17 @@ val receive_update :
   handle:handle -> index:int -> cipher:bytes -> dst_pfn:Fidelius_hw.Addr.pfn ->
   (unit, string) result
 (** Decrypt a transport page with Ktek and store it re-encrypted under Kvek
-    at [dst_pfn]. *)
+    at [dst_pfn]. A [cipher] that is not one page is refused. The one
+    RECEIVE_UPDATE body, which {!receive_update_in_place} runs too: it
+    CTR-decrypts the ciphertext where it lies into the firmware's
+    plaintext scratch, so neither form allocates. *)
 
 val receive_update_in_place :
   t -> handle:handle -> index:int -> pfn:Fidelius_hw.Addr.pfn -> (unit, string) result
 (** Like {!receive_update} but the transport ciphertext was already loaded
     (by the hypervisor, plaintext-in-DRAM) into [pfn]; the firmware
-    re-encrypts the frame in place — the paper's VM-bootup step 2. *)
+    decrypts it straight from the frame and re-encrypts the frame in
+    place — the paper's VM-bootup step 2. *)
 
 val receive_finish : t -> handle:handle -> expected:bytes -> (unit, string) result
 (** Verify the keyed measurement; state RUNNING on success, error (and no

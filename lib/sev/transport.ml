@@ -27,8 +27,8 @@ let page_cipher ~tek ~index plain =
 let page_plain ~tek ~index cipher =
   Modes.ctr_transform tek.aes ~nonce:(Int64.of_int index) cipher
 
-let page_plain_into ~tek ~index cipher ~dst =
-  Aes.ctr_into tek.aes ~nonce:(Int64.of_int index) ~src:cipher ~dst ~len:(Bytes.length cipher)
+let page_ctr_into ~tek ~index ~src ~src_off ~dst ~dst_off =
+  Aes.ctr_into tek.aes ~nonce:(Int64.of_int index) ~src ~src_off ~dst ~dst_off ~len:Addr.page_size
 
 let derive_master_secret ~secret ~peer_public ~nonce =
   let shared = Dh.shared_secret secret peer_public in

@@ -35,9 +35,13 @@ val page_cipher : tek:tek_key -> index:int -> bytes -> bytes
 
 val page_plain : tek:tek_key -> index:int -> bytes -> bytes
 
-val page_plain_into : tek:tek_key -> index:int -> bytes -> dst:bytes -> unit
-(** {!page_plain} into a caller-owned buffer at least as long as the
-    ciphertext (the firmware's page scratch): no allocation. *)
+val page_ctr_into :
+  tek:tek_key -> index:int -> src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> unit
+(** One page of {!page_cipher} (or, CTR being an involution,
+    {!page_plain}) from [src] at [src_off] into [dst] at [dst_off]: the
+    firmware's page commands read and write their buffers in place with
+    it, so it allocates nothing. Raises [Invalid_argument] when either
+    page leaves its buffer. *)
 
 module Owner : sig
   type prepared = {

@@ -646,7 +646,8 @@ let test_bulk_validation () =
         ~src:(Bytes.create 32) ~src_off:0 ~dst:(Bytes.create 32) ~dst_off:0 ~len:24);
   Alcotest.check_raises "ctr_into short dst"
     (Invalid_argument "Aes: dst range out of bounds") (fun () ->
-      Aes.ctr_into key ~nonce:0L ~src:(Bytes.create 32) ~dst:(Bytes.create 16) ~len:32)
+      Aes.ctr_into key ~nonce:0L ~src:(Bytes.create 32) ~src_off:0 ~dst:(Bytes.create 16)
+        ~dst_off:0 ~len:32)
 
 (* --- range checks at the bounds ------------------------------------------- *)
 
@@ -700,15 +701,33 @@ let gen_bounds_case =
   in
   let field ?(step = 1) hi = frequency [ (3, map (fun k -> k * step) (int_bound (hi / step))); (1, bound) ] in
   let small = min src_len dst_len in
-  let* a = field (if entry = 9 || entry = 10 then dst_len else if entry = 3 then small else src_len) in
-  let* b = field (if entry = 8 then src_len else dst_len) in
-  let+ c =
-    match bounds_entries.(entry) with
-    | "Aes.blocks_into" -> field (small / 16)
-    | "Aes.xex_span_into" | "Modes.xex_encrypt_span" -> field ~step:16 small
-    | _ -> field (per sector_bytes small)
+  (* CTR's offsets are drawn after its length [c], in range three times
+     in five and otherwise at the edges that length makes: 0, [len - 1],
+     the buffer's length less [len] and its neighbours, [max_int] and
+     negatives. *)
+  let offset buf_len len =
+    frequency
+      [ (3, int_bound (max 0 (buf_len - len)));
+        (2,
+          oneofl
+            [ 0; len - 1; buf_len - len - 1; buf_len - len; buf_len - len + 1; max_int; -1;
+              -len; min_int ]) ]
   in
-  { entry; enc; src_len; dst_len; sector_bytes; a; b; c }
+  if bounds_entries.(entry) = "Aes.ctr_into" then
+    let* c = field small in
+    let* a = offset src_len c in
+    let+ b = offset dst_len c in
+    { entry; enc; src_len; dst_len; sector_bytes; a; b; c }
+  else
+    let* a = field (if entry = 9 || entry = 10 then dst_len else src_len) in
+    let* b = field (if entry = 8 then src_len else dst_len) in
+    let+ c =
+      match bounds_entries.(entry) with
+      | "Aes.blocks_into" -> field (small / 16)
+      | "Aes.xex_span_into" | "Modes.xex_encrypt_span" -> field ~step:16 small
+      | _ -> field (per sector_bytes small)
+    in
+    { entry; enc; src_len; dst_len; sector_bytes; a; b; c }
 
 let print_bounds_case k =
   Printf.sprintf "%s enc=%b src_len=%d dst_len=%d sector_bytes=%d a=%d b=%d c=%d"
@@ -779,12 +798,14 @@ let check_bounds_case k =
             ((if k.enc then Modes.ecb_encrypt_reference else Modes.ecb_decrypt_reference)
                key run))
   | "Aes.ctr_into" ->
-      let len = k.a in
+      let len = k.c in
       raises_or_matches
-        ~in_range:(fits k.src_len 0 ~count:len ~width:1 && fits k.dst_len 0 ~count:len ~width:1)
-        ~run:(fun () -> into (fun dst -> Aes.ctr_into key ~nonce ~src ~dst ~len))
+        ~in_range:
+          (fits k.src_len k.a ~count:len ~width:1 && fits k.dst_len k.b ~count:len ~width:1)
+        ~run:(fun () ->
+          into (fun dst -> Aes.ctr_into key ~nonce ~src ~src_off:k.a ~dst ~dst_off:k.b ~len))
         ~expected:(fun () ->
-          patched 0 (Modes.ctr_transform_reference key ~nonce (Bytes.sub src 0 len)))
+          patched k.b (Modes.ctr_transform_reference key ~nonce (Bytes.sub src k.a len)))
   | "Aes.xex_span_into" | "Modes.xex_encrypt_span" ->
       let len = k.c in
       let f ~src ~src_off ~dst ~dst_off ~len =

@@ -611,6 +611,10 @@ let test_page_command_allocation () =
   let wrapped =
     ok (Firmware.send_start fw1 ~handle ~target_public:(Firmware.platform_public fw2) ~nonce:4L)
   in
+  let frame = Bytes.create (3 * Hw.Addr.page_size) in
+  Alcotest.(check int) "SEND_UPDATE into a frame: none" 0
+    (direct_major_pages (fun () ->
+         ok (Firmware.send_update_into fw1 ~handle ~index:0 ~src_pfn:pfn ~dst:frame ~dst_off:19)));
   Alcotest.(check int) "SEND_UPDATE: the returned ciphertext only" 1
     (direct_major_pages (fun () ->
          ignore (ok (Firmware.send_update fw1 ~handle ~index:0 ~src_pfn:pfn))));
