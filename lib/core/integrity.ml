@@ -31,7 +31,7 @@ let protect ctx (dom : Xen.Domain.t) =
          else Hw.Bmt.verify_fill bmt pfn ~src));
   t
 
-let last_gvfn ~addr ~len = Hw.Addr.frame_of (addr + max 0 (len - 1))
+let last_gvfn ~addr ~len = Hw.Addr.frame_of (addr + Int.max 0 (len - 1))
 
 (* The host frame behind guest-virtual frame [gvfn], resolved through the
    guest's own tables (gva -> gfn -> pfn) with the packed lookups, so no

@@ -6,13 +6,23 @@
     hypervisor relaying the public values cannot compute it. The group is
     deliberately small (no bignum library is available in the sealed build
     environment); the simulation needs the protocol shape, not cryptographic
-    strength — see DESIGN.md §1. *)
+    strength — see DESIGN.md §1.
+
+    Because p is a Mersenne prime, the group arithmetic runs in native
+    ints: a product splits into 31/30-bit halves and folds with
+    2^61 = 1 (mod p), so a modexp allocates nothing and a secret is an
+    unboxed [int]. *)
 
 type public = int64
 type secret
 
 val p : int64
 (** The group modulus, 2^61 - 1. *)
+
+val mulmod : int -> int -> int
+(** [mulmod a b] is [a * b mod p] for [a] and [b] in [\[0, p)], without
+    allocating. Outside that range the result is unspecified. Exposed for
+    the property that checks it against a reference multiplication. *)
 
 val generate : Rng.t -> secret * public
 (** Fresh keypair from the deterministic generator. *)

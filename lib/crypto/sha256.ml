@@ -120,7 +120,7 @@ let feed_range ctx data off len =
   let stop = off + len in
   (* Fill the pending partial block first. *)
   if ctx.buf_len > 0 then begin
-    let take = min (64 - ctx.buf_len) len in
+    let take = Int.min (64 - ctx.buf_len) len in
     Bytes.blit data off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
     pos := off + take;

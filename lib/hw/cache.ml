@@ -8,10 +8,11 @@ let c_cache_hit = Cost.intern "cache-hit"
      to the line's slot in [slab], or to [ghost] once [invalidate_page]
      dropped the line while its key still waits in the FIFO; a key is in
      [tbl] exactly while it is in [ring]. A frame key maps to the number
-     of the frame's lines that are resident, and is removed at zero, so
-     the MMU can skip the per-block probe loop in O(1) for frames with
-     nothing cached (a probe miss has no ledger effect, so the skip is
-     cycle- and byte-identical).
+     of the frame's lines that are resident and the span of blocks they
+     lie in, and is removed at zero, so the MMU can skip the per-block
+     probe loop in O(1) for frames with nothing cached (a probe miss has
+     no ledger effect, so the skip is cycle- and byte-identical), and
+     [invalidate_page] scans only the span.
    - [ring], the FIFO of line keys awaiting eviction, ghosts included. A
      key appears at most once; ghosts are purged lazily when the eviction
      scan pops them, and evictions trigger on the LIVE count, so ghosts
@@ -156,7 +157,7 @@ let alloc_slot t =
   else begin
     let cap = Bytes.length t.slab / Addr.block_size in
     if t.used = cap then begin
-      let grown = Bytes.create (min t.nr_lines (2 * cap) * Addr.block_size) in
+      let grown = Bytes.create (Int.min t.nr_lines (2 * cap) * Addr.block_size) in
       Bytes.blit t.slab 0 grown 0 (Bytes.length t.slab);
       t.slab <- grown
     end;
@@ -172,12 +173,29 @@ let free_slot t s =
 
 let frame_resident t pfn = find t (frame_key pfn) >= 0
 
-let bump_frame t pfn delta =
+(* A frame key's value: the resident count above bit 16, then the lowest
+   and the highest block filled since the count last left zero, 8 bits
+   each (a page's blocks are 0-255). Evictions leave the span as it is,
+   so every resident line of the frame lies inside it. *)
+let count v = v lsr 16
+let span_lo v = (v lsr 8) land 0xff
+let span_hi v = v land 0xff
+
+let frame_gained t pfn block =
   let i = find t (frame_key pfn) in
-  if i < 0 then (if delta > 0 then add t (frame_key pfn) delta)
+  if i < 0 then add t (frame_key pfn) ((1 lsl 16) lor (block lsl 8) lor block)
   else
-    let n = value t i + delta in
-    if n <= 0 then remove_at t i else set_value t i n
+    let v = value t i in
+    set_value t i
+      (((count v + 1) lsl 16)
+      lor (Int.min block (span_lo v) lsl 8)
+      lor Int.max block (span_hi v))
+
+let frame_lost t pfn =
+  let i = find t (frame_key pfn) in
+  if i >= 0 then
+    let v = value t i in
+    if count v <= 1 then remove_at t i else set_value t i (v - (1 lsl 16))
 
 (* Pop FIFO keys until a live victim surfaces; ghosts left by
    [invalidate_page] are discarded on the way. The ring cannot run dry
@@ -192,7 +210,7 @@ let rec evict_one t =
   else begin
     free_slot t slot;
     t.live <- t.live - 1;
-    bump_frame t (key_pfn victim) (-1)
+    frame_lost t (key_pfn victim)
   end
 
 (* Ghosts drain only at eviction, so a workload that invalidates below
@@ -234,7 +252,7 @@ let fill_from t pfn ~block src ~src_off =
       ring_push t key
     end;
     t.live <- t.live + 1;
-    bump_frame t pfn 1
+    frame_gained t pfn block
   end;
   Cost.charge_id t.ledger c_cache_fill t.costs.Cost.cacheline_write
 
@@ -249,15 +267,17 @@ let probe_into t pfn ~block ~dst ~dst_off =
   end
   else false
 
-(* The scan stops once the frame's resident count is used up, so a frame
-   with nothing cached (every release and most firmware rewrites) costs
-   one table lookup instead of 256 probes. The dropped lines' keys stay
-   queued as ghosts. *)
+(* The scan covers only the frame's span and stops once its resident
+   count is used up, so a frame with nothing cached (every release and
+   most firmware rewrites) costs one table lookup instead of 256 probes,
+   and a frame with a few lines costs about as many probes as the lines
+   lie apart. The dropped lines' keys stay queued as ghosts. *)
 let invalidate_page t pfn =
   let fi = find t (frame_key pfn) in
   if fi >= 0 then begin
-    let left = ref (value t fi) and block = ref 0 in
-    while !left > 0 && !block < Addr.blocks_per_page do
+    let v = value t fi in
+    let left = ref (count v) and block = ref (span_lo v) and last = span_hi v in
+    while !left > 0 && !block <= last do
       let i = find t (line_key pfn !block) in
       if i >= 0 && value t i <> ghost then begin
         free_slot t (value t i);

@@ -39,8 +39,10 @@ val frame_resident : t -> Addr.pfn -> bool
 
 val invalidate_page : t -> Addr.pfn -> unit
 (** WBINVD-style eviction of all lines of a frame (used when ownership
-    changes hands under Fidelius policy). Stops probing once the frame's
-    resident count is exhausted: O(1) for a frame with nothing cached. *)
+    changes hands under Fidelius policy). Probes only the span between
+    the lowest and the highest block filled since the frame last had no
+    line resident, and stops once the frame's resident count is
+    exhausted: O(1) for a frame with nothing cached. *)
 
 val resident : t -> int
 

@@ -13,7 +13,9 @@ type t = {
   rng : Rng.t;
   cpu : Cpu.t;
   insns : Insn.registry;
-  mutable free_frames : Addr.pfn list;
+  mutable fresh_frames : int;
+  mutable freed : Addr.pfn list;
+  mutable nr_freed : int;
   mutable next_table_id : int;
   mutable enforce_paging : bool;
   mutable iommu : (Addr.pfn -> bool) option;
@@ -40,9 +42,6 @@ let create ?(nr_frames = default_nr_frames) ?mem ~seed () =
         Physmem.reset m;
         m
   in
-  (* Frame 0 stays reserved so that "frame 0" can never be a valid mapping
-     target, catching uninitialized-entry bugs early. *)
-  let free = List.init (nr_frames - 1) (fun i -> nr_frames - 1 - i) in
   { mem;
     ctrl = Memctrl.create mem ledger rng;
     tlb = Tlb.create ledger;
@@ -52,18 +51,29 @@ let create ?(nr_frames = default_nr_frames) ?mem ~seed () =
     rng;
     cpu = Cpu.create ();
     insns = Insn.create ledger;
-    free_frames = free;
+    (* Frame 0 stays reserved so that "frame 0" can never be a valid
+       mapping target, catching uninitialized-entry bugs early. *)
+    fresh_frames = nr_frames - 1;
+    freed = [];
+    nr_freed = 0;
     next_table_id = 1;
     enforce_paging = false;
     iommu = None;
     mmu_span = Bytes.create Addr.page_size;
     mmu_line = Bytes.create Addr.block_size }
 
+(* The last frame freed comes back first; with none freed, the highest
+   frame never handed out. *)
 let alloc_frame t =
-  match t.free_frames with
-  | [] -> failwith "Machine.alloc_frame: out of physical memory"
+  match t.freed with
   | pfn :: rest ->
-      t.free_frames <- rest;
+      t.freed <- rest;
+      t.nr_freed <- t.nr_freed - 1;
+      pfn
+  | [] ->
+      if t.fresh_frames = 0 then failwith "Machine.alloc_frame: out of physical memory";
+      let pfn = t.fresh_frames in
+      t.fresh_frames <- pfn - 1;
       pfn
 
 let alloc_frames t n = List.init n (fun _ -> alloc_frame t)
@@ -72,9 +82,10 @@ let free_frame t pfn =
   (* Scrub on free so stale secrets never leak through reallocation. *)
   Physmem.scrub t.mem pfn;
   Cache.invalidate_page t.cache pfn;
-  t.free_frames <- pfn :: t.free_frames
+  t.freed <- pfn :: t.freed;
+  t.nr_freed <- t.nr_freed + 1
 
-let frames_free t = List.length t.free_frames
+let frames_free t = t.fresh_frames + t.nr_freed
 
 let new_table t =
   let id = t.next_table_id in

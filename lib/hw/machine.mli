@@ -14,7 +14,13 @@ type t = {
   rng : Fidelius_crypto.Rng.t;
   cpu : Cpu.t;
   insns : Insn.registry;
-  mutable free_frames : Addr.pfn list;
+  mutable fresh_frames : int;
+      (** Frames [1 .. fresh_frames] have never been handed out. *)
+  mutable freed : Addr.pfn list;
+      (** Frames freed and not yet handed out again, the last freed
+          first. *)
+  mutable nr_freed : int;
+      (** [List.length freed]. *)
   mutable next_table_id : int;
   mutable enforce_paging : bool;
       (** Once true (paging enabled by the booted hypervisor), every PTE
@@ -50,7 +56,11 @@ val create : ?nr_frames:int -> ?mem:Physmem.t -> seed:int64 -> unit -> t
     backing's frame count differs from [nr_frames]. *)
 
 val alloc_frame : t -> Addr.pfn
-(** Pop a free frame (zeroed). Raises [Failure] when exhausted. *)
+(** A free frame (zeroed): the one freed last if any is waiting, else the
+    highest frame never handed out, so a fresh machine hands out its
+    frames in descending order. Raises [Failure] when exhausted. The
+    allocator is a counter and a stack: [create] builds nothing per
+    frame. *)
 
 val alloc_frames : t -> int -> Addr.pfn list
 
@@ -58,6 +68,7 @@ val free_frame : t -> Addr.pfn -> unit
 (** Scrub and return a frame to the allocator. *)
 
 val frames_free : t -> int
+(** Frames [alloc_frame] can still hand out, in O(1). *)
 
 val new_table : t -> Pagetable.t
 (** Fresh page table backed by this machine's memory and allocator. *)

@@ -1,4 +1,5 @@
 module Trace = Fidelius_obs.Trace
+module Plan = Fidelius_inject.Plan
 
 (* Charge sites, interned once. *)
 let c_pte_write = Cost.intern "pte-write"
@@ -141,7 +142,7 @@ let iter_pages ~addr ~len f =
   while !pos < len do
     let a = addr + !pos in
     let off = Addr.offset_of a in
-    let chunk = min (len - !pos) (Addr.page_size - off) in
+    let chunk = Int.min (len - !pos) (Addr.page_size - off) in
     f ~chunk_addr:a ~chunk_off:!pos ~chunk_len:chunk;
     pos := !pos + chunk
   done
@@ -204,6 +205,24 @@ let set_pte_packed (m : Machine.t) ~space ~table vfn packed =
   if record && Trace.enabled () then Trace.emit (Trace.Pte_write { vfn });
   Pagetable.hw_set_packed table vfn packed;
   Tlb.flush_entry m.tlb ~space_id:(Pagetable.id table) ~record vfn
+
+(* Early boot's bulk store. Before paging is enforced a store checks
+   nothing and records no event, so with no plan armed a run is its
+   stores, its TLB removals and its two charges, booked once each. An
+   armed plan may fire on any one flush, and its fault event is stamped
+   with the ledger at that point, so then each entry goes through
+   [set_pte_packed], store and flush in turn. *)
+let set_pte_run (m : Machine.t) ~space ~table vfn count entry =
+  if m.enforce_paging then invalid_arg "Mmu.set_pte_run: paging is enforced";
+  if Plan.armed () then
+    for v = vfn to vfn + count - 1 do
+      set_pte_packed m ~space ~table v (entry v)
+    done
+  else if count > 0 then begin
+    Pagetable.hw_set_run table vfn count entry;
+    Cost.charge_id m.ledger c_pte_write (count * m.costs.Cost.cacheline_write);
+    Tlb.flush_run m.tlb ~space_id:(Pagetable.id table) vfn count
+  end
 
 let set_pte (m : Machine.t) ~space ~table vfn proto =
   set_pte_packed m ~space ~table vfn

@@ -61,6 +61,21 @@ val set_pte_packed :
     their packed values once, so the per-crossing store allocates
     nothing. *)
 
+val set_pte_run :
+  Machine.t ->
+  space:Pagetable.t -> table:Pagetable.t -> Addr.vfn -> int -> (Addr.vfn -> int) -> unit
+(** [set_pte_run m ~space ~table vfn count entry] is
+    [set_pte_packed m ~space ~table v (entry v)] for each [v] from [vfn]
+    to [vfn + count - 1], in order, for the stores early boot makes
+    before [Machine.enforce_paging] is set: the same table bytes, backing
+    frames, reverse index, TLB contents and ledger. With no inject plan
+    armed it stores through {!Pagetable.hw_set_run} (each page-table
+    page's stamp moves once) and books the run's [pte-write] and
+    [tlb-flush] charges in one charge each; with one armed it stores
+    entry by entry through {!set_pte_packed}, so the plan fires on the
+    same flush at the same ledger total. Raises [Invalid_argument] once
+    paging is enforced. *)
+
 val check_frame_writable : Machine.t -> space:Pagetable.t -> Addr.pfn -> unit
 (** The store-permission rule applied to a physical frame: the acting space
     must hold a writable mapping of it, or any mapping while CR0.WP is

@@ -61,17 +61,27 @@ module Rindex = struct
     Array.unsafe_set slots ((2 * !i) + 1) vfn;
     t.live <- t.live + 1
 
+  (* Rehash into [nslots] slots. *)
+  let resize t nslots =
+    let old = t.slots in
+    t.slots <- Array.make (2 * nslots) empty;
+    t.live <- 0;
+    for i = 0 to (Array.length old / 2) - 1 do
+      let f = Array.unsafe_get old (2 * i) in
+      if f <> empty then place t f (Array.unsafe_get old ((2 * i) + 1))
+    done
+
+  (* Grow once, to the size [n] more pairs would double it to. *)
+  let reserve t n =
+    let nslots = ref (mask t + 1) in
+    while 2 * (t.live + n) > !nslots do
+      nslots := 2 * !nslots
+    done;
+    if !nslots > mask t + 1 then resize t !nslots
+
   let add t frame vfn =
     if find t frame vfn < 0 then begin
-      if 2 * (t.live + 1) > mask t + 1 then begin
-        let old = t.slots in
-        t.slots <- Array.make (2 * Array.length old) empty;
-        t.live <- 0;
-        for i = 0 to (Array.length old / 2) - 1 do
-          let f = Array.unsafe_get old (2 * i) in
-          if f <> empty then place t f (Array.unsafe_get old ((2 * i) + 1))
-        done
-      end;
+      if 2 * (t.live + 1) > mask t + 1 then resize t (2 * (mask t + 1));
       place t frame vfn
     end
 
@@ -253,14 +263,39 @@ let lookup t vfn =
         executable = packed_executable p;
         c_bit = packed_c_bit p }
 
+(* Store [vfn]'s packed entry [p] at [off] of [page], moving its pair in
+   the reverse index. *)
+let store t page off vfn p =
+  let old = read_packed page off in
+  if old <> packed_absent then Rindex.remove t.reverse (packed_frame old) vfn;
+  write_packed page off p;
+  if p <> packed_absent then Rindex.add t.reverse (packed_frame p) vfn
+
 let hw_set_packed t vfn p =
   let pfn = ensure_group t (group_of vfn) and off = slot_of vfn * 8 in
   let pt_page = Physmem.page_for_write t.mem pfn ~off ~len:8 in
-  let off = Physmem.base pfn + off in
-  let old = read_packed pt_page off in
-  if old <> packed_absent then Rindex.remove t.reverse (packed_frame old) vfn;
-  write_packed pt_page off p;
-  if p <> packed_absent then Rindex.add t.reverse (packed_frame p) vfn
+  store t pt_page (Physmem.base pfn + off) vfn p
+
+(* [count] consecutive entries from [vfn] on, [entry v] for each [v], as
+   [count] [hw_set_packed]s in vfn order would store them, but each
+   page-table page is resolved once and its stamp moves once, and the
+   reverse index grows once for the whole run. *)
+let hw_set_run t vfn count entry =
+  if count > 0 then begin
+    Rindex.reserve t.reverse count;
+    let v = ref vfn and stop = vfn + count in
+    while !v < stop do
+      let slot = slot_of !v in
+      let n = Int.min (stop - !v) (entries_per_page - slot) in
+      let pfn = ensure_group t (group_of !v) in
+      let page = Physmem.page_for_write t.mem pfn ~off:(slot * 8) ~len:(n * 8) in
+      let at = Physmem.base pfn + (slot * 8) in
+      for k = 0 to n - 1 do
+        store t page (at + (k * 8)) (!v + k) (entry (!v + k))
+      done;
+      v := !v + n
+    done
+  end
 
 let hw_set t vfn proto =
   hw_set_packed t vfn

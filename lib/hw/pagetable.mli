@@ -60,6 +60,15 @@ val lookup_packed : t -> Addr.vfn -> int
 val hw_set_packed : t -> Addr.vfn -> int -> unit
 (** {!hw_set} taking a packed entry ({!packed_absent} clears). *)
 
+val hw_set_run : t -> Addr.vfn -> int -> (Addr.vfn -> int) -> unit
+(** [hw_set_run t vfn count entry] stores the packed [entry v] for each
+    [v] from [vfn] to [vfn + count - 1]: the same bytes, backing frames
+    (allocated in the same order), reverse index and {!frame_mapped}
+    answers as [count] {!hw_set_packed}s in ascending order. Each
+    page-table page is resolved once and its {!Physmem.stamp} moves once
+    for its part of the run, not once per entry. [entry] is called once
+    per [v], in ascending order. *)
+
 val frame_is_mapped : t -> Addr.pfn -> bool
 (** [frame_mapped t pfn <> []], in O(1) and without building the list. *)
 

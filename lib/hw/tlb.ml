@@ -55,6 +55,24 @@ let flush_entry t ~space_id ~record vfn =
     if record && Trace.enabled () then Trace.emit (Trace.Tlb_flush { full = false })
   end
 
+(* The flushes of a run of [count] entries from [first] on, as
+   [flush_entry] makes them one by one, booked in one charge. The
+   omit-flush site is per flush, so a run refuses to start under an
+   armed plan. A space's keys from [first] to [first + count - 1] are
+   one range of ints, so one sweep of what the TLB holds drops them (at
+   boot it holds nothing). *)
+let flush_run t ~space_id first count =
+  if Plan.armed () then invalid_arg "Tlb.flush_run: an inject plan is armed";
+  if count > 0 then begin
+    let lo = key ~space_id first and hi = key ~space_id (first + count - 1) in
+    if t.mru >= lo && t.mru <= hi then t.mru <- min_int;
+    if Hashtbl.length t.cached > 0 then
+      Hashtbl.filter_map_inplace
+        (fun k () -> if k >= lo && k <= hi then None else Some ())
+        t.cached;
+    Cost.charge_id t.ledger c_tlb_flush (count * t.costs.Cost.tlb_flush_entry)
+  end
+
 let flush_all t =
   if Plan.armed () && Plan.fire Site.Tlb_omit_flush then ()
   else begin

@@ -23,6 +23,13 @@ val flush_entry : t -> space_id:int -> record:bool -> Addr.vfn -> unit
     charged one by one but traced as one phase by their caller. An
     armed [Tlb_omit_flush] plan fires either way. *)
 
+val flush_run : t -> space_id:int -> Addr.vfn -> int -> unit
+(** [flush_run t ~space_id first count] is [count] untraced
+    {!flush_entry}s of [first], [first + 1], ..., with their charges
+    booked as one. Only for use while no inject plan is armed (the
+    omit-flush site fires per flush): raises [Invalid_argument] if one
+    is. *)
+
 val flush_all : t -> unit
 (** Full flush (what a CR3 write costs on the paper's AMD parts); charges
     {!Cost.table.tlb_flush_full}. *)

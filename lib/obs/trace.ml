@@ -97,18 +97,18 @@ let record_into r ?clock f =
       Domain.DLS.set key saved)
     f
 
-let ring_length r = min r.total r.capacity
+let ring_length r = Int.min r.total r.capacity
 
 let ring_emitted r = r.total
 
-let ring_dropped r = max 0 (r.total - r.capacity)
+let ring_dropped r = Int.max 0 (r.total - r.capacity)
 
 let ring_iter r g =
   (* Oldest entry sits at [next] once the ring has wrapped: the slots from
      [start] to the end, then the wrapped ones from 0. *)
   let start = if r.total > r.capacity then r.next else 0 in
   let stop = start + ring_length r in
-  for i = start to min stop r.capacity - 1 do
+  for i = start to Int.min stop r.capacity - 1 do
     g r.buf.(i)
   done;
   for i = 0 to stop - r.capacity - 1 do

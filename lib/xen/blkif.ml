@@ -260,7 +260,7 @@ let plan_chunks ~sector ~total_sectors =
   let rec go s off acc remaining =
     if remaining = 0 then List.rev acc
     else
-      let n = min remaining sectors_per_frame in
+      let n = Int.min remaining sectors_per_frame in
       go (s + n) (off + (n * Vdisk.sector_size)) ((s, off, n) :: acc) (remaining - n)
   in
   go sector 0 [] total_sectors
@@ -285,7 +285,7 @@ let write_sectors ?(batch = 1) fe ~sector data =
   else begin
     let machine = fe.f_hv.Hypervisor.machine in
     let q = fe.f_queue in
-    let batch = max 1 (min batch (Array.length q.q_grefs)) in
+    let batch = Int.max 1 (Int.min batch (Array.length q.q_grefs)) in
     let rec groups chunks =
       match chunks with
       | [] -> Ok ()
@@ -318,7 +318,7 @@ let read_sectors ?(batch = 1) fe ~sector ~count =
   else begin
     let machine = fe.f_hv.Hypervisor.machine in
     let q = fe.f_queue in
-    let batch = max 1 (min batch (Array.length q.q_grefs)) in
+    let batch = Int.max 1 (Int.min batch (Array.length q.q_grefs)) in
     let out = Bytes.create (count * Vdisk.sector_size) in
     let rec groups chunks =
       match chunks with

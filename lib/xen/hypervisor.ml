@@ -193,16 +193,17 @@ let boot machine =
   let xen_text = Hw.Machine.alloc_frames machine nr_text_frames in
   (* Direct map: every physical frame identity-mapped, Xen-style. Text is
      RX, everything else RW/NX. Paging is not yet enforced, so these early
-     stores are unmediated (real pre-paging boot). Each entry is stored
-     packed: no option or record per frame. Each store is charged as a
-     store and a flush, but none is traced: the phase is one [Mark]. *)
+     stores are unmediated (real pre-paging boot), and they go in as one
+     run store. Each store is charged as a store and a flush, but none is
+     traced: the phase is one [Mark]. A frame outside the text's range is
+     not text, so the text list is searched only inside it. *)
   let nr = Hw.Physmem.nr_frames machine.Hw.Machine.mem in
-  for pfn = 1 to nr - 1 do
-    let is_text = mem_pfn pfn xen_text in
-    Hw.Mmu.set_pte_packed machine ~space:host_space ~table:host_space pfn
-      (Hw.Pagetable.packed_make ~frame:pfn ~writable:(not is_text) ~executable:is_text
-         ~c_bit:false)
-  done;
+  let text_lo = List.fold_left Int.min max_int xen_text
+  and text_hi = List.fold_left Int.max min_int xen_text in
+  Hw.Mmu.set_pte_run machine ~space:host_space ~table:host_space 1 (nr - 1) (fun pfn ->
+      let is_text = pfn >= text_lo && pfn <= text_hi && mem_pfn pfn xen_text in
+      Hw.Pagetable.packed_make ~frame:pfn ~writable:(not is_text) ~executable:is_text
+        ~c_bit:false);
   if Trace.enabled () then
     Trace.emit (Trace.Mark (Printf.sprintf "boot-direct-map entries=%d" (nr - 1)));
   (* The direct map covers frames allocated later for page-table growth

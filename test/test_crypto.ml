@@ -930,6 +930,60 @@ let test_dh_serialization () =
   let _, pub = Dh.generate rng in
   Alcotest.(check int64) "roundtrip" pub (Dh.public_of_bytes (Dh.public_to_bytes pub))
 
+(* The group multiplication as it was first written, kept as the oracle:
+   peasant multiplication over boxed [Int64]s, every intermediate below
+   2p < 2^62. *)
+let peasant_mulmod a b =
+  let p = Dh.p in
+  let rec loop a b acc =
+    if Int64.equal b 0L then acc
+    else
+      let acc =
+        if Int64.equal (Int64.logand b 1L) 1L then Int64.rem (Int64.add acc a) p else acc
+      in
+      loop (Int64.rem (Int64.add a a) p) (Int64.shift_right_logical b 1) acc
+  in
+  loop (Int64.rem a p) b 0L
+
+let test_dh_mulmod_reference =
+  let p = Int64.to_int Dh.p in
+  let edge =
+    [ 0; 1; 2; (1 lsl 30) - 1; 1 lsl 30; (1 lsl 30) + 1; (1 lsl 31) - 1; 1 lsl 31;
+      (1 lsl 31) + 1; p - 2; p - 1 ]
+  in
+  let operand = QCheck.Gen.(oneof [ oneofl edge; map (fun x -> (x land max_int) mod p) int ]) in
+  QCheck.Test.make ~name:"mulmod = peasant multiplication" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair int int) (QCheck.Gen.pair operand operand))
+    (fun (a, b) ->
+      Dh.mulmod a b = Int64.to_int (peasant_mulmod (Int64.of_int a) (Int64.of_int b)))
+
+(* Recorded from the Int64 implementation this one replaced: the same
+   seed still gives the same keypairs and the same shared key. *)
+let test_dh_known_answer () =
+  let rng = Rng.create 2026L in
+  let sa, pa = Dh.generate rng in
+  let sb, pb = Dh.generate rng in
+  Alcotest.(check int64) "first public" 293686901870310050L pa;
+  Alcotest.(check int64) "second public" 153020972433564698L pb;
+  let key = "eacbfba2511341f181f1494decf2e6671d634adff187af5357eca55b4c4f6e8c" in
+  check_hex "shared secret, one side" key (Dh.shared_secret sa pb);
+  check_hex "shared secret, other side" key (Dh.shared_secret sb pa)
+
+(* A modexp in native ints allocates nothing; what a keypair still costs
+   is its result pair, the boxed public value and the generator's step.
+   The boxed peasant loop took 43-46k minor words per keypair. *)
+let test_dh_generate_minor_words () =
+  let rng = Rng.create 7L in
+  ignore (Dh.generate rng);
+  let n = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Dh.generate rng))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_call > 16. then
+    Alcotest.failf "Dh.generate allocated %.1f minor words per keypair (at most 16)" per_call
+
 (* --- Keywrap ------------------------------------------------------------- *)
 
 let test_wrap_roundtrip =
@@ -1060,7 +1114,11 @@ let () =
           prop test_dh_public_in_group;
           Alcotest.test_case "man-in-the-middle differs" `Quick test_dh_third_party_differs;
           Alcotest.test_case "out-of-group rejected" `Quick test_dh_rejects_out_of_group;
-          Alcotest.test_case "serialization" `Quick test_dh_serialization ] );
+          Alcotest.test_case "serialization" `Quick test_dh_serialization;
+          prop test_dh_mulmod_reference;
+          Alcotest.test_case "known answer" `Quick test_dh_known_answer;
+          Alcotest.test_case "generate allocates a few words" `Quick
+            test_dh_generate_minor_words ] );
       ( "keywrap",
         [ prop test_wrap_roundtrip;
           Alcotest.test_case "wrong kek" `Quick test_wrap_wrong_kek;

@@ -715,6 +715,86 @@ let test_machine_exhaustion () =
   Alcotest.check_raises "exhausted" (Failure "Machine.alloc_frame: out of physical memory")
     (fun () -> ignore (Machine.alloc_frame m))
 
+(* The frame allocator as it was first written, kept as the model: one
+   free list, descending from the highest frame, each freed frame pushed
+   on its head. *)
+module Alloc_model = struct
+  type t = { mutable free : int list }
+
+  let create nr_frames = { free = List.init (nr_frames - 1) (fun i -> nr_frames - 1 - i) }
+
+  let alloc t =
+    match t.free with
+    | [] -> None
+    | pfn :: rest ->
+        t.free <- rest;
+        Some pfn
+
+  let free t pfn = t.free <- pfn :: t.free
+  let frames_free t = List.length t.free
+end
+
+(* Random allocs, multi-frame allocs and frees of held frames, down to
+   exhaustion and back: the same frames in the same order, the same
+   [frames_free] after every op, and the same failure once memory runs
+   out (a multi-frame alloc that runs out keeps the frames it took, in
+   both). *)
+let test_machine_alloc_model =
+  QCheck.Test.make ~name:"allocator = descending free list with LIFO frees" ~count:300
+    QCheck.(
+      pair (int_range 1 40)
+        (list_of_size (Gen.int_range 0 120) (pair (int_bound 2) (int_bound 50))))
+    (fun (nr_frames, ops) ->
+      let m = Machine.create ~nr_frames ~seed:3L () in
+      let model = Alloc_model.create nr_frames in
+      let held = ref [] in
+      let alloc () =
+        let got =
+          match Machine.alloc_frame m with
+          | pfn -> Some pfn
+          | exception Failure msg ->
+              if msg <> "Machine.alloc_frame: out of physical memory" then
+                QCheck.Test.fail_reportf "unexpected failure %S" msg;
+              None
+        in
+        let expected = Alloc_model.alloc model in
+        Option.iter (fun pfn -> held := pfn :: !held) got;
+        got = expected
+      in
+      Machine.frames_free m = Alloc_model.frames_free model
+      && List.for_all
+           (fun (op, k) ->
+             let same =
+               match op with
+               | 0 -> alloc ()
+               | 1 ->
+                   let rec take n = n = 0 || (alloc () && take (n - 1)) in
+                   take (k mod 5)
+               | _ -> (
+                   match !held with
+                   | [] -> true
+                   | l ->
+                       let pfn = List.nth l (k mod List.length l) in
+                       held := List.filter (( <> ) pfn) l;
+                       Machine.free_frame m pfn;
+                       Alloc_model.free model pfn;
+                       true)
+             in
+             same && Machine.frames_free m = Alloc_model.frames_free model)
+           ops)
+
+(* A machine over a recycled backing builds nothing per frame: the
+   allocator is a counter and a stack. The free list it replaced took
+   about 25k minor words at 8,192 frames. *)
+let test_machine_create_minor_words () =
+  let mem = Physmem.create ~nr_frames:Machine.default_nr_frames in
+  ignore (Machine.create ~mem ~seed:1L ());
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Machine.create ~mem ~seed:1L ()));
+  let words = Gc.minor_words () -. w0 in
+  if words > 1024. then
+    Alcotest.failf "Machine.create ~mem allocated %.0f minor words (at most 1024)" words
+
 let test_machine_dma_iommu () =
   let m = machine () in
   Alcotest.(check bool) "no IOMMU: allowed" true
@@ -813,6 +893,146 @@ let test_mmu_set_pte_mediation () =
     Alcotest.fail "expected fault"
   with Mmu.Fault _ -> ()
 
+(* --- the early-boot run store -------------------------------------------------- *)
+
+(* [Mmu.set_pte_run] against the stores it stands for, [set_pte_packed]
+   entry by entry, on twin machines set up the same way. *)
+type run_case = {
+  pre : (int * int * bool) list; (* entries already in the table: vfn, frame, writable *)
+  cached : int list; (* vfns the TLB caches before the run, the last one most recent *)
+  first : int;
+  count : int;
+  text : int list; (* vfns stored RX, the rest RW/NX, as boot stores its text *)
+  hole_every : int; (* every [hole_every]th vfn is cleared instead; 0 = none *)
+  armed : bool; (* a Tlb_omit_flush plan is armed across the run *)
+  scoped : bool; (* the run is charged inside a ledger scope *)
+}
+
+let run_nr_frames = 1536
+let run_vfns = 1800
+
+let run_entry c v =
+  if c.hole_every > 0 && v mod c.hole_every = 0 then Pagetable.packed_absent
+  else
+    let is_text = List.mem v c.text in
+    Pagetable.packed_make ~frame:v ~writable:(not is_text) ~executable:is_text ~c_bit:false
+
+let run_case_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* first = int_bound 1500 in
+    let* count = oneof [ int_bound 4; int_bound (run_vfns - first) ] in
+    let any = int_bound (run_vfns - 1) in
+    let in_run = if count = 0 then any else int_range first (first + count - 1) in
+    let edge = map (Int.max 0) (oneofl [ first - 1; first; first + count - 1; first + count ]) in
+    let near = oneof [ in_run; any; edge ] in
+    let* pre = list_size (int_bound 60) (triple near any bool) in
+    let* cached = list_size (int_bound 12) near in
+    let* text = list_size (int_bound 16) near in
+    let* hole_every = oneof [ return 0; int_range 2 50 ] in
+    let* armed = map (fun k -> k = 0) (int_bound 3) in
+    let* scoped = bool in
+    return { pre; cached; first; count; text; hole_every; armed; scoped }
+  in
+  let print c =
+    Printf.sprintf "first=%d count=%d pre=%d cached=[%s] text=[%s] hole_every=%d armed=%b scoped=%b"
+      c.first c.count (List.length c.pre)
+      (String.concat ";" (List.map string_of_int c.cached))
+      (String.concat ";" (List.map string_of_int c.text))
+      c.hole_every c.armed c.scoped
+  in
+  QCheck.make ~print gen
+
+(* One twin: the table's earlier entries and the TLB's cached keys (plus
+   one key of another space at the run's first vfn, which no flush of
+   this table may touch), then [store] under a recording clocked by the
+   ledger. Returns what the twins must agree on; [frame_is_mapped] also
+   sees a reverse-index pair the run left stale, which [frame_mapped]
+   filters out. *)
+let run_twin c store =
+  let m = Machine.create ~nr_frames:run_nr_frames ~seed:5L () in
+  let t = Machine.new_table m in
+  let id = Pagetable.id t in
+  List.iter
+    (fun (vfn, frame, writable) ->
+      Mmu.set_pte_packed m ~space:t ~table:t vfn
+        (Pagetable.packed_make ~frame ~writable ~executable:false ~c_bit:false))
+    c.pre;
+  ignore (Tlb.lookup m.Machine.tlb ~space_id:(id + 1) c.first);
+  List.iter (fun vfn -> ignore (Tlb.lookup m.Machine.tlb ~space_id:id vfn)) c.cached;
+  let stamps = Array.init run_nr_frames (Physmem.stamp m.Machine.mem) in
+  let plan = Fidelius_inject.Plan.make Fidelius_inject.Site.Tlb_omit_flush in
+  if c.armed then Fidelius_inject.Plan.install plan;
+  let ring = Fidelius_obs.Trace.ring () in
+  let clock () = Cost.total m.Machine.ledger in
+  let go () = store m t in
+  Fun.protect ~finally:Fidelius_inject.Plan.uninstall (fun () ->
+      Fidelius_obs.Trace.record_into ring ~clock (fun () ->
+          if c.scoped then Cost.with_scope m.Machine.ledger "boot" go else go ()));
+  let moved = Array.mapi (fun pfn s -> Physmem.stamp m.Machine.mem pfn <> s) stamps in
+  let backing = Pagetable.backing_frames t in
+  let pages = List.map (Physmem.dump m.Machine.mem) backing in
+  let mapped =
+    List.init run_vfns (fun f ->
+        ( Pagetable.frame_mapped t f,
+          Pagetable.frame_is_mapped t f,
+          Pagetable.frame_mapped_writable t f ))
+  in
+  let categories = Cost.categories m.Machine.ledger and scopes = Cost.scopes m.Machine.ledger in
+  let trace = Fidelius_obs.Trace.ring_entries ring in
+  let tlb_entries = Tlb.entries m.Machine.tlb in
+  (* Lookups last: they fill the TLB and charge the ledger read above.
+     The most recent key first, before a lookup moves the TLB's front
+     entry off it. *)
+  let keys =
+    List.rev_map (fun v -> (id, v)) c.cached
+    @ ((id + 1, c.first) :: List.init run_vfns (fun v -> (id, v)))
+  in
+  let cached = List.map (fun (space_id, v) -> Tlb.lookup m.Machine.tlb ~space_id v) keys in
+  ( (moved, backing, pages, mapped),
+    (categories, scopes, trace),
+    (tlb_entries, cached, Machine.frames_free m, Fidelius_inject.Plan.fired plan) )
+
+let store_run c m t = Mmu.set_pte_run m ~space:t ~table:t c.first c.count (run_entry c)
+
+let store_each c m t =
+  for v = c.first to c.first + c.count - 1 do
+    Mmu.set_pte_packed m ~space:t ~table:t v (run_entry c v)
+  done
+
+let test_set_pte_run_matches_entry_stores =
+  QCheck.Test.make ~name:"set_pte_run = set_pte_packed entry by entry" ~count:200 run_case_arb
+    (fun c -> run_twin c (store_run c) = run_twin c (store_each c))
+
+(* The armed case spelled out: the plan fires on the run's first flush in
+   both twins, so the first vfn's cached key survives in both. *)
+let test_set_pte_run_armed () =
+  let c =
+    { pre = [ (3, 40, true); (700, 3, false) ];
+      cached = [ 600; 4; 3 ];
+      first = 3;
+      count = 600;
+      text = [ 5; 6 ];
+      hole_every = 0;
+      armed = true;
+      scoped = false }
+  in
+  let ((_, _, (_, cached, _, fired)) as twin) = run_twin c (store_run c) in
+  Alcotest.(check bool) "plan fired" true fired;
+  (* Looked up most recent first: 3, 4, 600. *)
+  Alcotest.(check (list bool)) "only the first vfn's key survives the run"
+    [ true; false; false ] (List.filteri (fun i _ -> i < 3) cached);
+  Alcotest.(check bool) "twins agree" true (twin = run_twin c (store_each c))
+
+let test_set_pte_run_after_paging () =
+  let m = machine () in
+  let t = Machine.new_table m in
+  m.Machine.enforce_paging <- true;
+  Alcotest.check_raises "refused once paging is enforced"
+    (Invalid_argument "Mmu.set_pte_run: paging is enforced") (fun () ->
+      Mmu.set_pte_run m ~space:t ~table:t 1 4 (fun v ->
+          Pagetable.packed_make ~frame:v ~writable:true ~executable:false ~c_bit:false))
+
 let guest_env () =
   let m = machine () in
   let gpt = Machine.new_table m and npt = Machine.new_table m in
@@ -897,6 +1117,15 @@ let test_cache_leak_channel () =
 
 (* --- Cache FIFO bookkeeping ------------------------------------------------ *)
 
+(* The blocks a cache property fills and probes: one to eight of them,
+   drawn from the page's ends and middle (where an off-by-one in the
+   resident span or a 7-bit span would show) and from the whole page. *)
+let palette_arb () =
+  QCheck.make
+    ~print:QCheck.Print.(list int)
+    QCheck.Gen.(
+      list_size (int_range 1 8) (oneof [ oneofl [ 0; 1; 127; 128; 254; 255 ]; int_bound 255 ]))
+
 (* The eviction queue may carry ghost keys (lines removed by
    [invalidate_page], purged lazily), but the bookkeeping must never drift:
    the live-key count seen by the eviction scan equals the resident-line
@@ -906,27 +1135,31 @@ let test_cache_leak_channel () =
 
    [invalidate_page] trusts the per-frame resident count to stop early,
    so after every op the count must also agree with what probes see, and
-   an invalidation must empty exactly its own frame. *)
+   an invalidation must empty exactly its own frame. Blocks come from a
+   palette across the whole page, since [invalidate_page] scans only the
+   span a frame's lines were filled in. *)
 let test_cache_fifo_invariants =
   QCheck.Test.make ~name:"FIFO queue tracks live lines under fill/invalidate"
     ~count:100
     QCheck.(
-      list_of_size (Gen.int_range 1 400)
-        (triple (int_bound 2) (int_bound 30) (int_bound 7)))
-    (fun ops ->
+      pair (palette_arb ())
+        (list_of_size (Gen.int_range 1 400)
+           (triple (int_bound 2) (int_bound 30) (int_bound 7))))
+    (fun (palette, ops) ->
       let nr_lines = 8 in
       let cache = Cache.create ~nr_lines (Cost.ledger ()) in
       let line = Bytes.make Addr.block_size 'x' in
       let dst = Bytes.create Addr.block_size in
-      (* Fills touch only frames 0-30 and blocks 0-7, so probing those
-         blocks sees every resident line. *)
-      let frames = List.init 31 Fun.id and blocks = List.init 8 Fun.id in
+      (* Fills touch only frames 0-30 and the palette's blocks, so probing
+         those blocks sees every resident line. *)
+      let frames = List.init 31 Fun.id and blocks = List.sort_uniq Int.compare palette in
       let hits pfn =
         List.filter (fun block -> Cache.probe_into cache pfn ~block ~dst ~dst_off:0) blocks
       in
       let lines () = List.map hits frames in
       List.for_all
-        (fun (op, pfn, block) ->
+        (fun (op, pfn, k) ->
+          let block = List.nth palette (k mod List.length palette) in
           let op_ok =
             match op with
             | 0 | 1 ->
@@ -995,20 +1228,31 @@ module Cache_model = struct
   let order_live t = List.length (List.filter (live t) t.order)
 end
 
+(* After every op, every drawn block of every frame probes as in the
+   model, so a line an invalidation left behind anywhere in the page
+   shows. *)
 let test_cache_matches_model =
   QCheck.Test.make ~name:"cache store = list-based FIFO-with-ghosts model" ~count:200
     QCheck.(
-      pair (int_range 1 8)
+      triple (int_range 1 8) (palette_arb ())
         (list_of_size (Gen.int_range 1 300)
            (quad (int_bound 5) (int_bound 4) (int_bound 7) (int_bound 255))))
-    (fun (nr_lines, ops) ->
+    (fun (nr_lines, palette, ops) ->
       let ledger = Cost.ledger () in
       let cache = Cache.create ~nr_lines ledger in
       let model = Cache_model.create nr_lines in
       let costs = Cost.default in
       let dst = Bytes.make (3 * Addr.block_size) '.' in
+      let blocks = List.sort_uniq Int.compare palette in
+      let probes_agree pfn block =
+        let hit = Cache.probe_into cache pfn ~block ~dst ~dst_off:0 in
+        match Cache_model.probe model (pfn, block) with
+        | Some expected -> hit && Bytes.sub_string dst 0 Addr.block_size = expected
+        | None -> not hit
+      in
       List.for_all
-        (fun (op, pfn, block, byte) ->
+        (fun (op, pfn, i, byte) ->
+          let block = List.nth palette (i mod List.length palette) in
           let k = (pfn, block) in
           let line = String.init Addr.block_size (fun i -> Char.chr ((byte + i) land 0xff)) in
           let probe_ok =
@@ -1038,6 +1282,7 @@ let test_cache_matches_model =
                 true
           in
           probe_ok
+          && List.for_all (fun f -> List.for_all (probes_agree f) blocks) (List.init 5 Fun.id)
           && Cache.resident cache = List.length model.Cache_model.lines
           && Cache.order_live cache = Cache_model.order_live model
           && Cache.order_length cache = List.length model.Cache_model.order
@@ -1157,6 +1402,9 @@ let () =
         [ Alcotest.test_case "alloc scrub" `Quick test_machine_alloc_scrub;
           Alcotest.test_case "alloc unique" `Quick test_machine_alloc_unique;
           Alcotest.test_case "exhaustion" `Quick test_machine_exhaustion;
+          prop test_machine_alloc_model;
+          Alcotest.test_case "create ~mem builds no free list" `Quick
+            test_machine_create_minor_words;
           Alcotest.test_case "dma/iommu" `Quick test_machine_dma_iommu ] );
       ( "mmu",
         [ Alcotest.test_case "host rw" `Quick test_mmu_rw;
@@ -1165,6 +1413,9 @@ let () =
           Alcotest.test_case "exec/NX" `Quick test_mmu_exec_nx;
           Alcotest.test_case "W^X detection" `Quick test_mmu_wx;
           Alcotest.test_case "set_pte mediation" `Quick test_mmu_set_pte_mediation;
+          prop test_set_pte_run_matches_entry_stores;
+          Alcotest.test_case "set_pte_run under an armed plan" `Quick test_set_pte_run_armed;
+          Alcotest.test_case "set_pte_run after paging" `Quick test_set_pte_run_after_paging;
           Alcotest.test_case "guest selectors" `Quick test_guest_walk_selectors;
           Alcotest.test_case "SME priority" `Quick test_guest_sme_priority;
           Alcotest.test_case "guest encrypted rw" `Quick test_guest_rw_encrypted;
